@@ -43,8 +43,8 @@ type benchResult struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	FLOPsPerOp  int64   `json:"flops_per_op"`
 	// MemBytesPerStream is the memory-ledger resident bytes charged per
-	// stream (StreamServeMem benches only): the copy-on-write vs. eager
-	// clone density comparison.
+	// stream (StreamServeMem benches only): the per-stream density of
+	// copy-on-write clones at each scoring width.
 	MemBytesPerStream int64 `json:"mem_bytes_per_stream,omitempty"`
 	// HeapBytesPerStream is the measured process heap growth per stream
 	// for the same deployment (GC-settled delta; noisier than the ledger
@@ -144,10 +144,16 @@ func runMicroBenches(env *experiments.Env, scale, path string, smoke bool) error
 
 	frame := env.Gen.Frame(rng, concept.Robbery).Reshape(1, env.Space.PixDim())
 	add("ScoreFrame", func() { det.ScoreVideo(frame) })
-	// The reduced-precision engine on the identical workload, called
-	// directly so the shared fixture's config stays untouched: the
-	// ScoreFrame → ScoreFrameF32 delta is the float32 latency win.
-	add("ScoreFrameF32", func() { det.ScoreVideoF32(frame) })
+	// The same engine at float32 on the identical workload, selected the
+	// way production does — SetPrecision on a clone, so the shared
+	// fixture's config stays untouched: the ScoreFrame → ScoreFrameF32
+	// delta is the float32 latency win.
+	det32, err := det.CloneCOW()
+	if err != nil {
+		return err
+	}
+	det32.SetPrecision(core.PrecisionF32)
+	add("ScoreFrameF32", func() { det32.ScoreVideo(frame) })
 
 	// The batched temporal pass in isolation: 8 windows through one tape,
 	// the granularity ScoreVideo and TrainStep see per clip.
@@ -324,26 +330,21 @@ func runMicroBenches(env *experiments.Env, scale, path string, smoke bool) error
 	}
 
 	// Stream memory density: bytes/stream (memory ledger + GC-settled heap
-	// delta) and the cost of one serving tick, copy-on-write versus eager
-	// deep-copy per-stream clones. Unadapted streams under COW alias the
-	// backbone's graphs and token banks, so their charged bytes collapse to
-	// the monitor window — the 10-100× streams-per-process headroom.
+	// delta) and the cost of one serving tick. Unadapted streams alias the
+	// backbone's graphs and token banks copy-on-write, so their charged
+	// bytes collapse to the monitor window — the 10-100× streams-per-process
+	// headroom.
 	sframe := env.Gen.Frame(rng, concept.Robbery)
-	memBench := func(nStreams int, eager bool, prec core.Precision) error {
-		mode := "COW"
-		if eager {
-			mode = "Eager"
-		}
-		name := fmt.Sprintf("StreamServeMem%s%d", mode, nStreams)
+	memBench := func(nStreams int, prec core.Precision) error {
+		name := fmt.Sprintf("StreamServeMemCOW%d", nStreams)
 		if prec.Resolve() == core.PrecisionF32 {
-			// The reduced-precision fleet: COW clones scoring through the
-			// float32 engine with float32 monitor frames — compare against
+			// The reduced-precision fleet: the same clones scoring at
+			// float32 with float32 monitor frames — compare against
 			// StreamServeMemCOW<n> for the bytes/stream win.
 			name = fmt.Sprintf("StreamServeMemF32%d", nStreams)
 		}
 		scfg := serve.DefaultConfig()
 		scfg.Stream.AdaptEveryFrames = 0
-		scfg.Stream.EagerClone = eager
 		scfg.Stream.Precision = prec
 		scfg.Unmetered = true
 		runtime.GC()
@@ -409,13 +410,10 @@ func runMicroBenches(env *experiments.Env, scale, path string, smoke bool) error
 		return nil
 	}
 	for _, nStreams := range []int{8, 64} {
-		for _, eager := range []bool{false, true} {
-			if err := memBench(nStreams, eager, core.PrecisionAuto); err != nil {
+		for _, prec := range []core.Precision{core.PrecisionAuto, core.PrecisionF32} {
+			if err := memBench(nStreams, prec); err != nil {
 				return err
 			}
-		}
-		if err := memBench(nStreams, false, core.PrecisionF32); err != nil {
-			return err
 		}
 	}
 

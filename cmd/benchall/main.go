@@ -7,9 +7,9 @@
 // frame and video scoring, batched temporal forward, train steps —
 // single-clip, 4-clip sequential accumulation and 4-clip data-parallel —
 // adaptation steps, single-tape and sharded, the multi-stream serving
-// tick at 1/4/8 cameras, the stream memory-density comparison —
-// copy-on-write versus eager per-stream clones at 8/64 cameras, reporting
-// ledger and heap bytes per stream — and the networked serving tier end
+// tick at 1/4/8 cameras, the stream memory density of copy-on-write
+// clones at 8/64 cameras and both scoring widths, reporting ledger and
+// heap bytes per stream — and the networked serving tier end
 // to end: 8 camera streams over a 2-shard fleet behind the HTTP API,
 // reporting fleet throughput and p50/p99/p999 per-frame latency, plus a
 // failover drill killing one of the two workers mid-run and reporting

@@ -58,8 +58,7 @@ func main() {
 		smoke        = flag.Bool("smoke", false, "tiny CI configuration: 2 streams, 48 frames, short training")
 		memBudget    = flag.String("mem-budget", "", "per-process resident-memory budget, e.g. 64K, 2M, 1G (empty disables eviction)")
 		spillDir     = flag.String("spill-dir", "", "directory for evicted-stream spill files (default: a temp dir when -mem-budget is set)")
-		eagerClone   = flag.Bool("eager-clone", false, "deep-copy per-stream state at deployment instead of copy-on-write sharing")
-		precision    = flag.String("precision", "", "scoring width: auto (EDGEKG_PRECISION, default f64), f64, or f32 (reduced-precision engine + float32 monitor frames)")
+		precision    = flag.String("precision", "", "scoring width: auto (EDGEKG_PRECISION, default f64), f64, or f32 (float32 scoring + float32 monitor frames)")
 		listen       = flag.String("listen", "", "serve the HTTP/JSON API on this address (e.g. 127.0.0.1:9701) instead of self-driving synthetic cameras; cmd/loadgen is the driver")
 		maxPending   = flag.Int("max-pending", 8, "with -listen: frame submits queued per stream slot before shedding with 429")
 		ckptInterval = flag.Duration("checkpoint-interval", 0, "with -listen and -checkpoint-dir: wall-clock cadence for periodic worker checkpoints (0 disables)")
@@ -183,7 +182,6 @@ func main() {
 		AdaptEveryFrames: *adaptEvery,
 		AdaptLagFrames:   *adaptLag,
 		ScoreHistory:     64,
-		EagerClone:       *eagerClone,
 		MemBudgetBytes:   budgetBytes,
 		SpillDir:         *spillDir,
 		Precision:        *precision,

@@ -391,11 +391,6 @@ type ServeOptions struct {
 	ScoreHistory int
 	// Seeds optionally fixes each stream's adaptation seed.
 	Seeds []int64
-	// EagerClone deep-copies each stream's graphs and token banks at
-	// deployment instead of the default lazy copy-on-write sharing with
-	// the frozen backbone. Scoring is bit-identical either way; eager
-	// cloning is the reference arm of the memory benchmarks.
-	EagerClone bool
 	// MemBudgetBytes caps the process's charged per-stream resident
 	// bytes: past the budget, idle streams are spilled to SpillDir and
 	// rehydrated bit-exactly on their next frame. 0 disables the budget.
@@ -405,9 +400,9 @@ type ServeOptions struct {
 	SpillDir string
 	// Precision selects each stream's scoring width: "" or "auto" defers
 	// to EDGEKG_PRECISION (default f64, bit-exact), "f64" forces the
-	// double-precision path, "f32" routes scoring through the
-	// reduced-precision engine and stores the monitor's retained frames
-	// at float32 (roughly half the per-stream resident bytes).
+	// double-precision path, "f32" runs the scoring engine at float32
+	// and stores the monitor's retained frames at float32 (roughly half
+	// the per-stream resident bytes).
 	Precision string
 }
 
@@ -443,7 +438,6 @@ func (s *System) Serve(opts ServeOptions) (*StreamServer, error) {
 	}
 	cfg.Stream.AdaptLagFrames = opts.AdaptLagFrames
 	cfg.Stream.ScoreHistory = opts.ScoreHistory
-	cfg.Stream.EagerClone = opts.EagerClone
 	prec, err := core.ParsePrecision(opts.Precision)
 	if err != nil {
 		return nil, fmt.Errorf("edgekg: %w", err)

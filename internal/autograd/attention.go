@@ -61,98 +61,19 @@ func attnDims(op string, rows, cols, batch, heads int) (t, dk int) {
 // gradient matrix with the sequential accumulation order, keeping results
 // bit-identical at any worker count.
 func BatchedAttention(q, k, v *Value, batch, heads int, scale float64, causal bool) *Value {
-	rows, dim := q.Data.Rows(), q.Data.Cols()
-	if !k.Data.SameShape(q.Data) || !v.Data.SameShape(q.Data) {
-		panic(fmt.Sprintf("autograd: BatchedAttention shapes q%v k%v v%v differ", q.Shape(), k.Shape(), v.Shape()))
+	if !q.requiresGrad && !k.requiresGrad && !v.requiresGrad {
+		return &Value{Data: BatchedAttentionFwd(q.Data, k.Data, v.Data, batch, heads, scale, causal), op: "batchedattention"}
 	}
+	rows, dim := q.Data.Rows(), q.Data.Cols()
 	t, dk := attnDims("BatchedAttention", rows, dim, batch, heads)
 	nb := batch * heads
-	needsGrad := q.requiresGrad || k.requiresGrad || v.requiresGrad
-
 	// Attention weights, stored compactly as nb stacked T×T blocks: block
 	// idx = b·heads + h starts at row idx·T. The backward pass re-reads
-	// them; inference-only calls borrow pooled scratch instead.
-	var attn *tensor.Tensor
-	var ws *tensor.Workspace
-	if needsGrad {
-		attn = tensor.New(nb*t, t)
-	} else {
-		ws = tensor.NewWorkspace()
-		attn = ws.Tensor(nb*t, t)
-	}
-
-	out := tensor.New(rows, dim)
-	qd, kd, vd, od, ad := q.Data.Data(), k.Data.Data(), v.Data.Data(), out.Data(), attn.Data()
-
-	// One block ≈ 4·T²·dk + 5·T² flops; pick the chunk grain so a chunk
-	// amortises the pool handshake over ~2¹⁶ flop-equivalents.
-	blockCost := 4*t*t*dk + 5*t*t
-	grain := 1
-	if blockCost > 0 && (1<<16)/blockCost > 1 {
-		grain = (1 << 16) / blockCost
-	}
-
-	// The fused loops call the same backend kernels as the composed
-	// reference ops (Dot for MatMulT2's inner product, Axpy for MatMul's
-	// accumulation), so fused-vs-sequential bit-identity holds per backend
-	// even where a kernel reassociates.
+	// them.
+	attn := tensor.New(nb*t, t)
+	out, grain := batchedAttention(q.Data, k.Data, v.Data, batch, heads, scale, causal, attn.Data())
+	qd, kd, vd, ad := q.Data.Data(), k.Data.Data(), v.Data.Data(), attn.Data()
 	bk := kernels.Active()
-	forward := func(lo, hi int) {
-		for idx := lo; idx < hi; idx++ {
-			b, h := idx/heads, idx%heads
-			rowOff, colOff := b*t, h*dk
-			for i := 0; i < t; i++ {
-				jm := t
-				if causal {
-					jm = i + 1
-				}
-				qrow := qd[(rowOff+i)*dim+colOff : (rowOff+i)*dim+colOff+dk]
-				arow := ad[(idx*t+i)*t : (idx*t+i)*t+t]
-				// Scores: (Q·Kᵀ)·scale, the composed MatMulT2+Scale order.
-				for j := 0; j < jm; j++ {
-					krow := kd[(rowOff+j)*dim+colOff : (rowOff+j)*dim+colOff+dk]
-					arow[j] = bk.Dot(qrow, krow) * scale
-				}
-				// Row softmax over the unmasked prefix. The reference path
-				// adds −1e9 to masked scores; after the max shift those
-				// exponentials underflow to exactly 0, so skipping them
-				// entirely yields the same floats.
-				mx := arow[0]
-				for _, s := range arow[1:jm] {
-					if s > mx {
-						mx = s
-					}
-				}
-				sum := 0.0
-				for j := 0; j < jm; j++ {
-					e := math.Exp(arow[j] - mx)
-					arow[j] = e
-					sum += e
-				}
-				inv := 1 / sum
-				for j := 0; j < jm; j++ {
-					arow[j] *= inv
-				}
-				// Context: attn·V with the reference MatMul's i-p-j order
-				// and zero skip.
-				orow := od[(rowOff+i)*dim+colOff : (rowOff+i)*dim+colOff+dk]
-				for p := 0; p < jm; p++ {
-					av := arow[p]
-					if av == 0 {
-						continue
-					}
-					vrow := vd[(rowOff+p)*dim+colOff : (rowOff+p)*dim+colOff+dk]
-					bk.Axpy(av, vrow, orow)
-				}
-			}
-		}
-	}
-	parallel.For(nb, grain, forward)
-	flops.Add(int64(nb * blockCost))
-	if !needsGrad {
-		ws.Release()
-		return &Value{Data: out, op: "batchedattention"}
-	}
 
 	return newOp3("batchedattention", out, q, k, v, func(bp *Backprop, g *tensor.Tensor) {
 		gd := g.Data()
@@ -229,6 +150,97 @@ func BatchedAttention(q, k, v *Value, batch, heads int, scale float64, causal bo
 	})
 }
 
+// BatchedAttentionFwd is BatchedAttention's forward on bare tensors at
+// width T, with the attention weights in pooled scratch: nothing needs
+// them once the context rows are written.
+func BatchedAttentionFwd[T tensor.Float](q, k, v *tensor.Dense[T], batch, heads int, scale T, causal bool) *tensor.Dense[T] {
+	t, _ := attnDims("BatchedAttention", q.Rows(), q.Cols(), batch, heads)
+	ws := tensor.NewWorkspace()
+	out, _ := batchedAttention(q, k, v, batch, heads, scale, causal, tensor.Scratch[T](ws, batch*heads*t*t))
+	ws.Release()
+	return out
+}
+
+// batchedAttention computes the attention context into a fresh tensor,
+// leaving the softmax weights in ad (nb stacked T×T blocks). It also
+// returns the worker-pool grain so the backward pass splits identically.
+func batchedAttention[T tensor.Float](q, k, v *tensor.Dense[T], batch, heads int, scale T, causal bool, ad []T) (*tensor.Dense[T], int) {
+	rows, dim := q.Rows(), q.Cols()
+	if !k.SameShape(q) || !v.SameShape(q) {
+		panic(fmt.Sprintf("autograd: BatchedAttention shapes q%v k%v v%v differ", q.Shape(), k.Shape(), v.Shape()))
+	}
+	t, dk := attnDims("BatchedAttention", rows, dim, batch, heads)
+	nb := batch * heads
+	out := tensor.NewOf[T](rows, dim)
+	qd, kd, vd, od := q.Data(), k.Data(), v.Data(), out.Data()
+
+	// One block ≈ 4·T²·dk + 5·T² flops; pick the chunk grain so a chunk
+	// amortises the pool handshake over ~2¹⁶ flop-equivalents.
+	blockCost := 4*t*t*dk + 5*t*t
+	grain := 1
+	if blockCost > 0 && (1<<16)/blockCost > 1 {
+		grain = (1 << 16) / blockCost
+	}
+
+	// The fused loops call the same backend kernels as the composed
+	// reference ops (Dot for MatMulT2's inner product, Axpy for MatMul's
+	// accumulation), so fused-vs-sequential bit-identity holds per backend
+	// even where a kernel reassociates.
+	bk := kernels.ActiveOf[T]()
+	parallel.For(nb, grain, func(lo, hi int) {
+		for idx := lo; idx < hi; idx++ {
+			b, h := idx/heads, idx%heads
+			rowOff, colOff := b*t, h*dk
+			for i := 0; i < t; i++ {
+				jm := t
+				if causal {
+					jm = i + 1
+				}
+				qrow := qd[(rowOff+i)*dim+colOff : (rowOff+i)*dim+colOff+dk]
+				arow := ad[(idx*t+i)*t : (idx*t+i)*t+t]
+				// Scores: (Q·Kᵀ)·scale, the composed MatMulT2+Scale order.
+				for j := 0; j < jm; j++ {
+					krow := kd[(rowOff+j)*dim+colOff : (rowOff+j)*dim+colOff+dk]
+					arow[j] = bk.Dot(qrow, krow) * scale
+				}
+				// Row softmax over the unmasked prefix. The reference path
+				// adds −1e9 to masked scores; after the max shift those
+				// exponentials underflow to exactly 0, so skipping them
+				// entirely yields the same floats.
+				mx := arow[0]
+				for _, s := range arow[1:jm] {
+					if s > mx {
+						mx = s
+					}
+				}
+				var sum T
+				for j := 0; j < jm; j++ {
+					e := T(math.Exp(float64(arow[j] - mx)))
+					arow[j] = e
+					sum += e
+				}
+				inv := 1 / sum
+				for j := 0; j < jm; j++ {
+					arow[j] *= inv
+				}
+				// Context: attn·V with the reference MatMul's i-p-j order
+				// and zero skip.
+				orow := od[(rowOff+i)*dim+colOff : (rowOff+i)*dim+colOff+dk]
+				for p := 0; p < jm; p++ {
+					av := arow[p]
+					if av == 0 {
+						continue
+					}
+					vrow := vd[(rowOff+p)*dim+colOff : (rowOff+p)*dim+colOff+dk]
+					bk.Axpy(av, vrow, orow)
+				}
+			}
+		}
+	})
+	flops.Add(int64(nb * blockCost))
+	return out, grain
+}
+
 // MaskedSoftmaxRows applies a row-wise softmax to x + mask as a single
 // graph node — the Add(scores, mask) + SoftmaxRows pair of causal attention
 // fused, with the same floats. mask is additive (0 keeps, −1e9 blocks) and
@@ -254,19 +266,26 @@ func MaskedSoftmaxRows(x *Value, mask *tensor.Tensor) *Value {
 // node instead of one Add per window; the adjoint passes straight through
 // to x (the tile is constant).
 func AddTiled(x *Value, tile *tensor.Tensor) *Value {
-	r, c := x.Data.Rows(), x.Data.Cols()
+	out := addTiledInto(tensor.New(x.Data.Rows(), x.Data.Cols()), x.Data, tile)
+	return newOp3("addtiled", out, x, nil, nil, func(bp *Backprop, g *tensor.Tensor) {
+		bp.accumulate(x, g)
+	})
+}
+
+// AddTiledInPlace is AddTiled's forward overwriting x.
+func AddTiledInPlace[T tensor.Float](x, tile *tensor.Dense[T]) { addTiledInto(x, x, tile) }
+
+func addTiledInto[T tensor.Float](out, x, tile *tensor.Dense[T]) *tensor.Dense[T] {
+	r, c := x.Rows(), x.Cols()
 	t := tile.Rows()
 	if tile.Cols() != c || t < 1 || r%t != 0 {
 		panic(fmt.Sprintf("autograd: AddTiled tile %v does not tile input %v", tile.Shape(), x.Shape()))
 	}
-	out := tensor.New(r, c)
-	od, xd, td := out.Data(), x.Data.Data(), tile.Data()
-	bk := kernels.Active()
+	od, xd, td := out.Data(), x.Data(), tile.Data()
+	bk := kernels.ActiveOf[T]()
 	for i := 0; i < r; i++ {
 		bk.Add(xd[i*c:(i+1)*c], td[(i%t)*c:(i%t+1)*c], od[i*c:(i+1)*c])
 	}
 	flops.Add(int64(r * c))
-	return newOp3("addtiled", out, x, nil, nil, func(bp *Backprop, g *tensor.Tensor) {
-		bp.accumulate(x, g)
-	})
+	return out
 }

@@ -6,14 +6,10 @@ import (
 	"edgekg/internal/tensor"
 )
 
-// MeanRowsBatch stacks the row-means of several matrices into one
-// (len(banks) × d) matrix: row i is the column-wise mean of banks[i]. It
-// is the batched form of MeanRows over a token-bank list — one graph node
-// and one backward closure for the whole bank set, where the per-node
-// form paid an op (and its closure, parents and output tensor) per node.
-// MeanRowsBatch takes ownership of the banks slice; the caller must not
-// mutate it afterwards.
-func MeanRowsBatch(banks []*Value) *Value {
+// MeanRowsBatchFwd is MeanRowsBatch's forward. Token banks exist at
+// float64 only (adaptation writes their pages in place), so the means do
+// too; the engine narrows the result.
+func MeanRowsBatchFwd(banks []*Value) *tensor.Tensor {
 	if len(banks) == 0 {
 		panic("autograd: MeanRowsBatch of nothing")
 	}
@@ -41,6 +37,19 @@ func MeanRowsBatch(banks []*Value) *Value {
 			orow[j] *= inv
 		}
 	}
+	return out
+}
+
+// MeanRowsBatch stacks the row-means of several matrices into one
+// (len(banks) × d) matrix: row i is the column-wise mean of banks[i]. It
+// is the batched form of MeanRows over a token-bank list — one graph node
+// and one backward closure for the whole bank set, where the per-node
+// form paid an op (and its closure, parents and output tensor) per node.
+// MeanRowsBatch takes ownership of the banks slice; the caller must not
+// mutate it afterwards.
+func MeanRowsBatch(banks []*Value) *Value {
+	out := MeanRowsBatchFwd(banks)
+	d := out.Cols()
 	return newOp("meanrowsbatch", out, banks, func(bp *Backprop, g *tensor.Tensor) {
 		gd := g.Data()
 		for i, b := range banks {
@@ -66,6 +75,61 @@ func MeanRowsBatch(banks []*Value) *Value {
 	})
 }
 
+// AssembleBatchFwd is AssembleBatch's forward on bare tensors at width T
+// (feats nil when every featRow entry is negative).
+func AssembleBatchFwd[T tensor.Float](frames, feats *tensor.Dense[T], featRow []int, frameRow int, fill T) *tensor.Dense[T] {
+	b := frames.Rows()
+	d := frames.Cols()
+	v := len(featRow)
+	if v == 0 {
+		panic("autograd: AssembleBatch with empty template")
+	}
+	if frameRow < 0 || frameRow >= v {
+		panic(fmt.Sprintf("autograd: AssembleBatch frame row %d out of range [0,%d)", frameRow, v))
+	}
+	var featData []T
+	featRows := 0
+	if feats != nil {
+		if feats.Cols() != d {
+			panic(fmt.Sprintf("autograd: AssembleBatch feats width %d != frame width %d", feats.Cols(), d))
+		}
+		featData = feats.Data()
+		featRows = feats.Rows()
+	}
+
+	// Build the v×d template once in pooled scratch, then stamp it per
+	// sample and patch the frame row.
+	ws := tensor.NewWorkspace()
+	tmpl := tensor.Scratch[T](ws, v*d)
+	for i, fr := range featRow {
+		if i == frameRow {
+			continue // overwritten per block below
+		}
+		row := tmpl[i*d : (i+1)*d]
+		switch {
+		case fr >= 0:
+			if fr >= featRows {
+				panic(fmt.Sprintf("autograd: AssembleBatch featRow[%d] = %d out of range [0,%d)", i, fr, featRows))
+			}
+			copy(row, featData[fr*d:(fr+1)*d])
+		default:
+			for j := range row {
+				row[j] = fill
+			}
+		}
+	}
+	out := tensor.NewOf[T](b*v, d)
+	od := out.Data()
+	fd := frames.Data()
+	for k := 0; k < b; k++ {
+		block := od[k*v*d : (k+1)*v*d]
+		copy(block, tmpl)
+		copy(block[frameRow*d:(frameRow+1)*d], fd[k*d:(k+1)*d])
+	}
+	ws.Release()
+	return out
+}
+
 // AssembleBatch builds the block-diagonal batched node-feature matrix of
 // the hierarchical GNN forward in a single operation. For a graph template
 // of v = len(featRow) node rows and a batch of b = frames.Rows() samples
@@ -86,55 +150,14 @@ func MeanRowsBatch(banks []*Value) *Value {
 // SliceRows/ConcatRows graph the forward previously built — same values,
 // same gradients, two orders of magnitude fewer allocations.
 func AssembleBatch(frames, feats *Value, featRow []int, frameRow int, fill float64) *Value {
-	b := frames.Data.Rows()
-	d := frames.Data.Cols()
-	v := len(featRow)
-	if v == 0 {
-		panic("autograd: AssembleBatch with empty template")
-	}
-	if frameRow < 0 || frameRow >= v {
-		panic(fmt.Sprintf("autograd: AssembleBatch frame row %d out of range [0,%d)", frameRow, v))
-	}
-	var featData []float64
+	b, d, v := frames.Data.Rows(), frames.Data.Cols(), len(featRow)
+	var featData *tensor.Tensor
 	featRows := 0
 	if feats != nil {
-		if feats.Data.Cols() != d {
-			panic(fmt.Sprintf("autograd: AssembleBatch feats width %d != frame width %d", feats.Data.Cols(), d))
-		}
-		featData = feats.Data.Data()
-		featRows = feats.Data.Rows()
+		featData = feats.Data
+		featRows = featData.Rows()
 	}
-
-	// Build the v×d template once in pooled scratch, then stamp it per
-	// sample and patch the frame row.
-	ws := tensor.NewWorkspace()
-	tmpl := ws.Floats(v * d)
-	for i, fr := range featRow {
-		if i == frameRow {
-			continue // overwritten per block below
-		}
-		row := tmpl[i*d : (i+1)*d]
-		switch {
-		case fr >= 0:
-			if fr >= featRows {
-				panic(fmt.Sprintf("autograd: AssembleBatch featRow[%d] = %d out of range [0,%d)", i, fr, featRows))
-			}
-			copy(row, featData[fr*d:(fr+1)*d])
-		default:
-			for j := range row {
-				row[j] = fill
-			}
-		}
-	}
-	out := tensor.New(b*v, d)
-	od := out.Data()
-	fd := frames.Data.Data()
-	for k := 0; k < b; k++ {
-		block := od[k*v*d : (k+1)*v*d]
-		copy(block, tmpl)
-		copy(block[frameRow*d:(frameRow+1)*d], fd[k*d:(k+1)*d])
-	}
-	ws.Release()
+	out := AssembleBatchFwd(frames.Data, featData, featRow, frameRow, fill)
 
 	return newOp3("assemblebatch", out, frames, feats, nil, func(bp *Backprop, g *tensor.Tensor) {
 		gd := g.Data()

@@ -19,7 +19,6 @@ import (
 func EdgeAggNormActEval(x, gamma, beta *Value, src, dst []int, inLevel []bool, runningMean, runningVar *tensor.Tensor, eps float64) *Value {
 	n := x.Data.Rows()
 	d := x.Data.Cols()
-	checkEdgeLists(n, src, dst, inLevel)
 	xd := x.Data.Data()
 
 	// The aggregate output and invStd live in pooled scratch for the
@@ -29,28 +28,10 @@ func EdgeAggNormActEval(x, gamma, beta *Value, src, dst []int, inLevel []bool, r
 	// by the backward closure, matching BatchNormEval: a graph built in
 	// eval mode must run its backward before the statistics move again.
 	fws := tensor.NewWorkspace()
-	invStd := fws.Floats(d)
-	for j, v := range runningVar.Data() {
-		invStd[j] = 1 / math.Sqrt(v+eps)
-	}
-	tmp := fws.Floats(n * d)
-	edgeAggForward(xd, tmp, n, d, src, dst, inLevel)
-	out := tensor.New(n, d)
-	od := out.Data()
 	rm, gam, bet := runningMean.Data(), gamma.Data.Data(), beta.Data.Data()
-	for i := 0; i < n; i++ {
-		trow := tmp[i*d : (i+1)*d]
-		orow := od[i*d : (i+1)*d]
-		for j := 0; j < d; j++ {
-			xh := (trow[j] - rm[j]) * invStd[j]
-			pre := gam[j]*xh + bet[j]
-			if pre > 0 {
-				orow[j] = pre
-			} else {
-				orow[j] = math.Exp(pre) - 1
-			}
-		}
-	}
+	out := tensor.New(n, d)
+	edgeAggNormActEvalInto(out, x.Data, gam, bet, rm, InvStd(fws.Floats(d), runningVar, eps), src, dst, inLevel)
+	od := out.Data()
 	fws.Release()
 	return newOp3("edgeaggnormact.eval", out, x, gamma, beta, func(bp *Backprop, g *tensor.Tensor) {
 		ws := tensor.NewWorkspace()
@@ -109,6 +90,34 @@ func EdgeAggNormActEval(x, gamma, beta *Value, src, dst []int, inLevel []bool, r
 		}
 		ws.Release()
 	})
+}
+
+// EdgeAggNormActEvalInPlace is EdgeAggNormActEval's forward overwriting
+// x, with the running mean and InvStd of the running variance already at
+// width T.
+func EdgeAggNormActEvalInPlace[T tensor.Float](x *tensor.Dense[T], gamma, beta, runningMean, invStd []T, src, dst []int, inLevel []bool) {
+	edgeAggNormActEvalInto(x, x, gamma, beta, runningMean, invStd, src, dst, inLevel)
+}
+
+// edgeAggNormActEvalInto aggregates x over the edge group into pooled
+// scratch, then writes ELU(BatchNorm(aggregate)) into out — which may be
+// x itself, since the aggregate is complete before the first write.
+func edgeAggNormActEvalInto[T tensor.Float](out, x *tensor.Dense[T], gamma, beta, runningMean, invStd []T, src, dst []int, inLevel []bool) {
+	n, d := x.Rows(), x.Cols()
+	checkEdgeLists(n, src, dst, inLevel)
+	ws := tensor.NewWorkspace()
+	tmp := tensor.Scratch[T](ws, n*d)
+	edgeAggForward(x.Data(), tmp, n, d, src, dst, inLevel)
+	od := out.Data()
+	for i := 0; i < n; i++ {
+		trow := tmp[i*d : (i+1)*d]
+		orow := od[i*d : (i+1)*d]
+		for j := 0; j < d; j++ {
+			xh := (trow[j] - runningMean[j]) * invStd[j]
+			orow[j] = elu(gamma[j]*xh + beta[j])
+		}
+	}
+	ws.Release()
 }
 
 // EdgeAggNormActTrain is the training-mode tail, normalising with batch

@@ -158,7 +158,7 @@ func checkEdgeLists(n int, src, dst []int, inLevel []bool) {
 // od (both n×d row-major): in-level destinations receive the mean over
 // incoming edges of the elementwise source·destination product, everything
 // else passes through. od must start zeroed.
-func edgeAggForward(xd, od []float64, n, d int, src, dst []int, inLevel []bool) {
+func edgeAggForward[T tensor.Float](xd, od []T, n, d int, src, dst []int, inLevel []bool) {
 	ws := tensor.NewWorkspace()
 	counts := ws.Floats(n)
 	for _, t := range dst {
@@ -168,7 +168,7 @@ func edgeAggForward(xd, od []float64, n, d int, src, dst []int, inLevel []bool) 
 	// active kernel backend's MulAcc is bit-identical to the scalar loop
 	// (order-preserving class), so fused-vs-composed equivalence holds on
 	// every backend.
-	bk := kernels.Active()
+	bk := kernels.ActiveOf[T]()
 	for e, t := range dst {
 		if !inLevel[t] {
 			continue
@@ -183,7 +183,7 @@ func edgeAggForward(xd, od []float64, n, d int, src, dst []int, inLevel []bool) 
 	for i := 0; i < n; i++ {
 		row := od[i*d : (i+1)*d]
 		if inLevel[i] && counts[i] > 0 {
-			bk.Scale(1/counts[i], row, row)
+			bk.Scale(T(1/counts[i]), row, row)
 		} else {
 			copy(row, xd[i*d:(i+1)*d])
 		}

@@ -83,18 +83,8 @@ func BatchNormTrain(x, gamma, beta *Value, eps float64) (out *Value, batchMean, 
 // token embeddings.
 func BatchNormEval(x, gamma, beta *Value, runningMean, runningVar *tensor.Tensor, eps float64) *Value {
 	r, c := x.Data.Rows(), x.Data.Cols()
-	invStd := make([]float64, c)
-	for j, v := range runningVar.Data() {
-		invStd[j] = 1 / math.Sqrt(v+eps)
-	}
-	o := tensor.New(r, c)
-	for i := 0; i < r; i++ {
-		xrow, orow := x.Data.Row(i), o.Row(i)
-		for j := 0; j < c; j++ {
-			xh := (xrow[j] - runningMean.Data()[j]) * invStd[j]
-			orow[j] = gamma.Data.Data()[j]*xh + beta.Data.Data()[j]
-		}
-	}
+	invStd := InvStd(make([]float64, c), runningVar, eps)
+	o := batchNormEvalInto(tensor.New(r, c), x.Data, gamma.Data.Data(), beta.Data.Data(), runningMean.Data(), invStd)
 	return newOp3("batchnorm.eval", o, x, gamma, beta, func(bp *Backprop, g *tensor.Tensor) {
 		if gamma.requiresGrad {
 			gg := tensor.New(c)
@@ -128,35 +118,9 @@ func BatchNormEval(x, gamma, beta *Value, runningMean, runningVar *tensor.Tensor
 // blocks use it.
 func LayerNorm(x, gamma, beta *Value, eps float64) *Value {
 	r, c := x.Data.Rows(), x.Data.Cols()
-	xhat := tensor.New(r, c)
+	xhat, o := tensor.New(r, c), tensor.New(r, c)
 	invStds := make([]float64, r)
-	for i := 0; i < r; i++ {
-		row := x.Data.Row(i)
-		mu := 0.0
-		for _, v := range row {
-			mu += v
-		}
-		mu /= float64(c)
-		va := 0.0
-		for _, v := range row {
-			d := v - mu
-			va += d * d
-		}
-		va /= float64(c)
-		inv := 1 / math.Sqrt(va+eps)
-		invStds[i] = inv
-		hrow := xhat.Row(i)
-		for j, v := range row {
-			hrow[j] = (v - mu) * inv
-		}
-	}
-	o := tensor.New(r, c)
-	for i := 0; i < r; i++ {
-		hrow, orow := xhat.Row(i), o.Row(i)
-		for j := 0; j < c; j++ {
-			orow[j] = gamma.Data.Data()[j]*hrow[j] + beta.Data.Data()[j]
-		}
-	}
+	layerNormInto(o, xhat, invStds, x.Data, gamma.Data.Data(), beta.Data.Data(), eps)
 	return newOp3("layernorm", o, x, gamma, beta, func(bp *Backprop, g *tensor.Tensor) {
 		if gamma.requiresGrad {
 			gg := tensor.New(c)
@@ -190,4 +154,71 @@ func LayerNorm(x, gamma, beta *Value, eps float64) *Value {
 			bp.accumulate(x, gx)
 		}
 	})
+}
+
+// InvStd fills dst with 1/√(variance+eps) per column — the frozen-statistics
+// scale of eval-mode BatchNorm — evaluated at float64 and rounded to T.
+func InvStd[T tensor.Float](dst []T, variance *tensor.Tensor, eps float64) []T {
+	for j, v := range variance.Data() {
+		dst[j] = T(1 / math.Sqrt(v+eps))
+	}
+	return dst
+}
+
+// BatchNormEvalInPlace is BatchNormEval's forward overwriting x, with the
+// running mean and InvStd of the running variance already at width T.
+func BatchNormEvalInPlace[T tensor.Float](x *tensor.Dense[T], gamma, beta, runningMean, invStd []T) {
+	batchNormEvalInto(x, x, gamma, beta, runningMean, invStd)
+}
+
+func batchNormEvalInto[T tensor.Float](o, x *tensor.Dense[T], gamma, beta, runningMean, invStd []T) *tensor.Dense[T] {
+	r, c := x.Rows(), x.Cols()
+	for i := 0; i < r; i++ {
+		xrow, orow := x.Row(i), o.Row(i)
+		for j := 0; j < c; j++ {
+			xh := (xrow[j] - runningMean[j]) * invStd[j]
+			orow[j] = gamma[j]*xh + beta[j]
+		}
+	}
+	return o
+}
+
+// LayerNormFwd is LayerNorm's forward on bare tensors at width T. It
+// retains nothing: x̂ is written into the output and scaled in place.
+func LayerNormFwd[T tensor.Float](x *tensor.Dense[T], gamma, beta []T, eps float64) *tensor.Dense[T] {
+	o := tensor.NewOf[T](x.Rows(), x.Cols())
+	layerNormInto(o, o, nil, x, gamma, beta, eps)
+	return o
+}
+
+// layerNormInto writes the normalised rows x̂ into xhat and γ·x̂+β into o
+// (the two may be the same tensor), and each row's 1/σ into invStds when
+// the caller keeps them for a backward pass.
+func layerNormInto[T tensor.Float](o, xhat *tensor.Dense[T], invStds []T, x *tensor.Dense[T], gamma, beta []T, eps float64) {
+	r, c := x.Rows(), x.Cols()
+	for i := 0; i < r; i++ {
+		row := x.Row(i)
+		var mu T
+		for _, v := range row {
+			mu += v
+		}
+		mu /= T(c)
+		var va T
+		for _, v := range row {
+			d := v - mu
+			va += d * d
+		}
+		va /= T(c)
+		inv := T(1 / math.Sqrt(float64(va)+eps))
+		if invStds != nil {
+			invStds[i] = inv
+		}
+		hrow, orow := xhat.Row(i), o.Row(i)
+		for j, v := range row {
+			hrow[j] = (v - mu) * inv
+		}
+		for j := 0; j < c; j++ {
+			orow[j] = gamma[j]*hrow[j] + beta[j]
+		}
+	}
 }

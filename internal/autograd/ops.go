@@ -94,25 +94,37 @@ func MatMulT2(a, b *Value) *Value {
 	})
 }
 
+// AffineFwd is Affine's forward, x·W + b, on bare tensors at width T.
+//
+// It is the first of the tape-free forwards this package shares with the
+// eval-only scoring engine (the …Fwd and …InPlace functions): each is the
+// one place its op's forward arithmetic and FLOP count are written. The
+// tape op calls it at float64 and adds only the backward closure, so
+// scoring without a tape is bit-identical to scoring through one by
+// construction, and a frame is billed the same count at either width.
+func AffineFwd[T tensor.Float](x, w *tensor.Dense[T], b []T) *tensor.Dense[T] {
+	out := tensor.MatMul(x, w)
+	r, c := out.Rows(), out.Cols()
+	if len(b) != c {
+		panic(fmt.Sprintf("autograd: Affine bias size %d != cols %d", len(b), c))
+	}
+	od := out.Data()
+	for i := 0; i < r; i++ {
+		row := od[i*c : (i+1)*c]
+		for j := 0; j < c; j++ {
+			row[j] += b[j]
+		}
+	}
+	flops.Add(int64(r * c))
+	return out
+}
+
 // Affine returns x·W + b with the 1-D bias b broadcast over rows — the
 // dense sub-layer (eq. 1) fused into one graph node. It is MatMul+AddRow
 // without the intermediate op: the bias is added in place into the matmul
 // output, saving a full matrix clone and a tape node per dense layer.
 func Affine(x, w, b *Value) *Value {
-	out := tensor.MatMul(x.Data, w.Data)
-	r, c := out.Rows(), out.Cols()
-	if b.Data.Size() != c {
-		panic(fmt.Sprintf("autograd: Affine bias size %d != cols %d", b.Data.Size(), c))
-	}
-	bd := b.Data.Data()
-	od := out.Data()
-	for i := 0; i < r; i++ {
-		row := od[i*c : (i+1)*c]
-		for j := 0; j < c; j++ {
-			row[j] += bd[j]
-		}
-	}
-	flops.Add(int64(r * c))
+	out := AffineFwd(x.Data, w.Data, b.Data.Data())
 	return newOp3("affine", out, x, w, b, func(bp *Backprop, g *tensor.Tensor) {
 		if x.requiresGrad {
 			bp.accumulate(x, tensor.MatMulT2(g, w.Data)) // dX = G·Wᵀ
@@ -284,15 +296,22 @@ func MeanRows(v *Value) *Value {
 	})
 }
 
+// elu is the scalar ELU (alpha = 1). Like every transcendental in the
+// shared forwards it is evaluated at float64 and rounded to T.
+func elu[T tensor.Float](x T) T {
+	if x > 0 {
+		return x
+	}
+	return T(math.Exp(float64(x)) - 1)
+}
+
+// ELUInPlace is ELU's forward overwriting x.
+func ELUInPlace[T tensor.Float](x *tensor.Dense[T]) { tensor.MapInPlace(x, elu[T]) }
+
 // ELU applies the exponential linear unit elementwise (alpha = 1), the
 // activation of every hierarchical GNN layer (eq. 4).
 func ELU(v *Value) *Value {
-	out := tensor.Map(v.Data, func(x float64) float64 {
-		if x > 0 {
-			return x
-		}
-		return math.Exp(x) - 1
-	})
+	out := tensor.Map(v.Data, elu[float64])
 	return newOp3("elu", out, v, nil, nil, func(bp *Backprop, g *tensor.Tensor) {
 		gv := tensor.New(v.Data.Shape()...)
 		vd, od, gd, dst := v.Data.Data(), out.Data(), g.Data(), gv.Data()
@@ -353,20 +372,28 @@ func Sigmoid(v *Value) *Value {
 	})
 }
 
+// geluC is sqrt(2/pi), the tanh-approximated GELU's constant.
+const geluC = 0.7978845608028654
+
+func gelu[T tensor.Float](v T) T {
+	x := float64(v)
+	return T(0.5 * x * (1 + math.Tanh(geluC*(x+0.044715*x*x*x))))
+}
+
+// GELUInPlace is GELU's forward overwriting x.
+func GELUInPlace[T tensor.Float](x *tensor.Dense[T]) { tensor.MapInPlace(x, gelu[T]) }
+
 // GELU applies the Gaussian error linear unit (tanh approximation), used by
 // the transformer feed-forward blocks.
 func GELU(v *Value) *Value {
-	const c = 0.7978845608028654 // sqrt(2/pi)
-	out := tensor.Map(v.Data, func(x float64) float64 {
-		return 0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x)))
-	})
+	out := tensor.Map(v.Data, gelu[float64])
 	return newOp3("gelu", out, v, nil, nil, func(bp *Backprop, g *tensor.Tensor) {
 		gv := tensor.New(v.Data.Shape()...)
 		vd, gd, dst := v.Data.Data(), g.Data(), gv.Data()
 		for i := range vd {
 			x := vd[i]
-			t := math.Tanh(c * (x + 0.044715*x*x*x))
-			dt := (1 - t*t) * c * (1 + 3*0.044715*x*x)
+			t := math.Tanh(geluC * (x + 0.044715*x*x*x))
+			dt := (1 - t*t) * geluC * (1 + 3*0.044715*x*x)
 			dst[i] = gd[i] * (0.5*(1+t) + 0.5*x*dt)
 		}
 		bp.accumulate(v, gv)

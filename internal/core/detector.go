@@ -109,6 +109,9 @@ func NewDetector(rng *rand.Rand, space *embed.Space, graphs []*kg.Graph, cfg Con
 // weights, BatchNorm statistics and mode flags every clone reads. The
 // serving runtime deploys the backbone first and then takes one clone per
 // stream, which is exactly that contract.
+//
+// Serving clones with CloneCOW; CloneShared remains as the deep-copy
+// oracle the copy-on-write equivalence tests compare against.
 func (d *Detector) CloneShared() (*Detector, error) {
 	c := &Detector{space: d.space, temp: d.temp, head: d.head, cfg: d.cfg}
 	c.gnns = make([]*gnn.Model, len(d.gnns))
@@ -116,7 +119,7 @@ func (d *Detector) CloneShared() (*Detector, error) {
 		cm, err := m.CloneShared()
 		if err != nil {
 			// Release the half-built clone: models built so far are
-			// discarded wholesale (eager clones hold no marks on their
+			// discarded wholesale (deep clones hold no marks on their
 			// source), never returned partially wired.
 			c.gnns = nil
 			return nil, fmt.Errorf("core: clone GNN %d: %w", i, err)
@@ -157,7 +160,7 @@ func (d *Detector) CloneCOW() (*Detector, error) {
 // call it on an unused CloneCOW result that will never be served (e.g. a
 // server constructor failing after cloning some streams), so the source
 // does not keep paying copy-on-write faults for a dead alias. No-op on
-// eager clones.
+// deep (CloneShared) clones.
 func (d *Detector) DiscardClone() {
 	for _, m := range d.gnns {
 		m.DiscardClone()
@@ -295,38 +298,52 @@ func (d *Detector) ForwardClipStats(clip *tensor.Tensor, batch int, stats *nn.BN
 // a left-padded window (first frame repeated), matching a causal stream
 // warm-up.
 //
+// Scoring runs the eval engine — one tape-free forward per stage (image
+// encode → per-KG GNN → temporal block → decision head → calibrated
+// softmax), written once over the element width — at the width the
+// configured Precision resolves to. Every stage shares its forward
+// arithmetic and FLOP count with the autograd op that trains it, so at
+// float64 the scores are exactly what the tape composition (ForwardClip
+// and friends) would produce, and a frame costs the same count at either
+// width.
+//
 // Frame windows are scored in batched temporal passes: the window matrix
 // is assembled concurrently on the shared worker pool (each task fills
 // disjoint rows), and the batched attention/matmul kernels fan out over
-// the same pool inside each ForwardBatch call. Long videos are processed
+// the same pool inside each temporal pass. Long videos are processed
 // in fixed-size window chunks so the temporal stage's stacked windows,
 // attention weights and activations stay bounded by the chunk size (the
-// per-frame embedding matrix remains O(video length) — EmbedFrames runs
+// per-frame embedding matrix remains O(video length) — the GNN stage runs
 // over the whole video first). Each window's block is computed exactly as
 // in the sequential per-window loop — and identically at any chunking —
 // so the output is deterministic at any worker count.
 //
 // ScoreVideo is safe for concurrent callers over one frozen, deployed
 // detector: the forward path is read-only (the per-model bank and layout
-// caches are mutex-guarded), and the SetTraining re-assertion below stays
+// caches are mutex-guarded, the per-width weight snapshots are built once
+// under benign CAS races), and the SetTraining re-assertion below stays
 // a pure read when the model is already in inference mode. The contract
 // is that nobody concurrently trains the model or toggles it back to
 // training mode — which Deploy establishes and the serving runtime
 // preserves.
 func (d *Detector) ScoreVideo(frames *tensor.Tensor) []float64 {
 	if d.cfg.Precision.Resolve() == PrecisionF32 {
-		return d.ScoreVideoF32(frames)
+		return scoreVideo[float32](d, frames)
 	}
+	return scoreVideo[float64](d, frames)
+}
+
+func scoreVideo[T tensor.Float](d *Detector, frames *tensor.Tensor) []float64 {
 	d.SetTraining(false)
 	n := frames.Rows()
 	if n == 0 {
 		return nil
 	}
 	t := d.temp.Window()
-	emb := d.EmbedFrames(frames).Data // inference: raw data is fine
-	invT := 1.0
+	emb := embedFramesEval[T](d, frames)
+	invT := T(1)
 	if d.cfg.ScoreTemperature > 0 {
-		invT = 1 / d.cfg.ScoreTemperature
+		invT = T(1 / d.cfg.ScoreTemperature)
 	}
 	// 256 windows ≈ a few MB of stacked activations at the paper's model
 	// shape — large enough to amortise the batched pass, small enough for
@@ -338,7 +355,7 @@ func (d *Detector) ScoreVideo(frames *tensor.Tensor) []float64 {
 		if b > chunk {
 			b = chunk
 		}
-		wins := tensor.New(b*t, emb.Cols())
+		wins := tensor.NewOf[T](b*t, emb.Cols())
 		parallel.For(b, 8, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				for k := 0; k < t; k++ {
@@ -350,13 +367,30 @@ func (d *Detector) ScoreVideo(frames *tensor.Tensor) []float64 {
 				}
 			}
 		})
-		out := d.temp.ForwardBatch(autograd.Constant(wins), b)
-		probs := autograd.SoftmaxRows(autograd.Scale(d.head.Logits(out), invT))
+		logits := decision.LogitsEval(d.head, temporal.ForwardBatchEval(d.temp, wins, b))
+		probs := tensor.SoftmaxRows(tensor.ScaleInPlace(logits, invT))
 		for i := 0; i < b; i++ {
-			scores[base+i] = 1 - probs.Data.At2(i, 0)
+			scores[base+i] = 1 - float64(probs.At2(i, 0))
 		}
 	}
 	return scores
+}
+
+// embedFramesEval is EmbedFrames without the tape, at width T. The
+// per-mission forwards fan out on the shared worker pool exactly like
+// the tape path.
+func embedFramesEval[T tensor.Float](d *Detector, pix *tensor.Tensor) *tensor.Dense[T] {
+	sem := embed.EncodeImageBatchEval[T](d.space, pix)
+	if len(d.gnns) == 1 {
+		return gnn.ForwardEval(d.gnns[0], sem)
+	}
+	outs := make([]*tensor.Dense[T], len(d.gnns))
+	parallel.For(len(d.gnns), 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			outs[i] = gnn.ForwardEval(d.gnns[i], sem)
+		}
+	})
+	return tensor.ConcatCols(outs...)
 }
 
 // ScoreTemperature returns the deployment calibration temperature (≥1 in
@@ -369,12 +403,12 @@ func (d *Detector) ScoreTemperature() float64 {
 }
 
 // SetTraining toggles BatchNorm/Dropout mode across the pipeline.
-// Entering training mode also drops the decision head's float32 weight
-// snapshot (the GNN and temporal models drop their own); the re-assert of
+// Entering training mode also drops the decision head's eval snapshots
+// (the GNN and temporal models drop their own); the re-assert of
 // inference mode stays a pure read for concurrent scorers.
 func (d *Detector) SetTraining(t bool) {
 	if t {
-		d.head.InvalidateF32()
+		d.head.DropEval()
 	}
 	for _, m := range d.gnns {
 		m.SetTraining(t)

@@ -1,0 +1,168 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"edgekg/internal/autograd"
+	"edgekg/internal/flops"
+	"edgekg/internal/parallel"
+	"edgekg/internal/tensor"
+	"edgekg/internal/tensor/kernels"
+)
+
+// The pins that keep the scoring engine honest. ScoreVideo runs tape-free
+// forwards that share their arithmetic with the autograd ops; the
+// reference below scores the same video by composing those ops on a tape,
+// the way ScoreVideo did before the engine existed and ForwardClip still
+// does. At float64 the two must agree bit for bit; at float32 the engine
+// rides the drift budget in precision_test.go.
+
+// scoreVideoTape is the tape-composed reference for ScoreVideo at float64:
+// EmbedFrames → window gather → ForwardBatch → Logits → Scale → SoftmaxRows
+// as autograd values, chunked exactly like the engine.
+func scoreVideoTape(d *Detector, frames *tensor.Tensor) []float64 {
+	d.SetTraining(false)
+	n := frames.Rows()
+	if n == 0 {
+		return nil
+	}
+	t := d.temp.Window()
+	emb := d.EmbedFrames(frames)
+	invT := 1.0
+	if d.cfg.ScoreTemperature > 0 {
+		invT = 1 / d.cfg.ScoreTemperature
+	}
+	const chunk = 256
+	scores := make([]float64, n)
+	for base := 0; base < n; base += chunk {
+		b := min(n-base, chunk)
+		rows := make([]int, 0, b*t)
+		for i := 0; i < b; i++ {
+			for k := 0; k < t; k++ {
+				rows = append(rows, max(base+i-(t-1)+k, 0))
+			}
+		}
+		out := d.temp.ForwardBatch(autograd.GatherRows(emb, rows), b)
+		probs := autograd.SoftmaxRows(autograd.Scale(d.head.Logits(out), invT))
+		for i := 0; i < b; i++ {
+			scores[base+i] = 1 - probs.Data.At2(i, 0)
+		}
+	}
+	return scores
+}
+
+func requireSameBits(t *testing.T, ctx string, want, got []float64) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d scores, want %d", ctx, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+			t.Fatalf("%s: frame %d: engine %.17g != tape %.17g", ctx, i, got[i], want[i])
+		}
+	}
+}
+
+// TestScoreVideoMatchesTapeBitForBit is the contract of the engine at
+// float64: on every backend, at one worker and at four, for videos of 1,
+// 24 and 300 frames (300 crosses the 256-window chunk seam) over a 2-KG
+// detector — and again after a token-bank page is rewritten in place and
+// after a node is pruned and replaced — ScoreVideo returns exactly the
+// tape reference's bits.
+func TestScoreVideoMatchesTapeBitForBit(t *testing.T) {
+	det := twoKGDetector(t)
+	det.Deploy()
+	det.SetPrecision(PrecisionF64) // also under an EDGEKG_PRECISION=f32 run
+	rng := rand.New(rand.NewSource(91))
+	videos := map[int]*tensor.Tensor{}
+	for _, n := range []int{1, 24, 300} {
+		videos[n] = tensor.RandN(rng, 1, n, det.Space().PixDim())
+	}
+
+	grid := func(stage string) {
+		for _, name := range kernels.Names() {
+			restore, err := kernels.Use(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 4} {
+				prev := parallel.SetWorkers(workers)
+				for _, n := range []int{1, 24, 300} {
+					ctx := fmt.Sprintf("%s/%s/workers=%d/frames=%d", stage, name, workers, n)
+					requireSameBits(t, ctx, scoreVideoTape(det, videos[n]), det.ScoreVideo(videos[n]))
+				}
+				parallel.SetWorkers(prev)
+			}
+			restore()
+		}
+	}
+	grid("deployed")
+
+	// Adaptation writes bank pages in place without telling anyone: the
+	// engine must read the new values on the very next frame.
+	before := det.ScoreVideo(videos[24])
+	m := det.GNN(0)
+	page := m.Tokens().Bank(m.Tokens().NodeIDs()[0]).Data.Data()
+	for i := range page {
+		page[i] += 0.25
+	}
+	if slices.Equal(det.ScoreVideo(videos[24]), before) {
+		t.Fatal("scores unchanged after an in-place bank update — fixture is vacuous")
+	}
+	grid("bank-updated")
+
+	// Prune a reasoning node, create its replacement, Rebind: layout, bank
+	// set and edge groups all change under the cached eval forms.
+	g := det.GNN(1).Graph()
+	victim := det.GNN(1).Tokens().NodeIDs()[0]
+	if _, err := g.ReplaceNode(rng, victim, "created-1", nil, 0.9); err != nil {
+		t.Fatal(err)
+	}
+	if err := det.GNN(1).Rebind(); err != nil {
+		t.Fatal(err)
+	}
+	grid("rebound")
+}
+
+// TestScoreVideoFLOPsIndependentOfWidth pins the Table-I ledger to the
+// model, not to a deployment knob: one frame (and 24) is billed the same
+// operation count at float32 and at float64, and exactly what the tape
+// composition bills.
+func TestScoreVideoFLOPsIndependentOfWidth(t *testing.T) {
+	r := newRig(t, "Stealing", 11)
+	r.det.Deploy()
+	rng := rand.New(rand.NewSource(92))
+	for _, n := range []int{1, 24} {
+		pix := tensor.RandN(rng, 1, n, r.space.PixDim())
+		count := func(p Precision) int64 {
+			r.det.SetPrecision(p)
+			r.det.ScoreVideo(pix) // build the width's snapshots outside the count
+			ops, _ := flops.Count(func() { r.det.ScoreVideo(pix) })
+			return ops
+		}
+		f64, f32 := count(PrecisionF64), count(PrecisionF32)
+		tape, _ := flops.Count(func() { scoreVideoTape(r.det, pix) })
+		if f64 != tape || f32 != tape || tape == 0 {
+			t.Errorf("%d frames: %d ops at f64, %d at f32, %d on the tape — want all equal and nonzero", n, f64, f32, tape)
+		}
+	}
+}
+
+// TestScoreVideoAllocCeiling keeps a served frame's allocation count from
+// creeping back up: with no tape to build, one frame allocates no more at
+// float64 than the float32 path always did.
+func TestScoreVideoAllocCeiling(t *testing.T) {
+	r := newRig(t, "Stealing", 11)
+	r.det.Deploy()
+	pix := tensor.RandN(rand.New(rand.NewSource(93)), 1, 1, r.space.PixDim())
+	for _, p := range []Precision{PrecisionF64, PrecisionF32} {
+		r.det.SetPrecision(p)
+		if got := testing.AllocsPerRun(200, func() { r.det.ScoreVideo(pix) }); got > 111 {
+			t.Errorf("ScoreVideo(1 frame) at %v: %.0f allocs, ceiling 111", p, got)
+		}
+	}
+}

@@ -7,12 +7,12 @@ import (
 	"sync"
 )
 
-// Precision selects the numeric width of the deployed scoring path.
-// Training always runs at float64 — the reduced-precision path is
-// inference-only (no tape), so precision is a deployment property, not a
-// model property: checkpoints always store canonical float64 weights and
-// a detector restored from disk scores bit-identically regardless of the
-// precision it was serving at.
+// Precision selects the numeric width ScoreVideo's engine runs at.
+// Training and adaptation always run at float64 — only the tape-free
+// scoring forward exists at float32 — so precision is a deployment
+// property, not a model property: checkpoints always store canonical
+// float64 weights and a detector restored from disk scores
+// bit-identically regardless of the precision it was serving at.
 type Precision int
 
 const (
@@ -22,9 +22,9 @@ const (
 	PrecisionAuto Precision = iota
 	// PrecisionF64 forces the full double-precision scoring path.
 	PrecisionF64
-	// PrecisionF32 routes scoring through the float32 inference engine:
-	// frozen weights are narrowed once into cached snapshots and every
-	// kernel (matmul, attention, GNN aggregation) runs on the f32 backend.
+	// PrecisionF32 runs the scoring engine at float32: frozen weights are
+	// narrowed once into cached snapshots and every kernel (matmul,
+	// attention, GNN aggregation) runs at half width.
 	PrecisionF32
 )
 
@@ -87,5 +87,5 @@ func (d *Detector) Precision() Precision { return d.cfg.Precision }
 // SetPrecision switches the scoring precision for subsequent ScoreVideo
 // calls. Clones taken afterwards inherit the setting (the config is
 // copied on clone). Switching to f32 is lazy: snapshots are narrowed on
-// the first reduced-precision forward.
+// the first float32 forward.
 func (d *Detector) SetPrecision(p Precision) { d.cfg.Precision = p }

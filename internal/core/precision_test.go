@@ -36,11 +36,11 @@ func TestParsePrecision(t *testing.T) {
 	}
 }
 
-// TestScoreVideoF32DriftBudget scores a 200-frame drift schedule at both
+// TestScoreVideoDriftBudgetAtF32 scores a 200-frame drift schedule at both
 // widths and pins the divergence: float32 scores must track float64
 // within an absolute budget, and the frame ranking the monitor consumes
 // must be preserved to high rank correlation.
-func TestScoreVideoF32DriftBudget(t *testing.T) {
+func TestScoreVideoDriftBudgetAtF32(t *testing.T) {
 	r := newRig(t, "Stealing", 11)
 	r.det.Deploy()
 	// The f64 leg must stay f64 even under an EDGEKG_PRECISION=f32 run.
@@ -65,7 +65,8 @@ func TestScoreVideoF32DriftBudget(t *testing.T) {
 	}
 
 	f64s := r.det.ScoreVideo(pix)
-	f32s := r.det.ScoreVideoF32(pix)
+	r.det.SetPrecision(PrecisionF32)
+	f32s := r.det.ScoreVideo(pix)
 	if len(f32s) != n {
 		t.Fatalf("f32 scores length %d, want %d", len(f32s), n)
 	}
@@ -89,10 +90,10 @@ func TestScoreVideoF32DriftBudget(t *testing.T) {
 	}
 }
 
-// TestScoreVideoF32AUC pins that the reduced-precision path preserves the
+// TestScoreVideoAUCAtF32 pins that the reduced-precision path preserves the
 // detection quality metric: AUC at f32 matches AUC at f64 within ε on a
 // synthetic eval set.
-func TestScoreVideoF32AUC(t *testing.T) {
+func TestScoreVideoAUCAtF32(t *testing.T) {
 	r := newRig(t, "Stealing", 13)
 	r.det.Deploy()
 	// Pin the f64 leg so an EDGEKG_PRECISION=f32 run still compares widths.
@@ -116,9 +117,10 @@ func TestScoreVideoF32AUC(t *testing.T) {
 	}
 }
 
-// TestScoreVideoPrecisionDispatch pins that ScoreVideo routes through the
-// float32 engine when the config asks for it, and that the default stays
-// bit-identical to the float64 path.
+// TestScoreVideoPrecisionDispatch pins that ScoreVideo runs the engine at
+// float32 when the config asks for it (the scores move, and every one is
+// a float32-resolution probability), that a clone inherits the setting,
+// and that the float64 scores are untouched by a precision round trip.
 func TestScoreVideoPrecisionDispatch(t *testing.T) {
 	r := newRig(t, "Stealing", 15)
 	r.det.Deploy()
@@ -129,32 +131,100 @@ func TestScoreVideoPrecisionDispatch(t *testing.T) {
 	base := r.det.ScoreVideo(pix)
 	r.det.SetPrecision(PrecisionF32)
 	viaConfig := r.det.ScoreVideo(pix)
-	direct := r.det.ScoreVideoF32(pix)
+	clone, err := r.det.CloneCOW()
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaClone := clone.ScoreVideo(pix)
 	r.det.SetPrecision(PrecisionF64)
 	back := r.det.ScoreVideo(pix)
 
+	moved := false
 	for i := range base {
-		if viaConfig[i] != direct[i] {
-			t.Fatalf("frame %d: config-dispatched f32 %.17g != direct f32 %.17g", i, viaConfig[i], direct[i])
+		if viaConfig[i] != viaClone[i] {
+			t.Fatalf("frame %d: f32 score %.17g != its clone's %.17g", i, viaConfig[i], viaClone[i])
+		}
+		if p0 := 1 - viaConfig[i]; float64(float32(p0)) != p0 {
+			t.Fatalf("frame %d: f32 score %.17g is not 1 − a float32 probability", i, viaConfig[i])
 		}
 		if base[i] != back[i] {
 			t.Fatalf("frame %d: f64 path changed after precision round trip: %.17g != %.17g", i, base[i], back[i])
 		}
+		moved = moved || viaConfig[i] != base[i]
+	}
+	if !moved {
+		t.Error("f32 scores equal f64 scores on every frame — the precision plumbing is dead")
 	}
 }
 
-// TestF32SnapshotInvalidation pins that returning to training mode drops
-// the cached float32 snapshots: scores after a weight change must reflect
-// the new weights, not the stale narrowing.
-func TestF32SnapshotInvalidation(t *testing.T) {
+// TestOneBackboneServesBothWidths runs an f32 clone and an f64 clone of
+// one deployed backbone concurrently: each must score exactly what it
+// scores alone, so the per-width snapshot caches cannot bleed into each
+// other.
+func TestOneBackboneServesBothWidths(t *testing.T) {
+	r := newRig(t, "Stealing", 19)
+	r.det.Deploy()
+	pix := tensor.RandN(rand.New(rand.NewSource(20)), 1, 16, r.space.PixDim())
+	clones := map[Precision]*Detector{}
+	alone := map[Precision][]float64{}
+	for _, p := range []Precision{PrecisionF64, PrecisionF32} {
+		c, err := r.det.CloneCOW()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetPrecision(p)
+		clones[p] = c
+	}
+	for p, c := range clones {
+		alone[p] = c.ScoreVideo(pix)
+		r.det.SetTraining(true) // drop the snapshots so the race below builds them
+		r.det.Deploy()
+	}
+	type result struct {
+		p    Precision
+		runs [][]float64
+	}
+	done := make(chan result)
+	for p, c := range clones {
+		go func() {
+			res := result{p: p}
+			for i := 0; i < 8; i++ {
+				res.runs = append(res.runs, c.ScoreVideo(pix))
+			}
+			done <- res
+		}()
+	}
+	for range clones {
+		res := <-done
+		for _, scores := range res.runs {
+			for i := range scores {
+				if scores[i] != alone[res.p][i] {
+					t.Fatalf("%v frame %d: %.17g beside the other width, %.17g alone", res.p, i, scores[i], alone[res.p][i])
+				}
+			}
+		}
+	}
+}
+
+// TestSnapshotInvalidation pins that returning to training mode drops the
+// cached eval snapshots at both widths: scores after the weights and the
+// BatchNorm running statistics move must reflect the new values, not a
+// stale narrowing (f32) or a stale folded 1/σ (either width) — at f64
+// they must again be the tape reference's bits.
+func TestSnapshotInvalidation(t *testing.T) {
 	r := newRig(t, "Stealing", 17)
 	r.det.Deploy()
 	rng := rand.New(rand.NewSource(18))
 	pix := tensor.RandN(rng, 1, 8, r.space.PixDim())
 
-	before := r.det.ScoreVideoF32(pix)
+	before := map[Precision][]float64{}
+	for _, p := range []Precision{PrecisionF64, PrecisionF32} {
+		r.det.SetPrecision(p)
+		before[p] = r.det.ScoreVideo(pix)
+	}
 
-	// Perturb trainable weights through the training-mode door.
+	// Perturb trainable weights through the training-mode door, and let
+	// one training-mode forward move the running statistics.
 	r.det.UnfreezeAll()
 	for _, p := range r.det.Params() {
 		d := p.V.Data.Data()
@@ -162,18 +232,22 @@ func TestF32SnapshotInvalidation(t *testing.T) {
 			d[i] += 0.05
 		}
 	}
+	r.det.EmbedFrames(tensor.RandN(rng, 3, 8, r.space.PixDim()))
 	r.det.Deploy()
 
-	after := r.det.ScoreVideoF32(pix)
-	same := true
-	for i := range before {
-		if before[i] != after[i] {
-			same = false
-			break
+	for _, p := range []Precision{PrecisionF64, PrecisionF32} {
+		r.det.SetPrecision(p)
+		after := r.det.ScoreVideo(pix)
+		same := true
+		for i := range after {
+			same = same && before[p][i] == after[i]
 		}
-	}
-	if same {
-		t.Error("f32 scores unchanged after weight perturbation — stale snapshot served")
+		if same {
+			t.Errorf("%v scores unchanged after weight perturbation — stale snapshot served", p)
+		}
+		if p == PrecisionF64 {
+			requireSameBits(t, "after retraining", scoreVideoTape(r.det, pix), after)
+		}
 	}
 }
 

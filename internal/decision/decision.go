@@ -8,7 +8,6 @@ package decision
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"edgekg/internal/autograd"
 	"edgekg/internal/nn"
@@ -20,9 +19,8 @@ type Head struct {
 	linear  *nn.Linear
 	classes int
 
-	// f32 caches the float32 weight snapshot for the reduced-precision
-	// path; see f32.go.
-	f32 atomic.Pointer[nn.LinearF32]
+	// eval caches the linear layer's eval form per width for LogitsEval.
+	eval tensor.WidthCache
 }
 
 // NewHead returns a decision head mapping D-dimensional temporal outputs
@@ -41,6 +39,22 @@ func (h *Head) NumClasses() int { return h.classes }
 func (h *Head) Logits(x *autograd.Value) *autograd.Value {
 	return h.linear.Forward(x)
 }
+
+// LogitsEval is Logits without the tape, at width T — the decision stage
+// of Detector.ScoreVideo.
+func LogitsEval[T tensor.Float](h *Head, x *tensor.Dense[T]) *tensor.Dense[T] {
+	s := tensor.Cached[T, nn.LinearEval[T]](&h.eval)
+	if s == nil {
+		l := nn.EvalLinear[T](h.linear)
+		s = tensor.Publish[T](&h.eval, &l)
+	}
+	return s.Forward(x)
+}
+
+// DropEval drops the cached eval forms; the next LogitsEval rebuilds them
+// from the current weights. Called by the detector when the head's
+// weights are about to change.
+func (h *Head) DropEval() { h.eval.Drop() }
 
 // Probs returns the softmax class probabilities s_t for a (batch × D)
 // input.

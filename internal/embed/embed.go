@@ -39,11 +39,10 @@ type Space struct {
 	camera     *tensor.Tensor // (pixDim × dim), orthonormal columns
 	tokenTable *tensor.Tensor // (vocab × dim), aligned to word vectors
 
-	// cam32 is the float32 twin of camera for the reduced-precision
-	// inference path, built on first use (the space is immutable, so one
-	// narrowing lasts the process lifetime).
-	cam32Once sync.Once
-	cam32     *tensor.Tensor32
+	// camEval caches the camera per width for EncodeImageBatchEval. The
+	// space is immutable, so it is never dropped: at float64 the slot is
+	// the camera itself, at float32 one narrowing lasts the process.
+	camEval tensor.WidthCache
 
 	wordMu    sync.RWMutex
 	wordCache map[string]*tensor.Tensor
@@ -222,10 +221,22 @@ func (s *Space) EncodeImage(pix *tensor.Tensor) *tensor.Tensor {
 // EncodeImageBatch encodes a (batch × pixDim) matrix of frames into a
 // (batch × dim) matrix of semantic vectors.
 func (s *Space) EncodeImageBatch(pix *tensor.Tensor) *tensor.Tensor {
+	return EncodeImageBatchEval[float64](s, pix)
+}
+
+// EncodeImageBatchEval is EncodeImageBatch at width T — the image-encode
+// stage of Detector.ScoreVideo: the frame matrix is narrowed to T and
+// projected through the camera at T. The frozen image encoder has no
+// trainable state, so there is no tape to leave out.
+func EncodeImageBatchEval[T tensor.Float](s *Space, pix *tensor.Tensor) *tensor.Dense[T] {
 	if pix.Cols() != s.pixDim {
 		panic(fmt.Sprintf("embed: EncodeImageBatch pixel dim %d != %d", pix.Cols(), s.pixDim))
 	}
-	return tensor.MatMul(pix, s.camera)
+	cam := tensor.Cached[T, tensor.Dense[T]](&s.camEval)
+	if cam == nil {
+		cam = tensor.Publish[T](&s.camEval, tensor.Narrow[T](s.camera))
+	}
+	return tensor.MatMul(tensor.Narrow[T](pix), cam)
 }
 
 // orthonormalColumns returns an (n × k) matrix with orthonormal columns

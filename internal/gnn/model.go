@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 
 	"edgekg/internal/autograd"
 	"edgekg/internal/embed"
 	"edgekg/internal/kg"
 	"edgekg/internal/nn"
+	"edgekg/internal/tensor"
 )
 
 // Model is the hierarchical GNN over one mission-specific KG. For a KG of
@@ -49,11 +49,39 @@ type layer struct {
 	bn    *nn.BatchNorm1d
 	group int
 
-	// f32 caches the layer's float32 eval snapshot (dense weights plus
+	// eval caches the layer's eval form per width (dense weights plus
 	// folded BatchNorm running statistics). The layers slice is shared
-	// across every clone of a model, so one snapshot serves all streams;
-	// it is dropped whenever the layer returns to training mode.
-	f32 atomic.Pointer[layerF32]
+	// across every clone of a model, so one snapshot per width serves all
+	// streams; both are dropped whenever the layer returns to training
+	// mode.
+	eval tensor.WidthCache
+}
+
+// evalLayer is one layer's eval form at width T: the dense weights plus
+// the normalisation constants (running mean and 1/√(var+ε)).
+type evalLayer[T tensor.Float] struct {
+	dense        nn.LinearEval[T]
+	gamma, beta  []T
+	rmean, invSd []T
+}
+
+// evalOf returns the layer's cached eval form at width T, building it on
+// first use. The layer must be in inference mode: batch statistics have
+// no frozen form.
+func evalOf[T tensor.Float](ly *layer) *evalLayer[T] {
+	if s := tensor.Cached[T, evalLayer[T]](&ly.eval); s != nil {
+		return s
+	}
+	if ly.bn.Training() {
+		panic("gnn: eval forward requires inference mode")
+	}
+	return tensor.Publish[T](&ly.eval, &evalLayer[T]{
+		dense: nn.EvalLinear[T](ly.dense),
+		gamma: tensor.Narrow[T](ly.bn.Gamma.Data).Data(),
+		beta:  tensor.Narrow[T](ly.bn.Beta.Data).Data(),
+		rmean: tensor.Narrow[T](ly.bn.RunningMean).Data(),
+		invSd: autograd.InvStd(make([]T, ly.bn.RunningVar.Size()), ly.bn.RunningVar, ly.bn.Eps),
+	})
 }
 
 // Config sizes a Model.
@@ -185,7 +213,7 @@ func (m *Model) CloneCOW() (*Model, error) {
 // introduced — state already shared with older siblings stays shared.
 // Multi-GNN clone failure paths use it so an aborted partial clone does
 // not leave the source faulting (copying) on every future write. No-op on
-// eager clones and on sources.
+// deep (CloneShared) clones and on sources.
 func (m *Model) DiscardClone() {
 	if m.cowUndo != nil {
 		m.cowUndo()
@@ -322,13 +350,45 @@ func (m *Model) ForwardStats(frames *autograd.Value, stats *nn.BNStats) *autogra
 	return autograd.GatherRows(x, rep.embRows)
 }
 
+// ForwardEval is Forward's inference path without the tape, at width T —
+// the per-KG reasoning stage of Detector.ScoreVideo. It runs the same
+// forward arithmetic as the tape ops, so at float64 it returns Forward's
+// bits. The per-node token-bank means are recomputed from the float64
+// banks on every call, because deployment-time adaptation mutates bank
+// pages in place without bumping the structural generation counter.
+func ForwardEval[T tensor.Float](m *Model, frames *tensor.Dense[T]) *tensor.Dense[T] {
+	b := frames.Rows()
+	if frames.Cols() != m.space.Dim() {
+		panic(fmt.Sprintf("gnn: frame dim %d != semantic dim %d", frames.Cols(), m.space.Dim()))
+	}
+	var feats *tensor.Dense[T]
+	if len(m.lo.reasonIDs) > 0 {
+		feats = tensor.Narrow[T](autograd.MeanRowsBatchFwd(m.orderedBanks()))
+	}
+	x := autograd.AssembleBatchFwd(frames, feats, m.lo.featRow, m.lo.sensorIdx, 1)
+
+	rep := m.lo.replicated(b)
+	for _, ly := range m.layers {
+		s := evalOf[T](ly)
+		x = s.dense.Forward(x)
+		if ly.group >= 0 {
+			rg := rep.groups[ly.group]
+			autograd.EdgeAggNormActEvalInPlace(x, s.gamma, s.beta, s.rmean, s.invSd, rg.src, rg.dst, rg.inLevel)
+		} else {
+			autograd.BatchNormEvalInPlace(x, s.gamma, s.beta, s.rmean, s.invSd)
+			autograd.ELUInPlace(x)
+		}
+	}
+	return tensor.Gather(x, rep.embRows)
+}
+
 // SetTraining switches the BatchNorm layers between batch and running
-// statistics. Entering training mode drops each layer's float32 eval
-// snapshot — weights and running statistics are about to change.
+// statistics. Entering training mode drops each layer's eval snapshots —
+// weights and running statistics are about to change.
 func (m *Model) SetTraining(t bool) {
 	for _, ly := range m.layers {
 		if t {
-			ly.f32.Store(nil)
+			ly.eval.Drop()
 		}
 		ly.bn.SetTraining(t)
 	}

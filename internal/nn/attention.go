@@ -83,6 +83,31 @@ func (a *MultiHeadAttention) ForwardBatch(x *autograd.Value, batch int) *autogra
 	return a.Wo.Forward(ctx)
 }
 
+// AttentionEval is the eval-only form of a MultiHeadAttention at width T.
+type AttentionEval[T tensor.Float] struct {
+	Wq, Wk, Wv, Wo LinearEval[T]
+	heads, dk      int
+	causal         bool
+}
+
+// EvalAttention returns a's eval form at width T.
+func EvalAttention[T tensor.Float](a *MultiHeadAttention) AttentionEval[T] {
+	return AttentionEval[T]{
+		Wq: EvalLinear[T](a.Wq), Wk: EvalLinear[T](a.Wk), Wv: EvalLinear[T](a.Wv), Wo: EvalLinear[T](a.Wo),
+		heads: a.heads, dk: a.dk, causal: a.causal,
+	}
+}
+
+// ForwardBatch is MultiHeadAttention.ForwardBatch without the tape.
+func (a *AttentionEval[T]) ForwardBatch(x *tensor.Dense[T], batch int) *tensor.Dense[T] {
+	q := a.Wq.Forward(x)
+	k := a.Wk.Forward(x)
+	v := a.Wv.Forward(x)
+	scale := T(1 / math.Sqrt(float64(a.dk)))
+	ctx := autograd.BatchedAttentionFwd(q, k, v, batch, a.heads, scale, a.causal)
+	return a.Wo.Forward(ctx)
+}
+
 // causalMask returns a (t×t) additive mask with -1e9 above the diagonal.
 func causalMask(t int) *tensor.Tensor {
 	m := tensor.New(t, t)
@@ -148,6 +173,33 @@ func (e *EncoderLayer) ForwardBatch(x *autograd.Value, batch int) *autograd.Valu
 	h := autograd.Add(x, e.Drop.Forward(e.Attn.ForwardBatch(e.LN1.Forward(x), batch)))
 	ff := e.FF2.Forward(autograd.GELU(e.FF1.Forward(e.LN2.Forward(h))))
 	return autograd.Add(h, e.Drop.Forward(ff))
+}
+
+// EncoderEval is the eval-only form of an EncoderLayer at width T.
+// Dropout is the identity in inference mode and carries no weights, so
+// it has no eval form.
+type EncoderEval[T tensor.Float] struct {
+	Attn     AttentionEval[T]
+	LN1, LN2 LayerNormEval[T]
+	FF1, FF2 LinearEval[T]
+}
+
+// EvalEncoder returns e's eval form at width T.
+func EvalEncoder[T tensor.Float](e *EncoderLayer) EncoderEval[T] {
+	return EncoderEval[T]{
+		Attn: EvalAttention[T](e.Attn),
+		LN1:  EvalLayerNorm[T](e.LN1), LN2: EvalLayerNorm[T](e.LN2),
+		FF1: EvalLinear[T](e.FF1), FF2: EvalLinear[T](e.FF2),
+	}
+}
+
+// ForwardBatch is EncoderLayer.ForwardBatch without the tape. It consumes
+// x: both residual sums accumulate into x's storage, which is returned.
+func (e *EncoderEval[T]) ForwardBatch(x *tensor.Dense[T], batch int) *tensor.Dense[T] {
+	h := tensor.AddInPlace(x, e.Attn.ForwardBatch(e.LN1.Forward(x), batch))
+	ff := e.FF1.Forward(e.LN2.Forward(h))
+	autograd.GELUInPlace(ff)
+	return tensor.AddInPlace(h, e.FF2.Forward(ff))
 }
 
 // SetTraining implements Trainer.

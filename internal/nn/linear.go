@@ -33,6 +33,27 @@ func (l *Linear) Forward(x *autograd.Value) *autograd.Value {
 	return autograd.Affine(x, l.W, l.B)
 }
 
+// LinearEval is the eval-only form of a Linear layer at width T: views of
+// the live weight tensors at float64, copies narrowed once at float32.
+// The eval forms (LinearEval, LayerNormEval, AttentionEval, EncoderEval)
+// carry no tape and are what the scoring engine runs; their owners
+// (temporal.Model, gnn layers, decision.Head) cache them per width and
+// drop them whenever the model returns to training mode.
+type LinearEval[T tensor.Float] struct {
+	W *tensor.Dense[T] // (in × out)
+	B []T              // (out)
+}
+
+// EvalLinear returns l's eval form at width T.
+func EvalLinear[T tensor.Float](l *Linear) LinearEval[T] {
+	return LinearEval[T]{W: tensor.Narrow[T](l.W.Data), B: tensor.Narrow[T](l.B.Data).Data()}
+}
+
+// Forward applies y = x·W + b to a (batch × in) input.
+func (l LinearEval[T]) Forward(x *tensor.Dense[T]) *tensor.Dense[T] {
+	return autograd.AffineFwd(x, l.W, l.B)
+}
+
 // In returns the input dimensionality.
 func (l *Linear) In() int { return l.in }
 

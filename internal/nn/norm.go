@@ -158,6 +158,26 @@ func (l *LayerNorm) Params() []Param {
 	return []Param{{Name: "gamma", V: l.Gamma}, {Name: "beta", V: l.Beta}}
 }
 
+// LayerNormEval is the eval-only form of a LayerNorm at width T.
+type LayerNormEval[T tensor.Float] struct {
+	Gamma, Beta []T
+	Eps         float64
+}
+
+// EvalLayerNorm returns l's eval form at width T.
+func EvalLayerNorm[T tensor.Float](l *LayerNorm) LayerNormEval[T] {
+	return LayerNormEval[T]{
+		Gamma: tensor.Narrow[T](l.Gamma.Data).Data(),
+		Beta:  tensor.Narrow[T](l.Beta.Data).Data(),
+		Eps:   l.Eps,
+	}
+}
+
+// Forward normalises each row of x into a fresh tensor.
+func (l LayerNormEval[T]) Forward(x *tensor.Dense[T]) *tensor.Dense[T] {
+	return autograd.LayerNormFwd(x, l.Gamma, l.Beta, l.Eps)
+}
+
 // Dropout zeroes activations with probability P during training and is the
 // identity during inference.
 type Dropout struct {

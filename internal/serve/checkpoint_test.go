@@ -39,13 +39,7 @@ func pumpPart(t *testing.T, s *serve.Server, id int, frames []*tensor.Tensor, lo
 		if res.Seq != i {
 			t.Fatalf("stream %d: got seq %d, want %d", id, res.Seq, i)
 		}
-		tr.scores = append(tr.scores, res.Score)
-		if res.AdaptApplied {
-			tr.applied = append(tr.applied, res.Seq)
-			tr.triggered = append(tr.triggered, res.Adapt.Triggered)
-			tr.pruned = append(tr.pruned, len(res.Adapt.Pruned))
-			tr.created = append(tr.created, len(res.Adapt.Created))
-		}
+		tr.record(res)
 	}
 	return tr
 }

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"edgekg/internal/concept"
+	"edgekg/internal/flops"
 	"edgekg/internal/parallel"
+	"edgekg/internal/rng"
 	"edgekg/internal/serve"
 	"edgekg/internal/snapshot"
 	"edgekg/internal/tensor"
@@ -71,8 +73,10 @@ func TestCOWStaticStreamsAliasBackbone(t *testing.T) {
 // 8 workers (the race shard runs this package under -race): a drifting
 // stream whose adapter writes its banks materializes private pages; the
 // backbone stays bit-unchanged; and the full multi-stream trajectory plus
-// every final bank page is bit-equal to an eager-clone server over an
-// identical backbone — COW is purely a memory optimisation.
+// every final bank page is bit-equal to the deep-copy oracle — standalone
+// streams over core.Detector.CloneShared copies of an identical backbone,
+// which share no mutable state with it to begin with. COW is purely a
+// memory optimisation.
 func TestCOWWriterIsolation(t *testing.T) {
 	const seed = 42
 	const streams = 3
@@ -95,13 +99,23 @@ func TestCOWWriterIsolation(t *testing.T) {
 		}
 		return -1 // never force the reference: siblings mostly stay quiet
 	}
+	cfg := checkpointCfg(3)
+	cfg.Seeds = []int64{31, 32, 33}
 
-	run := func(eager bool) ([]frameTrace, [][]float64, [][][]float64) {
+	pages := func(st *serve.Stream) [][]float64 {
+		var out [][]float64
+		sb := st.Detector().GNN(0).Tokens()
+		for _, id := range sb.NodeIDs() {
+			out = append(out, append([]float64(nil), sb.Bank(id).Data.Data()...))
+		}
+		return out
+	}
+
+	// run serves the schedules through a COW server; oracle drives the
+	// same frames through deep-copied standalone streams.
+	run := func() ([]frameTrace, [][]float64, [][][]float64) {
 		backbone, _ := buildBackbone(t, seed)
 		schedules := mkSchedules()
-		cfg := checkpointCfg(3)
-		cfg.Seeds = []int64{31, 32, 33}
-		cfg.Stream.EagerClone = eager
 		srv, err := serve.NewServer(backbone, streams, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -119,31 +133,61 @@ func TestCOWWriterIsolation(t *testing.T) {
 		}
 		_, _, hist := drainAndStats(t, srv, streams)
 
-		// The backbone's pages never move, whatever the clone mode.
+		// The backbone's pages never move.
 		for _, id := range bank.NodeIDs() {
 			got := bank.Bank(id).Data.Data()
 			want := before[int(id)]
 			for k := range want {
 				if got[k] != want[k] {
-					t.Fatalf("eager=%v: backbone bank %d moved at %d", eager, id, k)
+					t.Fatalf("backbone bank %d moved at %d", id, k)
 				}
 			}
 		}
 
-		// The writer adapted and (in COW mode) materialized private pages.
+		// The writer adapted and materialized private pages.
 		if !anyTrue(traces[0].triggered) {
-			t.Fatalf("eager=%v: writer stream never triggered — fixture is vacuous", eager)
+			t.Fatal("writer stream never triggered — fixture is vacuous")
 		}
-		if !eager && streamOf(t, srv, 0).Detector().Mem().BankOwned == 0 {
+		if streamOf(t, srv, 0).Detector().Mem().BankOwned == 0 {
 			t.Error("writer stream owns no bank bytes after adaptation writes")
 		}
 
 		banks := make([][][]float64, streams)
 		for i := 0; i < streams; i++ {
-			sb := streamOf(t, srv, i).Detector().GNN(0).Tokens()
-			for _, id := range sb.NodeIDs() {
-				banks[i] = append(banks[i], append([]float64(nil), sb.Bank(id).Data.Data()...))
+			banks[i] = pages(streamOf(t, srv, i))
+		}
+		return traces, hist, banks
+	}
+	oracle := func() ([]frameTrace, [][]float64, [][][]float64) {
+		backbone, _ := buildBackbone(t, seed)
+		backbone.Deploy()
+		schedules := mkSchedules()
+		traces := make([]frameTrace, streams)
+		hist := make([][]float64, streams)
+		banks := make([][][]float64, streams)
+		for i := 0; i < streams; i++ {
+			det, err := backbone.CloneShared()
+			if err != nil {
+				t.Fatal(err)
 			}
+			st, err := serve.NewStream(i, det, cfg.Stream, rng.NewSource(cfg.Seeds[i]), &flops.Counter{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for f, frame := range schedules[i] {
+				if f == refAt(i) {
+					st.Monitor().SetReference(1.0)
+				}
+				res := st.Process(frame)
+				if res.Err != nil || res.Seq != f {
+					t.Fatalf("oracle stream %d frame %d: seq %d err %v", i, f, res.Seq, res.Err)
+				}
+				traces[i].record(res)
+			}
+			if err := st.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			hist[i], banks[i] = st.Scores(), pages(st)
 		}
 		return traces, hist, banks
 	}
@@ -153,11 +197,11 @@ func TestCOWWriterIsolation(t *testing.T) {
 			prev := parallel.SetWorkers(workers)
 			defer parallel.SetWorkers(prev)
 
-			cowTraces, cowHist, cowBanks := run(false)
-			eagerTraces, eagerHist, eagerBanks := run(true)
+			cowTraces, cowHist, cowBanks := run()
+			eagerTraces, eagerHist, eagerBanks := oracle()
 			for i := 0; i < streams; i++ {
 				if !equalTraces(cowTraces[i], eagerTraces[i]) {
-					t.Errorf("stream %d: COW trajectory differs from eager clone\ncow: %v\neager: %v",
+					t.Errorf("stream %d: COW trajectory differs from the deep-copy oracle\ncow: %v\ndeep: %v",
 						i, cowTraces[i].scores, eagerTraces[i].scores)
 				}
 				if len(cowHist[i]) != len(eagerHist[i]) {
@@ -169,7 +213,7 @@ func TestCOWWriterIsolation(t *testing.T) {
 				for p := range cowBanks[i] {
 					for k := range cowBanks[i][p] {
 						if cowBanks[i][p][k] != eagerBanks[i][p][k] {
-							t.Fatalf("stream %d page %d: COW bank bits differ from eager at %d", i, p, k)
+							t.Fatalf("stream %d page %d: COW bank bits differ from the deep copy at %d", i, p, k)
 						}
 					}
 				}

@@ -62,12 +62,13 @@ func TestServePrecisionF32MonitorBytes(t *testing.T) {
 }
 
 // TestServePrecisionF32ScoresMatchDirect pins that a served f32 stream
-// scores exactly what the detector's direct float32 path produces — the
+// scores exactly what a detector set to float32 produces directly — the
 // serve tier adds plumbing, not arithmetic.
 func TestServePrecisionF32ScoresMatchDirect(t *testing.T) {
 	det, gen := buildBackbone(t, 33)
 	ref, gen2 := buildBackbone(t, 33)
 	ref.Deploy()
+	ref.SetPrecision(core.PrecisionF32)
 
 	srv, err := serve.NewServer(det, 1, precisionCfg(core.PrecisionF32))
 	if err != nil {
@@ -79,7 +80,7 @@ func TestServePrecisionF32ScoresMatchDirect(t *testing.T) {
 
 	refFrames := frameSchedule(gen2, 34, 12, 12, concept.Stealing, concept.Robbery)
 	for i, f := range refFrames {
-		want := ref.ScoreVideoF32(f.Reshape(1, f.Size()))[0]
+		want := ref.ScoreVideo(f.Reshape(1, f.Size()))[0]
 		if tr.scores[i] != want {
 			t.Fatalf("frame %d: served f32 score %.17g != direct %.17g", i, tr.scores[i], want)
 		}

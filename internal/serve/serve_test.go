@@ -115,6 +115,17 @@ type frameTrace struct {
 	created   []int
 }
 
+// record appends one frame's result to the trajectory.
+func (tr *frameTrace) record(res serve.Result) {
+	tr.scores = append(tr.scores, res.Score)
+	if res.AdaptApplied {
+		tr.applied = append(tr.applied, res.Seq)
+		tr.triggered = append(tr.triggered, res.Adapt.Triggered)
+		tr.pruned = append(tr.pruned, len(res.Adapt.Pruned))
+		tr.created = append(tr.created, len(res.Adapt.Created))
+	}
+}
+
 // pump drives one stream in lockstep (submit one, receive one), setting
 // the anchored reference to 1.0 after refAfter frames so the monitor sees
 // a persistent mean drop and adaptation keeps engaging.
@@ -140,13 +151,7 @@ func pump(t *testing.T, s *serve.Server, id int, frames []*tensor.Tensor, refAft
 		if res.Seq != i {
 			t.Fatalf("stream %d: got seq %d, want %d", id, res.Seq, i)
 		}
-		tr.scores = append(tr.scores, res.Score)
-		if res.AdaptApplied {
-			tr.applied = append(tr.applied, res.Seq)
-			tr.triggered = append(tr.triggered, res.Adapt.Triggered)
-			tr.pruned = append(tr.pruned, len(res.Adapt.Pruned))
-			tr.created = append(tr.created, len(res.Adapt.Created))
-		}
+		tr.record(res)
 	}
 	return tr
 }

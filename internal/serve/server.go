@@ -62,8 +62,7 @@ type item struct {
 // Server multiplexes N camera streams through one process. It deploys the
 // backbone detector frozen, takes one copy-on-write clone
 // (core.Detector.CloneCOW — per-stream graphs + token banks aliasing the
-// backbone until first write, full deep copies under
-// StreamConfig.EagerClone) per stream over the shared read-only compute
+// backbone until first write) per stream over the shared read-only compute
 // backbone, and runs one processing loop per stream: frames arrive on
 // per-stream channels, scoring interleaves across streams on the shared
 // worker pool, and each stream's adaptation rounds run asynchronously
@@ -176,12 +175,7 @@ func NewServer(backbone *core.Detector, n int, cfg Config) (*Server, error) {
 			s.streams[j].det.DiscardClone()
 		}
 	}
-	rebuild := func() (*core.Detector, error) {
-		if cfg.Stream.EagerClone {
-			return backbone.CloneShared()
-		}
-		return backbone.CloneCOW()
-	}
+	rebuild := backbone.CloneCOW
 	for i := 0; i < n; i++ {
 		seed := cfg.BaseSeed + int64(i)
 		if i < len(cfg.Seeds) {

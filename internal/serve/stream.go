@@ -66,18 +66,10 @@ type StreamConfig struct {
 	// ScoreHistory keeps the most recent scores for observability
 	// (Stream.Scores). 0 disables recording.
 	ScoreHistory int
-	// EagerClone restores the pre-COW behaviour: every per-stream
-	// detector clone (deployment, round snapshot, rehydration) is a full
-	// deep copy instead of a lazy copy-on-write alias of the backbone.
-	// Scoring is bit-identical either way; eager cloning exists as the
-	// reference arm for the memory benchmarks and as an escape hatch. Not
-	// part of the checkpoint config pin — a checkpoint taken under either
-	// mode restores under the other.
-	EagerClone bool
 	// Precision selects the stream's scoring width (core.Precision): the
 	// zero value defers to EDGEKG_PRECISION and defaults to the bit-exact
-	// float64 path; f32 routes ScoreVideo through the reduced-precision
-	// engine and narrows the monitor's retained window frames, roughly
+	// float64 path; f32 runs ScoreVideo's engine at float32 and
+	// narrows the monitor's retained window frames, roughly
 	// halving per-stream resident bytes. Not part of the checkpoint
 	// config pin — checkpoints store canonical float64 state, so one
 	// taken under either width restores under the other.
@@ -290,16 +282,6 @@ func (st *Stream) EnableSpill(dir string, rebuild func() (*core.Detector, error)
 
 // Evicted reports whether the stream's heavy state is currently spilled.
 func (st *Stream) Evicted() bool { return st.evicted }
-
-// clone copies the live detector for a scoring snapshot or a pending-round
-// restore, in the stream's configured clone mode: lazy copy-on-write by
-// default, full deep copy under EagerClone.
-func (st *Stream) clone() (*core.Detector, error) {
-	if st.cfg.EagerClone {
-		return st.det.CloneShared()
-	}
-	return st.det.CloneCOW()
-}
 
 // MemBreakdown computes the stream's current resident-bytes breakdown.
 // Zero while evicted. Like every Stream method it must not race the
@@ -616,7 +598,7 @@ func (st *Stream) Process(pix *tensor.Tensor) Result {
 func (st *Stream) begin() {
 	p := &pendingRound{swapFrame: st.frames + st.cfg.AdaptLagFrames}
 	st.pending = p
-	snap, err := st.clone()
+	snap, err := st.det.CloneCOW()
 	if err != nil {
 		p.err = fmt.Errorf("snapshot: %w", err)
 		return
@@ -914,7 +896,7 @@ func (st *Stream) Restore(ss *snapshot.StreamState) error {
 		// snapshot (its effect is in the restored live detector); scoring
 		// continues on the recorded pre-round state until the swap frame,
 		// where the regular join path delivers the recorded report.
-		snap, err := st.clone()
+		snap, err := st.det.CloneCOW()
 		if err != nil {
 			return fmt.Errorf("serve: stream %d pending round: %w", st.id, err)
 		}

@@ -8,7 +8,6 @@ package temporal
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"edgekg/internal/autograd"
 	"edgekg/internal/nn"
@@ -51,12 +50,38 @@ type Model struct {
 	out    *nn.Linear
 	pos    *tensor.Tensor
 
-	// f32 caches the float32 eval snapshot of the whole stack, built
-	// lazily on the first reduced-precision forward and dropped whenever
-	// the model returns to training mode (weights may change). Clones are
-	// not taken of temporal models — serving shares one frozen instance —
-	// so one snapshot serves every stream.
-	f32 atomic.Pointer[modelF32]
+	// eval caches the eval form of the whole stack per width, built
+	// lazily on the first ForwardBatchEval at that width and dropped
+	// whenever the model returns to training mode (weights may change).
+	// Clones are not taken of temporal models — serving shares one frozen
+	// instance — so one snapshot per width serves every stream.
+	eval tensor.WidthCache
+}
+
+// evalModel is the eval form of the temporal stack at width T, the
+// positional table included. Immutable after construction.
+type evalModel[T tensor.Float] struct {
+	inProj nn.LinearEval[T]
+	blocks []nn.EncoderEval[T]
+	norm   nn.LayerNormEval[T]
+	out    nn.LinearEval[T]
+	pos    *tensor.Dense[T]
+}
+
+func evalOf[T tensor.Float](m *Model) *evalModel[T] {
+	if s := tensor.Cached[T, evalModel[T]](&m.eval); s != nil {
+		return s
+	}
+	s := &evalModel[T]{
+		inProj: nn.EvalLinear[T](m.inProj),
+		norm:   nn.EvalLayerNorm[T](m.norm),
+		out:    nn.EvalLinear[T](m.out),
+		pos:    tensor.Narrow[T](m.pos),
+	}
+	for _, b := range m.blocks {
+		s.blocks = append(s.blocks, nn.EvalEncoder[T](b))
+	}
+	return tensor.Publish[T](&m.eval, s)
 }
 
 // New builds a temporal model.
@@ -126,16 +151,7 @@ func (m *Model) ForwardSeq(seq *autograd.Value) *autograd.Value {
 // nodes instead of O(batch·depth).
 func (m *Model) ForwardBatch(windows *autograd.Value, batch int) *autograd.Value {
 	t := m.cfg.Window
-	if batch < 1 {
-		panic(fmt.Sprintf("temporal: batch %d must be ≥ 1", batch))
-	}
-	if windows.Data.Rows() != batch*t {
-		panic(fmt.Sprintf("temporal: batch matrix has %d rows, want %d (batch %d × window %d)",
-			windows.Data.Rows(), batch*t, batch, t))
-	}
-	if windows.Data.Cols() != m.cfg.InputDim {
-		panic(fmt.Sprintf("temporal: input dim %d != %d", windows.Data.Cols(), m.cfg.InputDim))
-	}
+	m.checkBatch(windows.Data.Rows(), windows.Data.Cols(), batch)
 	h := m.inProj.Forward(windows)
 	h = autograd.AddTiled(h, m.pos)
 	for _, b := range m.blocks {
@@ -149,13 +165,51 @@ func (m *Model) ForwardBatch(windows *autograd.Value, batch int) *autograd.Value
 	return m.out.Forward(autograd.GatherRows(h, last))
 }
 
+// checkBatch validates a (rows × cols) stacked-window matrix against the
+// model's window and input width.
+func (m *Model) checkBatch(rows, cols, batch int) {
+	if batch < 1 {
+		panic(fmt.Sprintf("temporal: batch %d must be ≥ 1", batch))
+	}
+	if rows != batch*m.cfg.Window {
+		panic(fmt.Sprintf("temporal: batch matrix has %d rows, want %d (batch %d × window %d)",
+			rows, batch*m.cfg.Window, batch, m.cfg.Window))
+	}
+	if cols != m.cfg.InputDim {
+		panic(fmt.Sprintf("temporal: input dim %d != %d", cols, m.cfg.InputDim))
+	}
+}
+
+// ForwardBatchEval is ForwardBatch without the tape, at width T: the same
+// batched structure (one projection, tiled positional add, block-diagonal
+// batched attention, final norm, last-position gather) through the same
+// forward arithmetic, so at float64 it returns ForwardBatch's bits. It is
+// the temporal stage of Detector.ScoreVideo; the model must be in
+// inference mode.
+func ForwardBatchEval[T tensor.Float](m *Model, windows *tensor.Dense[T], batch int) *tensor.Dense[T] {
+	t := m.cfg.Window
+	m.checkBatch(windows.Rows(), windows.Cols(), batch)
+	s := evalOf[T](m)
+	h := s.inProj.Forward(windows)
+	autograd.AddTiledInPlace(h, s.pos)
+	for i := range s.blocks {
+		h = s.blocks[i].ForwardBatch(h, batch)
+	}
+	h = s.norm.Forward(h)
+	last := make([]int, batch)
+	for k := range last {
+		last[k] = (k+1)*t - 1
+	}
+	return s.out.Forward(tensor.Gather(h, last))
+}
+
 // SetTraining toggles dropout inside the encoder blocks. Entering
-// training mode drops the float32 eval snapshot: the weights are about to
-// change, and the next reduced-precision forward rebuilds it from the
-// post-training values.
+// training mode drops the eval snapshots: the weights are about to
+// change, and the next eval forward rebuilds them from the post-training
+// values.
 func (m *Model) SetTraining(t bool) {
 	if t {
-		m.f32.Store(nil)
+		m.eval.Drop()
 	}
 	for _, b := range m.blocks {
 		b.SetTraining(t)

@@ -1,13 +1,14 @@
 package tensor_test
 
-// Kernel conformance harness: every registered backend is driven through
-// the shared shape/payload grid in kernels/table.go and pinned to the
-// scalar reference. Order-preserving kernels must match bit-for-bit
-// (NaN payloads compare NaN-to-NaN); reassociating reductions must sit
-// inside the condition-aware budget of kernels.CompareAccum. The fused
-// autograd ops reuse the same grid in internal/autograd's backend
-// conformance test, so a backend that passes here and there is safe to
-// enable for the whole model.
+// Kernel conformance harness: every registered backend is driven, at
+// both element widths, through the shared shape/payload grid in
+// kernels/table.go and pinned to the scalar reference of the same width.
+// Order-preserving kernels must match bit-for-bit (NaN payloads compare
+// NaN-to-NaN); reassociating reductions must sit inside the
+// condition-aware budget of kernels.CompareAccum. The fused autograd ops
+// reuse the same grid in internal/autograd's backend conformance test,
+// so a backend that passes here and there is safe to enable for the
+// whole model.
 
 import (
 	"fmt"
@@ -18,25 +19,29 @@ import (
 	"edgekg/internal/tensor/kernels"
 )
 
-// scalarRef returns the always-registered reference backend.
-func scalarRef(t testing.TB) kernels.Backend {
+// bothWidths runs a width-generic test body at float64 and float32.
+func bothWidths(t *testing.T, f64, f32 func(*testing.T)) {
+	t.Run("f64", f64)
+	t.Run("f32", f32)
+}
+
+// scalarRef returns the always-registered reference backend at width T.
+func scalarRef[T kernels.Float](t testing.TB) kernels.Backend[T] {
 	t.Helper()
-	sc, ok := kernels.Get("scalar")
+	sc, ok := kernels.Get[T]("scalar")
 	if !ok {
 		t.Fatal("scalar reference backend not registered")
 	}
 	return sc
 }
 
-// fill produces a deterministic payload for (payload, seed).
-func fill(p kernels.Payload, seed int64, n int) []float64 {
-	buf := make([]float64, n)
-	p.Fill(rand.New(rand.NewSource(seed)), buf)
-	return buf
+// fill produces a deterministic width-T payload for (payload, seed).
+func fill[T kernels.Float](p kernels.Payload, seed int64, n int) []T {
+	return kernels.FillAs[T](p, rand.New(rand.NewSource(seed)), n)
 }
 
 // requireExact pins got to ref bit-for-bit (NaN matches NaN).
-func requireExact(t *testing.T, ctx string, ref, got []float64) {
+func requireExact[T kernels.Float](t *testing.T, ctx string, ref, got []T) {
 	t.Helper()
 	for i := range ref {
 		if err := kernels.CompareExact(ref[i], got[i]); err != nil {
@@ -45,20 +50,21 @@ func requireExact(t *testing.T, ctx string, ref, got []float64) {
 	}
 }
 
-// absTermDot returns Σ|x[i]·y[i]| for the reassociation budget.
-func absTermDot(x, y []float64) float64 {
+// absTermDot returns Σ|x[i]·y[i]| for the reassociation budget, computed
+// at float64 so the budget carries no float32 rounding.
+func absTermDot[T kernels.Float](x, y []T) float64 {
 	s := 0.0
 	for i := range x {
-		s += math.Abs(x[i] * y[i])
+		s += math.Abs(float64(x[i]) * float64(y[i]))
 	}
 	return s
 }
 
 // absTermSum returns Σ|x[i]|.
-func absTermSum(x []float64) float64 {
+func absTermSum[T kernels.Float](x []T) float64 {
 	s := 0.0
 	for _, v := range x {
-		s += math.Abs(v)
+		s += math.Abs(float64(v))
 	}
 	return s
 }
@@ -67,19 +73,23 @@ func absTermSum(x []float64) float64 {
 // every backend to the scalar reference, including exact-aliased dst and
 // special-value payloads.
 func TestElementwiseConformance(t *testing.T) {
-	sc := scalarRef(t)
-	alphas := []float64{0, 1, -1, 0.37, -2.5e3, math.Inf(1), math.NaN()}
+	bothWidths(t, elementwiseConformance[float64], elementwiseConformance[float32])
+}
+
+func elementwiseConformance[T kernels.Float](t *testing.T) {
+	sc := scalarRef[T](t)
+	alphas := []T{0, 1, -1, 0.37, -2.5e3, T(math.Inf(1)), T(math.NaN())}
 	for _, name := range kernels.Names() {
-		bk, _ := kernels.Get(name)
+		bk, _ := kernels.Get[T](name)
 		for _, p := range kernels.ConformancePayloads {
 			for li, n := range kernels.ConformanceLens {
 				seed := int64(li + 1)
-				x := fill(p, seed, n)
-				y := fill(p, seed+1000, n)
-				base := fill(p, seed+2000, n)
+				x := fill[T](p, seed, n)
+				y := fill[T](p, seed+1000, n)
+				base := fill[T](p, seed+2000, n)
 				ctx := fmt.Sprintf("%s/%s/n=%d", name, p.Name, n)
 
-				ref, got := make([]float64, n), make([]float64, n)
+				ref, got := make([]T, n), make([]T, n)
 				sc.Add(x, y, ref)
 				bk.Add(x, y, got)
 				requireExact(t, ctx+"/Add", ref, got)
@@ -119,17 +129,17 @@ func TestElementwiseConformance(t *testing.T) {
 
 				// Exact aliasing: dst is x, then dst is y. The reference
 				// runs on copies with the same aliasing pattern.
-				refX, gotX := append([]float64(nil), x...), append([]float64(nil), x...)
+				refX, gotX := append([]T(nil), x...), append([]T(nil), x...)
 				sc.Add(refX, y, refX)
 				bk.Add(gotX, y, gotX)
 				requireExact(t, ctx+"/Add(dst=x)", refX, gotX)
 
-				refY, gotY := append([]float64(nil), y...), append([]float64(nil), y...)
+				refY, gotY := append([]T(nil), y...), append([]T(nil), y...)
 				sc.Mul(x, refY, refY)
 				bk.Mul(x, gotY, gotY)
 				requireExact(t, ctx+"/Mul(dst=y)", refY, gotY)
 
-				refS, gotS := append([]float64(nil), x...), append([]float64(nil), x...)
+				refS, gotS := append([]T(nil), x...), append([]T(nil), x...)
 				sc.Scale(-1.5, refS, refS)
 				bk.Scale(-1.5, gotS, gotS)
 				requireExact(t, ctx+"/Scale(dst=x)", refS, gotS)
@@ -142,14 +152,18 @@ func TestElementwiseConformance(t *testing.T) {
 // reference within the n·ε·Σ|terms| budget, and the order-preserving
 // SumAxis0 sweep bit-for-bit.
 func TestReduceConformance(t *testing.T) {
-	sc := scalarRef(t)
+	bothWidths(t, reduceConformance[float64], reduceConformance[float32])
+}
+
+func reduceConformance[T kernels.Float](t *testing.T) {
+	sc := scalarRef[T](t)
 	for _, name := range kernels.Names() {
-		bk, _ := kernels.Get(name)
+		bk, _ := kernels.Get[T](name)
 		for _, p := range kernels.ConformancePayloads {
 			for li, n := range kernels.ConformanceLens {
 				seed := int64(100*li + 7)
-				x := fill(p, seed, n)
-				y := fill(p, seed+1, n)
+				x := fill[T](p, seed, n)
+				y := fill[T](p, seed+1, n)
 				ctx := fmt.Sprintf("%s/%s/n=%d", name, p.Name, n)
 
 				if err := kernels.CompareAccum(sc.Dot(x, y), bk.Dot(x, y), n, absTermDot(x, y)); err != nil {
@@ -164,15 +178,15 @@ func TestReduceConformance(t *testing.T) {
 			}
 			for di, dm := range kernels.ConformanceDims {
 				r, c := dm.M, dm.N
-				m := fill(p, int64(1000+di), r*c)
+				m := fill[T](p, int64(1000+di), r*c)
 				ctx := fmt.Sprintf("%s/%s/%dx%d", name, p.Name, r, c)
 
-				ref, got := make([]float64, c), make([]float64, c)
+				ref, got := make([]T, c), make([]T, c)
 				sc.SumAxis0(m, ref, r, c)
 				bk.SumAxis0(m, got, r, c)
 				requireExact(t, ctx+"/SumAxis0", ref, got)
 
-				refR, gotR := make([]float64, r), make([]float64, r)
+				refR, gotR := make([]T, r), make([]T, r)
 				sc.SumAxis1(m, refR, c, 0, r)
 				bk.SumAxis1(m, gotR, c, 0, r)
 				for i := 0; i < r; i++ {
@@ -190,27 +204,36 @@ func TestReduceConformance(t *testing.T) {
 // the geometry grid: MatMul/MatMulT1 are pinned bit-for-bit, MatMulT2 and
 // MatVec per-element within the k-term reduction budget. Partial [lo, hi)
 // ranges verify the worker-split contract: rows outside the range must not
-// be touched.
+// be touched, and a split into two row chunks cannot change results.
 func TestMatMulConformance(t *testing.T) {
-	sc := scalarRef(t)
+	bothWidths(t, matMulConformance[float64], matMulConformance[float32])
+}
+
+func matMulConformance[T kernels.Float](t *testing.T) {
+	sc := scalarRef[T](t)
 	const sentinel = -777.25
 	for _, name := range kernels.Names() {
-		bk, _ := kernels.Get(name)
+		bk, _ := kernels.Get[T](name)
 		for _, p := range kernels.ConformancePayloads {
 			for di, dm := range kernels.ConformanceDims {
 				m, k, n := dm.M, dm.K, dm.N
 				seed := int64(10_000*di + 13)
-				a := fill(p, seed, m*k)
-				b := fill(p, seed+1, k*n)
-				at := fill(p, seed+2, k*m) // (k×m) operand for T1
-				bt := fill(p, seed+3, n*k) // (n×k) operand for T2
-				xv := fill(p, seed+4, k)
+				a := fill[T](p, seed, m*k)
+				b := fill[T](p, seed+1, k*n)
+				at := fill[T](p, seed+2, k*m) // (k×m) operand for T1
+				bt := fill[T](p, seed+3, n*k) // (n×k) operand for T2
+				xv := fill[T](p, seed+4, k)
 				ctx := fmt.Sprintf("%s/%s/%dx%dx%d", name, p.Name, m, k, n)
 
-				ref, got := make([]float64, m*n), make([]float64, m*n)
+				ref, got := make([]T, m*n), make([]T, m*n)
 				sc.MatMul(a, b, ref, k, n, 0, m)
 				bk.MatMul(a, b, got, k, n, 0, m)
 				requireExact(t, ctx+"/MatMul", ref, got)
+
+				split := make([]T, m*n)
+				bk.MatMul(a, b, split, k, n, 0, m/2)
+				bk.MatMul(a, b, split, k, n, m/2, m)
+				requireExact(t, ctx+"/MatMul(two chunks)", ref, split)
 
 				for i := range ref {
 					ref[i], got[i] = 0, 0
@@ -231,7 +254,7 @@ func TestMatMulConformance(t *testing.T) {
 					}
 				}
 
-				refV, gotV := make([]float64, m), make([]float64, m)
+				refV, gotV := make([]T, m), make([]T, m)
 				sc.MatVec(a, xv, refV, k, 0, m)
 				bk.MatVec(a, xv, gotV, k, 0, m)
 				for i := 0; i < m; i++ {
@@ -273,44 +296,48 @@ func FuzzMatMulBackends(f *testing.F) {
 	f.Add([]byte{0xff, 0x0f, 0x80, 0x42}, uint8(1), uint8(1), uint8(1))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0x7f}, uint8(7), uint8(0), uint8(2))
 	f.Fuzz(func(t *testing.T, raw []byte, mm, kk, nn uint8) {
-		m, k, n := int(mm%12), int(kk%12), int(nn%12)
-		a := make([]float64, m*k)
-		b := make([]float64, k*n)
-		bt := make([]float64, n*k)
-		kernels.FillFuzz(a, raw)
-		if len(raw) > 1 {
-			kernels.FillFuzz(b, raw[1:])
-			kernels.FillFuzz(bt, raw[1:])
-		} else {
-			kernels.FillFuzz(b, raw)
-			kernels.FillFuzz(bt, raw)
-		}
-		sc, _ := kernels.Get("scalar")
-		for _, name := range kernels.Names() {
-			if name == "scalar" {
-				continue
-			}
-			bk, _ := kernels.Get(name)
-			ref, got := make([]float64, m*n), make([]float64, m*n)
-			sc.MatMul(a, b, ref, k, n, 0, m)
-			bk.MatMul(a, b, got, k, n, 0, m)
-			for i := range ref {
-				if err := kernels.CompareExact(ref[i], got[i]); err != nil {
-					t.Fatalf("%s/MatMul(%d,%d,%d) element %d: %v", name, m, k, n, i, err)
-				}
-			}
-			sc.MatMulT2(a, bt, ref, k, n, 0, m)
-			bk.MatMulT2(a, bt, got, k, n, 0, m)
-			for i := 0; i < m; i++ {
-				for j := 0; j < n; j++ {
-					if err := kernels.CompareAccum(ref[i*n+j], got[i*n+j], k,
-						absTermDot(a[i*k:(i+1)*k], bt[j*k:(j+1)*k])); err != nil {
-						t.Fatalf("%s/MatMulT2(%d,%d,%d) [%d,%d]: %v", name, m, k, n, i, j, err)
-					}
-				}
-			}
-		}
+		fuzzMatMul[float64](t, raw, int(mm%12), int(kk%12), int(nn%12))
+		fuzzMatMul[float32](t, raw, int(mm%12), int(kk%12), int(nn%12))
 	})
+}
+
+func fuzzMatMul[T kernels.Float](t *testing.T, raw []byte, m, k, n int) {
+	a := make([]T, m*k)
+	b := make([]T, k*n)
+	bt := make([]T, n*k)
+	kernels.FillFuzz(a, raw)
+	if len(raw) > 1 {
+		kernels.FillFuzz(b, raw[1:])
+		kernels.FillFuzz(bt, raw[1:])
+	} else {
+		kernels.FillFuzz(b, raw)
+		kernels.FillFuzz(bt, raw)
+	}
+	sc, _ := kernels.Get[T]("scalar")
+	for _, name := range kernels.Names() {
+		if name == "scalar" {
+			continue
+		}
+		bk, _ := kernels.Get[T](name)
+		ref, got := make([]T, m*n), make([]T, m*n)
+		sc.MatMul(a, b, ref, k, n, 0, m)
+		bk.MatMul(a, b, got, k, n, 0, m)
+		for i := range ref {
+			if err := kernels.CompareExact(ref[i], got[i]); err != nil {
+				t.Fatalf("%s/MatMul(%d,%d,%d) element %d: %v", name, m, k, n, i, err)
+			}
+		}
+		sc.MatMulT2(a, bt, ref, k, n, 0, m)
+		bk.MatMulT2(a, bt, got, k, n, 0, m)
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				if err := kernels.CompareAccum(ref[i*n+j], got[i*n+j], k,
+					absTermDot(a[i*k:(i+1)*k], bt[j*k:(j+1)*k])); err != nil {
+					t.Fatalf("%s/MatMulT2(%d,%d,%d) [%d,%d]: %v", name, m, k, n, i, j, err)
+				}
+			}
+		}
+	}
 }
 
 // FuzzReduceBackends cross-checks the reassociating reductions against the
@@ -319,30 +346,34 @@ func FuzzReduceBackends(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint16(33))
 	f.Add([]byte{0x80, 0, 0, 0, 0, 0, 0xf0, 0x7f}, uint16(9))
 	f.Fuzz(func(t *testing.T, raw []byte, ln uint16) {
-		n := int(ln % 600)
-		x := make([]float64, n)
-		y := make([]float64, n)
-		kernels.FillFuzz(x, raw)
-		if len(raw) > 2 {
-			kernels.FillFuzz(y, raw[2:])
-		} else {
-			kernels.FillFuzz(y, raw)
-		}
-		sc, _ := kernels.Get("scalar")
-		for _, name := range kernels.Names() {
-			if name == "scalar" {
-				continue
-			}
-			bk, _ := kernels.Get(name)
-			if err := kernels.CompareAccum(sc.Dot(x, y), bk.Dot(x, y), n, absTermDot(x, y)); err != nil {
-				t.Fatalf("%s/Dot n=%d: %v", name, n, err)
-			}
-			if err := kernels.CompareAccum(sc.Sum(x), bk.Sum(x), n, absTermSum(x)); err != nil {
-				t.Fatalf("%s/Sum n=%d: %v", name, n, err)
-			}
-			if err := kernels.CompareAccum(sc.Norm2Sq(x), bk.Norm2Sq(x), n, absTermDot(x, x)); err != nil {
-				t.Fatalf("%s/Norm2Sq n=%d: %v", name, n, err)
-			}
-		}
+		fuzzReduce[float64](t, raw, int(ln%600))
+		fuzzReduce[float32](t, raw, int(ln%600))
 	})
+}
+
+func fuzzReduce[T kernels.Float](t *testing.T, raw []byte, n int) {
+	x := make([]T, n)
+	y := make([]T, n)
+	kernels.FillFuzz(x, raw)
+	if len(raw) > 2 {
+		kernels.FillFuzz(y, raw[2:])
+	} else {
+		kernels.FillFuzz(y, raw)
+	}
+	sc, _ := kernels.Get[T]("scalar")
+	for _, name := range kernels.Names() {
+		if name == "scalar" {
+			continue
+		}
+		bk, _ := kernels.Get[T](name)
+		if err := kernels.CompareAccum(sc.Dot(x, y), bk.Dot(x, y), n, absTermDot(x, y)); err != nil {
+			t.Fatalf("%s/Dot n=%d: %v", name, n, err)
+		}
+		if err := kernels.CompareAccum(sc.Sum(x), bk.Sum(x), n, absTermSum(x)); err != nil {
+			t.Fatalf("%s/Sum n=%d: %v", name, n, err)
+		}
+		if err := kernels.CompareAccum(sc.Norm2Sq(x), bk.Norm2Sq(x), n, absTermDot(x, x)); err != nil {
+			t.Fatalf("%s/Norm2Sq n=%d: %v", name, n, err)
+		}
+	}
 }

@@ -47,8 +47,18 @@ func (d DType) String() string {
 	return fmt.Sprintf("DType(%d)", uint8(d))
 }
 
-// DType returns F64: the classic Tensor is always full width.
-func (t *Tensor) DType() DType { return F64 }
+// DTypeOf returns the DType of element width T, F64 or F32. It is also
+// how width-generic code picks its per-width slot (pools, caches).
+func DTypeOf[T Float]() DType {
+	var z T
+	if _, ok := any(z).(float32); ok {
+		return F32
+	}
+	return F64
+}
+
+// DType returns the tensor's element width, F64 or F32.
+func (t *Dense[T]) DType() DType { return DTypeOf[T]() }
 
 // MemBytes returns the resident size of the tensor's backing storage.
-func (t *Tensor) MemBytes() int { return len(t.data) * F64.Bytes() }
+func (t *Dense[T]) MemBytes() int { return len(t.data) * t.DType().Bytes() }

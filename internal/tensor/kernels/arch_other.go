@@ -6,5 +6,3 @@ package kernels
 var cpuFeatures []string
 
 func registerArch() {}
-
-func registerArch32() {}

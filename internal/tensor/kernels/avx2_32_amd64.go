@@ -3,11 +3,9 @@ package kernels
 // AVX2 float32 backend: assembly ports of the dot/axpy/mul-accumulate/
 // sum microkernels and the quad matmul microkernel (avx2_32_amd64.s) —
 // twice the lanes per vector op of the f64 originals — with the matmul
-// riding matMul4p32 on the asm quad + axpy pair and everything else
-// inherited from the unrolled32 backend. Registered
-// under the same "avx2" name as the f64 backend so Active32 pairs the
-// two widths, and only when the CPU reports AVX2 with OS-enabled YMM
-// state.
+// riding matMul4p on the asm quad + axpy pair and everything else
+// inherited from the unrolled backend at float32. Registered as the
+// float32 half of "avx2" (see registerArch).
 
 //go:noescape
 func dotAsm32(x, y []float32) float32
@@ -24,13 +22,7 @@ func mulaccAsm32(x, y, dst []float32)
 //go:noescape
 func matmulQuadAsm32(a0, a1, a2, a3 float32, b, out []float32)
 
-func registerArch32() {
-	if hasAVX2 {
-		register32(avx232Backend{})
-	}
-}
-
-type avx232Backend struct{ unrolled32Backend }
+type avx232Backend struct{ unrolledBackend[float32] }
 
 func (avx232Backend) Name() string { return "avx2" }
 
@@ -49,5 +41,5 @@ func (avx232Backend) Axpy(alpha float32, x, y []float32) {
 }
 
 func (avx232Backend) MatMul(a, b, out []float32, k, n, lo, hi int) {
-	matMul4p32(a, b, out, k, n, lo, hi, matmulQuadAsm32, axpyAsm32)
+	matMul4p(a, b, out, k, n, lo, hi, matmulQuadAsm32, axpyAsm32)
 }

@@ -75,11 +75,11 @@ func detectCPU() {
 func registerArch() {
 	detectCPU()
 	if hasAVX2 {
-		register(avx2Backend{})
+		register(avx2Backend{}, avx232Backend{})
 	}
 }
 
-type avx2Backend struct{ unrolledBackend }
+type avx2Backend struct{ unrolledBackend[float64] }
 
 func (avx2Backend) Name() string { return "avx2" }
 

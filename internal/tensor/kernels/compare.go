@@ -9,26 +9,39 @@ import (
 // result to the scalar reference. Two budgets exist, matching the two
 // kernel classes in the Backend contract.
 
-// ULPDiff returns the distance between a and b in units of last place —
-// the number of representable float64 values strictly between them,
-// plus one if they differ. Signed values are mapped onto a monotonic
-// integer line so the distance works across zero. NaN against anything
-// is the maximum distance.
-func ULPDiff(a, b float64) uint64 {
-	if math.IsNaN(a) || math.IsNaN(b) {
-		if math.IsNaN(a) && math.IsNaN(b) {
+// ord maps a float onto a monotonic integer line at its own width, so
+// distances work across zero; bits is its raw IEEE pattern for messages.
+func ord[T Float](f T) (line int64, bits uint64) {
+	switch v := any(f).(type) {
+	case float32:
+		b := math.Float32bits(v)
+		line = int64(int32(b))
+		if line < 0 {
+			line = math.MinInt32 - line
+		}
+		return line, uint64(b)
+	default:
+		b := math.Float64bits(float64(f))
+		line = int64(b)
+		if line < 0 {
+			line = math.MinInt64 - line
+		}
+		return line, b
+	}
+}
+
+// ULPDiff returns the distance between a and b in units of last place at
+// width T — the number of representable values strictly between them,
+// plus one if they differ. NaN against anything is the maximum distance.
+func ULPDiff[T Float](a, b T) uint64 {
+	if a != a || b != b { // NaN
+		if a != a && b != b {
 			return 0
 		}
 		return math.MaxUint64
 	}
-	ord := func(f float64) int64 {
-		bits := int64(math.Float64bits(f))
-		if bits < 0 {
-			bits = math.MinInt64 - bits
-		}
-		return bits
-	}
-	oa, ob := ord(a), ord(b)
+	oa, _ := ord(a)
+	ob, _ := ord(b)
 	if oa > ob {
 		oa, ob = ob, oa
 	}
@@ -38,71 +51,37 @@ func ULPDiff(a, b float64) uint64 {
 // CompareExact enforces the order-preserving budget: identical bits,
 // except that any NaN matches any NaN (payload bits may differ across
 // hardware multiply paths).
-func CompareExact(ref, got float64) error {
-	if math.IsNaN(ref) && math.IsNaN(got) {
+func CompareExact[T Float](ref, got T) error {
+	if ref != ref && got != got {
 		return nil
 	}
-	if math.Float64bits(ref) != math.Float64bits(got) {
-		return fmt.Errorf("want %v (%#x), got %v (%#x), %d ULP apart",
-			ref, math.Float64bits(ref), got, math.Float64bits(got), ULPDiff(ref, got))
+	_, rb := ord(ref)
+	_, gb := ord(got)
+	if rb != gb {
+		return fmt.Errorf("want %v (%#x), got %v (%#x), %d ULP apart", ref, rb, got, gb, ULPDiff(ref, got))
 	}
 	return nil
 }
 
 // AccumBudget is the reassociating-kernel tolerance for an n-term
-// reduction whose terms have total magnitude absSum: the classic
-// n·ε·Σ|tᵢ| backward-error bound with a 4× cushion for the split
-// accumulator trees.
-func AccumBudget(n int, absSum float64) float64 {
-	const eps = 0x1p-52
+// reduction at width T whose terms have total magnitude absSum: the
+// classic n·ε·Σ|tᵢ| backward-error bound with a 4× cushion for the split
+// accumulator trees. absSum is computed in float64 so the budget itself
+// carries no float32 rounding.
+func AccumBudget[T Float](n int, absSum float64) float64 {
+	eps := 0x1p-52
+	if is32[T]() {
+		eps = 0x1p-23
+	}
 	return 4 * float64(n+1) * eps * absSum
 }
 
-// ULPDiff32 is ULPDiff at float32 width.
-func ULPDiff32(a, b float32) uint64 {
-	if a != a || b != b { // NaN
-		if a != a && b != b {
-			return 0
-		}
-		return math.MaxUint64
-	}
-	ord := func(f float32) int32 {
-		bits := int32(math.Float32bits(f))
-		if bits < 0 {
-			bits = math.MinInt32 - bits
-		}
-		return bits
-	}
-	oa, ob := ord(a), ord(b)
-	if oa > ob {
-		oa, ob = ob, oa
-	}
-	return uint64(ob - oa)
-}
-
-// CompareExact32 is the order-preserving budget at float32: identical
-// bits, except any NaN matches any NaN.
-func CompareExact32(ref, got float32) error {
-	if ref != ref && got != got {
-		return nil
-	}
-	if math.Float32bits(ref) != math.Float32bits(got) {
-		return fmt.Errorf("want %v (%#x), got %v (%#x), %d ULP apart",
-			ref, math.Float32bits(ref), got, math.Float32bits(got), ULPDiff32(ref, got))
-	}
-	return nil
-}
-
-// AccumBudget32 is the reassociating tolerance at float32 width: the
-// same n·ε·Σ|tᵢ| bound with ε = 2⁻²³. absSum is computed in float64 so
-// the budget itself carries no f32 rounding.
-func AccumBudget32(n int, absSum float64) float64 {
-	const eps = 0x1p-23
-	return 4 * float64(n+1) * eps * absSum
-}
-
-// CompareAccum32 is CompareAccum with the float32 budget.
-func CompareAccum32(ref, got float32, n int, absSum float64) error {
+// CompareAccum enforces the reassociating budget: both NaN is equal,
+// any non-finite reference requires a non-finite result (term order
+// cannot rescue a sum that contains an Inf or NaN term), and finite
+// values must sit within a few ULP or the AccumBudget bound for the
+// term-magnitude sum.
+func CompareAccum[T Float](ref, got T, n int, absSum float64) error {
 	r64, g64 := float64(ref), float64(got)
 	refBad := math.IsNaN(r64) || math.IsInf(r64, 0)
 	gotBad := math.IsNaN(g64) || math.IsInf(g64, 0)
@@ -112,36 +91,12 @@ func CompareAccum32(ref, got float32, n int, absSum float64) error {
 		}
 		return fmt.Errorf("want %v, got %v (finite/non-finite mismatch)", ref, got)
 	}
-	if ULPDiff32(ref, got) <= 4 {
-		return nil
-	}
-	if d := math.Abs(r64 - g64); d > AccumBudget32(n, absSum) {
-		return fmt.Errorf("want %v, got %v: |Δ|=%g exceeds budget %g (n=%d, Σ|terms|=%g, %d ULP)",
-			ref, got, d, AccumBudget32(n, absSum), n, absSum, ULPDiff32(ref, got))
-	}
-	return nil
-}
-
-// CompareAccum enforces the reassociating budget: both NaN is equal,
-// any non-finite reference requires a non-finite result (term order
-// cannot rescue a sum that contains an Inf or NaN term), and finite
-// values must sit within a few ULP or the AccumBudget bound for the
-// term-magnitude sum.
-func CompareAccum(ref, got float64, n int, absSum float64) error {
-	refBad := math.IsNaN(ref) || math.IsInf(ref, 0)
-	gotBad := math.IsNaN(got) || math.IsInf(got, 0)
-	if refBad || gotBad {
-		if refBad && gotBad {
-			return nil
-		}
-		return fmt.Errorf("want %v, got %v (finite/non-finite mismatch)", ref, got)
-	}
 	if ULPDiff(ref, got) <= 4 {
 		return nil
 	}
-	if d := math.Abs(ref - got); d > AccumBudget(n, absSum) {
+	if d := math.Abs(r64 - g64); d > AccumBudget[T](n, absSum) {
 		return fmt.Errorf("want %v, got %v: |Δ|=%g exceeds budget %g (n=%d, Σ|terms|=%g, %d ULP)",
-			ref, got, d, AccumBudget(n, absSum), n, absSum, ULPDiff(ref, got))
+			ref, got, d, AccumBudget[T](n, absSum), n, absSum, ULPDiff(ref, got))
 	}
 	return nil
 }

@@ -2,12 +2,13 @@
 // tensor package's hot inner loops. A Backend bundles the scalar-level
 // kernels — the matmul family, elementwise arithmetic, axpy, reductions,
 // and the fused-op primitives the autograd layer leans on — operating on
-// raw row-major []float64 storage, so callers (internal/tensor and the
-// fused ops in internal/autograd) keep owning shape checks, FLOP
+// raw row-major []T storage (T is float32 or float64), so callers
+// (internal/tensor and the fused ops in internal/autograd) keep owning
+// shape checks, FLOP
 // accounting and the parallel worker split and hand each worker's
 // [lo, hi) range to the active backend.
 //
-// Three backends register at init:
+// Three backends register at init, each at both widths:
 //
 //   - "scalar": the reference. Plain Go loops, byte-for-byte the kernels
 //     the tensor package shipped before dispatch existed. Every other
@@ -17,6 +18,11 @@
 //   - "avx2" (amd64 with AVX2 only): hand-written Go assembly for the
 //     dot/axpy/mul-accumulate/sum microkernels, with the unrolled loops
 //     filling in the rest.
+//
+// scalar and unrolled are written once over T; the two assembly files
+// and their Go stubs are the only width-specific kernels. Training and
+// adaptation run at float64 only; float32 serves the eval-only scoring
+// engine.
 //
 // Numeric contract. Kernels split in two classes:
 //
@@ -47,92 +53,110 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"sync"
 	"sync/atomic"
 )
 
-// Backend is one complete kernel set. All slice arguments are row-major
-// float64 storage; lengths are validated by the caller (the tensor
+// Float is the element-width constraint of every kernel and tensor.
+type Float interface{ float32 | float64 }
+
+// Backend is one complete kernel set at width T. All slice arguments are
+// row-major storage; lengths are validated by the caller (the tensor
 // package panics on shape errors before dispatch). Elementwise kernels
 // permit dst to alias x or y exactly (same base, same length); partial
 // overlap is undefined.
-type Backend interface {
+type Backend[T Float] interface {
 	// Name returns the registry key ("scalar", "unrolled", "avx2").
 	Name() string
 
 	// Dot returns Σ x[i]·y[i]. Reassociating.
-	Dot(x, y []float64) float64
+	Dot(x, y []T) T
 	// Norm2Sq returns Σ x[i]². Reassociating.
-	Norm2Sq(x []float64) float64
+	Norm2Sq(x []T) T
 	// Sum returns Σ x[i]. Reassociating.
-	Sum(x []float64) float64
+	Sum(x []T) T
 
 	// Add stores x + y into dst. Order-preserving.
-	Add(x, y, dst []float64)
+	Add(x, y, dst []T)
 	// Sub stores x − y into dst. Order-preserving.
-	Sub(x, y, dst []float64)
+	Sub(x, y, dst []T)
 	// Mul stores x ⊙ y into dst. Order-preserving.
-	Mul(x, y, dst []float64)
+	Mul(x, y, dst []T)
 	// MulAcc accumulates dst += x ⊙ y. Order-preserving.
-	MulAcc(x, y, dst []float64)
+	MulAcc(x, y, dst []T)
 	// ScaledMulAcc accumulates dst[i] += (alpha·x[i])·y[i], with exactly
 	// that rounding order — it is the fused edge-aggregate backward's
 	// inner kernel, and (alpha·x)·y is what the composed reference ops
 	// compute. Order-preserving.
-	ScaledMulAcc(alpha float64, x, y, dst []float64)
+	ScaledMulAcc(alpha T, x, y, dst []T)
 	// Axpy accumulates y += alpha·x. Order-preserving.
-	Axpy(alpha float64, x, y []float64)
+	Axpy(alpha T, x, y []T)
 	// Scale stores alpha·x into dst. Order-preserving.
-	Scale(alpha float64, x, dst []float64)
+	Scale(alpha T, x, dst []T)
 
 	// MatMul computes output rows [lo, hi) of a(m×k)·b(k×n) into
 	// out(m×n), accumulating over p in ascending order with the
 	// reference's skip of zero a-elements. Order-preserving.
-	MatMul(a, b, out []float64, k, n, lo, hi int)
+	MatMul(a, b, out []T, k, n, lo, hi int)
 	// MatMulT1 computes output rows [lo, hi) of aᵀ·b where a is (kk×m)
 	// and b is (kk×n), accumulating over p ascending with the zero skip.
 	// Order-preserving.
-	MatMulT1(a, b, out []float64, kk, m, n, lo, hi int)
+	MatMulT1(a, b, out []T, kk, m, n, lo, hi int)
 	// MatMulT2 computes output rows [lo, hi) of a(m×k)·bᵀ where b is
 	// (n×k). Each output element is a k-term dot product. Reassociating.
-	MatMulT2(a, b, out []float64, k, n, lo, hi int)
+	MatMulT2(a, b, out []T, k, n, lo, hi int)
 	// MatVec computes elements [lo, hi) of a(m×k)·x into out(m).
 	// Reassociating.
-	MatVec(a, x, out []float64, k, lo, hi int)
+	MatVec(a, x, out []T, k, lo, hi int)
 
 	// SumAxis0 accumulates the column sums of m(r×c) into out(c),
 	// sweeping rows in ascending order. Order-preserving.
-	SumAxis0(m, out []float64, r, c int)
+	SumAxis0(m, out []T, r, c int)
 	// SumAxis1 computes row sums for rows [lo, hi) of m(r×c) into
 	// out[lo:hi]. Reassociating.
-	SumAxis1(m, out []float64, c, lo, hi int)
+	SumAxis1(m, out []T, c, lo, hi int)
 }
 
+// widths is one registered backend: the same kernel set at both widths
+// under one name, so EDGEKG_BACKEND and Use steer them together.
+type widths struct {
+	f64 Backend[float64]
+	f32 Backend[float32]
+}
+
+// is32 reports whether T is float32.
+func is32[T Float]() bool {
+	var z T
+	_, ok := any(z).(float32)
+	return ok
+}
+
+// at returns the backend's kernel set at width T.
+func at[T Float](w *widths) Backend[T] {
+	if is32[T]() {
+		return any(w.f32).(Backend[T])
+	}
+	return any(w.f64).(Backend[T])
+}
+
+// registry is populated only from this package's init, so lookups after
+// program start are lock-free.
 var (
-	registryMu sync.Mutex
-	registry   = map[string]Backend{}
-	active     atomic.Value // activeBox
+	registry = map[string]*widths{}
+	active   atomic.Pointer[widths]
 )
 
-// activeBox wraps the active backend so atomic.Value always stores one
-// concrete type — backends themselves are distinct struct types.
-type activeBox struct{ b Backend }
-
 // register adds a backend to the registry. Called from init; duplicate
-// names are a programming error.
-func register(b Backend) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[b.Name()]; dup {
-		panic(fmt.Sprintf("kernels: duplicate backend %q", b.Name()))
+// or mismatched names are a programming error.
+func register(f64 Backend[float64], f32 Backend[float32]) {
+	name := f64.Name()
+	if _, dup := registry[name]; dup || f32.Name() != name {
+		panic(fmt.Sprintf("kernels: bad backend registration %q/%q", name, f32.Name()))
 	}
-	registry[b.Name()] = b
+	registry[name] = &widths{f64: f64, f32: f32}
 }
 
 // Names returns the registered backend names, sorted.
 func Names() []string {
-	registryMu.Lock()
-	defer registryMu.Unlock()
 	names := make([]string, 0, len(registry))
 	for n := range registry {
 		names = append(names, n)
@@ -141,41 +165,46 @@ func Names() []string {
 	return names
 }
 
-// Get returns the named backend.
-func Get(name string) (Backend, bool) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	b, ok := registry[name]
-	return b, ok
+// Get returns the named backend at width T.
+func Get[T Float](name string) (Backend[T], bool) {
+	w, ok := registry[name]
+	if !ok {
+		return nil, false
+	}
+	return at[T](w), true
 }
 
-// Active returns the backend the tensor and autograd kernels dispatch to.
-func Active() Backend { return active.Load().(activeBox).b }
+// ActiveOf returns the width-T kernel set of the backend the tensor and
+// autograd kernels dispatch to.
+func ActiveOf[T Float]() Backend[T] { return at[T](active.Load()) }
 
-// Use activates the named backend and returns a restore function that
-// reinstates the previous one. It is the test/bench hook behind the
-// per-backend conformance and benchmark matrices; swapping backends while
-// kernels are executing on other goroutines is a data race, so callers
-// must quiesce first.
+// Active returns the active backend at float64, the width of everything
+// that differentiates.
+func Active() Backend[float64] { return active.Load().f64 }
+
+// Use activates the named backend (both widths) and returns a restore
+// function that reinstates the previous one. It is the test/bench hook
+// behind the per-backend conformance and benchmark matrices; swapping
+// backends while kernels are executing on other goroutines is a data
+// race, so callers must quiesce first.
 func Use(name string) (func(), error) {
-	b, ok := Get(name)
+	w, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("kernels: unknown backend %q (have %v)", name, Names())
 	}
-	prev := Active()
-	active.Store(activeBox{b})
-	return func() { active.Store(activeBox{prev}) }, nil
+	prev := active.Swap(w)
+	return func() { active.Store(prev) }, nil
 }
 
 // choose resolves the startup backend from an EDGEKG_BACKEND-style
 // request against the registered set. Empty request → best available;
 // a known-but-unregistered name (avx2 on a host without it) → best
 // available; an unknown name panics.
-func choose(request string, available map[string]Backend) Backend {
-	best := func() Backend {
+func choose(request string, available map[string]*widths) *widths {
+	best := func() *widths {
 		for _, name := range []string{"avx2", "unrolled", "scalar"} {
-			if b, ok := available[name]; ok {
-				return b
+			if w, ok := available[name]; ok {
+				return w
 			}
 		}
 		panic("kernels: no backends registered")
@@ -184,8 +213,8 @@ func choose(request string, available map[string]Backend) Backend {
 	case "":
 		return best()
 	case "scalar", "unrolled", "avx2":
-		if b, ok := available[request]; ok {
-			return b
+		if w, ok := available[request]; ok {
+			return w
 		}
 		// A real backend this host cannot run: degrade, don't die.
 		return best()
@@ -195,14 +224,8 @@ func choose(request string, available map[string]Backend) Backend {
 }
 
 func init() {
-	register(scalarBackend{})
-	register(unrolledBackend{})
+	register(scalarBackend[float64]{}, scalarBackend[float32]{})
+	register(unrolledBackend[float64]{}, unrolledBackend[float32]{})
 	registerArch() // avx2 on capable amd64 hosts, nothing elsewhere
-	registryMu.Lock()
-	avail := make(map[string]Backend, len(registry))
-	for n, b := range registry {
-		avail[n] = b
-	}
-	registryMu.Unlock()
-	active.Store(activeBox{choose(os.Getenv("EDGEKG_BACKEND"), avail)})
+	active.Store(choose(os.Getenv("EDGEKG_BACKEND"), registry))
 }

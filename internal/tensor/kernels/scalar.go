@@ -2,80 +2,80 @@ package kernels
 
 // scalarBackend is the reference implementation: the plain Go loops the
 // tensor package shipped before backend dispatch existed, extracted
-// verbatim. Every other backend is pinned against it by the conformance
-// harness, so changes here are semantic changes to the whole kernel
-// layer.
-type scalarBackend struct{}
+// verbatim and written once over the element width. Every other backend
+// is pinned against it at the same width by the conformance harness, so
+// changes here are semantic changes to the whole kernel layer.
+type scalarBackend[T Float] struct{}
 
-func (scalarBackend) Name() string { return "scalar" }
+func (scalarBackend[T]) Name() string { return "scalar" }
 
-func (scalarBackend) Dot(x, y []float64) float64 {
-	s := 0.0
+func (scalarBackend[T]) Dot(x, y []T) T {
+	var s T
 	for i, v := range x {
 		s += v * y[i]
 	}
 	return s
 }
 
-func (scalarBackend) Norm2Sq(x []float64) float64 {
-	s := 0.0
+func (scalarBackend[T]) Norm2Sq(x []T) T {
+	var s T
 	for _, v := range x {
 		s += v * v
 	}
 	return s
 }
 
-func (scalarBackend) Sum(x []float64) float64 {
-	s := 0.0
+func (scalarBackend[T]) Sum(x []T) T {
+	var s T
 	for _, v := range x {
 		s += v
 	}
 	return s
 }
 
-func (scalarBackend) Add(x, y, dst []float64) {
+func (scalarBackend[T]) Add(x, y, dst []T) {
 	for i := range dst {
 		dst[i] = x[i] + y[i]
 	}
 }
 
-func (scalarBackend) Sub(x, y, dst []float64) {
+func (scalarBackend[T]) Sub(x, y, dst []T) {
 	for i := range dst {
 		dst[i] = x[i] - y[i]
 	}
 }
 
-func (scalarBackend) Mul(x, y, dst []float64) {
+func (scalarBackend[T]) Mul(x, y, dst []T) {
 	for i := range dst {
 		dst[i] = x[i] * y[i]
 	}
 }
 
-func (scalarBackend) MulAcc(x, y, dst []float64) {
+func (scalarBackend[T]) MulAcc(x, y, dst []T) {
 	for i := range dst {
 		dst[i] += x[i] * y[i]
 	}
 }
 
-func (scalarBackend) ScaledMulAcc(alpha float64, x, y, dst []float64) {
+func (scalarBackend[T]) ScaledMulAcc(alpha T, x, y, dst []T) {
 	for i := range dst {
 		dst[i] += (alpha * x[i]) * y[i]
 	}
 }
 
-func (scalarBackend) Axpy(alpha float64, x, y []float64) {
+func (scalarBackend[T]) Axpy(alpha T, x, y []T) {
 	for i := range y {
 		y[i] += alpha * x[i]
 	}
 }
 
-func (scalarBackend) Scale(alpha float64, x, dst []float64) {
+func (scalarBackend[T]) Scale(alpha T, x, dst []T) {
 	for i := range dst {
 		dst[i] = alpha * x[i]
 	}
 }
 
-func (scalarBackend) MatMul(a, b, out []float64, k, n, lo, hi int) {
+func (scalarBackend[T]) MatMul(a, b, out []T, k, n, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		arow := a[i*k : (i+1)*k]
 		orow := out[i*n : (i+1)*n]
@@ -92,7 +92,7 @@ func (scalarBackend) MatMul(a, b, out []float64, k, n, lo, hi int) {
 	}
 }
 
-func (scalarBackend) MatMulT1(a, b, out []float64, kk, m, n, lo, hi int) {
+func (scalarBackend[T]) MatMulT1(a, b, out []T, kk, m, n, lo, hi int) {
 	for p := 0; p < kk; p++ {
 		arow := a[p*m : (p+1)*m]
 		brow := b[p*n : (p+1)*n]
@@ -109,13 +109,13 @@ func (scalarBackend) MatMulT1(a, b, out []float64, kk, m, n, lo, hi int) {
 	}
 }
 
-func (scalarBackend) MatMulT2(a, b, out []float64, k, n, lo, hi int) {
+func (scalarBackend[T]) MatMulT2(a, b, out []T, k, n, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		arow := a[i*k : (i+1)*k]
 		orow := out[i*n : (i+1)*n]
 		for j := 0; j < n; j++ {
 			brow := b[j*k : (j+1)*k]
-			s := 0.0
+			var s T
 			for p := 0; p < k; p++ {
 				s += arow[p] * brow[p]
 			}
@@ -124,10 +124,10 @@ func (scalarBackend) MatMulT2(a, b, out []float64, k, n, lo, hi int) {
 	}
 }
 
-func (scalarBackend) MatVec(a, x, out []float64, k, lo, hi int) {
+func (scalarBackend[T]) MatVec(a, x, out []T, k, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		row := a[i*k : (i+1)*k]
-		s := 0.0
+		var s T
 		for p := 0; p < k; p++ {
 			s += row[p] * x[p]
 		}
@@ -135,7 +135,7 @@ func (scalarBackend) MatVec(a, x, out []float64, k, lo, hi int) {
 	}
 }
 
-func (scalarBackend) SumAxis0(m, out []float64, r, c int) {
+func (scalarBackend[T]) SumAxis0(m, out []T, r, c int) {
 	for i := 0; i < r; i++ {
 		row := m[i*c : (i+1)*c]
 		for j := 0; j < c; j++ {
@@ -144,10 +144,10 @@ func (scalarBackend) SumAxis0(m, out []float64, r, c int) {
 	}
 }
 
-func (scalarBackend) SumAxis1(m, out []float64, c, lo, hi int) {
+func (scalarBackend[T]) SumAxis1(m, out []T, c, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		row := m[i*c : (i+1)*c]
-		s := 0.0
+		var s T
 		for j := 0; j < c; j++ {
 			s += row[j]
 		}

@@ -104,40 +104,61 @@ var ConformancePayloads = []Payload{
 	}},
 }
 
-// SanitizeFuzz maps an arbitrary fuzz-provided float64 into the domain
-// the reassociation tolerance bound is valid over: NaN and ±Inf pass
-// through (the comparator's non-finite rule covers them — once a
-// non-finite term exists, every summation order stays non-finite), and
-// finite magnitudes are clamped to 2^±200 so no finite reduction can
-// overflow in one order but not another.
-func SanitizeFuzz(x float64) float64 {
+// clampExp passes NaN and ±Inf through (the comparator's non-finite rule
+// covers them — once a non-finite term exists, every summation order
+// stays non-finite) and clamps finite magnitudes to 2^±maxExp, so no
+// finite reduction can overflow in one order but not another.
+func clampExp(x float64, maxExp int) float64 {
 	if math.IsNaN(x) || math.IsInf(x, 0) {
 		return x
 	}
 	f, e := math.Frexp(x)
-	if e > 200 {
-		return math.Ldexp(f, 200)
+	if e > maxExp {
+		return math.Ldexp(f, maxExp)
 	}
-	if e < -200 {
-		return math.Ldexp(f, -200)
+	if e < -maxExp {
+		return math.Ldexp(f, -maxExp)
 	}
 	return x
 }
 
+// FillAs draws n payload values at width T. float64 gets the payload
+// unchanged; float32 narrows through a 2^±30 clamp, the range the
+// float32 reassociation budget is valid over (subnormal float64 payloads
+// collapse to signed zero there, which is exactly the signed-zero class).
+func FillAs[T Float](p Payload, rng *rand.Rand, n int) []T {
+	buf := make([]float64, n)
+	p.Fill(rng, buf)
+	if same, ok := any(buf).([]T); ok {
+		return same
+	}
+	out := make([]T, n)
+	for i, v := range buf {
+		out[i] = T(clampExp(v, 30))
+	}
+	return out
+}
+
 // FillFuzz fills dst from raw fuzz bytes, 8 bytes per element
-// little-endian, cycling when raw is short and sanitizing magnitudes.
-func FillFuzz(dst []float64, raw []byte) {
+// little-endian, cycling when raw is short and clamping magnitudes into
+// the domain the reassociation tolerance bound is valid over at width T
+// (2^±200 at float64, 2^±30 at float32).
+func FillFuzz[T Float](dst []T, raw []byte) {
 	if len(raw) == 0 {
 		for i := range dst {
 			dst[i] = 0
 		}
 		return
 	}
+	maxExp := 200
+	if is32[T]() {
+		maxExp = 30
+	}
 	for i := range dst {
 		var bits uint64
 		for b := 0; b < 8; b++ {
 			bits |= uint64(raw[(i*8+b)%len(raw)]) << (8 * b)
 		}
-		dst[i] = SanitizeFuzz(math.Float64frombits(bits))
+		dst[i] = T(clampExp(math.Float64frombits(bits), maxExp))
 	}
 }

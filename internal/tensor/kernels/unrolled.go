@@ -6,16 +6,16 @@ package kernels
 // scalar reference (each element is still one multiply and one add, in
 // the same order), so they are bit-exact; the dot-style reductions run
 // four independent accumulators and are pinned by tolerance instead.
-type unrolledBackend struct{}
+type unrolledBackend[T Float] struct{}
 
-func (unrolledBackend) Name() string { return "unrolled" }
+func (unrolledBackend[T]) Name() string { return "unrolled" }
 
 // dot4 is the shared 4-accumulator dot kernel. The accumulators take
 // elements i≡0,1,2,3 (mod 4) and combine as (s0+s1)+(s2+s3).
-func dot4(x, y []float64) float64 {
+func dot4[T Float](x, y []T) T {
 	n := len(x)
 	y = y[:n]
-	var s0, s1, s2, s3 float64
+	var s0, s1, s2, s3 T
 	i := 0
 	for ; i+4 <= n; i += 4 {
 		x4, y4 := x[i:i+4:i+4], y[i:i+4:i+4]
@@ -31,13 +31,13 @@ func dot4(x, y []float64) float64 {
 	return s
 }
 
-func (unrolledBackend) Dot(x, y []float64) float64 { return dot4(x, y) }
+func (unrolledBackend[T]) Dot(x, y []T) T { return dot4(x, y) }
 
-func (unrolledBackend) Norm2Sq(x []float64) float64 { return dot4(x, x) }
+func (unrolledBackend[T]) Norm2Sq(x []T) T { return dot4(x, x) }
 
-func sum4(x []float64) float64 {
+func sum4[T Float](x []T) T {
 	n := len(x)
-	var s0, s1, s2, s3 float64
+	var s0, s1, s2, s3 T
 	i := 0
 	for ; i+4 <= n; i += 4 {
 		x4 := x[i : i+4 : i+4]
@@ -53,9 +53,9 @@ func sum4(x []float64) float64 {
 	return s
 }
 
-func (unrolledBackend) Sum(x []float64) float64 { return sum4(x) }
+func (unrolledBackend[T]) Sum(x []T) T { return sum4(x) }
 
-func add4(x, y, dst []float64) {
+func add4[T Float](x, y, dst []T) {
 	n := len(dst)
 	x, y = x[:n], y[:n]
 	i := 0
@@ -71,9 +71,9 @@ func add4(x, y, dst []float64) {
 	}
 }
 
-func (unrolledBackend) Add(x, y, dst []float64) { add4(x, y, dst) }
+func (unrolledBackend[T]) Add(x, y, dst []T) { add4(x, y, dst) }
 
-func (unrolledBackend) Sub(x, y, dst []float64) {
+func (unrolledBackend[T]) Sub(x, y, dst []T) {
 	n := len(dst)
 	x, y = x[:n], y[:n]
 	i := 0
@@ -89,7 +89,7 @@ func (unrolledBackend) Sub(x, y, dst []float64) {
 	}
 }
 
-func mul4(x, y, dst []float64) {
+func mul4[T Float](x, y, dst []T) {
 	n := len(dst)
 	x, y = x[:n], y[:n]
 	i := 0
@@ -105,9 +105,9 @@ func mul4(x, y, dst []float64) {
 	}
 }
 
-func (unrolledBackend) Mul(x, y, dst []float64) { mul4(x, y, dst) }
+func (unrolledBackend[T]) Mul(x, y, dst []T) { mul4(x, y, dst) }
 
-func mulacc4(x, y, dst []float64) {
+func mulacc4[T Float](x, y, dst []T) {
 	n := len(dst)
 	x, y = x[:n], y[:n]
 	i := 0
@@ -123,9 +123,9 @@ func mulacc4(x, y, dst []float64) {
 	}
 }
 
-func (unrolledBackend) MulAcc(x, y, dst []float64) { mulacc4(x, y, dst) }
+func (unrolledBackend[T]) MulAcc(x, y, dst []T) { mulacc4(x, y, dst) }
 
-func scaledmulacc4(alpha float64, x, y, dst []float64) {
+func scaledmulacc4[T Float](alpha T, x, y, dst []T) {
 	n := len(dst)
 	x, y = x[:n], y[:n]
 	i := 0
@@ -141,11 +141,11 @@ func scaledmulacc4(alpha float64, x, y, dst []float64) {
 	}
 }
 
-func (unrolledBackend) ScaledMulAcc(alpha float64, x, y, dst []float64) {
+func (unrolledBackend[T]) ScaledMulAcc(alpha T, x, y, dst []T) {
 	scaledmulacc4(alpha, x, y, dst)
 }
 
-func axpy4(alpha float64, x, y []float64) {
+func axpy4[T Float](alpha T, x, y []T) {
 	n := len(y)
 	x = x[:n]
 	i := 0
@@ -161,9 +161,9 @@ func axpy4(alpha float64, x, y []float64) {
 	}
 }
 
-func (unrolledBackend) Axpy(alpha float64, x, y []float64) { axpy4(alpha, x, y) }
+func (unrolledBackend[T]) Axpy(alpha T, x, y []T) { axpy4(alpha, x, y) }
 
-func scale4(alpha float64, x, dst []float64) {
+func scale4[T Float](alpha T, x, dst []T) {
 	n := len(dst)
 	x = x[:n]
 	i := 0
@@ -179,7 +179,7 @@ func scale4(alpha float64, x, dst []float64) {
 	}
 }
 
-func (unrolledBackend) Scale(alpha float64, x, dst []float64) { scale4(alpha, x, dst) }
+func (unrolledBackend[T]) Scale(alpha T, x, dst []T) { scale4(alpha, x, dst) }
 
 // matMul4p is the p-blocked matmul body: four ascending p-steps per pass
 // over the output row, so each out element is loaded and stored once per
@@ -193,9 +193,9 @@ func (unrolledBackend) Scale(alpha float64, x, dst []float64) { scale4(alpha, x,
 // a-element fall back to per-p axpy to reproduce the reference's zero
 // skip (x + 0·b is not always the identity: it flips -0 to +0 and raises
 // NaN from 0·Inf).
-func matMul4p(a, b, out []float64, k, n, lo, hi int,
-	quad func(a0, a1, a2, a3 float64, b4, orow []float64),
-	axpy func(alpha float64, x, y []float64)) {
+func matMul4p[T Float](a, b, out []T, k, n, lo, hi int,
+	quad func(a0, a1, a2, a3 T, b4, orow []T),
+	axpy func(alpha T, x, y []T)) {
 	for i := lo; i < hi; i++ {
 		arow := a[i*k : (i+1)*k]
 		orow := out[i*n : (i+1)*n]
@@ -222,7 +222,7 @@ func matMul4p(a, b, out []float64, k, n, lo, hi int,
 
 // quad4 is the portable quad microkernel behind matMul4p: one pass over
 // the row, out element kept in a register across the four p-steps.
-func quad4(a0, a1, a2, a3 float64, b4, orow []float64) {
+func quad4[T Float](a0, a1, a2, a3 T, b4, orow []T) {
 	n := len(orow)
 	b0 := b4[0*n : 1*n : 1*n]
 	b1 := b4[1*n : 2*n : 2*n]
@@ -238,7 +238,7 @@ func quad4(a0, a1, a2, a3 float64, b4, orow []float64) {
 	}
 }
 
-func (unrolledBackend) MatMul(a, b, out []float64, k, n, lo, hi int) {
+func (unrolledBackend[T]) MatMul(a, b, out []T, k, n, lo, hi int) {
 	matMul4p(a, b, out, k, n, lo, hi, quad4, axpy4)
 }
 
@@ -247,9 +247,9 @@ func (unrolledBackend) MatMul(a, b, out []float64, k, n, lo, hi int) {
 // with one rounding per step, so hoisting i outward and blocking p by 4
 // (a accessed at column i with stride m) reproduces the reference
 // bit-for-bit, zero skip included.
-func matMulT14p(a, b, out []float64, kk, m, n, lo, hi int,
-	quad func(a0, a1, a2, a3 float64, b4, orow []float64),
-	axpy func(alpha float64, x, y []float64)) {
+func matMulT14p[T Float](a, b, out []T, kk, m, n, lo, hi int,
+	quad func(a0, a1, a2, a3 T, b4, orow []T),
+	axpy func(alpha T, x, y []T)) {
 	for i := lo; i < hi; i++ {
 		orow := out[i*n : (i+1)*n]
 		p := 0
@@ -273,11 +273,11 @@ func matMulT14p(a, b, out []float64, kk, m, n, lo, hi int,
 	}
 }
 
-func (unrolledBackend) MatMulT1(a, b, out []float64, kk, m, n, lo, hi int) {
+func (unrolledBackend[T]) MatMulT1(a, b, out []T, kk, m, n, lo, hi int) {
 	matMulT14p(a, b, out, kk, m, n, lo, hi, quad4, axpy4)
 }
 
-func matMulT2Dot(a, b, out []float64, k, n, lo, hi int, dot func(x, y []float64) float64) {
+func matMulT2Dot[T Float](a, b, out []T, k, n, lo, hi int, dot func(x, y []T) T) {
 	for i := lo; i < hi; i++ {
 		arow := a[i*k : (i+1)*k]
 		orow := out[i*n : (i+1)*n]
@@ -287,17 +287,17 @@ func matMulT2Dot(a, b, out []float64, k, n, lo, hi int, dot func(x, y []float64)
 	}
 }
 
-func (unrolledBackend) MatMulT2(a, b, out []float64, k, n, lo, hi int) {
+func (unrolledBackend[T]) MatMulT2(a, b, out []T, k, n, lo, hi int) {
 	matMulT2Dot(a, b, out, k, n, lo, hi, dot4)
 }
 
-func matVecDot(a, x, out []float64, k, lo, hi int, dot func(x, y []float64) float64) {
+func matVecDot[T Float](a, x, out []T, k, lo, hi int, dot func(x, y []T) T) {
 	for i := lo; i < hi; i++ {
 		out[i] = dot(a[i*k:(i+1)*k], x)
 	}
 }
 
-func (unrolledBackend) MatVec(a, x, out []float64, k, lo, hi int) {
+func (unrolledBackend[T]) MatVec(a, x, out []T, k, lo, hi int) {
 	matVecDot(a, x, out, k, lo, hi, dot4)
 }
 
@@ -305,14 +305,14 @@ func (unrolledBackend) MatVec(a, x, out []float64, k, lo, hi int) {
 // accumulate microkernel (out += row, elementwise). Per-column
 // accumulation order is row order in every variant, so it stays
 // bit-exact.
-func sumAxis0Acc(m, out []float64, r, c int, acc func(x, dst []float64)) {
+func sumAxis0Acc[T Float](m, out []T, r, c int, acc func(x, dst []T)) {
 	for i := 0; i < r; i++ {
 		acc(m[i*c:(i+1)*c], out)
 	}
 }
 
 // addacc4 is out += x, the 4×-unrolled accumulate behind SumAxis0.
-func addacc4(x, dst []float64) {
+func addacc4[T Float](x, dst []T) {
 	n := len(dst)
 	x = x[:n]
 	i := 0
@@ -328,16 +328,16 @@ func addacc4(x, dst []float64) {
 	}
 }
 
-func (unrolledBackend) SumAxis0(m, out []float64, r, c int) {
+func (unrolledBackend[T]) SumAxis0(m, out []T, r, c int) {
 	sumAxis0Acc(m, out, r, c, addacc4)
 }
 
-func sumAxis1Sum(m, out []float64, c, lo, hi int, sum func(x []float64) float64) {
+func sumAxis1Sum[T Float](m, out []T, c, lo, hi int, sum func(x []T) T) {
 	for i := lo; i < hi; i++ {
 		out[i] = sum(m[i*c : (i+1)*c])
 	}
 }
 
-func (unrolledBackend) SumAxis1(m, out []float64, c, lo, hi int) {
+func (unrolledBackend[T]) SumAxis1(m, out []T, c, lo, hi int) {
 	sumAxis1Sum(m, out, c, lo, hi, sum4)
 }

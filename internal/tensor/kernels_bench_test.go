@@ -14,9 +14,9 @@ import (
 	"edgekg/internal/tensor/kernels"
 )
 
-func benchPerBackend(b *testing.B, fn func(b *testing.B, bk kernels.Backend)) {
+func benchPerBackend(b *testing.B, fn func(b *testing.B, bk kernels.Backend[float64])) {
 	for _, name := range kernels.Names() {
-		bk, _ := kernels.Get(name)
+		bk, _ := kernels.Get[float64](name)
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			fn(b, bk)
@@ -38,7 +38,7 @@ func BenchmarkMatMulPerBackend(b *testing.B) {
 	a := benchData(m*k, 1)
 	bb := benchData(k*n, 2)
 	out := make([]float64, m*n)
-	benchPerBackend(b, func(b *testing.B, bk kernels.Backend) {
+	benchPerBackend(b, func(b *testing.B, bk kernels.Backend[float64]) {
 		b.SetBytes(8 * int64(m*k+k*n+m*n))
 		for i := 0; i < b.N; i++ {
 			for j := range out {
@@ -54,7 +54,7 @@ func BenchmarkMatMulT2PerBackend(b *testing.B) {
 	a := benchData(m*k, 3)
 	bt := benchData(n*k, 4)
 	out := make([]float64, m*n)
-	benchPerBackend(b, func(b *testing.B, bk kernels.Backend) {
+	benchPerBackend(b, func(b *testing.B, bk kernels.Backend[float64]) {
 		b.SetBytes(8 * int64(m*k+n*k+m*n))
 		for i := 0; i < b.N; i++ {
 			bk.MatMulT2(a, bt, out, k, n, 0, m)
@@ -65,7 +65,7 @@ func BenchmarkMatMulT2PerBackend(b *testing.B) {
 func BenchmarkDotPerBackend(b *testing.B) {
 	x := benchData(4096, 5)
 	y := benchData(4096, 6)
-	benchPerBackend(b, func(b *testing.B, bk kernels.Backend) {
+	benchPerBackend(b, func(b *testing.B, bk kernels.Backend[float64]) {
 		b.SetBytes(8 * 2 * 4096)
 		var s float64
 		for i := 0; i < b.N; i++ {
@@ -78,7 +78,7 @@ func BenchmarkDotPerBackend(b *testing.B) {
 func BenchmarkAxpyPerBackend(b *testing.B) {
 	x := benchData(4096, 7)
 	y := benchData(4096, 8)
-	benchPerBackend(b, func(b *testing.B, bk kernels.Backend) {
+	benchPerBackend(b, func(b *testing.B, bk kernels.Backend[float64]) {
 		b.SetBytes(8 * 2 * 4096)
 		for i := 0; i < b.N; i++ {
 			bk.Axpy(0.5, x, y)
@@ -90,7 +90,7 @@ func BenchmarkMulAccPerBackend(b *testing.B) {
 	x := benchData(4096, 9)
 	y := benchData(4096, 10)
 	dst := make([]float64, 4096)
-	benchPerBackend(b, func(b *testing.B, bk kernels.Backend) {
+	benchPerBackend(b, func(b *testing.B, bk kernels.Backend[float64]) {
 		b.SetBytes(8 * 3 * 4096)
 		for i := 0; i < b.N; i++ {
 			bk.MulAcc(x, y, dst)
@@ -100,7 +100,7 @@ func BenchmarkMulAccPerBackend(b *testing.B) {
 
 func BenchmarkSumPerBackend(b *testing.B) {
 	x := benchData(4096, 11)
-	benchPerBackend(b, func(b *testing.B, bk kernels.Backend) {
+	benchPerBackend(b, func(b *testing.B, bk kernels.Backend[float64]) {
 		b.SetBytes(8 * 4096)
 		var s float64
 		for i := 0; i < b.N; i++ {

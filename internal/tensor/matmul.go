@@ -38,8 +38,9 @@ func matmulGrain(rowFlops int) int {
 }
 
 // MatMul returns the matrix product a·b of two 2-D tensors.
-// a is (m×k), b is (k×n), the result is (m×n).
-func MatMul(a, b *Tensor) *Tensor {
+// a is (m×k), b is (k×n), the result is (m×n). FLOPs count operations,
+// not bytes, so the ledger is the same at either width.
+func MatMul[T Float](a, b *Dense[T]) *Dense[T] {
 	a.must2D("MatMul")
 	b.must2D("MatMul")
 	m, k := a.shape[0], a.shape[1]
@@ -47,11 +48,11 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMul inner dim mismatch %v · %v", a.shape, b.shape))
 	}
 	n := b.shape[1]
-	out := New(m, n)
+	out := NewOf[T](m, n)
 	// The active backend runs the i-k-j kernel over each worker's disjoint
 	// range of output rows; the inner loop streams over contiguous rows of
 	// b and out, which matters even at the small sizes used here.
-	bk := kernels.Active()
+	bk := kernels.ActiveOf[T]()
 	worker := func(lo, hi int) { bk.MatMul(a.data, b.data, out.data, k, n, lo, hi) }
 	if 2*m*n*k >= matmulParallelFlops {
 		parallel.For(m, matmulGrain(2*n*k), worker)

@@ -71,9 +71,9 @@ func Div(a, b *Tensor) *Tensor {
 }
 
 // AddInPlace adds b into a elementwise and returns a.
-func AddInPlace(a, b *Tensor) *Tensor {
+func AddInPlace[T Float](a, b *Dense[T]) *Dense[T] {
 	a.mustSameShape(b, "AddInPlace")
-	bk := kernels.Active()
+	bk := kernels.ActiveOf[T]()
 	forElems(len(a.data), func(lo, hi int) {
 		bk.Add(a.data[lo:hi], b.data[lo:hi], a.data[lo:hi])
 	})
@@ -104,8 +104,8 @@ func Scale(a *Tensor, alpha float64) *Tensor {
 }
 
 // ScaleInPlace multiplies a by alpha in place and returns a.
-func ScaleInPlace(a *Tensor, alpha float64) *Tensor {
-	bk := kernels.Active()
+func ScaleInPlace[T Float](a *Dense[T], alpha T) *Dense[T] {
+	bk := kernels.ActiveOf[T]()
 	forElems(len(a.data), func(lo, hi int) {
 		bk.Scale(alpha, a.data[lo:hi], a.data[lo:hi])
 	})
@@ -166,8 +166,14 @@ func MulRow(m, v *Tensor) *Tensor {
 
 // Map returns a new tensor with f applied to every element. f may be
 // invoked concurrently for large tensors and must be a pure function.
-func Map(a *Tensor, f func(float64) float64) *Tensor {
-	out := New(a.shape...)
+func Map[T Float](a *Dense[T], f func(T) T) *Dense[T] {
+	return mapInto(NewOf[T](a.shape...), a, f)
+}
+
+// MapInPlace is Map overwriting a.
+func MapInPlace[T Float](a *Dense[T], f func(T) T) *Dense[T] { return mapInto(a, a, f) }
+
+func mapInto[T Float](out, a *Dense[T], f func(T) T) *Dense[T] {
 	forElems(len(a.data), func(lo, hi int) {
 		ad, od := a.data, out.data
 		for i := lo; i < hi; i++ {
@@ -242,7 +248,7 @@ func Concat(ts ...*Tensor) *Tensor {
 }
 
 // ConcatCols horizontally concatenates 2-D tensors with equal row counts.
-func ConcatCols(ts ...*Tensor) *Tensor {
+func ConcatCols[T Float](ts ...*Dense[T]) *Dense[T] {
 	if len(ts) == 0 {
 		panic("tensor: ConcatCols of nothing")
 	}
@@ -254,7 +260,7 @@ func ConcatCols(ts ...*Tensor) *Tensor {
 		}
 		cols += t.Cols()
 	}
-	out := New(rows, cols)
+	out := NewOf[T](rows, cols)
 	for i := 0; i < rows; i++ {
 		off := 0
 		for _, t := range ts {
@@ -300,10 +306,10 @@ func SliceRows(m *Tensor, i, j int) *Tensor {
 }
 
 // Gather returns a matrix whose k-th row is m's rows[k]-th row.
-func Gather(m *Tensor, rows []int) *Tensor {
+func Gather[T Float](m *Dense[T], rows []int) *Dense[T] {
 	m.must2D("Gather")
 	c := m.shape[1]
-	out := New(len(rows), c)
+	out := NewOf[T](len(rows), c)
 	for k, r := range rows {
 		if r < 0 || r >= m.shape[0] {
 			panic(fmt.Sprintf("tensor: Gather row %d out of range [0,%d)", r, m.shape[0]))

@@ -9,22 +9,22 @@ import (
 )
 
 // Sum returns the sum of all elements.
-func (t *Tensor) Sum() float64 {
-	s := kernels.Active().Sum(t.data)
+func (t *Dense[T]) Sum() T {
+	s := kernels.ActiveOf[T]().Sum(t.data)
 	countOps(len(t.data))
 	return s
 }
 
 // Mean returns the arithmetic mean of all elements; 0 for an empty tensor.
-func (t *Tensor) Mean() float64 {
+func (t *Dense[T]) Mean() T {
 	if len(t.data) == 0 {
 		return 0
 	}
-	return t.Sum() / float64(len(t.data))
+	return t.Sum() / T(len(t.data))
 }
 
 // Max returns the maximum element. It panics on an empty tensor.
-func (t *Tensor) Max() float64 {
+func (t *Dense[T]) Max() T {
 	if len(t.data) == 0 {
 		panic("tensor: Max of empty tensor")
 	}
@@ -38,7 +38,7 @@ func (t *Tensor) Max() float64 {
 }
 
 // Min returns the minimum element. It panics on an empty tensor.
-func (t *Tensor) Min() float64 {
+func (t *Dense[T]) Min() T {
 	if len(t.data) == 0 {
 		panic("tensor: Min of empty tensor")
 	}
@@ -52,7 +52,7 @@ func (t *Tensor) Min() float64 {
 }
 
 // ArgMax returns the index of the first maximal element of a 1-D tensor.
-func (t *Tensor) ArgMax() int {
+func (t *Dense[T]) ArgMax() int {
 	if len(t.data) == 0 {
 		panic("tensor: ArgMax of empty tensor")
 	}
@@ -161,11 +161,12 @@ func ArgMaxRows(m *Tensor) []int {
 }
 
 // SoftmaxRows returns the row-wise softmax of a matrix, computed with the
-// usual max-shift for numerical stability.
-func SoftmaxRows(m *Tensor) *Tensor {
+// usual max-shift for numerical stability. The exponential is evaluated
+// at float64 and rounded to T; everything else runs at T.
+func SoftmaxRows[T Float](m *Dense[T]) *Dense[T] {
 	m.must2D("SoftmaxRows")
 	r, c := m.shape[0], m.shape[1]
-	out := New(r, c)
+	out := NewOf[T](r, c)
 	forRows(r, c, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := m.data[i*c : (i+1)*c]
@@ -176,9 +177,9 @@ func SoftmaxRows(m *Tensor) *Tensor {
 					mx = v
 				}
 			}
-			s := 0.0
+			var s T
 			for j, v := range row {
-				e := math.Exp(v - mx)
+				e := T(math.Exp(float64(v - mx)))
 				orow[j] = e
 				s += e
 			}
@@ -220,9 +221,9 @@ func LogSumExpRows(m *Tensor) *Tensor {
 
 // CheckFinite panics with context if any element is NaN or ±Inf. It is a
 // debugging aid used by the training loops' assertion mode.
-func (t *Tensor) CheckFinite(context string) {
+func (t *Dense[T]) CheckFinite(context string) {
 	for i, v := range t.data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
 			panic(fmt.Sprintf("tensor: non-finite value %v at flat index %d in %s (shape %v)", v, i, context, t.shape))
 		}
 	}

@@ -1,7 +1,15 @@
-// Package tensor implements dense row-major float64 tensors and the
-// numerical kernels the rest of the library is built on: elementwise
-// arithmetic, matrix multiplication, reductions, gather/scatter and
-// deterministic random initialisation.
+// Package tensor implements dense row-major tensors and the numerical
+// kernels the rest of the library is built on: elementwise arithmetic,
+// matrix multiplication, reductions, gather/scatter and deterministic
+// random initialisation.
+//
+// There is one tensor type, Dense[T], over T = float32 | float64. Tensor
+// is Dense[float64] — the width of all trainable state, checkpoints and
+// everything that differentiates — and the constructors and ops without
+// a type parameter are its front doors. float32 exists for the eval-only
+// scoring engine: what that engine runs (MatMul, Gather, ConcatCols, Map,
+// the in-place add/scale, SoftmaxRows) is written once over T, and Narrow is
+// the only crossing between widths; nothing converts implicitly.
 //
 // The package favours clarity over raw speed — model dimensions in this
 // system are small (GNN width 8, temporal width 128) — but the matmul
@@ -19,21 +27,28 @@ import (
 	"strings"
 
 	"edgekg/internal/flops"
+	"edgekg/internal/tensor/kernels"
 )
 
-// Tensor is a dense row-major tensor of float64 values.
-type Tensor struct {
+// Float is the element-width constraint: float32 or float64.
+type Float = kernels.Float
+
+// Dense is a dense row-major tensor of T values.
+type Dense[T Float] struct {
 	shape []int
-	data  []float64
+	data  []T
 	// shapeBack inlines the shape storage for tensors of rank ≤ 2 (all of
 	// them, in this codebase), so constructing a tensor costs two heap
 	// allocations (struct + data) instead of three.
 	shapeBack [2]int
 }
 
+// Tensor is the float64 tensor.
+type Tensor = Dense[float64]
+
 // setShape stores a copy of shape, using the inline backing array when the
 // rank allows.
-func (t *Tensor) setShape(shape []int) {
+func (t *Dense[T]) setShape(shape []int) {
 	if len(shape) <= len(t.shapeBack) {
 		t.shape = t.shapeBack[:len(shape)]
 		copy(t.shape, shape)
@@ -42,25 +57,44 @@ func (t *Tensor) setShape(shape []int) {
 	}
 }
 
-// New returns a zero-filled tensor with the given shape. A tensor with no
-// dimensions is a scalar holding one element.
-func New(shape ...int) *Tensor {
+// New returns a zero-filled float64 tensor with the given shape. A tensor
+// with no dimensions is a scalar holding one element.
+func New(shape ...int) *Tensor { return NewOf[float64](shape...) }
+
+// NewOf is New at width T.
+func NewOf[T Float](shape ...int) *Dense[T] {
 	n := checkShape(shape)
-	t := &Tensor{data: make([]float64, n)}
+	t := &Dense[T]{data: make([]T, n)}
 	t.setShape(shape)
 	return t
 }
 
 // FromSlice wraps data in a tensor with the given shape. The tensor takes
 // ownership of data; the caller must not modify it afterwards.
-func FromSlice(data []float64, shape ...int) *Tensor {
+func FromSlice[T Float](data []T, shape ...int) *Dense[T] {
 	n := checkShape(shape)
 	if len(data) != n {
 		panic(fmt.Sprintf("tensor: FromSlice data length %d does not match shape %v (size %d)", len(data), shape, n))
 	}
-	t := &Tensor{data: data}
+	t := &Dense[T]{data: data}
 	t.setShape(shape)
 	return t
+}
+
+// Narrow returns t at width T: t itself at float64 (a zero-copy view, so
+// writes through either name are seen by both), a copy rounded to
+// nearest at float32. The copy is pure bandwidth, so it reports byte
+// traffic rather than FLOPs.
+func Narrow[T Float](t *Tensor) *Dense[T] {
+	if same, ok := any(t).(*Dense[T]); ok {
+		return same
+	}
+	c := NewOf[T](t.shape...)
+	for i, v := range t.data {
+		c.data[i] = T(v)
+	}
+	countBytes(len(t.data) * (F64.Bytes() + DTypeOf[T]().Bytes()))
+	return c
 }
 
 // Full returns a tensor with every element set to v.
@@ -94,41 +128,41 @@ func checkShape(shape []int) int {
 }
 
 // Shape returns the tensor's shape. The returned slice is a copy.
-func (t *Tensor) Shape() []int { return append([]int(nil), t.shape...) }
+func (t *Dense[T]) Shape() []int { return append([]int(nil), t.shape...) }
 
 // Dims returns the number of dimensions.
-func (t *Tensor) Dims() int { return len(t.shape) }
+func (t *Dense[T]) Dims() int { return len(t.shape) }
 
 // Dim returns the size of dimension i.
-func (t *Tensor) Dim(i int) int { return t.shape[i] }
+func (t *Dense[T]) Dim(i int) int { return t.shape[i] }
 
 // Size returns the total number of elements.
-func (t *Tensor) Size() int { return len(t.data) }
+func (t *Dense[T]) Size() int { return len(t.data) }
 
 // Data returns the backing slice. Mutating it mutates the tensor.
-func (t *Tensor) Data() []float64 { return t.data }
+func (t *Dense[T]) Data() []T { return t.data }
 
 // Clone returns a deep copy of t.
-func (t *Tensor) Clone() *Tensor {
-	c := &Tensor{data: make([]float64, len(t.data))}
+func (t *Dense[T]) Clone() *Dense[T] {
+	c := &Dense[T]{data: make([]T, len(t.data))}
 	c.setShape(t.shape)
 	copy(c.data, t.data)
 	return c
 }
 
 // Reshape returns a tensor sharing t's data with a new shape of equal size.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
+func (t *Dense[T]) Reshape(shape ...int) *Dense[T] {
 	n := checkShape(shape)
 	if n != len(t.data) {
 		panic(fmt.Sprintf("tensor: cannot reshape size %d to %v", len(t.data), shape))
 	}
-	r := &Tensor{data: t.data}
+	r := &Dense[T]{data: t.data}
 	r.setShape(shape)
 	return r
 }
 
 // SameShape reports whether t and o have identical shapes.
-func (t *Tensor) SameShape(o *Tensor) bool {
+func (t *Dense[T]) SameShape(o *Dense[T]) bool {
 	if len(t.shape) != len(o.shape) {
 		return false
 	}
@@ -140,14 +174,14 @@ func (t *Tensor) SameShape(o *Tensor) bool {
 	return true
 }
 
-func (t *Tensor) mustSameShape(o *Tensor, op string) {
+func (t *Dense[T]) mustSameShape(o *Dense[T], op string) {
 	if !t.SameShape(o) {
 		panic(fmt.Sprintf("tensor: %s shape mismatch %v vs %v", op, t.shape, o.shape))
 	}
 }
 
 // offset computes the linear index of a multi-dimensional index.
-func (t *Tensor) offset(idx []int) int {
+func (t *Dense[T]) offset(idx []int) int {
 	if len(idx) != len(t.shape) {
 		panic(fmt.Sprintf("tensor: index %v does not match rank %d", idx, len(t.shape)))
 	}
@@ -162,31 +196,31 @@ func (t *Tensor) offset(idx []int) int {
 }
 
 // At returns the element at the given multi-dimensional index.
-func (t *Tensor) At(idx ...int) float64 { return t.data[t.offset(idx)] }
+func (t *Dense[T]) At(idx ...int) T { return t.data[t.offset(idx)] }
 
 // Set stores v at the given multi-dimensional index.
-func (t *Tensor) Set(v float64, idx ...int) { t.data[t.offset(idx)] = v }
+func (t *Dense[T]) Set(v T, idx ...int) { t.data[t.offset(idx)] = v }
 
 // Rows returns the first dimension of a matrix. It panics if t is not 2-D.
-func (t *Tensor) Rows() int {
+func (t *Dense[T]) Rows() int {
 	t.must2D("Rows")
 	return t.shape[0]
 }
 
 // Cols returns the second dimension of a matrix. It panics if t is not 2-D.
-func (t *Tensor) Cols() int {
+func (t *Dense[T]) Cols() int {
 	t.must2D("Cols")
 	return t.shape[1]
 }
 
-func (t *Tensor) must2D(op string) {
+func (t *Dense[T]) must2D(op string) {
 	if len(t.shape) != 2 {
 		panic(fmt.Sprintf("tensor: %s requires a 2-D tensor, have shape %v", op, t.shape))
 	}
 }
 
 // Row returns row i of a matrix as a slice into t's backing storage.
-func (t *Tensor) Row(i int) []float64 {
+func (t *Dense[T]) Row(i int) []T {
 	t.must2D("Row")
 	c := t.shape[1]
 	if i < 0 || i >= t.shape[0] {
@@ -196,35 +230,35 @@ func (t *Tensor) Row(i int) []float64 {
 }
 
 // At2 returns element (i, j) of a matrix.
-func (t *Tensor) At2(i, j int) float64 {
+func (t *Dense[T]) At2(i, j int) T {
 	t.must2D("At2")
 	return t.data[i*t.shape[1]+j]
 }
 
 // Set2 stores v at element (i, j) of a matrix.
-func (t *Tensor) Set2(i, j int, v float64) {
+func (t *Dense[T]) Set2(i, j int, v T) {
 	t.must2D("Set2")
 	t.data[i*t.shape[1]+j] = v
 }
 
 // Fill sets every element of t to v.
-func (t *Tensor) Fill(v float64) {
+func (t *Dense[T]) Fill(v T) {
 	for i := range t.data {
 		t.data[i] = v
 	}
 }
 
 // Zero sets every element of t to 0.
-func (t *Tensor) Zero() { t.Fill(0) }
+func (t *Dense[T]) Zero() { t.Fill(0) }
 
 // CopyFrom copies o's elements into t. Shapes must match.
-func (t *Tensor) CopyFrom(o *Tensor) {
+func (t *Dense[T]) CopyFrom(o *Dense[T]) {
 	t.mustSameShape(o, "CopyFrom")
 	copy(t.data, o.data)
 }
 
 // String renders small tensors fully and large ones by shape summary.
-func (t *Tensor) String() string {
+func (t *Dense[T]) String() string {
 	const maxElems = 64
 	if len(t.data) > maxElems {
 		return fmt.Sprintf("Tensor%v[%d elems]", t.shape, len(t.data))

@@ -6,13 +6,13 @@ import (
 )
 
 // Scratch-buffer pooling. The hot paths of the GNN forward/backward and the
-// fused graph kernels need short-lived float64 buffers (edge counts,
+// fused graph kernels need short-lived float buffers (edge counts,
 // assembly templates, backward intermediates) on every call; allocating
 // them fresh dominated the allocation profile of BenchmarkGNNForward.
-// Buffers are pooled in power-of-two size classes and handed out through a
-// Workspace, which tracks everything it lent so one Release returns the
-// lot. The pools traffic in *[]float64 and the Workspace retains those
-// pointers, so a full lend/release cycle allocates nothing.
+// Buffers are pooled per width in power-of-two size classes and handed
+// out through a Workspace, which tracks everything it lent so one Release
+// returns the lot. The pools traffic in *[]T and the Workspace retains
+// those pointers, so a full lend/release cycle allocates nothing.
 
 // Size classes cover 2^5 .. 2^22 elements. Requests outside the range are
 // allocated directly and dropped on Release (they are rare and huge, and
@@ -24,7 +24,7 @@ const (
 )
 
 var (
-	floatPools [numClasses]sync.Pool
+	floatPools [2][numClasses]sync.Pool // indexed by F64, F32
 	wsPool     = sync.Pool{New: func() any { return &Workspace{} }}
 )
 
@@ -44,14 +44,14 @@ func classFor(n int) int {
 	return b - minClassBits
 }
 
-func getFloats(n int) *[]float64 {
+func getFloats[T Float](n int) *[]T {
 	c := classFor(n)
 	if c < 0 {
-		s := make([]float64, n)
+		s := make([]T, n)
 		return &s
 	}
-	if v := floatPools[c].Get(); v != nil {
-		p := v.(*[]float64)
+	if v := floatPools[DTypeOf[T]()][c].Get(); v != nil {
+		p := v.(*[]T)
 		s := (*p)[:n]
 		for i := range s {
 			s[i] = 0
@@ -59,13 +59,13 @@ func getFloats(n int) *[]float64 {
 		*p = s
 		return p
 	}
-	s := make([]float64, n, 1<<(c+minClassBits))
+	s := make([]T, n, 1<<(c+minClassBits))
 	return &s
 }
 
-func putFloats(p *[]float64) {
+func putFloats[T Float](p *[]T) {
 	if c := classFor(cap(*p)); c >= 0 && cap(*p) == 1<<(c+minClassBits) {
-		floatPools[c].Put(p)
+		floatPools[DTypeOf[T]()][c].Put(p)
 	}
 }
 
@@ -77,7 +77,7 @@ func putFloats(p *[]float64) {
 //
 // A Workspace is not safe for concurrent use; give each goroutine its own.
 type Workspace struct {
-	floats  []*[]float64
+	floats  []any // *[]float64 or *[]float32, as lent
 	tensors []*Tensor
 }
 
@@ -87,8 +87,11 @@ func NewWorkspace() *Workspace {
 }
 
 // Floats lends a zeroed []float64 of length n.
-func (w *Workspace) Floats(n int) []float64 {
-	p := getFloats(n)
+func (w *Workspace) Floats(n int) []float64 { return Scratch[float64](w, n) }
+
+// Scratch lends a zeroed []T of length n from w.
+func Scratch[T Float](w *Workspace, n int) []T {
+	p := getFloats[T](n)
 	w.floats = append(w.floats, p)
 	return *p
 }
@@ -106,7 +109,12 @@ func (w *Workspace) Tensor(shape ...int) *Tensor {
 // pools. The workspace must not be used afterwards.
 func (w *Workspace) Release() {
 	for i, p := range w.floats {
-		putFloats(p)
+		switch p := p.(type) {
+		case *[]float64:
+			putFloats(p)
+		case *[]float32:
+			putFloats(p)
+		}
 		w.floats[i] = nil
 	}
 	for i, t := range w.tensors {
