@@ -11,8 +11,8 @@ package edgekg
 //
 // Each experiment bench prints its rendered table once (the same
 // rows/series the paper reports) and then times repeat runs. The micro
-// benches cover the hot paths of the pipeline and the ablation questions
-// DESIGN.md lists.
+// benches cover the hot paths of the pipeline (README "Performance") and
+// the design choices the paper ablates.
 
 import (
 	"fmt"
@@ -314,7 +314,7 @@ func BenchmarkImageEncode(b *testing.B) {
 	}
 }
 
-// --- ablation benches (design choices DESIGN.md calls out) ---
+// --- ablation benches (design choices the paper calls out) ---
 
 // BenchmarkAblationRetrievalMetrics compares the three retrieval metrics
 // the paper tested (Euclidean won).

@@ -13,7 +13,7 @@
 // All heavy machinery lives in internal packages; this facade exposes
 // plain-Go types (float64 slices, strings, small structs) so downstream
 // users never need the internal APIs. See examples/ for runnable
-// walk-throughs and DESIGN.md for the architecture map.
+// walk-throughs and README.md ("Layout") for the architecture map.
 package edgekg
 
 import (
@@ -28,7 +28,6 @@ import (
 	"edgekg/internal/concept"
 	"edgekg/internal/core"
 	"edgekg/internal/dataset"
-	"edgekg/internal/edge"
 	"edgekg/internal/experiments"
 	"edgekg/internal/kg"
 	"edgekg/internal/kggen"
@@ -47,7 +46,8 @@ type Options struct {
 	// identical systems.
 	Seed int64
 	// Scale selects the preset sizing: "quick" (seconds-scale, tests and
-	// demos) or "full" (the EXPERIMENTS.md configuration).
+	// demos) or "full" (paper-shaped model sizes; README "Quick start"
+	// regenerates the figures and tables at either).
 	Scale string
 	// TrainSteps overrides the preset's training length when > 0.
 	TrainSteps int
@@ -72,7 +72,7 @@ type System struct {
 	mission concept.Class
 	graph   *kg.Graph
 	det     *core.Detector
-	runtime *edge.Runtime
+	runtime *serve.Stream
 	retr    *retrieval.Retriever
 	rng     *rand.Rand
 }
@@ -152,20 +152,12 @@ func (s *System) deploy(adaptive bool) error {
 	if s.det == nil {
 		return fmt.Errorf("edgekg: Train before deploying")
 	}
-	sc := s.env.Scale
-	cfg := edge.DefaultConfig()
-	cfg.MonitorN = sc.MonitorN
-	cfg.MonitorLag = sc.MonitorLag
-	cfg.Adapt = sc.Adapt
-	cfg.AdaptEveryFrames = sc.AdaptEvery
-	if !adaptive {
-		cfg.AdaptEveryFrames = 0
-	}
-	// The runtime gets its own serializable random source (not the
-	// System's master RNG): checkpointing must capture and replay the
-	// adapter's random stream, and the seed derivation matches stream 0
-	// of a 1-stream Serve deployment.
-	rt, err := edge.NewRuntime(s.det, cfg, rng.NewSource(sc.Seed+100))
+	// A bare lag-0 stream over the detector in place, with its own
+	// serializable random source (not the System's master RNG):
+	// checkpointing must capture and replay the adapter's random stream,
+	// and the seed derivation matches stream 0 of a 1-stream Serve
+	// deployment.
+	rt, err := serve.NewStream(0, s.det, s.env.StreamConfig(adaptive), rng.NewSource(s.env.Scale.Seed+100), nil)
 	if err != nil {
 		return err
 	}
@@ -236,17 +228,20 @@ func (s *System) ProcessFrame(frame []float64) (FrameResult, error) {
 	if len(frame) != s.FrameSize() {
 		return FrameResult{}, fmt.Errorf("edgekg: frame length %d, want %d", len(frame), s.FrameSize())
 	}
-	pix := tensor.FromSlice(append([]float64(nil), frame...), len(frame))
-	score, rep, err := s.runtime.ProcessFrame(pix)
-	if err != nil {
-		return FrameResult{}, err
+	res := s.runtime.Process(tensor.FromSlice(append([]float64(nil), frame...), len(frame)))
+	if res.Err != nil {
+		return FrameResult{}, res.Err
 	}
+	return frameResult(res), nil
+}
+
+func frameResult(res serve.Result) FrameResult {
 	return FrameResult{
-		Score:        score,
-		Adapted:      rep.Triggered,
-		PrunedNodes:  len(rep.Pruned),
-		CreatedNodes: len(rep.Created),
-	}, nil
+		Score:        res.Score,
+		Adapted:      res.Adapt.Triggered,
+		PrunedNodes:  len(res.Adapt.Pruned),
+		CreatedNodes: len(res.Adapt.Created),
+	}
 }
 
 // TestAUC evaluates the current detector against freshly synthesised test
@@ -342,10 +337,9 @@ type DeploymentStats struct {
 	ScoringFLOPs    int64
 	AdaptFLOPs      int64
 	EnergyPerAdaptJ float64
-	// ResidentBytes is the memory charged to this deployment by the
-	// serving ledger (zero for the single-stream edge runtime, and zero
-	// while a stream's state is spilled); Evictions counts the stream's
-	// spill round-trips under a memory budget.
+	// ResidentBytes is the memory charged to this deployment (zero while
+	// a stream's state is spilled); Evictions counts the stream's spill
+	// round-trips under a memory budget.
 	ResidentBytes int64
 	Evictions     int
 	// LastErr is the stream's most recent retained error (a failed
@@ -359,7 +353,10 @@ func (s *System) Stats() DeploymentStats {
 	if s.runtime == nil {
 		return DeploymentStats{}
 	}
-	st := s.runtime.Stats()
+	return deploymentStats(s.runtime.Stats())
+}
+
+func deploymentStats(st serve.Stats) DeploymentStats {
 	return DeploymentStats{
 		Frames:          st.Frames,
 		AdaptRounds:     st.AdaptRounds,
@@ -369,6 +366,9 @@ func (s *System) Stats() DeploymentStats {
 		ScoringFLOPs:    st.ScoringOps,
 		AdaptFLOPs:      st.AdaptOps,
 		EnergyPerAdaptJ: st.EnergyPerAdaptJ,
+		ResidentBytes:   st.ResidentBytes,
+		Evictions:       st.Evictions,
+		LastErr:         st.LastErr,
 	}
 }
 
@@ -425,15 +425,8 @@ func (s *System) Serve(opts ServeOptions) (*StreamServer, error) {
 	if opts.Streams < 1 {
 		return nil, fmt.Errorf("edgekg: stream count %d must be ≥1", opts.Streams)
 	}
-	sc := s.env.Scale
-	cfg := serve.DefaultConfig()
-	cfg.Stream.MonitorN = sc.MonitorN
-	cfg.Stream.MonitorLag = sc.MonitorLag
-	cfg.Stream.Adapt = sc.Adapt
-	cfg.Stream.AdaptEveryFrames = sc.AdaptEvery
-	if !opts.Adaptive {
-		cfg.Stream.AdaptEveryFrames = 0
-	} else if opts.AdaptEveryFrames > 0 {
+	cfg := serve.Config{Stream: s.env.StreamConfig(opts.Adaptive)}
+	if opts.Adaptive && opts.AdaptEveryFrames > 0 {
 		cfg.Stream.AdaptEveryFrames = opts.AdaptEveryFrames
 	}
 	cfg.Stream.AdaptLagFrames = opts.AdaptLagFrames
@@ -444,7 +437,7 @@ func (s *System) Serve(opts ServeOptions) (*StreamServer, error) {
 	}
 	cfg.Stream.Precision = prec
 	cfg.Seeds = opts.Seeds
-	cfg.BaseSeed = sc.Seed + 100
+	cfg.BaseSeed = s.env.Scale.Seed + 100
 	cfg.MemBudgetBytes = opts.MemBudgetBytes
 	cfg.SpillDir = opts.SpillDir
 	srv, err := serve.NewServer(s.det, opts.Streams, cfg)
@@ -481,12 +474,7 @@ func (ss *StreamServer) ProcessFrame(stream int, frame []float64) (FrameResult, 
 	// round's failure, so the frame's score is still valid and returned
 	// alongside it (the frame was scored and entered the monitor — do not
 	// resubmit it).
-	return FrameResult{
-		Score:        res.Score,
-		Adapted:      res.Adapt.Triggered,
-		PrunedNodes:  len(res.Adapt.Pruned),
-		CreatedNodes: len(res.Adapt.Created),
-	}, res.Err
+	return frameResult(res), res.Err
 }
 
 // Stats returns one stream's deployment statistics. Safe to call from any
@@ -496,19 +484,7 @@ func (ss *StreamServer) Stats(stream int) (DeploymentStats, error) {
 	if err != nil {
 		return DeploymentStats{}, err
 	}
-	return DeploymentStats{
-		Frames:          st.Frames,
-		AdaptRounds:     st.AdaptRounds,
-		TriggeredRounds: st.TriggeredRounds,
-		PrunedNodes:     st.PrunedNodes,
-		CreatedNodes:    st.CreatedNodes,
-		ScoringFLOPs:    st.ScoringOps,
-		AdaptFLOPs:      st.AdaptOps,
-		EnergyPerAdaptJ: st.EnergyPerAdaptJ,
-		ResidentBytes:   st.ResidentBytes,
-		Evictions:       st.Evictions,
-		LastErr:         st.LastErr,
-	}, nil
+	return deploymentStats(st), nil
 }
 
 // MemStats reports the serving process's charged resident bytes and the

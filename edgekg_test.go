@@ -1,8 +1,11 @@
 package edgekg
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"edgekg/internal/serve"
 )
 
 func quickSystem(t *testing.T) *System {
@@ -350,5 +353,68 @@ func TestSystemCheckpointWarmRestart(t *testing.T) {
 	}
 	if err := sysD.LoadCheckpoint(path); err == nil {
 		t.Error("restore before deployment accepted")
+	}
+}
+
+// TestLoadsCheckpointWrittenBeforeRuntimeFold pins the single-camera
+// checkpoint file format across the deletion of the edge runtime wrapper:
+// testdata/deploy_checkpoint_pr12.json was written by System.SaveCheckpoint
+// at the commit before the fold (DefaultOptions, mission Stealing,
+// DeployAdaptive, frame 230 of the schedule below, five triggered rounds
+// in). It must load into today's bare-stream deployment with its counters
+// intact and keep serving. (Bit-identical continuation against the old
+// commit's own run was checked on the generating host; the retrained
+// backbone under the restored delta is only bit-reproducible per kernel
+// backend, so the durable assertions here are the exact ones.)
+func TestLoadsCheckpointWrittenBeforeRuntimeFold(t *testing.T) {
+	const fixture = "testdata/deploy_checkpoint_pr12.json"
+	sys, err := NewSystem(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Train("Stealing"); err != nil {
+		t.Fatal(err)
+	}
+
+	// A static deployment refuses the adaptive checkpoint.
+	if err := sys.DeployStatic(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.LoadCheckpoint(fixture); !errors.Is(err, serve.ErrCheckpointMismatch) {
+		t.Fatalf("adaptive checkpoint into a static deployment: %v, want a mismatch error", err)
+	}
+
+	if err := sys.DeployAdaptive(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.LoadCheckpoint(fixture); err != nil {
+		t.Fatalf("checkpoint written before the fold no longer loads: %v", err)
+	}
+	st := sys.Stats()
+	if st.Frames != 230 || st.AdaptRounds != 7 || st.TriggeredRounds != 5 || st.ScoringFLOPs <= 0 || st.AdaptFLOPs <= 0 {
+		t.Fatalf("restored stats %+v, want frames 230, rounds 7, triggered 5 and the metered totals", st)
+	}
+	if st.ResidentBytes <= 0 {
+		t.Errorf("single-stream deployment reports %d resident bytes", st.ResidentBytes)
+	}
+	a, err := sys.NextStreamFramesSeeded("Stealing", 128, 0.5, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := sys.NextStreamFramesSeeded("Explosion", 256, 0.5, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range append(a, b...)[230:260] {
+		res, err := sys.ProcessFrame(f.Frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Score < 0 || res.Score > 1 {
+			t.Fatalf("score %v out of range", res.Score)
+		}
+	}
+	if st := sys.Stats(); st.Frames != 260 || st.AdaptRounds != 8 {
+		t.Fatalf("after 30 more frames: %+v, want frames 260 and the round at 256 accounted", st)
 	}
 }

@@ -28,7 +28,7 @@ type AdaptConfig struct {
 	// Patience is the number of consecutive increases of a node's update
 	// distance before it is declared diverging and pruned. Patience 1 is
 	// the paper's literal rule; the default of 3 tolerates single noisy
-	// steps (Sec. 5 of DESIGN.md).
+	// steps.
 	Patience int
 	// EdgeProb is the probability of each feasible random edge when a
 	// replacement node is created (Fig. 4C).

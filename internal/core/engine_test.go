@@ -153,16 +153,15 @@ func TestScoreVideoFLOPsIndependentOfWidth(t *testing.T) {
 }
 
 // TestScoreVideoAllocCeiling keeps a served frame's allocation count from
-// creeping back up: with no tape to build, one frame allocates no more at
-// float64 than the float32 path always did.
+// creeping back up (measured 74 at float64, 78 at float32).
 func TestScoreVideoAllocCeiling(t *testing.T) {
 	r := newRig(t, "Stealing", 11)
 	r.det.Deploy()
 	pix := tensor.RandN(rand.New(rand.NewSource(93)), 1, 1, r.space.PixDim())
 	for _, p := range []Precision{PrecisionF64, PrecisionF32} {
 		r.det.SetPrecision(p)
-		if got := testing.AllocsPerRun(200, func() { r.det.ScoreVideo(pix) }); got > 111 {
-			t.Errorf("ScoreVideo(1 frame) at %v: %.0f allocs, ceiling 111", p, got)
+		if got := testing.AllocsPerRun(200, func() { r.det.ScoreVideo(pix) }); got > 90 {
+			t.Errorf("ScoreVideo(1 frame) at %v: %.0f allocs, ceiling 90", p, got)
 		}
 	}
 }

@@ -20,11 +20,13 @@ import (
 	"edgekg/internal/kg"
 	"edgekg/internal/kggen"
 	"edgekg/internal/oracle"
+	"edgekg/internal/serve"
 	"edgekg/internal/temporal"
 )
 
 // Scale sizes an experiment run. Quick targets seconds per experiment for
-// tests and CI; Full is the configuration EXPERIMENTS.md reports.
+// tests and CI; Full is the paper-shaped configuration (README "Quick
+// start": benchall -scale full).
 type Scale struct {
 	// Joint space.
 	Dim, PixDim int
@@ -69,9 +71,9 @@ func QuickScale() Scale {
 	}
 }
 
-// FullScale is the EXPERIMENTS.md configuration: paper-shaped model sizes
-// (GNN width 8, temporal inner 128 with 8 heads, window 8) over a larger
-// synthetic corpus.
+// FullScale is the configuration benchall -scale full runs (README "Quick
+// start"): paper-shaped model sizes (GNN width 8, temporal inner 128 with
+// 8 heads, window 8) over a larger synthetic corpus.
 func FullScale() Scale {
 	s := QuickScale()
 	s.Dim, s.PixDim = 32, 96
@@ -111,6 +113,24 @@ func NewEnv(s Scale) (*Env, error) {
 		return nil, fmt.Errorf("experiments: generator: %w", err)
 	}
 	return &Env{Scale: s, Ont: ont, Tok: tok, Space: space, Gen: gen}, nil
+}
+
+// StreamConfig returns the deployment settings at this scale — the
+// monitor window and lag, adapter settings and adaptation cadence over
+// serve.DefaultStreamConfig — for a bare single-camera serve.Stream:
+// synchronous adaptation (lag 0), no score history. adaptive=false is the
+// static-KG arm. Callers override only what differs.
+func (e *Env) StreamConfig(adaptive bool) serve.StreamConfig {
+	cfg := serve.DefaultStreamConfig()
+	cfg.MonitorN = e.Scale.MonitorN
+	cfg.MonitorLag = e.Scale.MonitorLag
+	cfg.Adapt = e.Scale.Adapt
+	cfg.AdaptEveryFrames = e.Scale.AdaptEvery
+	if !adaptive {
+		cfg.AdaptEveryFrames = 0
+	}
+	cfg.AdaptLagFrames = 0
+	return cfg
 }
 
 // NewLLM returns a fresh deterministic simulated LLM seeded from the

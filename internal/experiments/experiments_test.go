@@ -6,6 +6,8 @@ import (
 
 	"edgekg/internal/concept"
 	"edgekg/internal/core"
+	"edgekg/internal/flops"
+	"edgekg/internal/serve"
 )
 
 // testScale is even smaller than QuickScale so the whole suite stays fast.
@@ -188,5 +190,41 @@ func TestDefaultAdaptConfigSanity(t *testing.T) {
 	cfg := core.DefaultAdaptConfig()
 	if cfg.LR <= 0 || cfg.Patience < 1 {
 		t.Error("default adapt config invalid")
+	}
+}
+
+// TestEnvStreamConfig pins the one Scale → stream-config mapping to what
+// the five hand-written blocks it replaced (table1, fig5, fig6,
+// System.deploy, System.Serve) produced, field for field, at both preset
+// scales: the suite's anchored monitor and device profile, the scale's
+// window, lag, adapter settings and cadence, synchronous adaptation, no
+// score history, default precision.
+func TestEnvStreamConfig(t *testing.T) {
+	for _, c := range []struct {
+		name                   string
+		scale                  Scale
+		monitorN, lag, cadence int
+	}{
+		{"quick", QuickScale(), 32, 16, 32},
+		{"full", FullScale(), 64, 32, 64},
+	} {
+		env := &Env{Scale: c.scale}
+		adapt := core.DefaultAdaptConfig()
+		adapt.Patience = 4
+		want := serve.StreamConfig{
+			MonitorN:          c.monitorN,
+			MonitorLag:        c.lag,
+			AnchoredReference: true,
+			AdaptEveryFrames:  c.cadence,
+			Adapt:             adapt,
+			Device:            flops.JetsonClass(),
+		}
+		if got := env.StreamConfig(true); got != want {
+			t.Errorf("%s adaptive: %+v, want %+v", c.name, got, want)
+		}
+		want.AdaptEveryFrames = 0
+		if got := env.StreamConfig(false); got != want {
+			t.Errorf("%s static: %+v, want %+v", c.name, got, want)
+		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 	"edgekg/internal/concept"
 	"edgekg/internal/dataset"
-	"edgekg/internal/edge"
+	"edgekg/internal/serve"
 )
 
 // Fig5Point is one measurement of the continuous-learning curve.
@@ -67,16 +67,7 @@ func runFig5Arm(env *Env, initial, shifted concept.Class, adaptive bool) ([]Fig5
 	if err != nil {
 		return nil, 0, err
 	}
-
-	cfg := edge.DefaultConfig()
-	cfg.MonitorN = s.MonitorN
-	cfg.MonitorLag = s.MonitorLag
-	cfg.Adapt = s.Adapt
-	cfg.AdaptEveryFrames = s.AdaptEvery
-	if !adaptive {
-		cfg.AdaptEveryFrames = 0
-	}
-	rt, err := edge.NewRuntime(det, cfg, rand.NewSource(s.Seed+202))
+	rt, err := serve.NewStream(0, det, env.StreamConfig(adaptive), rand.NewSource(s.Seed+202), nil)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -98,11 +89,11 @@ func runFig5Arm(env *Env, initial, shifted concept.Class, adaptive bool) ([]Fig5
 		phaseCls := stream.CurrentClass()
 		phaseIdx := stream.PhaseIndex()
 		pix, _, _ := stream.Next()
-		_, rep, err := rt.ProcessFrame(pix)
-		if err != nil {
-			return nil, 0, err
+		r := rt.Process(pix)
+		if r.Err != nil {
+			return nil, 0, r.Err
 		}
-		if rep.Triggered {
+		if r.Adapt.Triggered {
 			triggers++
 		}
 		if (i+1)%s.AdaptEvery == 0 {

@@ -7,9 +7,9 @@ import (
 
 	"edgekg/internal/concept"
 	"edgekg/internal/dataset"
-	"edgekg/internal/edge"
 	"edgekg/internal/kg"
 	"edgekg/internal/retrieval"
+	"edgekg/internal/serve"
 )
 
 // Fig6Result is the interpretable-retrieval trajectory of one tracked
@@ -49,16 +49,12 @@ func RunFig6(env *Env, tracked, target string) (Fig6Result, error) {
 	res.DecodedStart = retr.NodePhrase(bank.Bank(node.ID).Data, retrieval.Euclidean)
 	rec.Record(0, bank.Bank(node.ID).Data)
 
-	cfg := edge.DefaultConfig()
-	cfg.MonitorN = s.MonitorN
-	cfg.MonitorLag = s.MonitorLag
-	cfg.Adapt = s.Adapt
+	cfg := env.StreamConfig(true)
 	// Fig. 6 inspects the *alternating* phase: pruning would replace the
 	// tracked node and end the trajectory, so give it effectively
 	// unlimited patience.
 	cfg.Adapt.Patience = 1 << 20
-	cfg.AdaptEveryFrames = s.AdaptEvery
-	rt, err := edge.NewRuntime(det, cfg, rand.NewSource(s.Seed+202))
+	rt, err := serve.NewStream(0, det, cfg, rand.NewSource(s.Seed+202), nil)
 	if err != nil {
 		return res, err
 	}
@@ -73,7 +69,7 @@ func RunFig6(env *Env, tracked, target string) (Fig6Result, error) {
 	iter := 0
 	for i := 0; i < sched.TotalSteps(); i++ {
 		pix, _, _ := stream.Next()
-		if _, _, err := rt.ProcessFrame(pix); err != nil {
+		if err := rt.Process(pix).Err; err != nil {
 			return res, err
 		}
 		if (i+1)%s.AdaptEvery == 0 {

@@ -9,8 +9,8 @@ import (
 	"edgekg/internal/concept"
 	"edgekg/internal/core"
 	"edgekg/internal/dataset"
-	"edgekg/internal/edge"
 	"edgekg/internal/flops"
+	"edgekg/internal/serve"
 	"edgekg/internal/tensor"
 )
 
@@ -41,7 +41,7 @@ type TableIResult struct {
 	ProposedAUC float64
 
 	CloudCosts baseline.CloudCosts
-	EdgeStats  edge.Stats
+	EdgeStats  serve.Stats
 
 	EdgeOpsPerDay   int64
 	EdgeOpsPerMonth int64
@@ -67,12 +67,7 @@ func RunTableI(env *Env, cfg TableIConfig) (TableIResult, error) {
 	if err != nil {
 		return res, fmt.Errorf("proposed arm: %w", err)
 	}
-	ecfg := edge.DefaultConfig()
-	ecfg.MonitorN = s.MonitorN
-	ecfg.MonitorLag = s.MonitorLag
-	ecfg.Adapt = s.Adapt
-	ecfg.AdaptEveryFrames = dayFrames
-	rt, err := edge.NewRuntime(det, ecfg, rand.NewSource(s.Seed+22))
+	rt, err := serve.NewStream(0, det, env.StreamConfig(true), rand.NewSource(s.Seed+22), nil)
 	if err != nil {
 		return res, err
 	}
@@ -86,7 +81,7 @@ func RunTableI(env *Env, cfg TableIConfig) (TableIResult, error) {
 		cls := stream.CurrentClass()
 		for f := 0; f < dayFrames; f++ {
 			pix, _, _ := stream.Next()
-			if _, _, err := rt.ProcessFrame(pix); err != nil {
+			if err := rt.Process(pix).Err; err != nil {
 				return res, err
 			}
 		}
@@ -98,9 +93,7 @@ func RunTableI(env *Env, cfg TableIConfig) (TableIResult, error) {
 	}
 	res.ProposedAUC = propAUC / float64(cfg.Days)
 	res.EdgeStats = rt.Stats()
-	if rt.Stats().AdaptRounds > 0 {
-		res.EdgeOpsPerDay = res.EdgeStats.AdaptOpsPerRound
-	}
+	res.EdgeOpsPerDay = res.EdgeStats.AdaptOpsPerRound
 	res.EdgeOpsPerMonth = res.EdgeOpsPerDay * int64(cfg.Days)
 	res.EnergyPerDayJ = res.Device.EnergyJoules(res.EdgeOpsPerDay)
 	res.AdaptLatencyS = res.Device.LatencySeconds(res.EdgeOpsPerDay)

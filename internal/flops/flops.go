@@ -2,10 +2,10 @@
 // latency accounting for the edge/cloud cost comparison of Table I.
 //
 // The package is a leaf dependency: internal/tensor reports operation counts
-// here, and internal/edge and internal/baseline read ledgers out to build
-// the cost tables. Counting is active only while a Counter is installed via
-// SetActive, so the steady-state overhead of an idle counter is one atomic
-// pointer load per tensor op.
+// here, and internal/serve, internal/experiments and internal/baseline read
+// ledgers out to build the cost tables. Counting is active only while a
+// Counter is installed via SetActive, so the steady-state overhead of an
+// idle counter is one atomic pointer load per tensor op.
 //
 // Counter is internally sharded across cache-line-padded cells: the tensor
 // kernels run on the internal/parallel worker pool, and a single shared

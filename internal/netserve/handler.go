@@ -242,42 +242,36 @@ func (h *Handler) handleScores(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ScoresReply{Stream: id, Scores: scores})
 }
 
-func (h *Handler) handleEvict(w http.ResponseWriter, r *http.Request) {
-	id, ok := h.slot(w, r)
-	if !ok {
-		return
-	}
+// rawOp runs an error-returning state change on slot id's loop behind a
+// deadline-bound raw barrier and writes the reply: 503 when the loop does
+// not reach the barrier in time, failStatus when fn fails, 200 otherwise.
+func (h *Handler) rawOp(w http.ResponseWriter, r *http.Request, id int, verb string, failStatus int, fn func(*serve.Stream) error) {
 	ctx, cancel := context.WithTimeout(r.Context(), h.opts.BarrierTimeout)
 	defer cancel()
+	// Buffered so a barrier that runs after the deadline fired still
+	// completes without blocking the loop on an abandoned channel.
 	ch := make(chan error, 1)
-	if err := h.srv.DoRawContext(ctx, id, func(st *serve.Stream) { ch <- st.Evict() }); err != nil {
-		writeErr(w, http.StatusServiceUnavailable, "stream %d evict: %v", id, err)
+	if err := h.srv.DoRawContext(ctx, id, func(st *serve.Stream) { ch <- fn(st) }); err != nil {
+		writeErr(w, http.StatusServiceUnavailable, "stream %d %s: %v", id, verb, err)
 		return
 	}
 	if err := <-ch; err != nil {
-		writeErr(w, http.StatusInternalServerError, "%v", err)
+		writeErr(w, failStatus, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, struct{}{})
 }
 
+func (h *Handler) handleEvict(w http.ResponseWriter, r *http.Request) {
+	if id, ok := h.slot(w, r); ok {
+		h.rawOp(w, r, id, "evict", http.StatusInternalServerError, (*serve.Stream).Evict)
+	}
+}
+
 func (h *Handler) handleRelease(w http.ResponseWriter, r *http.Request) {
-	id, ok := h.slot(w, r)
-	if !ok {
-		return
+	if id, ok := h.slot(w, r); ok {
+		h.rawOp(w, r, id, "release", http.StatusInternalServerError, (*serve.Stream).Release)
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), h.opts.BarrierTimeout)
-	defer cancel()
-	ch := make(chan error, 1)
-	if err := h.srv.DoRawContext(ctx, id, func(st *serve.Stream) { ch <- st.Release() }); err != nil {
-		writeErr(w, http.StatusServiceUnavailable, "stream %d release: %v", id, err)
-		return
-	}
-	if err := <-ch; err != nil {
-		writeErr(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, struct{}{})
 }
 
 func (h *Handler) handleExport(w http.ResponseWriter, r *http.Request) {
@@ -322,18 +316,7 @@ func (h *Handler) handleRestore(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad snapshot: %v", err)
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), h.opts.BarrierTimeout)
-	defer cancel()
-	ch := make(chan error, 1)
-	if err := h.srv.DoRawContext(ctx, id, func(st *serve.Stream) { ch <- st.Restore(&ss) }); err != nil {
-		writeErr(w, http.StatusServiceUnavailable, "stream %d restore: %v", id, err)
-		return
-	}
-	if err := <-ch; err != nil {
-		writeErr(w, http.StatusConflict, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, struct{}{})
+	h.rawOp(w, r, id, "restore", http.StatusConflict, func(st *serve.Stream) error { return st.Restore(&ss) })
 }
 
 func (h *Handler) handleMem(w http.ResponseWriter, r *http.Request) {

@@ -397,7 +397,8 @@ func TestStreamScoresBoundaries(t *testing.T) {
 }
 
 // TestStreamConfigValidation pins the constructor's rejection of negative
-// cadence and lag values.
+// cadence and lag values and of monitor and adapter settings their own
+// constructors refuse.
 func TestStreamConfigValidation(t *testing.T) {
 	backbone, _ := buildBackbone(t, 15)
 	bad := streamCfg(0)
@@ -409,5 +410,15 @@ func TestStreamConfigValidation(t *testing.T) {
 	bad.AdaptLagFrames = -2
 	if _, err := serve.NewStream(0, backbone, bad, rng.NewSource(1), nil); err == nil {
 		t.Error("negative AdaptLagFrames accepted")
+	}
+	bad = streamCfg(0)
+	bad.MonitorN = 1
+	if _, err := serve.NewStream(0, backbone, bad, rng.NewSource(1), nil); err == nil {
+		t.Error("bad monitor config accepted")
+	}
+	bad = streamCfg(0)
+	bad.Adapt.LR = 0
+	if _, err := serve.NewStream(0, backbone, bad, rng.NewSource(1), nil); err == nil {
+		t.Error("bad adapt config accepted")
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"edgekg/internal/core"
 	"edgekg/internal/dataset"
 	"edgekg/internal/decision"
-	"edgekg/internal/edge"
 	"edgekg/internal/embed"
 	"edgekg/internal/gnn"
 	"edgekg/internal/kg"
@@ -183,12 +182,14 @@ func nodeIDs(g *kg.Graph) []kg.NodeID {
 	return out
 }
 
-// TestServerSingleStreamEquivalentToEdgeRuntime pins the serving runtime
-// to the classic single-camera deployment: a 1-stream synchronous server
-// must be bit-identical to edge.Runtime on the same seeded stream —
+// TestServerSingleStreamEquivalentToBareStream pins the serving runtime
+// to the bare single-camera deployment the experiments and the facade's
+// Deploy* use: a 1-stream lag-0 server (COW clone, loop, channels,
+// counter-or-exclusive metering) must be bit-identical to a serve.Stream
+// driven directly on the caller's detector over the same seeded stream —
 // scores, per-round adaptation decisions, metered FLOPs and the final KG
 // node set.
-func TestServerSingleStreamEquivalentToEdgeRuntime(t *testing.T) {
+func TestServerSingleStreamEquivalentToBareStream(t *testing.T) {
 	const frames = 48
 	const seed = 1
 
@@ -215,31 +216,20 @@ func TestServerSingleStreamEquivalentToEdgeRuntime(t *testing.T) {
 	// (the server arm adapted its own clone, not the backbone).
 	det2, gen2 := buildBackbone(t, seed)
 	stream2 := frameSchedule(gen2, 101, frames, 24, concept.Stealing, concept.Robbery)
-	ecfg := edge.DefaultConfig()
-	ecfg.MonitorN = 8
-	ecfg.MonitorLag = 4
-	ecfg.AdaptEveryFrames = 8
-	ecfg.Adapt.Patience = 1
-	rt, err := edge.NewRuntime(det2, ecfg, rng.NewSource(7))
+	rt, err := serve.NewStream(0, det2, streamCfg(0), rng.NewSource(7), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var edgeTrace frameTrace
+	var bareTrace frameTrace
 	for i, f := range stream2 {
 		if i == 4 {
 			rt.Monitor().SetReference(1.0)
 		}
-		score, rep, err := rt.ProcessFrame(f)
-		if err != nil {
-			t.Fatal(err)
+		res := rt.Process(f)
+		if res.Err != nil {
+			t.Fatal(res.Err)
 		}
-		edgeTrace.scores = append(edgeTrace.scores, score)
-		if (i+1)%ecfg.AdaptEveryFrames == 0 {
-			edgeTrace.applied = append(edgeTrace.applied, i)
-			edgeTrace.triggered = append(edgeTrace.triggered, rep.Triggered)
-			edgeTrace.pruned = append(edgeTrace.pruned, len(rep.Pruned))
-			edgeTrace.created = append(edgeTrace.created, len(rep.Created))
-		}
+		bareTrace.record(res)
 	}
 
 	for i := range stream2 {
@@ -248,47 +238,47 @@ func TestServerSingleStreamEquivalentToEdgeRuntime(t *testing.T) {
 		}
 	}
 	for i := range serveTrace.scores {
-		if serveTrace.scores[i] != edgeTrace.scores[i] {
-			t.Fatalf("frame %d: server score %v != edge score %v", i, serveTrace.scores[i], edgeTrace.scores[i])
+		if serveTrace.scores[i] != bareTrace.scores[i] {
+			t.Fatalf("frame %d: server score %v != bare-stream score %v", i, serveTrace.scores[i], bareTrace.scores[i])
 		}
 	}
-	// Round-for-round decisions. The server reports a synchronous round on
-	// the frame that ran it, exactly like the edge runtime's cadence.
-	if len(serveTrace.applied) != len(edgeTrace.applied) {
-		t.Fatalf("server ran %d rounds, edge ran %d", len(serveTrace.applied), len(edgeTrace.applied))
+	// Round-for-round decisions: both arms report a synchronous round on
+	// the frame that ran it.
+	if len(serveTrace.applied) != len(bareTrace.applied) {
+		t.Fatalf("server ran %d rounds, bare stream ran %d", len(serveTrace.applied), len(bareTrace.applied))
 	}
 	for i := range serveTrace.applied {
-		if serveTrace.applied[i] != edgeTrace.applied[i] ||
-			serveTrace.triggered[i] != edgeTrace.triggered[i] ||
-			serveTrace.pruned[i] != edgeTrace.pruned[i] ||
-			serveTrace.created[i] != edgeTrace.created[i] {
-			t.Fatalf("round %d decision mismatch: server (seq %d trig %v p %d c %d) vs edge (seq %d trig %v p %d c %d)",
+		if serveTrace.applied[i] != bareTrace.applied[i] ||
+			serveTrace.triggered[i] != bareTrace.triggered[i] ||
+			serveTrace.pruned[i] != bareTrace.pruned[i] ||
+			serveTrace.created[i] != bareTrace.created[i] {
+			t.Fatalf("round %d decision mismatch: server (seq %d trig %v p %d c %d) vs bare stream (seq %d trig %v p %d c %d)",
 				i, serveTrace.applied[i], serveTrace.triggered[i], serveTrace.pruned[i], serveTrace.created[i],
-				edgeTrace.applied[i], edgeTrace.triggered[i], edgeTrace.pruned[i], edgeTrace.created[i])
+				bareTrace.applied[i], bareTrace.triggered[i], bareTrace.pruned[i], bareTrace.created[i])
 		}
 	}
 	if !anyTrue(serveTrace.triggered) {
 		t.Fatal("fixture never triggered adaptation — equivalence test is vacuous")
 	}
 
-	est := rt.Stats()
-	if serveStats.Frames != est.Frames || serveStats.AdaptRounds != est.AdaptRounds ||
-		serveStats.TriggeredRounds != est.TriggeredRounds ||
-		serveStats.PrunedNodes != est.PrunedNodes || serveStats.CreatedNodes != est.CreatedNodes {
-		t.Fatalf("stats mismatch: server %+v vs edge %+v", serveStats, est)
+	bst := rt.Stats()
+	if serveStats.Frames != bst.Frames || serveStats.AdaptRounds != bst.AdaptRounds ||
+		serveStats.TriggeredRounds != bst.TriggeredRounds ||
+		serveStats.PrunedNodes != bst.PrunedNodes || serveStats.CreatedNodes != bst.CreatedNodes {
+		t.Fatalf("stats mismatch: server %+v vs bare stream %+v", serveStats, bst)
 	}
-	if serveStats.ScoringOps != est.ScoringOps || serveStats.AdaptOps != est.AdaptOps {
-		t.Fatalf("metered ops mismatch: server scoring %d adapt %d vs edge scoring %d adapt %d",
-			serveStats.ScoringOps, serveStats.AdaptOps, est.ScoringOps, est.AdaptOps)
+	if serveStats.ScoringOps != bst.ScoringOps || serveStats.AdaptOps != bst.AdaptOps {
+		t.Fatalf("metered ops mismatch: server scoring %d adapt %d vs bare stream scoring %d adapt %d",
+			serveStats.ScoringOps, serveStats.AdaptOps, bst.ScoringOps, bst.AdaptOps)
 	}
 
-	edgeNodes := nodeIDs(rt.Detector().Graphs()[0])
-	if len(serveNodes) != len(edgeNodes) {
-		t.Fatalf("final node sets differ in size: %d vs %d", len(serveNodes), len(edgeNodes))
+	bareNodes := nodeIDs(rt.Detector().Graphs()[0])
+	if len(serveNodes) != len(bareNodes) {
+		t.Fatalf("final node sets differ in size: %d vs %d", len(serveNodes), len(bareNodes))
 	}
 	for i := range serveNodes {
-		if serveNodes[i] != edgeNodes[i] {
-			t.Fatalf("final node sets differ: %v vs %v", serveNodes, edgeNodes)
+		if serveNodes[i] != bareNodes[i] {
+			t.Fatalf("final node sets differ: %v vs %v", serveNodes, bareNodes)
 		}
 	}
 }

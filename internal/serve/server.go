@@ -142,7 +142,7 @@ func NewServer(backbone *core.Detector, n int, cfg Config) (*Server, error) {
 	}
 	// Per-stream FLOPs attribution under concurrency reads deltas of one
 	// shared counter (see Stream.meter); a single synchronous stream keeps
-	// the classic exact exclusive metering. Unmetered hands the streams a
+	// a bare stream's exact exclusive metering. Unmetered hands the streams a
 	// counter nothing reports to, so deltas are zero and no global state
 	// is touched.
 	exclusive := n == 1 && cfg.Stream.AdaptLagFrames <= 0 && !cfg.Unmetered
@@ -304,11 +304,7 @@ func (s *Server) trySend(stream int, it item) bool {
 // operational tooling. The stream rehydrates bit-exactly at its next
 // frame. Requires Config.SpillDir.
 func (s *Server) EvictStream(stream int) error {
-	var err error
-	if berr := s.barrier(stream, func(st *Stream) { err = st.Evict() }, true); berr != nil {
-		return berr
-	}
-	return err
+	return s.rawErr(stream, (*Stream).Evict)
 }
 
 // ReleaseStream permanently drops stream i's state through a raw barrier:
@@ -316,11 +312,7 @@ func (s *Server) EvictStream(stream int) error {
 // never serve its key again, and its resident bytes must stop being
 // charged here. See Stream.Release.
 func (s *Server) ReleaseStream(stream int) error {
-	var err error
-	if berr := s.barrier(stream, func(st *Stream) { err = st.Release() }, true); berr != nil {
-		return berr
-	}
-	return err
+	return s.rawErr(stream, (*Stream).Release)
 }
 
 // MemLedger exposes the server's resident-bytes ledger.
@@ -378,29 +370,18 @@ func (s *Server) Results(stream int) (<-chan Result, error) {
 // stream's Results to keep draining: calling Do from the goroutine that
 // consumes Results while frames are still queued deadlocks.
 func (s *Server) Do(stream int, fn func(*Stream)) error {
-	return s.barrier(stream, fn, false)
+	return s.barrierContext(context.Background(), stream, fn, false)
 }
 
-// barrier implements Do and the raw (non-joining) checkpoint barrier.
-func (s *Server) barrier(stream int, fn func(*Stream), raw bool) error {
-	if stream < 0 || stream >= len(s.streams) {
-		return fmt.Errorf("serve: no stream %d", stream)
+// rawErr runs an error-returning fn on the stream's loop behind a raw
+// (non-joining) barrier without a deadline — what the checkpoint, evict,
+// release and restore entry points share.
+func (s *Server) rawErr(stream int, fn func(*Stream) error) error {
+	var err error
+	if berr := s.barrierContext(context.Background(), stream, func(st *Stream) { err = fn(st) }, true); berr != nil {
+		return berr
 	}
-	select {
-	case <-s.done[stream]:
-		fn(s.streams[stream])
-		return nil
-	default:
-	}
-	it := item{ctl: fn, raw: raw, done: make(chan struct{})}
-	if err := s.send(stream, it); err != nil {
-		// Closed: wait for the loop to drain, then run inline.
-		<-s.done[stream]
-		fn(s.streams[stream])
-		return nil
-	}
-	<-it.done
-	return nil
+	return err
 }
 
 // DoContext is Do with a deadline: it gives up with ctx.Err() instead of
@@ -424,8 +405,9 @@ func (s *Server) DoRawContext(ctx context.Context, stream int, fn func(*Stream))
 	return s.barrierContext(ctx, stream, fn, true)
 }
 
-// barrierContext is barrier with a context bound on both the enqueue and
-// the wait for the loop to run fn.
+// barrierContext runs fn on the stream's loop between frames (inline once
+// the loop has exited), joining an in-flight round first unless raw. ctx
+// bounds both the enqueue and the wait for the loop to run fn.
 func (s *Server) barrierContext(ctx context.Context, stream int, fn func(*Stream), raw bool) error {
 	if stream < 0 || stream >= len(s.streams) {
 		return fmt.Errorf("serve: no stream %d", stream)
@@ -602,10 +584,7 @@ func (s *Server) Checkpoint() (*snapshot.Checkpoint, error) {
 // and the stream continues bit-exactly there.
 func (s *Server) ExportStream(stream int) (*snapshot.StreamState, error) {
 	var ss *snapshot.StreamState
-	var err error
-	if berr := s.barrier(stream, func(st *Stream) { ss, err = st.Export() }, true); berr != nil {
-		return nil, berr
-	}
+	err := s.rawErr(stream, func(st *Stream) (err error) { ss, err = st.Export(); return })
 	return ss, err
 }
 
@@ -618,11 +597,7 @@ func (s *Server) ExportStream(stream int) (*snapshot.StreamState, error) {
 // slot's construction seed, so the continued trajectory is bit-identical
 // to one that never moved.
 func (s *Server) RestoreStream(stream int, ss *snapshot.StreamState) error {
-	var err error
-	if berr := s.barrier(stream, func(st *Stream) { err = st.Restore(ss) }, true); berr != nil {
-		return berr
-	}
-	return err
+	return s.rawErr(stream, func(st *Stream) error { return st.Restore(ss) })
 }
 
 // Restore replaces every stream's state with the checkpoint's, applied on
@@ -639,11 +614,7 @@ func (s *Server) Restore(cp *snapshot.Checkpoint) error {
 		return fmt.Errorf("serve: checkpoint has %d streams, server has %d", len(cp.Streams), len(s.streams))
 	}
 	for i := range s.streams {
-		var err error
-		if berr := s.barrier(i, func(st *Stream) { err = st.Restore(&cp.Streams[i]) }, true); berr != nil {
-			return berr
-		}
-		if err != nil {
+		if err := s.RestoreStream(i, &cp.Streams[i]); err != nil {
 			return err
 		}
 	}

@@ -16,6 +16,12 @@
 // a pure function of its own input and seed: bit-identical at any worker
 // count and independent of what other streams are doing, which is what
 // the determinism/isolation test suite pins.
+//
+// A Stream is also the whole single-camera deployment of the paper: built
+// bare over the caller's detector (NewStream(0, det, cfg, src, nil), lag 0,
+// exclusive metering) and driven with Process, it adapts det in place —
+// what the experiments and the facade's System.Deploy* run. Server is the
+// same context multiplexed across many cameras.
 package serve
 
 import (
@@ -33,8 +39,8 @@ import (
 	"edgekg/internal/tensor"
 )
 
-// Ledger phase names. They intentionally match the classic single-stream
-// edge runtime so cost-table code reads either ledger.
+// Ledger phase names, shared by bare streams and servers so cost-table
+// code reads either ledger.
 const (
 	PhaseScoring    = "scoring"
 	PhaseAdaptation = "adaptation"
@@ -59,8 +65,8 @@ type StreamConfig struct {
 	// AdaptLagFrames is how many frames the stream keeps scoring on its
 	// pre-round state while an adaptation round runs in the background;
 	// the round's result is swapped in before frame trigger+lag+1. 0 runs
-	// rounds synchronously at the trigger frame — bit-identical to the
-	// classic edge.Runtime. The lag should stay below AdaptEveryFrames;
+	// rounds synchronously at the trigger frame — the paper's blocking
+	// single-camera deployment. The lag should stay below AdaptEveryFrames;
 	// an overdue round is force-joined when the next trigger arrives.
 	AdaptLagFrames int
 	// ScoreHistory keeps the most recent scores for observability
@@ -76,9 +82,8 @@ type StreamConfig struct {
 	Precision core.Precision
 }
 
-// DefaultStreamConfig returns the experiment suite's per-stream settings:
-// the classic edge runtime configuration plus a quarter-cadence
-// adaptation lag.
+// DefaultStreamConfig returns the experiment suite's per-stream settings
+// with a quarter-cadence adaptation lag.
 func DefaultStreamConfig() StreamConfig {
 	return StreamConfig{
 		MonitorN:          64,
@@ -127,7 +132,7 @@ type Stream struct {
 
 	// shared selects the metering mode: nil meters phases exclusively via
 	// flops.Count (exact; requires that nothing else computes concurrently,
-	// i.e. the classic single-stream synchronous deployment), non-nil
+	// i.e. a bare single-stream synchronous deployment), non-nil
 	// reads deltas of the shared process-wide counter around each phase —
 	// safe under concurrency, exact whenever phases do not overlap, and an
 	// over-attribution (never an undercount) when they do.
@@ -200,6 +205,19 @@ func NewStream(id int, det *core.Detector, cfg StreamConfig, src rand.Source, sh
 	if shared == nil && cfg.AdaptLagFrames > 0 {
 		return nil, fmt.Errorf("serve: exclusive metering requires synchronous adaptation (AdaptLagFrames 0, got %d)", cfg.AdaptLagFrames)
 	}
+	mon, adapter, err := deployParts(det, cfg, src)
+	if err != nil {
+		return nil, err
+	}
+	return &Stream{id: id, det: det, mon: mon, adapter: adapter, cfg: cfg, ledger: flops.NewLedger(), src: src, shared: shared, scoreDet: det}, nil
+}
+
+// deployParts builds the per-stream containers around det — the monitor
+// (anchored or sliding, frames narrowed at f32) and, for an adaptive
+// stream, the adapter — and puts det into its deployed state: scoring
+// width set, frozen, token banks left trainable only when adapting. Both
+// construction and rehydration go through it.
+func deployParts(det *core.Detector, cfg StreamConfig, src rand.Source) (*core.Monitor, *core.Adapter, error) {
 	var mon *core.Monitor
 	var err error
 	if cfg.AnchoredReference {
@@ -208,23 +226,21 @@ func NewStream(id int, det *core.Detector, cfg StreamConfig, src rand.Source, sh
 		mon, err = core.NewMonitor(cfg.MonitorN, cfg.MonitorLag)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
+		return nil, nil, fmt.Errorf("serve: %w", err)
 	}
 	det.SetPrecision(cfg.Precision)
 	if cfg.Precision.Resolve() == core.PrecisionF32 {
 		mon.SetFrameWidth(tensor.F32)
 	}
-	st := &Stream{id: id, det: det, mon: mon, cfg: cfg, ledger: flops.NewLedger(), src: src, shared: shared, scoreDet: det}
-	if cfg.AdaptEveryFrames > 0 {
-		adapter, err := core.NewAdapter(det, cfg.Adapt, rand.New(src))
-		if err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		st.adapter = adapter
-	} else {
+	if cfg.AdaptEveryFrames <= 0 {
 		det.Deploy()
+		return mon, nil, nil
 	}
-	return st, nil
+	adapter, err := core.NewAdapter(det, cfg.Adapt, rand.New(src))
+	if err != nil {
+		return nil, nil, fmt.Errorf("serve: %w", err)
+	}
+	return mon, adapter, nil
 }
 
 // ID returns the stream's id.
@@ -239,11 +255,8 @@ func (st *Stream) Detector() *core.Detector {
 	if st.released {
 		return nil
 	}
-	if st.evicted {
-		if err := st.EnsureResident(); err != nil {
-			st.lastErr = err
-			return nil
-		}
+	if st.EnsureResident() != nil {
+		return nil
 	}
 	return st.det
 }
@@ -254,11 +267,8 @@ func (st *Stream) Monitor() *core.Monitor {
 	if st.released {
 		return nil
 	}
-	if st.evicted {
-		if err := st.EnsureResident(); err != nil {
-			st.lastErr = err
-			return nil
-		}
+	if st.EnsureResident() != nil {
+		return nil
 	}
 	return st.mon
 }
@@ -339,85 +349,57 @@ func (st *Stream) Evict() error {
 	if st.spillDir == "" || st.rebuild == nil {
 		return fmt.Errorf("serve: stream %d has no spill directory configured", st.id)
 	}
-	ss, err := st.Export()
-	if err != nil {
-		return fmt.Errorf("serve: evict stream %d: %w", st.id, err)
-	}
-	cp := snapshot.New(1)
-	cp.Streams[0] = *ss
 	path := filepath.Join(st.spillDir, fmt.Sprintf("stream-%d.spill.json", st.id))
-	if err := snapshot.Save(path, cp); err != nil {
+	if err := st.Save(path); err != nil {
 		return fmt.Errorf("serve: evict stream %d: %w", st.id, err)
 	}
+	st.spilledPending = st.pending != nil
 	st.det, st.scoreDet, st.adapter, st.mon, st.pending = nil, nil, nil, nil, nil
 	st.evicted = true
 	st.spillPath = path
-	st.spilledPending = ss.Pending != nil
 	st.evictions++
 	st.updateMem()
 	return nil
 }
 
-// materialize rebuilds an evicted stream's containers over a fresh
-// backbone clone, mirroring NewStream. The caller restores checkpointed
-// state on top; any randomness consumed during construction is overwritten
-// by the checkpoint's recorded RNG state, so rehydration is bit-exact.
-func (st *Stream) materialize() error {
-	det, err := st.rebuild()
-	if err != nil {
-		return fmt.Errorf("serve: rehydrate stream %d: %w", st.id, err)
-	}
-	var mon *core.Monitor
-	if st.cfg.AnchoredReference {
-		mon, err = core.NewAnchoredMonitor(st.cfg.MonitorN)
-	} else {
-		mon, err = core.NewMonitor(st.cfg.MonitorN, st.cfg.MonitorLag)
-	}
-	if err != nil {
-		return fmt.Errorf("serve: rehydrate stream %d: %w", st.id, err)
-	}
-	det.SetPrecision(st.cfg.Precision)
-	if st.cfg.Precision.Resolve() == core.PrecisionF32 {
-		mon.SetFrameWidth(tensor.F32)
-	}
-	st.det, st.mon, st.scoreDet = det, mon, det
-	if st.cfg.AdaptEveryFrames > 0 {
-		adapter, err := core.NewAdapter(det, st.cfg.Adapt, rand.New(st.src))
-		if err != nil {
-			st.det, st.mon, st.scoreDet = nil, nil, nil
-			return fmt.Errorf("serve: rehydrate stream %d: %w", st.id, err)
-		}
-		st.adapter = adapter
-	} else {
-		det.Deploy()
-	}
-	st.evicted = false
-	st.spilledPending = false
-	return nil
-}
-
 // EnsureResident rehydrates an evicted stream from its spill file. No-op
-// when resident. On failure the stream keeps the error; scoring surfaces
-// it on the next Result.
+// when resident. On failure the stream stays evicted and retains the
+// error (Err, Stats.LastErr): every later frame retries and fails loudly
+// rather than scoring on blank state.
 func (st *Stream) EnsureResident() error {
 	if !st.evicted {
 		return nil
 	}
-	if err := st.materialize(); err != nil {
+	if err := st.Load(st.spillPath); err != nil {
+		st.lastErr = fmt.Errorf("serve: rehydrate stream %d: %w", st.id, err)
+		return st.lastErr
+	}
+	return nil
+}
+
+// rehydrate rebuilds an evicted stream's containers over a fresh backbone
+// clone and restores ss on top — the spill file's state, or a caller's
+// checkpoint replacing it wholesale. Randomness consumed during
+// construction is overwritten by the recorded RNG state, so the result is
+// bit-exact. The stream turns resident only once the restore succeeded: on
+// any failure the clone is discarded and the stream stays evicted with its
+// spill file.
+func (st *Stream) rehydrate(ss *snapshot.StreamState) error {
+	det, err := st.rebuild()
+	if err != nil {
+		return fmt.Errorf("serve: stream %d clone: %w", st.id, err)
+	}
+	if st.mon, st.adapter, err = deployParts(det, st.cfg, st.src); err == nil {
+		st.det, st.scoreDet = det, det
+		err = st.restoreState(ss)
+	}
+	if err != nil {
+		det.DiscardClone()
+		st.det, st.scoreDet, st.adapter, st.mon, st.pending = nil, nil, nil, nil, nil
 		return err
 	}
-	cp, err := snapshot.Load(st.spillPath)
-	if err != nil {
-		return fmt.Errorf("serve: rehydrate stream %d: %w", st.id, err)
-	}
-	if len(cp.Streams) != 1 {
-		return fmt.Errorf("serve: rehydrate stream %d: spill file has %d streams", st.id, len(cp.Streams))
-	}
-	if err := st.Restore(&cp.Streams[0]); err != nil {
-		return fmt.Errorf("serve: rehydrate stream %d: %w", st.id, err)
-	}
-	os.Remove(st.spillPath)
-	st.spillPath = ""
+	st.evicted, st.spilledPending = false, false
+	st.dropSpill()
 	st.updateMem()
 	return nil
 }
@@ -505,7 +487,7 @@ func (st *Stream) meter(phase string, fn func()) {
 // Process scores one incoming frame, updates the monitor, and advances
 // the adaptation machinery: swapping in a due background round before
 // scoring, and on the cadence either running a round synchronously
-// (AdaptLagFrames == 0, the classic edge runtime behaviour) or
+// (AdaptLagFrames == 0, the blocking single-camera behaviour) or
 // dispatching it asynchronously against a monitor + scoring-state
 // snapshot.
 func (st *Stream) Process(pix *tensor.Tensor) Result {
@@ -515,12 +497,8 @@ func (st *Stream) Process(pix *tensor.Tensor) Result {
 		res.Err = fmt.Errorf("serve: stream %d was released (its state moved to another worker)", st.id)
 		return res
 	}
-	if st.evicted {
-		if err := st.EnsureResident(); err != nil {
-			st.lastErr = err
-			res.Err = err
-			return res
-		}
+	if res.Err = st.EnsureResident(); res.Err != nil {
+		return res
 	}
 
 	// A finished-or-due round becomes visible before this frame is scored:
@@ -659,7 +637,6 @@ func (st *Stream) Sync() error {
 			return nil
 		}
 		if err := st.EnsureResident(); err != nil {
-			st.lastErr = err
 			return err
 		}
 	}
@@ -721,34 +698,8 @@ func (st *Stream) configPin() snapshot.ConfigPin {
 // exact trajectory of an uninterrupted run — the round still lands at its
 // configured AdaptLagFrames offset.
 func (st *Stream) Export() (*snapshot.StreamState, error) {
-	if st.released {
-		// A tombstone: the slot's stream lives elsewhere now. Counters are
-		// preserved so post-hoc stats survive a checkpoint round trip;
-		// restoring a tombstone releases the target slot.
-		ss := &snapshot.StreamState{
-			ID:              st.id,
-			Config:          st.configPin(),
-			Released:        true,
-			Frames:          st.frames,
-			AdaptRounds:     st.adaptRounds,
-			TriggeredRounds: st.triggered,
-			PrunedNodes:     st.pruned,
-			CreatedNodes:    st.created,
-			Ledger:          st.ledger.Export(),
-		}
-		if st.lastErr != nil {
-			ss.LastErr = st.lastErr.Error()
-		}
-		return ss, nil
-	}
-	if st.evicted {
-		if err := st.EnsureResident(); err != nil {
-			return nil, err
-		}
-	}
-	src, ok := st.src.(*rng.Source)
-	if !ok {
-		return nil, fmt.Errorf("serve: stream %d was built over a %T random source; checkpointing requires *rng.Source", st.id, st.src)
+	if err := st.EnsureResident(); err != nil {
+		return nil, err
 	}
 	if st.pending != nil {
 		// Complete the round's computation without swapping it in.
@@ -757,19 +708,30 @@ func (st *Stream) Export() (*snapshot.StreamState, error) {
 	ss := &snapshot.StreamState{
 		ID:              st.id,
 		Config:          st.configPin(),
+		Released:        st.released,
 		Frames:          st.frames,
 		AdaptRounds:     st.adaptRounds,
 		TriggeredRounds: st.triggered,
 		PrunedNodes:     st.pruned,
 		CreatedNodes:    st.created,
-		RNG:             src.State(),
-		Scores:          append(snapshot.Floats(nil), st.scores...),
-		Monitor:         snapshot.EncodeMonitor(st.mon.ExportState()),
 		Ledger:          st.ledger.Export(),
 	}
 	if st.lastErr != nil {
 		ss.LastErr = st.lastErr.Error()
 	}
+	if st.released {
+		// A tombstone: the slot's stream lives elsewhere now. Counters are
+		// preserved so post-hoc stats survive a checkpoint round trip;
+		// restoring a tombstone releases the target slot.
+		return ss, nil
+	}
+	src, ok := st.src.(*rng.Source)
+	if !ok {
+		return nil, fmt.Errorf("serve: stream %d was built over a %T random source; checkpointing requires *rng.Source", st.id, st.src)
+	}
+	ss.RNG = src.State()
+	ss.Scores = append(snapshot.Floats(nil), st.scores...)
+	ss.Monitor = snapshot.EncodeMonitor(st.mon.ExportState())
 	det, err := snapshot.CaptureDetector(st.det)
 	if err != nil {
 		return nil, fmt.Errorf("serve: stream %d: %w", st.id, err)
@@ -795,18 +757,51 @@ func (st *Stream) Export() (*snapshot.StreamState, error) {
 	return ss, nil
 }
 
+// ErrCheckpointMismatch reports a checkpoint that does not fit the stream
+// it is restored into: wrong stream count for a single-stream file, a
+// different configuration pin, or a static/adaptive mismatch. The stream's
+// state is untouched when it is returned.
+var ErrCheckpointMismatch = errors.New("serve: checkpoint does not match stream")
+
+// Save writes the stream's complete adaptation state to path as a 1-stream
+// checkpoint file (atomic temp-then-rename write) — the warm-restart file
+// of a bare deployment and the spill file of an evicted one. Like Export
+// it must not race the processing goroutine.
+func (st *Stream) Save(path string) error {
+	ss, err := st.Export()
+	if err != nil {
+		return err
+	}
+	cp := snapshot.New(1)
+	cp.Streams[0] = *ss
+	return snapshot.Save(path, cp)
+}
+
+// Load restores the stream from a 1-stream checkpoint file written by Save
+// (or saved from a 1-stream Server with the identical StreamConfig). The
+// stream must have been built over the same backbone.
+func (st *Stream) Load(path string) error {
+	cp, err := snapshot.Load(path) // validates the format header
+	if err != nil {
+		return err
+	}
+	if len(cp.Streams) != 1 {
+		return fmt.Errorf("%w: %s holds %d streams, want 1", ErrCheckpointMismatch, path, len(cp.Streams))
+	}
+	return st.Restore(&cp.Streams[0])
+}
+
 // Restore replaces the stream's state with a previously exported one. The
 // stream must have been constructed over the same backbone and with the
 // same configuration the checkpoint was taken under (validated against
 // the recorded pin). Any in-flight round of the current state is joined
 // and discarded — the checkpoint's state wins wholesale.
 func (st *Stream) Restore(ss *snapshot.StreamState) error {
-	src, ok := st.src.(*rng.Source)
-	if !ok {
+	if _, ok := st.src.(*rng.Source); !ok {
 		return fmt.Errorf("serve: stream %d was built over a %T random source; restore requires *rng.Source", st.id, st.src)
 	}
 	if pin := st.configPin(); pin != ss.Config {
-		return fmt.Errorf("serve: stream %d config %+v does not match checkpoint config %+v", st.id, pin, ss.Config)
+		return fmt.Errorf("%w: stream %d config %+v, checkpoint config %+v", ErrCheckpointMismatch, st.id, pin, ss.Config)
 	}
 	if ss.Released {
 		// The checkpoint recorded a tombstone: the stream had moved to
@@ -815,37 +810,27 @@ func (st *Stream) Restore(ss *snapshot.StreamState) error {
 		if err := st.Release(); err != nil {
 			return err
 		}
-		st.frames = ss.Frames
-		st.adaptRounds = ss.AdaptRounds
-		st.triggered = ss.TriggeredRounds
-		st.pruned = ss.PrunedNodes
-		st.created = ss.CreatedNodes
-		st.lastErr = nil
-		if ss.LastErr != "" {
-			st.lastErr = errors.New(ss.LastErr)
-		}
-		st.ledger.Import(ss.Ledger)
+		st.importCounters(ss)
 		return nil
 	}
 	if st.released {
 		return fmt.Errorf("serve: stream %d was released; slots retire for good — restore into a fresh slot", st.id)
 	}
 	if st.evicted {
-		// The checkpoint replaces the spilled state wholesale: rebuild the
-		// containers but skip loading the spill file.
-		if err := st.materialize(); err != nil {
-			return err
-		}
-		if st.spillPath != "" {
-			os.Remove(st.spillPath)
-			st.spillPath = ""
-		}
+		// The checkpoint replaces the spilled state wholesale.
+		return st.rehydrate(ss)
 	}
-	if st.adapter == nil && ss.Adapter != nil {
-		return fmt.Errorf("serve: stream %d is static but checkpoint carries adapter state", st.id)
+	return st.restoreState(ss)
+}
+
+// restoreState overwrites a resident stream's state with ss. Everything
+// that can fail runs before the counters, RNG and ledger are committed.
+func (st *Stream) restoreState(ss *snapshot.StreamState) error {
+	if (st.adapter != nil) != (ss.Adapter != nil) {
+		return fmt.Errorf("%w: stream %d adaptive=%t, checkpoint adapter state present=%t", ErrCheckpointMismatch, st.id, st.adapter != nil, ss.Adapter != nil)
 	}
-	if st.adapter != nil && ss.Adapter == nil {
-		return fmt.Errorf("serve: stream %d is adaptive but checkpoint has no adapter state", st.id)
+	if ss.Pending != nil && st.cfg.AdaptLagFrames <= 0 {
+		return fmt.Errorf("%w: stream %d checkpoint has a pending round but adaptation is synchronous", ErrCheckpointMismatch, st.id)
 	}
 	// Settle any in-flight round before overwriting the state it mutates.
 	if st.pending != nil {
@@ -875,23 +860,8 @@ func (st *Stream) Restore(ss *snapshot.StreamState) error {
 		// deployment's full freeze.
 		st.det.Deploy()
 	}
-	src.Restore(ss.RNG)
-	st.frames = ss.Frames
-	st.adaptRounds = ss.AdaptRounds
-	st.triggered = ss.TriggeredRounds
-	st.pruned = ss.PrunedNodes
-	st.created = ss.CreatedNodes
-	st.scores = append([]float64(nil), ss.Scores...)
-	st.lastErr = nil
-	if ss.LastErr != "" {
-		st.lastErr = errors.New(ss.LastErr)
-	}
-	st.ledger.Import(ss.Ledger)
 	st.scoreDet = st.det
 	if ss.Pending != nil {
-		if st.cfg.AdaptLagFrames <= 0 {
-			return fmt.Errorf("serve: stream %d checkpoint has a pending round but adaptation is synchronous", st.id)
-		}
 		// The pending round's computation already happened before the
 		// snapshot (its effect is in the restored live detector); scoring
 		// continues on the recorded pre-round state until the swap frame,
@@ -901,6 +871,7 @@ func (st *Stream) Restore(ss *snapshot.StreamState) error {
 			return fmt.Errorf("serve: stream %d pending round: %w", st.id, err)
 		}
 		if err := snapshot.RestoreDetector(snap, ss.Pending.ScoreDet); err != nil {
+			snap.DiscardClone()
 			return fmt.Errorf("serve: stream %d pending round: %w", st.id, err)
 		}
 		p := &pendingRound{swapFrame: ss.Pending.SwapFrame, rep: snapshot.DecodeReport(ss.Pending.Report)}
@@ -910,10 +881,28 @@ func (st *Stream) Restore(ss *snapshot.StreamState) error {
 		st.scoreDet = snap
 		st.pending = p
 	}
+	st.src.(*rng.Source).Restore(ss.RNG) // type checked by Restore
+	st.importCounters(ss)
+	st.scores = append([]float64(nil), ss.Scores...)
 	// A restored pending round has no live goroutine mutating the
 	// detector, so the breakdown is safe to read here.
 	st.updateMem()
 	return nil
+}
+
+// importCounters adopts a checkpoint's frame/round counters, retained
+// error and cost ledger.
+func (st *Stream) importCounters(ss *snapshot.StreamState) {
+	st.frames = ss.Frames
+	st.adaptRounds = ss.AdaptRounds
+	st.triggered = ss.TriggeredRounds
+	st.pruned = ss.PrunedNodes
+	st.created = ss.CreatedNodes
+	st.lastErr = nil
+	if ss.LastErr != "" {
+		st.lastErr = errors.New(ss.LastErr)
+	}
+	st.ledger.Import(ss.Ledger)
 }
 
 // Stats returns the stream's accumulated statistics. Like every Stream

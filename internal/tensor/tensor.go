@@ -74,7 +74,7 @@ func NewOf[T Float](shape ...int) *Dense[T] {
 func FromSlice[T Float](data []T, shape ...int) *Dense[T] {
 	n := checkShape(shape)
 	if len(data) != n {
-		panic(fmt.Sprintf("tensor: FromSlice data length %d does not match shape %v (size %d)", len(data), shape, n))
+		panic(fmt.Sprintf("tensor: FromSlice data length %d does not match shape %v (size %d)", len(data), append([]int(nil), shape...), n))
 	}
 	t := &Dense[T]{data: data}
 	t.setShape(shape)
@@ -120,7 +120,9 @@ func checkShape(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension in shape %v", shape))
+			// Format a copy: handing shape itself to Sprintf makes it escape,
+			// and every caller's variadic []int would be heap-allocated.
+			panic(fmt.Sprintf("tensor: negative dimension in shape %v", append([]int(nil), shape...)))
 		}
 		n *= d
 	}

@@ -473,3 +473,16 @@ func expectPanic(t *testing.T, context string) {
 		t.Errorf("%s: expected panic, got none", context)
 	}
 }
+
+// TestNewCostsTwoAllocations pins the constructor's promise (struct +
+// data, shape stored inline): the variadic shape must not escape — it did
+// while checkShape's panic message formatted it directly, which cost every
+// call site a third allocation.
+func TestNewCostsTwoAllocations(t *testing.T) {
+	if got := testing.AllocsPerRun(100, func() { New(4, 4) }); got != 2 {
+		t.Errorf("New(4, 4): %.0f allocs, want 2", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { NewOf[float32](4, 4) }); got != 2 {
+		t.Errorf("NewOf[float32](4, 4): %.0f allocs, want 2", got)
+	}
+}
