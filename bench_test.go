@@ -176,47 +176,6 @@ func BenchmarkTrainStep(b *testing.B) {
 	}
 }
 
-// BenchmarkTrainStepMicrobatch times the 4-clip data-parallel step (one
-// optimisation step, four clip gradients computed on shard tapes and
-// tree-reduced) against BenchmarkTrainStepSeqAccum, its
-// sequential-accumulation reference with identical semantics.
-func BenchmarkTrainStepMicrobatch(b *testing.B) {
-	benchMicrobatchStep(b, func(tr *core.Trainer, rng *rand.Rand, src core.ClipSource) {
-		tr.Step(rng, src)
-	})
-}
-
-// BenchmarkTrainStepSeqAccum is the K-clip sequential-accumulation
-// baseline for BenchmarkTrainStepMicrobatch.
-func BenchmarkTrainStepSeqAccum(b *testing.B) {
-	benchMicrobatchStep(b, func(tr *core.Trainer, rng *rand.Rand, src core.ClipSource) {
-		tr.StepSequential(rng, src)
-	})
-}
-
-func benchMicrobatchStep(b *testing.B, step func(*core.Trainer, *rand.Rand, core.ClipSource)) {
-	env := getBenchEnv(b)
-	det, _, err := env.BuildTrainedDetector(concept.Stealing, 1002)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	vids := env.Gen.TaskVideos(rng, concept.Stealing, 3, 3)
-	src, err := dataset.NewClipSource(vids, det.Window(), 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bsrc := src.WithLabelMap(dataset.BinaryLabelMap)
-	cfg := core.DefaultTrainConfig()
-	cfg.Microbatch = 4
-	tr := core.NewTrainer(det, cfg)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		step(tr, rng, bsrc)
-	}
-}
-
 func BenchmarkAdaptationStep(b *testing.B) {
 	det, gen, env := benchFixture(b)
 	rng := rand.New(rand.NewSource(4))

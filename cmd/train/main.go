@@ -19,12 +19,11 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("train: ")
 	var (
-		mission    = flag.String("mission", "Stealing", "target anomaly class")
-		scale      = flag.String("scale", "quick", "preset sizing: quick | full")
-		steps      = flag.Int("steps", 0, "override training steps (0 = preset)")
-		microbatch = flag.Int("microbatch", 0, "clips per step K for the data-parallel trainer (0 = preset, 1 = sequential)")
-		seed       = flag.Int64("seed", 42, "seed")
-		evalAll    = flag.Bool("eval-all", false, "also report AUC against every other anomaly class")
+		mission = flag.String("mission", "Stealing", "target anomaly class")
+		scale   = flag.String("scale", "quick", "preset sizing: quick | full")
+		steps   = flag.Int("steps", 0, "override training steps (0 = preset)")
+		seed    = flag.Int64("seed", 42, "seed")
+		evalAll = flag.Bool("eval-all", false, "also report AUC against every other anomaly class")
 	)
 	flag.Parse()
 
@@ -32,7 +31,6 @@ func main() {
 	opts.Scale = *scale
 	opts.Seed = *seed
 	opts.TrainSteps = *steps
-	opts.TrainMicrobatch = *microbatch
 	sys, err := edgekg.NewSystem(opts)
 	if err != nil {
 		log.Fatal(err)

@@ -51,11 +51,6 @@ type Options struct {
 	Scale string
 	// TrainSteps overrides the preset's training length when > 0.
 	TrainSteps int
-	// TrainMicrobatch overrides the clips-per-step K of the data-parallel
-	// trainer when > 0: each optimisation step samples K clips, computes
-	// their gradients concurrently on the worker pool, and applies the
-	// averaged update. 1 reproduces the paper's one-clip steps.
-	TrainMicrobatch int
 	// AdaptEveryFrames overrides the adaptation cadence when > 0.
 	AdaptEveryFrames int
 }
@@ -94,9 +89,6 @@ func NewSystem(opts Options) (*System, error) {
 	}
 	if opts.TrainSteps > 0 {
 		scale.TrainSteps = opts.TrainSteps
-	}
-	if opts.TrainMicrobatch > 0 {
-		scale.TrainMicrobatch = opts.TrainMicrobatch
 	}
 	if opts.AdaptEveryFrames > 0 {
 		scale.AdaptEvery = opts.AdaptEveryFrames

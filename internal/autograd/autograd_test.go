@@ -153,14 +153,12 @@ func TestGradActivations(t *testing.T) {
 		op   func(*Value) *Value
 	}{
 		{"elu", ELU},
-		{"relu", ReLU},
 		{"tanh", Tanh},
-		{"sigmoid", Sigmoid},
 		{"gelu", GELU},
 	}
 	for _, c := range cases {
 		a := randParam(rng, 3, 3)
-		// Shift away from 0 to avoid the ReLU/ELU kink in finite differences.
+		// Shift away from 0 to avoid the ELU kink in finite differences.
 		for i, v := range a.Data.Data() {
 			if math.Abs(v) < 0.05 {
 				a.Data.Data()[i] = 0.1
@@ -173,17 +171,13 @@ func TestGradActivations(t *testing.T) {
 	}
 }
 
-func TestGradSoftmaxAndLogSoftmax(t *testing.T) {
+func TestGradSoftmax(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	a := randParam(rng, 3, 4)
 	w := Constant(tensor.RandN(rng, 1, 3, 4))
 	f := func() *Value { return Sum(Mul(SoftmaxRows(a), w)) }
 	if err := GradCheck(f, []*Value{a}, 1e-6, 1e-6); err != nil {
 		t.Errorf("softmax: %v", err)
-	}
-	f2 := func() *Value { return Sum(Mul(LogSoftmaxRows(a), w)) }
-	if err := GradCheck(f2, []*Value{a}, 1e-6, 1e-6); err != nil {
-		t.Errorf("logsoftmax: %v", err)
 	}
 }
 

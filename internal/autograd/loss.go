@@ -7,33 +7,6 @@ import (
 	"edgekg/internal/tensor"
 )
 
-// LogSoftmaxRows applies a row-wise log-softmax to a matrix.
-func LogSoftmaxRows(v *Value) *Value {
-	lse := tensor.LogSumExpRows(v.Data)
-	r, c := v.Data.Rows(), v.Data.Cols()
-	out := tensor.New(r, c)
-	for i := 0; i < r; i++ {
-		row, orow := v.Data.Row(i), out.Row(i)
-		for j := 0; j < c; j++ {
-			orow[j] = row[j] - lse.Data()[i]
-		}
-	}
-	return newOp3("logsoftmaxrows", out, v, nil, nil, func(bp *Backprop, g *tensor.Tensor) {
-		gv := tensor.New(r, c)
-		for i := 0; i < r; i++ {
-			grow, orow, drow := g.Row(i), out.Row(i), gv.Row(i)
-			gsum := 0.0
-			for j := 0; j < c; j++ {
-				gsum += grow[j]
-			}
-			for j := 0; j < c; j++ {
-				drow[j] = grow[j] - math.Exp(orow[j])*gsum
-			}
-		}
-		bp.accumulate(v, gv)
-	})
-}
-
 // CrossEntropy returns the mean negative log-likelihood of integer class
 // labels under row-wise softmax of logits. It fuses log-softmax and NLL for
 // numerical stability; this is the "Decision Loss" of Fig. 2(B).

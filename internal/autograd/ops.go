@@ -326,26 +326,6 @@ func ELU(v *Value) *Value {
 	})
 }
 
-// ReLU applies max(0, x) elementwise.
-func ReLU(v *Value) *Value {
-	out := tensor.Map(v.Data, func(x float64) float64 {
-		if x > 0 {
-			return x
-		}
-		return 0
-	})
-	return newOp3("relu", out, v, nil, nil, func(bp *Backprop, g *tensor.Tensor) {
-		gv := tensor.New(v.Data.Shape()...)
-		vd, gd, dst := v.Data.Data(), g.Data(), gv.Data()
-		for i := range vd {
-			if vd[i] > 0 {
-				dst[i] = gd[i]
-			}
-		}
-		bp.accumulate(v, gv)
-	})
-}
-
 // Tanh applies tanh elementwise.
 func Tanh(v *Value) *Value {
 	out := tensor.Map(v.Data, math.Tanh)
@@ -354,19 +334,6 @@ func Tanh(v *Value) *Value {
 		od, gd, dst := out.Data(), g.Data(), gv.Data()
 		for i := range od {
 			dst[i] = gd[i] * (1 - od[i]*od[i])
-		}
-		bp.accumulate(v, gv)
-	})
-}
-
-// Sigmoid applies the logistic function elementwise.
-func Sigmoid(v *Value) *Value {
-	out := tensor.Map(v.Data, func(x float64) float64 { return 1 / (1 + math.Exp(-x)) })
-	return newOp3("sigmoid", out, v, nil, nil, func(bp *Backprop, g *tensor.Tensor) {
-		gv := tensor.New(v.Data.Shape()...)
-		od, gd, dst := out.Data(), g.Data(), gv.Data()
-		for i := range od {
-			dst[i] = gd[i] * od[i] * (1 - od[i])
 		}
 		bp.accumulate(v, gv)
 	})

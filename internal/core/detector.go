@@ -239,25 +239,14 @@ func (d *Detector) Window() int { return d.temp.Window() }
 // Backward remains single-threaded, so the result — values and gradients —
 // is identical to the sequential loop.
 func (d *Detector) EmbedFrames(pix *tensor.Tensor) *autograd.Value {
-	return d.EmbedFramesStats(pix, nil)
-}
-
-// EmbedFramesStats is EmbedFrames with deferred BatchNorm statistics: in
-// training mode with a non-nil collector the per-layer batch statistics
-// are recorded into stats instead of mutating the running statistics in
-// place. The data-parallel trainer runs one EmbedFramesStats per shard
-// concurrently — shared parameters, per-shard tapes and collectors — and
-// applies the collectors in shard order after the join, reproducing the
-// sequential update order exactly.
-func (d *Detector) EmbedFramesStats(pix *tensor.Tensor, stats *nn.BNStats) *autograd.Value {
 	sem := autograd.Constant(d.space.EncodeImageBatch(pix))
 	if len(d.gnns) == 1 {
-		return d.gnns[0].ForwardStats(sem, stats)
+		return d.gnns[0].Forward(sem)
 	}
 	outs := make([]*autograd.Value, len(d.gnns))
 	parallel.For(len(d.gnns), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			outs[i] = d.gnns[i].ForwardStats(sem, stats)
+			outs[i] = d.gnns[i].Forward(sem)
 		}
 	})
 	return autograd.ConcatCols(outs...)
@@ -268,17 +257,11 @@ func (d *Detector) EmbedFramesStats(pix *tensor.Tensor, stats *nn.BNStats) *auto
 // windows. Frame embeddings are computed once and shared across windows,
 // which is both faster and exactly what a streaming deployment sees.
 func (d *Detector) ForwardClip(clip *tensor.Tensor, batch int) *autograd.Value {
-	return d.ForwardClipStats(clip, batch, nil)
-}
-
-// ForwardClipStats is ForwardClip with deferred BatchNorm statistics (see
-// EmbedFramesStats); it is the shard forward of the data-parallel trainer.
-func (d *Detector) ForwardClipStats(clip *tensor.Tensor, batch int, stats *nn.BNStats) *autograd.Value {
 	t := d.temp.Window()
 	if clip.Rows() != t+batch-1 {
 		panic(fmt.Sprintf("core: clip has %d rows, want window+batch-1 = %d", clip.Rows(), t+batch-1))
 	}
-	emb := d.EmbedFramesStats(clip, stats) // (t+batch-1 × D)
+	emb := d.EmbedFrames(clip) // (t+batch-1 × D)
 	// One Gather stacks every overlapping window row-wise; its scatter-add
 	// backward accumulates each frame's gradient over all windows it
 	// appears in, exactly as the per-window SliceRows graph did. The

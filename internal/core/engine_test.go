@@ -58,11 +58,11 @@ func scoreVideoTape(d *Detector, frames *tensor.Tensor) []float64 {
 func requireSameBits(t *testing.T, ctx string, want, got []float64) {
 	t.Helper()
 	if len(want) != len(got) {
-		t.Fatalf("%s: %d scores, want %d", ctx, len(got), len(want))
+		t.Fatalf("%s: %d values, want %d", ctx, len(got), len(want))
 	}
 	for i := range want {
 		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-			t.Fatalf("%s: frame %d: engine %.17g != tape %.17g", ctx, i, got[i], want[i])
+			t.Fatalf("%s: value %d: got %.17g, want %.17g", ctx, i, got[i], want[i])
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"edgekg/internal/metrics"
 	"edgekg/internal/nn"
 	"edgekg/internal/optim"
-	"edgekg/internal/parallel"
 	"edgekg/internal/tensor"
 )
 
@@ -20,17 +19,6 @@ type ClipSource interface {
 	NextClip(rng *rand.Rand) (frames *tensor.Tensor, labels []int)
 	Window() int
 	Batch() int
-}
-
-// BatchClipSource extends ClipSource with microbatch sampling: NextClips
-// draws k clips from per-clip RNG streams derived from the master rng, so
-// the sample is identical whether the clips are then processed
-// sequentially or across shards. internal/dataset's ClipSource satisfies
-// it; sources without the method fall back to an equivalent derivation
-// inside the trainer.
-type BatchClipSource interface {
-	ClipSource
-	NextClips(rng *rand.Rand, k int) (frames []*tensor.Tensor, labels [][]int)
 }
 
 // TrainConfig controls pre-deployment training (Fig. 2B).
@@ -50,12 +38,6 @@ type TrainConfig struct {
 	// TrainTokens also updates KG token embeddings during training; the
 	// paper trains the full stack before deployment.
 	TrainTokens bool
-	// Microbatch is the number of clips K per optimisation step. Each step
-	// samples K clips, computes per-clip gradients (concurrently on the
-	// worker pool when K > 1), averages them, and applies one update —
-	// classic data-parallel gradient accumulation. 0 and 1 both mean one
-	// clip per step, reproducing the pre-microbatch trainer bit for bit.
-	Microbatch int
 }
 
 // DefaultTrainConfig returns the paper's regime scaled to the synthetic
@@ -100,135 +82,22 @@ func NewTrainer(det *Detector, cfg TrainConfig) *Trainer {
 	return &Trainer{det: det, cfg: cfg, opt: sched, params: values}
 }
 
-// microbatch returns the configured clips-per-step K (≥1).
-func (t *Trainer) microbatch() int {
-	if t.cfg.Microbatch > 1 {
-		return t.cfg.Microbatch
-	}
-	return 1
-}
-
-// sampleClips draws the step's K-clip microbatch. K == 1 samples directly
-// from the master rng — the exact pre-microbatch consumption pattern, so
-// existing seeds reproduce their historical trajectories bit for bit. For
-// K > 1, sources implementing BatchClipSource sample through their own
-// per-clip RNG streams; plain ClipSources get the same derivation (k
-// seeds drawn from the master rng in clip order, one fresh stream per
-// clip) applied outside, so either way the microbatch is a pure function
-// of the master RNG state.
-func sampleClips(rng *rand.Rand, src ClipSource, k int) ([]*tensor.Tensor, [][]int) {
-	if k == 1 {
-		frames, labels := src.NextClip(rng)
-		return []*tensor.Tensor{frames}, [][]int{labels}
-	}
-	if bs, ok := src.(BatchClipSource); ok {
-		return bs.NextClips(rng, k)
-	}
-	seeds := make([]int64, k)
-	for i := range seeds {
-		seeds[i] = rng.Int63()
-	}
-	frames := make([]*tensor.Tensor, k)
-	labels := make([][]int, k)
-	for i := 0; i < k; i++ {
-		frames[i], labels[i] = src.NextClip(rand.New(rand.NewSource(seeds[i])))
-	}
-	return frames, labels
-}
-
-// shardGrads runs forward+backward for every clip of the microbatch, each
-// shard on its own tape over the shared parameters: per-shard gradient
-// sinks, per-shard BatchNorm collectors, one batched temporal pass per
-// clip. Shards run concurrently on the worker pool unless the temporal
-// model uses dropout (whose mask draws come from one shared RNG and must
-// stay in clip order); either way every output slot is owned by exactly
-// one shard and the results are independent of worker count.
-func (t *Trainer) shardGrads(frames []*tensor.Tensor, labels [][]int, batch int) (losses []float64, sinks []autograd.GradSink, stats []*nn.BNStats) {
-	k := len(frames)
-	losses = make([]float64, k)
-	sinks = make([]autograd.GradSink, k)
-	stats = make([]*nn.BNStats, k)
-	run := func(s int) {
-		st := &nn.BNStats{}
-		logits := t.det.ForwardClipStats(frames[s], batch, st)
-		loss := decision.Loss(logits, labels[s], t.det.cfg.Loss, true)
-		sink := make(autograd.GradSink, len(t.params))
-		loss.BackwardInto(sink)
-		losses[s] = loss.Scalar()
-		sinks[s] = sink
-		stats[s] = st
-	}
-	if k == 1 || t.det.cfg.Temporal.Dropout > 0 {
-		for s := 0; s < k; s++ {
-			run(s)
-		}
-		return losses, sinks, stats
-	}
-	var g parallel.Group
-	for s := 0; s < k; s++ {
-		s := s
-		g.Go(func() { run(s) })
-	}
-	g.Wait()
-	return losses, sinks, stats
-}
-
-// Step performs one optimisation step on a sampled microbatch of
-// cfg.Microbatch clips and returns the mean loss. Per-clip forwards and
-// backwards run data-parallel on the worker pool; the per-shard gradients
-// are then tree-reduced in fixed clip order (independent of worker count),
-// averaged, clipped, and applied as one AdamW update, and the deferred
-// BatchNorm statistics are folded in clip order — so a step is bit-
-// identical at any EDGEKG_WORKERS setting and matches the K-clip
-// sequential-accumulation reference (StepSequential) to float rounding.
+// Step performs one optimisation step — sample a clip, forward, loss,
+// backward, clip the global gradient norm, one AdamW update — and returns
+// the clip's loss.
 func (t *Trainer) Step(rng *rand.Rand, src ClipSource) float64 {
-	k := t.microbatch()
 	t.det.SetTraining(true)
-	frames, labels := sampleClips(rng, src, k)
-	losses, sinks, stats := t.shardGrads(frames, labels, src.Batch())
-	// Deterministic epilogue, in fixed clip order.
-	for _, st := range stats {
-		st.Apply()
-	}
+	frames, labels := src.NextClip(rng)
 	t.opt.ZeroGrad()
-	autograd.ReduceSinks(t.params, sinks, 1/float64(k))
+	logits := t.det.ForwardClip(frames, src.Batch())
+	loss := decision.Loss(logits, labels, t.det.cfg.Loss, true)
+	loss.Backward()
 	if t.cfg.ClipNorm > 0 {
 		optim.ClipGradNorm(t.params, t.cfg.ClipNorm)
 	}
 	t.opt.Step()
 	t.steps++
-	total := 0.0
-	for _, l := range losses {
-		total += l
-	}
-	return total / float64(k)
-}
-
-// StepSequential is the K-clip sequential-accumulation reference the
-// equivalence suite pins Step against: the same microbatch (same master
-// RNG consumption), processed one clip at a time on the global tape —
-// classic Backward into the parameters' Grad fields, running statistics
-// updated after each clip's forward — then gradients averaged, clipped
-// and applied exactly as Step does. It returns the same mean loss.
-func (t *Trainer) StepSequential(rng *rand.Rand, src ClipSource) float64 {
-	k := t.microbatch()
-	t.det.SetTraining(true)
-	frames, labels := sampleClips(rng, src, k)
-	t.opt.ZeroGrad()
-	total := 0.0
-	for s := 0; s < k; s++ {
-		logits := t.det.ForwardClip(frames[s], src.Batch())
-		loss := decision.Loss(logits, labels[s], t.det.cfg.Loss, true)
-		loss.Backward()
-		total += loss.Scalar()
-	}
-	optim.ScaleGrads(t.params, 1/float64(k))
-	if t.cfg.ClipNorm > 0 {
-		optim.ClipGradNorm(t.params, t.cfg.ClipNorm)
-	}
-	t.opt.Step()
-	t.steps++
-	return total / float64(k)
+	return loss.Scalar()
 }
 
 // Train runs the configured number of steps, invoking progress (if

@@ -166,31 +166,6 @@ func (c *ClipSource) NextClip(rng *rand.Rand) (frames *tensor.Tensor, labels []i
 	return frames, labels
 }
 
-// NextClips samples k clips for one data-parallel microbatch. The master
-// rng is consumed exactly k times — one seed per clip, drawn up front in
-// clip order — and each clip is then sampled from its own derived RNG
-// stream, so the result is a pure function of the master RNG state and k:
-// identical no matter how many workers sample the clips, and identical to
-// what a sequential trainer deriving the same streams would see. Clip i of
-// a call equals clip 0 of an NextClips(rng, 1) call made after i seed
-// draws, which is what lets the sequential-accumulation reference consume
-// the same microbatch as the sharded step.
-func (c *ClipSource) NextClips(rng *rand.Rand, k int) ([]*tensor.Tensor, [][]int) {
-	if k < 1 {
-		k = 1
-	}
-	seeds := make([]int64, k)
-	for i := range seeds {
-		seeds[i] = rng.Int63()
-	}
-	frames := make([]*tensor.Tensor, k)
-	labels := make([][]int, k)
-	for i := 0; i < k; i++ {
-		frames[i], labels[i] = c.NextClip(rand.New(rand.NewSource(seeds[i])))
-	}
-	return frames, labels
-}
-
 // BalancedClip samples a clip whose final-frame labels are anomalous with
 // probability ≥ minAnomalyFrac when possible, retrying up to the given
 // budget — a cheap way to keep gradient signal on rare anomalies.

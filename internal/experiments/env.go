@@ -37,10 +37,8 @@ type Scale struct {
 	KGDepth, InitialFanout, Fanout int
 	// Model.
 	GNNWidth, TemporalInner, TemporalHeads, Window int
-	// Training. TrainMicrobatch is the clips-per-step K of the
-	// data-parallel trainer (≤1 keeps the paper's one-clip steps).
+	// Training.
 	TrainSteps, TrainBatch      int
-	TrainMicrobatch             int
 	TrainNormals, TrainAnomlous int
 	// Deployment stream: frames per continuous-learning segment and the
 	// adaptation cadence.
@@ -171,7 +169,6 @@ func (e *Env) DetectorConfig() core.Config {
 func (e *Env) TrainConfig() core.TrainConfig {
 	cfg := core.DefaultTrainConfig()
 	cfg.Steps = e.Scale.TrainSteps
-	cfg.Microbatch = e.Scale.TrainMicrobatch
 	return cfg
 }
 

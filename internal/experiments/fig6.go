@@ -110,7 +110,10 @@ func (r Fig6Result) Render() string {
 	}
 	fmt.Fprintf(&b, "decoded: start %q → end %q; final top-5: %s\n",
 		r.DecodedStart, r.DecodedEnd, strings.Join(r.TopKEnd, ", "))
-	fmt.Fprintf(&b, "net drift toward target: %+.4f\n", tr.NetDrift())
+	if n := len(tr.DistTarget); n > 0 {
+		fmt.Fprintf(&b, "net drift toward target: %+.4f (dist %.4f → %.4f)\n",
+			tr.NetDrift(), tr.DistTarget[0], tr.DistTarget[n-1])
+	}
 	return b.String()
 }
 

@@ -24,8 +24,8 @@ type Model struct {
 	lo     *layout
 	width  int
 
-	// bankMu guards bankCache/bankGen: data-parallel training runs
-	// concurrent forwards over one model, and the lazy rebuild would
+	// bankMu guards bankCache/bankGen: the adapter's shards and concurrent
+	// scoring callers run forwards over one model, and the lazy rebuild would
 	// otherwise race. The token bank set never changes while forwards are
 	// in flight, so contention is a cheap uncontended lock per forward.
 	bankMu sync.Mutex
@@ -293,17 +293,6 @@ func (m *Model) orderedBanks() []*autograd.Value {
 // (batch × space.Dim()) and returns the embedding-node outputs
 // (batch × Width) — the per-KG reasoning embedding r_T of Sec. III-C.
 func (m *Model) Forward(frames *autograd.Value) *autograd.Value {
-	return m.ForwardStats(frames, nil)
-}
-
-// ForwardStats is Forward with deferred BatchNorm statistics: in training
-// mode with a non-nil collector each layer's batch mean/variance is
-// recorded into stats instead of updating the running statistics in
-// place. Data-parallel training runs concurrent ForwardStats calls over
-// one model (shared parameters, per-shard tapes) and applies the
-// collectors in shard order afterwards; with stats == nil the behaviour
-// is the classic immediate update.
-func (m *Model) ForwardStats(frames *autograd.Value, stats *nn.BNStats) *autograd.Value {
 	b := frames.Data.Rows()
 	if frames.Data.Cols() != m.space.Dim() {
 		panic(fmt.Sprintf("gnn: frame dim %d != semantic dim %d", frames.Data.Cols(), m.space.Dim()))
@@ -332,17 +321,13 @@ func (m *Model) ForwardStats(frames *autograd.Value, stats *nn.BNStats) *autogra
 			rg := rep.groups[ly.group]
 			if ly.bn.Training() {
 				out, mean, variance := autograd.EdgeAggNormActTrain(x, ly.bn.Gamma, ly.bn.Beta, rg.src, rg.dst, rg.inLevel, ly.bn.Eps)
-				if stats != nil {
-					stats.Defer(ly.bn, mean, variance)
-				} else {
-					ly.bn.UpdateRunning(mean, variance)
-				}
+				ly.bn.UpdateRunning(mean, variance)
 				x = out
 			} else {
 				x = autograd.EdgeAggNormActEval(x, ly.bn.Gamma, ly.bn.Beta, rg.src, rg.dst, rg.inLevel, ly.bn.RunningMean, ly.bn.RunningVar, ly.bn.Eps)
 			}
 		} else {
-			x = autograd.ELU(ly.bn.ForwardStats(x, stats))
+			x = autograd.ELU(ly.bn.Forward(x))
 		}
 	}
 
@@ -404,6 +389,16 @@ func (m *Model) Params() []nn.Param {
 		ps = append(ps, nn.Prefix(prefix+".bn", ly.bn.Params())...)
 	}
 	return ps
+}
+
+// RunningStats returns every layer's BatchNorm running mean and variance,
+// in layer order — the trained state Params does not reach.
+func (m *Model) RunningStats() []*tensor.Tensor {
+	var out []*tensor.Tensor
+	for _, ly := range m.layers {
+		out = append(out, ly.bn.RunningMean, ly.bn.RunningVar)
+	}
+	return out
 }
 
 // TokenParams returns the token-bank parameters — what adaptation updates.

@@ -64,37 +64,3 @@ func (l *Linear) Out() int { return l.out }
 func (l *Linear) Params() []Param {
 	return []Param{{Name: "w", V: l.W}, {Name: "b", V: l.B}}
 }
-
-// Embedding is a trainable lookup table of row vectors. KG token
-// embeddings are Embeddings; adaptation backpropagates into exactly these
-// tables while everything else is frozen.
-type Embedding struct {
-	Table *autograd.Value // (vocab × dim)
-}
-
-// NewEmbedding returns a table of shape (vocab × dim) initialised from
-// N(0, scale²).
-func NewEmbedding(rng *rand.Rand, vocab, dim int, scale float64) *Embedding {
-	return &Embedding{Table: autograd.Param(tensor.RandN(rng, scale, vocab, dim))}
-}
-
-// EmbeddingFrom wraps an existing table tensor as an Embedding.
-func EmbeddingFrom(table *tensor.Tensor) *Embedding {
-	return &Embedding{Table: autograd.Param(table)}
-}
-
-// Lookup gathers the rows for ids, preserving order and duplicates.
-func (e *Embedding) Lookup(ids []int) *autograd.Value {
-	return autograd.Gather(e.Table, ids)
-}
-
-// Vocab returns the number of rows in the table.
-func (e *Embedding) Vocab() int { return e.Table.Data.Dim(0) }
-
-// Dim returns the embedding dimensionality.
-func (e *Embedding) Dim() int { return e.Table.Data.Dim(1) }
-
-// Params implements Module.
-func (e *Embedding) Params() []Param {
-	return []Param{{Name: "table", V: e.Table}}
-}

@@ -33,51 +33,6 @@ func TestLinearGradCheck(t *testing.T) {
 	}
 }
 
-func TestEmbeddingLookup(t *testing.T) {
-	table := tensor.FromSlice([]float64{
-		0, 0,
-		1, 10,
-		2, 20,
-	}, 3, 2)
-	e := EmbeddingFrom(table)
-	out := e.Lookup([]int{2, 0, 2})
-	want := tensor.FromSlice([]float64{2, 20, 0, 0, 2, 20}, 3, 2)
-	if !tensor.AllClose(out.Data, want, 0) {
-		t.Errorf("lookup = %v", out.Data)
-	}
-	if e.Vocab() != 3 || e.Dim() != 2 {
-		t.Errorf("vocab/dim = %d/%d", e.Vocab(), e.Dim())
-	}
-}
-
-func TestEmbeddingGradFlowsOnlyToLookedUpRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	e := NewEmbedding(rng, 5, 3, 0.1)
-	out := autograd.Sum(e.Lookup([]int{1, 3, 3}))
-	out.Backward()
-	g := e.Table.Grad
-	for i := 0; i < 5; i++ {
-		norm := 0.0
-		for _, v := range g.Row(i) {
-			norm += math.Abs(v)
-		}
-		switch i {
-		case 1:
-			if norm == 0 {
-				t.Errorf("row 1 got no gradient")
-			}
-		case 3:
-			if math.Abs(norm-6) > 1e-12 { // looked up twice, grad 1 per elem
-				t.Errorf("row 3 grad sum = %v, want 6", norm)
-			}
-		default:
-			if norm != 0 {
-				t.Errorf("row %d leaked gradient %v", i, norm)
-			}
-		}
-	}
-}
-
 func TestBatchNormTrainEvalModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	bn := NewBatchNorm1d(3)

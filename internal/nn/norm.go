@@ -2,7 +2,6 @@ package nn
 
 import (
 	"math/rand"
-	"sync"
 
 	"edgekg/internal/autograd"
 	"edgekg/internal/tensor"
@@ -61,22 +60,6 @@ func (b *BatchNorm1d) UpdateRunning(mean, variance *tensor.Tensor) {
 	tensor.AxpyInPlace(tensor.ScaleInPlace(b.RunningVar, 1-m), m, variance)
 }
 
-// ForwardStats is Forward with deferred running-statistics maintenance:
-// in training mode with a non-nil collector the batch statistics are
-// recorded into stats instead of being folded into the running mean and
-// variance immediately. Data-parallel training uses it so concurrent
-// shard forwards never mutate the shared running statistics; the trainer
-// applies the collectors in shard order after the join, reproducing the
-// sequential update sequence exactly.
-func (b *BatchNorm1d) ForwardStats(x *autograd.Value, stats *BNStats) *autograd.Value {
-	if !b.training || stats == nil {
-		return b.Forward(x)
-	}
-	out, mean, variance := autograd.BatchNormTrain(x, b.Gamma, b.Beta, b.Eps)
-	stats.Defer(b, mean, variance)
-	return out
-}
-
 // SetTraining implements Trainer. Re-asserting the current mode is a pure
 // read: concurrent inference callers over one frozen model (the serving
 // runtime's per-frame ScoreVideo calls) all SetTraining(false) on shared
@@ -94,43 +77,6 @@ func (b *BatchNorm1d) Training() bool { return b.training }
 func (b *BatchNorm1d) Params() []Param {
 	return []Param{{Name: "gamma", V: b.Gamma}, {Name: "beta", V: b.Beta}}
 }
-
-// BNStats collects deferred BatchNorm batch statistics from one forward
-// pass so running-statistic updates can be applied after a concurrent
-// section instead of during it. Defer is safe for concurrent use (the
-// per-KG GNN forwards of one shard fan out on the worker pool), so the
-// recorded order of entries is scheduling-dependent — but each BatchNorm
-// layer receives at most one entry per forward pass and updates to
-// distinct layers commute, so Apply's final state is deterministic.
-type BNStats struct {
-	mu      sync.Mutex
-	entries []bnStat
-}
-
-type bnStat struct {
-	bn             *BatchNorm1d
-	mean, variance *tensor.Tensor
-}
-
-// Defer records one layer's batch statistics for a later Apply.
-func (s *BNStats) Defer(bn *BatchNorm1d, mean, variance *tensor.Tensor) {
-	s.mu.Lock()
-	s.entries = append(s.entries, bnStat{bn: bn, mean: mean, variance: variance})
-	s.mu.Unlock()
-}
-
-// Apply folds every recorded statistic into its layer's running mean and
-// variance, in recorded order, and clears the collector for reuse.
-func (s *BNStats) Apply() {
-	for i, e := range s.entries {
-		e.bn.UpdateRunning(e.mean, e.variance)
-		s.entries[i] = bnStat{}
-	}
-	s.entries = s.entries[:0]
-}
-
-// Len returns the number of pending deferred updates.
-func (s *BNStats) Len() int { return len(s.entries) }
 
 // LayerNorm normalises each row of its input, with learnable gain/bias.
 type LayerNorm struct {

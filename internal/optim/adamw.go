@@ -125,53 +125,3 @@ func (a *AdamW) MomentBytes() int64 {
 	}
 	return b
 }
-
-// SGD implements stochastic gradient descent with classical momentum; it is
-// the sanity baseline in the optimizer ablation benches.
-type SGD struct {
-	lr       float64
-	momentum float64
-	params   []*autograd.Value
-	vel      []*tensor.Tensor
-}
-
-// NewSGD returns an SGD optimizer with the given learning rate and
-// momentum (0 disables momentum).
-func NewSGD(params []*autograd.Value, lr, momentum float64) *SGD {
-	s := &SGD{lr: lr, momentum: momentum, params: params}
-	s.vel = make([]*tensor.Tensor, len(params))
-	for i, p := range params {
-		s.vel[i] = tensor.New(p.Data.Shape()...)
-	}
-	return s
-}
-
-// Step applies one SGD update.
-func (s *SGD) Step() {
-	for i, p := range s.params {
-		if p.Grad == nil || !p.RequiresGrad() {
-			continue
-		}
-		p.EnsurePrivate()
-		pd := p.Data.Data()
-		gd := p.Grad.Data()
-		vd := s.vel[i].Data()
-		for k := range pd {
-			vd[k] = s.momentum*vd[k] - s.lr*gd[k]
-			pd[k] += vd[k]
-		}
-	}
-}
-
-// Velocities returns the live momentum buffers, index-aligned with the
-// params slice — the SGD counterpart of AdamW.Moments for checkpointing.
-func (s *SGD) Velocities() []*tensor.Tensor { return s.vel }
-
-// ZeroGrad implements Optimizer.
-func (s *SGD) ZeroGrad() { zeroGrads(s.params) }
-
-// SetLR implements Optimizer.
-func (s *SGD) SetLR(lr float64) { s.lr = lr }
-
-// LR implements Optimizer.
-func (s *SGD) LR() float64 { return s.lr }

@@ -1,9 +1,8 @@
 // Package optim implements the optimizers and learning-rate schedules used
 // to train the GNN decision model and to drive deployment-time token
-// adaptation: AdamW with the paper's hyper-parameters (Sec. IV-A), plain
-// SGD with momentum as a baseline, exponential decay (the α_d = 0.9999
-// threshold decay) and cosine annealing, plus global-norm gradient
-// clipping.
+// adaptation: AdamW with the paper's hyper-parameters (Sec. IV-A),
+// exponential decay (the α_d = 0.9999 threshold decay) and cosine
+// annealing, plus global-norm gradient clipping.
 package optim
 
 import (
@@ -30,22 +29,6 @@ type Optimizer interface {
 func zeroGrads(params []*autograd.Value) {
 	for _, p := range params {
 		p.ZeroGrad()
-	}
-}
-
-// ScaleGrads multiplies every accumulated gradient by scale. Sequential
-// gradient accumulation over a K-clip microbatch uses it to turn the
-// summed gradients into the mean before clipping and stepping — the
-// reference semantics the data-parallel shard reduction reproduces.
-// Parameters with nil gradients are skipped.
-func ScaleGrads(params []*autograd.Value, scale float64) {
-	if scale == 1 {
-		return
-	}
-	for _, p := range params {
-		if p.Grad != nil {
-			tensor.ScaleInPlace(p.Grad, scale)
-		}
 	}
 }
 

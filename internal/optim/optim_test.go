@@ -68,20 +68,6 @@ func TestAdamWSkipsFrozenAndNilGrad(t *testing.T) {
 	}
 }
 
-func TestSGDMomentumConverges(t *testing.T) {
-	p := autograd.Param(tensor.FromSlice([]float64{4, 4}, 2))
-	target := tensor.New(2)
-	opt := NewSGD([]*autograd.Value{p}, 0.05, 0.9)
-	for i := 0; i < 300; i++ {
-		opt.ZeroGrad()
-		quadratic(p, target).Backward()
-		opt.Step()
-	}
-	if loss := quadratic(p, target).Scalar(); loss > 1e-6 {
-		t.Errorf("SGD failed to converge: %v", loss)
-	}
-}
-
 func TestClipGradNorm(t *testing.T) {
 	p := autograd.Param(tensor.New(2))
 	p.Grad = tensor.FromSlice([]float64{3, 4}, 2)
@@ -153,57 +139,43 @@ func TestWarmupWrap(t *testing.T) {
 
 func TestScheduledOptimizerAppliesFactor(t *testing.T) {
 	p := autograd.Param(tensor.FromSlice([]float64{1}, 1))
-	sgd := NewSGD([]*autograd.Value{p}, 1.0, 0)
-	sch := NewScheduled(sgd, ExponentialDecay{Rate: 0.5})
+	cfg := DefaultAdamWConfig()
+	cfg.LR = 1.0
+	adam := NewAdamW([]*autograd.Value{p}, cfg)
+	sch := NewScheduled(adam, ExponentialDecay{Rate: 0.5})
 	// Step 0: lr 1.0, step 1: lr 0.5.
-	p.Grad = tensor.Ones(1)
-	sch.Step()
-	if got := p.Data.Data()[0]; math.Abs(got-0) > 1e-12 {
-		t.Errorf("after step0: %v, want 0", got)
-	}
-	p.Grad = tensor.Ones(1)
-	sch.Step()
-	if got := p.Data.Data()[0]; math.Abs(got+0.5) > 1e-12 {
-		t.Errorf("after step1: %v, want -0.5", got)
+	for step, want := range []float64{1.0, 0.5} {
+		p.Grad = tensor.Ones(1)
+		sch.Step()
+		if got := adam.LR(); got != want {
+			t.Errorf("step %d ran at lr %v, want %v", step, got, want)
+		}
 	}
 	if sch.StepIndex() != 2 {
 		t.Errorf("StepIndex = %d", sch.StepIndex())
 	}
 }
 
-// AdamW vs SGD on an ill-conditioned quadratic: AdamW's per-coordinate
-// scaling should reach a lower loss in the same budget. This is the
-// optimizer ablation invariant the bench suite reports.
-func TestAdamWBeatsSGDOnIllConditioned(t *testing.T) {
+// AdamW's per-coordinate scaling must make progress on an ill-conditioned
+// quadratic whose curvatures span four orders of magnitude.
+func TestAdamWOnIllConditionedQuadratic(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	mk := func() (*autograd.Value, *tensor.Tensor) {
-		p := autograd.Param(tensor.RandN(rng, 1, 4))
-		return p, tensor.New(4)
-	}
-	illLoss := func(p *autograd.Value, target *tensor.Tensor) *autograd.Value {
-		diff := autograd.Sub(p, autograd.Constant(target))
+	p := autograd.Param(tensor.RandN(rng, 1, 4))
+	illLoss := func() *autograd.Value {
+		diff := autograd.Sub(p, autograd.Constant(tensor.New(4)))
 		scales := autograd.Constant(tensor.FromSlice([]float64{100, 1, 0.01, 10}, 4))
 		return autograd.Sum(autograd.Mul(autograd.Mul(diff, diff), scales))
 	}
-	run := func(opt Optimizer, p *autograd.Value, target *tensor.Tensor) float64 {
-		for i := 0; i < 400; i++ {
-			opt.ZeroGrad()
-			illLoss(p, target).Backward()
-			opt.Step()
-		}
-		return illLoss(p, target).Scalar()
-	}
-	p1, t1 := mk()
 	cfg := DefaultAdamWConfig()
 	cfg.LR = 0.01
 	cfg.WeightDecay = 0
-	adamLoss := run(NewAdamW([]*autograd.Value{p1}, cfg), p1, t1)
-	p2 := autograd.Param(p1.Data.Clone())
-	sgdLoss := run(NewSGD([]*autograd.Value{p2}, 0.001, 0.9), p2, t1)
-	if adamLoss > sgdLoss {
-		t.Logf("adam %v vs sgd %v (informational)", adamLoss, sgdLoss)
+	opt := NewAdamW([]*autograd.Value{p}, cfg)
+	for i := 0; i < 400; i++ {
+		opt.ZeroGrad()
+		illLoss().Backward()
+		opt.Step()
 	}
-	if adamLoss > 1 {
+	if adamLoss := illLoss().Scalar(); adamLoss > 1 {
 		t.Errorf("AdamW loss too high on ill-conditioned quadratic: %v", adamLoss)
 	}
 }

@@ -23,7 +23,7 @@ func TestGroupRunsEveryTask(t *testing.T) {
 
 // TestGroupSequentialAtOneWorker pins the degradation contract: with
 // Workers() == 1 every Go call runs inline in submission order, which is
-// what makes the data-parallel trainer's shard fan-out deterministic and
+// what makes the adapter's shard fan-out deterministic and
 // exercisable on a single CPU.
 func TestGroupSequentialAtOneWorker(t *testing.T) {
 	prev := SetWorkers(1)

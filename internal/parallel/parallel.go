@@ -174,7 +174,7 @@ offer:
 //
 // When Workers() == 1 each Go call runs its task inline before returning,
 // so a group degrades to a plain sequential loop in submission order —
-// the property the data-parallel trainer's determinism tests rely on.
+// the property the adapter's shard determinism tests rely on.
 //
 // Like For, the waiting goroutine participates: Wait runs every task the
 // pool has not yet claimed on the caller's goroutine, so a group can

@@ -188,14 +188,12 @@ func (tr *TrajectoryRecorder) Record(iteration int, bank *tensor.Tensor) {
 // Trajectory returns the recorded series.
 func (tr *TrajectoryRecorder) Trajectory() Trajectory { return tr.traj }
 
-// NetDrift summarises a trajectory: positive values mean the embedding
-// ended closer to the target anchor than it started, relative to the
-// initial anchor.
+// NetDrift summarises a trajectory as the reduction in distance to the
+// target anchor: positive values mean the embedding ended closer to the
+// target than it started, negative values that it moved away.
 func (t Trajectory) NetDrift() float64 {
 	if len(t.Iterations) < 2 {
 		return 0
 	}
-	first := t.DistTarget[0] - t.DistInitial[0]
-	last := t.DistTarget[len(t.DistTarget)-1] - t.DistInitial[len(t.DistInitial)-1]
-	return first - last
+	return t.DistTarget[0] - t.DistTarget[len(t.DistTarget)-1]
 }

@@ -127,6 +127,16 @@ func TestTrajectoryDriftSneakyToFirearm(t *testing.T) {
 	if traj.NetDrift() <= 0 {
 		t.Errorf("NetDrift = %v, want positive", traj.NetDrift())
 	}
+	// Moving away from both anchors, faster from the initial one (the
+	// quick-scale Fig. 6 end points), is not progress toward the target.
+	away := Trajectory{
+		Iterations:  []int{0, 100},
+		DistInitial: []float64{0.3620, 0.5271},
+		DistTarget:  []float64{1.2983, 1.3171},
+	}
+	if got, want := away.NetDrift(), away.DistTarget[0]-away.DistTarget[1]; got != want || got >= 0 {
+		t.Errorf("NetDrift moving away from the target = %v, want %v", got, want)
+	}
 	first := traj.TopWord[0]
 	last := traj.TopWord[steps]
 	if first == last {

@@ -9,7 +9,7 @@
 // configured frame).
 //
 // The frozen backbone is deliberately NOT serialized: it is a pure
-// function of the training seed (the data-parallel trainer is pinned
+// function of the training seed (the trainer is pinned
 // bit-reproducible), so a restarting process rebuilds it and a checkpoint
 // stays the size of the adaptation delta — exactly the paper's split
 // between the static deployed model and the continuously adapted KG

@@ -3,9 +3,8 @@ package tensor
 import "fmt"
 
 // DType identifies the element width of a numeric buffer. The tensor
-// package stores float64 (the training/adaptation truth), float32 (the
-// inference fast path) and int8 (the quantized frozen token-bank
-// representation); every byte-accounting path — the flops ledger, the
+// package stores float64 (the training/adaptation truth) and float32 (the
+// inference fast path); every byte-accounting path — the flops ledger, the
 // serve memory budget, PageBytes on token banks — sizes buffers through
 // DType.Bytes instead of a hardcoded 8.
 type DType uint8
@@ -16,9 +15,6 @@ const (
 	F64 DType = iota
 	// F32 is IEEE-754 binary32, the inference compute width.
 	F32
-	// I8 is a signed 8-bit quantized code; real values are reconstructed
-	// through a per-row affine (scale, min) pair.
-	I8
 )
 
 // Bytes returns the storage size of one element.
@@ -28,21 +24,17 @@ func (d DType) Bytes() int {
 		return 8
 	case F32:
 		return 4
-	case I8:
-		return 1
 	}
 	panic(fmt.Sprintf("tensor: unknown DType %d", uint8(d)))
 }
 
-// String returns the canonical lowercase name ("f64", "f32", "i8").
+// String returns the canonical lowercase name ("f64", "f32").
 func (d DType) String() string {
 	switch d {
 	case F64:
 		return "f64"
 	case F32:
 		return "f32"
-	case I8:
-		return "i8"
 	}
 	return fmt.Sprintf("DType(%d)", uint8(d))
 }
