@@ -1,12 +1,15 @@
 // Command loadgen drives a fleet of cmd/serve -listen workers through the
-// shard router: it synthesises per-camera frame schedules with the same
-// seed derivation cmd/serve's self-driving mode uses, hashes the camera
-// keys across the workers, and submits frames either open-loop (a fixed
-// arrival rate per camera, with optional bursts — latency is measured
-// from each frame's scheduled arrival, so queueing delay counts and
-// coordinated omission does not hide overload) or closed-loop (-rate 0:
-// lockstep submit/receive, nothing shed — the mode deterministic
-// continuity checks use).
+// shard router: it synthesises per-camera frame schedules with the
+// derivation cmd/serve's self-driving mode uses (System.CameraSchedules),
+// hashes the camera keys across the workers, and submits frames either
+// closed-loop (-rate 0: lockstep submit/receive, nothing shed — the mode
+// deterministic continuity checks use) or open-loop (a fixed arrival rate
+// per camera, with optional bursts, latency counted from each frame's
+// scheduled arrival). The open-loop pacer is for overload and shedding
+// drills — push arrivals past capacity, watch 429s, sheds and recovery —
+// not for measuring latency: paced from inside a process on shared cores
+// it measures the Go timer (bench/README.md, "Method"); latency and
+// throughput numbers come from bench/.
 //
 // A run can migrate one camera between shards mid-stream via the
 // checkpoint path (-migrate key@frame:shard); with -out the per-camera
@@ -160,9 +163,13 @@ func main() {
 			*snapEvery, *probeEvery, *downAfter)
 	}
 
-	// Synthesise each camera's schedule with the derivation cmd/serve's
-	// self-driving mode uses: per-camera seeds, drift at driftAt+i·stagger.
+	// The cameras' schedules, by the derivation cmd/serve's self-driving
+	// mode uses.
 	sys, err := edgekg.NewSystem(edgekg.Options{Seed: *seed})
+	if err != nil {
+		log.Fatal(err)
+	}
+	perCamera, err := sys.CameraSchedules(*streams, *frames, *initial, *shifted, *anomalyRate, *driftAt, *stagger, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -170,26 +177,7 @@ func main() {
 	schedules := make(map[string][][]float64, *streams)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("cam-%d", i)
-		shift := *driftAt + i**stagger
-		if shift > *frames {
-			shift = *frames
-		}
-		pre, err := sys.NextStreamFramesSeeded(*initial, shift, *anomalyRate, *seed+1000+int64(i))
-		if err != nil {
-			log.Fatal(err)
-		}
-		post, err := sys.NextStreamFramesSeeded(*shifted, *frames-shift, *anomalyRate, *seed+2000+int64(i))
-		if err != nil {
-			log.Fatal(err)
-		}
-		sched := make([][]float64, 0, *frames)
-		for _, f := range pre {
-			sched = append(sched, f.Frame)
-		}
-		for _, f := range post {
-			sched = append(sched, f.Frame)
-		}
-		schedules[keys[i]] = sched
+		schedules[keys[i]] = perCamera[i]
 	}
 
 	sc := shard.Scenario{

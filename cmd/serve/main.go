@@ -164,17 +164,17 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Synthesise every camera's frame schedule up front (deterministic,
-	// and keeps the shared master RNG out of the camera goroutines): the
-	// trend starts at -initial and shifts to -shifted at a staggered
-	// per-stream frame index. Each segment draws from its own per-stream
-	// seed — not the shared master RNG — so a schedule is a pure function
-	// of (class, seed) and a longer -frames target extends a shorter one
-	// frame-for-frame, which is what lets -resume replay the exact frames
-	// the checkpointed run served and continue past them.
+	// Synthesise every camera's frame schedule up front (deterministic, and
+	// keeps the shared master RNG out of the camera goroutines) with the
+	// derivation cmd/loadgen shares: a longer -frames target extends a
+	// shorter one frame-for-frame, which is what lets -resume replay the
+	// exact frames the checkpointed run served and continue past them.
 	var schedules [][][]float64
 	if *listen == "" {
-		schedules = synthSchedules(sys, *streams, *frames, *rate, *initial, *shifted, *driftAt, *stagger, *seed)
+		fmt.Printf("synthesising %d streams × %d frames (drift at %d + %d·i)...\n", *streams, *frames, *driftAt, *stagger)
+		if schedules, err = sys.CameraSchedules(*streams, *frames, *initial, *shifted, *rate, *driftAt, *stagger, *seed); err != nil {
+			log.Fatal(err)
+		}
 	}
 	srv, err := sys.Serve(edgekg.ServeOptions{
 		Streams:          *streams,
@@ -388,44 +388,6 @@ func main() {
 	} else {
 		fmt.Printf("memory: resident %s (unbudgeted)\n", fmtBytes(resident))
 	}
-}
-
-// synthSchedules synthesises every camera's frame schedule up front
-// (deterministic, and keeps the shared master RNG out of the camera
-// goroutines): the trend starts at initial and shifts to shifted at a
-// staggered per-stream frame index. Each segment draws from its own
-// per-stream seed — not the shared master RNG — so a schedule is a pure
-// function of (class, seed) and a longer frames target extends a shorter
-// one frame-for-frame, which is what lets -resume replay the exact frames
-// the checkpointed run served and continue past them. cmd/loadgen uses
-// the same derivation, so a networked run scores the same frames a
-// self-driving one does.
-func synthSchedules(sys *edgekg.System, streams, frames int, rate float64, initial, shifted string, driftAt, stagger int, seed int64) [][][]float64 {
-	fmt.Printf("synthesising %d streams × %d frames (drift at %d + %d·i)...\n", streams, frames, driftAt, stagger)
-	schedules := make([][][]float64, streams)
-	for i := range schedules {
-		shift := driftAt + i*stagger
-		if shift > frames {
-			shift = frames
-		}
-		pre, err := sys.NextStreamFramesSeeded(initial, shift, rate, seed+1000+int64(i))
-		if err != nil {
-			log.Fatal(err)
-		}
-		post, err := sys.NextStreamFramesSeeded(shifted, frames-shift, rate, seed+2000+int64(i))
-		if err != nil {
-			log.Fatal(err)
-		}
-		sched := make([][]float64, 0, frames)
-		for _, f := range pre {
-			sched = append(sched, f.Frame)
-		}
-		for _, f := range post {
-			sched = append(sched, f.Frame)
-		}
-		schedules[i] = sched
-	}
-	return schedules
 }
 
 // dumpStats prints the per-stream deployment statistics and the memory

@@ -680,6 +680,33 @@ func (s *System) NextStreamFramesSeeded(class string, n int, anomalyRate float64
 	return s.nextStreamFrames(class, n, anomalyRate, rand.New(rand.NewSource(seed)))
 }
 
+// CameraSchedules synthesises the frame schedules of n cameras, frames
+// long each: camera i's trend starts at initial and shifts to shifted at
+// frame driftAt + i·stagger (capped at frames), each segment drawn from
+// its own seed (seed+1000+i before the shift, seed+2000+i after) — so a
+// longer frames target extends a shorter one frame-for-frame. cmd/serve's
+// self-driving mode and cmd/loadgen both call it, so a networked run
+// scores the frames a self-driving one does.
+func (s *System) CameraSchedules(n, frames int, initial, shifted string, anomalyRate float64, driftAt, stagger int, seed int64) ([][][]float64, error) {
+	schedules := make([][][]float64, n)
+	for i := range schedules {
+		shift := min(driftAt+i*stagger, frames)
+		pre, err := s.NextStreamFramesSeeded(initial, shift, anomalyRate, seed+1000+int64(i))
+		if err != nil {
+			return nil, err
+		}
+		post, err := s.NextStreamFramesSeeded(shifted, frames-shift, anomalyRate, seed+2000+int64(i))
+		if err != nil {
+			return nil, err
+		}
+		schedules[i] = make([][]float64, 0, frames)
+		for _, f := range append(pre, post...) {
+			schedules[i] = append(schedules[i], f.Frame)
+		}
+	}
+	return schedules, nil
+}
+
 func (s *System) nextStreamFrames(class string, n int, anomalyRate float64, rng *rand.Rand) ([]StreamClass, error) {
 	cls, ok := concept.ClassByName(class)
 	if !ok {

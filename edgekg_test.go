@@ -228,6 +228,63 @@ func TestNextStreamFramesLabels(t *testing.T) {
 	}
 }
 
+// TestCameraSchedulesDerivation pins the one schedule derivation cmd/serve
+// and cmd/loadgen share: per-camera seeds, a staggered shift capped at the
+// frame target, and a longer target extending a shorter one frame-for-frame
+// (what -resume and -expect rely on).
+func TestCameraSchedulesDerivation(t *testing.T) {
+	sys := quickSystem(t)
+	const seed = 7
+	short, err := sys.CameraSchedules(3, 6, "Stealing", "Robbery", 0.5, 2, 3, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long, err := sys.CameraSchedules(3, 9, "Stealing", "Robbery", 0.5, 2, 3, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b []float64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				return false
+			}
+		}
+		return true
+	}
+	for cam := range short {
+		if len(short[cam]) != 6 || len(long[cam]) != 9 {
+			t.Fatalf("camera %d: schedules of %d and %d frames", cam, len(short[cam]), len(long[cam]))
+		}
+		// Camera 2 shifts at frame 8: past the short target, inside the long
+		// one — and still a prefix, because the capped segment is the head of
+		// the same seeded stream.
+		for f := range short[cam] {
+			if !same(short[cam][f], long[cam][f]) {
+				t.Fatalf("camera %d frame %d differs between the 6- and 9-frame targets", cam, f)
+			}
+		}
+	}
+	pre, err := sys.NextStreamFramesSeeded("Stealing", 5, 0.5, seed+1001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post, err := sys.NextStreamFramesSeeded("Robbery", 4, 0.5, seed+2001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for f, want := range append(pre, post...) {
+		if !same(long[1][f], want.Frame) {
+			t.Fatalf("camera 1 frame %d is not the seed+1000+i / seed+2000+i derivation", f)
+		}
+	}
+	if _, err := sys.CameraSchedules(1, 4, "Nope", "Robbery", 0.5, 2, 0, seed); err == nil {
+		t.Error("unknown class accepted")
+	}
+}
+
 func TestGenerateKGOnly(t *testing.T) {
 	data, err := GenerateKGOnly("Robbery", 3)
 	if err != nil {

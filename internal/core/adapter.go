@@ -88,22 +88,25 @@ func DefaultAdaptConfig() AdaptConfig {
 	}
 }
 
-// AdaptReport records what one adaptation round did.
+// AdaptReport records what one adaptation round did; it is immutable once
+// Step returned it. It is also the report section of a checkpointed pending
+// round, hence the bit-pattern floats: a diverged round can carry a NaN
+// loss or node distance, and a checkpoint save must survive that.
 type AdaptReport struct {
 	// Triggered is false when the monitor saw no mean drop (K = 0) and
 	// nothing was updated.
-	Triggered bool
+	Triggered bool `json:"triggered"`
 	// K is the pseudo-anomaly count selected by the monitor.
-	K int
+	K int `json:"k"`
 	// DeltaM is the mean shift that triggered selection.
-	DeltaM float64
+	DeltaM tensor.F64Bits `json:"delta_m"`
 	// Loss is the final adaptation loss over the selected samples.
-	Loss float64
+	Loss tensor.F64Bits `json:"loss"`
 	// NodeDistances maps graph index → node → L2 update distance.
-	NodeDistances []map[kg.NodeID]float64
+	NodeDistances []map[kg.NodeID]tensor.F64Bits `json:"node_distances,omitempty"`
 	// Pruned and Created list structural changes per graph.
-	Pruned  []kg.NodeID
-	Created []kg.NodeID
+	Pruned  []kg.NodeID `json:"pruned,omitempty"`
+	Created []kg.NodeID `json:"created,omitempty"`
 }
 
 // Adapter performs continuous KG adaptive learning on a deployed
@@ -124,18 +127,9 @@ type Adapter struct {
 	// params caches the token-bank value set the optimiser manages; it is
 	// rebuilt alongside the optimiser whenever the KG structure changes.
 	params   []*autograd.Value
-	trackers []map[kg.NodeID]*convTracker
+	trackers []map[kg.NodeID]*TrackerState
 	rowNorms []map[kg.NodeID][]float64
 	created  int
-}
-
-// convTracker follows one node's update-distance sequence (Fig. 4A→4B
-// decision). A node whose distance grows incStreak ≥ patience times in a
-// row is diverging.
-type convTracker struct {
-	lastDist  float64
-	hasLast   bool
-	incStreak int
 }
 
 // NewAdapter prepares the detector for adaptation (freezing everything
@@ -150,10 +144,10 @@ func NewAdapter(det *Detector, cfg AdaptConfig, rng *rand.Rand) (*Adapter, error
 	det.EnableAdaptation()
 	a := &Adapter{det: det, cfg: cfg, rng: rng}
 	a.rebuildOptimizer()
-	a.trackers = make([]map[kg.NodeID]*convTracker, det.NumGNNs())
+	a.trackers = make([]map[kg.NodeID]*TrackerState, det.NumGNNs())
 	a.rowNorms = make([]map[kg.NodeID][]float64, det.NumGNNs())
 	for i := range a.trackers {
-		a.trackers[i] = make(map[kg.NodeID]*convTracker)
+		a.trackers[i] = make(map[kg.NodeID]*TrackerState)
 		a.rowNorms[i] = make(map[kg.NodeID][]float64)
 	}
 	for gi, m := range det.gnns {
@@ -237,12 +231,13 @@ func (a *Adapter) Step(mon *Monitor) (AdaptReport, error) {
 	// BatchNorm running statistics from every shard. Re-assert the mode in
 	// case a caller toggled training since construction.
 	a.det.SetTraining(false)
-	rep := AdaptReport{DeltaM: mon.DeltaM(), K: mon.K()}
-	rep.NodeDistances = make([]map[kg.NodeID]float64, a.det.NumGNNs())
+	dm := mon.DeltaM()
+	rep := AdaptReport{DeltaM: tensor.F64Bits(dm), K: mon.K()}
+	rep.NodeDistances = make([]map[kg.NodeID]tensor.F64Bits, a.det.NumGNNs())
 	for i := range rep.NodeDistances {
-		rep.NodeDistances[i] = make(map[kg.NodeID]float64)
+		rep.NodeDistances[i] = make(map[kg.NodeID]tensor.F64Bits)
 	}
-	if !mon.Ready() || rep.K == 0 || rep.DeltaM >= -a.cfg.MinDrop {
+	if !mon.Ready() || rep.K == 0 || dm >= -a.cfg.MinDrop {
 		return rep, nil
 	}
 	rep.Triggered = true
@@ -278,7 +273,7 @@ func (a *Adapter) Step(mon *Monitor) (AdaptReport, error) {
 	}
 
 	// Snapshot token banks before the update ("old token embeddings").
-	before := a.snapshot()
+	before := a.banks(true)
 
 	// The semantic pull anchors on the *contrast* between pseudo-anomalies
 	// and normal anchors: the shared scene background cancels, leaving the
@@ -303,8 +298,8 @@ func (a *Adapter) Step(mon *Monitor) (AdaptReport, error) {
 
 	invT := 1 / a.det.ScoreTemperature()
 	for e := 0; e < a.cfg.Epochs; e++ {
-		epochBefore := a.snapshot()
-		rep.Loss = a.epochStep(batch, targets, invT)
+		epochBefore := a.banks(true)
+		rep.Loss = tensor.F64Bits(a.epochStep(batch, targets, invT))
 		if pullDir != nil {
 			a.applySemanticPull(epochBefore, pullDir)
 		}
@@ -321,21 +316,21 @@ func (a *Adapter) Step(mon *Monitor) (AdaptReport, error) {
 				continue
 			}
 			dist := tensor.L2Distance(old, bank.Bank(id).Data)
-			rep.NodeDistances[gi][id] = dist
+			rep.NodeDistances[gi][id] = tensor.F64Bits(dist)
 			tr := a.trackers[gi][id]
 			if tr == nil {
-				tr = &convTracker{}
+				tr = &TrackerState{}
 				a.trackers[gi][id] = tr
 			}
-			if tr.hasLast && dist > tr.lastDist {
-				tr.incStreak++
+			if tr.HasLast && dist > float64(tr.LastDist) {
+				tr.IncStreak++
 			} else {
-				tr.incStreak = 0
+				tr.IncStreak = 0
 			}
-			tr.lastDist = dist
-			tr.hasLast = true
+			tr.LastDist = tensor.F64Bits(dist)
+			tr.HasLast = true
 
-			if tr.incStreak >= a.cfg.Patience {
+			if tr.IncStreak >= a.cfg.Patience {
 				pruned, createdID, err := a.replaceNode(gi, id)
 				if err != nil {
 					return rep, err
@@ -433,7 +428,7 @@ func (a *Adapter) replaceNode(gi int, id kg.NodeID) (kg.NodeID, kg.NodeID, error
 	m.Tokens().Install(fresh.ID, tensor.ConcatRows(rows...))
 	delete(a.trackers[gi], id)
 	delete(a.rowNorms[gi], id)
-	a.trackers[gi][fresh.ID] = &convTracker{}
+	a.trackers[gi][fresh.ID] = &TrackerState{}
 	a.rowNorms[gi][fresh.ID] = bankRowNorms(m.Tokens().Bank(fresh.ID).Data)
 	// Structure changed: the optimiser's moment buffers no longer line up.
 	a.rebuildOptimizer()
@@ -485,13 +480,17 @@ func (a *Adapter) applySemanticPull(before []map[kg.NodeID]*tensor.Tensor, dir *
 	}
 }
 
-// snapshot deep-copies every node's token matrix, per graph.
-func (a *Adapter) snapshot() []map[kg.NodeID]*tensor.Tensor {
+// banks returns every node's token matrix, per graph: the live tensors, or
+// deep copies of them (the "old token embeddings" a round compares against).
+func (a *Adapter) banks(copies bool) []map[kg.NodeID]*tensor.Tensor {
 	out := make([]map[kg.NodeID]*tensor.Tensor, len(a.det.gnns))
 	for gi, m := range a.det.gnns {
 		out[gi] = make(map[kg.NodeID]*tensor.Tensor)
 		for _, id := range m.Tokens().NodeIDs() {
-			out[gi][id] = m.Tokens().Snapshot(id)
+			out[gi][id] = m.Tokens().Bank(id).Data
+			if copies {
+				out[gi][id] = out[gi][id].Clone()
+			}
 		}
 	}
 	return out
@@ -526,68 +525,68 @@ func stackFrames(frames []*tensor.Tensor) *tensor.Tensor {
 	return tensor.ConcatRows(rows...)
 }
 
-// TrackerState is one node's convergence-tracker state in exportable form.
+// TrackerState follows one node's update-distance sequence (Fig. 4A→4B
+// decision): a node whose distance grows IncStreak ≥ Patience times in a
+// row is diverging. The adapter's live tracker and its checkpoint form.
 type TrackerState struct {
-	LastDist  float64
-	HasLast   bool
-	IncStreak int
+	LastDist  tensor.F64Bits `json:"last_dist"`
+	HasLast   bool           `json:"has_last"`
+	IncStreak int            `json:"inc_streak"`
 }
 
-// AdapterState is the adapter's complete mutable state in exportable form:
-// convergence trackers, token-row norm targets, the created-node counter,
-// and the AdamW moment buffers keyed by token-parameter name. Together
-// with the detector's restored token banks and the adapter's RNG state it
-// resumes the continuous-learning loop bit-exactly.
+// AdapterState is the adapter's complete mutable state and its section of
+// the checkpoint: convergence trackers, token-row norm targets, the
+// created-node counter, and the AdamW moment buffers keyed by
+// token-parameter name. Together with the detector's restored token banks
+// and the adapter's RNG state it resumes the learning loop bit-exactly.
 type AdapterState struct {
-	Created  int
-	Trackers []map[kg.NodeID]TrackerState
-	RowNorms []map[kg.NodeID][]float64
-	OptStep  int
-	OptM     map[string]*tensor.Tensor
-	OptV     map[string]*tensor.Tensor
+	Created  int                           `json:"created"`
+	Trackers []map[kg.NodeID]TrackerState  `json:"trackers"`
+	RowNorms []map[kg.NodeID]tensor.Floats `json:"row_norms"`
+	OptStep  int                           `json:"opt_step"`
+	OptM     map[string]*tensor.Tensor     `json:"opt_m"`
+	OptV     map[string]*tensor.Tensor     `json:"opt_v"`
 }
 
-// tokenParamNames returns the detector's token-parameter names in the same
-// order as the optimizer's parameter slice (nn.Values of TokenParams).
-func (a *Adapter) tokenParamNames() []string {
-	ps := a.det.TokenParams()
-	names := make([]string, len(ps))
-	for i, p := range ps {
-		names[i] = p.Name
-	}
-	return names
+// tokenParamName is the name Detector.TokenParams gives graph gi's bank of
+// node id — the key of its moments in AdapterState.
+func tokenParamName(gi int, id kg.NodeID) string {
+	return fmt.Sprintf("gnn%d.tokens.node%d", gi, id)
 }
 
-// ExportState captures the adapter's full state. Tensor buffers are deep
-// copies, so subsequent rounds never mutate the exported state.
+// ExportState captures the adapter's full state. Everything the adapter
+// goes on mutating — trackers, row norms, moments — is copied, so
+// subsequent rounds never change the exported state.
 func (a *Adapter) ExportState() AdapterState {
 	st := AdapterState{
-		Created:  a.created,
-		Trackers: make([]map[kg.NodeID]TrackerState, len(a.trackers)),
-		RowNorms: make([]map[kg.NodeID][]float64, len(a.rowNorms)),
-		OptStep:  a.opt.StepCount(),
-		OptM:     make(map[string]*tensor.Tensor, len(a.params)),
-		OptV:     make(map[string]*tensor.Tensor, len(a.params)),
+		Created: a.created,
+		OptStep: a.opt.StepCount(),
+		OptM:    make(map[string]*tensor.Tensor, len(a.params)),
+		OptV:    make(map[string]*tensor.Tensor, len(a.params)),
 	}
-	for gi, trs := range a.trackers {
-		st.Trackers[gi] = make(map[kg.NodeID]TrackerState, len(trs))
+	for _, trs := range a.trackers {
+		out := make(map[kg.NodeID]TrackerState, len(trs))
 		for id, tr := range trs {
-			st.Trackers[gi][id] = TrackerState{LastDist: tr.lastDist, HasLast: tr.hasLast, IncStreak: tr.incStreak}
+			out[id] = *tr
 		}
+		st.Trackers = append(st.Trackers, out)
 	}
-	for gi, norms := range a.rowNorms {
-		st.RowNorms[gi] = make(map[kg.NodeID][]float64, len(norms))
+	for _, norms := range a.rowNorms {
+		out := make(map[kg.NodeID]tensor.Floats, len(norms))
 		for id, ns := range norms {
-			st.RowNorms[gi][id] = append([]float64(nil), ns...)
+			out[id] = append(tensor.Floats(nil), ns...)
 		}
+		st.RowNorms = append(st.RowNorms, out)
 	}
+	// The optimizer's parameter slice is nn.Values of TokenParams, so the
+	// moments are index-aligned with the names.
 	m, v := a.opt.Moments()
-	for i, name := range a.tokenParamNames() {
+	for i, p := range a.det.TokenParams() {
 		// Lazily-absent moment buffers are identically zero; export them as
 		// zero tensors so the checkpoint format is unchanged — and the
 		// export itself does not materialize per-stream buffers.
-		st.OptM[name] = momentOrZeros(m[i], a.params[i])
-		st.OptV[name] = momentOrZeros(v[i], a.params[i])
+		st.OptM[p.Name] = momentOrZeros(m[i], p.V)
+		st.OptV[p.Name] = momentOrZeros(v[i], p.V)
 	}
 	return st
 }
@@ -608,33 +607,51 @@ func allZero(t *tensor.Tensor) bool {
 	return true
 }
 
-// ImportState replaces the adapter's state with a previously exported one.
-// The detector's graphs and token banks must already hold their restored
-// state: the optimizer is rebuilt over the current token parameters and
-// the saved moments are matched to them by parameter name, failing loudly
-// on any mismatch.
-func (a *Adapter) ImportState(st AdapterState) error {
-	if len(st.Trackers) != a.det.NumGNNs() || len(st.RowNorms) != a.det.NumGNNs() {
+// Validate reports whether the state fits a detector whose token banks are
+// banks (graph index → node → token matrix, the live detector's or a
+// checkpoint's): trackers and row norms per graph, and exactly one pair of
+// moment buffers, of the bank's size, per bank. The state may come from
+// outside the process; nothing is touched.
+func (st *AdapterState) Validate(banks []map[kg.NodeID]*tensor.Tensor) error {
+	if len(st.Trackers) != len(banks) || len(st.RowNorms) != len(banks) {
 		return fmt.Errorf("core: adapter state covers %d/%d graphs, detector has %d",
-			len(st.Trackers), len(st.RowNorms), a.det.NumGNNs())
+			len(st.Trackers), len(st.RowNorms), len(banks))
+	}
+	params := 0
+	for gi, nodes := range banks {
+		params += len(nodes)
+		for id, bank := range nodes {
+			name := tokenParamName(gi, id)
+			sm, sv := st.OptM[name], st.OptV[name]
+			if sm == nil || sv == nil {
+				return fmt.Errorf("core: adapter state missing moments for token param %q", name)
+			}
+			if sm.Size() != bank.Size() || sv.Size() != bank.Size() {
+				return fmt.Errorf("core: adapter state moment shape mismatch for %q: %v/%v vs %v",
+					name, sm.Shape(), sv.Shape(), bank.Shape())
+			}
+		}
+	}
+	if len(st.OptM) != params || len(st.OptV) != params {
+		return fmt.Errorf("core: adapter state has %d/%d moment buffers, detector has %d token params",
+			len(st.OptM), len(st.OptV), params)
+	}
+	return nil
+}
+
+// ImportState replaces the adapter's state with a copy of a previously
+// exported one. The detector's graphs and token banks must already hold
+// their restored state: the saved moments are validated against them (a
+// mismatch leaves the adapter untouched) and matched by parameter name to
+// an optimizer rebuilt over the current token parameters.
+func (a *Adapter) ImportState(st AdapterState) error {
+	if err := st.Validate(a.banks(false)); err != nil {
+		return err
 	}
 	a.det.EnableAdaptation()
 	a.rebuildOptimizer()
-	names := a.tokenParamNames()
-	if len(st.OptM) != len(names) || len(st.OptV) != len(names) {
-		return fmt.Errorf("core: adapter state has %d/%d moment buffers, detector has %d token params",
-			len(st.OptM), len(st.OptV), len(names))
-	}
-	for i, name := range names {
-		sm, sv := st.OptM[name], st.OptV[name]
-		if sm == nil || sv == nil {
-			return fmt.Errorf("core: adapter state missing moments for token param %q", name)
-		}
-		want := a.params[i].Data.Size()
-		if sm.Size() != want || sv.Size() != want {
-			return fmt.Errorf("core: adapter state moment shape mismatch for %q: %v/%v vs %v",
-				name, sm.Shape(), sv.Shape(), a.params[i].Data.Shape())
-		}
+	for i, p := range a.det.TokenParams() {
+		sm, sv := st.OptM[p.Name], st.OptV[p.Name]
 		// All-zero saved moments restore to the lazily-absent state —
 		// numerically identical, and a rehydrated unadapted stream keeps
 		// its copy-on-write footprint instead of materializing buffers.
@@ -647,12 +664,12 @@ func (a *Adapter) ImportState(st AdapterState) error {
 	}
 	a.opt.SetStepCount(st.OptStep)
 	a.created = st.Created
-	a.trackers = make([]map[kg.NodeID]*convTracker, len(st.Trackers))
+	a.trackers = make([]map[kg.NodeID]*TrackerState, len(st.Trackers))
 	a.rowNorms = make([]map[kg.NodeID][]float64, len(st.RowNorms))
 	for gi, trs := range st.Trackers {
-		a.trackers[gi] = make(map[kg.NodeID]*convTracker, len(trs))
+		a.trackers[gi] = make(map[kg.NodeID]*TrackerState, len(trs))
 		for id, tr := range trs {
-			a.trackers[gi][id] = &convTracker{lastDist: tr.LastDist, hasLast: tr.HasLast, incStreak: tr.IncStreak}
+			a.trackers[gi][id] = &tr
 		}
 	}
 	for gi, norms := range st.RowNorms {
@@ -669,7 +686,7 @@ func (a *Adapter) ImportState(st AdapterState) error {
 // updates a parameter) plus row-norm targets and convergence trackers.
 func (a *Adapter) MemBytes() int64 {
 	b := a.opt.MomentBytes()
-	const trackerOverhead = 64 // convTracker + map entry
+	const trackerOverhead = 64 // TrackerState + map entry
 	for gi := range a.rowNorms {
 		for _, ns := range a.rowNorms[gi] {
 			b += int64(len(ns)) * 8
@@ -677,13 +694,4 @@ func (a *Adapter) MemBytes() int64 {
 		b += int64(len(a.trackers[gi])) * trackerOverhead
 	}
 	return b
-}
-
-// TrackerStreak exposes a node's current divergence streak (testing and
-// observability).
-func (a *Adapter) TrackerStreak(gi int, id kg.NodeID) int {
-	if tr := a.trackers[gi][id]; tr != nil {
-		return tr.incStreak
-	}
-	return 0
 }

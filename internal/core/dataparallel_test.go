@@ -130,7 +130,7 @@ func TestAdapterShardedMatchesSingleTape(t *testing.T) {
 	if !rep1.Triggered || !rep4.Triggered {
 		t.Fatalf("fixture did not trigger adaptation (%v, %v)", rep1.Triggered, rep4.Triggered)
 	}
-	if math.Abs(rep1.Loss-rep4.Loss) > 1e-12 {
+	if math.Abs(float64(rep1.Loss-rep4.Loss)) > 1e-12 {
 		t.Errorf("loss %v (single tape) vs %v (sharded)", rep1.Loss, rep4.Loss)
 	}
 	s1 := tokenBankState(a1.det)

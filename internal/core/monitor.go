@@ -135,9 +135,6 @@ func (m *Monitor) SetFrameWidth(w tensor.DType) {
 	}
 }
 
-// FrameWidth returns the retained frames' storage width.
-func (m *Monitor) FrameWidth() tensor.DType { return m.frameWidth }
-
 // narrow converts a sample to float32 frame storage.
 func (m *Monitor) narrow(s Sample) Sample {
 	if s.Frame == nil {
@@ -283,71 +280,92 @@ func (m *Monitor) Reset() {
 	m.hasRef = false
 }
 
-// MonitorState is the monitor's complete mutable state in exportable
-// form. Together with the construction parameters (window size, reference
-// lag, mode) it determines every future monitor decision, so a checkpoint
-// that round-trips it resumes the deployment's pseudo-label selection
+// MonitorState is the monitor's complete mutable state and its section of
+// the checkpoint, the sample window stored by column. Together with the
+// construction parameters (window size, reference lag, mode) it determines
+// every future monitor decision, so a checkpoint that round-trips it
+// resumes the deployment's pseudo-label selection
 // bit-exactly.
 type MonitorState struct {
-	N         int
-	RefLag    int
-	Anchored  bool
-	Reference float64
-	HasRef    bool
-	Seq       int
-	Samples   []Sample
-	Means     []float64
+	N         int              `json:"n"`
+	RefLag    int              `json:"ref_lag"`
+	Anchored  bool             `json:"anchored"`
+	Reference tensor.F64Bits   `json:"reference"`
+	HasRef    bool             `json:"has_ref"`
+	Seq       int              `json:"seq"`
+	Frames    []*tensor.Tensor `json:"frames"`
+	Scores    tensor.Floats    `json:"scores"`
+	Seqs      []int            `json:"seqs"`
+	Means     tensor.Floats    `json:"means"`
 }
 
-// ExportState captures the monitor's full state. Bookkeeping slices are
+// ExportState captures the monitor's full state. Bookkeeping columns are
 // copied; sample frames are shared when held at float64 (they are
 // immutable once pushed) and materialized to canonical float64 when the
 // monitor stores them narrowed — exported state is width-independent, so
 // checkpoints taken at f32 restore bit-exactly at either width.
 func (m *Monitor) ExportState() MonitorState {
-	samples := make([]Sample, len(m.buf))
-	for i, s := range m.buf {
-		samples[i] = Sample{Frame: s.Pix(), Score: s.Score, Seq: s.Seq}
-	}
-	return MonitorState{
+	s := MonitorState{
 		N:         m.n,
 		RefLag:    m.refLag,
 		Anchored:  m.anchored,
-		Reference: m.reference,
+		Reference: tensor.F64Bits(m.reference),
 		HasRef:    m.hasRef,
 		Seq:       m.seq,
-		Samples:   samples,
-		Means:     append([]float64(nil), m.means...),
+		Means:     append(tensor.Floats(nil), m.means...),
 	}
+	if n := len(m.buf); n > 0 {
+		s.Frames = make([]*tensor.Tensor, n)
+		s.Scores = make(tensor.Floats, n)
+		s.Seqs = make([]int, n)
+	}
+	for i, smp := range m.buf {
+		s.Frames[i], s.Scores[i], s.Seqs[i] = smp.Pix(), smp.Score, smp.Seq
+	}
+	return s
 }
 
-// ImportState replaces the monitor's state with a previously exported one,
-// including the construction parameters. It rejects state that could not
-// have come from a valid monitor.
-func (m *Monitor) ImportState(s MonitorState) error {
+// Validate rejects state that could not have come from a valid monitor
+// (it may come from outside the process); nothing is touched.
+func (s *MonitorState) Validate() error {
 	if s.N < 2 {
 		return fmt.Errorf("core: monitor state window %d must be ≥2", s.N)
 	}
 	if s.RefLag < 1 {
 		return fmt.Errorf("core: monitor state reference lag %d must be ≥1", s.RefLag)
 	}
-	if len(s.Samples) > s.N {
-		return fmt.Errorf("core: monitor state has %d samples for window %d", len(s.Samples), s.N)
+	if len(s.Frames) != len(s.Scores) || len(s.Frames) != len(s.Seqs) {
+		return fmt.Errorf("core: monitor state sample columns disagree: %d frames, %d scores, %d seqs",
+			len(s.Frames), len(s.Scores), len(s.Seqs))
 	}
-	for i, smp := range s.Samples {
-		if smp.Frame == nil && smp.frame32 == nil {
+	if len(s.Frames) > s.N {
+		return fmt.Errorf("core: monitor state has %d samples for window %d", len(s.Frames), s.N)
+	}
+	for i, f := range s.Frames {
+		if f == nil {
 			return fmt.Errorf("core: monitor state sample %d has no frame", i)
 		}
+	}
+	return nil
+}
+
+// ImportState replaces the monitor's state with a previously exported one,
+// including the construction parameters; invalid state leaves the monitor
+// untouched. Frames are shared with s, as a pushed frame is with its caller.
+func (m *Monitor) ImportState(s MonitorState) error {
+	if err := s.Validate(); err != nil {
+		return err
 	}
 	m.n = s.N
 	m.refLag = s.RefLag
 	m.anchored = s.Anchored
-	m.reference = s.Reference
+	m.reference = float64(s.Reference)
 	m.hasRef = s.HasRef
 	m.seq = s.Seq
-	m.buf = append([]Sample(nil), s.Samples...)
-	if m.frameWidth == tensor.F32 {
-		for i := range m.buf {
+	m.buf = make([]Sample, len(s.Frames))
+	for i, f := range s.Frames {
+		m.buf[i] = Sample{Frame: f, Score: s.Scores[i], Seq: s.Seqs[i]}
+		if m.frameWidth == tensor.F32 {
 			m.buf[i] = m.narrow(m.buf[i])
 		}
 	}

@@ -4,10 +4,6 @@
 // internal/embed. An anomalous video begins and ends with normal content
 // and contains one contiguous anomalous segment, mirroring the untrimmed
 // structure of the real benchmark; per-frame labels mark the segment.
-//
-// The paper's splits (train: 800 normal + 810 anomalous; test: 150 normal
-// + 140 anomalous) are reproduced by UCFSplitConfig, with a Scale knob so
-// tests and laptop experiments can run proportionally smaller corpora.
 package dataset
 
 import (
@@ -193,68 +189,6 @@ func (g *Generator) Batch(rng *rand.Rand, cls concept.Class, count int) []*Video
 		out[i] = g.Video(rng, cls)
 	}
 	return out
-}
-
-// Split is a train/test partition.
-type Split struct {
-	Train []*Video
-	Test  []*Video
-}
-
-// UCFSplitConfig mirrors the paper's dataset shape (Sec. IV-A2).
-type UCFSplitConfig struct {
-	// TrainNormal, TrainAnomalous, TestNormal, TestAnomalous are the video
-	// counts; the paper's values are 800/810/150/140.
-	TrainNormal, TrainAnomalous int
-	TestNormal, TestAnomalous   int
-	// Classes restricts the anomalous videos to these classes, cycled
-	// round-robin; nil uses all 13 UCF-Crime classes.
-	Classes []concept.Class
-}
-
-// PaperUCFSplit returns the full-scale paper configuration.
-func PaperUCFSplit() UCFSplitConfig {
-	return UCFSplitConfig{TrainNormal: 800, TrainAnomalous: 810, TestNormal: 150, TestAnomalous: 140}
-}
-
-// ScaledUCFSplit returns the paper configuration scaled by f (minimum one
-// video per bucket), used by tests and laptop-scale experiments.
-func ScaledUCFSplit(f float64) UCFSplitConfig {
-	scale := func(n int) int {
-		s := int(float64(n) * f)
-		if s < 1 {
-			s = 1
-		}
-		return s
-	}
-	return UCFSplitConfig{
-		TrainNormal:    scale(800),
-		TrainAnomalous: scale(810),
-		TestNormal:     scale(150),
-		TestAnomalous:  scale(140),
-	}
-}
-
-// UCFSplit synthesises a train/test split per cfg.
-func (g *Generator) UCFSplit(rng *rand.Rand, cfg UCFSplitConfig) *Split {
-	classes := cfg.Classes
-	if len(classes) == 0 {
-		classes = concept.AnomalyClasses()
-	}
-	mk := func(normal, anomalous int) []*Video {
-		var out []*Video
-		for i := 0; i < normal; i++ {
-			out = append(out, g.Video(rng, concept.Normal))
-		}
-		for i := 0; i < anomalous; i++ {
-			out = append(out, g.Video(rng, classes[i%len(classes)]))
-		}
-		return out
-	}
-	return &Split{
-		Train: mk(cfg.TrainNormal, cfg.TrainAnomalous),
-		Test:  mk(cfg.TestNormal, cfg.TestAnomalous),
-	}
 }
 
 // TaskVideos synthesises the single-anomaly task set used by the Fig. 5

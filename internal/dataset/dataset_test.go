@@ -105,38 +105,6 @@ func TestFrameSemanticSeparation(t *testing.T) {
 	}
 }
 
-func TestUCFSplitCounts(t *testing.T) {
-	gen := testGen(t)
-	rng := rand.New(rand.NewSource(4))
-	cfg := UCFSplitConfig{TrainNormal: 4, TrainAnomalous: 5, TestNormal: 2, TestAnomalous: 3}
-	split := gen.UCFSplit(rng, cfg)
-	if len(split.Train) != 9 || len(split.Test) != 5 {
-		t.Fatalf("split sizes %d/%d", len(split.Train), len(split.Test))
-	}
-	normals, anomalous := 0, 0
-	for _, v := range split.Train {
-		if v.Class == concept.Normal {
-			normals++
-		} else {
-			anomalous++
-		}
-	}
-	if normals != 4 || anomalous != 5 {
-		t.Errorf("train composition %d/%d", normals, anomalous)
-	}
-}
-
-func TestPaperSplitMatchesPaper(t *testing.T) {
-	cfg := PaperUCFSplit()
-	if cfg.TrainNormal != 800 || cfg.TrainAnomalous != 810 || cfg.TestNormal != 150 || cfg.TestAnomalous != 140 {
-		t.Errorf("paper split wrong: %+v", cfg)
-	}
-	s := ScaledUCFSplit(0.01)
-	if s.TrainNormal != 8 || s.TestAnomalous != 1 {
-		t.Errorf("scaled split %+v", s)
-	}
-}
-
 func TestTaskVideosComposition(t *testing.T) {
 	gen := testGen(t)
 	rng := rand.New(rand.NewSource(5))
@@ -254,32 +222,6 @@ func TestClipSourceValidation(t *testing.T) {
 	}
 	if _, err := NewClipSource(vids, 0, 4); err == nil {
 		t.Error("zero window accepted")
-	}
-}
-
-func TestBalancedClipFindsAnomalies(t *testing.T) {
-	gen := testGen(t)
-	rng := rand.New(rand.NewSource(10))
-	v := gen.Video(rng, concept.Burglary)
-	src, err := NewClipSource([]*Video{v}, 3, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits := 0
-	for trial := 0; trial < 20; trial++ {
-		_, labels := src.BalancedClip(rng, 0.3, 20)
-		anom := 0
-		for _, l := range labels {
-			if l != 0 {
-				anom++
-			}
-		}
-		if float64(anom) >= 0.3*float64(len(labels)) {
-			hits++
-		}
-	}
-	if hits < 15 {
-		t.Errorf("balanced sampling hit rate %d/20", hits)
 	}
 }
 

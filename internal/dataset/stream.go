@@ -165,24 +165,3 @@ func (c *ClipSource) NextClip(rng *rand.Rand) (frames *tensor.Tensor, labels []i
 	}
 	return frames, labels
 }
-
-// BalancedClip samples a clip whose final-frame labels are anomalous with
-// probability ≥ minAnomalyFrac when possible, retrying up to the given
-// budget — a cheap way to keep gradient signal on rare anomalies.
-func (c *ClipSource) BalancedClip(rng *rand.Rand, minAnomalyFrac float64, retries int) (*tensor.Tensor, []int) {
-	var frames *tensor.Tensor
-	var labels []int
-	for i := 0; i <= retries; i++ {
-		frames, labels = c.NextClip(rng)
-		anom := 0
-		for _, l := range labels {
-			if l != 0 {
-				anom++
-			}
-		}
-		if float64(anom) >= minAnomalyFrac*float64(len(labels)) {
-			break
-		}
-	}
-	return frames, labels
-}

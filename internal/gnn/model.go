@@ -256,6 +256,18 @@ func (m *Model) Mem() Mem {
 	return mm
 }
 
+// CheckGraph reports whether g's content could replace the model's graph
+// (checkpoint restore assigns it over *Graph() and calls Rebind): the layer
+// stack was built for one depth, and the graph must index like Rebind will
+// index it.
+func (m *Model) CheckGraph(g *kg.Graph) error {
+	if g.Depth() != m.graph.Depth() {
+		return fmt.Errorf("gnn: graph depth %d, model was built for depth %d", g.Depth(), m.graph.Depth())
+	}
+	_, err := buildLayout(g)
+	return err
+}
+
 // Rebind re-indexes the model after the KG's structure changed (node
 // pruning/creation), synchronising the token bank with the surviving
 // node set.

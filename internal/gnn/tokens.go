@@ -184,7 +184,7 @@ func (tb *TokenBank) PageBytes() (owned, shared int64) {
 }
 
 // Params implements nn.Module: one named parameter per node, sorted by id
-// for deterministic state dictionaries.
+// for a deterministic parameter order.
 func (tb *TokenBank) Params() []nn.Param {
 	ids := make([]kg.NodeID, 0, len(tb.banks))
 	for id := range tb.banks {

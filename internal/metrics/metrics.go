@@ -1,8 +1,6 @@
 // Package metrics implements the evaluation machinery of Sec. IV: exact
-// ROC-AUC with tie handling (the paper's headline metric), ROC and
-// precision-recall curves, confusion counts, and streaming statistics
-// (Welford mean/variance, histograms) used by the score-distribution
-// monitor.
+// ROC-AUC with tie handling (the paper's headline metric) and one-pass
+// streaming statistics (Welford mean/variance).
 package metrics
 
 import (
@@ -62,148 +60,6 @@ func AUC(scores []float64, labels []bool) (float64, error) {
 	return u / (float64(pos) * float64(neg)), nil
 }
 
-// ROCPoint is one operating point of the ROC curve.
-type ROCPoint struct {
-	Threshold float64
-	TPR, FPR  float64
-}
-
-// ROC returns the ROC curve at every distinct threshold, ordered from the
-// (0,0) to the (1,1) corner.
-func ROC(scores []float64, labels []bool) []ROCPoint {
-	type pair struct {
-		s   float64
-		pos bool
-	}
-	ps := make([]pair, len(scores))
-	var pos, neg float64
-	for i := range scores {
-		ps[i] = pair{scores[i], labels[i]}
-		if labels[i] {
-			pos++
-		} else {
-			neg++
-		}
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].s > ps[j].s })
-	var out []ROCPoint
-	tp, fp := 0.0, 0.0
-	i := 0
-	out = append(out, ROCPoint{Threshold: math.Inf(1)})
-	for i < len(ps) {
-		j := i
-		for j < len(ps) && ps[j].s == ps[i].s {
-			if ps[j].pos {
-				tp++
-			} else {
-				fp++
-			}
-			j++
-		}
-		pt := ROCPoint{Threshold: ps[i].s}
-		if pos > 0 {
-			pt.TPR = tp / pos
-		}
-		if neg > 0 {
-			pt.FPR = fp / neg
-		}
-		out = append(out, pt)
-		i = j
-	}
-	return out
-}
-
-// PRPoint is one operating point of the precision-recall curve.
-type PRPoint struct {
-	Threshold         float64
-	Precision, Recall float64
-}
-
-// PR returns the precision-recall curve at every distinct threshold,
-// ordered by decreasing threshold.
-func PR(scores []float64, labels []bool) []PRPoint {
-	type pair struct {
-		s   float64
-		pos bool
-	}
-	ps := make([]pair, len(scores))
-	var pos float64
-	for i := range scores {
-		ps[i] = pair{scores[i], labels[i]}
-		if labels[i] {
-			pos++
-		}
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].s > ps[j].s })
-	var out []PRPoint
-	tp, predPos := 0.0, 0.0
-	i := 0
-	for i < len(ps) {
-		j := i
-		for j < len(ps) && ps[j].s == ps[i].s {
-			if ps[j].pos {
-				tp++
-			}
-			predPos++
-			j++
-		}
-		pt := PRPoint{Threshold: ps[i].s}
-		if predPos > 0 {
-			pt.Precision = tp / predPos
-		}
-		if pos > 0 {
-			pt.Recall = tp / pos
-		}
-		out = append(out, pt)
-		i = j
-	}
-	return out
-}
-
-// Confusion counts binary outcomes at a score threshold (score ≥ threshold
-// predicts positive).
-type Confusion struct {
-	TP, FP, TN, FN int
-}
-
-// Confuse computes the confusion counts.
-func Confuse(scores []float64, labels []bool, threshold float64) Confusion {
-	var c Confusion
-	for i, s := range scores {
-		pred := s >= threshold
-		switch {
-		case pred && labels[i]:
-			c.TP++
-		case pred && !labels[i]:
-			c.FP++
-		case !pred && labels[i]:
-			c.FN++
-		default:
-			c.TN++
-		}
-	}
-	return c
-}
-
-// Accuracy returns (TP+TN)/total, or 0 for empty counts.
-func (c Confusion) Accuracy() float64 {
-	total := c.TP + c.FP + c.TN + c.FN
-	if total == 0 {
-		return 0
-	}
-	return float64(c.TP+c.TN) / float64(total)
-}
-
-// F1 returns the harmonic mean of precision and recall, or 0 when
-// undefined.
-func (c Confusion) F1() float64 {
-	denom := 2*c.TP + c.FP + c.FN
-	if denom == 0 {
-		return 0
-	}
-	return 2 * float64(c.TP) / float64(denom)
-}
-
 // Welford accumulates streaming mean and variance in one pass.
 type Welford struct {
 	n    int
@@ -235,53 +91,3 @@ func (w *Welford) Var() float64 {
 
 // Std returns the running population standard deviation.
 func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
-
-// Histogram counts observations into equal-width bins over [lo, hi);
-// values outside clamp to the boundary bins.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram returns a histogram with the given bin count.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins < 1 || hi <= lo {
-		panic(fmt.Sprintf("metrics: bad histogram [%v,%v) with %d bins", lo, hi, bins))
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add counts one observation.
-func (h *Histogram) Add(x float64) {
-	bins := len(h.Counts)
-	idx := int(float64(bins) * (x - h.Lo) / (h.Hi - h.Lo))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= bins {
-		idx = bins - 1
-	}
-	h.Counts[idx]++
-	h.total++
-}
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int { return h.total }
-
-// Quantile returns the approximate q-quantile (bin lower edge), q∈[0,1].
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return h.Lo
-	}
-	target := q * float64(h.total)
-	cum := 0.0
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		cum += float64(c)
-		if cum >= target {
-			return h.Lo + float64(i)*width
-		}
-	}
-	return h.Hi
-}

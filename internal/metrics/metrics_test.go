@@ -115,66 +115,6 @@ func TestAUCRandomScoresNearHalf(t *testing.T) {
 	}
 }
 
-func TestROCEndpointsAndMonotone(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	n := 50
-	scores := make([]float64, n)
-	labels := make([]bool, n)
-	for i := range scores {
-		scores[i] = rng.Float64()
-		labels[i] = rng.Float64() < 0.4
-	}
-	roc := ROC(scores, labels)
-	first, last := roc[0], roc[len(roc)-1]
-	if first.TPR != 0 || first.FPR != 0 {
-		t.Errorf("ROC must start at origin, got %+v", first)
-	}
-	if last.TPR != 1 || last.FPR != 1 {
-		t.Errorf("ROC must end at (1,1), got %+v", last)
-	}
-	for i := 1; i < len(roc); i++ {
-		if roc[i].TPR < roc[i-1].TPR || roc[i].FPR < roc[i-1].FPR {
-			t.Fatal("ROC not monotone")
-		}
-	}
-}
-
-func TestPRCurve(t *testing.T) {
-	scores := []float64{0.9, 0.8, 0.7, 0.6}
-	labels := []bool{true, false, true, false}
-	pr := PR(scores, labels)
-	if len(pr) != 4 {
-		t.Fatalf("points = %d", len(pr))
-	}
-	// At threshold 0.9: 1 prediction, 1 TP → precision 1, recall 0.5.
-	if pr[0].Precision != 1 || pr[0].Recall != 0.5 {
-		t.Errorf("first point %+v", pr[0])
-	}
-	// At the last threshold everything is predicted: recall 1.
-	if pr[3].Recall != 1 {
-		t.Errorf("last recall %v", pr[3].Recall)
-	}
-}
-
-func TestConfusionAndDerived(t *testing.T) {
-	scores := []float64{0.9, 0.8, 0.3, 0.1}
-	labels := []bool{true, false, true, false}
-	c := Confuse(scores, labels, 0.5)
-	if c.TP != 1 || c.FP != 1 || c.FN != 1 || c.TN != 1 {
-		t.Errorf("confusion %+v", c)
-	}
-	if c.Accuracy() != 0.5 {
-		t.Errorf("accuracy %v", c.Accuracy())
-	}
-	if c.F1() != 0.5 {
-		t.Errorf("F1 %v", c.F1())
-	}
-	var empty Confusion
-	if empty.Accuracy() != 0 || empty.F1() != 0 {
-		t.Error("empty confusion must yield 0 metrics")
-	}
-}
-
 func TestWelfordAgainstDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	var w Welford
@@ -213,40 +153,4 @@ func TestWelfordEmpty(t *testing.T) {
 	if w.Mean() != 0 || w.Var() != 0 || w.N() != 0 {
 		t.Error("empty Welford must be zeros")
 	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 1, 10)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i) / 100)
-	}
-	if h.Total() != 100 {
-		t.Errorf("total %d", h.Total())
-	}
-	for i, c := range h.Counts {
-		if c != 10 {
-			t.Errorf("bin %d count %d, want 10", i, c)
-		}
-	}
-	// Out-of-range clamps.
-	h.Add(-5)
-	h.Add(99)
-	if h.Counts[0] != 11 || h.Counts[9] != 11 {
-		t.Error("clamping broken")
-	}
-	if q := h.Quantile(0.5); q < 0.3 || q > 0.6 {
-		t.Errorf("median %v", q)
-	}
-	if h.Quantile(0) > h.Quantile(1) {
-		t.Error("quantiles not ordered")
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("bad histogram accepted")
-		}
-	}()
-	NewHistogram(1, 0, 5)
 }

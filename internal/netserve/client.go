@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"time"
+
+	"edgekg/internal/serve"
 )
 
 // ErrBusy reports a 429 from the worker: the target slot's submit queue
@@ -181,8 +183,8 @@ func (c *Client) SubmitFrame(ctx context.Context, slot int, frame []float64) (Fr
 }
 
 // Stats fetches one slot's statistics.
-func (c *Client) Stats(ctx context.Context, slot int) (StatsReply, error) {
-	var rep StatsReply
+func (c *Client) Stats(ctx context.Context, slot int) (serve.Stats, error) {
+	var rep serve.Stats
 	err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/streams/%d/stats", slot), nil, &rep)
 	return rep, err
 }

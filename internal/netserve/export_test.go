@@ -1,0 +1,4 @@
+package netserve
+
+// SetRestoreLimit lowers the restore body bound for a test.
+func (h *Handler) SetRestoreLimit(n int64) { h.restoreLimit = n }

@@ -12,15 +12,15 @@
 // queueing unboundedly — admission control at the worker. Observer
 // endpoints (stats, scores, export) run deadline-bound raw barriers on
 // the stream's loop, so they neither deadlock against a busy pipeline
-// (Server.DoContext) nor join an in-flight adaptation round early —
+// (Server.DoRawContext) nor join an in-flight adaptation round early —
 // polling a live worker does not perturb any stream's trajectory.
 package netserve
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -56,12 +56,42 @@ type Handler struct {
 	mux  *http.ServeMux
 	// gates[i] serializes slot i's submit+result round trips and counts
 	// the waiters the MaxPending admission bound applies to.
-	gates    []slotGate
-	results  []<-chan serve.Result
-	shutdown chan struct{}
-	shutOnce sync.Once
-	kill     chan struct{}
-	killOnce sync.Once
+	gates        []slotGate
+	results      []<-chan serve.Result
+	restoreLimit int64 // maxRestoreBody; tests lower it rather than post 64 MiB
+	shutdown     chan struct{}
+	shutOnce     sync.Once
+	kill         chan struct{}
+	killOnce     sync.Once
+}
+
+// Request bodies come from outside the process and are bounded before they
+// are read; a larger one is answered 413. A frame body holds FrameSize JSON
+// numbers, 32 bytes each at most (a float64 prints in 24); a restore body
+// holds one stream snapshot, whose size follows the adapted KG — tens of
+// KiB at paper scale.
+const maxRestoreBody = 64 << 20
+
+// decodeBody decodes a JSON request body of at most limit bytes into v and
+// reports whether it did; otherwise it has replied — 413 when the body ran
+// into the bound, 400 when it is not what the endpoint takes.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	body := r.Body
+	if r.ContentLength < 0 || r.ContentLength > limit {
+		// net/http itself holds a body to a declared length within the bound.
+		body = http.MaxBytesReader(w, body, limit)
+	}
+	err := json.NewDecoder(body).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, status, "bad %s: %v", what, err)
+	return false
 }
 
 type slotGate struct {
@@ -82,13 +112,14 @@ func NewHandler(srv *serve.Server, opts Options) (*Handler, error) {
 		opts.BarrierTimeout = 10 * time.Second
 	}
 	h := &Handler{
-		srv:      srv,
-		opts:     opts,
-		mux:      http.NewServeMux(),
-		gates:    make([]slotGate, srv.NumStreams()),
-		results:  make([]<-chan serve.Result, srv.NumStreams()),
-		shutdown: make(chan struct{}),
-		kill:     make(chan struct{}),
+		srv:          srv,
+		opts:         opts,
+		mux:          http.NewServeMux(),
+		gates:        make([]slotGate, srv.NumStreams()),
+		results:      make([]<-chan serve.Result, srv.NumStreams()),
+		restoreLimit: maxRestoreBody,
+		shutdown:     make(chan struct{}),
+		kill:         make(chan struct{}),
 	}
 	for i := 0; i < srv.NumStreams(); i++ {
 		ch, err := srv.Results(i)
@@ -155,8 +186,7 @@ func (h *Handler) handleFrame(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req FrameRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad frame request: %v", err)
+	if !decodeBody(w, r, int64(256+32*h.opts.FrameSize), "frame request", &req) {
 		return
 	}
 	if len(req.Frame) != h.opts.FrameSize {
@@ -209,22 +239,7 @@ func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, "stream %d stats: %v", id, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, StatsReply{
-		Stream:           st.Stream,
-		Frames:           st.Frames,
-		AdaptRounds:      st.AdaptRounds,
-		TriggeredRounds:  st.TriggeredRounds,
-		PrunedNodes:      st.PrunedNodes,
-		CreatedNodes:     st.CreatedNodes,
-		ScoringOps:       st.ScoringOps,
-		AdaptOps:         st.AdaptOps,
-		AdaptOpsPerRound: st.AdaptOpsPerRound,
-		EnergyPerAdaptJ:  st.EnergyPerAdaptJ,
-		AdaptLatencyS:    st.AdaptLatencyS,
-		ResidentBytes:    st.ResidentBytes,
-		Evictions:        st.Evictions,
-		LastErr:          st.LastErr,
-	})
+	writeJSON(w, http.StatusOK, st)
 }
 
 func (h *Handler) handleScores(w http.ResponseWriter, r *http.Request) {
@@ -306,14 +321,8 @@ func (h *Handler) handleRestore(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "reading snapshot: %v", err)
-		return
-	}
 	var ss snapshot.StreamState
-	if err := json.Unmarshal(body, &ss); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad snapshot: %v", err)
+	if !decodeBody(w, r, h.restoreLimit, "snapshot", &ss) {
 		return
 	}
 	h.rawOp(w, r, id, "restore", http.StatusConflict, func(st *serve.Stream) error { return st.Restore(&ss) })

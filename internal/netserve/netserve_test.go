@@ -96,6 +96,14 @@ func frames(t *testing.T, gen *dataset.Generator, seed int64, n int) [][]float64
 // bit-identical workers.
 func worker(t *testing.T, seed int64, nstreams int, opts netserve.Options) (*serve.Server, *netserve.Client) {
 	t.Helper()
+	srv, _, url := rawWorker(t, seed, nstreams, opts)
+	return srv, netserve.NewClient(url)
+}
+
+// rawWorker is worker for tests that speak HTTP themselves: it returns the
+// handler and the server's base URL.
+func rawWorker(t *testing.T, seed int64, nstreams int, opts netserve.Options) (*serve.Server, *netserve.Handler, string) {
+	t.Helper()
 	backbone, _ := buildBackbone(t, seed)
 	cfg := serve.DefaultConfig()
 	cfg.Stream = streamCfg()
@@ -114,7 +122,7 @@ func worker(t *testing.T, seed int64, nstreams int, opts netserve.Options) (*ser
 	}
 	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
-	return srv, netserve.NewClient(ts.URL)
+	return srv, h, ts.URL
 }
 
 // TestFrameRoundTripMatchesDirectServe pins that scoring through the

@@ -1,10 +1,10 @@
 package netserve
 
 // Wire DTOs of the HTTP/JSON serving API, shared by Handler and Client.
-// Heavy payloads (stream snapshots) reuse the internal/snapshot JSON
-// encoding verbatim — the same bytes a warm-restart checkpoint writes —
-// so a migrated stream round-trips bit-exactly through the network
-// boundary without a second codec.
+// Stream snapshots reuse the internal/snapshot JSON encoding verbatim — the
+// bytes a warm-restart checkpoint writes — so a migrated stream round-trips
+// bit-exactly through the network boundary without a second codec, and
+// GET /v1/streams/{id}/stats replies with the serve.Stats it read.
 
 // Health is GET /healthz: the worker's shape, which the router needs to
 // allocate slots.
@@ -32,25 +32,6 @@ type FrameReply struct {
 	Pruned       int    `json:"pruned,omitempty"`
 	Created      int    `json:"created,omitempty"`
 	Err          string `json:"err,omitempty"`
-}
-
-// StatsReply is GET /v1/streams/{id}/stats — the network mirror of
-// serve.Stats.
-type StatsReply struct {
-	Stream           int     `json:"stream"`
-	Frames           int     `json:"frames"`
-	AdaptRounds      int     `json:"adapt_rounds"`
-	TriggeredRounds  int     `json:"triggered_rounds"`
-	PrunedNodes      int     `json:"pruned_nodes"`
-	CreatedNodes     int     `json:"created_nodes"`
-	ScoringOps       int64   `json:"scoring_ops"`
-	AdaptOps         int64   `json:"adapt_ops"`
-	AdaptOpsPerRound int64   `json:"adapt_ops_per_round"`
-	EnergyPerAdaptJ  float64 `json:"energy_per_adapt_j"`
-	AdaptLatencyS    float64 `json:"adapt_latency_s"`
-	ResidentBytes    int64   `json:"resident_bytes"`
-	Evictions        int     `json:"evictions"`
-	LastErr          string  `json:"last_err,omitempty"`
 }
 
 // ScoresReply is GET /v1/streams/{id}/scores.

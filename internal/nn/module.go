@@ -1,16 +1,10 @@
 // Package nn provides the neural-network building blocks of the detector:
 // dense layers, batch/layer normalisation, dropout, embeddings, multi-head
 // attention and transformer encoders, together with parameter management
-// (collection, freezing, state dictionaries) shared by training and
-// deployment-time adaptation.
+// (collection, freezing) shared by training and deployment-time adaptation.
 package nn
 
-import (
-	"fmt"
-	"sort"
-
-	"edgekg/internal/autograd"
-)
+import "edgekg/internal/autograd"
 
 // Param is a named trainable tensor.
 type Param struct {
@@ -78,58 +72,4 @@ func ZeroGrad(m Module) {
 	for _, p := range m.Params() {
 		p.V.ZeroGrad()
 	}
-}
-
-// NumParams returns the total element count across m's parameters — the
-// "model size" number used in the efficiency accounting.
-func NumParams(m Module) int {
-	n := 0
-	for _, p := range m.Params() {
-		n += p.V.Data.Size()
-	}
-	return n
-}
-
-// StateDict captures every parameter's data keyed by name. The returned
-// map is JSON- and gob-serialisable.
-func StateDict(m Module) map[string][]float64 {
-	out := make(map[string][]float64)
-	for _, p := range m.Params() {
-		buf := make([]float64, p.V.Data.Size())
-		copy(buf, p.V.Data.Data())
-		if _, dup := out[p.Name]; dup {
-			panic(fmt.Sprintf("nn: duplicate parameter name %q in state dict", p.Name))
-		}
-		out[p.Name] = buf
-	}
-	return out
-}
-
-// LoadStateDict copies values from a state dictionary into m's parameters.
-// Every parameter of m must be present with matching size; extra keys are
-// an error so silently mismatched checkpoints cannot load.
-func LoadStateDict(m Module, state map[string][]float64) error {
-	seen := make(map[string]bool, len(state))
-	for _, p := range m.Params() {
-		buf, ok := state[p.Name]
-		if !ok {
-			return fmt.Errorf("nn: state dict missing parameter %q", p.Name)
-		}
-		if len(buf) != p.V.Data.Size() {
-			return fmt.Errorf("nn: parameter %q size %d does not match state %d", p.Name, p.V.Data.Size(), len(buf))
-		}
-		copy(p.V.Data.Data(), buf)
-		seen[p.Name] = true
-	}
-	if len(seen) != len(state) {
-		var extra []string
-		for k := range state {
-			if !seen[k] {
-				extra = append(extra, k)
-			}
-		}
-		sort.Strings(extra)
-		return fmt.Errorf("nn: state dict has unknown parameters %v", extra)
-	}
-	return nil
 }

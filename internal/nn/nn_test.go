@@ -236,45 +236,3 @@ func TestFreezeUnfreeze(t *testing.T) {
 		t.Error("unfrozen params got no gradient")
 	}
 }
-
-func TestStateDictRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	a := NewEncoderLayer(rng, 4, 2, 8, 0, false)
-	b := NewEncoderLayer(rand.New(rand.NewSource(99)), 4, 2, 8, 0, false)
-	state := StateDict(a)
-	if err := LoadStateDict(b, state); err != nil {
-		t.Fatal(err)
-	}
-	x := autograd.Constant(tensor.RandN(rng, 1, 3, 4))
-	ya := a.Forward(x)
-	yb := b.Forward(x)
-	if !tensor.AllClose(ya.Data, yb.Data, 1e-12) {
-		t.Error("loaded model disagrees with source")
-	}
-}
-
-func TestLoadStateDictErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	l := NewLinear(rng, 2, 2)
-	if err := LoadStateDict(l, map[string][]float64{"w": make([]float64, 4)}); err == nil {
-		t.Error("missing key must error")
-	}
-	state := StateDict(l)
-	state["bogus"] = []float64{1}
-	if err := LoadStateDict(l, state); err == nil {
-		t.Error("unknown key must error")
-	}
-	state2 := StateDict(l)
-	state2["w"] = []float64{1}
-	if err := LoadStateDict(l, state2); err == nil {
-		t.Error("size mismatch must error")
-	}
-}
-
-func TestNumParams(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	l := NewLinear(rng, 3, 4)
-	if got := NumParams(l); got != 3*4+4 {
-		t.Errorf("NumParams = %d, want 16", got)
-	}
-}

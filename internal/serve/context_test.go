@@ -20,7 +20,7 @@ import (
 // TestDoContextTimeoutOnBusyPipeline pins the deadline-bound barrier
 // variant against the Do/Results deadlock footgun: with the stream's
 // pipeline full and no consumer draining results, Do would block forever —
-// DoContext must instead give up at its deadline, and succeed normally
+// DoRawContext must instead give up at its deadline, and succeed normally
 // once the pipeline drains.
 func TestDoContextTimeoutOnBusyPipeline(t *testing.T) {
 	backbone, gen := buildBackbone(t, 1)
@@ -49,11 +49,11 @@ func TestDoContextTimeoutOnBusyPipeline(t *testing.T) {
 	defer cancel()
 	ran := make(chan struct{}, 1)
 	start := time.Now()
-	if err := srv.DoContext(ctx, 0, func(*serve.Stream) { ran <- struct{}{} }); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("DoContext on a wedged pipeline: %v, want deadline exceeded", err)
+	if err := srv.DoRawContext(ctx, 0, func(*serve.Stream) { ran <- struct{}{} }); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("DoRawContext on a wedged pipeline: %v, want deadline exceeded", err)
 	}
 	if time.Since(start) > 5*time.Second {
-		t.Fatal("DoContext did not honour its deadline")
+		t.Fatal("DoRawContext did not honour its deadline")
 	}
 	// Second barrier: the queue is now full (the abandoned fn occupies it),
 	// so this one times out in the enqueue itself and never runs at all.
@@ -73,8 +73,8 @@ func TestDoContextTimeoutOnBusyPipeline(t *testing.T) {
 	ctx3, cancel3 := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel3()
 	var frames int
-	if err := srv.DoContext(ctx3, 0, func(st *serve.Stream) { frames = st.Stats().Frames }); err != nil {
-		t.Fatalf("DoContext after drain: %v", err)
+	if err := srv.DoRawContext(ctx3, 0, func(st *serve.Stream) { frames = st.Stats().Frames }); err != nil {
+		t.Fatalf("DoRawContext after drain: %v", err)
 	}
 	if frames != len(stream) {
 		t.Fatalf("barrier saw %d frames, want %d", frames, len(stream))

@@ -1,12 +1,12 @@
 package serve_test
 
 import (
+	"encoding/json"
 	"testing"
 
 	"edgekg/internal/concept"
 	"edgekg/internal/core"
 	"edgekg/internal/serve"
-	"edgekg/internal/snapshot"
 	"edgekg/internal/tensor"
 )
 
@@ -104,20 +104,23 @@ func TestServeCheckpointAtF32IsCanonical(t *testing.T) {
 	}
 
 	state := mon.ExportState()
-	for i, smp := range state.Samples {
-		if smp.Frame == nil {
+	for i, frame := range state.Frames {
+		if frame == nil {
 			t.Fatalf("sample %d: exported state must carry canonical f64 frames", i)
 		}
-		for _, v := range smp.Frame.Data() {
+		for _, v := range frame.Data() {
 			if float64(float32(v)) != v {
 				t.Fatalf("sample %d: exported frame value %v is not a float32-representable canonical value", i, v)
 			}
 		}
 	}
 
-	wire := snapshot.EncodeMonitor(state)
-	decoded, err := snapshot.DecodeMonitor(wire)
+	wire, err := json.Marshal(state)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded core.MonitorState
+	if err := json.Unmarshal(wire, &decoded); err != nil {
 		t.Fatal(err)
 	}
 
@@ -132,11 +135,11 @@ func TestServeCheckpointAtF32IsCanonical(t *testing.T) {
 	}
 	orig := mon.ExportState()
 	got := back.ExportState()
-	if len(got.Samples) != len(orig.Samples) {
-		t.Fatalf("sample count %d != %d", len(got.Samples), len(orig.Samples))
+	if len(got.Frames) != len(orig.Frames) {
+		t.Fatalf("sample count %d != %d", len(got.Frames), len(orig.Frames))
 	}
-	for i := range got.Samples {
-		a, b := got.Samples[i].Pix().Data(), orig.Samples[i].Pix().Data()
+	for i := range got.Frames {
+		a, b := got.Frames[i].Data(), orig.Frames[i].Data()
 		for j := range a {
 			if a[j] != b[j] {
 				t.Fatalf("sample %d pixel %d: %v != %v after round trip", i, j, a[j], b[j])
@@ -157,8 +160,8 @@ func TestServeCheckpointAtF32IsCanonical(t *testing.T) {
 		t.Errorf("f32-restored monitor %d bytes ≥ f64-restored %d", back32.MemBytes(), back.MemBytes())
 	}
 	got32 := back32.ExportState()
-	for i := range got32.Samples {
-		a, b := got32.Samples[i].Pix().Data(), orig.Samples[i].Pix().Data()
+	for i := range got32.Frames {
+		a, b := got32.Frames[i].Data(), orig.Frames[i].Data()
 		for j := range a {
 			if a[j] != b[j] {
 				t.Fatalf("f32 restore sample %d pixel %d: %v != %v", i, j, a[j], b[j])

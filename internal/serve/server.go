@@ -307,14 +307,6 @@ func (s *Server) EvictStream(stream int) error {
 	return s.rawErr(stream, (*Stream).Evict)
 }
 
-// ReleaseStream permanently drops stream i's state through a raw barrier:
-// the stream was migrated or failed over to another worker, the slot will
-// never serve its key again, and its resident bytes must stop being
-// charged here. See Stream.Release.
-func (s *Server) ReleaseStream(stream int) error {
-	return s.rawErr(stream, (*Stream).Release)
-}
-
 // MemLedger exposes the server's resident-bytes ledger.
 func (s *Server) MemLedger() *flops.MemLedger { return s.mem }
 
@@ -374,8 +366,8 @@ func (s *Server) Do(stream int, fn func(*Stream)) error {
 }
 
 // rawErr runs an error-returning fn on the stream's loop behind a raw
-// (non-joining) barrier without a deadline — what the checkpoint, evict,
-// release and restore entry points share.
+// (non-joining) barrier without a deadline — what the checkpoint, evict
+// and restore entry points share.
 func (s *Server) rawErr(stream int, fn func(*Stream) error) error {
 	var err error
 	if berr := s.barrierContext(context.Background(), stream, func(st *Stream) { err = fn(st) }, true); berr != nil {
@@ -384,23 +376,17 @@ func (s *Server) rawErr(stream int, fn func(*Stream) error) error {
 	return err
 }
 
-// DoContext is Do with a deadline: it gives up with ctx.Err() instead of
-// blocking forever when the stream's loop cannot reach the barrier — the
-// variant network handlers must use, because an HTTP goroutine has no
-// guarantee the stream's Results are being drained (the Do deadlock
-// documented above). When ctx fires after the barrier was already
-// enqueued, fn may still run later on the loop; fn must therefore
+// DoRawContext is Do with a deadline and without the round join. It gives
+// up with ctx.Err() instead of blocking forever when the stream's loop
+// cannot reach the barrier — what network handlers must use, because an
+// HTTP goroutine has no guarantee the stream's Results are being drained
+// (the Do deadlock documented above). When ctx fires after the barrier was
+// already enqueued, fn may still run later on the loop; fn must therefore
 // communicate through owned channels (as StatsContext does), never by
-// writing variables the caller reads after DoContext returns.
-func (s *Server) DoContext(ctx context.Context, stream int, fn func(*Stream)) error {
-	return s.barrierContext(ctx, stream, fn, false)
-}
-
-// DoRawContext is DoContext without the round join: fn observes the
-// stream between frames but an in-flight background adaptation round is
-// not joined early, so its frame-deterministic swap schedule survives.
-// Use it for observers (stats, score history, checkpoint captures) that
-// must not perturb a live stream's trajectory.
+// writing variables the caller reads after DoRawContext returns. An
+// in-flight background adaptation round is not joined early, so observers
+// (stats, score history, checkpoint captures) do not perturb a live
+// stream's frame-deterministic trajectory.
 func (s *Server) DoRawContext(ctx context.Context, stream int, fn func(*Stream)) error {
 	return s.barrierContext(ctx, stream, fn, true)
 }
@@ -459,13 +445,13 @@ func (s *Server) StreamStats(stream int) (Stats, error) {
 // raw barrier: safe to call from a goroutine that is not draining the
 // stream's Results (it fails with ctx.Err() instead of deadlocking), and
 // safe on a live adaptive stream (the in-flight round is not joined
-// early, so the poll does not perturb the trajectory — resident bytes
-// come from StatsRaw's settled ledger figure).
+// early, so the poll does not perturb the trajectory; see Stream.Stats for
+// the resident figure meanwhile).
 func (s *Server) StatsContext(ctx context.Context, stream int) (Stats, error) {
 	// Buffered so a barrier that runs after the deadline fired still
 	// completes without blocking the loop on an abandoned channel.
 	ch := make(chan Stats, 1)
-	if err := s.DoRawContext(ctx, stream, func(st *Stream) { ch <- st.StatsRaw() }); err != nil {
+	if err := s.DoRawContext(ctx, stream, func(st *Stream) { ch <- st.Stats() }); err != nil {
 		return Stats{}, err
 	}
 	return <-ch, nil

@@ -441,9 +441,6 @@ func (st *Stream) Release() error {
 	return nil
 }
 
-// Released reports whether the stream's state was permanently dropped.
-func (st *Stream) Released() bool { return st.released }
-
 // dropSpill deletes the stream's spill file without rehydrating, used by
 // Shutdown when a rehydration attempt failed: the state is unrecoverable,
 // but the disk must not keep the orphan.
@@ -647,29 +644,30 @@ func (st *Stream) Sync() error {
 	return err
 }
 
-// Stats summarises the stream for cost tables and dashboards.
+// Stats summarises the stream for cost tables and dashboards; its JSON form
+// is the body of the worker API's GET /v1/streams/{id}/stats.
 type Stats struct {
-	Stream           int
-	Frames           int
-	AdaptRounds      int
-	TriggeredRounds  int
-	PrunedNodes      int
-	CreatedNodes     int
-	ScoringOps       int64
-	AdaptOps         int64
-	AdaptOpsPerRound int64
+	Stream           int   `json:"stream"`
+	Frames           int   `json:"frames"`
+	AdaptRounds      int   `json:"adapt_rounds"`
+	TriggeredRounds  int   `json:"triggered_rounds"`
+	PrunedNodes      int   `json:"pruned_nodes"`
+	CreatedNodes     int   `json:"created_nodes"`
+	ScoringOps       int64 `json:"scoring_ops"`
+	AdaptOps         int64 `json:"adapt_ops"`
+	AdaptOpsPerRound int64 `json:"adapt_ops_per_round"`
 	// EnergyPerAdaptJ and AdaptLatencyS follow from the device profile.
-	EnergyPerAdaptJ float64
-	AdaptLatencyS   float64
+	EnergyPerAdaptJ float64 `json:"energy_per_adapt_j"`
+	AdaptLatencyS   float64 `json:"adapt_latency_s"`
 	// ResidentBytes is the memory charged to the stream (zero while its
 	// state is spilled); Evictions counts spill round-trips.
-	ResidentBytes int64
-	Evictions     int
+	ResidentBytes int64 `json:"resident_bytes"`
+	Evictions     int   `json:"evictions"`
 	// LastErr is the text of the stream's most recent retained error —
 	// a failed adaptation round, background eviction or rehydration —
 	// empty when everything succeeded. Background eviction failures have
 	// no Result to surface on, so this field is where they become loud.
-	LastErr string
+	LastErr string `json:"last_err,omitempty"`
 }
 
 // configPin summarises the stream's configuration for checkpoint
@@ -730,15 +728,16 @@ func (st *Stream) Export() (*snapshot.StreamState, error) {
 		return nil, fmt.Errorf("serve: stream %d was built over a %T random source; checkpointing requires *rng.Source", st.id, st.src)
 	}
 	ss.RNG = src.State()
-	ss.Scores = append(snapshot.Floats(nil), st.scores...)
-	ss.Monitor = snapshot.EncodeMonitor(st.mon.ExportState())
+	ss.Scores = append(tensor.Floats(nil), st.scores...)
+	ss.Monitor = st.mon.ExportState()
 	det, err := snapshot.CaptureDetector(st.det)
 	if err != nil {
 		return nil, fmt.Errorf("serve: stream %d: %w", st.id, err)
 	}
 	ss.Detector = det
 	if st.adapter != nil {
-		ss.Adapter = snapshot.EncodeAdapter(st.adapter.ExportState())
+		ad := st.adapter.ExportState()
+		ss.Adapter = &ad
 	}
 	if st.pending != nil {
 		scoreDet, err := snapshot.CaptureDetector(st.scoreDet)
@@ -747,7 +746,7 @@ func (st *Stream) Export() (*snapshot.StreamState, error) {
 		}
 		ss.Pending = &snapshot.PendingState{
 			SwapFrame: st.pending.swapFrame,
-			Report:    snapshot.EncodeReport(st.pending.rep),
+			Report:    st.pending.rep,
 			ScoreDet:  scoreDet,
 		}
 		if st.pending.err != nil {
@@ -823,8 +822,11 @@ func (st *Stream) Restore(ss *snapshot.StreamState) error {
 	return st.restoreState(ss)
 }
 
-// restoreState overwrites a resident stream's state with ss. Everything
-// that can fail runs before the counters, RNG and ledger are committed.
+// restoreState overwrites a resident stream's state with ss. ss may come
+// from outside the process, so every section is validated before anything
+// is touched: a restore that fails leaves the stream scoring exactly as
+// before. Nothing of ss is retained but the monitor's frames, which no one
+// writes.
 func (st *Stream) restoreState(ss *snapshot.StreamState) error {
 	if (st.adapter != nil) != (ss.Adapter != nil) {
 		return fmt.Errorf("%w: stream %d adaptive=%t, checkpoint adapter state present=%t", ErrCheckpointMismatch, st.id, st.adapter != nil, ss.Adapter != nil)
@@ -832,27 +834,24 @@ func (st *Stream) restoreState(ss *snapshot.StreamState) error {
 	if ss.Pending != nil && st.cfg.AdaptLagFrames <= 0 {
 		return fmt.Errorf("%w: stream %d checkpoint has a pending round but adaptation is synchronous", ErrCheckpointMismatch, st.id)
 	}
-	// Settle any in-flight round before overwriting the state it mutates.
+	// Let an in-flight round finish computing before reading or overwriting
+	// the state it mutates; it is dropped once ss is known to be good.
 	if st.pending != nil {
 		st.pending.g.Wait()
-		st.pending = nil
 	}
-	if err := snapshot.RestoreDetector(st.det, ss.Detector); err != nil {
-		return fmt.Errorf("serve: stream %d: %w", st.id, err)
-	}
-	monState, err := snapshot.DecodeMonitor(ss.Monitor)
+	live, scoring, err := st.checkState(ss)
 	if err != nil {
 		return fmt.Errorf("serve: stream %d: %w", st.id, err)
 	}
-	if err := st.mon.ImportState(monState); err != nil {
+	st.pending = nil
+	if err := live.Install(st.det); err != nil {
+		return fmt.Errorf("serve: stream %d: %w", st.id, err)
+	}
+	if err := st.mon.ImportState(ss.Monitor); err != nil {
 		return fmt.Errorf("serve: stream %d: %w", st.id, err)
 	}
 	if st.adapter != nil {
-		adState, err := snapshot.DecodeAdapter(ss.Adapter)
-		if err != nil {
-			return fmt.Errorf("serve: stream %d: %w", st.id, err)
-		}
-		if err := st.adapter.ImportState(adState); err != nil {
+		if err := st.adapter.ImportState(*ss.Adapter); err != nil {
 			return fmt.Errorf("serve: stream %d: %w", st.id, err)
 		}
 	} else {
@@ -870,11 +869,11 @@ func (st *Stream) restoreState(ss *snapshot.StreamState) error {
 		if err != nil {
 			return fmt.Errorf("serve: stream %d pending round: %w", st.id, err)
 		}
-		if err := snapshot.RestoreDetector(snap, ss.Pending.ScoreDet); err != nil {
+		if err := scoring.Install(snap); err != nil {
 			snap.DiscardClone()
 			return fmt.Errorf("serve: stream %d pending round: %w", st.id, err)
 		}
-		p := &pendingRound{swapFrame: ss.Pending.SwapFrame, rep: snapshot.DecodeReport(ss.Pending.Report)}
+		p := &pendingRound{swapFrame: ss.Pending.SwapFrame, rep: ss.Pending.Report}
 		if ss.Pending.Err != "" {
 			p.err = errors.New(ss.Pending.Err)
 		}
@@ -888,6 +887,39 @@ func (st *Stream) restoreState(ss *snapshot.StreamState) error {
 	// detector, so the breakdown is safe to read here.
 	st.updateMem()
 	return nil
+}
+
+// checkState validates every section of ss against the live stream without
+// touching it: both detector states (returned ready to install), the
+// monitor's window and the size of every frame in it, and the adapter's
+// moments against the checkpoint's own token banks.
+func (st *Stream) checkState(ss *snapshot.StreamState) (live, scoring *snapshot.DetectorRestore, err error) {
+	if live, err = snapshot.CheckDetector(st.det, ss.Detector); err != nil {
+		return nil, nil, err
+	}
+	if ss.Pending != nil {
+		if scoring, err = snapshot.CheckDetector(st.det, ss.Pending.ScoreDet); err != nil {
+			return nil, nil, fmt.Errorf("pending round: %w", err)
+		}
+	}
+	if err := ss.Monitor.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if ss.Monitor.N != st.mon.N() || ss.Monitor.Anchored != st.mon.Anchored() {
+		return nil, nil, fmt.Errorf("%w: monitor window %d anchored=%t, checkpoint monitor window %d anchored=%t",
+			ErrCheckpointMismatch, st.mon.N(), st.mon.Anchored(), ss.Monitor.N, ss.Monitor.Anchored)
+	}
+	for i, f := range ss.Monitor.Frames {
+		if want := st.det.Space().PixDim(); f.Size() != want {
+			return nil, nil, fmt.Errorf("monitor sample %d has %d features, frames have %d", i, f.Size(), want)
+		}
+	}
+	if ss.Adapter != nil {
+		if err := ss.Adapter.Validate(live.Banks); err != nil {
+			return nil, nil, err
+		}
+	}
+	return live, scoring, nil
 }
 
 // importCounters adopts a checkpoint's frame/round counters, retained
@@ -906,32 +938,13 @@ func (st *Stream) importCounters(ss *snapshot.StreamState) {
 }
 
 // Stats returns the stream's accumulated statistics. Like every Stream
-// method it must not race the processing goroutine — read it through
-// Server.Do or after the stream has drained.
+// method it must not race the processing goroutine — read it through a
+// Server barrier or after the stream has drained. Behind a raw barrier a
+// background round may be mutating the detector, and the resident figure
+// cannot be recomputed (the breakdown walks graph and bank storage): while
+// one is pending it is the last settled ledger report. Every other field
+// reads loop-owned counters or the mutex-guarded cost ledger and is exact.
 func (st *Stream) Stats() Stats {
-	s := st.statsCommon()
-	s.ResidentBytes = st.MemBreakdown().Resident()
-	return s
-}
-
-// StatsRaw is Stats for observers that hold only a raw barrier (no round
-// join): while a background round is mutating the detector the resident
-// figure cannot be recomputed (the breakdown walks graph and bank
-// storage), so it comes from the last settled ledger report instead —
-// every other field reads loop-owned counters or the mutex-guarded cost
-// ledger and is exact.
-func (st *Stream) StatsRaw() Stats {
-	s := st.statsCommon()
-	switch {
-	case st.pending == nil:
-		s.ResidentBytes = st.MemBreakdown().Resident()
-	case st.mem != nil:
-		s.ResidentBytes = st.mem.Stream(st.id).Resident()
-	}
-	return s
-}
-
-func (st *Stream) statsCommon() Stats {
 	s := Stats{
 		Stream:          st.id,
 		Frames:          st.frames,
@@ -942,6 +955,12 @@ func (st *Stream) statsCommon() Stats {
 		ScoringOps:      st.ledger.PhaseOps(PhaseScoring),
 		AdaptOps:        st.ledger.PhaseOps(PhaseAdaptation),
 		Evictions:       st.evictions,
+	}
+	switch {
+	case st.pending == nil:
+		s.ResidentBytes = st.MemBreakdown().Resident()
+	case st.mem != nil:
+		s.ResidentBytes = st.mem.Stream(st.id).Resident()
 	}
 	if st.lastErr != nil {
 		s.LastErr = st.lastErr.Error()

@@ -17,8 +17,12 @@
 //
 // Wire format: one JSON document (encoding/json emits struct fields in
 // declaration order and sorts map keys, so serialization is
-// deterministic) with every float64 buffer encoded as base64 IEEE-754
-// bit patterns for bit-exact round-trips. Files are written
+// deterministic). Each part of it is declared once, by its owner: this
+// package owns the format/version envelope, the per-stream record and the
+// detector section; the monitor, adapter and round-report sections are the
+// state structs core exports, graphs are kg.Graph's own JSON, ledger totals
+// are flops.PhaseTotals, and every float and tensor is encoded bit-exactly
+// by internal/tensor (Floats, F64Bits, Tensor). Files are written
 // temp-then-rename so a crash mid-write never corrupts the previous good
 // checkpoint, and a format/version header fails loudly on mismatch.
 package snapshot
@@ -104,11 +108,11 @@ type StreamState struct {
 	// grow-then-compact slack — the compaction schedule depends on the
 	// buffer length, so the exact buffer must round-trip for the resumed
 	// retention behaviour to match the uninterrupted run.
-	Scores Floats `json:"scores"`
+	Scores tensor.Floats `json:"scores"`
 
 	Detector DetectorState                `json:"detector"`
-	Monitor  MonitorState                 `json:"monitor"`
-	Adapter  *AdapterState                `json:"adapter,omitempty"`
+	Monitor  core.MonitorState            `json:"monitor"`
+	Adapter  *core.AdapterState           `json:"adapter,omitempty"`
 	Pending  *PendingState                `json:"pending,omitempty"`
 	Ledger   map[string]flops.PhaseTotals `json:"ledger"`
 }
@@ -130,93 +134,8 @@ type GraphState struct {
 
 // BankState is one node's token embedding matrix.
 type BankState struct {
-	Node   int    `json:"node"`
-	Tokens Tensor `json:"tokens"`
-}
-
-// MonitorState is the wire form of core.MonitorState.
-type MonitorState struct {
-	N         int      `json:"n"`
-	RefLag    int      `json:"ref_lag"`
-	Anchored  bool     `json:"anchored"`
-	Reference F64      `json:"reference"`
-	HasRef    bool     `json:"has_ref"`
-	Seq       int      `json:"seq"`
-	Frames    []Tensor `json:"frames"`
-	Scores    Floats   `json:"scores"`
-	Seqs      []int    `json:"seqs"`
-	Means     Floats   `json:"means"`
-}
-
-// AdapterState is the wire form of core.AdapterState.
-type AdapterState struct {
-	Created  int                     `json:"created"`
-	Trackers []map[kg.NodeID]Tracker `json:"trackers"`
-	RowNorms []map[kg.NodeID]Floats  `json:"row_norms"`
-	OptStep  int                     `json:"opt_step"`
-	OptM     map[string]Tensor       `json:"opt_m"`
-	OptV     map[string]Tensor       `json:"opt_v"`
-}
-
-// Tracker is one node's convergence-tracker state.
-type Tracker struct {
-	LastDist  F64  `json:"last_dist"`
-	HasLast   bool `json:"has_last"`
-	IncStreak int  `json:"inc_streak"`
-}
-
-// Report is the wire form of core.AdaptReport. Its floats are bit-pattern
-// encoded like every other float in the format: a diverged round can
-// legitimately carry NaN loss or node distances, and a checkpoint save
-// must survive that rather than abort on json.Marshal.
-type Report struct {
-	Triggered     bool                `json:"triggered"`
-	K             int                 `json:"k"`
-	DeltaM        F64                 `json:"delta_m"`
-	Loss          F64                 `json:"loss"`
-	NodeDistances []map[kg.NodeID]F64 `json:"node_distances,omitempty"`
-	Pruned        []kg.NodeID         `json:"pruned,omitempty"`
-	Created       []kg.NodeID         `json:"created,omitempty"`
-}
-
-// EncodeReport converts an adaptation report to wire form.
-func EncodeReport(r core.AdaptReport) Report {
-	w := Report{
-		Triggered: r.Triggered,
-		K:         r.K,
-		DeltaM:    F64(r.DeltaM),
-		Loss:      F64(r.Loss),
-		Pruned:    append([]kg.NodeID(nil), r.Pruned...),
-		Created:   append([]kg.NodeID(nil), r.Created...),
-	}
-	for _, dists := range r.NodeDistances {
-		m := make(map[kg.NodeID]F64, len(dists))
-		for id, d := range dists {
-			m[id] = F64(d)
-		}
-		w.NodeDistances = append(w.NodeDistances, m)
-	}
-	return w
-}
-
-// DecodeReport converts a wire report back.
-func DecodeReport(w Report) core.AdaptReport {
-	r := core.AdaptReport{
-		Triggered: w.Triggered,
-		K:         w.K,
-		DeltaM:    float64(w.DeltaM),
-		Loss:      float64(w.Loss),
-		Pruned:    append([]kg.NodeID(nil), w.Pruned...),
-		Created:   append([]kg.NodeID(nil), w.Created...),
-	}
-	for _, dists := range w.NodeDistances {
-		m := make(map[kg.NodeID]float64, len(dists))
-		for id, d := range dists {
-			m[id] = float64(d)
-		}
-		r.NodeDistances = append(r.NodeDistances, m)
-	}
-	return r
+	Node   int            `json:"node"`
+	Tokens *tensor.Tensor `json:"tokens"`
 }
 
 // PendingState is an in-flight asynchronous adaptation round at snapshot
@@ -227,119 +146,15 @@ func DecodeReport(w Report) core.AdaptReport {
 // count at which the swap — and the round's report — becomes visible,
 // exactly as in the uninterrupted run.
 type PendingState struct {
-	SwapFrame int           `json:"swap_frame"`
-	Report    Report        `json:"report"`
-	Err       string        `json:"err,omitempty"`
-	ScoreDet  DetectorState `json:"score_det"`
-}
-
-// EncodeMonitor converts a monitor's exported state to wire form.
-func EncodeMonitor(s core.MonitorState) MonitorState {
-	w := MonitorState{
-		N:         s.N,
-		RefLag:    s.RefLag,
-		Anchored:  s.Anchored,
-		Reference: F64(s.Reference),
-		HasRef:    s.HasRef,
-		Seq:       s.Seq,
-		Means:     append(Floats(nil), s.Means...),
-	}
-	for _, smp := range s.Samples {
-		w.Frames = append(w.Frames, EncodeTensor(smp.Pix()))
-		w.Scores = append(w.Scores, smp.Score)
-		w.Seqs = append(w.Seqs, smp.Seq)
-	}
-	return w
-}
-
-// DecodeMonitor converts a wire monitor state back.
-func DecodeMonitor(w MonitorState) (core.MonitorState, error) {
-	if len(w.Frames) != len(w.Scores) || len(w.Frames) != len(w.Seqs) {
-		return core.MonitorState{}, fmt.Errorf("snapshot: monitor sample columns disagree: %d frames, %d scores, %d seqs",
-			len(w.Frames), len(w.Scores), len(w.Seqs))
-	}
-	s := core.MonitorState{
-		N:         w.N,
-		RefLag:    w.RefLag,
-		Anchored:  w.Anchored,
-		Reference: float64(w.Reference),
-		HasRef:    w.HasRef,
-		Seq:       w.Seq,
-		Means:     append([]float64(nil), w.Means...),
-	}
-	for i := range w.Frames {
-		frame, err := DecodeTensor(w.Frames[i])
-		if err != nil {
-			return core.MonitorState{}, fmt.Errorf("snapshot: monitor sample %d: %w", i, err)
-		}
-		s.Samples = append(s.Samples, core.Sample{Frame: frame, Score: w.Scores[i], Seq: w.Seqs[i]})
-	}
-	return s, nil
-}
-
-// EncodeAdapter converts an adapter's exported state to wire form.
-func EncodeAdapter(s core.AdapterState) *AdapterState {
-	w := &AdapterState{
-		Created: s.Created,
-		OptStep: s.OptStep,
-		OptM:    make(map[string]Tensor, len(s.OptM)),
-		OptV:    make(map[string]Tensor, len(s.OptV)),
-	}
-	for gi := range s.Trackers {
-		trs := make(map[kg.NodeID]Tracker, len(s.Trackers[gi]))
-		for id, tr := range s.Trackers[gi] {
-			trs[id] = Tracker{LastDist: F64(tr.LastDist), HasLast: tr.HasLast, IncStreak: tr.IncStreak}
-		}
-		w.Trackers = append(w.Trackers, trs)
-	}
-	for gi := range s.RowNorms {
-		norms := make(map[kg.NodeID]Floats, len(s.RowNorms[gi]))
-		for id, ns := range s.RowNorms[gi] {
-			norms[id] = append(Floats(nil), ns...)
-		}
-		w.RowNorms = append(w.RowNorms, norms)
-	}
-	for name, t := range s.OptM {
-		w.OptM[name] = EncodeTensor(t)
-	}
-	for name, t := range s.OptV {
-		w.OptV[name] = EncodeTensor(t)
-	}
-	return w
-}
-
-// DecodeAdapter converts a wire adapter state back.
-func DecodeAdapter(w *AdapterState) (core.AdapterState, error) {
-	s := core.AdapterState{
-		Created: w.Created,
-		OptStep: w.OptStep,
-	}
-	for gi := range w.Trackers {
-		trs := make(map[kg.NodeID]core.TrackerState, len(w.Trackers[gi]))
-		for id, tr := range w.Trackers[gi] {
-			trs[id] = core.TrackerState{LastDist: float64(tr.LastDist), HasLast: tr.HasLast, IncStreak: tr.IncStreak}
-		}
-		s.Trackers = append(s.Trackers, trs)
-	}
-	for gi := range w.RowNorms {
-		norms := make(map[kg.NodeID][]float64, len(w.RowNorms[gi]))
-		for id, ns := range w.RowNorms[gi] {
-			norms[id] = append([]float64(nil), ns...)
-		}
-		s.RowNorms = append(s.RowNorms, norms)
-	}
-	var err error
-	if s.OptM, err = decodeTensorMap(w.OptM, "first moment"); err != nil {
-		return core.AdapterState{}, err
-	}
-	if s.OptV, err = decodeTensorMap(w.OptV, "second moment"); err != nil {
-		return core.AdapterState{}, err
-	}
-	return s, nil
+	SwapFrame int              `json:"swap_frame"`
+	Report    core.AdaptReport `json:"report"`
+	Err       string           `json:"err,omitempty"`
+	ScoreDet  DetectorState    `json:"score_det"`
 }
 
 // CaptureDetector serializes a detector's per-stream mutable state: every
-// mission graph plus its token bank. The shared backbone is untouched.
+// mission graph plus a copy of its token bank (the adapter goes on writing
+// the live one). The shared backbone is untouched.
 func CaptureDetector(det *core.Detector) (DetectorState, error) {
 	var ds DetectorState
 	for gi := 0; gi < det.NumGNNs(); gi++ {
@@ -350,65 +165,88 @@ func CaptureDetector(det *core.Detector) (DetectorState, error) {
 		}
 		gs := GraphState{Graph: raw}
 		for _, id := range m.Tokens().NodeIDs() {
-			gs.Banks = append(gs.Banks, BankState{
-				Node:   int(id),
-				Tokens: EncodeTensor(m.Tokens().Bank(id).Data),
-			})
+			gs.Banks = append(gs.Banks, BankState{Node: int(id), Tokens: m.Tokens().Snapshot(id)})
 		}
 		ds.Graphs = append(ds.Graphs, gs)
 	}
 	return ds, nil
 }
 
-// RestoreDetector replaces a detector's per-stream mutable state with the
-// serialized one: each graph is rebuilt in place, the model re-indexed
-// (Rebind), and every node's token matrix installed. The detector should
-// be a fresh clone of the same backbone the checkpoint was taken over.
-func RestoreDetector(det *core.Detector, ds DetectorState) error {
+// DetectorRestore is a DetectorState that CheckDetector found restorable:
+// its decoded graphs, and its token matrices by graph index and node (what
+// the same checkpoint's adapter section is validated against).
+type DetectorRestore struct {
+	graphs []*kg.Graph
+	Banks  []map[kg.NodeID]*tensor.Tensor
+}
+
+// CheckDetector validates ds (which may come from outside the process)
+// against the detector it is to be restored into, touching nothing: one
+// graph per mission KG, each decodable and acceptable to its model, and
+// exactly one (k ≥ 1 × dim) token matrix per reasoning node.
+func CheckDetector(det *core.Detector, ds DetectorState) (*DetectorRestore, error) {
 	if len(ds.Graphs) != det.NumGNNs() {
-		return fmt.Errorf("snapshot: checkpoint has %d graphs, detector has %d", len(ds.Graphs), det.NumGNNs())
+		return nil, fmt.Errorf("snapshot: checkpoint has %d graphs, detector has %d", len(ds.Graphs), det.NumGNNs())
+	}
+	r := &DetectorRestore{
+		graphs: make([]*kg.Graph, len(ds.Graphs)),
+		Banks:  make([]map[kg.NodeID]*tensor.Tensor, len(ds.Graphs)),
 	}
 	for gi, gs := range ds.Graphs {
 		m := det.GNN(gi)
-		if err := json.Unmarshal(gs.Graph, m.Graph()); err != nil {
-			return fmt.Errorf("snapshot: graph %d: %w", gi, err)
+		g := new(kg.Graph)
+		if err := json.Unmarshal(gs.Graph, g); err != nil {
+			return nil, fmt.Errorf("snapshot: graph %d: %w", gi, err)
+		}
+		if err := m.CheckGraph(g); err != nil {
+			return nil, fmt.Errorf("snapshot: graph %d: %w", gi, err)
+		}
+		// The banks must cover exactly the graph's reasoning nodes.
+		reasoning := 0
+		for _, n := range g.Nodes() {
+			if n.Kind == kg.Reasoning {
+				reasoning++
+			}
+		}
+		if len(gs.Banks) != reasoning {
+			return nil, fmt.Errorf("snapshot: graph %d has %d token banks, graph wants %d", gi, len(gs.Banks), reasoning)
+		}
+		banks := make(map[kg.NodeID]*tensor.Tensor, reasoning)
+		for _, bs := range gs.Banks {
+			id := kg.NodeID(bs.Node)
+			if n := g.Node(id); n == nil || n.Kind != kg.Reasoning || banks[id] != nil {
+				return nil, fmt.Errorf("snapshot: graph %d token bank for node %d has no reasoning node or is given twice", gi, bs.Node)
+			}
+			t := bs.Tokens
+			if t == nil {
+				return nil, fmt.Errorf("snapshot: graph %d node %d has no token matrix", gi, bs.Node)
+			}
+			if t.Dims() != 2 || t.Rows() < 1 || t.Cols() != m.Tokens().Dim() {
+				return nil, fmt.Errorf("snapshot: graph %d node %d token shape %v, want (k ≥ 1 × %d)", gi, bs.Node, t.Shape(), m.Tokens().Dim())
+			}
+			banks[id] = t
+		}
+		r.graphs[gi], r.Banks[gi] = g, banks
+	}
+	return r, nil
+}
+
+// Install replaces the per-stream mutable state of det — the detector r
+// was checked against, or a clone of it — with the checked one: each
+// graph's content is replaced in place, a copy of every node's token matrix
+// installed (one state restores any number of streams), the model re-indexed.
+func (r *DetectorRestore) Install(det *core.Detector) error {
+	for gi, g := range r.graphs {
+		m := det.GNN(gi)
+		*m.Graph() = *g
+		// Banks first: Rebind then finds one for every reasoning node, keeps
+		// exactly those, and never derives a default from the graph's text.
+		for id, t := range r.Banks[gi] {
+			m.Tokens().Install(id, t.Clone())
 		}
 		if err := m.Rebind(); err != nil {
 			return fmt.Errorf("snapshot: rebind graph %d: %w", gi, err)
 		}
-		// Rebind's SyncWith established a bank per reasoning node; the
-		// serialized banks must cover exactly that set.
-		live := m.Tokens().NodeIDs()
-		if len(gs.Banks) != len(live) {
-			return fmt.Errorf("snapshot: graph %d has %d token banks, graph wants %d", gi, len(gs.Banks), len(live))
-		}
-		for _, bs := range gs.Banks {
-			id := kg.NodeID(bs.Node)
-			if !m.Tokens().Has(id) {
-				return fmt.Errorf("snapshot: graph %d token bank for node %d not in restored graph", gi, bs.Node)
-			}
-			t, err := DecodeTensor(bs.Tokens)
-			if err != nil {
-				return fmt.Errorf("snapshot: graph %d node %d tokens: %w", gi, bs.Node, err)
-			}
-			if t.Dims() != 2 || t.Cols() != m.Tokens().Dim() {
-				return fmt.Errorf("snapshot: graph %d node %d token shape %v, want (k × %d)",
-					gi, bs.Node, t.Shape(), m.Tokens().Dim())
-			}
-			m.Tokens().Install(id, t)
-		}
 	}
 	return nil
-}
-
-func decodeTensorMap(in map[string]Tensor, what string) (map[string]*tensor.Tensor, error) {
-	out := make(map[string]*tensor.Tensor, len(in))
-	for name, w := range in {
-		t, err := DecodeTensor(w)
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: %s %q: %w", what, name, err)
-		}
-		out[name] = t
-	}
-	return out, nil
 }

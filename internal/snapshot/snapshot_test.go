@@ -8,71 +8,11 @@ import (
 	"strings"
 	"testing"
 
+	"edgekg/internal/core"
 	"edgekg/internal/flops"
 	"edgekg/internal/kg"
 	"edgekg/internal/tensor"
 )
-
-// TestFloatsBitExactRoundTrip pins the codec guarantee the resume
-// equivalence suite stands on: every float64 bit pattern — negative zero,
-// subnormals, infinities, NaN payloads — survives the JSON round trip
-// unchanged.
-func TestFloatsBitExactRoundTrip(t *testing.T) {
-	vals := Floats{
-		0, math.Copysign(0, -1), 1.0 / 3.0, -math.Pi,
-		math.SmallestNonzeroFloat64, math.MaxFloat64,
-		math.Inf(1), math.Inf(-1), math.NaN(),
-		math.Float64frombits(0x7FF8DEADBEEF0001), // NaN with payload
-	}
-	data, err := json.Marshal(vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Floats
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(vals) {
-		t.Fatalf("round trip changed length: %d -> %d", len(vals), len(back))
-	}
-	for i := range vals {
-		if math.Float64bits(back[i]) != math.Float64bits(vals[i]) {
-			t.Errorf("value %d: %x -> %x", i, math.Float64bits(vals[i]), math.Float64bits(back[i]))
-		}
-	}
-}
-
-// TestTensorCodec pins shape validation on the tensor wire form.
-func TestTensorCodec(t *testing.T) {
-	src := tensor.FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	w := EncodeTensor(src)
-	back, err := DecodeTensor(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Rows() != 2 || back.Cols() != 3 {
-		t.Fatalf("shape %v after round trip", back.Shape())
-	}
-	for i, v := range back.Data() {
-		if v != src.Data()[i] {
-			t.Fatalf("data[%d] = %v, want %v", i, v, src.Data()[i])
-		}
-	}
-	// Mutating the decoded tensor must not alias the wire payload.
-	back.Data()[0] = 99
-	if w.Data[0] == 99 {
-		t.Fatal("decoded tensor aliases wire payload")
-	}
-	if _, err := DecodeTensor(Tensor{Shape: []int{2, 2}, Data: Floats{1, 2, 3}}); err == nil {
-		t.Fatal("shape/data mismatch accepted")
-	}
-	if _, err := DecodeTensor(Tensor{Shape: nil, Data: Floats{1}}); err == nil {
-		t.Fatal("missing shape accepted")
-	}
-	if _, err := DecodeTensor(Tensor{Shape: []int{-1, 2}, Data: Floats{}}); err == nil {
-		t.Fatal("negative dimension accepted")
-	}
-}
 
 // tinyCheckpoint builds a synthetic, structurally plausible checkpoint.
 func tinyCheckpoint() *Checkpoint {
@@ -80,12 +20,12 @@ func tinyCheckpoint() *Checkpoint {
 	cp.Streams[0] = StreamState{
 		ID:     0,
 		Frames: 7,
-		Scores: Floats{0.25, 0.5},
+		Scores: tensor.Floats{0.25, 0.5},
 		Ledger: map[string]flops.PhaseTotals{"scoring": {Ops: 10, Bytes: 20, Events: 7}},
-		Monitor: MonitorState{
+		Monitor: core.MonitorState{
 			N: 4, RefLag: 1, Anchored: true, Reference: 0.9, HasRef: true, Seq: 7,
-			Frames: []Tensor{EncodeTensor(tensor.FromSlice([]float64{1, 2}, 1, 2))},
-			Scores: Floats{0.5}, Seqs: []int{6}, Means: Floats{0.5},
+			Frames: []*tensor.Tensor{tensor.FromSlice([]float64{1, 2}, 1, 2)},
+			Scores: tensor.Floats{0.5}, Seqs: []int{6}, Means: tensor.Floats{0.5},
 		},
 		Detector: DetectorState{Graphs: []GraphState{{Graph: json.RawMessage(`{}`)}}},
 	}
@@ -225,27 +165,29 @@ func TestSaveIsAtomic(t *testing.T) {
 	}
 }
 
-// TestScalarFloatsSurviveNaN pins that the scalar float fields (monitor
-// reference, tracker distances, pending-round report) use the bit-pattern
-// codec too: a degenerate trajectory carrying NaN must still checkpoint
-// and round-trip bit-exactly instead of aborting json.Marshal.
+// TestScalarFloatsSurviveNaN pins that the scalar float fields of the
+// component sections (monitor reference, tracker distances, pending-round
+// report) are declared with the bit-pattern type: a degenerate trajectory
+// carrying NaN must still checkpoint and round-trip bit-exactly instead of
+// aborting json.Marshal.
 func TestScalarFloatsSurviveNaN(t *testing.T) {
+	nan, inf := tensor.F64Bits(math.NaN()), tensor.F64Bits(math.Inf(1))
 	cp := tinyCheckpoint()
-	cp.Streams[0].Monitor.Reference = F64(math.NaN())
-	cp.Streams[0].Adapter = &AdapterState{
-		Trackers: []map[kg.NodeID]Tracker{{3: {LastDist: F64(math.Inf(1)), HasLast: true}}},
-		RowNorms: []map[kg.NodeID]Floats{{}},
-		OptM:     map[string]Tensor{},
-		OptV:     map[string]Tensor{},
+	cp.Streams[0].Monitor.Reference = nan
+	cp.Streams[0].Adapter = &core.AdapterState{
+		Trackers: []map[kg.NodeID]core.TrackerState{{3: {LastDist: inf, HasLast: true}}},
+		RowNorms: []map[kg.NodeID]tensor.Floats{{}},
+		OptM:     map[string]*tensor.Tensor{},
+		OptV:     map[string]*tensor.Tensor{},
 	}
 	cp.Streams[0].Pending = &PendingState{
 		SwapFrame: 12,
-		Report: Report{
+		Report: core.AdaptReport{
 			Triggered:     true,
 			K:             2,
-			DeltaM:        F64(math.NaN()),
-			Loss:          F64(math.Inf(-1)),
-			NodeDistances: []map[kg.NodeID]F64{{7: F64(math.NaN())}},
+			DeltaM:        nan,
+			Loss:          -inf,
+			NodeDistances: []map[kg.NodeID]tensor.F64Bits{{7: nan}},
 		},
 		ScoreDet: DetectorState{Graphs: []GraphState{{Graph: json.RawMessage(`{}`)}}},
 	}
@@ -260,20 +202,17 @@ func TestScalarFloatsSurviveNaN(t *testing.T) {
 	if !math.IsNaN(float64(got.Streams[0].Monitor.Reference)) {
 		t.Error("NaN reference did not round-trip")
 	}
-	if !math.IsNaN(float64(got.Streams[0].Pending.Report.DeltaM)) {
-		t.Error("NaN report DeltaM did not round-trip")
+	rep := got.Streams[0].Pending.Report
+	if !math.IsNaN(float64(rep.DeltaM)) || rep.K != 2 || !rep.Triggered {
+		t.Errorf("report %+v lost fields", rep)
 	}
-	if !math.IsInf(float64(got.Streams[0].Pending.Report.Loss), -1) {
+	if !math.IsInf(float64(rep.Loss), -1) {
 		t.Error("-Inf report loss did not round-trip")
 	}
-	if !math.IsNaN(float64(got.Streams[0].Pending.Report.NodeDistances[0][7])) {
+	if !math.IsNaN(float64(rep.NodeDistances[0][7])) {
 		t.Error("NaN node distance did not round-trip")
 	}
 	if !math.IsInf(float64(got.Streams[0].Adapter.Trackers[0][3].LastDist), 1) {
 		t.Error("+Inf tracker distance did not round-trip")
-	}
-	dec := DecodeReport(got.Streams[0].Pending.Report)
-	if !math.IsNaN(dec.DeltaM) || dec.K != 2 || !dec.Triggered {
-		t.Errorf("decoded report %+v lost fields", dec)
 	}
 }

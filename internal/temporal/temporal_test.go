@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"edgekg/internal/autograd"
-	"edgekg/internal/nn"
 	"edgekg/internal/tensor"
 )
 
@@ -160,7 +159,7 @@ func TestParamsNamedUniquely(t *testing.T) {
 		}
 		seen[p.Name] = true
 	}
-	if nn.NumParams(m) == 0 {
+	if len(seen) == 0 {
 		t.Error("no parameters")
 	}
 }
