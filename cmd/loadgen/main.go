@@ -4,8 +4,7 @@
 // hashes the camera keys across the workers, and submits frames either
 // closed-loop (-rate 0: lockstep submit/receive, nothing shed — the mode
 // deterministic continuity checks use) or open-loop (a fixed arrival rate
-// per camera, with optional bursts, latency counted from each frame's
-// scheduled arrival). The open-loop pacer is for overload and shedding
+// per camera, latency counted from each frame's scheduled arrival). The open-loop pacer is for overload and shedding
 // drills — push arrivals past capacity, watch 429s, sheds and recovery —
 // not for measuring latency: paced from inside a process on shared cores
 // it measures the Go timer (bench/README.md, "Method"); latency and
@@ -85,8 +84,6 @@ func main() {
 		streams     = flag.Int("streams", 8, "camera stream count across the fleet")
 		frames      = flag.Int("frames", 48, "frames per camera")
 		rate        = flag.Float64("rate", 0, "open-loop arrival rate per camera in frames/s (0 = closed-loop lockstep)")
-		burstEvery  = flag.Int("burst-every", 0, "every Nth open-loop arrival starts a burst (0 disables)")
-		burstSize   = flag.Int("burst-size", 0, "arrivals sharing the burst instant")
 		initial     = flag.String("initial", "Stealing", "anomaly class every camera starts on")
 		shifted     = flag.String("shifted", "Robbery", "anomaly class cameras drift to")
 		driftAt     = flag.Int("drift-at", 16, "frame index at which camera 0's trend shifts")
@@ -181,12 +178,10 @@ func main() {
 	}
 
 	sc := shard.Scenario{
-		Keys:       keys,
-		Frames:     *frames,
-		Rate:       *rate,
-		BurstEvery: *burstEvery,
-		BurstSize:  *burstSize,
-		Frame:      func(key string, seq int) []float64 { return schedules[key][seq] },
+		Keys:   keys,
+		Frames: *frames,
+		Rate:   *rate,
+		Frame:  func(key string, seq int) []float64 { return schedules[key][seq] },
 	}
 	if *migrate != "" {
 		key, at, to, err := parseMigrate(*migrate)

@@ -30,7 +30,6 @@ import (
 	"edgekg/internal/dataset"
 	"edgekg/internal/experiments"
 	"edgekg/internal/kg"
-	"edgekg/internal/kggen"
 	"edgekg/internal/netserve"
 	"edgekg/internal/retrieval"
 	"edgekg/internal/rng"
@@ -450,22 +449,14 @@ func (ss *StreamServer) ProcessFrame(stream int, frame []float64) (FrameResult, 
 	if len(frame) != ss.sys.FrameSize() {
 		return FrameResult{}, fmt.Errorf("edgekg: frame length %d, want %d", len(frame), ss.sys.FrameSize())
 	}
-	pix := tensor.FromSlice(append([]float64(nil), frame...), len(frame))
-	if err := ss.srv.Submit(stream, pix); err != nil {
-		return FrameResult{}, err
-	}
-	results, err := ss.srv.Results(stream)
+	res, err := ss.srv.Process(stream, tensor.FromSlice(append([]float64(nil), frame...), len(frame)))
 	if err != nil {
 		return FrameResult{}, err
 	}
-	res, ok := <-results
-	if !ok {
-		return FrameResult{}, fmt.Errorf("edgekg: stream %d closed", stream)
-	}
-	// Scoring itself cannot fail; a non-nil error reports an adaptation
-	// round's failure, so the frame's score is still valid and returned
-	// alongside it (the frame was scored and entered the monitor — do not
-	// resubmit it).
+	// A non-nil res.Err reports an adaptation round's failure — the frame's
+	// score is still valid and returned alongside it (the frame was scored
+	// and entered the monitor; do not resubmit it) — or a refused frame
+	// (serve.ErrBadFrame: it scored non-finite and the stream ignored it).
 	return frameResult(res), res.Err
 }
 
@@ -489,9 +480,10 @@ func (ss *StreamServer) MemStats() (resident, budget int64) {
 // RecentScores returns a copy of the stream's retained score history
 // (requires ServeOptions.ScoreHistory > 0).
 func (ss *StreamServer) RecentScores(stream int) ([]float64, error) {
-	var scores []float64
-	err := ss.srv.Do(stream, func(st *serve.Stream) { scores = st.Scores() })
-	return scores, err
+	return serve.Call(context.Background(), ss.srv, stream, func(st *serve.Stream) ([]float64, error) {
+		st.Sync()
+		return st.Scores(), nil
+	})
 }
 
 // TestAUC evaluates one stream's adapted detector against freshly
@@ -503,15 +495,10 @@ func (ss *StreamServer) TestAUC(stream int, class string) (float64, error) {
 	if !ok || cls == concept.Normal {
 		return 0, fmt.Errorf("edgekg: unknown anomaly class %q", class)
 	}
-	var auc float64
-	var evalErr error
-	err := ss.srv.Do(stream, func(st *serve.Stream) {
-		auc, evalErr = ss.sys.env.EvalAUC(st.Detector(), cls, ss.sys.env.Scale.Seed+999)
+	return serve.Call(context.Background(), ss.srv, stream, func(st *serve.Stream) (float64, error) {
+		st.Sync()
+		return ss.sys.env.EvalAUC(st.Detector(), cls, ss.sys.env.Scale.Seed+999)
 	})
-	if err != nil {
-		return 0, err
-	}
-	return auc, evalErr
 }
 
 // SaveCheckpoint persists every stream's complete adaptation state to a
@@ -634,25 +621,6 @@ func (ss *StreamServer) NetListen(addr string, opts NetServeOptions) error {
 	case err := <-errc:
 		return fmt.Errorf("edgekg: serving %s: %w", addr, err)
 	}
-}
-
-// GenerateKGOnly runs mission-specific KG generation without training and
-// returns the graph's JSON — what cmd/kggen prints.
-func GenerateKGOnly(mission string, seed int64) ([]byte, error) {
-	cls, ok := concept.ClassByName(mission)
-	if !ok || cls == concept.Normal {
-		return nil, fmt.Errorf("edgekg: unknown mission %q", mission)
-	}
-	env, err := experiments.NewEnv(experiments.QuickScale())
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	g, _, err := kggen.Generate(env.NewLLM(seed), mission, env.GenOptions(), rng)
-	if err != nil {
-		return nil, err
-	}
-	return g.MarshalJSON()
 }
 
 // StreamClass returns frames drawn from the dataset stream abstraction —

@@ -285,19 +285,6 @@ func TestCameraSchedulesDerivation(t *testing.T) {
 	}
 }
 
-func TestGenerateKGOnly(t *testing.T) {
-	data, err := GenerateKGOnly("Robbery", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "robbery") {
-		t.Error("generated KG JSON lacks mission concept")
-	}
-	if _, err := GenerateKGOnly("Nope", 3); err == nil {
-		t.Error("unknown mission accepted")
-	}
-}
-
 func TestRetrainResetsDeployment(t *testing.T) {
 	sys := trainedSystem(t)
 	if err := sys.DeployAdaptive(); err != nil {

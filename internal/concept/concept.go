@@ -226,29 +226,3 @@ func (o *Ontology) profileVector(c Class) []float64 {
 	}
 	return v
 }
-
-// Neighborhood returns the set of concepts reachable from seeds within
-// depth hops, excluding the seeds themselves, sorted alphabetically.
-func (o *Ontology) Neighborhood(seeds []string, depth int) []string {
-	seen := make(map[string]bool, len(seeds))
-	for _, s := range seeds {
-		seen[s] = true
-	}
-	frontier := append([]string(nil), seeds...)
-	var out []string
-	for d := 0; d < depth; d++ {
-		var next []string
-		for _, c := range frontier {
-			for _, r := range o.Related(c) {
-				if !seen[r.Concept] {
-					seen[r.Concept] = true
-					next = append(next, r.Concept)
-					out = append(out, r.Concept)
-				}
-			}
-		}
-		frontier = next
-	}
-	sort.Strings(out)
-	return out
-}

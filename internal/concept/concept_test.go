@@ -138,33 +138,6 @@ func TestEveryAnomalyClassDistinctFromNormal(t *testing.T) {
 	}
 }
 
-func TestNeighborhoodExpansion(t *testing.T) {
-	o := Builtin()
-	n1 := o.Neighborhood([]string{"stealing"}, 1)
-	if len(n1) == 0 {
-		t.Fatal("stealing has no neighbourhood")
-	}
-	for _, c := range n1 {
-		if c == "stealing" {
-			t.Error("neighbourhood contains seed")
-		}
-	}
-	n2 := o.Neighborhood([]string{"stealing"}, 2)
-	if len(n2) <= len(n1) {
-		t.Errorf("depth-2 neighbourhood (%d) not larger than depth-1 (%d)", len(n2), len(n1))
-	}
-	// Determinism.
-	n2b := o.Neighborhood([]string{"stealing"}, 2)
-	if len(n2) != len(n2b) {
-		t.Fatal("neighbourhood not deterministic")
-	}
-	for i := range n2 {
-		if n2[i] != n2b[i] {
-			t.Fatal("neighbourhood order not deterministic")
-		}
-	}
-}
-
 // Chains needed by deep KG generation must exist: a weapon-danger chain
 // from robbery and a violence chain from fighting.
 func TestCuratedReasoningChains(t *testing.T) {

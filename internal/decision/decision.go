@@ -67,38 +67,6 @@ func (h *Head) Params() []nn.Param {
 	return nn.Prefix("linear", h.linear.Params())
 }
 
-// Scores decomposes a probability matrix (batch × n+1) into the paper's
-// quantities for each row: pN, pA = 1−pN, and the conditional anomaly
-// distribution p(i|A) (zero vector when pA vanishes).
-type Scores struct {
-	PN  []float64
-	PA  []float64
-	PiA [][]float64
-}
-
-// Decompose computes Scores from a probability tensor.
-func Decompose(probs *tensor.Tensor) Scores {
-	b, c := probs.Rows(), probs.Cols()
-	s := Scores{
-		PN:  make([]float64, b),
-		PA:  make([]float64, b),
-		PiA: make([][]float64, b),
-	}
-	for i := 0; i < b; i++ {
-		row := probs.Row(i)
-		s.PN[i] = row[0]
-		s.PA[i] = 1 - row[0]
-		cond := make([]float64, c-1)
-		if s.PA[i] > 1e-12 {
-			for j := 1; j < c; j++ {
-				cond[j-1] = row[j] / s.PA[i]
-			}
-		}
-		s.PiA[i] = cond
-	}
-	return s
-}
-
 // AnomalyScores extracts pA per row from a probability tensor — the
 // anomaly score the monitor tracks.
 func AnomalyScores(probs *tensor.Tensor) []float64 {

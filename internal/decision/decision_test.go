@@ -42,27 +42,6 @@ func TestHeadValidation(t *testing.T) {
 	}
 }
 
-func TestDecompose(t *testing.T) {
-	probs := tensor.FromSlice([]float64{
-		0.7, 0.2, 0.1,
-		1.0, 0.0, 0.0,
-	}, 2, 3)
-	s := Decompose(probs)
-	if math.Abs(s.PN[0]-0.7) > 1e-12 || math.Abs(s.PA[0]-0.3) > 1e-12 {
-		t.Errorf("row0 pN=%v pA=%v", s.PN[0], s.PA[0])
-	}
-	// p(i|A) renormalises over anomaly classes.
-	if math.Abs(s.PiA[0][0]-2.0/3) > 1e-12 || math.Abs(s.PiA[0][1]-1.0/3) > 1e-12 {
-		t.Errorf("row0 p(i|A) = %v", s.PiA[0])
-	}
-	// Degenerate pA=0: conditional is all zeros, not NaN.
-	for _, v := range s.PiA[1] {
-		if v != 0 || math.IsNaN(v) {
-			t.Errorf("degenerate conditional = %v", s.PiA[1])
-		}
-	}
-}
-
 func TestAnomalyScores(t *testing.T) {
 	probs := tensor.FromSlice([]float64{0.9, 0.1, 0.25, 0.75}, 2, 2)
 	got := AnomalyScores(probs)

@@ -1,10 +1,6 @@
 package flops
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
+import "sync"
 
 // CloudConstants carries the cloud-side cost figures Table I states for
 // the GPT-4 KG-update baseline. They are constants of the paper's
@@ -135,17 +131,6 @@ func (l *Ledger) PhaseEvents(phase string) int64 {
 	return 0
 }
 
-// TotalOps returns the ledger-wide op count.
-func (l *Ledger) TotalOps() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var total int64
-	for _, p := range l.phases {
-		total += p.ops
-	}
-	return total
-}
-
 // PhaseTotals is one phase's accumulated costs in exportable form — what
 // a checkpoint persists so a warm-restarted deployment's cost tables
 // continue from the pre-restart totals.
@@ -174,25 +159,4 @@ func (l *Ledger) Import(totals map[string]PhaseTotals) {
 	for name, t := range totals {
 		l.phases[name] = &phaseCost{ops: t.Ops, bytes: t.Bytes, events: t.Events}
 	}
-}
-
-// Phases returns the recorded phase names, sorted.
-func (l *Ledger) Phases() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]string, 0, len(l.phases))
-	for k := range l.phases {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Summary renders the ledger for logs.
-func (l *Ledger) Summary() string {
-	out := ""
-	for _, ph := range l.Phases() {
-		out += fmt.Sprintf("%s: ops=%d events=%d\n", ph, l.PhaseOps(ph), l.PhaseEvents(ph))
-	}
-	return out
 }

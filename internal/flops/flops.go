@@ -71,14 +71,6 @@ func (c *Counter) Bytes() int64 {
 	return s
 }
 
-// Reset zeroes the counter.
-func (c *Counter) Reset() {
-	for i := range c.shards {
-		c.shards[i].ops.Store(0)
-		c.shards[i].bytes.Store(0)
-	}
-}
-
 var active atomic.Pointer[Counter]
 
 // SetActive installs c as the process-wide active counter. Tensor operations

@@ -12,10 +12,6 @@ func TestCounterBasics(t *testing.T) {
 	if c.Ops() != 100 || c.Bytes() != 8 {
 		t.Errorf("counter = %d/%d", c.Ops(), c.Bytes())
 	}
-	c.Reset()
-	if c.Ops() != 0 || c.Bytes() != 0 {
-		t.Error("reset failed")
-	}
 }
 
 func TestActiveCounterSwap(t *testing.T) {
@@ -107,18 +103,8 @@ func TestLedger(t *testing.T) {
 	if l.PhaseEvents("a") != 2 {
 		t.Errorf("events = %d", l.PhaseEvents("a"))
 	}
-	if l.TotalOps() != 22 {
-		t.Errorf("total = %d", l.TotalOps())
-	}
-	phases := l.Phases()
-	if len(phases) != 2 || phases[0] != "a" || phases[1] != "b" {
-		t.Errorf("phases = %v", phases)
-	}
 	ops := l.Meter("c", func() { Add(9) })
 	if ops != 9 || l.PhaseOps("c") != 9 {
 		t.Errorf("meter = %d", ops)
-	}
-	if l.Summary() == "" {
-		t.Error("empty summary")
 	}
 }

@@ -55,14 +55,6 @@ func (l *MemLedger) Update(stream int, b MemBreakdown) {
 	l.mu.Unlock()
 }
 
-// Remove drops a stream's row entirely (stream teardown).
-func (l *MemLedger) Remove(stream int) {
-	l.mu.Lock()
-	l.total -= l.streams[stream].Resident()
-	delete(l.streams, stream)
-	l.mu.Unlock()
-}
-
 // Stream returns a stream's last reported breakdown (zero value when the
 // stream never reported).
 func (l *MemLedger) Stream(stream int) MemBreakdown {
@@ -92,11 +84,4 @@ func (l *MemLedger) OverBudget() (int64, bool) {
 		return 0, false
 	}
 	return t - l.budget, true
-}
-
-// NumStreams returns how many streams have reported.
-func (l *MemLedger) NumStreams() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.streams)
 }

@@ -218,24 +218,13 @@ func TestTokenBankInstallAndSnapshot(t *testing.T) {
 	m.Tokens().Install(id, tensor.Ones(2, m.Tokens().Dim()+1))
 }
 
-func TestTokenBankNodeEmbeddingIsMean(t *testing.T) {
-	m, _, g := newTestModel(t)
-	id := g.NodesAtLevel(1)[0].ID
-	bank := m.Tokens().Bank(id)
-	want := tensor.MeanAxis0(bank.Data)
-	got := m.Tokens().NodeEmbedding(id)
-	if !tensor.AllClose(got.Data.Reshape(want.Size()), want, 1e-12) {
-		t.Error("NodeEmbedding is not the token mean")
-	}
-}
-
 func TestNodeInitialEmbeddingAlignsWithConcept(t *testing.T) {
 	m, space, g := newTestModel(t)
 	for _, n := range g.Nodes() {
 		if n.Kind != kg.Reasoning {
 			continue
 		}
-		emb := m.Tokens().NodeEmbedding(n.ID).Data.Reshape(space.Dim())
+		emb := tensor.MeanAxis0(m.Tokens().Bank(n.ID).Data)
 		cos := tensor.CosineSimilarity(emb, space.WordVector(n.Concept))
 		if cos < 0.8 {
 			t.Errorf("node %q initial embedding misaligned: cos %v", n.Concept, cos)

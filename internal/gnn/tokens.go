@@ -70,12 +70,6 @@ func (tb *TokenBank) Bank(id kg.NodeID) *autograd.Value {
 	return b
 }
 
-// NodeEmbedding returns the node's (1 × dim) feature: the mean of its
-// token embeddings, differentiable into the bank.
-func (tb *TokenBank) NodeEmbedding(id kg.NodeID) *autograd.Value {
-	return autograd.MeanRows(tb.Bank(id))
-}
-
 // Snapshot returns a deep copy of a node's token matrix — the "old token
 // embeddings" side of the convergence distance test (Fig. 4A).
 func (tb *TokenBank) Snapshot(id kg.NodeID) *tensor.Tensor {

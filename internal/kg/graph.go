@@ -260,11 +260,6 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// OutNeighbors returns the destinations of a node's out-edges, sorted.
-func (g *Graph) OutNeighbors(id NodeID) []NodeID {
-	return sortedIDs(g.out[id])
-}
-
 // InNeighbors returns the sources of a node's in-edges, sorted.
 func (g *Graph) InNeighbors(id NodeID) []NodeID {
 	return sortedIDs(g.in[id])

@@ -1,6 +1,5 @@
 // Package metrics implements the evaluation machinery of Sec. IV: exact
-// ROC-AUC with tie handling (the paper's headline metric) and one-pass
-// streaming statistics (Welford mean/variance).
+// ROC-AUC with tie handling (the paper's headline metric).
 package metrics
 
 import (
@@ -59,35 +58,3 @@ func AUC(scores []float64, labels []bool) (float64, error) {
 	u := rankSumPos - float64(pos)*float64(pos+1)/2
 	return u / (float64(pos) * float64(neg)), nil
 }
-
-// Welford accumulates streaming mean and variance in one pass.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add incorporates one observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the observation count.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (0 before any observation).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the running population variance.
-func (w *Welford) Var() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// Std returns the running population standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }

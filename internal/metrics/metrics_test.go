@@ -114,43 +114,3 @@ func TestAUCRandomScoresNearHalf(t *testing.T) {
 		t.Errorf("mean random AUC = %v, want ≈0.5", avg)
 	}
 }
-
-func TestWelfordAgainstDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	var w Welford
-	var xs []float64
-	for i := 0; i < 1000; i++ {
-		x := rng.NormFloat64()*3 + 7
-		xs = append(xs, x)
-		w.Add(x)
-	}
-	mean := 0.0
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	variance := 0.0
-	for _, x := range xs {
-		variance += (x - mean) * (x - mean)
-	}
-	variance /= float64(len(xs))
-	if math.Abs(w.Mean()-mean) > 1e-9 {
-		t.Errorf("mean %v vs %v", w.Mean(), mean)
-	}
-	if math.Abs(w.Var()-variance) > 1e-9 {
-		t.Errorf("var %v vs %v", w.Var(), variance)
-	}
-	if w.N() != 1000 {
-		t.Errorf("N = %d", w.N())
-	}
-	if math.Abs(w.Std()-math.Sqrt(variance)) > 1e-9 {
-		t.Error("std mismatch")
-	}
-}
-
-func TestWelfordEmpty(t *testing.T) {
-	var w Welford
-	if w.Mean() != 0 || w.Var() != 0 || w.N() != 0 {
-		t.Error("empty Welford must be zeros")
-	}
-}

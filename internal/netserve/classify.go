@@ -19,8 +19,7 @@ import (
 type StatusError struct {
 	// Code is the HTTP status code.
 	Code int
-	// Op names the failed operation ("POST /v1/streams/3/frames",
-	// "export slot 3").
+	// Op names the failed request ("POST /v1/streams/3/frames").
 	Op string
 	// Msg is the worker's ErrorReply text, when the body carried one.
 	Msg string

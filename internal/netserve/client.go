@@ -26,10 +26,8 @@ const DefaultTimeout = 60 * time.Second
 
 // Client is the typed consumer of one worker's HTTP API.
 type Client struct {
-	base    string
-	http    *http.Client
-	retries int
-	backoff time.Duration
+	base string
+	http *http.Client
 }
 
 // ClientOption tunes a Client at construction.
@@ -47,21 +45,6 @@ func WithTimeout(d time.Duration) ClientOption {
 	}
 }
 
-// WithRetry retries transiently failed idempotent requests (GETs: health,
-// stats, scores, export) up to attempts extra times, sleeping backoff
-// between tries. Frame submits and other POSTs are never retried here —
-// they are not idempotent, and the shard layer's failover owns their
-// redelivery semantics.
-func WithRetry(attempts int, backoff time.Duration) ClientOption {
-	return func(c *Client) {
-		if attempts < 0 {
-			attempts = 0
-		}
-		c.retries = attempts
-		c.backoff = backoff
-	}
-}
-
 // NewClient returns a client for the worker at base (e.g.
 // "http://127.0.0.1:9701") with the default per-request timeout.
 func NewClient(base string, opts ...ClientOption) *Client {
@@ -72,71 +55,56 @@ func NewClient(base string, opts ...ClientOption) *Client {
 	return c
 }
 
-// retryGet runs fn (one idempotent round trip), retrying transient
-// failures per the client's retry policy.
-func (c *Client) retryGet(ctx context.Context, fn func() error) error {
-	err := fn()
-	for i := 0; i < c.retries && IsTransient(err); i++ {
-		select {
-		case <-ctx.Done():
-			return err
-		case <-time.After(c.backoff):
-		}
-		err = fn()
+// roundTrip issues one request (body, when non-nil, is JSON bytes) and
+// returns the worker's 2xx response with its body unread, for the caller
+// to consume and close. Any other status is mapped here, once: 429 to
+// ErrBusy, the rest to a typed *StatusError carrying the ErrorReply text.
+// Nothing is retried: redelivery belongs to the shard layer's failover.
+func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
 	}
-	return err
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode/100 == 2 {
+		return resp, nil
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusTooManyRequests {
+		io.Copy(io.Discard, resp.Body)
+		return nil, ErrBusy
+	}
+	se := &StatusError{Code: resp.StatusCode, Op: method + " " + path}
+	var er ErrorReply
+	if json.NewDecoder(resp.Body).Decode(&er) == nil {
+		se.Msg = er.Error
+	}
+	return nil, se
 }
 
-// do issues one request and decodes the JSON reply into out (when out is
-// non-nil). Non-2xx replies decode the ErrorReply body into a typed
-// *StatusError; 429 maps to ErrBusy. GETs retry per the client's policy.
-func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
-	var buf []byte
-	if body != nil {
-		var err error
-		if buf, err = json.Marshal(body); err != nil {
-			return err
-		}
+// do is roundTrip with the JSON reply decoded into out (when non-nil),
+// streaming.
+func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
+	resp, err := c.roundTrip(ctx, method, path, body)
+	if err != nil {
+		return err
 	}
-	attempt := func() error {
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(buf)
-		}
-		req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
-		if err != nil {
-			return err
-		}
-		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		resp, err := c.http.Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode == http.StatusTooManyRequests {
-			io.Copy(io.Discard, resp.Body)
-			return ErrBusy
-		}
-		if resp.StatusCode/100 != 2 {
-			se := &StatusError{Code: resp.StatusCode, Op: method + " " + path}
-			var er ErrorReply
-			if json.NewDecoder(resp.Body).Decode(&er) == nil {
-				se.Msg = er.Error
-			}
-			return se
-		}
-		if out == nil {
-			io.Copy(io.Discard, resp.Body)
-			return nil
-		}
-		return json.NewDecoder(resp.Body).Decode(out)
+	defer resp.Body.Close()
+	if out == nil {
+		io.Copy(io.Discard, resp.Body)
+		return nil
 	}
-	if method == http.MethodGet {
-		return c.retryGet(ctx, attempt)
-	}
-	return attempt()
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // Health probes the worker, returning its shape.
@@ -175,7 +143,10 @@ func (c *Client) WaitReady(ctx context.Context) (Health, error) {
 // retrying it verbatim will not help.
 func (c *Client) SubmitFrame(ctx context.Context, slot int, frame []float64) (FrameReply, error) {
 	var rep FrameReply
-	err := c.do(ctx, http.MethodPost, fmt.Sprintf("/v1/streams/%d/frames", slot), FrameRequest{Frame: frame}, &rep)
+	body, err := json.Marshal(FrameRequest{Frame: frame})
+	if err == nil {
+		err = c.do(ctx, http.MethodPost, fmt.Sprintf("/v1/streams/%d/frames", slot), body, &rep)
+	}
 	if err == nil && rep.Err != "" {
 		err = fmt.Errorf("netserve: submit slot %d: %s", slot, rep.Err)
 	}
@@ -212,58 +183,17 @@ func (c *Client) Release(ctx context.Context, slot int) error {
 // snapshot JSON bytes — passed to RestoreRaw verbatim, so a migration
 // never re-encodes the state it moves.
 func (c *Client) ExportRaw(ctx context.Context, slot int) ([]byte, error) {
-	var body []byte
-	attempt := func() error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, fmt.Sprintf("%s/v1/streams/%d/export", c.base, slot), nil)
-		if err != nil {
-			return err
-		}
-		resp, err := c.http.Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if body, err = io.ReadAll(resp.Body); err != nil {
-			return err
-		}
-		if resp.StatusCode/100 != 2 {
-			se := &StatusError{Code: resp.StatusCode, Op: fmt.Sprintf("export slot %d", slot)}
-			var er ErrorReply
-			if json.Unmarshal(body, &er) == nil {
-				se.Msg = er.Error
-			}
-			return se
-		}
-		return nil
-	}
-	if err := c.retryGet(ctx, attempt); err != nil {
+	resp, err := c.roundTrip(ctx, http.MethodGet, fmt.Sprintf("/v1/streams/%d/export", slot), nil)
+	if err != nil {
 		return nil, err
 	}
-	return body, nil
+	defer resp.Body.Close()
+	return io.ReadAll(resp.Body)
 }
 
 // RestoreRaw installs exported snapshot bytes into a slot.
 func (c *Client) RestoreRaw(ctx context.Context, slot int, state []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, fmt.Sprintf("%s/v1/streams/%d/restore", c.base, slot), bytes.NewReader(state))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		se := &StatusError{Code: resp.StatusCode, Op: fmt.Sprintf("restore slot %d", slot)}
-		var er ErrorReply
-		if json.NewDecoder(resp.Body).Decode(&er) == nil {
-			se.Msg = er.Error
-		}
-		return se
-	}
-	io.Copy(io.Discard, resp.Body)
-	return nil
+	return c.do(ctx, http.MethodPost, fmt.Sprintf("/v1/streams/%d/restore", slot), state, nil)
 }
 
 // Mem fetches the worker's memory report.

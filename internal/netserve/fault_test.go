@@ -100,99 +100,6 @@ func TestIsTransientClassification(t *testing.T) {
 	}
 }
 
-// TestRetryPolicyGETsOnly pins the client retry split: transiently failed
-// GETs retry per WithRetry; POSTs never retry (they are not idempotent —
-// redelivery belongs to the shard failover layer).
-func TestRetryPolicyGETsOnly(t *testing.T) {
-	var gets, posts atomic.Int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodGet {
-			if gets.Add(1) <= 2 {
-				http.Error(w, `{"error":"warming up"}`, http.StatusServiceUnavailable)
-				return
-			}
-			json.NewEncoder(w).Encode(netserve.Health{OK: true, Streams: 1, FrameSize: 4})
-			return
-		}
-		posts.Add(1)
-		http.Error(w, `{"error":"boom"}`, http.StatusInternalServerError)
-	}))
-	defer ts.Close()
-
-	client := netserve.NewClient(ts.URL, netserve.WithRetry(3, time.Millisecond))
-	h, err := client.Health(context.Background())
-	if err != nil || !h.OK {
-		t.Fatalf("health through two 503s: %+v, %v", h, err)
-	}
-	if got := gets.Load(); got != 3 {
-		t.Fatalf("server saw %d GETs, want 3 (two retries)", got)
-	}
-
-	if err := client.Evict(context.Background(), 0); err == nil {
-		t.Fatal("POST against a 500ing worker succeeded")
-	}
-	if got := posts.Load(); got != 1 {
-		t.Fatalf("server saw %d POSTs, want 1 (POSTs must not retry)", got)
-	}
-}
-
-// TestFaultProxyModes drives the deterministic fault injector through its
-// modes: pass-through, added delay, connection reset, blackhole, and the
-// kill-after-N-requests trigger.
-func TestFaultProxyModes(t *testing.T) {
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(netserve.Health{OK: true, Streams: 1, FrameSize: 4})
-	}))
-	defer backend.Close()
-	proxy := netserve.NewFaultProxy(backend.URL)
-	defer proxy.Close()
-	ps := httptest.NewServer(proxy)
-	defer ps.Close()
-	client := netserve.NewClient(ps.URL, netserve.WithTimeout(300*time.Millisecond))
-	ctx := context.Background()
-
-	if h, err := client.Health(ctx); err != nil || !h.OK {
-		t.Fatalf("pass-through: %+v, %v", h, err)
-	}
-
-	proxy.SetMode(netserve.FaultDelay, 100*time.Millisecond)
-	start := time.Now()
-	if h, err := client.Health(ctx); err != nil || !h.OK {
-		t.Fatalf("delayed: %+v, %v", h, err)
-	}
-	if d := time.Since(start); d < 100*time.Millisecond {
-		t.Fatalf("delay mode answered in %v, want ≥100ms", d)
-	}
-
-	proxy.SetMode(netserve.FaultReset, 0)
-	if _, err := client.Health(ctx); err == nil || !netserve.IsTransient(err) {
-		t.Fatalf("reset mode: %v, want a transient transport error", err)
-	}
-
-	proxy.SetMode(netserve.FaultBlackhole, 0)
-	start = time.Now()
-	if _, err := client.Health(ctx); err == nil || !netserve.IsTransient(err) {
-		t.Fatalf("blackhole mode: %v, want a transient timeout", err)
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("blackhole answered... in %v (client timeout did not bind)", d)
-	}
-
-	proxy.SetMode(netserve.FaultNone, 0)
-	proxy.KillAfter(2, netserve.FaultReset)
-	for i := 0; i < 2; i++ {
-		if h, err := client.Health(ctx); err != nil || !h.OK {
-			t.Fatalf("pre-kill request %d: %+v, %v", i, h, err)
-		}
-	}
-	if _, err := client.Health(ctx); err == nil || !netserve.IsTransient(err) {
-		t.Fatalf("post-kill request: %v, want a transient transport error", err)
-	}
-	if proxy.Served() < 3 {
-		t.Fatalf("proxy served %d requests, want ≥3", proxy.Served())
-	}
-}
-
 // TestReleaseFreesResidentBytes is the retained-source-slot regression,
 // pinned via the /v1/mem surface: after a slot's stream is released, its
 // resident bytes drop to zero, the worker total shrinks, and the slot

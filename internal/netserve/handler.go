@@ -9,14 +9,15 @@
 // Frame submits are serialized per stream slot (one camera, one ordered
 // feed) behind a bounded gate: when more than MaxPending submits are
 // queued on one slot the handler sheds the excess with 429 instead of
-// queueing unboundedly — admission control at the worker. Observer
-// endpoints (stats, scores, export) run deadline-bound raw barriers on
-// the stream's loop, so they neither deadlock against a busy pipeline
-// (Server.DoRawContext) nor join an in-flight adaptation round early —
-// polling a live worker does not perturb any stream's trajectory.
+// queueing unboundedly — admission control at the worker. Observer and
+// state endpoints (stats, scores, export, restore, evict, release) run on
+// the stream's loop through the deadline-bound serve.Call, so they neither
+// deadlock against a busy pipeline nor join an in-flight adaptation round
+// early — polling a live worker does not perturb any stream's trajectory.
 package netserve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -57,7 +58,6 @@ type Handler struct {
 	// gates[i] serializes slot i's submit+result round trips and counts
 	// the waiters the MaxPending admission bound applies to.
 	gates        []slotGate
-	results      []<-chan serve.Result
 	restoreLimit int64 // maxRestoreBody; tests lower it rather than post 64 MiB
 	shutdown     chan struct{}
 	shutOnce     sync.Once
@@ -116,17 +116,9 @@ func NewHandler(srv *serve.Server, opts Options) (*Handler, error) {
 		opts:         opts,
 		mux:          http.NewServeMux(),
 		gates:        make([]slotGate, srv.NumStreams()),
-		results:      make([]<-chan serve.Result, srv.NumStreams()),
 		restoreLimit: maxRestoreBody,
 		shutdown:     make(chan struct{}),
 		kill:         make(chan struct{}),
-	}
-	for i := 0; i < srv.NumStreams(); i++ {
-		ch, err := srv.Results(i)
-		if err != nil {
-			return nil, err
-		}
-		h.results[i] = ch
 	}
 	h.mux.HandleFunc("GET /healthz", h.handleHealth)
 	h.mux.HandleFunc("POST /v1/streams/{id}/frames", h.handleFrame)
@@ -156,10 +148,23 @@ func (h *Handler) ShutdownRequested() <-chan struct{} { return h.shutdown }
 // Failover tests and drills use this to kill a worker deterministically.
 func (h *Handler) KillRequested() <-chan struct{} { return h.kill }
 
+// replyBufs recycles reply encode buffers: a reply is encoded in full
+// before its status line is committed, so a value that does not encode is
+// a 500 with an ErrorReply, never a 200 with an empty body.
+var replyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := replyBufs.Get().(*bytes.Buffer)
+	defer replyBufs.Put(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.Reset()
+		status = http.StatusInternalServerError
+		json.NewEncoder(buf).Encode(ErrorReply{Error: fmt.Sprintf("encode reply: %v", err)})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(buf.Bytes())
 }
 
 func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
@@ -202,14 +207,13 @@ func (h *Handler) handleFrame(w http.ResponseWriter, r *http.Request) {
 	defer atomic.AddInt32(&g.waiters, -1)
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	pix := tensor.FromSlice(req.Frame, len(req.Frame))
-	if err := h.srv.Submit(id, pix); err != nil {
+	res, err := h.srv.Process(id, tensor.FromSlice(req.Frame, len(req.Frame)))
+	if err != nil {
 		writeErr(w, http.StatusConflict, "%v", err)
 		return
 	}
-	res, open := <-h.results[id]
-	if !open {
-		writeErr(w, http.StatusConflict, "stream %d closed", id)
+	if errors.Is(res.Err, serve.ErrBadFrame) {
+		writeErr(w, http.StatusBadRequest, "%v", res.Err)
 		return
 	}
 	rep := FrameReply{
@@ -227,121 +231,79 @@ func (h *Handler) handleFrame(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rep)
 }
 
-func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
+// onLoop runs fn on the {id} slot's loop through serve.Call under one
+// BarrierTimeout deadline and writes the reply: 503 when the loop does not
+// reach the barrier in time, failStatus when fn fails, 200 with fn's value
+// otherwise.
+func onLoop[T any](h *Handler, w http.ResponseWriter, r *http.Request, verb string, failStatus int, fn func(*serve.Stream) (T, error)) {
 	id, ok := h.slot(w, r)
 	if !ok {
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), h.opts.BarrierTimeout)
 	defer cancel()
-	st, err := h.srv.StatsContext(ctx, id)
-	if err != nil {
-		writeErr(w, http.StatusServiceUnavailable, "stream %d stats: %v", id, err)
-		return
+	v, err := serve.Call(ctx, h.srv, id, fn)
+	switch {
+	case err == nil:
+		writeJSON(w, http.StatusOK, v)
+	case errors.Is(err, ctx.Err()):
+		writeErr(w, http.StatusServiceUnavailable, "stream %d %s: %v", id, verb, err)
+	default:
+		writeErr(w, failStatus, "%v", err)
 	}
-	writeJSON(w, http.StatusOK, st)
+}
+
+// errOnly gives a state change that returns only an error the shape Call
+// takes; its reply body is the empty object.
+func errOnly(fn func(*serve.Stream) error) func(*serve.Stream) (struct{}, error) {
+	return func(st *serve.Stream) (struct{}, error) { return struct{}{}, fn(st) }
+}
+
+func readStats(st *serve.Stream) (serve.Stats, error) { return st.Stats(), nil }
+
+func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
+	onLoop(h, w, r, "stats", http.StatusInternalServerError, readStats)
 }
 
 func (h *Handler) handleScores(w http.ResponseWriter, r *http.Request) {
-	id, ok := h.slot(w, r)
-	if !ok {
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), h.opts.BarrierTimeout)
-	defer cancel()
-	scores, err := h.srv.ScoresContext(ctx, id)
-	if err != nil {
-		writeErr(w, http.StatusServiceUnavailable, "stream %d scores: %v", id, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ScoresReply{Stream: id, Scores: scores})
-}
-
-// rawOp runs an error-returning state change on slot id's loop behind a
-// deadline-bound raw barrier and writes the reply: 503 when the loop does
-// not reach the barrier in time, failStatus when fn fails, 200 otherwise.
-func (h *Handler) rawOp(w http.ResponseWriter, r *http.Request, id int, verb string, failStatus int, fn func(*serve.Stream) error) {
-	ctx, cancel := context.WithTimeout(r.Context(), h.opts.BarrierTimeout)
-	defer cancel()
-	// Buffered so a barrier that runs after the deadline fired still
-	// completes without blocking the loop on an abandoned channel.
-	ch := make(chan error, 1)
-	if err := h.srv.DoRawContext(ctx, id, func(st *serve.Stream) { ch <- fn(st) }); err != nil {
-		writeErr(w, http.StatusServiceUnavailable, "stream %d %s: %v", id, verb, err)
-		return
-	}
-	if err := <-ch; err != nil {
-		writeErr(w, failStatus, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, struct{}{})
+	onLoop(h, w, r, "scores", http.StatusInternalServerError, func(st *serve.Stream) (ScoresReply, error) {
+		return ScoresReply{Stream: st.ID(), Scores: st.Scores()}, nil
+	})
 }
 
 func (h *Handler) handleEvict(w http.ResponseWriter, r *http.Request) {
-	if id, ok := h.slot(w, r); ok {
-		h.rawOp(w, r, id, "evict", http.StatusInternalServerError, (*serve.Stream).Evict)
-	}
+	onLoop(h, w, r, "evict", http.StatusInternalServerError, errOnly((*serve.Stream).Evict))
 }
 
 func (h *Handler) handleRelease(w http.ResponseWriter, r *http.Request) {
-	if id, ok := h.slot(w, r); ok {
-		h.rawOp(w, r, id, "release", http.StatusInternalServerError, (*serve.Stream).Release)
-	}
+	onLoop(h, w, r, "release", http.StatusInternalServerError, errOnly((*serve.Stream).Release))
 }
 
 func (h *Handler) handleExport(w http.ResponseWriter, r *http.Request) {
-	id, ok := h.slot(w, r)
-	if !ok {
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), h.opts.BarrierTimeout)
-	defer cancel()
-	type exported struct {
-		ss  *snapshot.StreamState
-		err error
-	}
-	ch := make(chan exported, 1)
-	if err := h.srv.DoRawContext(ctx, id, func(st *serve.Stream) {
-		ss, err := st.Export()
-		ch <- exported{ss, err}
-	}); err != nil {
-		writeErr(w, http.StatusServiceUnavailable, "stream %d export: %v", id, err)
-		return
-	}
-	ex := <-ch
-	if ex.err != nil {
-		writeErr(w, http.StatusInternalServerError, "%v", ex.err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ex.ss)
+	onLoop(h, w, r, "export", http.StatusInternalServerError, (*serve.Stream).Export)
 }
 
 func (h *Handler) handleRestore(w http.ResponseWriter, r *http.Request) {
-	id, ok := h.slot(w, r)
-	if !ok {
-		return
-	}
+	// An unknown slot is a 404 before the body is read.
 	var ss snapshot.StreamState
-	if !decodeBody(w, r, h.restoreLimit, "snapshot", &ss) {
+	if _, ok := h.slot(w, r); !ok || !decodeBody(w, r, h.restoreLimit, "snapshot", &ss) {
 		return
 	}
-	h.rawOp(w, r, id, "restore", http.StatusConflict, func(st *serve.Stream) error { return st.Restore(&ss) })
+	onLoop(h, w, r, "restore", http.StatusConflict, errOnly(func(st *serve.Stream) error { return st.Restore(&ss) }))
 }
 
+// handleMem reads every stream's row under one deadline shared by all the
+// barriers, so a wedged worker answers within BarrierTimeout, not N of them.
 func (h *Handler) handleMem(w http.ResponseWriter, r *http.Request) {
+	ctx, cancel := context.WithTimeout(r.Context(), h.opts.BarrierTimeout)
+	defer cancel()
 	l := h.srv.MemLedger()
 	rep := MemReply{Resident: l.Total(), Budget: l.Budget()}
 	for i := 0; i < h.srv.NumStreams(); i++ {
-		ctx, cancel := context.WithTimeout(r.Context(), h.opts.BarrierTimeout)
-		st, err := h.srv.StatsContext(ctx, i)
-		cancel()
-		row := MemStreamRow{Stream: i}
+		st, err := serve.Call(ctx, h.srv, i, readStats)
+		row := MemStreamRow{Stream: i, Resident: st.ResidentBytes, Evictions: st.Evictions, LastErr: st.LastErr}
 		if err != nil {
 			row.LastErr = err.Error()
-		} else {
-			row.Resident = st.ResidentBytes
-			row.Evictions = st.Evictions
-			row.LastErr = st.LastErr
 		}
 		rep.Streams = append(rep.Streams, row)
 	}

@@ -9,10 +9,14 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"edgekg/internal/netserve"
+	"edgekg/internal/serve"
 )
 
 // TestStatsBodyIsServeStats pins the /stats wire body across the deletion
@@ -162,4 +166,172 @@ func TestOversizedBodies413(t *testing.T) {
 			}
 		}
 	}
+}
+
+// hostileFrameBody is a frame request of finite JSON numbers that overflows
+// the image encoder: the stream scores it NaN.
+var hostileFrameBody = `{"frame":[` + strings.TrimSuffix(strings.Repeat("1.7e308,", pixDim), ",") + `]}`
+
+// TestHostileFrameIs400 pins the network face of the non-finite-score
+// refusal. The worker used to score the frame NaN, push that into the
+// monitor and answer 200 with an empty body (the status line went out
+// before the encoder met the NaN) — which a client reads as EOF, classifies
+// transient and retries. Now: a typed 400, IsTransient false, and the slot
+// scores its next frames bit-equal to a twin that never saw the frame.
+func TestHostileFrameIs400(t *testing.T) {
+	const seed, served, after = 9, 10, 13
+	_, gen := buildBackbone(t, seed)
+	fs := frames(t, gen, 55, served+after)
+	ctx := context.Background()
+	drive := func(c *netserve.Client, lo, hi int) []float64 {
+		t.Helper()
+		var scores []float64
+		for _, f := range fs[lo:hi] {
+			rep, err := c.SubmitFrame(ctx, 0, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scores = append(scores, rep.Score)
+		}
+		return scores
+	}
+	_, _, url := rawWorker(t, seed, 1, netserve.Options{})
+	client := netserve.NewClient(url)
+	_, twin := worker(t, seed, 1, netserve.Options{})
+	drive(client, 0, served)
+	drive(twin, 0, served)
+
+	resp, err := http.Post(url+"/v1/streams/0/frames", "application/json", strings.NewReader(hostileFrameBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var er netserve.ErrorReply
+	derr := json.NewDecoder(resp.Body).Decode(&er)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || derr != nil || !strings.Contains(er.Error, "non-finite") {
+		t.Fatalf("hostile frame: status %d, body %+v (%v); want 400 with an ErrorReply", resp.StatusCode, er, derr)
+	}
+	hostile := make([]float64, pixDim)
+	for i := range hostile {
+		hostile[i] = 1.7e308
+	}
+	if _, err := client.SubmitFrame(ctx, 0, hostile); err == nil || netserve.IsTransient(err) {
+		t.Fatalf("SubmitFrame of the hostile frame: %v, want a non-transient error", err)
+	}
+
+	got, want := drive(client, served, served+after), drive(twin, served, served+after)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("frame %d after the refused frame: score %v, untouched twin %v", served+i, got[i], want[i])
+		}
+	}
+	scores, err := client.Scores(ctx, 0)
+	if err != nil || len(scores) != served+after {
+		t.Fatalf("GET scores after the refused frame: %d scores, %v", len(scores), err)
+	}
+}
+
+// TestClientMapsStatusOnce pins the one status mapping every client call
+// goes through: 429 is ErrBusy, any other non-2xx a *StatusError carrying
+// the worker's message — identically for the JSON call (SubmitFrame) and
+// the two raw-body calls that used to carry their own copies.
+func TestClientMapsStatusOnce(t *testing.T) {
+	var status atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(int(status.Load()))
+		json.NewEncoder(w).Encode(netserve.ErrorReply{Error: "the worker's words"})
+	}))
+	defer ts.Close()
+	client := netserve.NewClient(ts.URL)
+	ctx := context.Background()
+	calls := map[string]func() error{
+		"SubmitFrame": func() error { _, err := client.SubmitFrame(ctx, 0, []float64{1}); return err },
+		"ExportRaw":   func() error { _, err := client.ExportRaw(ctx, 0); return err },
+		"RestoreRaw":  func() error { return client.RestoreRaw(ctx, 0, []byte(`{}`)) },
+	}
+	for name, call := range calls {
+		status.Store(http.StatusTooManyRequests)
+		if err := call(); !errors.Is(err, netserve.ErrBusy) {
+			t.Errorf("%s on 429: %v, want ErrBusy", name, err)
+		}
+		for _, code := range []int{http.StatusBadRequest, http.StatusConflict, http.StatusInternalServerError, http.StatusServiceUnavailable} {
+			status.Store(int32(code))
+			var se *netserve.StatusError
+			if err := call(); !errors.As(err, &se) || se.Code != code || se.Msg != "the worker's words" {
+				t.Errorf("%s on %d: %v, want a *StatusError with the code and the worker's message", name, code, err)
+			} else if netserve.IsTransient(err) != (code >= 500) {
+				t.Errorf("%s on %d: IsTransient = %v", name, code, netserve.IsTransient(err))
+			}
+		}
+	}
+}
+
+// TestMemSharesOneDeadline pins GET /v1/mem's worst case: every stream's
+// loop parked, the reply still takes one BarrierTimeout — not one per
+// stream — and names the timeout on every row.
+func TestMemSharesOneDeadline(t *testing.T) {
+	const streams, timeout = 6, 250 * time.Millisecond
+	srv, client := worker(t, 5, streams, netserve.Options{BarrierTimeout: timeout})
+	release := make(chan struct{})
+	defer close(release)
+	for i := 0; i < streams; i++ {
+		parked := make(chan struct{})
+		go srv.Do(i, func(*serve.Stream) { close(parked); <-release })
+		<-parked
+	}
+	start := time.Now()
+	rep, err := client.Mem(context.Background())
+	if err != nil || len(rep.Streams) != streams {
+		t.Fatalf("mem against parked loops: %+v, %v", rep, err)
+	}
+	if d := time.Since(start); d < timeout || d > (streams-1)*timeout {
+		t.Fatalf("mem took %v over %d parked streams, want about one %v deadline", d, streams, timeout)
+	}
+	for _, row := range rep.Streams {
+		if !strings.Contains(row.LastErr, "deadline") {
+			t.Errorf("row %+v does not report the timeout", row)
+		}
+	}
+}
+
+// FuzzFrameBody throws arbitrary bytes at POST …/frames, the request every
+// camera can reach: the worker answers 2xx or 4xx with a JSON body that
+// decodes — never a panic, a 5xx or an empty 200 — and the slot takes a good
+// frame afterwards.
+func FuzzFrameBody(f *testing.F) {
+	good, _ := json.Marshal(netserve.FrameRequest{Frame: make([]float64, pixDim)})
+	f.Add(good)
+	f.Add([]byte(hostileFrameBody))
+	f.Add(good[:len(good)/2])
+	f.Add(append(append([]byte(nil), good...), "}]garbage"...))
+	backbone, _ := buildBackbone(f, 5)
+	cfg := serve.DefaultConfig()
+	cfg.Stream = streamCfg()
+	srv, err := serve.NewServer(backbone, 1, cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(srv.Shutdown)
+	h, err := netserve.NewHandler(srv, netserve.Options{FrameSize: pixDim})
+	if err != nil {
+		f.Fatal(err)
+	}
+	post := func(body []byte) (int, []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/streams/0/frames", bytes.NewReader(body)))
+		return rec.Code, rec.Body.Bytes()
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		code, reply := post(body)
+		var v map[string]any
+		if (code/100 != 2 && code/100 != 4) || json.Unmarshal(reply, &v) != nil {
+			t.Fatalf("body %q: status %d, reply %q", body, code, reply)
+		}
+		if code/100 == 4 && v["error"] == nil {
+			t.Fatalf("body %q: %d without an ErrorReply: %q", body, code, reply)
+		}
+		if code, reply := post(good); code != http.StatusOK {
+			t.Fatalf("good frame after body %q: status %d, reply %q", body, code, reply)
+		}
+	})
 }

@@ -27,7 +27,7 @@ import (
 
 // buildBackbone assembles the small deployment fixture (the serve test
 // fixture's twin): detector + frame generator, fully determined by seed.
-func buildBackbone(t *testing.T, seed int64) (*core.Detector, *dataset.Generator) {
+func buildBackbone(t testing.TB, seed int64) (*core.Detector, *dataset.Generator) {
 	t.Helper()
 	ont := concept.Builtin()
 	tok := bpe.Train(ont.Concepts(), 600)

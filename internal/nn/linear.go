@@ -12,18 +12,14 @@ import (
 type Linear struct {
 	W *autograd.Value // (in × out)
 	B *autograd.Value // (out)
-
-	in, out int
 }
 
 // NewLinear returns a Linear layer with Glorot-uniform weights and zero
 // bias drawn from rng.
 func NewLinear(rng *rand.Rand, in, out int) *Linear {
 	return &Linear{
-		W:   autograd.Param(tensor.GlorotUniform(rng, in, out)),
-		B:   autograd.Param(tensor.New(out)),
-		in:  in,
-		out: out,
+		W: autograd.Param(tensor.GlorotUniform(rng, in, out)),
+		B: autograd.Param(tensor.New(out)),
 	}
 }
 
@@ -53,12 +49,6 @@ func EvalLinear[T tensor.Float](l *Linear) LinearEval[T] {
 func (l LinearEval[T]) Forward(x *tensor.Dense[T]) *tensor.Dense[T] {
 	return autograd.AffineFwd(x, l.W, l.B)
 }
-
-// In returns the input dimensionality.
-func (l *Linear) In() int { return l.in }
-
-// Out returns the output dimensionality.
-func (l *Linear) Out() int { return l.out }
 
 // Params implements Module.
 func (l *Linear) Params() []Param {

@@ -17,9 +17,6 @@ func TestLinearForwardShape(t *testing.T) {
 	if y.Data.Rows() != 5 || y.Data.Cols() != 3 {
 		t.Fatalf("shape = %v", y.Shape())
 	}
-	if l.In() != 4 || l.Out() != 3 {
-		t.Errorf("In/Out = %d/%d", l.In(), l.Out())
-	}
 }
 
 func TestLinearGradCheck(t *testing.T) {

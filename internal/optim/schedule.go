@@ -86,6 +86,3 @@ func (s *Scheduled) Step() {
 
 // ZeroGrad forwards to the underlying optimizer.
 func (s *Scheduled) ZeroGrad() { s.Opt.ZeroGrad() }
-
-// StepIndex returns the number of scheduled steps taken.
-func (s *Scheduled) StepIndex() int { return s.step }

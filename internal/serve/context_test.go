@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,7 +21,7 @@ import (
 // TestDoContextTimeoutOnBusyPipeline pins the deadline-bound barrier
 // variant against the Do/Results deadlock footgun: with the stream's
 // pipeline full and no consumer draining results, Do would block forever —
-// DoRawContext must instead give up at its deadline, and succeed normally
+// serve.Call must instead give up at its deadline, and succeed normally
 // once the pipeline drains.
 func TestDoContextTimeoutOnBusyPipeline(t *testing.T) {
 	backbone, gen := buildBackbone(t, 1)
@@ -49,18 +50,18 @@ func TestDoContextTimeoutOnBusyPipeline(t *testing.T) {
 	defer cancel()
 	ran := make(chan struct{}, 1)
 	start := time.Now()
-	if err := srv.DoRawContext(ctx, 0, func(*serve.Stream) { ran <- struct{}{} }); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("DoRawContext on a wedged pipeline: %v, want deadline exceeded", err)
+	if _, err := serve.Call(ctx, srv, 0, func(*serve.Stream) (int, error) { ran <- struct{}{}; return 0, nil }); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Call on a wedged pipeline: %v, want deadline exceeded", err)
 	}
 	if time.Since(start) > 5*time.Second {
-		t.Fatal("DoRawContext did not honour its deadline")
+		t.Fatal("Call did not honour its deadline")
 	}
 	// Second barrier: the queue is now full (the abandoned fn occupies it),
 	// so this one times out in the enqueue itself and never runs at all.
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel2()
-	if err := srv.DoRawContext(ctx2, 0, func(*serve.Stream) { t.Error("never-enqueued fn ran") }); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("DoRawContext on a full queue: %v, want deadline exceeded", err)
+	if _, err := serve.Call(ctx2, srv, 0, func(*serve.Stream) (int, error) { t.Error("never-enqueued fn ran"); return 0, nil }); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Call on a full queue: %v, want deadline exceeded", err)
 	}
 
 	// Drain; the stream comes back and the same barrier now succeeds.
@@ -72,9 +73,9 @@ func TestDoContextTimeoutOnBusyPipeline(t *testing.T) {
 	}
 	ctx3, cancel3 := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel3()
-	var frames int
-	if err := srv.DoRawContext(ctx3, 0, func(st *serve.Stream) { frames = st.Stats().Frames }); err != nil {
-		t.Fatalf("DoRawContext after drain: %v", err)
+	frames, err := serve.Call(ctx3, srv, 0, func(st *serve.Stream) (int, error) { return st.Stats().Frames, nil })
+	if err != nil {
+		t.Fatalf("Call after drain: %v", err)
 	}
 	if frames != len(stream) {
 		t.Fatalf("barrier saw %d frames, want %d", frames, len(stream))
@@ -87,12 +88,9 @@ func TestDoContextTimeoutOnBusyPipeline(t *testing.T) {
 		t.Fatal("abandoned barrier fn never ran after drain")
 	}
 
-	// StatsContext/ScoresContext ride the same path.
-	if _, err := srv.StatsContext(ctx3, 0); err != nil {
-		t.Fatalf("StatsContext: %v", err)
-	}
-	if _, err := srv.ScoresContext(ctx3, 0); err != nil {
-		t.Fatalf("ScoresContext: %v", err)
+	// Score-history reads ride the same path.
+	if _, err := serve.Call(ctx3, srv, 0, func(st *serve.Stream) ([]float64, error) { return st.Scores(), nil }); err != nil {
+		t.Fatalf("Call(Scores): %v", err)
 	}
 }
 
@@ -333,5 +331,131 @@ func TestConcurrentCheckpointVsEviction(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCallAbandonedBarrierIsRaceFree pins what Call owns so its callers need
+// not: a barrier whose caller gave up still runs — once — when the loop gets
+// to it, hands its result to a channel nobody reads, and blocks nothing.
+// Meaningful under -race: fn touches loop-owned state after Call returned.
+func TestCallAbandonedBarrierIsRaceFree(t *testing.T) {
+	backbone, gen := buildBackbone(t, 1)
+	stream := frameSchedule(gen, 11, 3, 3, concept.Stealing, concept.Stealing)
+
+	cfg := serve.DefaultConfig()
+	cfg.Stream = streamCfg(0)
+	cfg.QueueDepth = 1
+	srv, err := serve.NewServer(backbone, 1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
+	// Two undrained results park the loop on the full out channel.
+	for _, f := range stream[:2] {
+		if err := srv.Submit(0, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var ran atomic.Int32
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	frames, err := serve.Call(ctx, srv, 0, func(st *serve.Stream) (int, error) {
+		ran.Add(1)
+		return st.Stats().Frames, nil
+	})
+	if !errors.Is(err, context.DeadlineExceeded) || frames != 0 {
+		t.Fatalf("Call on a wedged pipeline: %d, %v; want 0, deadline exceeded", frames, err)
+	}
+	if ran.Load() != 0 {
+		t.Fatal("fn ran before the loop could have reached it")
+	}
+
+	// Drain: the abandoned fn runs, and the loop goes straight on to the
+	// next frame and the next barrier.
+	res := resultsOf(t, srv, 0)
+	<-res
+	<-res
+	if r, err := srv.Process(0, stream[2]); err != nil || r.Err != nil || r.Seq != 2 {
+		t.Fatalf("frame after the abandoned barrier: %+v, %v", r, err)
+	}
+	frames, err = serve.Call(context.Background(), srv, 0, func(st *serve.Stream) (int, error) { return st.Stats().Frames, nil })
+	if err != nil || frames != 3 {
+		t.Fatalf("Call after drain: %d, %v; want 3", frames, err)
+	}
+	if got := ran.Load(); got != 1 {
+		t.Fatalf("abandoned fn ran %d times, want once", got)
+	}
+}
+
+// TestDoJoinsCallDoesNot states the one difference between the two ways
+// onto a stream's loop. A round triggers after 16 frames and is due at
+// 16+lag: stats read through Call one frame later leave the swap frame and the
+// whole trajectory bit-equal to an unobserved twin; the same read through
+// Do settles the round there, so its report never reaches a Result.
+func TestDoJoinsCallDoesNot(t *testing.T) {
+	const frames, trigger, lag = 24, 16, 4
+	run := func(observe func(*serve.Server) serve.Stats) (frameTrace, serve.Stats) {
+		backbone, gen := buildBackbone(t, 4)
+		stream := frameSchedule(gen, 401, frames, 0, concept.Robbery, concept.Robbery)
+		cfg := serve.DefaultConfig()
+		cfg.Stream = streamCfg(lag)
+		cfg.Stream.AdaptEveryFrames = trigger // one round in the run
+		cfg.Seeds = []int64{5}
+		srv, err := serve.NewServer(backbone, 1, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Shutdown()
+		var tr frameTrace
+		var seen serve.Stats
+		for i, f := range stream {
+			if i == 4 {
+				if err := srv.Do(0, func(st *serve.Stream) { st.Monitor().SetReference(1.0) }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if i == trigger+1 && observe != nil {
+				seen = observe(srv)
+			}
+			res, err := srv.Process(0, f)
+			if err != nil || res.Err != nil {
+				t.Fatal(err, res.Err)
+			}
+			tr.record(res)
+		}
+		return tr, seen
+	}
+	plain, _ := run(nil)
+	if len(plain.applied) != 1 || plain.applied[0] != trigger+lag {
+		t.Fatalf("unobserved round applied at %v, want [%d]", plain.applied, trigger+lag)
+	}
+
+	called, seen := run(func(srv *serve.Server) serve.Stats {
+		st, err := serve.Call(context.Background(), srv, 0, func(st *serve.Stream) (serve.Stats, error) { return st.Stats(), nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	})
+	if seen.Frames != trigger+1 || seen.AdaptRounds != 0 {
+		t.Fatalf("Call saw %+v, want %d frames and the round still pending", seen, trigger+1)
+	}
+	if !equalTraces(called, plain) {
+		t.Fatalf("Call-ed stats perturbed the trajectory:\n%+v\n%+v", called, plain)
+	}
+
+	joined, seen := run(func(srv *serve.Server) serve.Stats {
+		st, err := srv.StreamStats(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	})
+	if seen.AdaptRounds != 1 {
+		t.Fatalf("Do saw %+v, want the round joined", seen)
+	}
+	if len(joined.applied) != 0 {
+		t.Fatalf("a round Do joined was still delivered on a Result: %v", joined.applied)
 	}
 }

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -233,4 +234,69 @@ func FuzzRestoreStreamState(f *testing.F) {
 			t.Fatalf("score after a failed restore %v, untouched twin %v", got.Score, want.Score)
 		}
 	})
+}
+
+// hostileFrame is a frame of finite JSON numbers that overflows the image
+// encoder: every slot 1.7e308, so the stream's score comes out NaN.
+func hostileFrame(n int) *tensor.Tensor {
+	pix := make([]float64, n)
+	for i := range pix {
+		pix[i] = 1.7e308
+	}
+	return tensor.FromSlice(pix, n)
+}
+
+// TestNonFiniteScoreLeavesStreamUntouched pins the refusal of a frame that
+// scores NaN/±Inf: Result.Err wraps ErrBadFrame, and monitor, score history,
+// frame counter and every later score equal — by bits — those of a twin
+// that was fed the other 23 frames only. Before the check the NaN entered
+// the monitor window and, on an adaptive stream, defeated the selection
+// rule's Δm gate.
+func TestNonFiniteScoreLeavesStreamUntouched(t *testing.T) {
+	const frames, badAt = 24, 10
+	for _, prec := range []core.Precision{core.PrecisionF64, core.PrecisionF32} {
+		for _, lag := range []int{0, 3} {
+			build := func() (*serve.Stream, []*tensor.Tensor) {
+				det, gen := buildBackbone(t, 5)
+				cfg := streamCfg(lag)
+				cfg.ScoreHistory = frames
+				cfg.Precision = prec
+				var shared *flops.Counter
+				if lag > 0 {
+					shared = &flops.Counter{}
+				}
+				st, err := serve.NewStream(0, det, cfg, rng.NewSource(29), shared)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st, frameSchedule(gen, 777, frames-1, 10, concept.Stealing, concept.Robbery)
+			}
+			twin, sched := build()
+			want := goldenDrive(t, twin, sched, 0, len(sched))
+
+			st, _ := build()
+			got := goldenDrive(t, st, sched, 0, badAt)
+			res := st.Process(hostileFrame(sched[0].Size()))
+			if !errors.Is(res.Err, serve.ErrBadFrame) {
+				t.Fatalf("%v lag %d: hostile frame: err %v, want ErrBadFrame", prec, lag, res.Err)
+			}
+			if res.Seq != badAt || st.Stats().Frames != badAt || len(st.Scores()) != badAt {
+				t.Fatalf("%v lag %d: refused frame advanced the stream: seq %d, frames %d, history %d",
+					prec, lag, res.Seq, st.Stats().Frames, len(st.Scores()))
+			}
+			got = append(got, goldenDrive(t, st, sched, badAt, len(sched))...)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%v lag %d: frame %d scored %v, the untouched twin %v", prec, lag, i, got[i], want[i])
+				}
+			}
+			st.Sync()
+			twin.Sync()
+			a, b := st.Stats(), twin.Stats()
+			a.ScoringOps, b.ScoringOps = 0, 0 // the refused frame was still scored, and metered
+			if a != b {
+				t.Fatalf("%v lag %d: stats diverged:\n%+v\n%+v", prec, lag, a, b)
+			}
+		}
+	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -49,14 +50,10 @@ func DefaultConfig() Config {
 }
 
 // item is one unit of per-stream work: a frame to score, or a control
-// barrier. raw barriers run without joining an in-flight adaptation round
-// first — the checkpoint path uses them, because an early join would move
-// the round's swap frame and change the trajectory.
+// barrier to run between frames.
 type item struct {
-	pix  *tensor.Tensor
-	ctl  func(*Stream)
-	raw  bool
-	done chan struct{}
+	pix *tensor.Tensor
+	ctl func(*Stream)
 }
 
 // Server multiplexes N camera streams through one process. It deploys the
@@ -217,18 +214,7 @@ func (s *Server) loop(i int) {
 	defer close(s.out[i])
 	for it := range s.in[i] {
 		if it.ctl != nil {
-			// Barriers observe settled state: join the in-flight round
-			// first so token banks, graphs and stats are quiescent. A join
-			// error is retained on the stream (Stream.Err) rather than
-			// injected as an extra Result, keeping results 1:1 with frames.
-			// Raw barriers (checkpointing) skip the join: Stream.Export
-			// settles the round's computation itself without disturbing
-			// its swap schedule.
-			if !it.raw {
-				st.Sync()
-			}
 			it.ctl(st)
-			close(it.done)
 			continue
 		}
 		res := st.Process(it.pix)
@@ -241,11 +227,12 @@ func (s *Server) loop(i int) {
 
 // maybeEvict runs after stream self's frame: when the ledger is over
 // budget it asks the least-recently-active resident stream — never self,
-// which just proved it is live — to spill, via a raw control barrier
-// enqueued on the victim's own loop (raw so a pending round's swap
-// schedule survives the spill). The enqueue is non-blocking: a full victim
-// queue drops the attempt, and a later frame retries while the process
-// stays over budget. A single-stream server therefore never evicts.
+// which just proved it is live — to spill, via a barrier on the victim's
+// own loop that does not join a pending round (so its swap schedule
+// survives the spill). The enqueue must not block one stream's loop on
+// another's queue, hence noWait: a full or closed victim queue drops the
+// attempt, and a later frame retries while the process stays over budget.
+// A single-stream server therefore never evicts.
 func (s *Server) maybeEvict(self int) {
 	if s.cfg.SpillDir == "" {
 		return
@@ -265,46 +252,28 @@ func (s *Server) maybeEvict(self int) {
 			victim, best = j, t
 		}
 	}
-	if victim < 0 {
+	if victim < 0 || !atomic.CompareAndSwapInt32(&s.evictQueued[victim], 0, 1) {
 		return
 	}
-	if !atomic.CompareAndSwapInt32(&s.evictQueued[victim], 0, 1) {
-		return
-	}
-	it := item{raw: true, done: make(chan struct{}), ctl: func(st *Stream) {
-		defer atomic.StoreInt32(&s.evictQueued[st.id], 0)
+	evict := func(st *Stream) {
+		defer atomic.StoreInt32(&s.evictQueued[victim], 0)
 		if err := st.Evict(); err != nil {
 			st.lastErr = err
 		}
-	}}
-	if !s.trySend(victim, it) {
+	}
+	if s.barrier(noWait, victim, evict) != nil {
 		atomic.StoreInt32(&s.evictQueued[victim], 0)
 	}
 }
 
-// trySend is send without blocking: false when the stream is closed or
-// its queue is full.
-func (s *Server) trySend(stream int, it item) bool {
-	s.closeMu[stream].RLock()
-	defer s.closeMu[stream].RUnlock()
-	if s.closed[stream] {
-		return false
-	}
-	select {
-	case s.in[stream] <- it:
-		return true
-	default:
-		return false
-	}
-}
-
-// EvictStream spills stream i's heavy state synchronously through a raw
-// barrier on its loop (preserving a pending round's swap schedule): the
+// EvictStream spills stream i's heavy state synchronously on its loop
+// (not joining a pending round, whose swap schedule is preserved): the
 // deterministic counterpart to budget-driven eviction, for tests and
 // operational tooling. The stream rehydrates bit-exactly at its next
 // frame. Requires Config.SpillDir.
 func (s *Server) EvictStream(stream int) error {
-	return s.rawErr(stream, (*Stream).Evict)
+	_, err := Call(context.Background(), s, stream, func(st *Stream) (struct{}, error) { return struct{}{}, st.Evict() })
+	return err
 }
 
 // MemLedger exposes the server's resident-bytes ledger.
@@ -314,26 +283,24 @@ func (s *Server) MemLedger() *flops.MemLedger { return s.mem }
 func (s *Server) NumStreams() int { return len(s.streams) }
 
 // Submit enqueues one frame for a stream, blocking when the stream's
-// queue is full. It returns an error once the stream is closed.
+// queue is full. It returns an error once the stream is closed. The read
+// lock is held across the (possibly blocking) channel send: close waits
+// for senders, senders never hit a closed channel.
 func (s *Server) Submit(stream int, pix *tensor.Tensor) error {
 	if stream < 0 || stream >= len(s.streams) {
 		return fmt.Errorf("serve: no stream %d", stream)
 	}
-	return s.send(stream, item{pix: pix})
-}
-
-// send delivers one item to a stream's input under the close lock. The
-// read lock is held across the (possibly blocking) channel send; close
-// waits for senders, senders never hit a closed channel.
-func (s *Server) send(stream int, it item) error {
 	s.closeMu[stream].RLock()
 	defer s.closeMu[stream].RUnlock()
 	if s.closed[stream] {
-		return fmt.Errorf("serve: stream %d is closed", stream)
+		return fmt.Errorf("serve: stream %d: %w", stream, errClosed)
 	}
-	s.in[stream] <- it
+	s.in[stream] <- item{pix: pix}
 	return nil
 }
+
+// errClosed reports a stream whose input has been closed.
+var errClosed = errors.New("stream is closed")
 
 // Results returns the stream's result channel, or an error for an unknown
 // stream id. Results arrive in frame order; the channel closes after
@@ -346,11 +313,107 @@ func (s *Server) Results(stream int) (<-chan Result, error) {
 	return s.out[stream], nil
 }
 
-// Do runs fn on the stream's processing loop, between frames and with any
-// in-flight adaptation round joined — the safe way to read a live
-// stream's detector, monitor, score history or stats. It blocks until fn
-// has run. On a closed (drained) stream fn runs inline, which is equally
-// safe because the loop has exited.
+// Process scores one frame on a stream and waits for its result: Submit,
+// then the receive from Results — the round trip of a caller that drives
+// a stream one frame at a time (one goroutine per stream, like Submit).
+func (s *Server) Process(stream int, pix *tensor.Tensor) (Result, error) {
+	if err := s.Submit(stream, pix); err != nil {
+		return Result{}, err
+	}
+	res, open := <-s.out[stream]
+	if !open {
+		return Result{}, fmt.Errorf("serve: stream %d: %w", stream, errClosed)
+	}
+	return res, nil
+}
+
+// noWait is an already-cancelled context: a barrier under it enqueues only
+// if the stream's queue has room right now.
+var noWait = func() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}()
+
+// barrier is the one way onto a live stream's loop: it enqueues fn to run
+// there between frames, without waiting for it to run. Room in the queue
+// is taken even under an expired ctx; otherwise ctx bounds the wait for
+// room. A closed stream takes no more items (errClosed) — Call then runs
+// fn inline once the loop has exited.
+func (s *Server) barrier(ctx context.Context, stream int, fn func(*Stream)) error {
+	s.closeMu[stream].RLock()
+	defer s.closeMu[stream].RUnlock()
+	if s.closed[stream] {
+		return errClosed
+	}
+	select {
+	case s.in[stream] <- item{ctl: fn}:
+		return nil
+	default:
+	}
+	select {
+	case s.in[stream] <- item{ctl: fn}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// Call runs fn on the stream's processing loop, between frames, and
+// returns what it returned. An in-flight background adaptation round is
+// not joined first, so observers (stats, score history, state captures)
+// do not perturb a live stream's frame-deterministic trajectory; fn sees
+// the loop-owned counters exact and the detector as Stream.Stats
+// documents. On a closed stream fn runs inline once the loop has exited,
+// which is equally safe.
+//
+// Call gives up with ctx.Err() instead of blocking forever when the loop
+// cannot reach the barrier — what a goroutine with no guarantee that the
+// stream's Results are being drained (an HTTP handler) needs. When ctx
+// fires after the barrier was enqueued, fn still runs later on the loop:
+// its result lands in a buffered channel nobody reads, so the loop never
+// blocks on an abandoned caller, and fn must not write variables the
+// caller reads after Call returns.
+func Call[T any](ctx context.Context, s *Server, stream int, fn func(*Stream) (T, error)) (T, error) {
+	type reply struct {
+		v   T
+		err error
+	}
+	var zero T
+	if stream < 0 || stream >= len(s.streams) {
+		return zero, fmt.Errorf("serve: no stream %d", stream)
+	}
+	ch := make(chan reply, 1)
+	err := s.barrier(ctx, stream, func(st *Stream) {
+		v, err := fn(st)
+		ch <- reply{v, err}
+	})
+	if errors.Is(err, errClosed) {
+		// The loop is draining: wait for it (or the deadline), run inline.
+		select {
+		case <-s.done[stream]:
+			return fn(s.streams[stream])
+		case <-ctx.Done():
+			return zero, ctx.Err()
+		}
+	}
+	if err != nil {
+		return zero, err
+	}
+	select {
+	case r := <-ch:
+		return r.v, r.err
+	case <-ctx.Done():
+		return zero, ctx.Err()
+	}
+}
+
+// Do runs fn on the stream's processing loop like Call, but with any
+// in-flight adaptation round joined first — the safe way to read a live
+// stream's detector, token banks or graphs, which are then quiescent. It
+// blocks until fn has run. A join error is retained on the stream
+// (Stream.Err) rather than injected as an extra Result, keeping results
+// 1:1 with frames.
 //
 // Because the barrier joins an in-flight round early, its effect becomes
 // visible at the barrier instead of at the configured swap frame, and the
@@ -362,75 +425,12 @@ func (s *Server) Results(stream int) (<-chan Result, error) {
 // stream's Results to keep draining: calling Do from the goroutine that
 // consumes Results while frames are still queued deadlocks.
 func (s *Server) Do(stream int, fn func(*Stream)) error {
-	return s.barrierContext(context.Background(), stream, fn, false)
-}
-
-// rawErr runs an error-returning fn on the stream's loop behind a raw
-// (non-joining) barrier without a deadline — what the checkpoint, evict
-// and restore entry points share.
-func (s *Server) rawErr(stream int, fn func(*Stream) error) error {
-	var err error
-	if berr := s.barrierContext(context.Background(), stream, func(st *Stream) { err = fn(st) }, true); berr != nil {
-		return berr
-	}
+	_, err := Call(context.Background(), s, stream, func(st *Stream) (struct{}, error) {
+		st.Sync()
+		fn(st)
+		return struct{}{}, nil
+	})
 	return err
-}
-
-// DoRawContext is Do with a deadline and without the round join. It gives
-// up with ctx.Err() instead of blocking forever when the stream's loop
-// cannot reach the barrier — what network handlers must use, because an
-// HTTP goroutine has no guarantee the stream's Results are being drained
-// (the Do deadlock documented above). When ctx fires after the barrier was
-// already enqueued, fn may still run later on the loop; fn must therefore
-// communicate through owned channels (as StatsContext does), never by
-// writing variables the caller reads after DoRawContext returns. An
-// in-flight background adaptation round is not joined early, so observers
-// (stats, score history, checkpoint captures) do not perturb a live
-// stream's frame-deterministic trajectory.
-func (s *Server) DoRawContext(ctx context.Context, stream int, fn func(*Stream)) error {
-	return s.barrierContext(ctx, stream, fn, true)
-}
-
-// barrierContext runs fn on the stream's loop between frames (inline once
-// the loop has exited), joining an in-flight round first unless raw. ctx
-// bounds both the enqueue and the wait for the loop to run fn.
-func (s *Server) barrierContext(ctx context.Context, stream int, fn func(*Stream), raw bool) error {
-	if stream < 0 || stream >= len(s.streams) {
-		return fmt.Errorf("serve: no stream %d", stream)
-	}
-	select {
-	case <-s.done[stream]:
-		fn(s.streams[stream])
-		return nil
-	default:
-	}
-	it := item{ctl: fn, raw: raw, done: make(chan struct{})}
-	s.closeMu[stream].RLock()
-	if s.closed[stream] {
-		s.closeMu[stream].RUnlock()
-		// Closed: the loop is draining; wait for it (or the deadline) and
-		// run inline.
-		select {
-		case <-s.done[stream]:
-			fn(s.streams[stream])
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	select {
-	case s.in[stream] <- it:
-		s.closeMu[stream].RUnlock()
-	case <-ctx.Done():
-		s.closeMu[stream].RUnlock()
-		return ctx.Err()
-	}
-	select {
-	case <-it.done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // StreamStats returns one stream's statistics via a Do barrier (or
@@ -439,32 +439,6 @@ func (s *Server) StreamStats(stream int) (Stats, error) {
 	var st Stats
 	err := s.Do(stream, func(sc *Stream) { st = sc.Stats() })
 	return st, err
-}
-
-// StatsContext returns one stream's statistics through a deadline-bound
-// raw barrier: safe to call from a goroutine that is not draining the
-// stream's Results (it fails with ctx.Err() instead of deadlocking), and
-// safe on a live adaptive stream (the in-flight round is not joined
-// early, so the poll does not perturb the trajectory; see Stream.Stats for
-// the resident figure meanwhile).
-func (s *Server) StatsContext(ctx context.Context, stream int) (Stats, error) {
-	// Buffered so a barrier that runs after the deadline fired still
-	// completes without blocking the loop on an abandoned channel.
-	ch := make(chan Stats, 1)
-	if err := s.DoRawContext(ctx, stream, func(st *Stream) { ch <- st.Stats() }); err != nil {
-		return Stats{}, err
-	}
-	return <-ch, nil
-}
-
-// ScoresContext returns a copy of one stream's retained score history
-// through a deadline-bound raw barrier (see StatsContext).
-func (s *Server) ScoresContext(ctx context.Context, stream int) ([]float64, error) {
-	ch := make(chan []float64, 1)
-	if err := s.DoRawContext(ctx, stream, func(st *Stream) { ch <- st.Scores() }); err != nil {
-		return nil, err
-	}
-	return <-ch, nil
 }
 
 // CloseStream marks the end of a stream's input. Its loop drains queued
@@ -544,7 +518,7 @@ func (s *Server) Stream(i int) (*Stream, error) {
 }
 
 // Checkpoint serializes every stream's complete adaptation state. Each
-// stream is captured on its own processing loop between frames (a raw
+// stream is captured on its own processing loop between frames (a Call
 // barrier that, unlike Do, does not join an in-flight adaptation round
 // early — the round's computation is completed but its swap still lands
 // at the configured frame), so a live server can be checkpointed while
@@ -564,14 +538,12 @@ func (s *Server) Checkpoint() (*snapshot.Checkpoint, error) {
 }
 
 // ExportStream captures one stream's complete adaptation state on its
-// processing loop (a raw barrier, like Checkpoint — an in-flight round
+// processing loop (a Call barrier, like Checkpoint — an in-flight round
 // keeps its swap schedule). The result is the unit of stream migration:
 // restore it into a compatible slot of another server with RestoreStream
 // and the stream continues bit-exactly there.
 func (s *Server) ExportStream(stream int) (*snapshot.StreamState, error) {
-	var ss *snapshot.StreamState
-	err := s.rawErr(stream, func(st *Stream) (err error) { ss, err = st.Export(); return })
-	return ss, err
+	return Call(context.Background(), s, stream, (*Stream).Export)
 }
 
 // RestoreStream replaces one stream's state with an exported snapshot,
@@ -583,7 +555,8 @@ func (s *Server) ExportStream(stream int) (*snapshot.StreamState, error) {
 // slot's construction seed, so the continued trajectory is bit-identical
 // to one that never moved.
 func (s *Server) RestoreStream(stream int, ss *snapshot.StreamState) error {
-	return s.rawErr(stream, func(st *Stream) error { return st.Restore(ss) })
+	_, err := Call(context.Background(), s, stream, func(st *Stream) (struct{}, error) { return struct{}{}, st.Restore(ss) })
+	return err
 }
 
 // Restore replaces every stream's state with the checkpoint's, applied on

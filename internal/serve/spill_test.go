@@ -21,10 +21,11 @@ import (
 func TestCorruptSpillFailsLoudlyThenRecovers(t *testing.T) {
 	const frames, evictAt, refAt = 40, 17, 4
 
-	evicted := func(t *testing.T, srv *serve.Server) (ev bool) {
+	evicted := func(t *testing.T, srv *serve.Server) bool {
 		t.Helper()
-		// Raw barrier: a joining one would try to settle the spilled round.
-		if err := srv.DoRawContext(context.Background(), 0, func(st *serve.Stream) { ev = st.Evicted() }); err != nil {
+		// Call, not Do: a joining barrier would try to settle the spilled round.
+		ev, err := serve.Call(context.Background(), srv, 0, func(st *serve.Stream) (bool, error) { return st.Evicted(), nil })
+		if err != nil {
 			t.Fatal(err)
 		}
 		return ev
@@ -94,7 +95,7 @@ func TestCorruptSpillFailsLoudlyThenRecovers(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				failFrame(t, srv)
 			}
-			stats, err := srv.StatsContext(context.Background(), 0)
+			stats, err := serve.Call(context.Background(), srv, 0, func(st *serve.Stream) (serve.Stats, error) { return st.Stats(), nil })
 			if err != nil {
 				t.Fatal(err)
 			}

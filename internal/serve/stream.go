@@ -27,6 +27,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -110,9 +111,16 @@ type Result struct {
 	Adapt core.AdaptReport
 	// AdaptApplied is true when Adapt carries a round's report.
 	AdaptApplied bool
-	// Err reports an adaptation failure (scoring itself does not fail).
+	// Err reports an adaptation failure — the frame was still scored and
+	// entered the monitor — or, wrapping ErrBadFrame, a refused frame.
 	Err error
 }
+
+// ErrBadFrame reports a frame whose score is not finite (features so large
+// the encoder overflows, or NaN/Inf features from an in-process caller).
+// The frame is refused: a NaN in the monitor window would poison every Δm
+// and the selection rule's gates for a whole window.
+var ErrBadFrame = errors.New("serve: frame scores non-finite")
 
 // Stream is one camera's deployment context. It is not safe for
 // concurrent use — one goroutine processes a stream's frames in arrival
@@ -511,6 +519,12 @@ func (st *Stream) Process(pix *tensor.Tensor) Result {
 	st.meter(PhaseScoring, func() {
 		res.Score = st.scoreDet.ScoreVideo(frame)[0]
 	})
+	if math.IsNaN(res.Score) || math.IsInf(res.Score, 0) {
+		// Refused before it touches the monitor, the history or the frame
+		// counter: the next frame scores as if this one never arrived.
+		res.Err = fmt.Errorf("%w: stream %d frame %d scores %v", ErrBadFrame, st.id, st.frames, res.Score)
+		return res
+	}
 	st.mon.Push(frame, res.Score)
 	st.frames++
 	if h := st.cfg.ScoreHistory; h > 0 {
@@ -939,7 +953,7 @@ func (st *Stream) importCounters(ss *snapshot.StreamState) {
 
 // Stats returns the stream's accumulated statistics. Like every Stream
 // method it must not race the processing goroutine — read it through a
-// Server barrier or after the stream has drained. Behind a raw barrier a
+// Server barrier or after the stream has drained. Behind a Call barrier a
 // background round may be mutating the detector, and the resident figure
 // cannot be recomputed (the breakdown walks graph and bank storage): while
 // one is pending it is the last settled ledger report. Every other field

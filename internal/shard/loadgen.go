@@ -23,11 +23,6 @@ type Scenario struct {
 	// previous result returns — the mode deterministic continuity runs use
 	// (nothing is ever shed, every frame is scored).
 	Rate float64
-	// BurstEvery/BurstSize overlay bursts on the open-loop schedule: every
-	// BurstEvery-th arrival, the following BurstSize arrivals share its
-	// scheduled instant (a camera backlog flushing at once). Ignored
-	// closed-loop.
-	BurstEvery, BurstSize int
 	// Frame synthesises the key's seq-th frame (required). It must be
 	// deterministic in (key, seq) for runs to be comparable.
 	Frame func(key string, seq int) []float64
@@ -99,6 +94,10 @@ func Run(ctx context.Context, r *Router, sc Scenario) (*Report, error) {
 		recover = 30 * time.Second
 	}
 	closed := sc.Rate <= 0
+	var interval time.Duration // open-loop: fixed-rate arrivals from start
+	if !closed {
+		interval = time.Duration(float64(time.Second) / sc.Rate)
+	}
 
 	// Pre-route every key in declared order: placement becomes a pure
 	// function of (keys, fleet shape) instead of goroutine scheduling, so
@@ -132,7 +131,6 @@ func Run(ctx context.Context, r *Router, sc Scenario) (*Report, error) {
 		wg.Add(1)
 		go func(key string) {
 			defer wg.Done()
-			arrivals := arrivalSchedule(start, sc)
 			var scores []float64
 			for seq := 0; seq < sc.Frames; seq++ {
 				if ctx.Err() != nil {
@@ -159,7 +157,7 @@ func Run(ctx context.Context, r *Router, sc Scenario) (*Report, error) {
 				}
 				sched := start
 				if !closed {
-					sched = arrivals[seq]
+					sched = start.Add(time.Duration(seq) * interval)
 					if d := time.Until(sched); d > 0 {
 						select {
 						case <-time.After(d):
@@ -242,31 +240,6 @@ func Run(ctx context.Context, r *Router, sc Scenario) (*Report, error) {
 		return rep, runErr
 	}
 	return rep, nil
-}
-
-// arrivalSchedule lays out one key's open-loop arrival instants: fixed
-// rate, with every BurstEvery-th arrival followed by BurstSize arrivals
-// at the same instant.
-func arrivalSchedule(start time.Time, sc Scenario) []time.Time {
-	if sc.Rate <= 0 {
-		return nil
-	}
-	interval := time.Duration(float64(time.Second) / sc.Rate)
-	out := make([]time.Time, sc.Frames)
-	t := start
-	burst := 0
-	for i := range out {
-		out[i] = t
-		if burst > 0 {
-			burst--
-			continue // burst arrivals share the instant
-		}
-		if sc.BurstEvery > 0 && sc.BurstSize > 0 && (i+1)%sc.BurstEvery == 0 {
-			burst = sc.BurstSize
-		}
-		t = t.Add(interval)
-	}
-	return out
 }
 
 // percentile returns the q-quantile of the samples in milliseconds

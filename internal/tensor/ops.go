@@ -232,21 +232,6 @@ func Normalize(a *Tensor) *Tensor {
 	return Scale(a, 1/n)
 }
 
-// Concat concatenates 1-D tensors into one 1-D tensor.
-func Concat(ts ...*Tensor) *Tensor {
-	n := 0
-	for _, t := range ts {
-		n += t.Size()
-	}
-	out := New(n)
-	off := 0
-	for _, t := range ts {
-		copy(out.data[off:], t.data)
-		off += t.Size()
-	}
-	return out
-}
-
 // ConcatCols horizontally concatenates 2-D tensors with equal row counts.
 func ConcatCols[T Float](ts ...*Dense[T]) *Dense[T] {
 	if len(ts) == 0 {

@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"fmt"
 	"math"
 
 	"edgekg/internal/parallel"
@@ -217,14 +216,4 @@ func LogSumExpRows(m *Tensor) *Tensor {
 	})
 	countOps(4 * r * c)
 	return out
-}
-
-// CheckFinite panics with context if any element is NaN or ±Inf. It is a
-// debugging aid used by the training loops' assertion mode.
-func (t *Dense[T]) CheckFinite(context string) {
-	for i, v := range t.data {
-		if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
-			panic(fmt.Sprintf("tensor: non-finite value %v at flat index %d in %s (shape %v)", v, i, context, t.shape))
-		}
-	}
 }

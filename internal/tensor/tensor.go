@@ -250,9 +250,6 @@ func (t *Dense[T]) Fill(v T) {
 	}
 }
 
-// Zero sets every element of t to 0.
-func (t *Dense[T]) Zero() { t.Fill(0) }
-
 // CopyFrom copies o's elements into t. Shapes must match.
 func (t *Dense[T]) CopyFrom(o *Dense[T]) {
 	t.mustSameShape(o, "CopyFrom")

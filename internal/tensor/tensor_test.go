@@ -344,11 +344,6 @@ func TestGatherScatterAdjoint(t *testing.T) {
 }
 
 func TestConcat(t *testing.T) {
-	a := FromSlice([]float64{1, 2}, 2)
-	b := FromSlice([]float64{3}, 1)
-	if got := Concat(a, b); !AllClose(got, FromSlice([]float64{1, 2, 3}, 3), 0) {
-		t.Errorf("Concat = %v", got)
-	}
 	m1 := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
 	m2 := FromSlice([]float64{5, 6}, 2, 1)
 	got := ConcatCols(m1, m2)
@@ -441,19 +436,11 @@ func TestFlopCounting(t *testing.T) {
 	if got := c.Ops(); got != 2*4*4*4 {
 		t.Errorf("MatMul flops = %d, want %d", got, 2*4*4*4)
 	}
-	c.Reset()
+	before := c.Ops()
 	Add(a, b)
-	if got := c.Ops(); got != 16 {
+	if got := c.Ops() - before; got != 16 {
 		t.Errorf("Add flops = %d, want 16", got)
 	}
-}
-
-func TestCheckFinite(t *testing.T) {
-	ok := FromSlice([]float64{1, 2}, 2)
-	ok.CheckFinite("ok") // must not panic
-	bad := FromSlice([]float64{1, math.NaN()}, 2)
-	defer expectPanic(t, "CheckFinite NaN")
-	bad.CheckFinite("bad")
 }
 
 func TestStringRendering(t *testing.T) {
