@@ -25,7 +25,9 @@ import (
 // Every loop mirrors the accumulation order of the composed reference ops
 // (MatMulT2 → Scale → +mask → SoftmaxRows → MatMul), so the fused forward
 // and backward are bit-identical to the per-window sequential model; the
-// equivalence tests in internal/temporal pin this.
+// equivalence tests in internal/temporal pin this. LastQueryAttentionFwd,
+// the eval engine's form for a model that reads only the last position,
+// runs the same per-query body for that one query per window.
 
 // attnDims validates the (batch·T × heads·dk) geometry shared by the
 // batched attention ops and returns T and dk.
@@ -161,6 +163,48 @@ func BatchedAttentionFwd[T tensor.Float](q, k, v *tensor.Dense[T], batch, heads 
 	return out
 }
 
+// LastQueryAttentionFwd is BatchedAttentionFwd computed for the last query
+// of every window only — what a model that reads one output per window
+// needs. q holds one row per window (batch × dim), k and v all batch·T
+// rows; row b of the result holds exactly the bits of row b·T+T−1 of
+// BatchedAttentionFwd over the full q, because both run the one query
+// body below. The last query attends to all T keys of its window whether
+// or not attention is causal, so there is no mask flag.
+func LastQueryAttentionFwd[T tensor.Float](q, k, v *tensor.Dense[T], batch, heads int, scale T) *tensor.Dense[T] {
+	rows, dim := k.Rows(), k.Cols()
+	if !v.SameShape(k) || q.Rows() != batch || q.Cols() != dim {
+		panic(fmt.Sprintf("autograd: LastQueryAttention shapes q%v k%v v%v, want q (%d × %d)", q.Shape(), k.Shape(), v.Shape(), batch, dim))
+	}
+	t, dk := attnDims("LastQueryAttention", rows, dim, batch, heads)
+	nb := batch * heads
+	out := tensor.NewOf[T](batch, dim)
+	ws := tensor.NewWorkspace()
+	ad := tensor.Scratch[T](ws, nb*t)
+	c := attnQuery[T]{bk: kernels.ActiveOf[T](), kd: k.Data(), vd: v.Data(), dim: dim, dk: dk, scale: scale}
+	qd, od := q.Data(), out.Data()
+	cost := 4*t*dk + 5*t
+	parallel.For(nb, attnGrain(cost), func(lo, hi int) {
+		for idx := lo; idx < hi; idx++ {
+			b, h := idx/heads, idx%heads
+			row := b*dim + h*dk
+			c.run(qd[row:row+dk], b*t*dim+h*dk, t, ad[idx*t:idx*t+t], od[row:row+dk])
+		}
+	})
+	ws.Release()
+	flops.Add(int64(nb * cost))
+	return out
+}
+
+// attnGrain picks the worker-pool chunk grain for (window, head) blocks
+// of the given flop cost so a chunk amortises the pool handshake over
+// ~2¹⁶ flop-equivalents.
+func attnGrain(blockCost int) int {
+	if blockCost > 0 && (1<<16)/blockCost > 1 {
+		return (1 << 16) / blockCost
+	}
+	return 1
+}
+
 // batchedAttention computes the attention context into a fresh tensor,
 // leaving the softmax weights in ad (nb stacked T×T blocks). It also
 // returns the worker-pool grain so the backward pass splits identically.
@@ -172,73 +216,83 @@ func batchedAttention[T tensor.Float](q, k, v *tensor.Dense[T], batch, heads int
 	t, dk := attnDims("BatchedAttention", rows, dim, batch, heads)
 	nb := batch * heads
 	out := tensor.NewOf[T](rows, dim)
-	qd, kd, vd, od := q.Data(), k.Data(), v.Data(), out.Data()
+	c := attnQuery[T]{bk: kernels.ActiveOf[T](), kd: k.Data(), vd: v.Data(), dim: dim, dk: dk, scale: scale}
+	qd, od := q.Data(), out.Data()
 
-	// One block ≈ 4·T²·dk + 5·T² flops; pick the chunk grain so a chunk
-	// amortises the pool handshake over ~2¹⁶ flop-equivalents.
+	// One block ≈ 4·T²·dk + 5·T² flops.
 	blockCost := 4*t*t*dk + 5*t*t
-	grain := 1
-	if blockCost > 0 && (1<<16)/blockCost > 1 {
-		grain = (1 << 16) / blockCost
-	}
-
-	// The fused loops call the same backend kernels as the composed
-	// reference ops (Dot for MatMulT2's inner product, Axpy for MatMul's
-	// accumulation), so fused-vs-sequential bit-identity holds per backend
-	// even where a kernel reassociates.
-	bk := kernels.ActiveOf[T]()
+	grain := attnGrain(blockCost)
 	parallel.For(nb, grain, func(lo, hi int) {
 		for idx := lo; idx < hi; idx++ {
 			b, h := idx/heads, idx%heads
-			rowOff, colOff := b*t, h*dk
+			off := b*t*dim + h*dk
 			for i := 0; i < t; i++ {
 				jm := t
 				if causal {
 					jm = i + 1
 				}
-				qrow := qd[(rowOff+i)*dim+colOff : (rowOff+i)*dim+colOff+dk]
-				arow := ad[(idx*t+i)*t : (idx*t+i)*t+t]
-				// Scores: (Q·Kᵀ)·scale, the composed MatMulT2+Scale order.
-				for j := 0; j < jm; j++ {
-					krow := kd[(rowOff+j)*dim+colOff : (rowOff+j)*dim+colOff+dk]
-					arow[j] = bk.Dot(qrow, krow) * scale
-				}
-				// Row softmax over the unmasked prefix. The reference path
-				// adds −1e9 to masked scores; after the max shift those
-				// exponentials underflow to exactly 0, so skipping them
-				// entirely yields the same floats.
-				mx := arow[0]
-				for _, s := range arow[1:jm] {
-					if s > mx {
-						mx = s
-					}
-				}
-				var sum T
-				for j := 0; j < jm; j++ {
-					e := T(math.Exp(float64(arow[j] - mx)))
-					arow[j] = e
-					sum += e
-				}
-				inv := 1 / sum
-				for j := 0; j < jm; j++ {
-					arow[j] *= inv
-				}
-				// Context: attn·V with the reference MatMul's i-p-j order
-				// and zero skip.
-				orow := od[(rowOff+i)*dim+colOff : (rowOff+i)*dim+colOff+dk]
-				for p := 0; p < jm; p++ {
-					av := arow[p]
-					if av == 0 {
-						continue
-					}
-					vrow := vd[(rowOff+p)*dim+colOff : (rowOff+p)*dim+colOff+dk]
-					bk.Axpy(av, vrow, orow)
-				}
+				row := off + i*dim
+				c.run(qd[row:row+dk], off, jm, ad[(idx*t+i)*t:(idx*t+i)*t+t], od[row:row+dk])
 			}
 		}
 	})
 	flops.Add(int64(nb * blockCost))
 	return out, grain
+}
+
+// attnQuery is the one per-(window, head, query) body of both attention
+// forwards, over the shared K and V matrices (rows of width dim).
+//
+// It calls the same backend kernels as the composed reference ops (Dot
+// for MatMulT2's inner product, Axpy for MatMul's accumulation), so
+// fused-vs-sequential bit-identity holds per backend even where a kernel
+// reassociates.
+type attnQuery[T tensor.Float] struct {
+	bk      kernels.Backend[T]
+	kd, vd  []T
+	dim, dk int
+	scale   T
+}
+
+// run attends query qrow to the first jm key/value rows of one (window,
+// head) block, whose row 0 head slice starts at offset off of K and V. It
+// leaves the softmax weights in arow[:jm] and accumulates the context into
+// orow, which must start zeroed.
+func (c attnQuery[T]) run(qrow []T, off, jm int, arow, orow []T) {
+	// Scores: (Q·Kᵀ)·scale, the composed MatMulT2+Scale order.
+	for j := 0; j < jm; j++ {
+		r := off + j*c.dim
+		arow[j] = c.bk.Dot(qrow, c.kd[r:r+c.dk]) * c.scale
+	}
+	// Row softmax over the unmasked prefix. The reference path adds −1e9
+	// to masked scores; after the max shift those exponentials underflow
+	// to exactly 0, so skipping them entirely yields the same floats.
+	mx := arow[0]
+	for _, s := range arow[1:jm] {
+		if s > mx {
+			mx = s
+		}
+	}
+	var sum T
+	for j := 0; j < jm; j++ {
+		e := T(math.Exp(float64(arow[j] - mx)))
+		arow[j] = e
+		sum += e
+	}
+	inv := 1 / sum
+	for j := 0; j < jm; j++ {
+		arow[j] *= inv
+	}
+	// Context: attn·V with the reference MatMul's i-p-j order and zero
+	// skip.
+	for p := 0; p < jm; p++ {
+		av := arow[p]
+		if av == 0 {
+			continue
+		}
+		r := off + p*c.dim
+		c.bk.Axpy(av, c.vd[r:r+c.dk], orow)
+	}
 }
 
 // MaskedSoftmaxRows applies a row-wise softmax to x + mask as a single
@@ -274,6 +328,36 @@ func AddTiled(x *Value, tile *tensor.Tensor) *Value {
 
 // AddTiledInPlace is AddTiled's forward overwriting x.
 func AddTiledInPlace[T tensor.Float](x, tile *tensor.Dense[T]) { addTiledInto(x, x, tile) }
+
+// LastRows copies row b·T+T−1 of a (batch·T × c) matrix into row b of a
+// fresh (batch × c) one: the rows a model that reads only the last
+// position of each window carries past its final attention.
+func LastRows[T tensor.Float](x *tensor.Dense[T], batch int) *tensor.Dense[T] {
+	t, _ := attnDims("LastRows", x.Rows(), x.Cols(), batch, 1)
+	out := tensor.NewOf[T](batch, x.Cols())
+	for b := 0; b < batch; b++ {
+		copy(out.Row(b), x.Row(b*t+t-1))
+	}
+	return out
+}
+
+// AddLastRowsInPlace adds row b·T+T−1 of the (batch·T × c) matrix x into
+// row b of the (batch × c) matrix h and returns h. The sum is taken in
+// x + h order, so it holds the bits a residual add over all of x's rows
+// would leave in those rows.
+func AddLastRowsInPlace[T tensor.Float](h, x *tensor.Dense[T]) *tensor.Dense[T] {
+	batch, c := h.Rows(), h.Cols()
+	t, _ := attnDims("AddLastRows", x.Rows(), x.Cols(), batch, 1)
+	if x.Cols() != c {
+		panic(fmt.Sprintf("autograd: AddLastRows widths %v and %v differ", h.Shape(), x.Shape()))
+	}
+	bk := kernels.ActiveOf[T]()
+	for b := 0; b < batch; b++ {
+		bk.Add(x.Row(b*t+t-1), h.Row(b), h.Row(b))
+	}
+	flops.Add(int64(batch * c))
+	return h
+}
 
 func addTiledInto[T tensor.Float](out, x, tile *tensor.Dense[T]) *tensor.Dense[T] {
 	r, c := x.Rows(), x.Cols()

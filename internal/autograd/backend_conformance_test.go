@@ -3,7 +3,7 @@ package autograd
 // Backend conformance for the fused autograd kernels, reusing the shared
 // shape/payload grid from internal/tensor/kernels so the fused ops face
 // the same degenerate geometries and special-value payloads as the raw
-// kernels. Two pins per backend:
+// kernels. Three pins per backend:
 //
 //   - The fused edge-aggregate forward/backward use only order-preserving
 //     kernels (MulAcc, Scale, ScaledMulAcc), so their outputs must be
@@ -13,8 +13,13 @@ package autograd
 //     single backend the fused op must still match the composed reference
 //     op chain bit-for-bit, which is the invariant the temporal model's
 //     equivalence suite relies on.
+//   - LastQueryAttentionFwd must return exactly the last-position rows of
+//     BatchedAttentionFwd within every backend, at both widths, on every
+//     payload — the eval engine's final temporal block depends on it.
 
 import (
+	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"testing"
@@ -183,4 +188,91 @@ func TestBatchedAttentionBackendConformance(t *testing.T) {
 			restore()
 		}
 	}
+}
+
+// requireLastQueryRows runs both attention forwards over one (batch·T ×
+// heads·dk) q/k/v payload at width T under every backend, and requires row
+// b of LastQueryAttentionFwd to hold the bits of row b·T+T−1 of
+// BatchedAttentionFwd under either mask — the identity the eval engine's
+// final temporal block rests on. Within one backend both forms run the same
+// per-query body, so no tolerance is allowed, whatever the payload.
+func requireLastQueryRows[T tensor.Float](t *testing.T, ctx string, qd, kd, vd []T, batch, win, heads, dk int) {
+	t.Helper()
+	rows, dim := batch*win, heads*dk
+	q, k, v := tensor.FromSlice(qd, rows, dim), tensor.FromSlice(kd, rows, dim), tensor.FromSlice(vd, rows, dim)
+	scale := T(1 / math.Sqrt(float64(dk)))
+	for _, name := range kernels.Names() {
+		func() {
+			restore, err := kernels.Use(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer restore()
+			last := LastQueryAttentionFwd(LastRows(q, batch), k, v, batch, heads, scale)
+			for _, causal := range []bool{false, true} {
+				full := BatchedAttentionFwd(q, k, v, batch, heads, scale, causal)
+				for b := 0; b < batch; b++ {
+					want, got := full.Row(b*win+win-1), last.Row(b)
+					for j := range want {
+						if err := kernels.CompareExact(want[j], got[j]); err != nil {
+							t.Fatalf("%s/%s causal=%v window %d col %d: %v", ctx, name, causal, b, j, err)
+						}
+					}
+				}
+			}
+		}()
+	}
+}
+
+// TestLastQueryAttentionBackendConformance drives the last-query identity
+// through the shared payload grid (normal, mixed magnitude, subnormal,
+// signed zero, NaN, Inf) at both widths, over single-position windows,
+// one head, and the paper's 8 heads × dk 16 at window 8.
+func TestLastQueryAttentionBackendConformance(t *testing.T) {
+	for gi, g := range []struct{ batch, win, heads, dk int }{
+		{1, 1, 1, 1}, {1, 4, 2, 8}, {3, 5, 2, 3}, {5, 3, 1, 7}, {2, 8, 8, 16},
+	} {
+		n := g.batch * g.win * g.heads * g.dk
+		for _, p := range kernels.ConformancePayloads {
+			ctx := fmt.Sprintf("%+v/%s", g, p.Name)
+			rng := rand.New(rand.NewSource(int64(700 + gi)))
+			requireLastQueryRows(t, ctx+"/f64",
+				kernels.FillAs[float64](p, rng, n), kernels.FillAs[float64](p, rng, n), kernels.FillAs[float64](p, rng, n),
+				g.batch, g.win, g.heads, g.dk)
+			requireLastQueryRows(t, ctx+"/f32",
+				kernels.FillAs[float32](p, rng, n), kernels.FillAs[float32](p, rng, n), kernels.FillAs[float32](p, rng, n),
+				g.batch, g.win, g.heads, g.dk)
+		}
+	}
+}
+
+// FuzzLastQueryAttention is the same identity on fuzz-chosen geometry and
+// payloads: the selector byte picks one of the conformance payload classes
+// (seeded from the raw bytes) or the raw bytes themselves.
+func FuzzLastQueryAttention(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(2), uint8(4), uint8(1), uint8(3), uint8(0))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xf8, 0x7f}, uint8(0), uint8(7), uint8(7), uint8(15), uint8(4))
+	f.Add([]byte{0x80, 0, 0, 0, 0, 0, 0, 0x80}, uint8(4), uint8(0), uint8(0), uint8(0), uint8(3))
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0}, uint8(1), uint8(3), uint8(1), uint8(2), uint8(2))
+	f.Fuzz(func(t *testing.T, raw []byte, bb, ww, hh, dd, sel uint8) {
+		batch, win, heads, dk := 1+int(bb%6), 1+int(ww%9), 1+int(hh%8), 1+int(dd%16)
+		fuzzLastQuery[float64](t, raw, batch, win, heads, dk, int(sel))
+		fuzzLastQuery[float32](t, raw, batch, win, heads, dk, int(sel))
+	})
+}
+
+func fuzzLastQuery[T tensor.Float](t *testing.T, raw []byte, batch, win, heads, dk, sel int) {
+	n := batch * win * heads * dk
+	var qd, kd, vd []T
+	if p := sel % (len(kernels.ConformancePayloads) + 1); p < len(kernels.ConformancePayloads) {
+		rng := rand.New(rand.NewSource(int64(crc32.ChecksumIEEE(raw))))
+		pl := kernels.ConformancePayloads[p]
+		qd, kd, vd = kernels.FillAs[T](pl, rng, n), kernels.FillAs[T](pl, rng, n), kernels.FillAs[T](pl, rng, n)
+	} else {
+		qd, kd, vd = make([]T, n), make([]T, n), make([]T, n)
+		kernels.FillFuzz(qd, raw)
+		kernels.FillFuzz(kd, raw[min(1, len(raw)):])
+		kernels.FillFuzz(vd, raw[min(2, len(raw)):])
+	}
+	requireLastQueryRows(t, fmt.Sprintf("batch=%d T=%d heads=%d dk=%d", batch, win, heads, dk), qd, kd, vd, batch, win, heads, dk)
 }

@@ -285,10 +285,11 @@ func (d *Detector) ForwardClip(clip *tensor.Tensor, batch int) *autograd.Value {
 // encode → per-KG GNN → temporal block → decision head → calibrated
 // softmax), written once over the element width — at the width the
 // configured Precision resolves to. Every stage shares its forward
-// arithmetic and FLOP count with the autograd op that trains it, so at
-// float64 the scores are exactly what the tape composition (ForwardClip
-// and friends) would produce, and a frame costs the same count at either
-// width.
+// arithmetic with the autograd op that trains it, so at float64 the scores
+// are exactly what the tape composition (ForwardClip and friends) would
+// produce, and a frame costs the same count at either width. The count is
+// lower than the tape's: the temporal stage's final block computes only
+// the last position of each window, the one the head reads.
 //
 // Frame windows are scored in batched temporal passes: the window matrix
 // is assembled concurrently on the shared worker pool (each task fills
@@ -339,17 +340,14 @@ func scoreVideo[T tensor.Float](d *Detector, frames *tensor.Tensor) []float64 {
 			b = chunk
 		}
 		wins := tensor.NewOf[T](b*t, emb.Cols())
-		parallel.For(b, 8, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				for k := 0; k < t; k++ {
-					src := base + i - (t - 1) + k
-					if src < 0 {
-						src = 0
-					}
-					copy(wins.Row(i*t+k), emb.Row(src))
-				}
-			}
-		})
+		// A served frame is b = 1: fill it inline rather than pay a heap
+		// closure for a parallel.For that would run inline anyway.
+		const grain = 8
+		if b <= grain {
+			fillWindows(wins, emb, base, t, 0, b)
+		} else {
+			parallel.For(b, grain, func(lo, hi int) { fillWindows(wins, emb, base, t, lo, hi) })
+		}
 		logits := decision.LogitsEval(d.head, temporal.ForwardBatchEval(d.temp, wins, b))
 		probs := tensor.SoftmaxRows(tensor.ScaleInPlace(logits, invT))
 		for i := 0; i < b; i++ {
@@ -357,6 +355,17 @@ func scoreVideo[T tensor.Float](d *Detector, frames *tensor.Tensor) []float64 {
 		}
 	}
 	return scores
+}
+
+// fillWindows writes windows [lo, hi) of the chunk starting at frame base
+// into wins: window i's T rows are the embeddings of frames
+// base+i−T+1 … base+i, left-padded with frame 0.
+func fillWindows[T tensor.Float](wins, emb *tensor.Dense[T], base, t, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		for k := 0; k < t; k++ {
+			copy(wins.Row(i*t+k), emb.Row(max(base+i-(t-1)+k, 0)))
+		}
+	}
 }
 
 // embedFramesEval is EmbedFrames without the tape, at width T. The

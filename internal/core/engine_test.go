@@ -128,10 +128,31 @@ func TestScoreVideoMatchesTapeBitForBit(t *testing.T) {
 	grid("rebound")
 }
 
+// skippedFinalBlockFLOPs is the closed-form count of what the engine's
+// final temporal block does not compute for n windows: Wq, Wo, both
+// residual adds, the feed-forward (FF1 + GELU + FF2) on the T−1 rows per
+// window nobody reads, and the attention of their queries. LayerNorm and
+// the row gather bill nothing on either side.
+func skippedFinalBlockFLOPs(cfg Config, n int) int64 {
+	tc := cfg.Temporal
+	d, t, heads := tc.InnerDim, tc.Window, tc.Heads
+	ff := tc.FFDim
+	if ff == 0 {
+		ff = 4 * d
+	}
+	affine := func(in, out int) int { return 2*in*out + out }
+	perRow := 2*affine(d, d) + 2*d + affine(d, ff) + ff + affine(ff, d)
+	// One (window, head) block costs 4·T²·dk + 5·T² for all T queries and
+	// 4·T·dk + 5·T for the last one.
+	attn := heads * (t - 1) * (4*t*(d/heads) + 5*t)
+	return int64(n * ((t-1)*perRow + attn))
+}
+
 // TestScoreVideoFLOPsIndependentOfWidth pins the Table-I ledger to the
 // model, not to a deployment knob: one frame (and 24) is billed the same
-// operation count at float32 and at float64, and exactly what the tape
-// composition bills.
+// operation count at float32 and at float64 — exactly what the tape
+// composition bills, minus the rows the engine's final temporal block
+// skips.
 func TestScoreVideoFLOPsIndependentOfWidth(t *testing.T) {
 	r := newRig(t, "Stealing", 11)
 	r.det.Deploy()
@@ -146,22 +167,33 @@ func TestScoreVideoFLOPsIndependentOfWidth(t *testing.T) {
 		}
 		f64, f32 := count(PrecisionF64), count(PrecisionF32)
 		tape, _ := flops.Count(func() { scoreVideoTape(r.det, pix) })
-		if f64 != tape || f32 != tape || tape == 0 {
-			t.Errorf("%d frames: %d ops at f64, %d at f32, %d on the tape — want all equal and nonzero", n, f64, f32, tape)
+		want := tape - skippedFinalBlockFLOPs(r.det.cfg, n)
+		if f64 != want || f32 != want || want <= 0 {
+			t.Errorf("%d frames: %d ops at f64, %d at f32, want %d (tape %d minus the skipped rows)", n, f64, f32, want, tape)
 		}
 	}
 }
 
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
+
 // TestScoreVideoAllocCeiling keeps a served frame's allocation count from
-// creeping back up (measured 74 at float64, 78 at float32).
+// creeping back up (measured 71 at float64, 75 at float32). Under the race
+// detector sync.Pool drops pooled buffers at random, which adds a few
+// allocations per run (measured 78–79 and 82–83), so the ceiling there is
+// looser.
 func TestScoreVideoAllocCeiling(t *testing.T) {
 	r := newRig(t, "Stealing", 11)
 	r.det.Deploy()
 	pix := tensor.RandN(rand.New(rand.NewSource(93)), 1, 1, r.space.PixDim())
+	ceiling := 80.0
+	if raceEnabled {
+		ceiling = 90
+	}
 	for _, p := range []Precision{PrecisionF64, PrecisionF32} {
 		r.det.SetPrecision(p)
-		if got := testing.AllocsPerRun(200, func() { r.det.ScoreVideo(pix) }); got > 90 {
-			t.Errorf("ScoreVideo(1 frame) at %v: %.0f allocs, ceiling 90", p, got)
+		if got := testing.AllocsPerRun(200, func() { r.det.ScoreVideo(pix) }); got > ceiling {
+			t.Errorf("ScoreVideo(1 frame) at %v: %.0f allocs, ceiling %.0f", p, got, ceiling)
 		}
 	}
 }

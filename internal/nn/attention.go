@@ -108,6 +108,19 @@ func (a *AttentionEval[T]) ForwardBatch(x *tensor.Dense[T], batch int) *tensor.D
 	return a.Wo.Forward(ctx)
 }
 
+// ForwardLast is ForwardBatch for the last row of every window only: K
+// and V are projected from every row of x, Q, the context and Wo from the
+// batch last rows. Row b of the (batch × dim) result holds the bits of row
+// b·T+T−1 of ForwardBatch(x, batch).
+func (a *AttentionEval[T]) ForwardLast(x *tensor.Dense[T], batch int) *tensor.Dense[T] {
+	k := a.Wk.Forward(x)
+	v := a.Wv.Forward(x)
+	q := a.Wq.Forward(autograd.LastRows(x, batch))
+	scale := T(1 / math.Sqrt(float64(a.dk)))
+	ctx := autograd.LastQueryAttentionFwd(q, k, v, batch, a.heads, scale)
+	return a.Wo.Forward(ctx)
+}
+
 // causalMask returns a (t×t) additive mask with -1e9 above the diagonal.
 func causalMask(t int) *tensor.Tensor {
 	m := tensor.New(t, t)
@@ -196,7 +209,20 @@ func EvalEncoder[T tensor.Float](e *EncoderLayer) EncoderEval[T] {
 // ForwardBatch is EncoderLayer.ForwardBatch without the tape. It consumes
 // x: both residual sums accumulate into x's storage, which is returned.
 func (e *EncoderEval[T]) ForwardBatch(x *tensor.Dense[T], batch int) *tensor.Dense[T] {
-	h := tensor.AddInPlace(x, e.Attn.ForwardBatch(e.LN1.Forward(x), batch))
+	return e.feedForward(tensor.AddInPlace(x, e.Attn.ForwardBatch(e.LN1.Forward(x), batch)))
+}
+
+// ForwardLast is ForwardBatch for the last row of every window only: LN1,
+// K and V run over every row of x, everything after them over the batch
+// last rows. Every op past attention is row-wise, so row b of the
+// (batch × dim) result holds the bits of row b·T+T−1 of
+// ForwardBatch(x, batch). x is left unchanged.
+func (e *EncoderEval[T]) ForwardLast(x *tensor.Dense[T], batch int) *tensor.Dense[T] {
+	return e.feedForward(autograd.AddLastRowsInPlace(e.Attn.ForwardLast(e.LN1.Forward(x), batch), x))
+}
+
+// feedForward adds FF2(GELU(FF1(LN2(h)))) into h and returns it.
+func (e *EncoderEval[T]) feedForward(h *tensor.Dense[T]) *tensor.Dense[T] {
 	ff := e.FF1.Forward(e.LN2.Forward(h))
 	autograd.GELUInPlace(ff)
 	return tensor.AddInPlace(h, e.FF2.Forward(ff))

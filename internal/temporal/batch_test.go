@@ -2,6 +2,7 @@ package temporal
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"edgekg/internal/autograd"
 	"edgekg/internal/parallel"
 	"edgekg/internal/tensor"
+	"edgekg/internal/tensor/kernels"
 )
 
 // batchConfig builds a config sized so every tested head count divides the
@@ -95,6 +97,94 @@ func TestForwardBatchGradEquivalence(t *testing.T) {
 			}
 			p.V.ZeroGrad()
 		}
+	}
+}
+
+// allRowsEval is the eval stack run the long way — every block over all
+// batch·T rows, then the final norm, the last-row gather and out — the
+// reference ForwardBatchEval's last-row final block is pinned to at any
+// width.
+func allRowsEval[T tensor.Float](m *Model, windows *tensor.Dense[T], batch int) *tensor.Dense[T] {
+	s := evalOf[T](m)
+	h := s.inProj.Forward(windows)
+	autograd.AddTiledInPlace(h, s.pos)
+	for i := range s.blocks {
+		h = s.blocks[i].ForwardBatch(h, batch)
+	}
+	return s.out.Forward(autograd.LastRows(s.norm.Forward(h), batch))
+}
+
+func requireSameBits[T tensor.Float](t *testing.T, ctx string, want, got *tensor.Dense[T]) {
+	t.Helper()
+	if !got.SameShape(want) {
+		t.Fatalf("%s: shape %v, want %v", ctx, got.Shape(), want.Shape())
+	}
+	for i, w := range want.Data() {
+		if err := kernels.CompareExact(w, got.Data()[i]); err != nil {
+			t.Fatalf("%s: element %d: %v", ctx, i, err)
+		}
+	}
+}
+
+// TestForwardBatchEvalMatchesTape pins the eval engine's temporal stage,
+// whose final block computes only the last row of each window, to the
+// tape ForwardBatch bit for bit at float64 — with one layer and with two
+// (an earlier block runs all rows first), both masks, one and two heads,
+// batches 1, 2 and 5, on every backend at one worker and at four. At
+// float32 it returns the all-rows eval stack's bits and stays inside the
+// engine's f32 drift budget (2e-3, internal/core/precision_test.go) of
+// the tape.
+func TestForwardBatchEvalMatchesTape(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	type fixture struct {
+		name    string
+		m       *Model
+		batch   int
+		windows *tensor.Tensor
+	}
+	var cases []fixture
+	for _, layers := range []int{1, 2} {
+		for _, heads := range []int{1, 2} {
+			for _, causal := range []bool{false, true} {
+				cfg := batchConfig(heads, causal)
+				cfg.Layers = layers
+				m, err := New(rng, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.SetTraining(false)
+				for _, batch := range []int{1, 2, 5} {
+					name := fmt.Sprintf("layers=%d heads=%d causal=%v batch=%d", layers, heads, causal, batch)
+					cases = append(cases, fixture{name, m, batch, tensor.RandN(rng, 1, batch*m.Window(), 6)})
+				}
+			}
+		}
+	}
+	const budget = 2e-3
+	for _, name := range kernels.Names() {
+		restore, err := kernels.Use(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			prev := parallel.SetWorkers(workers)
+			for _, c := range cases {
+				ctx := fmt.Sprintf("%s/workers=%d/%s", name, workers, c.name)
+				tape := c.m.ForwardBatch(autograd.Constant(c.windows), c.batch).Data
+				requireSameBits(t, ctx+"/f64", tape, ForwardBatchEval(c.m, c.windows, c.batch))
+
+				w32 := tensor.Narrow[float32](c.windows)
+				got32 := ForwardBatchEval(c.m, w32, c.batch)
+				requireSameBits(t, ctx+"/f32", allRowsEval(c.m, w32, c.batch), got32)
+				for i, v := range got32.Data() {
+					if d := math.Abs(float64(v) - tape.Data()[i]); d > budget {
+						t.Fatalf("%s/f32: element %d drifts %.2e from the tape, budget %.0e", ctx, i, d, budget)
+					}
+				}
+			}
+			parallel.SetWorkers(prev)
+		}
+		restore()
 	}
 }
 

@@ -180,27 +180,27 @@ func (m *Model) checkBatch(rows, cols, batch int) {
 	}
 }
 
-// ForwardBatchEval is ForwardBatch without the tape, at width T: the same
-// batched structure (one projection, tiled positional add, block-diagonal
-// batched attention, final norm, last-position gather) through the same
-// forward arithmetic, so at float64 it returns ForwardBatch's bits. It is
-// the temporal stage of Detector.ScoreVideo; the model must be in
-// inference mode.
+// ForwardBatchEval is ForwardBatch without the tape, at width T, and
+// without the positions nobody reads: the projection, positional add and
+// every block but the last run over all batch·T rows, the final block
+// computes LN1, K and V over all rows and everything after them — Q, the
+// attention context, Wo, the residuals, the feed-forward, the final norm
+// and out — over the batch last rows only. Every op past the final K/V is
+// row-wise and the last query attends to its whole window under either
+// mask, so at float64 it returns ForwardBatch's bits while billing fewer
+// FLOPs. It is the temporal stage of Detector.ScoreVideo; the model must
+// be in inference mode.
 func ForwardBatchEval[T tensor.Float](m *Model, windows *tensor.Dense[T], batch int) *tensor.Dense[T] {
-	t := m.cfg.Window
 	m.checkBatch(windows.Rows(), windows.Cols(), batch)
 	s := evalOf[T](m)
 	h := s.inProj.Forward(windows)
 	autograd.AddTiledInPlace(h, s.pos)
-	for i := range s.blocks {
+	final := len(s.blocks) - 1
+	for i := range s.blocks[:final] {
 		h = s.blocks[i].ForwardBatch(h, batch)
 	}
-	h = s.norm.Forward(h)
-	last := make([]int, batch)
-	for k := range last {
-		last[k] = (k+1)*t - 1
-	}
-	return s.out.Forward(tensor.Gather(h, last))
+	h = s.blocks[final].ForwardLast(h, batch)
+	return s.out.Forward(s.norm.Forward(h))
 }
 
 // SetTraining toggles dropout inside the encoder blocks. Entering
