@@ -507,7 +507,7 @@ func (ss *StreamServer) TestAUC(stream int, class string) (float64, error) {
 // in-flight background adaptation round keeps its frame-deterministic
 // swap schedule through the round trip.
 func (ss *StreamServer) SaveCheckpoint(path string) error {
-	cp, err := ss.srv.Checkpoint()
+	cp, err := ss.srv.Checkpoint(context.Background())
 	if err != nil {
 		return err
 	}

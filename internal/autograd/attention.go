@@ -77,7 +77,7 @@ func BatchedAttention(q, k, v *Value, batch, heads int, scale float64, causal bo
 	qd, kd, vd, ad := q.Data.Data(), k.Data.Data(), v.Data.Data(), attn.Data()
 	bk := kernels.Active()
 
-	return newOp3("batchedattention", out, q, k, v, func(bp *Backprop, g *tensor.Tensor) {
+	return newOp3("batchedattention", out, q, k, v, func(g *tensor.Tensor) {
 		gd := g.Data()
 		var gq, gk, gv *tensor.Tensor
 		if q.requiresGrad {
@@ -141,13 +141,13 @@ func BatchedAttention(q, k, v *Value, batch, heads int, scale float64, causal bo
 		// backward graph would have reported to the ledger.
 		flops.Add(int64(nb * (8*t*t*dk + 3*t*t)))
 		if gq != nil {
-			bp.accumulate(q, gq)
+			q.accumulate(gq)
 		}
 		if gk != nil {
-			bp.accumulate(k, gk)
+			k.accumulate(gk)
 		}
 		if gv != nil {
-			bp.accumulate(v, gv)
+			v.accumulate(gv)
 		}
 	})
 }
@@ -309,8 +309,8 @@ func MaskedSoftmaxRows(x *Value, mask *tensor.Tensor) *Value {
 		shifted = tensor.Add(x.Data, mask)
 	}
 	out := tensor.SoftmaxRows(shifted)
-	return newOp3("maskedsoftmaxrows", out, x, nil, nil, func(bp *Backprop, g *tensor.Tensor) {
-		bp.accumulate(x, softmaxRowsBackward(out, g))
+	return newOp3("maskedsoftmaxrows", out, x, nil, nil, func(g *tensor.Tensor) {
+		x.accumulate(softmaxRowsBackward(out, g))
 	})
 }
 
@@ -321,8 +321,8 @@ func MaskedSoftmaxRows(x *Value, mask *tensor.Tensor) *Value {
 // to x (the tile is constant).
 func AddTiled(x *Value, tile *tensor.Tensor) *Value {
 	out := addTiledInto(tensor.New(x.Data.Rows(), x.Data.Cols()), x.Data, tile)
-	return newOp3("addtiled", out, x, nil, nil, func(bp *Backprop, g *tensor.Tensor) {
-		bp.accumulate(x, g)
+	return newOp3("addtiled", out, x, nil, nil, func(g *tensor.Tensor) {
+		x.accumulate(g)
 	})
 }
 

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"edgekg/internal/parallel"
 	"edgekg/internal/tensor"
 )
 
@@ -45,7 +44,7 @@ type Value struct {
 	// overwhelming majority), so building a tape node does not allocate a
 	// parent slice.
 	parentsBack [3]*Value
-	backFn      func(bp *Backprop, grad *tensor.Tensor)
+	backFn      func(grad *tensor.Tensor)
 	op          string
 }
 
@@ -145,51 +144,9 @@ func (v *Value) accumulate(g *tensor.Tensor) {
 	tensor.AddInPlace(v.Grad, g)
 }
 
-// GradSink collects leaf adjoints for one backward pass, keyed by the leaf
-// Value. It is the per-shard gradient buffer of the data-parallel training
-// runtime: every shard runs BackwardInto with its own sink, so concurrent
-// backwards over shared parameter leaves never touch the shared Grad
-// fields. A sink is not safe for concurrent use; give each shard its own.
-type GradSink map[*Value]*tensor.Tensor
-
-// add accumulates g into the sink's buffer for v, cloning on first use (g
-// may alias tape internals that a later accumulation would corrupt).
-func (s GradSink) add(v *Value, g *tensor.Tensor) {
-	if buf := s[v]; buf != nil {
-		tensor.AddInPlace(buf, g)
-		return
-	}
-	s[v] = g.Clone()
-}
-
-// Grad returns the accumulated adjoint for leaf v, or nil if the backward
-// pass never reached it.
-func (s GradSink) Grad(v *Value) *tensor.Tensor { return s[v] }
-
-// Backprop carries the state of one reverse pass. The zero value is the
-// default engine: leaf adjoints accumulate into Value.Grad. With a
-// sink installed, every leaf adjoint is redirected into the sink instead,
-// which makes the pass safe to run concurrently with other sink-equipped
-// passes that share only leaf Values (interior nodes are always private to
-// the tape that created them).
-type Backprop struct {
-	sink GradSink
-}
-
-// accumulate routes an adjoint for v: leaves go to the sink when one is
-// installed, everything else (and every value in default mode) accumulates
-// into v.Grad. Leaves are exactly the values with no backward closure.
-func (bp *Backprop) accumulate(v *Value, g *tensor.Tensor) {
-	if bp.sink != nil && v.backFn == nil {
-		bp.sink.add(v, g)
-		return
-	}
-	v.accumulate(g)
-}
-
 // newOp builds an interior graph node. If no parent requires gradients the
 // node is constant-folded: no parents or closure are retained.
-func newOp(op string, data *tensor.Tensor, parents []*Value, back func(bp *Backprop, grad *tensor.Tensor)) *Value {
+func newOp(op string, data *tensor.Tensor, parents []*Value, back func(grad *tensor.Tensor)) *Value {
 	needs := false
 	for _, p := range parents {
 		if p.requiresGrad {
@@ -213,7 +170,7 @@ func newOp(op string, data *tensor.Tensor, parents []*Value, back func(bp *Backp
 // newOp3 is newOp for ops with up to three parents, taking them as direct
 // arguments (nil for absent) so hot call sites allocate no parent slice at
 // all. Non-nil parents must be packed first.
-func newOp3(op string, data *tensor.Tensor, a, b, c *Value, back func(bp *Backprop, grad *tensor.Tensor)) *Value {
+func newOp3(op string, data *tensor.Tensor, a, b, c *Value, back func(grad *tensor.Tensor)) *Value {
 	needs := a != nil && a.requiresGrad || b != nil && b.requiresGrad || c != nil && c.requiresGrad
 	if !needs {
 		return &Value{Data: data, op: op}
@@ -242,91 +199,21 @@ func (v *Value) Backward() {
 // BackwardWith runs Backward seeding the output adjoint with seed, which
 // must match v's shape.
 func (v *Value) BackwardWith(seed *tensor.Tensor) {
-	v.backward(seed, nil)
-}
-
-// BackwardInto runs reverse-mode differentiation from v with an all-ones
-// seed, accumulating every leaf adjoint into sink instead of the leaves'
-// Grad fields. Interior nodes of the tape still use their Grad fields as
-// scratch, but those are private to this tape, so concurrent BackwardInto
-// calls from tapes that share only leaf Values (the data-parallel training
-// contract: shared parameters, per-shard forward graphs) are race-free and
-// each shard's sink holds exactly its own gradient contribution.
-func (v *Value) BackwardInto(sink GradSink) {
-	v.BackwardIntoWith(tensor.Ones(v.Data.Shape()...), sink)
-}
-
-// BackwardIntoWith is BackwardInto with an explicit seed adjoint.
-func (v *Value) BackwardIntoWith(seed *tensor.Tensor, sink GradSink) {
-	if sink == nil {
-		panic("autograd: BackwardInto with nil sink")
-	}
-	v.backward(seed, sink)
-}
-
-// backward is the shared reverse-pass engine behind BackwardWith and
-// BackwardInto.
-func (v *Value) backward(seed *tensor.Tensor, sink GradSink) {
 	if !v.Data.SameShape(seed) {
 		panic(fmt.Sprintf("autograd: Backward seed shape %v does not match value shape %v", seed.Shape(), v.Data.Shape()))
 	}
 	if !v.requiresGrad {
 		return
 	}
-	bp := &Backprop{sink: sink}
 	order := topoSort(v)
-	bp.accumulate(v, seed)
+	v.accumulate(seed)
 	for i := len(order) - 1; i >= 0; i-- {
 		n := order[i]
 		if n.backFn == nil || n.Grad == nil {
 			continue
 		}
-		n.backFn(bp, n.Grad)
+		n.backFn(n.Grad)
 	}
-}
-
-// ReduceSinks deterministically reduces per-shard gradient sinks into the
-// Grad fields of params, scaled by scale (pass 1/K for microbatch
-// averaging, 1 when shard losses are already weighted). For each parameter
-// the present shard buffers are combined by a fixed-shape pairwise tree in
-// sink order — ((s0+s1)+(s2+s3))… — so the result depends only on the
-// sink slice, never on worker count or scheduling, which is what pins the
-// data-parallel trainer's bit-determinism across EDGEKG_WORKERS. The sink
-// buffers are consumed (mutated in place) by the reduction. Parameters no
-// sink saw keep a nil Grad, exactly as a sequential backward would leave a
-// frozen branch.
-func ReduceSinks(params []*Value, sinks []GradSink, scale float64) {
-	parallel.For(len(params), 4, func(lo, hi int) {
-		bufs := make([]*tensor.Tensor, 0, len(sinks))
-		for pi := lo; pi < hi; pi++ {
-			p := params[pi]
-			bufs = bufs[:0]
-			for _, s := range sinks {
-				if g := s[p]; g != nil {
-					bufs = append(bufs, g)
-				}
-			}
-			if len(bufs) == 0 {
-				continue
-			}
-			// Pairwise tree reduction in fixed shard order.
-			for stride := 1; stride < len(bufs); stride *= 2 {
-				for i := 0; i+stride < len(bufs); i += 2 * stride {
-					tensor.AddInPlace(bufs[i], bufs[i+stride])
-				}
-			}
-			if scale != 1 {
-				tensor.ScaleInPlace(bufs[0], scale)
-			}
-			// The sinks are consumed: hand the reduced buffer to the
-			// parameter instead of cloning it.
-			if p.Grad == nil {
-				p.Grad = bufs[0]
-			} else {
-				tensor.AddInPlace(p.Grad, bufs[0])
-			}
-		}
-	})
 }
 
 // topoSort returns the reachable graph in topological order (parents before

@@ -50,7 +50,7 @@ func MeanRowsBatchFwd(banks []*Value) *tensor.Tensor {
 func MeanRowsBatch(banks []*Value) *Value {
 	out := MeanRowsBatchFwd(banks)
 	d := out.Cols()
-	return newOp("meanrowsbatch", out, banks, func(bp *Backprop, g *tensor.Tensor) {
+	return newOp("meanrowsbatch", out, banks, func(g *tensor.Tensor) {
 		gd := g.Data()
 		for i, b := range banks {
 			if !b.requiresGrad {
@@ -70,7 +70,7 @@ func MeanRowsBatch(banks []*Value) *Value {
 					row[j] = grow[j] * inv
 				}
 			}
-			bp.accumulate(b, gb)
+			b.accumulate(gb)
 		}
 	})
 }
@@ -159,7 +159,7 @@ func AssembleBatch(frames, feats *Value, featRow []int, frameRow int, fill float
 	}
 	out := AssembleBatchFwd(frames.Data, featData, featRow, frameRow, fill)
 
-	return newOp3("assemblebatch", out, frames, feats, nil, func(bp *Backprop, g *tensor.Tensor) {
+	return newOp3("assemblebatch", out, frames, feats, nil, func(g *tensor.Tensor) {
 		gd := g.Data()
 		if frames.requiresGrad {
 			gf := tensor.New(b, d)
@@ -167,7 +167,7 @@ func AssembleBatch(frames, feats *Value, featRow []int, frameRow int, fill float
 			for k := 0; k < b; k++ {
 				copy(gfd[k*d:(k+1)*d], gd[(k*v+frameRow)*d:(k*v+frameRow+1)*d])
 			}
-			bp.accumulate(frames, gf)
+			frames.accumulate(gf)
 		}
 		if feats != nil && feats.requiresGrad {
 			gt := tensor.New(featRows, d)
@@ -184,7 +184,7 @@ func AssembleBatch(frames, feats *Value, featRow []int, frameRow int, fill float
 					}
 				}
 			}
-			bp.accumulate(feats, gt)
+			feats.accumulate(gt)
 		}
 	})
 }

@@ -33,7 +33,7 @@ func EdgeAggNormActEval(x, gamma, beta *Value, src, dst []int, inLevel []bool, r
 	edgeAggNormActEvalInto(out, x.Data, gam, bet, rm, InvStd(fws.Floats(d), runningVar, eps), src, dst, inLevel)
 	od := out.Data()
 	fws.Release()
-	return newOp3("edgeaggnormact.eval", out, x, gamma, beta, func(bp *Backprop, g *tensor.Tensor) {
+	return newOp3("edgeaggnormact.eval", out, x, gamma, beta, func(g *tensor.Tensor) {
 		ws := tensor.NewWorkspace()
 		binvStd := ws.Floats(d)
 		for j, v := range runningVar.Data() {
@@ -62,7 +62,7 @@ func EdgeAggNormActEval(x, gamma, beta *Value, src, dst []int, inLevel []bool, r
 					ggd[j] += prow[j] * (trow[j] - rm[j]) * binvStd[j]
 				}
 			}
-			bp.accumulate(gamma, gg.Reshape(gamma.Data.Shape()...))
+			gamma.accumulate(gg.Reshape(gamma.Data.Shape()...))
 		}
 		if beta.requiresGrad {
 			gb := tensor.New(d)
@@ -73,7 +73,7 @@ func EdgeAggNormActEval(x, gamma, beta *Value, src, dst []int, inLevel []bool, r
 					gbd[j] += prow[j]
 				}
 			}
-			bp.accumulate(beta, gb.Reshape(beta.Data.Shape()...))
+			beta.accumulate(gb.Reshape(beta.Data.Shape()...))
 		}
 		if x.requiresGrad {
 			dtmp := ws.Floats(n * d)
@@ -86,7 +86,7 @@ func EdgeAggNormActEval(x, gamma, beta *Value, src, dst []int, inLevel []bool, r
 			}
 			gx := tensor.New(n, d)
 			edgeAggBackward(xd, dtmp, gx.Data(), n, d, src, dst, inLevel)
-			bp.accumulate(x, gx)
+			x.accumulate(gx)
 		}
 		ws.Release()
 	})
@@ -166,7 +166,7 @@ func EdgeAggNormActTrain(x, gamma, beta *Value, src, dst []int, inLevel []bool, 
 			}
 		}
 	}
-	v := newOp3("edgeaggnormact", o, x, gamma, beta, func(bp *Backprop, g *tensor.Tensor) {
+	v := newOp3("edgeaggnormact", o, x, gamma, beta, func(g *tensor.Tensor) {
 		ws := tensor.NewWorkspace()
 		gpre := ws.Floats(n * d)
 		gd := g.Data()
@@ -187,7 +187,7 @@ func EdgeAggNormActTrain(x, gamma, beta *Value, src, dst []int, inLevel []bool, 
 					ggd[j] += prow[j] * hrow[j]
 				}
 			}
-			bp.accumulate(gamma, gg.Reshape(gamma.Data.Shape()...))
+			gamma.accumulate(gg.Reshape(gamma.Data.Shape()...))
 		}
 		if beta.requiresGrad {
 			gb := tensor.New(d)
@@ -198,7 +198,7 @@ func EdgeAggNormActTrain(x, gamma, beta *Value, src, dst []int, inLevel []bool, 
 					gbd[j] += prow[j]
 				}
 			}
-			bp.accumulate(beta, gb.Reshape(beta.Data.Shape()...))
+			beta.accumulate(gb.Reshape(beta.Data.Shape()...))
 		}
 		if x.requiresGrad {
 			// Batch-norm input gradient over the aggregate output:
@@ -226,7 +226,7 @@ func EdgeAggNormActTrain(x, gamma, beta *Value, src, dst []int, inLevel []bool, 
 			}
 			gx := tensor.New(n, d)
 			edgeAggBackward(xd, dtmp, gx.Data(), n, d, src, dst, inLevel)
-			bp.accumulate(x, gx)
+			x.accumulate(gx)
 		}
 		ws.Release()
 	})

@@ -21,12 +21,12 @@ func EdgeMessage(x *Value, src, dst []int) *Value {
 	xs := tensor.Gather(x.Data, srcIdx)
 	xd := tensor.Gather(x.Data, dstIdx)
 	out := tensor.Mul(xs, xd)
-	return newOp3("edgemessage", out, x, nil, nil, func(bp *Backprop, g *tensor.Tensor) {
+	return newOp3("edgemessage", out, x, nil, nil, func(g *tensor.Tensor) {
 		// d/dX_src = g ⊙ X_dst scattered to src rows; symmetric for dst.
 		gx := tensor.New(x.Data.Shape()...)
 		tensor.ScatterAddRows(gx, srcIdx, tensor.Mul(g, xd))
 		tensor.ScatterAddRows(gx, dstIdx, tensor.Mul(g, xs))
-		bp.accumulate(x, gx)
+		x.accumulate(gx)
 	})
 }
 
@@ -81,7 +81,7 @@ func EdgeAggregate(x, msgs *Value, dst []int, inLevel []bool) *Value {
 			copy(row, x.Data.Row(i))
 		}
 	}
-	return newOp3("edgeaggregate", out, x, msgs, nil, func(bp *Backprop, g *tensor.Tensor) {
+	return newOp3("edgeaggregate", out, x, msgs, nil, func(g *tensor.Tensor) {
 		if x.requiresGrad {
 			gx := tensor.New(n, d)
 			for i := 0; i < n; i++ {
@@ -89,7 +89,7 @@ func EdgeAggregate(x, msgs *Value, dst []int, inLevel []bool) *Value {
 					copy(gx.Row(i), g.Row(i))
 				}
 			}
-			bp.accumulate(x, gx)
+			x.accumulate(gx)
 		}
 		if msgs.requiresGrad {
 			gm := tensor.New(len(dstIdx), d)
@@ -103,7 +103,7 @@ func EdgeAggregate(x, msgs *Value, dst []int, inLevel []bool) *Value {
 					mrow[j] = grow[j] * inv
 				}
 			}
-			bp.accumulate(msgs, gm)
+			msgs.accumulate(gm)
 		}
 	})
 }
@@ -131,10 +131,10 @@ func EdgeMessageAggregate(x *Value, src, dst []int, inLevel []bool) *Value {
 	out := tensor.New(n, d)
 	edgeAggForward(x.Data.Data(), out.Data(), n, d, src, dst, inLevel)
 	xd := x.Data.Data()
-	return newOp3("edgemsgagg", out, x, nil, nil, func(bp *Backprop, g *tensor.Tensor) {
+	return newOp3("edgemsgagg", out, x, nil, nil, func(g *tensor.Tensor) {
 		gx := tensor.New(n, d)
 		edgeAggBackward(xd, g.Data(), gx.Data(), n, d, src, dst, inLevel)
-		bp.accumulate(x, gx)
+		x.accumulate(gx)
 	})
 }
 
@@ -239,13 +239,13 @@ func RowsMask(v *Value, keep []bool) *Value {
 			copy(out.Row(i), v.Data.Row(i))
 		}
 	}
-	return newOp3("rowsmask", out, v, nil, nil, func(bp *Backprop, g *tensor.Tensor) {
+	return newOp3("rowsmask", out, v, nil, nil, func(g *tensor.Tensor) {
 		gv := tensor.New(r, c)
 		for i := 0; i < r; i++ {
 			if flags[i] {
 				copy(gv.Row(i), g.Row(i))
 			}
 		}
-		bp.accumulate(v, gv)
+		v.accumulate(gv)
 	})
 }

@@ -29,7 +29,7 @@ func CrossEntropy(logits *Value, labels []int) *Value {
 	}
 	loss /= float64(r)
 	out := tensor.Scalar(loss)
-	return newOp3("crossentropy", out, logits, nil, nil, func(bp *Backprop, g *tensor.Tensor) {
+	return newOp3("crossentropy", out, logits, nil, nil, func(g *tensor.Tensor) {
 		scale := g.Data()[0] / float64(r)
 		gl := tensor.New(r, c)
 		for i := 0; i < r; i++ {
@@ -39,7 +39,7 @@ func CrossEntropy(logits *Value, labels []int) *Value {
 			}
 			grow[labels[i]] -= scale
 		}
-		bp.accumulate(logits, gl)
+		logits.accumulate(gl)
 	})
 }
 
@@ -56,14 +56,14 @@ func MSE(a, b *Value) *Value {
 	}
 	loss /= float64(n)
 	out := tensor.Scalar(loss)
-	return newOp3("mse", out, a, b, nil, func(bp *Backprop, g *tensor.Tensor) {
+	return newOp3("mse", out, a, b, nil, func(g *tensor.Tensor) {
 		scale := 2 * g.Data()[0] / float64(n)
 		gd := tensor.Scale(diff, scale)
 		if a.requiresGrad {
-			bp.accumulate(a, gd)
+			a.accumulate(gd)
 		}
 		if b.requiresGrad {
-			bp.accumulate(b, tensor.Neg(gd))
+			b.accumulate(tensor.Neg(gd))
 		}
 	})
 }
@@ -87,7 +87,7 @@ func BinaryScoreLoss(logits *Value, targets []float64) *Value {
 	}
 	loss /= float64(r)
 	out := tensor.Scalar(loss)
-	return newOp3("binaryscoreloss", out, logits, nil, nil, func(bp *Backprop, g *tensor.Tensor) {
+	return newOp3("binaryscoreloss", out, logits, nil, nil, func(g *tensor.Tensor) {
 		// d/dlogit_j of pA = -(d p0/d logit_j); dp0/dlogit_j = p0*(δ0j - pj)
 		scale := g.Data()[0] * 2 / float64(r)
 		gl := tensor.New(r, c)
@@ -104,7 +104,7 @@ func BinaryScoreLoss(logits *Value, targets []float64) *Value {
 				grow[j] = coef * (-p0 * (delta - prow[j]))
 			}
 		}
-		bp.accumulate(logits, gl)
+		logits.accumulate(gl)
 	})
 }
 
@@ -123,7 +123,7 @@ func SmoothnessPenalty(scores *Value) *Value {
 	}
 	loss /= float64(r - 1)
 	out := tensor.Scalar(loss)
-	return newOp3("smoothness", out, scores, nil, nil, func(bp *Backprop, g *tensor.Tensor) {
+	return newOp3("smoothness", out, scores, nil, nil, func(g *tensor.Tensor) {
 		scale := 2 * g.Data()[0] / float64(r-1)
 		gv := tensor.New(scores.Data.Shape()...)
 		gd := gv.Data()
@@ -132,7 +132,7 @@ func SmoothnessPenalty(scores *Value) *Value {
 			gd[i] += scale * diff
 			gd[i-1] -= scale * diff
 		}
-		bp.accumulate(scores, gv)
+		scores.accumulate(gv)
 	})
 }
 
@@ -149,7 +149,7 @@ func SparsityPenalty(v *Value) *Value {
 	}
 	loss /= float64(n)
 	out := tensor.Scalar(loss)
-	return newOp3("sparsity", out, v, nil, nil, func(bp *Backprop, g *tensor.Tensor) {
+	return newOp3("sparsity", out, v, nil, nil, func(g *tensor.Tensor) {
 		scale := g.Data()[0] / float64(n)
 		gv := tensor.New(v.Data.Shape()...)
 		vd, gd := v.Data.Data(), gv.Data()
@@ -161,6 +161,6 @@ func SparsityPenalty(v *Value) *Value {
 				gd[i] = -scale
 			}
 		}
-		bp.accumulate(v, gv)
+		v.accumulate(gv)
 	})
 }

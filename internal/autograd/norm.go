@@ -35,7 +35,7 @@ func BatchNormTrain(x, gamma, beta *Value, eps float64) (out *Value, batchMean, 
 		}
 	}
 
-	v := newOp3("batchnorm", o, x, gamma, beta, func(bp *Backprop, g *tensor.Tensor) {
+	v := newOp3("batchnorm", o, x, gamma, beta, func(g *tensor.Tensor) {
 		if gamma.requiresGrad {
 			gg := tensor.New(c)
 			for i := 0; i < r; i++ {
@@ -44,10 +44,10 @@ func BatchNormTrain(x, gamma, beta *Value, eps float64) (out *Value, batchMean, 
 					gg.Data()[j] += grow[j] * hrow[j]
 				}
 			}
-			bp.accumulate(gamma, gg.Reshape(gamma.Data.Shape()...))
+			gamma.accumulate(gg.Reshape(gamma.Data.Shape()...))
 		}
 		if beta.requiresGrad {
-			bp.accumulate(beta, tensor.SumAxis0(g).Reshape(beta.Data.Shape()...))
+			beta.accumulate(tensor.SumAxis0(g).Reshape(beta.Data.Shape()...))
 		}
 		if x.requiresGrad {
 			// Standard batch-norm input gradient:
@@ -70,7 +70,7 @@ func BatchNormTrain(x, gamma, beta *Value, eps float64) (out *Value, batchMean, 
 					xrow[j] = coef * (rn*grow[j] - sumG.Data()[j] - hrow[j]*sumGH.Data()[j])
 				}
 			}
-			bp.accumulate(x, gx)
+			x.accumulate(gx)
 		}
 	})
 	return v, mean, variance
@@ -85,7 +85,7 @@ func BatchNormEval(x, gamma, beta *Value, runningMean, runningVar *tensor.Tensor
 	r, c := x.Data.Rows(), x.Data.Cols()
 	invStd := InvStd(make([]float64, c), runningVar, eps)
 	o := batchNormEvalInto(tensor.New(r, c), x.Data, gamma.Data.Data(), beta.Data.Data(), runningMean.Data(), invStd)
-	return newOp3("batchnorm.eval", o, x, gamma, beta, func(bp *Backprop, g *tensor.Tensor) {
+	return newOp3("batchnorm.eval", o, x, gamma, beta, func(g *tensor.Tensor) {
 		if gamma.requiresGrad {
 			gg := tensor.New(c)
 			for i := 0; i < r; i++ {
@@ -95,10 +95,10 @@ func BatchNormEval(x, gamma, beta *Value, runningMean, runningVar *tensor.Tensor
 					gg.Data()[j] += grow[j] * xh
 				}
 			}
-			bp.accumulate(gamma, gg.Reshape(gamma.Data.Shape()...))
+			gamma.accumulate(gg.Reshape(gamma.Data.Shape()...))
 		}
 		if beta.requiresGrad {
-			bp.accumulate(beta, tensor.SumAxis0(g).Reshape(beta.Data.Shape()...))
+			beta.accumulate(tensor.SumAxis0(g).Reshape(beta.Data.Shape()...))
 		}
 		if x.requiresGrad {
 			gx := tensor.New(r, c)
@@ -108,7 +108,7 @@ func BatchNormEval(x, gamma, beta *Value, runningMean, runningVar *tensor.Tensor
 					xrow[j] = grow[j] * gamma.Data.Data()[j] * invStd[j]
 				}
 			}
-			bp.accumulate(x, gx)
+			x.accumulate(gx)
 		}
 	})
 }
@@ -121,7 +121,7 @@ func LayerNorm(x, gamma, beta *Value, eps float64) *Value {
 	xhat, o := tensor.New(r, c), tensor.New(r, c)
 	invStds := make([]float64, r)
 	layerNormInto(o, xhat, invStds, x.Data, gamma.Data.Data(), beta.Data.Data(), eps)
-	return newOp3("layernorm", o, x, gamma, beta, func(bp *Backprop, g *tensor.Tensor) {
+	return newOp3("layernorm", o, x, gamma, beta, func(g *tensor.Tensor) {
 		if gamma.requiresGrad {
 			gg := tensor.New(c)
 			for i := 0; i < r; i++ {
@@ -130,10 +130,10 @@ func LayerNorm(x, gamma, beta *Value, eps float64) *Value {
 					gg.Data()[j] += grow[j] * hrow[j]
 				}
 			}
-			bp.accumulate(gamma, gg.Reshape(gamma.Data.Shape()...))
+			gamma.accumulate(gg.Reshape(gamma.Data.Shape()...))
 		}
 		if beta.requiresGrad {
-			bp.accumulate(beta, tensor.SumAxis0(g).Reshape(beta.Data.Shape()...))
+			beta.accumulate(tensor.SumAxis0(g).Reshape(beta.Data.Shape()...))
 		}
 		if x.requiresGrad {
 			gx := tensor.New(r, c)
@@ -151,7 +151,7 @@ func LayerNorm(x, gamma, beta *Value, eps float64) *Value {
 					xrow[j] = invStds[i] / cn * (cn*gj - sumG - hrow[j]*sumGH)
 				}
 			}
-			bp.accumulate(x, gx)
+			x.accumulate(gx)
 		}
 	})
 }

@@ -12,12 +12,12 @@ import (
 // Add returns a + b elementwise.
 func Add(a, b *Value) *Value {
 	out := tensor.Add(a.Data, b.Data)
-	return newOp3("add", out, a, b, nil, func(bp *Backprop, g *tensor.Tensor) {
+	return newOp3("add", out, a, b, nil, func(g *tensor.Tensor) {
 		if a.requiresGrad {
-			bp.accumulate(a, g)
+			a.accumulate(g)
 		}
 		if b.requiresGrad {
-			bp.accumulate(b, g)
+			b.accumulate(g)
 		}
 	})
 }
@@ -25,12 +25,12 @@ func Add(a, b *Value) *Value {
 // Sub returns a - b elementwise.
 func Sub(a, b *Value) *Value {
 	out := tensor.Sub(a.Data, b.Data)
-	return newOp3("sub", out, a, b, nil, func(bp *Backprop, g *tensor.Tensor) {
+	return newOp3("sub", out, a, b, nil, func(g *tensor.Tensor) {
 		if a.requiresGrad {
-			bp.accumulate(a, g)
+			a.accumulate(g)
 		}
 		if b.requiresGrad {
-			bp.accumulate(b, tensor.Neg(g))
+			b.accumulate(tensor.Neg(g))
 		}
 	})
 }
@@ -39,12 +39,12 @@ func Sub(a, b *Value) *Value {
 // hierarchical message passing layer (eq. 2) is built from.
 func Mul(a, b *Value) *Value {
 	out := tensor.Mul(a.Data, b.Data)
-	return newOp3("mul", out, a, b, nil, func(bp *Backprop, g *tensor.Tensor) {
+	return newOp3("mul", out, a, b, nil, func(g *tensor.Tensor) {
 		if a.requiresGrad {
-			bp.accumulate(a, tensor.Mul(g, b.Data))
+			a.accumulate(tensor.Mul(g, b.Data))
 		}
 		if b.requiresGrad {
-			bp.accumulate(b, tensor.Mul(g, a.Data))
+			b.accumulate(tensor.Mul(g, a.Data))
 		}
 	})
 }
@@ -52,16 +52,16 @@ func Mul(a, b *Value) *Value {
 // Scale returns alpha * a.
 func Scale(a *Value, alpha float64) *Value {
 	out := tensor.Scale(a.Data, alpha)
-	return newOp3("scale", out, a, nil, nil, func(bp *Backprop, g *tensor.Tensor) {
-		bp.accumulate(a, tensor.Scale(g, alpha))
+	return newOp3("scale", out, a, nil, nil, func(g *tensor.Tensor) {
+		a.accumulate(tensor.Scale(g, alpha))
 	})
 }
 
 // AddScalar returns a + alpha elementwise.
 func AddScalar(a *Value, alpha float64) *Value {
 	out := tensor.AddScalar(a.Data, alpha)
-	return newOp3("addscalar", out, a, nil, nil, func(bp *Backprop, g *tensor.Tensor) {
-		bp.accumulate(a, g)
+	return newOp3("addscalar", out, a, nil, nil, func(g *tensor.Tensor) {
+		a.accumulate(g)
 	})
 }
 
@@ -71,12 +71,12 @@ func Neg(a *Value) *Value { return Scale(a, -1) }
 // MatMul returns the matrix product a·b.
 func MatMul(a, b *Value) *Value {
 	out := tensor.MatMul(a.Data, b.Data)
-	return newOp3("matmul", out, a, b, nil, func(bp *Backprop, g *tensor.Tensor) {
+	return newOp3("matmul", out, a, b, nil, func(g *tensor.Tensor) {
 		if a.requiresGrad {
-			bp.accumulate(a, tensor.MatMulT2(g, b.Data)) // dA = G·Bᵀ
+			a.accumulate(tensor.MatMulT2(g, b.Data)) // dA = G·Bᵀ
 		}
 		if b.requiresGrad {
-			bp.accumulate(b, tensor.MatMulT1(a.Data, g)) // dB = Aᵀ·G
+			b.accumulate(tensor.MatMulT1(a.Data, g)) // dB = Aᵀ·G
 		}
 	})
 }
@@ -84,12 +84,12 @@ func MatMul(a, b *Value) *Value {
 // MatMulT2 returns a·bᵀ. Attention scores use it as Q·Kᵀ.
 func MatMulT2(a, b *Value) *Value {
 	out := tensor.MatMulT2(a.Data, b.Data)
-	return newOp3("matmulT2", out, a, b, nil, func(bp *Backprop, g *tensor.Tensor) {
+	return newOp3("matmulT2", out, a, b, nil, func(g *tensor.Tensor) {
 		if a.requiresGrad {
-			bp.accumulate(a, tensor.MatMul(g, b.Data)) // dA = G·B
+			a.accumulate(tensor.MatMul(g, b.Data)) // dA = G·B
 		}
 		if b.requiresGrad {
-			bp.accumulate(b, tensor.MatMulT1(g, a.Data)) // dB = Gᵀ·A
+			b.accumulate(tensor.MatMulT1(g, a.Data)) // dB = Gᵀ·A
 		}
 	})
 }
@@ -125,15 +125,15 @@ func AffineFwd[T tensor.Float](x, w *tensor.Dense[T], b []T) *tensor.Dense[T] {
 // output, saving a full matrix clone and a tape node per dense layer.
 func Affine(x, w, b *Value) *Value {
 	out := AffineFwd(x.Data, w.Data, b.Data.Data())
-	return newOp3("affine", out, x, w, b, func(bp *Backprop, g *tensor.Tensor) {
+	return newOp3("affine", out, x, w, b, func(g *tensor.Tensor) {
 		if x.requiresGrad {
-			bp.accumulate(x, tensor.MatMulT2(g, w.Data)) // dX = G·Wᵀ
+			x.accumulate(tensor.MatMulT2(g, w.Data)) // dX = G·Wᵀ
 		}
 		if w.requiresGrad {
-			bp.accumulate(w, tensor.MatMulT1(x.Data, g)) // dW = Xᵀ·G
+			w.accumulate(tensor.MatMulT1(x.Data, g)) // dW = Xᵀ·G
 		}
 		if b.requiresGrad {
-			bp.accumulate(b, tensor.SumAxis0(g).Reshape(b.Data.Shape()...))
+			b.accumulate(tensor.SumAxis0(g).Reshape(b.Data.Shape()...))
 		}
 	})
 }
@@ -142,12 +142,12 @@ func Affine(x, w, b *Value) *Value {
 // of the dense sub-layer (eq. 1) and decision head (eq. 5).
 func AddRow(m, b *Value) *Value {
 	out := tensor.AddRow(m.Data, b.Data)
-	return newOp3("addrow", out, m, b, nil, func(bp *Backprop, g *tensor.Tensor) {
+	return newOp3("addrow", out, m, b, nil, func(g *tensor.Tensor) {
 		if m.requiresGrad {
-			bp.accumulate(m, g)
+			m.accumulate(g)
 		}
 		if b.requiresGrad {
-			bp.accumulate(b, tensor.SumAxis0(g).Reshape(b.Data.Shape()...))
+			b.accumulate(tensor.SumAxis0(g).Reshape(b.Data.Shape()...))
 		}
 	})
 }
@@ -165,10 +165,10 @@ func Gather(m *Value, rows []int) *Value {
 // layout's cached row lists); it borrows rows instead of copying them.
 func GatherRows(m *Value, rows []int) *Value {
 	out := tensor.Gather(m.Data, rows)
-	return newOp3("gather", out, m, nil, nil, func(bp *Backprop, g *tensor.Tensor) {
+	return newOp3("gather", out, m, nil, nil, func(g *tensor.Tensor) {
 		gm := tensor.New(m.Data.Shape()...)
 		tensor.ScatterAddRows(gm, rows, g)
-		bp.accumulate(m, gm)
+		m.accumulate(gm)
 	})
 }
 
@@ -180,12 +180,12 @@ func ConcatCols(vs ...*Value) *Value {
 		datas[i] = v.Data
 	}
 	out := tensor.ConcatCols(datas...)
-	return newOp("concatcols", out, vs, func(bp *Backprop, g *tensor.Tensor) {
+	return newOp("concatcols", out, vs, func(g *tensor.Tensor) {
 		off := 0
 		for _, v := range vs {
 			c := v.Data.Cols()
 			if v.requiresGrad {
-				bp.accumulate(v, sliceColsTensor(g, off, off+c))
+				v.accumulate(sliceColsTensor(g, off, off+c))
 			}
 			off += c
 		}
@@ -199,12 +199,12 @@ func ConcatRows(vs ...*Value) *Value {
 		datas[i] = v.Data
 	}
 	out := tensor.ConcatRows(datas...)
-	return newOp("concatrows", out, vs, func(bp *Backprop, g *tensor.Tensor) {
+	return newOp("concatrows", out, vs, func(g *tensor.Tensor) {
 		off := 0
 		for _, v := range vs {
 			r := v.Data.Rows()
 			if v.requiresGrad {
-				bp.accumulate(v, tensor.SliceRows(g, off, off+r))
+				v.accumulate(tensor.SliceRows(g, off, off+r))
 			}
 			off += r
 		}
@@ -215,24 +215,24 @@ func ConcatRows(vs ...*Value) *Value {
 // splits its projections per head with it.
 func SliceCols(m *Value, from, to int) *Value {
 	out := sliceColsTensor(m.Data, from, to)
-	return newOp3("slicecols", out, m, nil, nil, func(bp *Backprop, g *tensor.Tensor) {
+	return newOp3("slicecols", out, m, nil, nil, func(g *tensor.Tensor) {
 		gm := tensor.New(m.Data.Shape()...)
 		r := gm.Rows()
 		for i := 0; i < r; i++ {
 			copy(gm.Row(i)[from:to], g.Row(i))
 		}
-		bp.accumulate(m, gm)
+		m.accumulate(gm)
 	})
 }
 
 // SliceRows returns rows [from, to) of a matrix.
 func SliceRows(m *Value, from, to int) *Value {
 	out := tensor.SliceRows(m.Data, from, to)
-	return newOp3("slicerows", out, m, nil, nil, func(bp *Backprop, g *tensor.Tensor) {
+	return newOp3("slicerows", out, m, nil, nil, func(g *tensor.Tensor) {
 		gm := tensor.New(m.Data.Shape()...)
 		c := gm.Cols()
 		copy(gm.Data()[from*c:to*c], g.Data())
-		bp.accumulate(m, gm)
+		m.accumulate(gm)
 	})
 }
 
@@ -252,16 +252,16 @@ func sliceColsTensor(m *tensor.Tensor, from, to int) *tensor.Tensor {
 func Reshape(v *Value, shape ...int) *Value {
 	orig := v.Data.Shape()
 	out := v.Data.Clone().Reshape(shape...)
-	return newOp3("reshape", out, v, nil, nil, func(bp *Backprop, g *tensor.Tensor) {
-		bp.accumulate(v, g.Clone().Reshape(orig...))
+	return newOp3("reshape", out, v, nil, nil, func(g *tensor.Tensor) {
+		v.accumulate(g.Clone().Reshape(orig...))
 	})
 }
 
 // Sum reduces v to a scalar.
 func Sum(v *Value) *Value {
 	out := tensor.Scalar(v.Data.Sum())
-	return newOp3("sum", out, v, nil, nil, func(bp *Backprop, g *tensor.Tensor) {
-		bp.accumulate(v, tensor.Full(g.Data()[0], v.Data.Shape()...))
+	return newOp3("sum", out, v, nil, nil, func(g *tensor.Tensor) {
+		v.accumulate(tensor.Full(g.Data()[0], v.Data.Shape()...))
 	})
 }
 
@@ -272,8 +272,8 @@ func Mean(v *Value) *Value {
 		return Constant(tensor.Scalar(0))
 	}
 	out := tensor.Scalar(v.Data.Sum() / float64(n))
-	return newOp3("mean", out, v, nil, nil, func(bp *Backprop, g *tensor.Tensor) {
-		bp.accumulate(v, tensor.Full(g.Data()[0]/float64(n), v.Data.Shape()...))
+	return newOp3("mean", out, v, nil, nil, func(g *tensor.Tensor) {
+		v.accumulate(tensor.Full(g.Data()[0]/float64(n), v.Data.Shape()...))
 	})
 }
 
@@ -282,7 +282,7 @@ func Mean(v *Value) *Value {
 func MeanRows(v *Value) *Value {
 	r := v.Data.Rows()
 	out := tensor.MeanAxis0(v.Data).Reshape(1, v.Data.Cols())
-	return newOp3("meanrows", out, v, nil, nil, func(bp *Backprop, g *tensor.Tensor) {
+	return newOp3("meanrows", out, v, nil, nil, func(g *tensor.Tensor) {
 		gm := tensor.New(v.Data.Shape()...)
 		inv := 1.0 / float64(r)
 		grow := g.Data()
@@ -292,7 +292,7 @@ func MeanRows(v *Value) *Value {
 				row[j] = grow[j] * inv
 			}
 		}
-		bp.accumulate(v, gm)
+		v.accumulate(gm)
 	})
 }
 
@@ -312,7 +312,7 @@ func ELUInPlace[T tensor.Float](x *tensor.Dense[T]) { tensor.MapInPlace(x, elu[T
 // activation of every hierarchical GNN layer (eq. 4).
 func ELU(v *Value) *Value {
 	out := tensor.Map(v.Data, elu[float64])
-	return newOp3("elu", out, v, nil, nil, func(bp *Backprop, g *tensor.Tensor) {
+	return newOp3("elu", out, v, nil, nil, func(g *tensor.Tensor) {
 		gv := tensor.New(v.Data.Shape()...)
 		vd, od, gd, dst := v.Data.Data(), out.Data(), g.Data(), gv.Data()
 		for i := range vd {
@@ -322,20 +322,20 @@ func ELU(v *Value) *Value {
 				dst[i] = gd[i] * (od[i] + 1)
 			}
 		}
-		bp.accumulate(v, gv)
+		v.accumulate(gv)
 	})
 }
 
 // Tanh applies tanh elementwise.
 func Tanh(v *Value) *Value {
 	out := tensor.Map(v.Data, math.Tanh)
-	return newOp3("tanh", out, v, nil, nil, func(bp *Backprop, g *tensor.Tensor) {
+	return newOp3("tanh", out, v, nil, nil, func(g *tensor.Tensor) {
 		gv := tensor.New(v.Data.Shape()...)
 		od, gd, dst := out.Data(), g.Data(), gv.Data()
 		for i := range od {
 			dst[i] = gd[i] * (1 - od[i]*od[i])
 		}
-		bp.accumulate(v, gv)
+		v.accumulate(gv)
 	})
 }
 
@@ -354,7 +354,7 @@ func GELUInPlace[T tensor.Float](x *tensor.Dense[T]) { tensor.MapInPlace(x, gelu
 // the transformer feed-forward blocks.
 func GELU(v *Value) *Value {
 	out := tensor.Map(v.Data, gelu[float64])
-	return newOp3("gelu", out, v, nil, nil, func(bp *Backprop, g *tensor.Tensor) {
+	return newOp3("gelu", out, v, nil, nil, func(g *tensor.Tensor) {
 		gv := tensor.New(v.Data.Shape()...)
 		vd, gd, dst := v.Data.Data(), g.Data(), gv.Data()
 		for i := range vd {
@@ -363,7 +363,7 @@ func GELU(v *Value) *Value {
 			dt := (1 - t*t) * geluC * (1 + 3*0.044715*x*x)
 			dst[i] = gd[i] * (0.5*(1+t) + 0.5*x*dt)
 		}
-		bp.accumulate(v, gv)
+		v.accumulate(gv)
 	})
 }
 
@@ -371,8 +371,8 @@ func GELU(v *Value) *Value {
 // and the decision head (eq. 5) both use it.
 func SoftmaxRows(v *Value) *Value {
 	out := tensor.SoftmaxRows(v.Data)
-	return newOp3("softmaxrows", out, v, nil, nil, func(bp *Backprop, g *tensor.Tensor) {
-		bp.accumulate(v, softmaxRowsBackward(out, g))
+	return newOp3("softmaxrows", out, v, nil, nil, func(g *tensor.Tensor) {
+		v.accumulate(softmaxRowsBackward(out, g))
 	})
 }
 
@@ -406,7 +406,7 @@ func Dropout(v *Value, mask *tensor.Tensor, p float64) *Value {
 	keep := 1 - p
 	scaled := tensor.Scale(mask, 1/keep)
 	out := tensor.Mul(v.Data, scaled)
-	return newOp3("dropout", out, v, nil, nil, func(bp *Backprop, g *tensor.Tensor) {
-		bp.accumulate(v, tensor.Mul(g, scaled))
+	return newOp3("dropout", out, v, nil, nil, func(g *tensor.Tensor) {
+		v.accumulate(tensor.Mul(g, scaled))
 	})
 }

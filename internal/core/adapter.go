@@ -9,7 +9,6 @@ import (
 	"edgekg/internal/kg"
 	"edgekg/internal/nn"
 	"edgekg/internal/optim"
-	"edgekg/internal/parallel"
 	"edgekg/internal/tensor"
 )
 
@@ -60,14 +59,6 @@ type AdaptConfig struct {
 	// updates would only inject label noise into a recovered model.
 	// 0 disables the gate.
 	SkipLossBelow float64
-	// Shards splits each adaptation epoch's selected-sample batch into
-	// this many contiguous row shards whose forward+backward passes run
-	// concurrently on the worker pool, with per-shard gradient sinks
-	// tree-reduced in fixed shard order before the optimiser step. The
-	// shard count — not the worker count — defines the floating-point
-	// summation order, so results are bit-identical at any EDGEKG_WORKERS
-	// setting. ≤1 keeps the single-tape sequential epoch.
-	Shards int
 }
 
 // DefaultAdaptConfig returns the adaptation settings used by the
@@ -84,7 +75,6 @@ func DefaultAdaptConfig() AdaptConfig {
 		MinDrop:       0.02,
 		MaxKFrac:      0.25,
 		SkipLossBelow: 0.08,
-		Shards:        4,
 	}
 }
 
@@ -226,10 +216,10 @@ func (a *Adapter) rebuildOptimizer() {
 // distance for divergence, and prune + re-create diverging nodes.
 func (a *Adapter) Step(mon *Monitor) (AdaptReport, error) {
 	// Adaptation operates on the frozen, inference-mode pipeline
-	// (EnableAdaptation sets this up), and epochStep's concurrent shard
-	// forwards rely on it: a training-mode forward would mutate shared
-	// BatchNorm running statistics from every shard. Re-assert the mode in
-	// case a caller toggled training since construction.
+	// (EnableAdaptation sets this up): only token embeddings may move, and a
+	// training-mode forward would also move the BatchNorm running
+	// statistics. Re-assert the mode in case a caller toggled training since
+	// construction.
 	a.det.SetTraining(false)
 	dm := mon.DeltaM()
 	rep := AdaptReport{DeltaM: tensor.F64Bits(dm), K: mon.K()}
@@ -344,65 +334,15 @@ func (a *Adapter) Step(mon *Monitor) (AdaptReport, error) {
 }
 
 // epochStep applies one token-embedding gradient step over the selected
-// samples, data-parallel across cfg.Shards contiguous row shards: each
-// shard forwards its rows through its own tape (the pipeline is frozen and
-// in inference mode, so shards share only the token-bank leaves), computes
-// its loss scaled by its row fraction — so the shard losses sum to the
-// full-batch mean loss — and backpropagates into a per-shard gradient
-// sink. The sinks are tree-reduced in fixed shard order before one AdamW
-// step, making the result independent of worker count. It returns the
-// total (mean-equivalent) loss.
+// samples — zero the gradients, forward the batch through the frozen
+// pipeline, temperature-scaled pseudo-label loss, backward, one AdamW
+// update — and returns the batch's mean loss.
 func (a *Adapter) epochStep(batch *tensor.Tensor, targets []float64, invT float64) float64 {
-	n := batch.Rows()
-	shards := a.cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > n {
-		shards = n
-	}
-	losses := make([]float64, shards)
-	sinks := make([]autograd.GradSink, shards)
-	run := func(i int) {
-		lo, hi := shardRange(n, shards, i)
-		logits := autograd.Scale(a.forwardFrames(tensor.SliceRows(batch, lo, hi)), invT)
-		loss := autograd.Scale(autograd.BinaryScoreLoss(logits, targets[lo:hi]), float64(hi-lo)/float64(n))
-		sink := make(autograd.GradSink, len(a.params))
-		loss.BackwardInto(sink)
-		losses[i] = loss.Scalar()
-		sinks[i] = sink
-	}
-	if shards == 1 {
-		run(0)
-	} else {
-		var g parallel.Group
-		for i := 0; i < shards; i++ {
-			i := i
-			g.Go(func() { run(i) })
-		}
-		g.Wait()
-	}
 	a.opt.ZeroGrad()
-	autograd.ReduceSinks(a.params, sinks, 1)
+	loss := autograd.BinaryScoreLoss(autograd.Scale(a.forwardFrames(batch), invT), targets)
+	loss.Backward()
 	a.opt.Step()
-	total := 0.0
-	for _, l := range losses {
-		total += l
-	}
-	return total
-}
-
-// shardRange returns the half-open row range of shard i when n rows are
-// split into k balanced contiguous shards (the first n%k shards get one
-// extra row).
-func shardRange(n, k, i int) (lo, hi int) {
-	base, rem := n/k, n%k
-	lo = i*base + min(i, rem)
-	hi = lo + base
-	if i < rem {
-		hi++
-	}
-	return lo, hi
+	return loss.Scalar()
 }
 
 // replaceNode prunes a diverging node and creates a random replacement at

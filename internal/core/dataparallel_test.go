@@ -1,10 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"edgekg/internal/autograd"
 	"edgekg/internal/concept"
 	"edgekg/internal/parallel"
 	"edgekg/internal/tensor"
@@ -76,14 +80,15 @@ func TestTrainStepDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// adaptFixture builds a deployed rig, an adapter with the given shard
-// count, and a monitor primed with a deterministic mean drop.
-func adaptFixture(t *testing.T, seed int64, shards int) (*testRig, *Adapter, *Monitor) {
+// adaptFixture builds a deployed rig, an adapter with the loss gate off (so
+// every round takes the update path), and a monitor primed with a
+// deterministic mean drop. Adapter.Step leaves the monitor alone, so every
+// round against it selects the same batch.
+func adaptFixture(t *testing.T, seed int64) (*testRig, *Adapter, *Monitor) {
 	t.Helper()
 	r := newRig(t, "Stealing", seed)
 	cfg := DefaultAdaptConfig()
-	cfg.SkipLossBelow = 0 // force the update path
-	cfg.Shards = shards
+	cfg.SkipLossBelow = 0
 	adapter, err := NewAdapter(r.det, cfg, rand.New(rand.NewSource(seed+1)))
 	if err != nil {
 		t.Fatal(err)
@@ -111,45 +116,145 @@ func tokenBankState(det *Detector) []*tensor.Tensor {
 	return out
 }
 
-// TestAdapterShardedMatchesSingleTape pins the adapter's data-parallel
-// pseudo-label step to the single-tape epoch: sharded per-row-range losses
-// weighted by row fraction and tree-reduced must move the token banks to
-// within 1e-12 of the full-batch reference.
-func TestAdapterShardedMatchesSingleTape(t *testing.T) {
-	_, a1, m1 := adaptFixture(t, 61, 1)
-	_, a4, m4 := adaptFixture(t, 61, 4)
+// plainRound is one adaptation round written out from the adapter's parts,
+// with each epoch's gradient step as the textbook loop: zero the gradients,
+// forward the selected batch, temperature-scaled pseudo-label loss,
+// backward, one AdamW update. Selection, renormalisation, the per-node
+// convergence test and node replacement are Step's own. It returns the last
+// epoch's loss and the number of nodes replaced.
+func plainRound(t *testing.T, a *Adapter, mon *Monitor) (float64, int) {
+	t.Helper()
+	a.det.SetTraining(false)
+	if !mon.Ready() || mon.K() == 0 || mon.DeltaM() >= -a.cfg.MinDrop {
+		t.Fatal("fixture monitor does not trigger a round")
+	}
+	positives := mon.TopK()
+	if maxK := int(a.cfg.MaxKFrac * float64(mon.N())); maxK >= 1 && len(positives) > maxK {
+		positives = positives[:maxK]
+	}
+	var frames []*tensor.Tensor
+	var targets []float64
+	for _, s := range positives {
+		frames = append(frames, s.Pix())
+		targets = append(targets, 1)
+	}
+	for _, s := range mon.BottomK(a.cfg.NormalAnchors) {
+		frames = append(frames, s.Pix())
+		targets = append(targets, 0)
+	}
+	batch := stackFrames(frames)
 
-	rep1, err := a1.Step(m1)
-	if err != nil {
-		t.Fatal(err)
+	before := a.banks(true)
+	invT := 1 / a.det.ScoreTemperature()
+	var loss float64
+	for e := 0; e < a.cfg.Epochs; e++ {
+		a.opt.ZeroGrad()
+		l := autograd.BinaryScoreLoss(autograd.Scale(a.forwardFrames(batch), invT), targets)
+		l.Backward()
+		a.opt.Step()
+		loss = l.Scalar()
+		a.renormalize()
 	}
-	rep4, err := a4.Step(m4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep1.Triggered || !rep4.Triggered {
-		t.Fatalf("fixture did not trigger adaptation (%v, %v)", rep1.Triggered, rep4.Triggered)
-	}
-	if math.Abs(float64(rep1.Loss-rep4.Loss)) > 1e-12 {
-		t.Errorf("loss %v (single tape) vs %v (sharded)", rep1.Loss, rep4.Loss)
-	}
-	s1 := tokenBankState(a1.det)
-	s4 := tokenBankState(a4.det)
-	for i := range s1 {
-		if !tensor.AllClose(s1[i], s4[i], 1e-12) {
-			t.Fatalf("token bank %d diverged beyond 1e-12", i)
+
+	replaced := 0
+	for gi, m := range a.det.gnns {
+		bank := m.Tokens()
+		for _, id := range bank.NodeIDs() {
+			old, ok := before[gi][id]
+			if !ok {
+				continue
+			}
+			dist := tensor.L2Distance(old, bank.Bank(id).Data)
+			tr := a.trackers[gi][id]
+			if tr == nil {
+				tr = &TrackerState{}
+				a.trackers[gi][id] = tr
+			}
+			if tr.HasLast && dist > float64(tr.LastDist) {
+				tr.IncStreak++
+			} else {
+				tr.IncStreak = 0
+			}
+			tr.LastDist = tensor.F64Bits(dist)
+			tr.HasLast = true
+			if tr.IncStreak >= a.cfg.Patience {
+				if _, _, err := a.replaceNode(gi, id); err != nil {
+					t.Fatal(err)
+				}
+				replaced++
+			}
 		}
+	}
+	return loss, replaced
+}
+
+// TestAdapterStepIsThePlainLoop pins Adapter.Step to the single-loss step
+// of the paper written out by hand (plainRound). Two identically seeded
+// rigs, one driven each way through three rounds at Patience 1 — so a later
+// round prunes and re-creates nodes — must agree on every round's loss,
+// every token bank, and the adapter's exported state (AdamW moments,
+// trackers, row norms) to the bit. The semantic pull is off: it rotates
+// rows after the step and is not part of it.
+func TestAdapterStepIsThePlainLoop(t *testing.T) {
+	_, aStep, mStep := adaptFixture(t, 63)
+	_, aLoop, mLoop := adaptFixture(t, 63)
+	for _, a := range []*Adapter{aStep, aLoop} {
+		a.cfg.Patience = 1
+		a.cfg.SemanticPull = 0
+	}
+
+	replacedTotal := 0
+	for round := 0; round < 3; round++ {
+		rep, err := aStep.Step(mStep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Triggered {
+			t.Fatalf("round %d did not trigger", round)
+		}
+		loss, replaced := plainRound(t, aLoop, mLoop)
+		if math.Float64bits(float64(rep.Loss)) != math.Float64bits(loss) {
+			t.Fatalf("round %d: Step loss %.17g, plain loop %.17g", round, float64(rep.Loss), loss)
+		}
+		if len(rep.Pruned) != replaced || len(rep.Created) != replaced {
+			t.Fatalf("round %d: Step replaced %d/%d nodes, plain loop %d", round, len(rep.Pruned), len(rep.Created), replaced)
+		}
+		replacedTotal += replaced
+
+		want, got := tokenBankState(aLoop.det), tokenBankState(aStep.det)
+		if len(got) != len(want) {
+			t.Fatalf("round %d: %d token banks, want %d", round, len(got), len(want))
+		}
+		for i := range want {
+			requireSameBits(t, fmt.Sprintf("round %d token bank %d", round, i), want[i].Data(), got[i].Data())
+		}
+		// The exported state is the checkpoint wire form, which writes every
+		// float as its bit pattern.
+		wantState, err := json.Marshal(aLoop.ExportState())
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotState, err := json.Marshal(aStep.ExportState())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotState, wantState) {
+			t.Fatalf("round %d: adapter state (moments, trackers, row norms) differs from the plain loop", round)
+		}
+	}
+	if replacedTotal == 0 {
+		t.Fatal("no round pruned and re-created a node")
 	}
 }
 
-// TestAdapterStepDeterministicAcrossWorkers checks the sharded adaptation
-// step is bit-identical across pool sizes: the shard count is part of the
-// configuration, not the machine.
+// TestAdapterStepDeterministicAcrossWorkers checks the adaptation step is
+// bit-identical across pool sizes: the parallel kernels under it split work,
+// never a summation order.
 func TestAdapterStepDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) (AdaptReport, []*tensor.Tensor) {
 		prev := parallel.SetWorkers(workers)
 		defer parallel.SetWorkers(prev)
-		_, a, m := adaptFixture(t, 62, 4)
+		_, a, m := adaptFixture(t, 62)
 		rep, err := a.Step(m)
 		if err != nil {
 			t.Fatal(err)

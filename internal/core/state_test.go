@@ -17,7 +17,7 @@ import (
 func TestExportedStateSurvivesJSON(t *testing.T) {
 	for _, width := range []tensor.DType{tensor.F64, tensor.F32} {
 		t.Run(width.String(), func(t *testing.T) {
-			r, a, mon := adaptFixture(t, 71, 4)
+			r, a, mon := adaptFixture(t, 71)
 			mon.SetFrameWidth(width)
 			if rep, err := a.Step(mon); err != nil || !rep.Triggered {
 				t.Fatalf("priming round: triggered=%v err=%v", rep.Triggered, err)
@@ -48,7 +48,7 @@ func TestExportedStateSurvivesJSON(t *testing.T) {
 			// The twin: the same backbone and adapter built afresh, holding
 			// the first detector's adapted token banks (the detector section
 			// of a checkpoint), a blank monitor, and the imported state.
-			r2, a2, _ := adaptFixture(t, 71, 4)
+			r2, a2, _ := adaptFixture(t, 71)
 			for _, id := range r.det.gnns[0].Tokens().NodeIDs() {
 				r2.det.gnns[0].Tokens().Install(id, r.det.gnns[0].Tokens().Snapshot(id))
 			}
@@ -106,7 +106,7 @@ func TestExportedStateSurvivesJSON(t *testing.T) {
 // TestImportStateRejectsWithoutTouching pins that an import which fails
 // leaves the component exactly as it was.
 func TestImportStateRejectsWithoutTouching(t *testing.T) {
-	_, a, mon := adaptFixture(t, 72, 1)
+	_, a, mon := adaptFixture(t, 72)
 	if _, err := a.Step(mon); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -173,6 +174,39 @@ func TestRunTableIAccounting(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
 		}
+	}
+}
+
+// TestTableIRenderMeasuredRows pins how Table I prints the four rows
+// metered from adaptation rounds: in scientific notation, so a quick-scale
+// round's millijoules and microseconds do not round to zero, and as "n/a"
+// when no round triggered, rather than a 0 that reads as free.
+func TestTableIRenderMeasuredRows(t *testing.T) {
+	res := TableIResult{Device: flops.JetsonClass()}
+	res.EdgeStats = serve.Stats{AdaptRounds: 30, TriggeredRounds: 2}
+	res.EdgeOpsPerDay = 250_000
+	res.EdgeOpsPerMonth = 30 * res.EdgeOpsPerDay
+	res.EnergyPerDayJ = res.Device.EnergyJoules(res.EdgeOpsPerDay)
+	res.AdaptLatencyS = res.Device.LatencySeconds(res.EdgeOpsPerDay)
+	out := res.Render()
+	for _, want := range []string{
+		fmt.Sprintf("%.2e\n", res.EnergyPerDayJ),
+		fmt.Sprintf("%.2es on-device\n", res.AdaptLatencyS),
+		"2.50e+05\n",
+		"7.50e+06\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("triggered rounds: render missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "no round triggered") {
+		t.Errorf("triggered rounds rendered as none:\n%s", out)
+	}
+
+	res.EdgeStats.TriggeredRounds = 0
+	out = res.Render()
+	if n := strings.Count(out, "n/a (no round triggered)\n"); n != 4 {
+		t.Errorf("no triggered round: %d rows say so, want the 4 measured edge rows:\n%s", n, out)
 	}
 }
 

@@ -163,6 +163,14 @@ func (r TableIResult) Render() string {
 	row := func(metric, base, prop string) {
 		fmt.Fprintf(&b, "%-58s %-28s %s\n", metric, base, prop)
 	}
+	// measured fills a row metered from adaptation rounds; with no triggered
+	// round there is nothing to measure, and a 0 would read as "free".
+	measured := func(v string) string {
+		if r.EdgeStats.TriggeredRounds == 0 {
+			return "n/a (no round triggered)"
+		}
+		return v
+	}
 	b.WriteString("TABLE I — computational and performance comparison\n")
 	row("Metric", "Baseline (cloud KG updates)", "Proposed (edge adaptation)")
 	b.WriteString(strings.Repeat("-", 110) + "\n")
@@ -178,14 +186,14 @@ func (r TableIResult) Render() string {
 	row("  KG updates (per month)", fmt.Sprintf("%d", r.CloudCosts.Updates), "0")
 	row("  Total KG update time (min/month)", fmt.Sprintf("%.0f", r.CloudCosts.TotalMinutes), "0")
 	row("  GPT-4 compute (FLOPs/month)", fmtE(r.CloudCosts.TotalFLOPs), "0")
-	row("  Edge compute per adaptation (FLOPs/day, measured)", "n/a", fmtE(float64(r.EdgeOpsPerDay)))
-	row("  Edge compute (FLOPs/month, measured)", "n/a", fmtE(float64(r.EdgeOpsPerMonth)))
+	row("  Edge compute per adaptation (FLOPs/day, measured)", "n/a", measured(fmtE(float64(r.EdgeOpsPerDay))))
+	row("  Edge compute (FLOPs/month, measured)", "n/a", measured(fmtE(float64(r.EdgeOpsPerMonth))))
 	row("  Memory for GPT-4 during updates (GB)", fmt.Sprintf("%.0f", r.CloudCosts.GPTMemoryGB), "0")
 	row("  Network bandwidth for KG updates (GB/month)", fmt.Sprintf("%.1f", r.CloudCosts.BandwidthGB), "0")
-	row("  Edge energy per adaptation (J, device model)", "n/a", fmt.Sprintf("%.2f", r.EnergyPerDayJ))
+	row("  Edge energy per adaptation (J, device model)", "n/a", measured(fmt.Sprintf("%.2e", r.EnergyPerDayJ)))
 	b.WriteString("Operational performance\n")
 	row("  Average AUC score", fmt.Sprintf("%.3f", r.BaselineAUC), fmt.Sprintf("%.3f", r.ProposedAUC))
-	row("  KG update latency", "high (cloud round-trip)", fmt.Sprintf("%.3fs on-device", r.AdaptLatencyS))
+	row("  KG update latency", "high (cloud round-trip)", measured(fmt.Sprintf("%.2es on-device", r.AdaptLatencyS)))
 	row("  Scalability (edge devices supported)", "limited by cloud", "high (independent)")
 	fmt.Fprintf(&b, "\n(proposed arm: %d adaptation rounds, %d triggered, %d nodes pruned/created)\n",
 		r.EdgeStats.AdaptRounds, r.EdgeStats.TriggeredRounds, r.EdgeStats.PrunedNodes)

@@ -24,9 +24,8 @@ type Model struct {
 	lo     *layout
 	width  int
 
-	// bankMu guards bankCache/bankGen: the adapter's shards and concurrent
-	// scoring callers run forwards over one model, and the lazy rebuild would
-	// otherwise race. The token bank set never changes while forwards are
+	// bankMu guards bankCache/bankGen: concurrent scoring callers run
+	// forwards over one model, and the lazy rebuild would otherwise race. The token bank set never changes while forwards are
 	// in flight, so contention is a cheap uncontended lock per forward.
 	bankMu sync.Mutex
 	// bankCache holds the token banks in m.lo.reasonIDs order, rebuilt

@@ -310,14 +310,22 @@ func (h *Handler) handleMem(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rep)
 }
 
+// handleCheckpoint captures every stream under one BarrierTimeout deadline,
+// as handleMem does; a loop that misses it is a 503 and no file is written.
 func (h *Handler) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if h.opts.CheckpointPath == "" {
 		writeErr(w, http.StatusBadRequest, "no checkpoint path configured (start the worker with -checkpoint-dir)")
 		return
 	}
-	cp, err := h.srv.Checkpoint()
+	ctx, cancel := context.WithTimeout(r.Context(), h.opts.BarrierTimeout)
+	defer cancel()
+	cp, err := h.srv.Checkpoint(ctx)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "checkpoint: %v", err)
+		status := http.StatusInternalServerError
+		if errors.Is(err, ctx.Err()) {
+			status = http.StatusServiceUnavailable
+		}
+		writeErr(w, status, "checkpoint: %v", err)
 		return
 	}
 	if err := snapshot.Save(h.opts.CheckpointPath, cp); err != nil {

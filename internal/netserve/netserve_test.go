@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -293,6 +296,34 @@ func TestObserverTimeout503(t *testing.T) {
 	}
 	if _, err := client.Scores(ctx, 0); err == nil {
 		t.Fatal("scores against a parked loop: want timeout error")
+	}
+}
+
+// TestCheckpointTimeout503 pins that POST /v1/checkpoint is bound by the
+// same BarrierTimeout as the observers: with slot 0's loop parked the
+// request is a 503 within about one timeout, and no file is written.
+func TestCheckpointTimeout503(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	path := filepath.Join(t.TempDir(), "checkpoint.json")
+	srv, client := worker(t, 5, 2, netserve.Options{BarrierTimeout: timeout, CheckpointPath: path})
+
+	release := make(chan struct{})
+	parked := make(chan struct{})
+	go srv.Do(0, func(*serve.Stream) { close(parked); <-release })
+	<-parked
+	defer close(release)
+
+	start := time.Now()
+	_, err := client.Checkpoint(context.Background())
+	var se *netserve.StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
+		t.Fatalf("checkpoint against a parked loop: %v, want a 503", err)
+	}
+	if took := time.Since(start); took > 20*timeout {
+		t.Fatalf("checkpoint 503 took %v with a %v barrier timeout", took, timeout)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("timed-out checkpoint left a file behind: %v", err)
 	}
 }
 

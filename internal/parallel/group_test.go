@@ -22,9 +22,7 @@ func TestGroupRunsEveryTask(t *testing.T) {
 }
 
 // TestGroupSequentialAtOneWorker pins the degradation contract: with
-// Workers() == 1 every Go call runs inline in submission order, which is
-// what makes the adapter's shard fan-out deterministic and
-// exercisable on a single CPU.
+// Workers() == 1 every Go call runs inline in submission order.
 func TestGroupSequentialAtOneWorker(t *testing.T) {
 	prev := SetWorkers(1)
 	defer SetWorkers(prev)

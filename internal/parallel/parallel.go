@@ -1,7 +1,7 @@
 // Package parallel provides the shared worker pool the numerical kernels
-// and the detector pipeline run on. It exposes one primitive, For, which
-// splits a half-open index range across the pool, plus Do for running a
-// small fixed set of independent tasks.
+// and the detector pipeline run on. It exposes For, which splits a
+// half-open index range across the pool, and Group, which runs tasks
+// submitted one at a time.
 //
 // Design notes:
 //
@@ -168,19 +168,20 @@ offer:
 }
 
 // Group is a scoped task group over the shared pool: Go submits one task,
-// Wait blocks until every submitted task has completed. Unlike For/Do the
+// Wait blocks until every submitted task has completed. Unlike For the
 // task set need not be known up front, and tasks may start running on pool
 // workers before Wait is called. The zero value is ready to use.
 //
 // When Workers() == 1 each Go call runs its task inline before returning,
-// so a group degrades to a plain sequential loop in submission order —
-// the property the adapter's shard determinism tests rely on.
+// so a group degrades to a plain sequential loop in submission order: at
+// one worker a stream's asynchronous adaptation round (internal/serve)
+// completes inside the frame that dispatched it.
 //
 // Like For, the waiting goroutine participates: Wait runs every task the
 // pool has not yet claimed on the caller's goroutine, so a group can
 // always finish without any pool workers and nested groups cannot
 // deadlock. A Group must not be shared between goroutines; tasks may
-// themselves use For/Do/Group freely.
+// themselves use For and Group freely.
 type Group struct {
 	jobs []*job
 }
@@ -220,21 +221,4 @@ func (g *Group) Wait() {
 		g.jobs[i] = nil
 	}
 	g.jobs = g.jobs[:0]
-}
-
-// Do runs the given functions, potentially concurrently, and returns when
-// all have completed. It is For over the task list with grain 1.
-func Do(fns ...func()) {
-	switch len(fns) {
-	case 0:
-		return
-	case 1:
-		fns[0]()
-		return
-	}
-	For(len(fns), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fns[i]()
-		}
-	})
 }

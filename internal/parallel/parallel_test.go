@@ -82,26 +82,6 @@ func TestForNested(t *testing.T) {
 	})
 }
 
-func TestDo(t *testing.T) {
-	withWorkers(t, 4, func() {
-		var a, b, c atomic.Int32
-		Do(
-			func() { a.Store(1) },
-			func() { b.Store(2) },
-			func() { c.Store(3) },
-		)
-		if a.Load() != 1 || b.Load() != 2 || c.Load() != 3 {
-			t.Fatalf("Do skipped a task: %d %d %d", a.Load(), b.Load(), c.Load())
-		}
-		Do() // no-op
-		ran := false
-		Do(func() { ran = true })
-		if !ran {
-			t.Fatal("single-task Do did not run inline")
-		}
-	})
-}
-
 func TestSetWorkersClamps(t *testing.T) {
 	prev := SetWorkers(0)
 	defer SetWorkers(prev)

@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"path/filepath"
@@ -189,7 +190,7 @@ func TestStreamSaveLoadResumeEquivalence(t *testing.T) {
 		t.Fatalf("bare stream's file into a 1-stream server: %v", err)
 	}
 	viaServer := concatTraces(got, pumpPart(t, srv, 0, stream, split, mid, 4))
-	cp, err = srv.Checkpoint()
+	cp, err = srv.Checkpoint(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -140,7 +141,7 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 			for i := 0; i < streams; i++ {
 				preTraces[i] = pumpPart(t, srvB, i, schedules[i], 0, split, 4)
 			}
-			cp, err := srvB.Checkpoint()
+			cp, err := srvB.Checkpoint(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -236,7 +237,7 @@ func TestCheckpointRestoreValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := srv.Checkpoint()
+	cp, err := srv.Checkpoint(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

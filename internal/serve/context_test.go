@@ -278,7 +278,7 @@ func TestConcurrentCheckpointVsEviction(t *testing.T) {
 						return
 					default:
 					}
-					cp, err := srv.Checkpoint()
+					cp, err := srv.Checkpoint(context.Background())
 					cpMu.Lock()
 					if err != nil {
 						cpErr = err
@@ -296,7 +296,7 @@ func TestConcurrentCheckpointVsEviction(t *testing.T) {
 				t.Fatalf("concurrent checkpoint: %v", cpErr)
 			}
 			// One final settled checkpoint after the feed, restored below.
-			final, err := srv.Checkpoint()
+			final, err := srv.Checkpoint(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}

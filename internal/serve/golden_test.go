@@ -18,12 +18,19 @@ import (
 	"edgekg/internal/tensor/kernels"
 )
 
-// goldenCheckpoint was written by Stream.Save at the commit before the
-// component state structs became the checkpoint's wire form (PR 17's tree,
-// the script below, scalar kernels, float64 scoring). The format must not
-// move by a byte across that change or any later one that does not bump
-// snapshot.Version.
-const goldenCheckpoint = "../../testdata/stream_checkpoint_pr17.json"
+// goldenCheckpoint was written by Stream.Save under the script below
+// (scalar kernels, float64 scoring) once the adapter's step became the plain
+// single-tape loop. That change moved values, not the format: the file has
+// legacyCheckpoint's length, keys, counters and shapes, and differs from it
+// only inside float payloads. The format must not move by a byte across any
+// later change that does not bump snapshot.Version.
+const goldenCheckpoint = "../../testdata/stream_checkpoint_pr26.json"
+
+// legacyCheckpoint is the same script's file from before the adapter's
+// step became the plain loop, when the step summed four row-shard
+// gradients. It stays a load fixture: the format is the same, so it must
+// restore and serve on.
+const legacyCheckpoint = "../../testdata/stream_checkpoint_pr17.json"
 
 // goldenStop is the frame the scripted deployment is saved at: two frames
 // after the trigger at 48, inside that round's 3-frame lag, so the file
@@ -135,6 +142,33 @@ func TestSaveReproducesGoldenCheckpoint(t *testing.T) {
 	}
 	if a, b := resumed.Stats(), st.Stats(); a != b {
 		t.Fatalf("stats after resume %+v, uninterrupted %+v", a, b)
+	}
+}
+
+// TestLoadsCheckpointWrittenBeforePlainLoop loads legacyCheckpoint into a
+// fresh stream: its counters come back exactly, and the stream serves
+// through the pending round's swap at frame 51 and the rounds after it
+// without error.
+func TestLoadsCheckpointWrittenBeforePlainLoop(t *testing.T) {
+	st, frames := goldenStream(t)
+	if err := st.Load(legacyCheckpoint); err != nil {
+		t.Fatalf("checkpoint written before the plain loop no longer loads: %v", err)
+	}
+	// frames, adaptation rounds, triggered, pruned, created
+	want := [5]int{goldenStop, 5, 4, 5, 5}
+	if s := st.Stats(); [5]int{s.Frames, s.AdaptRounds, s.TriggeredRounds, s.PrunedNodes, s.CreatedNodes} != want {
+		t.Fatalf("restored stats %+v, want the file's counters %v", s, want)
+	}
+	goldenDrive(t, st, frames, goldenStop, goldenStop+2)
+	if s := st.Stats(); s.AdaptRounds != 6 || s.TriggeredRounds != 5 {
+		t.Fatalf("after the swap at frame 51: %+v, want the pending triggered round accounted", s)
+	}
+	goldenDrive(t, st, frames, goldenStop+2, len(frames))
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if s := st.Stats(); s.AdaptRounds != 8 || s.TriggeredRounds < 6 || s.LastErr != "" {
+		t.Fatalf("after frame %d: %+v, want rounds 8 with a later one triggered", len(frames), s)
 	}
 }
 

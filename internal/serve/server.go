@@ -523,12 +523,14 @@ func (s *Server) Stream(i int) (*Stream, error) {
 // early — the round's computation is completed but its swap still lands
 // at the configured frame), so a live server can be checkpointed while
 // cameras keep submitting: each stream's snapshot is taken at whatever
-// frame its loop has reached. Restore the result with Server.Restore on a
-// server built over the identical backbone and configuration.
-func (s *Server) Checkpoint() (*snapshot.Checkpoint, error) {
+// frame its loop has reached. ctx bounds the whole capture: a stream whose
+// loop does not reach its barrier before ctx ends fails the checkpoint.
+// Restore the result with Server.Restore on a server built over the
+// identical backbone and configuration.
+func (s *Server) Checkpoint(ctx context.Context) (*snapshot.Checkpoint, error) {
 	cp := snapshot.New(len(s.streams))
 	for i := range s.streams {
-		ss, err := s.ExportStream(i)
+		ss, err := Call(ctx, s, i, (*Stream).Export)
 		if err != nil {
 			return nil, err
 		}
