@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"edgekg"
+	"edgekg/internal/core"
 )
 
 func main() {
@@ -89,6 +90,7 @@ func main() {
 
 	// Validate before building anything: a bad flag combination should be
 	// one clear error, not a downstream panic.
+	_, precErr := core.ParsePrecision(*precision)
 	switch {
 	case *streams < 1:
 		log.Fatalf("-streams %d: stream count must be ≥1", *streams)
@@ -110,9 +112,8 @@ func main() {
 		log.Fatalf("-checkpoint-every %d: checkpoint cadence must be ≥1", *ckptEvery)
 	case *resume && *ckptDir == "":
 		log.Fatal("-resume requires -checkpoint-dir")
-	case *precision != "" && *precision != "auto" && *precision != "f64" && *precision != "float64" && *precision != "64" &&
-		*precision != "f32" && *precision != "float32" && *precision != "32":
-		log.Fatalf("-precision %q: want auto, f64 or f32", *precision)
+	case precErr != nil:
+		log.Fatalf("-precision: %v", precErr)
 	case *maxPending < 1:
 		log.Fatalf("-max-pending %d: must be ≥1", *maxPending)
 	case *ckptInterval < 0:

@@ -380,8 +380,6 @@ type ServeOptions struct {
 	AdaptLagFrames int
 	// ScoreHistory keeps each stream's most recent scores for dashboards.
 	ScoreHistory int
-	// Seeds optionally fixes each stream's adaptation seed.
-	Seeds []int64
 	// MemBudgetBytes caps the process's charged per-stream resident
 	// bytes: past the budget, idle streams are spilled to SpillDir and
 	// rehydrated bit-exactly on their next frame. 0 disables the budget.
@@ -427,7 +425,6 @@ func (s *System) Serve(opts ServeOptions) (*StreamServer, error) {
 		return nil, fmt.Errorf("edgekg: %w", err)
 	}
 	cfg.Stream.Precision = prec
-	cfg.Seeds = opts.Seeds
 	cfg.BaseSeed = s.env.Scale.Seed + 100
 	cfg.MemBudgetBytes = opts.MemBudgetBytes
 	cfg.SpillDir = opts.SpillDir
@@ -552,16 +549,14 @@ func (ss *StreamServer) CloseStream(stream int) { ss.srv.CloseStream(stream) }
 func (ss *StreamServer) Close() { ss.srv.Shutdown() }
 
 // NetServeOptions configures the networked serving tier in front of a
-// StreamServer (see internal/netserve for the API surface).
+// StreamServer (see internal/netserve for the API surface). Observer
+// endpoints (stats, scores, export) wait at most 10 s for a busy stream's
+// loop before answering 503.
 type NetServeOptions struct {
 	// MaxPending bounds the frame submits queued per stream slot, the one
 	// being scored included; beyond it the worker sheds with HTTP 429.
 	// Defaults to 8.
 	MaxPending int
-	// BarrierTimeout bounds how long observer endpoints (stats, scores,
-	// export) wait for a busy stream's loop before answering 503.
-	// Defaults to 10s.
-	BarrierTimeout time.Duration
 	// CheckpointPath, when set, is where POST /v1/checkpoint writes the
 	// full-deployment checkpoint.
 	CheckpointPath string
@@ -589,7 +584,6 @@ func (ss *StreamServer) NetListen(addr string, opts NetServeOptions) error {
 	h, err := netserve.NewHandler(ss.srv, netserve.Options{
 		FrameSize:      ss.sys.FrameSize(),
 		MaxPending:     opts.MaxPending,
-		BarrierTimeout: opts.BarrierTimeout,
 		CheckpointPath: opts.CheckpointPath,
 	})
 	if err != nil {

@@ -23,7 +23,7 @@ import (
 // matrix it represents.
 //
 // Every loop mirrors the accumulation order of the composed reference ops
-// (MatMulT2 → Scale → +mask → SoftmaxRows → MatMul), so the fused forward
+// (MatMulT2 → Scale → SoftmaxRows → MatMul), so the fused forward
 // and backward are bit-identical to the per-window sequential model; the
 // equivalence tests in internal/temporal pin this. LastQueryAttentionFwd,
 // the eval engine's form for a model that reads only the last position,
@@ -53,8 +53,7 @@ func attnDims(op string, rows, cols, batch, heads int) (t, dk int) {
 // and v are (batch·T × dim) matrices whose k-th block of T rows is window
 // k's projection; dim = heads·dk. The result has the same shape: row
 // b·T+i, columns [h·dk, (h+1)·dk) hold head h's context for query i of
-// window b. When causal is true, query i attends only to positions ≤ i of
-// its own window.
+// window b; every query attends to all T positions of its own window.
 //
 // Attention is block-diagonal over windows by construction — scores are
 // only ever computed within a window's own T×T block — and the (window,
@@ -62,9 +61,9 @@ func attnDims(op string, rows, cols, batch, heads int) (t, dk int) {
 // worker pool; each block owns a disjoint region of every output and
 // gradient matrix with the sequential accumulation order, keeping results
 // bit-identical at any worker count.
-func BatchedAttention(q, k, v *Value, batch, heads int, scale float64, causal bool) *Value {
+func BatchedAttention(q, k, v *Value, batch, heads int, scale float64) *Value {
 	if !q.requiresGrad && !k.requiresGrad && !v.requiresGrad {
-		return &Value{Data: BatchedAttentionFwd(q.Data, k.Data, v.Data, batch, heads, scale, causal), op: "batchedattention"}
+		return &Value{Data: BatchedAttentionFwd(q.Data, k.Data, v.Data, batch, heads, scale), op: "batchedattention"}
 	}
 	rows, dim := q.Data.Rows(), q.Data.Cols()
 	t, dk := attnDims("BatchedAttention", rows, dim, batch, heads)
@@ -73,7 +72,7 @@ func BatchedAttention(q, k, v *Value, batch, heads int, scale float64, causal bo
 	// idx = b·heads + h starts at row idx·T. The backward pass re-reads
 	// them.
 	attn := tensor.New(nb*t, t)
-	out, grain := batchedAttention(q.Data, k.Data, v.Data, batch, heads, scale, causal, attn.Data())
+	out, grain := batchedAttention(q.Data, k.Data, v.Data, batch, heads, scale, attn.Data())
 	qd, kd, vd, ad := q.Data.Data(), k.Data.Data(), v.Data.Data(), attn.Data()
 	bk := kernels.Active()
 
@@ -96,14 +95,10 @@ func BatchedAttention(q, k, v *Value, batch, heads int, scale float64, causal bo
 				b, h := idx/heads, idx%heads
 				rowOff, colOff := b*t, h*dk
 				for i := 0; i < t; i++ {
-					jm := t
-					if causal {
-						jm = i + 1
-					}
 					arow := ad[(idx*t+i)*t : (idx*t+i)*t+t]
 					grow := gd[(rowOff+i)*dim+colOff : (rowOff+i)*dim+colOff+dk]
 					// dAttn[i][p] = G_i·V_p ; dV_p += attn[i][p]·G_i.
-					for p := 0; p < jm; p++ {
+					for p := 0; p < t; p++ {
 						vrow := vd[(rowOff+p)*dim+colOff : (rowOff+p)*dim+colOff+dk]
 						da[p] = bk.Dot(grow, vrow)
 						if av := arow[p]; av != 0 && gv != nil {
@@ -116,9 +111,9 @@ func BatchedAttention(q, k, v *Value, batch, heads int, scale float64, causal bo
 					}
 					// Softmax backward, then the Scale adjoint, then the
 					// score-matmul adjoints dQ = dS·K and dK = dSᵀ·Q.
-					dot := bk.Dot(arow[:jm], da[:jm])
+					dot := bk.Dot(arow, da)
 					qrow := qd[(rowOff+i)*dim+colOff : (rowOff+i)*dim+colOff+dk]
-					for p := 0; p < jm; p++ {
+					for p := 0; p < t; p++ {
 						ds := arow[p] * (da[p] - dot) * scale
 						if ds == 0 {
 							continue
@@ -155,10 +150,10 @@ func BatchedAttention(q, k, v *Value, batch, heads int, scale float64, causal bo
 // BatchedAttentionFwd is BatchedAttention's forward on bare tensors at
 // width T, with the attention weights in pooled scratch: nothing needs
 // them once the context rows are written.
-func BatchedAttentionFwd[T tensor.Float](q, k, v *tensor.Dense[T], batch, heads int, scale T, causal bool) *tensor.Dense[T] {
+func BatchedAttentionFwd[T tensor.Float](q, k, v *tensor.Dense[T], batch, heads int, scale T) *tensor.Dense[T] {
 	t, _ := attnDims("BatchedAttention", q.Rows(), q.Cols(), batch, heads)
 	ws := tensor.NewWorkspace()
-	out, _ := batchedAttention(q, k, v, batch, heads, scale, causal, tensor.Scratch[T](ws, batch*heads*t*t))
+	out, _ := batchedAttention(q, k, v, batch, heads, scale, tensor.Scratch[T](ws, batch*heads*t*t))
 	ws.Release()
 	return out
 }
@@ -168,8 +163,7 @@ func BatchedAttentionFwd[T tensor.Float](q, k, v *tensor.Dense[T], batch, heads 
 // needs. q holds one row per window (batch × dim), k and v all batch·T
 // rows; row b of the result holds exactly the bits of row b·T+T−1 of
 // BatchedAttentionFwd over the full q, because both run the one query
-// body below. The last query attends to all T keys of its window whether
-// or not attention is causal, so there is no mask flag.
+// body below.
 func LastQueryAttentionFwd[T tensor.Float](q, k, v *tensor.Dense[T], batch, heads int, scale T) *tensor.Dense[T] {
 	rows, dim := k.Rows(), k.Cols()
 	if !v.SameShape(k) || q.Rows() != batch || q.Cols() != dim {
@@ -187,7 +181,7 @@ func LastQueryAttentionFwd[T tensor.Float](q, k, v *tensor.Dense[T], batch, head
 		for idx := lo; idx < hi; idx++ {
 			b, h := idx/heads, idx%heads
 			row := b*dim + h*dk
-			c.run(qd[row:row+dk], b*t*dim+h*dk, t, ad[idx*t:idx*t+t], od[row:row+dk])
+			c.run(qd[row:row+dk], b*t*dim+h*dk, ad[idx*t:idx*t+t], od[row:row+dk])
 		}
 	})
 	ws.Release()
@@ -208,7 +202,7 @@ func attnGrain(blockCost int) int {
 // batchedAttention computes the attention context into a fresh tensor,
 // leaving the softmax weights in ad (nb stacked T×T blocks). It also
 // returns the worker-pool grain so the backward pass splits identically.
-func batchedAttention[T tensor.Float](q, k, v *tensor.Dense[T], batch, heads int, scale T, causal bool, ad []T) (*tensor.Dense[T], int) {
+func batchedAttention[T tensor.Float](q, k, v *tensor.Dense[T], batch, heads int, scale T, ad []T) (*tensor.Dense[T], int) {
 	rows, dim := q.Rows(), q.Cols()
 	if !k.SameShape(q) || !v.SameShape(q) {
 		panic(fmt.Sprintf("autograd: BatchedAttention shapes q%v k%v v%v differ", q.Shape(), k.Shape(), v.Shape()))
@@ -227,12 +221,8 @@ func batchedAttention[T tensor.Float](q, k, v *tensor.Dense[T], batch, heads int
 			b, h := idx/heads, idx%heads
 			off := b*t*dim + h*dk
 			for i := 0; i < t; i++ {
-				jm := t
-				if causal {
-					jm = i + 1
-				}
 				row := off + i*dim
-				c.run(qd[row:row+dk], off, jm, ad[(idx*t+i)*t:(idx*t+i)*t+t], od[row:row+dk])
+				c.run(qd[row:row+dk], off, ad[(idx*t+i)*t:(idx*t+i)*t+t], od[row:row+dk])
 			}
 		}
 	})
@@ -254,64 +244,42 @@ type attnQuery[T tensor.Float] struct {
 	scale   T
 }
 
-// run attends query qrow to the first jm key/value rows of one (window,
+// run attends query qrow to the len(arow) key/value rows of one (window,
 // head) block, whose row 0 head slice starts at offset off of K and V. It
-// leaves the softmax weights in arow[:jm] and accumulates the context into
+// leaves the softmax weights in arow and accumulates the context into
 // orow, which must start zeroed.
-func (c attnQuery[T]) run(qrow []T, off, jm int, arow, orow []T) {
+func (c attnQuery[T]) run(qrow []T, off int, arow, orow []T) {
 	// Scores: (Q·Kᵀ)·scale, the composed MatMulT2+Scale order.
-	for j := 0; j < jm; j++ {
+	for j := range arow {
 		r := off + j*c.dim
 		arow[j] = c.bk.Dot(qrow, c.kd[r:r+c.dk]) * c.scale
 	}
-	// Row softmax over the unmasked prefix. The reference path adds −1e9
-	// to masked scores; after the max shift those exponentials underflow
-	// to exactly 0, so skipping them entirely yields the same floats.
+	// Row softmax in SoftmaxRows' order: max shift, exp, one reciprocal.
 	mx := arow[0]
-	for _, s := range arow[1:jm] {
+	for _, s := range arow[1:] {
 		if s > mx {
 			mx = s
 		}
 	}
 	var sum T
-	for j := 0; j < jm; j++ {
-		e := T(math.Exp(float64(arow[j] - mx)))
+	for j, s := range arow {
+		e := T(math.Exp(float64(s - mx)))
 		arow[j] = e
 		sum += e
 	}
 	inv := 1 / sum
-	for j := 0; j < jm; j++ {
+	for j := range arow {
 		arow[j] *= inv
 	}
 	// Context: attn·V with the reference MatMul's i-p-j order and zero
 	// skip.
-	for p := 0; p < jm; p++ {
-		av := arow[p]
+	for p, av := range arow {
 		if av == 0 {
 			continue
 		}
 		r := off + p*c.dim
 		c.bk.Axpy(av, c.vd[r:r+c.dk], orow)
 	}
-}
-
-// MaskedSoftmaxRows applies a row-wise softmax to x + mask as a single
-// graph node — the Add(scores, mask) + SoftmaxRows pair of causal attention
-// fused, with the same floats. mask is additive (0 keeps, −1e9 blocks) and
-// constant: no gradient flows into it, and the input adjoint is exactly the
-// softmax backward. A nil mask degenerates to SoftmaxRows.
-func MaskedSoftmaxRows(x *Value, mask *tensor.Tensor) *Value {
-	if mask != nil && !x.Data.SameShape(mask) {
-		panic(fmt.Sprintf("autograd: MaskedSoftmaxRows mask shape %v != input %v", mask.Shape(), x.Shape()))
-	}
-	shifted := x.Data
-	if mask != nil {
-		shifted = tensor.Add(x.Data, mask)
-	}
-	out := tensor.SoftmaxRows(shifted)
-	return newOp3("maskedsoftmaxrows", out, x, nil, nil, func(g *tensor.Tensor) {
-		x.accumulate(softmaxRowsBackward(out, g))
-	})
 }
 
 // AddTiled adds a (T × c) tile to every T-row block of a (batch·T × c)

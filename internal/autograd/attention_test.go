@@ -11,20 +11,11 @@ import (
 
 // composedAttention is the sequential reference the fused kernel is pinned
 // to: per window, per head, the exact op chain the per-window model uses —
-// SliceCols → MatMulT2 → Scale → (+mask) → softmax → MatMul → ConcatCols —
-// stacked back with ConcatRows.
-func composedAttention(q, k, v *Value, batch, heads int, scale float64, causal bool) *Value {
+// SliceCols → MatMulT2 → Scale → softmax → MatMul → ConcatCols — stacked
+// back with ConcatRows.
+func composedAttention(q, k, v *Value, batch, heads int, scale float64) *Value {
 	t := q.Data.Rows() / batch
 	dk := q.Data.Cols() / heads
-	var mask *tensor.Tensor
-	if causal {
-		mask = tensor.New(t, t)
-		for i := 0; i < t; i++ {
-			for j := i + 1; j < t; j++ {
-				mask.Set2(i, j, -1e9)
-			}
-		}
-	}
 	wins := make([]*Value, batch)
 	for b := 0; b < batch; b++ {
 		qw := SliceRows(q, b*t, (b+1)*t)
@@ -37,9 +28,6 @@ func composedAttention(q, k, v *Value, batch, heads int, scale float64, causal b
 			kh := SliceCols(kw, lo, hi)
 			vh := SliceCols(vw, lo, hi)
 			scores := Scale(MatMulT2(qh, kh), scale)
-			if mask != nil {
-				scores = Add(scores, Constant(mask))
-			}
 			outs[h] = MatMul(SoftmaxRows(scores), vh)
 		}
 		wins[b] = ConcatCols(outs...)
@@ -48,24 +36,21 @@ func composedAttention(q, k, v *Value, batch, heads int, scale float64, causal b
 }
 
 // TestBatchedAttentionMatchesComposed pins the fused forward to the
-// composed per-window reference bit-for-bit across batch/head/causal
-// shapes.
+// composed per-window reference bit-for-bit across batch/head shapes.
 func TestBatchedAttentionMatchesComposed(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	scale := 1 / math.Sqrt(3)
 	for _, batch := range []int{1, 2, 5} {
 		for _, heads := range []int{1, 2} {
-			for _, causal := range []bool{false, true} {
-				const win, dk = 4, 3
-				dim := heads * dk
-				q := Constant(tensor.RandN(rng, 1, batch*win, dim))
-				k := Constant(tensor.RandN(rng, 1, batch*win, dim))
-				v := Constant(tensor.RandN(rng, 1, batch*win, dim))
-				fused := BatchedAttention(q, k, v, batch, heads, scale, causal)
-				ref := composedAttention(q, k, v, batch, heads, scale, causal)
-				if !tensor.AllClose(fused.Data, ref.Data, 0) {
-					t.Errorf("batch=%d heads=%d causal=%v: fused forward diverges from composed", batch, heads, causal)
-				}
+			const win, dk = 4, 3
+			dim := heads * dk
+			q := Constant(tensor.RandN(rng, 1, batch*win, dim))
+			k := Constant(tensor.RandN(rng, 1, batch*win, dim))
+			v := Constant(tensor.RandN(rng, 1, batch*win, dim))
+			fused := BatchedAttention(q, k, v, batch, heads, scale)
+			ref := composedAttention(q, k, v, batch, heads, scale)
+			if !tensor.AllClose(fused.Data, ref.Data, 0) {
+				t.Errorf("batch=%d heads=%d: fused forward diverges from composed", batch, heads)
 			}
 		}
 	}
@@ -78,43 +63,40 @@ func TestBatchedAttentionBackwardMatchesComposed(t *testing.T) {
 	const batch, win, heads, dk = 3, 4, 2, 2
 	dim := heads * dk
 	scale := 1 / math.Sqrt(float64(dk))
-	for _, causal := range []bool{false, true} {
-		qc := randParam(rng, batch*win, dim)
-		kc := randParam(rng, batch*win, dim)
-		vc := randParam(rng, batch*win, dim)
-		qf, kf, vf := Param(qc.Data.Clone()), Param(kc.Data.Clone()), Param(vc.Data.Clone())
-		Sum(composedAttention(qc, kc, vc, batch, heads, scale, causal)).Backward()
-		Sum(BatchedAttention(qf, kf, vf, batch, heads, scale, causal)).Backward()
-		for i, pair := range [][2]*Value{{qf, qc}, {kf, kc}, {vf, vc}} {
-			if !tensor.AllClose(pair[0].Grad, pair[1].Grad, 1e-12) {
-				t.Errorf("causal=%v: input %d grad diverges from composed", causal, i)
-			}
+	qc := randParam(rng, batch*win, dim)
+	kc := randParam(rng, batch*win, dim)
+	vc := randParam(rng, batch*win, dim)
+	qf, kf, vf := Param(qc.Data.Clone()), Param(kc.Data.Clone()), Param(vc.Data.Clone())
+	Sum(composedAttention(qc, kc, vc, batch, heads, scale)).Backward()
+	Sum(BatchedAttention(qf, kf, vf, batch, heads, scale)).Backward()
+	for i, pair := range [][2]*Value{{qf, qc}, {kf, kc}, {vf, vc}} {
+		if !tensor.AllClose(pair[0].Grad, pair[1].Grad, 1e-12) {
+			t.Errorf("input %d grad diverges from composed", i)
 		}
 	}
 }
 
 // TestGradBatchedAttention verifies the fused backward against finite
-// differences for both mask modes and partial requires-grad sets.
+// differences, for all inputs trainable and for a partial requires-grad
+// set.
 func TestGradBatchedAttention(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	const batch, win, heads, dk = 2, 3, 2, 2
 	dim := heads * dk
 	scale := 1 / math.Sqrt(float64(dk))
-	for _, causal := range []bool{false, true} {
-		q := Param(tensor.RandN(rng, 0.5, batch*win, dim))
-		k := Param(tensor.RandN(rng, 0.5, batch*win, dim))
-		v := Param(tensor.RandN(rng, 0.5, batch*win, dim))
-		f := func() *Value { return Sum(BatchedAttention(q, k, v, batch, heads, scale, causal)) }
-		if err := GradCheck(f, []*Value{q, k, v}, 1e-6, 1e-6); err != nil {
-			t.Errorf("causal=%v: %v", causal, err)
-		}
+	q := Param(tensor.RandN(rng, 0.5, batch*win, dim))
+	k := Param(tensor.RandN(rng, 0.5, batch*win, dim))
+	v := Param(tensor.RandN(rng, 0.5, batch*win, dim))
+	f := func() *Value { return Sum(BatchedAttention(q, k, v, batch, heads, scale)) }
+	if err := GradCheck(f, []*Value{q, k, v}, 1e-6, 1e-6); err != nil {
+		t.Error(err)
 	}
 	// Frozen k/v: gradients must still reach q alone (the adaptation path
 	// backpropagates through frozen projections).
-	q := Param(tensor.RandN(rng, 0.5, 4, dim))
-	k := Constant(tensor.RandN(rng, 0.5, 4, dim))
-	v := Constant(tensor.RandN(rng, 0.5, 4, dim))
-	f := func() *Value { return Sum(BatchedAttention(q, k, v, 2, heads, scale, false)) }
+	q = Param(tensor.RandN(rng, 0.5, 4, dim))
+	k = Constant(tensor.RandN(rng, 0.5, 4, dim))
+	v = Constant(tensor.RandN(rng, 0.5, 4, dim))
+	f = func() *Value { return Sum(BatchedAttention(q, k, v, 2, heads, scale)) }
 	if err := GradCheck(f, []*Value{q}, 1e-6, 1e-6); err != nil {
 		t.Error(err)
 	}
@@ -135,7 +117,7 @@ func TestBatchedAttentionWorkerDeterminism(t *testing.T) {
 	}
 	run := func() (*tensor.Tensor, [3]*tensor.Tensor) {
 		q, k, v := Param(data[0].Clone()), Param(data[1].Clone()), Param(data[2].Clone())
-		out := BatchedAttention(q, k, v, batch, heads, scale, true)
+		out := BatchedAttention(q, k, v, batch, heads, scale)
 		Sum(out).Backward()
 		return out.Data, [3]*tensor.Tensor{q.Grad, k.Grad, v.Grad}
 	}
@@ -167,54 +149,11 @@ func TestBatchedAttentionValidation(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("batch 0", func() { BatchedAttention(q, q, q, 0, 2, 1, false) })
-	mustPanic("rows not divisible", func() { BatchedAttention(q, q, q, 4, 2, 1, false) })
-	mustPanic("heads not divisible", func() { BatchedAttention(q, q, q, 2, 3, 1, false) })
+	mustPanic("batch 0", func() { BatchedAttention(q, q, q, 0, 2, 1) })
+	mustPanic("rows not divisible", func() { BatchedAttention(q, q, q, 4, 2, 1) })
+	mustPanic("heads not divisible", func() { BatchedAttention(q, q, q, 2, 3, 1) })
 	kBad := Constant(tensor.RandN(rng, 1, 5, 4))
-	mustPanic("shape mismatch", func() { BatchedAttention(q, kBad, q, 2, 2, 1, false) })
-}
-
-// TestMaskedSoftmaxMatchesComposed pins the fused mask+softmax to the
-// Add → SoftmaxRows pair, forward and backward.
-func TestMaskedSoftmaxMatchesComposed(t *testing.T) {
-	rng := rand.New(rand.NewSource(56))
-	mask := tensor.New(4, 4)
-	for i := 0; i < 4; i++ {
-		for j := i + 1; j < 4; j++ {
-			mask.Set2(i, j, -1e9)
-		}
-	}
-	xc := randParam(rng, 4, 4)
-	xf := Param(xc.Data.Clone())
-	composed := SoftmaxRows(Add(xc, Constant(mask)))
-	fused := MaskedSoftmaxRows(xf, mask)
-	if !tensor.AllClose(fused.Data, composed.Data, 0) {
-		t.Fatal("fused masked softmax diverges from composed")
-	}
-	Sum(Mul(composed, composed)).Backward()
-	Sum(Mul(fused, fused)).Backward()
-	if !tensor.AllClose(xf.Grad, xc.Grad, 1e-12) {
-		t.Error("fused masked softmax grad diverges from composed")
-	}
-	// nil mask degenerates to a plain row softmax.
-	plain := MaskedSoftmaxRows(Constant(xc.Data), nil)
-	if !tensor.AllClose(plain.Data, tensor.SoftmaxRows(xc.Data), 0) {
-		t.Error("nil-mask path diverges from SoftmaxRows")
-	}
-}
-
-func TestGradMaskedSoftmaxRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(57))
-	mask := tensor.New(3, 5)
-	for i := 0; i < 3; i++ {
-		mask.Set2(i, 4-i, -1e9)
-	}
-	x := Param(tensor.RandN(rng, 0.8, 3, 5))
-	// Square the probabilities so the scalar output is not constant-1.
-	f := func() *Value { return Sum(Mul(MaskedSoftmaxRows(x, mask), MaskedSoftmaxRows(x, mask))) }
-	if err := GradCheck(f, []*Value{x}, 1e-6, 1e-6); err != nil {
-		t.Error(err)
-	}
+	mustPanic("shape mismatch", func() { BatchedAttention(q, kBad, q, 2, 2, 1) })
 }
 
 // TestAddTiledMatchesPerBlockAdd pins AddTiled to per-block Add, forward

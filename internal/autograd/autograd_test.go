@@ -135,8 +135,6 @@ func TestGradElementwiseOps(t *testing.T) {
 		{"sub", func() *Value { return Sum(Sub(a, b)) }},
 		{"mul", func() *Value { return Sum(Mul(a, b)) }},
 		{"scale", func() *Value { return Sum(Scale(a, -2.5)) }},
-		{"addscalar", func() *Value { return Sum(AddScalar(a, 1.5)) }},
-		{"neg", func() *Value { return Sum(Neg(a)) }},
 		{"mean", func() *Value { return Mean(Mul(a, b)) }},
 	}
 	for _, c := range cases {
@@ -153,7 +151,6 @@ func TestGradActivations(t *testing.T) {
 		op   func(*Value) *Value
 	}{
 		{"elu", ELU},
-		{"tanh", Tanh},
 		{"gelu", GELU},
 	}
 	for _, c := range cases {
@@ -200,16 +197,6 @@ func TestCrossEntropyValue(t *testing.T) {
 	}
 }
 
-func TestGradMSE(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	a := randParam(rng, 2, 3)
-	b := randParam(rng, 2, 3)
-	f := func() *Value { return MSE(a, b) }
-	if err := GradCheck(f, []*Value{a, b}, 1e-6, 1e-6); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestGradBinaryScoreLoss(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	a := randParam(rng, 3, 4)
@@ -244,12 +231,11 @@ func TestGradGatherConcatSlice(t *testing.T) {
 		name string
 		f    func() *Value
 	}{
-		{"gather", func() *Value { return Sum(Gather(a, []int{0, 2, 2, 3})) }},
+		{"gatherrows", func() *Value { return Sum(GatherRows(a, []int{0, 2, 2, 3})) }},
 		{"concatcols", func() *Value { return Sum(ConcatCols(a, b)) }},
 		{"concatrows", func() *Value { return Sum(ConcatRows(a, SliceRows(a, 0, 2))) }},
 		{"slicecols", func() *Value { return Sum(SliceCols(a, 1, 3)) }},
 		{"slicerows", func() *Value { return Sum(SliceRows(a, 1, 4)) }},
-		{"reshape", func() *Value { return Sum(Reshape(a, 3, 4)) }},
 		{"meanrows", func() *Value { return Sum(MeanRows(a)) }},
 	}
 	for _, c := range cases {
@@ -313,20 +299,6 @@ func TestEdgeAggregateSemantics(t *testing.T) {
 	}, 6, 2)
 	if !tensor.AllClose(out.Data, want, 1e-12) {
 		t.Errorf("aggregate = %v\nwant %v", out.Data, want)
-	}
-}
-
-func TestGradRowsMask(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	a := randParam(rng, 4, 2)
-	keep := []bool{true, false, true, false}
-	f := func() *Value { return Sum(RowsMask(a, keep)) }
-	if err := GradCheck(f, []*Value{a}, 1e-6, 1e-6); err != nil {
-		t.Error(err)
-	}
-	out := RowsMask(a, keep)
-	if out.Data.Row(1)[0] != 0 || out.Data.Row(3)[1] != 0 {
-		t.Error("masked rows not zeroed")
 	}
 }
 
@@ -397,31 +369,13 @@ func TestGradLayerNorm(t *testing.T) {
 	}
 }
 
-func TestGradDropout(t *testing.T) {
-	rng := rand.New(rand.NewSource(27))
-	a := randParam(rng, 3, 3)
-	mask := tensor.New(3, 3)
-	for i := range mask.Data() {
-		if rng.Float64() > 0.5 {
-			mask.Data()[i] = 1
-		}
-	}
-	f := func() *Value { return Sum(Dropout(a, mask, 0.5)) }
-	if err := GradCheck(f, []*Value{a}, 1e-6, 1e-6); err != nil {
-		t.Error(err)
-	}
-	// p = 0 must be the identity (same Value).
-	if Dropout(a, mask, 0) != a {
-		t.Error("Dropout(p=0) should be identity")
-	}
-}
-
 func TestDeepGraphBackward(t *testing.T) {
 	// 2000 chained ops must not overflow anything and grad must be exact.
 	a := Param(tensor.FromSlice([]float64{1}, 1))
 	v := a
+	step := Constant(tensor.Full(0.001, 1))
 	for i := 0; i < 2000; i++ {
-		v = AddScalar(v, 0.001)
+		v = Add(v, step)
 	}
 	y := Sum(v)
 	y.Backward()

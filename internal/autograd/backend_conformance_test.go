@@ -151,50 +151,48 @@ func TestBatchedAttentionBackendConformance(t *testing.T) {
 	vd := tensor.RandN(rng, 1, batch*win, dim)
 	gseed := tensor.RandN(rng, 1, batch*win, dim)
 
-	for _, causal := range []bool{false, true} {
-		var scalarOut, scalarGq *tensor.Tensor
-		for _, name := range kernels.Names() {
-			restore, err := kernels.Use(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			q, k, v := Param(qd.Clone()), Param(kd.Clone()), Param(vd.Clone())
-			fused := BatchedAttention(q, k, v, batch, heads, scale, causal)
-			qc, kc, vc := Param(qd.Clone()), Param(kd.Clone()), Param(vd.Clone())
-			composed := composedAttention(qc, kc, vc, batch, heads, scale, causal)
-			requireBitEqual(t, name+"/forward-vs-composed", composed.Data.Data(), fused.Data.Data())
-
-			Sum(Mul(fused, Constant(gseed))).Backward()
-			Sum(Mul(composed, Constant(gseed))).Backward()
-			// Backward agreement follows the established 1e-12 contract
-			// (attention_test.go): the composed graph accumulates adjoints
-			// through a different node order than the fused closure.
-			for i, pair := range [][2]*Value{{q, qc}, {k, kc}, {v, vc}} {
-				if !tensor.AllClose(pair[1].Grad, pair[0].Grad, 1e-12) {
-					t.Errorf("%s: causal=%v input %d grad diverges from composed beyond 1e-12", name, causal, i)
-				}
-			}
-
-			if name == "scalar" {
-				scalarOut, scalarGq = fused.Data, q.Grad
-			} else if scalarOut != nil {
-				if !tensor.AllClose(scalarOut, fused.Data, 1e-12) {
-					t.Errorf("%s: causal=%v forward diverges from scalar beyond 1e-12", name, causal)
-				}
-				if !tensor.AllClose(scalarGq, q.Grad, 1e-10) {
-					t.Errorf("%s: causal=%v q-grad diverges from scalar beyond 1e-10", name, causal)
-				}
-			}
-			restore()
+	var scalarOut, scalarGq *tensor.Tensor
+	for _, name := range kernels.Names() {
+		restore, err := kernels.Use(name)
+		if err != nil {
+			t.Fatal(err)
 		}
+		q, k, v := Param(qd.Clone()), Param(kd.Clone()), Param(vd.Clone())
+		fused := BatchedAttention(q, k, v, batch, heads, scale)
+		qc, kc, vc := Param(qd.Clone()), Param(kd.Clone()), Param(vd.Clone())
+		composed := composedAttention(qc, kc, vc, batch, heads, scale)
+		requireBitEqual(t, name+"/forward-vs-composed", composed.Data.Data(), fused.Data.Data())
+
+		Sum(Mul(fused, Constant(gseed))).Backward()
+		Sum(Mul(composed, Constant(gseed))).Backward()
+		// Backward agreement follows the established 1e-12 contract
+		// (attention_test.go): the composed graph accumulates adjoints
+		// through a different node order than the fused closure.
+		for i, pair := range [][2]*Value{{q, qc}, {k, kc}, {v, vc}} {
+			if !tensor.AllClose(pair[1].Grad, pair[0].Grad, 1e-12) {
+				t.Errorf("%s: input %d grad diverges from composed beyond 1e-12", name, i)
+			}
+		}
+
+		if name == "scalar" {
+			scalarOut, scalarGq = fused.Data, q.Grad
+		} else if scalarOut != nil {
+			if !tensor.AllClose(scalarOut, fused.Data, 1e-12) {
+				t.Errorf("%s: forward diverges from scalar beyond 1e-12", name)
+			}
+			if !tensor.AllClose(scalarGq, q.Grad, 1e-10) {
+				t.Errorf("%s: q-grad diverges from scalar beyond 1e-10", name)
+			}
+		}
+		restore()
 	}
 }
 
 // requireLastQueryRows runs both attention forwards over one (batch·T ×
 // heads·dk) q/k/v payload at width T under every backend, and requires row
 // b of LastQueryAttentionFwd to hold the bits of row b·T+T−1 of
-// BatchedAttentionFwd under either mask — the identity the eval engine's
-// final temporal block rests on. Within one backend both forms run the same
+// BatchedAttentionFwd — the identity the eval engine's final temporal block
+// rests on. Within one backend both forms run the same
 // per-query body, so no tolerance is allowed, whatever the payload.
 func requireLastQueryRows[T tensor.Float](t *testing.T, ctx string, qd, kd, vd []T, batch, win, heads, dk int) {
 	t.Helper()
@@ -209,14 +207,12 @@ func requireLastQueryRows[T tensor.Float](t *testing.T, ctx string, qd, kd, vd [
 			}
 			defer restore()
 			last := LastQueryAttentionFwd(LastRows(q, batch), k, v, batch, heads, scale)
-			for _, causal := range []bool{false, true} {
-				full := BatchedAttentionFwd(q, k, v, batch, heads, scale, causal)
-				for b := 0; b < batch; b++ {
-					want, got := full.Row(b*win+win-1), last.Row(b)
-					for j := range want {
-						if err := kernels.CompareExact(want[j], got[j]); err != nil {
-							t.Fatalf("%s/%s causal=%v window %d col %d: %v", ctx, name, causal, b, j, err)
-						}
+			full := BatchedAttentionFwd(q, k, v, batch, heads, scale)
+			for b := 0; b < batch; b++ {
+				want, got := full.Row(b*win+win-1), last.Row(b)
+				for j := range want {
+					if err := kernels.CompareExact(want[j], got[j]); err != nil {
+						t.Fatalf("%s/%s window %d col %d: %v", ctx, name, b, j, err)
 					}
 				}
 			}

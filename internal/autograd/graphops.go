@@ -224,28 +224,3 @@ func edgeAggBackward(xd, gd, gxd []float64, n, d int, src, dst []int, inLevel []
 	flops.Add(int64(5 * len(dst) * d))
 	ws.Release()
 }
-
-// RowsMask zeroes every row i of a matrix where keep[i] is false. It is
-// used to restrict losses to selected frames (the top-K pseudo-anomalies).
-func RowsMask(v *Value, keep []bool) *Value {
-	r, c := v.Data.Rows(), v.Data.Cols()
-	if len(keep) != r {
-		panic(fmt.Sprintf("autograd: RowsMask %d flags for %d rows", len(keep), r))
-	}
-	flags := append([]bool(nil), keep...)
-	out := tensor.New(r, c)
-	for i := 0; i < r; i++ {
-		if flags[i] {
-			copy(out.Row(i), v.Data.Row(i))
-		}
-	}
-	return newOp3("rowsmask", out, v, nil, nil, func(g *tensor.Tensor) {
-		gv := tensor.New(r, c)
-		for i := 0; i < r; i++ {
-			if flags[i] {
-				copy(gv.Row(i), g.Row(i))
-			}
-		}
-		v.accumulate(gv)
-	})
-}

@@ -43,31 +43,6 @@ func CrossEntropy(logits *Value, labels []int) *Value {
 	})
 }
 
-// MSE returns the mean squared error between two values of identical shape.
-func MSE(a, b *Value) *Value {
-	if !a.Data.SameShape(b.Data) {
-		panic(fmt.Sprintf("autograd: MSE shape mismatch %v vs %v", a.Shape(), b.Shape()))
-	}
-	n := a.Data.Size()
-	diff := tensor.Sub(a.Data, b.Data)
-	loss := 0.0
-	for _, d := range diff.Data() {
-		loss += d * d
-	}
-	loss /= float64(n)
-	out := tensor.Scalar(loss)
-	return newOp3("mse", out, a, b, nil, func(g *tensor.Tensor) {
-		scale := 2 * g.Data()[0] / float64(n)
-		gd := tensor.Scale(diff, scale)
-		if a.requiresGrad {
-			a.accumulate(gd)
-		}
-		if b.requiresGrad {
-			b.accumulate(tensor.Neg(gd))
-		}
-	})
-}
-
 // BinaryScoreLoss drives selected rows' anomaly probability toward the
 // given targets: mean over rows of (pA − target)², where pA = 1 − softmax
 // row's class-0 probability. Adaptive learning (Sec. III-D) uses it to pull

@@ -57,17 +57,6 @@ func Scale(a *Value, alpha float64) *Value {
 	})
 }
 
-// AddScalar returns a + alpha elementwise.
-func AddScalar(a *Value, alpha float64) *Value {
-	out := tensor.AddScalar(a.Data, alpha)
-	return newOp3("addscalar", out, a, nil, nil, func(g *tensor.Tensor) {
-		a.accumulate(g)
-	})
-}
-
-// Neg returns -a.
-func Neg(a *Value) *Value { return Scale(a, -1) }
-
 // MatMul returns the matrix product a·b.
 func MatMul(a, b *Value) *Value {
 	out := tensor.MatMul(a.Data, b.Data)
@@ -152,17 +141,12 @@ func AddRow(m, b *Value) *Value {
 	})
 }
 
-// Gather selects rows of m. The KG token-embedding lookup and the
-// per-frame sensor-row selection are Gathers; the backward pass is the
-// scatter-add adjoint, which is how gradients reach only the selected
-// token embeddings during adaptive learning.
-func Gather(m *Value, rows []int) *Value {
-	return GatherRows(m, append([]int(nil), rows...))
-}
-
-// GatherRows is Gather for an index slice the caller guarantees stays
+// GatherRows selects rows of m. The KG token-embedding lookup and the
+// temporal windows are row gathers; the backward pass is the scatter-add
+// adjoint, which is how gradients reach only the selected token
+// embeddings during adaptive learning. The caller guarantees rows stays
 // immutable for the lifetime of the computation graph (e.g. the GNN
-// layout's cached row lists); it borrows rows instead of copying them.
+// layout's cached row lists); it is borrowed, not copied.
 func GatherRows(m *Value, rows []int) *Value {
 	out := tensor.Gather(m.Data, rows)
 	return newOp3("gather", out, m, nil, nil, func(g *tensor.Tensor) {
@@ -248,15 +232,6 @@ func sliceColsTensor(m *tensor.Tensor, from, to int) *tensor.Tensor {
 	return out
 }
 
-// Reshape returns a view of v with a new shape of equal size.
-func Reshape(v *Value, shape ...int) *Value {
-	orig := v.Data.Shape()
-	out := v.Data.Clone().Reshape(shape...)
-	return newOp3("reshape", out, v, nil, nil, func(g *tensor.Tensor) {
-		v.accumulate(g.Clone().Reshape(orig...))
-	})
-}
-
 // Sum reduces v to a scalar.
 func Sum(v *Value) *Value {
 	out := tensor.Scalar(v.Data.Sum())
@@ -326,19 +301,6 @@ func ELU(v *Value) *Value {
 	})
 }
 
-// Tanh applies tanh elementwise.
-func Tanh(v *Value) *Value {
-	out := tensor.Map(v.Data, math.Tanh)
-	return newOp3("tanh", out, v, nil, nil, func(g *tensor.Tensor) {
-		gv := tensor.New(v.Data.Shape()...)
-		od, gd, dst := out.Data(), g.Data(), gv.Data()
-		for i := range od {
-			dst[i] = gd[i] * (1 - od[i]*od[i])
-		}
-		v.accumulate(gv)
-	})
-}
-
 // geluC is sqrt(2/pi), the tanh-approximated GELU's constant.
 const geluC = 0.7978845608028654
 
@@ -369,44 +331,24 @@ func GELU(v *Value) *Value {
 
 // SoftmaxRows applies a row-wise softmax to a matrix — attention weights
 // and the decision head (eq. 5) both use it.
+//
+// The adjoint is dx[i][j] = out[i][j]·(g[i][j] − Σ_k out[i][k]·g[i][k]).
+// Its row dot uses the backend kernel so the fused BatchedAttention
+// backward (which calls the same Dot) stays bit-identical to this composed
+// path on every backend.
 func SoftmaxRows(v *Value) *Value {
 	out := tensor.SoftmaxRows(v.Data)
 	return newOp3("softmaxrows", out, v, nil, nil, func(g *tensor.Tensor) {
-		v.accumulate(softmaxRowsBackward(out, g))
-	})
-}
-
-// softmaxRowsBackward returns the row-softmax adjoint
-// dx[i][j] = out[i][j]·(g[i][j] − Σ_k out[i][k]·g[i][k]), shared by
-// SoftmaxRows and MaskedSoftmaxRows.
-func softmaxRowsBackward(out, g *tensor.Tensor) *tensor.Tensor {
-	r, c := out.Rows(), out.Cols()
-	gv := tensor.New(r, c)
-	// The row dot uses the backend kernel so the fused BatchedAttention
-	// backward (which calls the same Dot) stays bit-identical to this
-	// composed path on every backend.
-	bk := kernels.Active()
-	for i := 0; i < r; i++ {
-		orow, grow, drow := out.Row(i), g.Row(i), gv.Row(i)
-		dot := bk.Dot(orow, grow)
-		for j := 0; j < c; j++ {
-			drow[j] = orow[j] * (grow[j] - dot)
+		r, c := out.Rows(), out.Cols()
+		gv := tensor.New(r, c)
+		bk := kernels.Active()
+		for i := 0; i < r; i++ {
+			orow, grow, drow := out.Row(i), g.Row(i), gv.Row(i)
+			dot := bk.Dot(orow, grow)
+			for j := 0; j < c; j++ {
+				drow[j] = orow[j] * (grow[j] - dot)
+			}
 		}
-	}
-	return gv
-}
-
-// Dropout zeroes elements with probability p and scales survivors by
-// 1/(1-p) (inverted dropout). mask must contain 0/1 entries pre-drawn by
-// the caller; passing the mask keeps the op deterministic for testing.
-func Dropout(v *Value, mask *tensor.Tensor, p float64) *Value {
-	if p <= 0 {
-		return v
-	}
-	keep := 1 - p
-	scaled := tensor.Scale(mask, 1/keep)
-	out := tensor.Mul(v.Data, scaled)
-	return newOp3("dropout", out, v, nil, nil, func(g *tensor.Tensor) {
-		v.accumulate(tensor.Mul(g, scaled))
+		v.accumulate(gv)
 	})
 }

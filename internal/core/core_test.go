@@ -1,7 +1,11 @@
 package core
 
 import (
+	"encoding/json"
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"edgekg/internal/autograd"
@@ -300,31 +304,108 @@ func TestMonitorValidation(t *testing.T) {
 	}
 }
 
+// TestAdapterNoTriggerNoChange drives one round through every gate that
+// returns Triggered = false — monitor not ready, flat mean (K = 0), a drop
+// smaller than MinDrop, and the SkipLossBelow probe — on a copy-on-write
+// clone, and requires the round to leave every exported byte as it was:
+// the adapter's exported state, every graph, every token bank, the
+// clone's memory breakdown (no page privatised) and the adapter's RNG.
 func TestAdapterNoTriggerNoChange(t *testing.T) {
 	r := newRig(t, "Stealing", 9)
-	rng := rand.New(rand.NewSource(9))
 	r.det.Deploy()
-	adapter, err := NewAdapter(r.det, DefaultAdaptConfig(), rng)
+	frng := rand.New(rand.NewSource(9))
+	push := func(mon *Monitor, n int, score float64) {
+		for i := 0; i < n; i++ {
+			mon.Push(tensor.RandN(frng, 1, 1, r.space.PixDim()), score)
+		}
+	}
+	gates := []struct {
+		name string
+		fill func(*Monitor)
+		cfg  func(*AdaptConfig)
+		// gated reports whether the monitor reaches this gate and no other.
+		gated func(mon *Monitor, cfg AdaptConfig) bool
+	}{
+		{"not-ready", func(m *Monitor) { push(m, 4, 0.9) }, nil,
+			func(m *Monitor, _ AdaptConfig) bool { return !m.Ready() }},
+		{"flat-mean", func(m *Monitor) { push(m, 12, 0.5) }, nil,
+			func(m *Monitor, _ AdaptConfig) bool { return m.Ready() && m.K() == 0 }},
+		{"below-min-drop", func(m *Monitor) { push(m, 6, 0.5); push(m, 6, 0.49) }, nil,
+			func(m *Monitor, c AdaptConfig) bool { return m.Ready() && m.K() > 0 && m.DeltaM() >= -c.MinDrop }},
+		// A binary score loss never exceeds 1, so this probe always passes.
+		{"skip-loss-probe", func(m *Monitor) { push(m, 6, 0.9); push(m, 6, 0.1) },
+			func(c *AdaptConfig) { c.SkipLossBelow = 2 },
+			func(m *Monitor, c AdaptConfig) bool { return m.Ready() && m.K() > 0 && m.DeltaM() < -c.MinDrop }},
+	}
+	for _, g := range gates {
+		t.Run(g.name, func(t *testing.T) {
+			cfg := DefaultAdaptConfig()
+			if g.cfg != nil {
+				g.cfg(&cfg)
+			}
+			mon, err := NewMonitor(6, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.fill(mon)
+			if !g.gated(mon, cfg) {
+				t.Fatalf("fixture misses its gate: ready=%v K=%d Δm=%v", mon.Ready(), mon.K(), mon.DeltaM())
+			}
+			det, err := r.det.CloneCOW()
+			if err != nil {
+				t.Fatal(err)
+			}
+			arng, twin := rand.New(rand.NewSource(90)), rand.New(rand.NewSource(90))
+			adapter, err := NewAdapter(det, cfg, arng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, mem := exportedBytes(t, det, adapter), det.Mem()
+			rep, err := adapter.Step(mon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Triggered {
+				t.Fatal("round triggered")
+			}
+			if after := exportedBytes(t, det, adapter); after != before {
+				t.Error("untriggered round changed the exported adapter state, a graph or a token bank")
+			}
+			if got := det.Mem(); got != mem {
+				t.Errorf("untriggered round moved the memory breakdown %+v → %+v", mem, got)
+			}
+			if arng.Int63() != twin.Int63() {
+				t.Error("untriggered round drew from the adapter's RNG")
+			}
+		})
+	}
+}
+
+// exportedBytes renders the adapter's exported state, every graph's JSON
+// and every token bank's float64 bits into one string.
+func exportedBytes(t *testing.T, det *Detector, a *Adapter) string {
+	t.Helper()
+	var b strings.Builder
+	js, err := json.Marshal(a.ExportState())
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon, _ := NewMonitor(6, 3)
-	frame := tensor.RandN(rng, 1, 1, r.space.PixDim())
-	for i := 0; i < 12; i++ {
-		mon.Push(frame, 0.5) // flat mean
+	b.Write(js)
+	for i, g := range det.Graphs() {
+		js, err := json.Marshal(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(js)
+		bank := det.GNN(i).Tokens()
+		for _, id := range bank.NodeIDs() {
+			fmt.Fprintf(&b, "|%d:", id)
+			for _, v := range bank.Bank(id).Data.Data() {
+				fmt.Fprintf(&b, "%x,", math.Float64bits(v))
+			}
+		}
 	}
-	before := r.det.GNN(0).Tokens().Snapshot(r.graph.NodesAtLevel(1)[0].ID)
-	rep, err := adapter.Step(mon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Triggered {
-		t.Error("flat mean triggered adaptation")
-	}
-	after := r.det.GNN(0).Tokens().Snapshot(r.graph.NodesAtLevel(1)[0].ID)
-	if !tensor.AllClose(before, after, 0) {
-		t.Error("untriggered adaptation modified token embeddings")
-	}
+	return b.String()
 }
 
 func TestAdapterUpdatesOnlyTokens(t *testing.T) {

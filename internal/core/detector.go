@@ -394,7 +394,7 @@ func (d *Detector) ScoreTemperature() float64 {
 	return 1
 }
 
-// SetTraining toggles BatchNorm/Dropout mode across the pipeline.
+// SetTraining toggles BatchNorm mode across the pipeline.
 // Entering training mode also drops the decision head's eval snapshots
 // (the GNN and temporal models drop their own); the re-assert of
 // inference mode stays a pure read for concurrent scorers.

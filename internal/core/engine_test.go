@@ -136,10 +136,7 @@ func TestScoreVideoMatchesTapeBitForBit(t *testing.T) {
 func skippedFinalBlockFLOPs(cfg Config, n int) int64 {
 	tc := cfg.Temporal
 	d, t, heads := tc.InnerDim, tc.Window, tc.Heads
-	ff := tc.FFDim
-	if ff == 0 {
-		ff = 4 * d
-	}
+	ff := 4 * d
 	affine := func(in, out int) int { return 2*in*out + out }
 	perRow := 2*affine(d, d) + 2*d + affine(d, ff) + ff + affine(ff, d)
 	// One (window, head) block costs 4·T²·dk + 5·T² for all T queries and

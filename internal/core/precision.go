@@ -54,29 +54,37 @@ func ParsePrecision(s string) (Precision, error) {
 	}
 }
 
+// A mistyped EDGEKG_PRECISION stops the process at startup, as a mistyped
+// EDGEKG_BACKEND does: it is a typo, and serving at a width nobody asked
+// for would hide it.
+func init() { envPrecision(os.Getenv("EDGEKG_PRECISION")) }
+
 var (
 	envPrecOnce sync.Once
 	envPrec     Precision
 )
 
-// envPrecision reads EDGEKG_PRECISION exactly once per process — Resolve
-// sits on the per-frame scoring path.
-func envPrecision() Precision {
-	envPrecOnce.Do(func() {
-		p, err := ParsePrecision(os.Getenv("EDGEKG_PRECISION"))
-		if err != nil || p == PrecisionAuto {
-			p = PrecisionF64
-		}
-		envPrec = p
-	})
-	return envPrec
+// envPrecision resolves an EDGEKG_PRECISION value: unset or auto → f64;
+// anything ParsePrecision refuses panics.
+func envPrecision(s string) Precision {
+	p, err := ParsePrecision(s)
+	if err != nil {
+		panic(fmt.Sprintf("core: EDGEKG_PRECISION=%q is not a precision (want auto, f64 or f32)", s))
+	}
+	if p == PrecisionAuto {
+		return PrecisionF64
+	}
+	return p
 }
 
 // Resolve maps Auto to the environment's choice (default f64) and returns
-// explicit settings unchanged.
+// explicit settings unchanged. The variable is read once per process —
+// Resolve sits on the per-frame scoring path — on first use rather than
+// at init, so `go test` sees the read and keys its result cache on it.
 func (p Precision) Resolve() Precision {
 	if p == PrecisionAuto {
-		return envPrecision()
+		envPrecOnce.Do(func() { envPrec = envPrecision(os.Getenv("EDGEKG_PRECISION")) })
+		return envPrec
 	}
 	return p
 }

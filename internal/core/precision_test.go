@@ -1,9 +1,13 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"os"
+	"os/exec"
 	"sort"
+	"strings"
 	"testing"
 
 	"edgekg/internal/concept"
@@ -33,6 +37,22 @@ func TestParsePrecision(t *testing.T) {
 	}
 	if PrecisionF64.Resolve() != PrecisionF64 || PrecisionF32.Resolve() != PrecisionF32 {
 		t.Error("explicit precisions must resolve to themselves")
+	}
+}
+
+// TestMistypedPrecisionEnvPanicsAtStartup re-runs this test binary with a
+// misspelt EDGEKG_PRECISION: the process must die at init naming the
+// variable, not score at a default width nobody asked for.
+func TestMistypedPrecisionEnvPanicsAtStartup(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-test.run=^$")
+	cmd.Env = append(os.Environ(), "EDGEKG_PRECISION=fp32")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) {
+		t.Fatalf("EDGEKG_PRECISION=fp32: child exited %v, want a non-zero exit\n%s", err, out)
+	}
+	if want := `EDGEKG_PRECISION="fp32" is not a precision`; !strings.Contains(string(out), want) {
+		t.Errorf("child output lacks %q:\n%s", want, out)
 	}
 }
 

@@ -40,9 +40,6 @@ type DeviceProfile struct {
 	FLOPSPerSecond float64
 	// JoulesPerFLOP is the energy cost per floating point operation.
 	JoulesPerFLOP float64
-	// IdlePowerWatts is drawn regardless of work (unused by Table I but
-	// kept for the energy ablation bench).
-	IdlePowerWatts float64
 }
 
 // JetsonClass returns a Jetson-Nano-class profile: ~5 GFLOP/s sustained
@@ -53,7 +50,6 @@ func JetsonClass() DeviceProfile {
 		Name:           "jetson-class",
 		FLOPSPerSecond: 5e9,
 		JoulesPerFLOP:  5e-9,
-		IdlePowerWatts: 2,
 	}
 }
 

@@ -15,28 +15,23 @@ import (
 type MultiHeadAttention struct {
 	Wq, Wk, Wv, Wo *Linear
 
-	heads  int
-	dim    int
-	dk     int
-	causal bool
+	heads, dk int
 }
 
 // NewMultiHeadAttention returns self-attention with the given model
-// dimension and head count; dim must be divisible by heads. When causal is
-// true, position t attends only to positions ≤ t.
-func NewMultiHeadAttention(rng *rand.Rand, dim, heads int, causal bool) *MultiHeadAttention {
+// dimension and head count; dim must be divisible by heads. Every position
+// attends to the whole sequence.
+func NewMultiHeadAttention(rng *rand.Rand, dim, heads int) *MultiHeadAttention {
 	if heads <= 0 || dim%heads != 0 {
 		panic(fmt.Sprintf("nn: attention dim %d not divisible by heads %d", dim, heads))
 	}
 	return &MultiHeadAttention{
-		Wq:     NewLinear(rng, dim, dim),
-		Wk:     NewLinear(rng, dim, dim),
-		Wv:     NewLinear(rng, dim, dim),
-		Wo:     NewLinear(rng, dim, dim),
-		heads:  heads,
-		dim:    dim,
-		dk:     dim / heads,
-		causal: causal,
+		Wq:    NewLinear(rng, dim, dim),
+		Wk:    NewLinear(rng, dim, dim),
+		Wv:    NewLinear(rng, dim, dim),
+		Wo:    NewLinear(rng, dim, dim),
+		heads: heads,
+		dk:    dim / heads,
 	}
 }
 
@@ -44,16 +39,9 @@ func NewMultiHeadAttention(rng *rand.Rand, dim, heads int, causal bool) *MultiHe
 // composed-op path is the sequential reference model the fused batched
 // path (ForwardBatch) is pinned against by the equivalence tests.
 func (a *MultiHeadAttention) Forward(x *autograd.Value) *autograd.Value {
-	t := x.Data.Rows()
 	q := a.Wq.Forward(x)
 	k := a.Wk.Forward(x)
 	v := a.Wv.Forward(x)
-
-	var mask *tensor.Tensor
-	if a.causal {
-		mask = causalMask(t)
-	}
-
 	outs := make([]*autograd.Value, a.heads)
 	scale := 1 / math.Sqrt(float64(a.dk))
 	for h := 0; h < a.heads; h++ {
@@ -62,8 +50,7 @@ func (a *MultiHeadAttention) Forward(x *autograd.Value) *autograd.Value {
 		kh := autograd.SliceCols(k, lo, hi)
 		vh := autograd.SliceCols(v, lo, hi)
 		scores := autograd.Scale(autograd.MatMulT2(qh, kh), scale)
-		attn := autograd.MaskedSoftmaxRows(scores, mask)
-		outs[h] = autograd.MatMul(attn, vh)
+		outs[h] = autograd.MatMul(autograd.SoftmaxRows(scores), vh)
 	}
 	return a.Wo.Forward(autograd.ConcatCols(outs...))
 }
@@ -79,7 +66,7 @@ func (a *MultiHeadAttention) ForwardBatch(x *autograd.Value, batch int) *autogra
 	k := a.Wk.Forward(x)
 	v := a.Wv.Forward(x)
 	scale := 1 / math.Sqrt(float64(a.dk))
-	ctx := autograd.BatchedAttention(q, k, v, batch, a.heads, scale, a.causal)
+	ctx := autograd.BatchedAttention(q, k, v, batch, a.heads, scale)
 	return a.Wo.Forward(ctx)
 }
 
@@ -87,14 +74,13 @@ func (a *MultiHeadAttention) ForwardBatch(x *autograd.Value, batch int) *autogra
 type AttentionEval[T tensor.Float] struct {
 	Wq, Wk, Wv, Wo LinearEval[T]
 	heads, dk      int
-	causal         bool
 }
 
 // EvalAttention returns a's eval form at width T.
 func EvalAttention[T tensor.Float](a *MultiHeadAttention) AttentionEval[T] {
 	return AttentionEval[T]{
 		Wq: EvalLinear[T](a.Wq), Wk: EvalLinear[T](a.Wk), Wv: EvalLinear[T](a.Wv), Wo: EvalLinear[T](a.Wo),
-		heads: a.heads, dk: a.dk, causal: a.causal,
+		heads: a.heads, dk: a.dk,
 	}
 }
 
@@ -104,7 +90,7 @@ func (a *AttentionEval[T]) ForwardBatch(x *tensor.Dense[T], batch int) *tensor.D
 	k := a.Wk.Forward(x)
 	v := a.Wv.Forward(x)
 	scale := T(1 / math.Sqrt(float64(a.dk)))
-	ctx := autograd.BatchedAttentionFwd(q, k, v, batch, a.heads, scale, a.causal)
+	ctx := autograd.BatchedAttentionFwd(q, k, v, batch, a.heads, scale)
 	return a.Wo.Forward(ctx)
 }
 
@@ -119,18 +105,6 @@ func (a *AttentionEval[T]) ForwardLast(x *tensor.Dense[T], batch int) *tensor.De
 	scale := T(1 / math.Sqrt(float64(a.dk)))
 	ctx := autograd.LastQueryAttentionFwd(q, k, v, batch, a.heads, scale)
 	return a.Wo.Forward(ctx)
-}
-
-// causalMask returns a (t×t) additive mask with -1e9 above the diagonal.
-func causalMask(t int) *tensor.Tensor {
-	m := tensor.New(t, t)
-	for i := 0; i < t; i++ {
-		row := m.Row(i)
-		for j := i + 1; j < t; j++ {
-			row[j] = -1e9
-		}
-	}
-	return m
 }
 
 // Params implements Module.
@@ -151,46 +125,39 @@ type EncoderLayer struct {
 	LN2  *LayerNorm
 	FF1  *Linear
 	FF2  *Linear
-	Drop *Dropout
 }
 
 // NewEncoderLayer returns an encoder block with a GELU feed-forward of
 // width ffDim.
-func NewEncoderLayer(rng *rand.Rand, dim, heads, ffDim int, dropout float64, causal bool) *EncoderLayer {
+func NewEncoderLayer(rng *rand.Rand, dim, heads, ffDim int) *EncoderLayer {
 	return &EncoderLayer{
-		Attn: NewMultiHeadAttention(rng, dim, heads, causal),
+		Attn: NewMultiHeadAttention(rng, dim, heads),
 		LN1:  NewLayerNorm(dim),
 		LN2:  NewLayerNorm(dim),
 		FF1:  NewLinear(rng, dim, ffDim),
 		FF2:  NewLinear(rng, ffDim, dim),
-		Drop: NewDropout(rng, dropout),
 	}
 }
 
 // Forward applies the block to a (T × dim) sequence.
 func (e *EncoderLayer) Forward(x *autograd.Value) *autograd.Value {
-	h := autograd.Add(x, e.Drop.Forward(e.Attn.Forward(e.LN1.Forward(x))))
+	h := autograd.Add(x, e.Attn.Forward(e.LN1.Forward(x)))
 	ff := e.FF2.Forward(autograd.GELU(e.FF1.Forward(e.LN2.Forward(h))))
-	return autograd.Add(h, e.Drop.Forward(ff))
+	return autograd.Add(h, ff)
 }
 
 // ForwardBatch applies the block to a batch of windows stacked as a
 // (batch·T × dim) matrix in one tape pass. LayerNorm, the feed-forward
 // and the residual adds are row-wise, so running them over the stacked
 // matrix is already the batched form — one tape node each for the whole
-// batch; only attention needs the window-aware fused path. In training
-// mode the dropout mask is drawn over the stacked matrix at once, so at
-// Dropout > 0 the batched and sequential passes consume the shared RNG
-// differently (they remain identically distributed).
+// batch; only attention needs the window-aware fused path.
 func (e *EncoderLayer) ForwardBatch(x *autograd.Value, batch int) *autograd.Value {
-	h := autograd.Add(x, e.Drop.Forward(e.Attn.ForwardBatch(e.LN1.Forward(x), batch)))
+	h := autograd.Add(x, e.Attn.ForwardBatch(e.LN1.Forward(x), batch))
 	ff := e.FF2.Forward(autograd.GELU(e.FF1.Forward(e.LN2.Forward(h))))
-	return autograd.Add(h, e.Drop.Forward(ff))
+	return autograd.Add(h, ff)
 }
 
 // EncoderEval is the eval-only form of an EncoderLayer at width T.
-// Dropout is the identity in inference mode and carries no weights, so
-// it has no eval form.
 type EncoderEval[T tensor.Float] struct {
 	Attn     AttentionEval[T]
 	LN1, LN2 LayerNormEval[T]
@@ -227,9 +194,6 @@ func (e *EncoderEval[T]) feedForward(h *tensor.Dense[T]) *tensor.Dense[T] {
 	autograd.GELUInPlace(ff)
 	return tensor.AddInPlace(h, e.FF2.Forward(ff))
 }
-
-// SetTraining implements Trainer.
-func (e *EncoderLayer) SetTraining(t bool) { e.Drop.SetTraining(t) }
 
 // Params implements Module.
 func (e *EncoderLayer) Params() []Param {

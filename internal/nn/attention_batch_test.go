@@ -9,20 +9,18 @@ import (
 )
 
 // TestMHAForwardBatchMatchesForward pins the fused batched attention layer
-// to the per-window composed reference across head counts and mask modes.
+// to the per-window composed reference across head counts.
 func TestMHAForwardBatchMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, heads := range []int{1, 4} {
-		for _, causal := range []bool{false, true} {
-			attn := NewMultiHeadAttention(rng, 8, heads, causal)
-			const batch, win = 3, 5
-			x := tensor.RandN(rng, 1, batch*win, 8)
-			got := attn.ForwardBatch(autograd.Constant(x), batch)
-			for b := 0; b < batch; b++ {
-				ref := attn.Forward(autograd.Constant(tensor.SliceRows(x, b*win, (b+1)*win)))
-				if !tensor.AllClose(tensor.SliceRows(got.Data, b*win, (b+1)*win), ref.Data, 1e-12) {
-					t.Errorf("heads=%d causal=%v: window %d diverges from sequential forward", heads, causal, b)
-				}
+		attn := NewMultiHeadAttention(rng, 8, heads)
+		const batch, win = 3, 5
+		x := tensor.RandN(rng, 1, batch*win, 8)
+		got := attn.ForwardBatch(autograd.Constant(x), batch)
+		for b := 0; b < batch; b++ {
+			ref := attn.Forward(autograd.Constant(tensor.SliceRows(x, b*win, (b+1)*win)))
+			if !tensor.AllClose(tensor.SliceRows(got.Data, b*win, (b+1)*win), ref.Data, 1e-12) {
+				t.Errorf("heads=%d: window %d diverges from sequential forward", heads, b)
 			}
 		}
 	}
@@ -32,7 +30,7 @@ func TestMHAForwardBatchMatchesForward(t *testing.T) {
 // gradients of one batched pass agree with the per-window passes summed.
 func TestMHAForwardBatchGradMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	attn := NewMultiHeadAttention(rng, 6, 2, true)
+	attn := NewMultiHeadAttention(rng, 6, 2)
 	const batch, win = 2, 4
 	data := tensor.RandN(rng, 1, batch*win, 6)
 
@@ -62,19 +60,17 @@ func TestMHAForwardBatchGradMatchesForward(t *testing.T) {
 // block (batched LayerNorm/FF + fused attention) to the sequential block.
 func TestEncoderLayerForwardBatchMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for _, causal := range []bool{false, true} {
-		enc := NewEncoderLayer(rng, 8, 2, 16, 0, causal)
-		const batch, win = 4, 3
-		x := tensor.RandN(rng, 1, batch*win, 8)
-		got := enc.ForwardBatch(autograd.Constant(x), batch)
-		if got.Data.Rows() != batch*win || got.Data.Cols() != 8 {
-			t.Fatalf("batched encoder shape %v", got.Shape())
-		}
-		for b := 0; b < batch; b++ {
-			ref := enc.Forward(autograd.Constant(tensor.SliceRows(x, b*win, (b+1)*win)))
-			if !tensor.AllClose(tensor.SliceRows(got.Data, b*win, (b+1)*win), ref.Data, 1e-12) {
-				t.Errorf("causal=%v: window %d diverges from sequential encoder", causal, b)
-			}
+	enc := NewEncoderLayer(rng, 8, 2, 16)
+	const batch, win = 4, 3
+	x := tensor.RandN(rng, 1, batch*win, 8)
+	got := enc.ForwardBatch(autograd.Constant(x), batch)
+	if got.Data.Rows() != batch*win || got.Data.Cols() != 8 {
+		t.Fatalf("batched encoder shape %v", got.Shape())
+	}
+	for b := 0; b < batch; b++ {
+		ref := enc.Forward(autograd.Constant(tensor.SliceRows(x, b*win, (b+1)*win)))
+		if !tensor.AllClose(tensor.SliceRows(got.Data, b*win, (b+1)*win), ref.Data, 1e-12) {
+			t.Errorf("window %d diverges from sequential encoder", b)
 		}
 	}
 }

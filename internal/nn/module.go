@@ -1,7 +1,7 @@
 // Package nn provides the neural-network building blocks of the detector:
-// dense layers, batch/layer normalisation, dropout, embeddings, multi-head
-// attention and transformer encoders, together with parameter management
-// (collection, freezing) shared by training and deployment-time adaptation.
+// dense layers, batch/layer normalisation, multi-head attention and
+// transformer encoders, together with parameter management (collection,
+// freezing) shared by training and deployment-time adaptation.
 package nn
 
 import "edgekg/internal/autograd"
@@ -16,12 +16,6 @@ type Param struct {
 // children's parameters with a dotted-path prefix.
 type Module interface {
 	Params() []Param
-}
-
-// Trainer is implemented by modules whose forward pass differs between
-// training and inference (BatchNorm, Dropout).
-type Trainer interface {
-	SetTraining(bool)
 }
 
 // Values extracts the raw autograd values from a parameter list, the form

@@ -1,8 +1,6 @@
 package nn
 
 import (
-	"math/rand"
-
 	"edgekg/internal/autograd"
 	"edgekg/internal/tensor"
 )
@@ -60,8 +58,8 @@ func (b *BatchNorm1d) UpdateRunning(mean, variance *tensor.Tensor) {
 	tensor.AxpyInPlace(tensor.ScaleInPlace(b.RunningVar, 1-m), m, variance)
 }
 
-// SetTraining implements Trainer. Re-asserting the current mode is a pure
-// read: concurrent inference callers over one frozen model (the serving
+// SetTraining switches between batch and running statistics.
+// Re-asserting the current mode is a pure read: concurrent inference callers over one frozen model (the serving
 // runtime's per-frame ScoreVideo calls) all SetTraining(false) on shared
 // layers, and an unconditional store would be a data race.
 func (b *BatchNorm1d) SetTraining(t bool) {
@@ -123,43 +121,3 @@ func EvalLayerNorm[T tensor.Float](l *LayerNorm) LayerNormEval[T] {
 func (l LayerNormEval[T]) Forward(x *tensor.Dense[T]) *tensor.Dense[T] {
 	return autograd.LayerNormFwd(x, l.Gamma, l.Beta, l.Eps)
 }
-
-// Dropout zeroes activations with probability P during training and is the
-// identity during inference.
-type Dropout struct {
-	P        float64
-	rng      *rand.Rand
-	training bool
-}
-
-// NewDropout returns a Dropout layer drawing masks from rng.
-func NewDropout(rng *rand.Rand, p float64) *Dropout {
-	return &Dropout{P: p, rng: rng, training: true}
-}
-
-// Forward applies dropout in training mode.
-func (d *Dropout) Forward(x *autograd.Value) *autograd.Value {
-	if !d.training || d.P <= 0 {
-		return x
-	}
-	mask := tensor.New(x.Data.Shape()...)
-	md := mask.Data()
-	for i := range md {
-		if d.rng.Float64() >= d.P {
-			md[i] = 1
-		}
-	}
-	return autograd.Dropout(x, mask, d.P)
-}
-
-// SetTraining implements Trainer. Like BatchNorm1d.SetTraining, asserting
-// the mode already in effect stays read-only for concurrent-inference
-// safety.
-func (d *Dropout) SetTraining(t bool) {
-	if d.training != t {
-		d.training = t
-	}
-}
-
-// Params implements Module (none).
-func (d *Dropout) Params() []Param { return nil }

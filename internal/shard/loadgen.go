@@ -12,6 +12,15 @@ import (
 	"edgekg/internal/netserve"
 )
 
+// Each submit round trip is bounded by submitTimeout. A frame that meets
+// transient errors or ErrShardDown retries for at most recoverTimeout
+// before the run fails — the window failover has to detect a worker's
+// death and rehome the key.
+const (
+	submitTimeout  = 60 * time.Second
+	recoverTimeout = 30 * time.Second
+)
+
 // Scenario describes one load-generation run against a Router.
 type Scenario struct {
 	// Keys are the stream keys, one camera feed each.
@@ -32,19 +41,13 @@ type Scenario struct {
 	MigrateKey string
 	MigrateAt  int
 	MigrateTo  int
-	// SubmitTimeout bounds each submit round trip. Defaults to 60s.
-	SubmitTimeout time.Duration
 	// Kill, when set, kills a worker mid-run: immediately before Keys[0]
 	// submits its frame Kill.At, the run sends the Kill.Shard worker a
 	// die request (an abrupt stop — in-flight connections are severed,
 	// nothing drains). Requires failover to be armed (Config.SnapshotEvery
 	// and a running HealthMonitor), or every frame routed to the dead
-	// shard fails once RecoverTimeout lapses.
+	// shard fails once recoverTimeout lapses.
 	Kill *Kill
-	// RecoverTimeout bounds how long one frame retries through transient
-	// errors and ErrShardDown before the run fails — the window failover
-	// has to detect the death and rehome the key. Defaults to 30s.
-	RecoverTimeout time.Duration
 }
 
 // Kill names a worker to crash mid-run and when.
@@ -84,14 +87,6 @@ func Run(ctx context.Context, r *Router, sc Scenario) (*Report, error) {
 	}
 	if sc.Frame == nil {
 		return nil, fmt.Errorf("shard: scenario needs a Frame synthesiser")
-	}
-	timeout := sc.SubmitTimeout
-	if timeout <= 0 {
-		timeout = 60 * time.Second
-	}
-	recover := sc.RecoverTimeout
-	if recover <= 0 {
-		recover = 30 * time.Second
 	}
 	closed := sc.Rate <= 0
 	var interval time.Duration // open-loop: fixed-rate arrivals from start
@@ -147,7 +142,7 @@ func Run(ctx context.Context, r *Router, sc Scenario) (*Report, error) {
 					// The die request is fire-and-forget: the worker cuts
 					// its connections before replying, and transport errors
 					// are the expected shape of success.
-					dctx, dcancel := context.WithTimeout(ctx, timeout)
+					dctx, dcancel := context.WithTimeout(ctx, submitTimeout)
 					err := r.Backend(sc.Kill.Shard).Die(dctx)
 					dcancel()
 					if err != nil && !netserve.IsTransient(err) {
@@ -170,7 +165,7 @@ func Run(ctx context.Context, r *Router, sc Scenario) (*Report, error) {
 					sched = time.Now()
 				}
 				frame := sc.Frame(key, seq)
-				sctx, cancel := context.WithTimeout(ctx, timeout)
+				sctx, cancel := context.WithTimeout(ctx, submitTimeout)
 				res, err := r.Submit(sctx, key, frame)
 				cancel()
 				// Ride out a worker crash: transient transport errors (the
@@ -181,7 +176,7 @@ func Run(ctx context.Context, r *Router, sc Scenario) (*Report, error) {
 				// scored frames are — so the retry is the frame's first and
 				// only scoring on the new home.
 				if err != nil && (errors.Is(err, ErrShardDown) || netserve.IsTransient(err)) {
-					deadline := time.Now().Add(recover)
+					deadline := time.Now().Add(recoverTimeout)
 					for time.Now().Before(deadline) {
 						select {
 						case <-time.After(50 * time.Millisecond):
@@ -192,7 +187,7 @@ func Run(ctx context.Context, r *Router, sc Scenario) (*Report, error) {
 						mu.Lock()
 						rep.Retried++
 						mu.Unlock()
-						sctx, cancel = context.WithTimeout(ctx, timeout)
+						sctx, cancel = context.WithTimeout(ctx, submitTimeout)
 						res, err = r.Submit(sctx, key, frame)
 						cancel()
 						if err == nil || (!errors.Is(err, ErrShardDown) && !netserve.IsTransient(err)) {

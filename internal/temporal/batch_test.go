@@ -15,8 +15,8 @@ import (
 
 // batchConfig builds a config sized so every tested head count divides the
 // inner dimension.
-func batchConfig(heads int, causal bool) Config {
-	return Config{InputDim: 6, InnerDim: 16, Heads: heads, Layers: 2, Window: 4, Causal: causal}
+func batchConfig(heads int) Config {
+	return Config{InputDim: 6, InnerDim: 16, Heads: heads, Layers: 2, Window: 4}
 }
 
 // seqReference runs the per-window sequential model over a stacked window
@@ -31,30 +31,27 @@ func seqReference(m *Model, windows *tensor.Tensor, batch int) *tensor.Tensor {
 }
 
 // TestForwardBatchEquivalence pins the one-tape batched forward to the
-// sequential per-window model across batch sizes, head counts, mask modes
-// and train/eval mode (dropout is 0, so train mode differs only in the
-// layers' mode flags — exactly the paper's configuration).
+// sequential per-window model across batch sizes, head counts and
+// train/eval mode.
 func TestForwardBatchEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for _, heads := range []int{1, 8} {
-		for _, causal := range []bool{false, true} {
-			m, err := New(rng, batchConfig(heads, causal))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, training := range []bool{false, true} {
-				m.SetTraining(training)
-				for _, batch := range []int{1, 2, 5} {
-					name := fmt.Sprintf("heads=%d causal=%v training=%v batch=%d", heads, causal, training, batch)
-					windows := tensor.RandN(rng, 1, batch*m.Window(), 6)
-					got := m.ForwardBatch(autograd.Constant(windows), batch)
-					if got.Data.Rows() != batch || got.Data.Cols() != 6 {
-						t.Fatalf("%s: output shape %v, want (%d,6)", name, got.Shape(), batch)
-					}
-					want := seqReference(m, windows, batch)
-					if !tensor.AllClose(got.Data, want, 1e-12) {
-						t.Errorf("%s: batched output diverges from sequential model", name)
-					}
+		m, err := New(rng, batchConfig(heads))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, training := range []bool{false, true} {
+			m.SetTraining(training)
+			for _, batch := range []int{1, 2, 5} {
+				name := fmt.Sprintf("heads=%d training=%v batch=%d", heads, training, batch)
+				windows := tensor.RandN(rng, 1, batch*m.Window(), 6)
+				got := m.ForwardBatch(autograd.Constant(windows), batch)
+				if got.Data.Rows() != batch || got.Data.Cols() != 6 {
+					t.Fatalf("%s: output shape %v, want (%d,6)", name, got.Shape(), batch)
+				}
+				want := seqReference(m, windows, batch)
+				if !tensor.AllClose(got.Data, want, 1e-12) {
+					t.Errorf("%s: batched output diverges from sequential model", name)
 				}
 			}
 		}
@@ -66,36 +63,33 @@ func TestForwardBatchEquivalence(t *testing.T) {
 // sequential passes summed.
 func TestForwardBatchGradEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
-	for _, causal := range []bool{false, true} {
-		m, err := New(rng, batchConfig(2, causal))
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.SetTraining(false)
-		const batch = 3
-		data := tensor.RandN(rng, 1, batch*m.Window(), 6)
+	m, err := New(rng, batchConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetTraining(false)
+	const batch = 3
+	data := tensor.RandN(rng, 1, batch*m.Window(), 6)
 
-		wb := autograd.Param(data.Clone())
-		autograd.Sum(m.ForwardBatch(wb, batch)).Backward()
-		grads := map[string]*tensor.Tensor{"windows": wb.Grad.Clone()}
-		for _, p := range m.Params() {
-			grads[p.Name] = p.V.Grad.Clone()
-			p.V.ZeroGrad()
-		}
+	wb := autograd.Param(data.Clone())
+	autograd.Sum(m.ForwardBatch(wb, batch)).Backward()
+	grads := map[string]*tensor.Tensor{"windows": wb.Grad.Clone()}
+	for _, p := range m.Params() {
+		grads[p.Name] = p.V.Grad.Clone()
+		p.V.ZeroGrad()
+	}
 
-		ws := autograd.Param(data.Clone())
-		tw := m.Window()
-		for k := 0; k < batch; k++ {
-			autograd.Sum(m.ForwardSeq(autograd.SliceRows(ws, k*tw, (k+1)*tw))).Backward()
-		}
-		if !tensor.AllClose(grads["windows"], ws.Grad, 1e-9) {
-			t.Errorf("causal=%v: window gradient diverges", causal)
-		}
-		for _, p := range m.Params() {
-			if !tensor.AllClose(grads[p.Name], p.V.Grad, 1e-9) {
-				t.Errorf("causal=%v: param %s gradient diverges", causal, p.Name)
-			}
-			p.V.ZeroGrad()
+	ws := autograd.Param(data.Clone())
+	tw := m.Window()
+	for k := 0; k < batch; k++ {
+		autograd.Sum(m.ForwardSeq(autograd.SliceRows(ws, k*tw, (k+1)*tw))).Backward()
+	}
+	if !tensor.AllClose(grads["windows"], ws.Grad, 1e-9) {
+		t.Error("window gradient diverges")
+	}
+	for _, p := range m.Params() {
+		if !tensor.AllClose(grads[p.Name], p.V.Grad, 1e-9) {
+			t.Errorf("param %s gradient diverges", p.Name)
 		}
 	}
 }
@@ -129,7 +123,7 @@ func requireSameBits[T tensor.Float](t *testing.T, ctx string, want, got *tensor
 // TestForwardBatchEvalMatchesTape pins the eval engine's temporal stage,
 // whose final block computes only the last row of each window, to the
 // tape ForwardBatch bit for bit at float64 — with one layer and with two
-// (an earlier block runs all rows first), both masks, one and two heads,
+// (an earlier block runs all rows first), one and two heads,
 // batches 1, 2 and 5, on every backend at one worker and at four. At
 // float32 it returns the all-rows eval stack's bits and stays inside the
 // engine's f32 drift budget (2e-3, internal/core/precision_test.go) of
@@ -145,18 +139,16 @@ func TestForwardBatchEvalMatchesTape(t *testing.T) {
 	var cases []fixture
 	for _, layers := range []int{1, 2} {
 		for _, heads := range []int{1, 2} {
-			for _, causal := range []bool{false, true} {
-				cfg := batchConfig(heads, causal)
-				cfg.Layers = layers
-				m, err := New(rng, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				m.SetTraining(false)
-				for _, batch := range []int{1, 2, 5} {
-					name := fmt.Sprintf("layers=%d heads=%d causal=%v batch=%d", layers, heads, causal, batch)
-					cases = append(cases, fixture{name, m, batch, tensor.RandN(rng, 1, batch*m.Window(), 6)})
-				}
+			cfg := batchConfig(heads)
+			cfg.Layers = layers
+			m, err := New(rng, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.SetTraining(false)
+			for _, batch := range []int{1, 2, 5} {
+				name := fmt.Sprintf("layers=%d heads=%d batch=%d", layers, heads, batch)
+				cases = append(cases, fixture{name, m, batch, tensor.RandN(rng, 1, batch*m.Window(), 6)})
 			}
 		}
 	}
@@ -194,41 +186,39 @@ func TestForwardBatchEvalMatchesTape(t *testing.T) {
 // changes other windows' floats.
 func TestCrossWindowIsolation(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
-	for _, causal := range []bool{false, true} {
-		m, err := New(rng, batchConfig(8, causal))
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.SetTraining(false)
-		const batch = 5
-		tw := m.Window()
-		base := tensor.RandN(rng, 1, batch*tw, 6)
-		for _, workers := range []int{1, 4} {
-			prev := parallel.SetWorkers(workers)
-			before := m.ForwardBatch(autograd.Constant(base), batch)
-			for k := 0; k < batch; k++ {
-				bumped := base.Clone()
-				for i := 0; i < tw; i++ {
-					row := bumped.Row(k*tw + i)
-					for j := range row {
-						row[j] += 3
-					}
-				}
-				after := m.ForwardBatch(autograd.Constant(bumped), batch)
-				for b := 0; b < batch; b++ {
-					same := tensor.AllClose(
-						tensor.SliceRows(after.Data, b, b+1),
-						tensor.SliceRows(before.Data, b, b+1), 0)
-					if b == k && same {
-						t.Errorf("causal=%v workers=%d: perturbing window %d did not change its own output", causal, workers, k)
-					}
-					if b != k && !same {
-						t.Errorf("causal=%v workers=%d: perturbing window %d leaked into window %d", causal, workers, k, b)
-					}
+	m, err := New(rng, batchConfig(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetTraining(false)
+	const batch = 5
+	tw := m.Window()
+	base := tensor.RandN(rng, 1, batch*tw, 6)
+	for _, workers := range []int{1, 4} {
+		prev := parallel.SetWorkers(workers)
+		before := m.ForwardBatch(autograd.Constant(base), batch)
+		for k := 0; k < batch; k++ {
+			bumped := base.Clone()
+			for i := 0; i < tw; i++ {
+				row := bumped.Row(k*tw + i)
+				for j := range row {
+					row[j] += 3
 				}
 			}
-			parallel.SetWorkers(prev)
+			after := m.ForwardBatch(autograd.Constant(bumped), batch)
+			for b := 0; b < batch; b++ {
+				same := tensor.AllClose(
+					tensor.SliceRows(after.Data, b, b+1),
+					tensor.SliceRows(before.Data, b, b+1), 0)
+				if b == k && same {
+					t.Errorf("workers=%d: perturbing window %d did not change its own output", workers, k)
+				}
+				if b != k && !same {
+					t.Errorf("workers=%d: perturbing window %d leaked into window %d", workers, k, b)
+				}
+			}
 		}
+		parallel.SetWorkers(prev)
 	}
 }
 
@@ -238,7 +228,7 @@ func TestCrossWindowIsolation(t *testing.T) {
 // programmatic equivalent, parallel.SetWorkers).
 func TestForwardBatchWorkerDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
-	m, err := New(rng, batchConfig(8, true))
+	m, err := New(rng, batchConfig(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +279,7 @@ func TestGradCheckThroughForwardBatch(t *testing.T) {
 // formula.
 func TestForwardBatchValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
-	m, err := New(rng, batchConfig(2, false))
+	m, err := New(rng, batchConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,18 +22,11 @@ type Config struct {
 	InnerDim int
 	// Heads is the attention head count (paper: 8).
 	Heads int
-	// Layers is the number of encoder blocks.
+	// Layers is the number of encoder blocks; each has a feed-forward of
+	// width 4×InnerDim.
 	Layers int
-	// FFDim is the feed-forward width; 0 defaults to 4×InnerDim.
-	FFDim int
 	// Window is T, the number of consecutive frame embeddings attended to.
 	Window int
-	// Dropout applies inside encoder blocks during training.
-	Dropout float64
-	// Causal restricts attention to past positions. The paper's model
-	// reads only the last output, so full attention is equivalent in
-	// effect; causal is kept for the ablation benches.
-	Causal bool
 }
 
 // DefaultConfig returns the paper's settings for a given input width.
@@ -95,10 +88,6 @@ func New(rng *rand.Rand, cfg Config) (*Model, error) {
 	if cfg.Layers < 1 {
 		cfg.Layers = 1
 	}
-	ff := cfg.FFDim
-	if ff == 0 {
-		ff = 4 * cfg.InnerDim
-	}
 	m := &Model{
 		cfg:    cfg,
 		inProj: nn.NewLinear(rng, cfg.InputDim, cfg.InnerDim),
@@ -107,7 +96,7 @@ func New(rng *rand.Rand, cfg Config) (*Model, error) {
 		pos:    nn.PositionalEncoding(cfg.Window, cfg.InnerDim),
 	}
 	for i := 0; i < cfg.Layers; i++ {
-		m.blocks = append(m.blocks, nn.NewEncoderLayer(rng, cfg.InnerDim, cfg.Heads, ff, cfg.Dropout, cfg.Causal))
+		m.blocks = append(m.blocks, nn.NewEncoderLayer(rng, cfg.InnerDim, cfg.Heads, 4*cfg.InnerDim))
 	}
 	return m, nil
 }
@@ -186,10 +175,9 @@ func (m *Model) checkBatch(rows, cols, batch int) {
 // computes LN1, K and V over all rows and everything after them — Q, the
 // attention context, Wo, the residuals, the feed-forward, the final norm
 // and out — over the batch last rows only. Every op past the final K/V is
-// row-wise and the last query attends to its whole window under either
-// mask, so at float64 it returns ForwardBatch's bits while billing fewer
-// FLOPs. It is the temporal stage of Detector.ScoreVideo; the model must
-// be in inference mode.
+// row-wise, so at float64 it returns ForwardBatch's bits while billing
+// fewer FLOPs. It is the temporal stage of Detector.ScoreVideo; the model
+// must be in inference mode.
 func ForwardBatchEval[T tensor.Float](m *Model, windows *tensor.Dense[T], batch int) *tensor.Dense[T] {
 	m.checkBatch(windows.Rows(), windows.Cols(), batch)
 	s := evalOf[T](m)
@@ -203,16 +191,13 @@ func ForwardBatchEval[T tensor.Float](m *Model, windows *tensor.Dense[T], batch 
 	return s.out.Forward(s.norm.Forward(h))
 }
 
-// SetTraining toggles dropout inside the encoder blocks. Entering
-// training mode drops the eval snapshots: the weights are about to
-// change, and the next eval forward rebuilds them from the post-training
-// values.
+// SetTraining has no mode to switch — no block behaves differently in
+// training — but entering training mode drops the eval snapshots: the
+// weights are about to change, and the next eval forward rebuilds them
+// from the post-training values.
 func (m *Model) SetTraining(t bool) {
 	if t {
 		m.eval.Drop()
-	}
-	for _, b := range m.blocks {
-		b.SetTraining(t)
 	}
 }
 

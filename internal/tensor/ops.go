@@ -113,19 +113,6 @@ func ScaleInPlace[T Float](a *Dense[T], alpha T) *Dense[T] {
 	return a
 }
 
-// AddScalar returns a + alpha elementwise.
-func AddScalar(a *Tensor, alpha float64) *Tensor {
-	out := New(a.shape...)
-	forElems(len(a.data), func(lo, hi int) {
-		ad, od := a.data, out.data
-		for i := lo; i < hi; i++ {
-			od[i] = ad[i] + alpha
-		}
-	})
-	countOps(len(a.data))
-	return out
-}
-
 // Neg returns -a.
 func Neg(a *Tensor) *Tensor { return Scale(a, -1) }
 

@@ -286,7 +286,7 @@ func TestSoftmaxShiftInvariance(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := RandN(rng, 3, 2, 4)
-		shift := AddScalar(m, rng.NormFloat64()*10)
+		shift := Add(m, Full(rng.NormFloat64()*10, m.Shape()...))
 		return AllClose(SoftmaxRows(m), SoftmaxRows(shift), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
