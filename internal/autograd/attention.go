@@ -25,9 +25,10 @@ import (
 // Every loop mirrors the accumulation order of the composed reference ops
 // (MatMulT2 → Scale → SoftmaxRows → MatMul), so the fused forward
 // and backward are bit-identical to the per-window sequential model; the
-// equivalence tests in internal/temporal pin this. LastQueryAttentionFwd,
-// the eval engine's form for a model that reads only the last position,
-// runs the same per-query body for that one query per window.
+// equivalence tests in internal/temporal pin this. LastQueryAttention (and
+// its tape-free LastQueryAttentionFwd), the form for a model that reads
+// only the last position, runs the same per-query forward and backward
+// bodies for that one query per window.
 
 // attnDims validates the (batch·T × heads·dk) geometry shared by the
 // batched attention ops and returns T and dk.
@@ -71,63 +72,22 @@ func BatchedAttention(q, k, v *Value, batch, heads int, scale float64) *Value {
 	// Attention weights, stored compactly as nb stacked T×T blocks: block
 	// idx = b·heads + h starts at row idx·T. The backward pass re-reads
 	// them.
-	attn := tensor.New(nb*t, t)
-	out, grain := batchedAttention(q.Data, k.Data, v.Data, batch, heads, scale, attn.Data())
-	qd, kd, vd, ad := q.Data.Data(), k.Data.Data(), v.Data.Data(), attn.Data()
-	bk := kernels.Active()
+	ad := make([]float64, nb*t*t)
+	out, c, grain := batchedAttention(q.Data, k.Data, v.Data, batch, heads, scale, ad)
+	qd := q.Data.Data()
 
 	return newOp3("batchedattention", out, q, k, v, func(g *tensor.Tensor) {
 		gd := g.Data()
-		var gq, gk, gv *tensor.Tensor
-		if q.requiresGrad {
-			gq = tensor.New(rows, dim)
-		}
-		if k.requiresGrad {
-			gk = tensor.New(rows, dim)
-		}
-		if v.requiresGrad {
-			gv = tensor.New(rows, dim)
-		}
+		gq, gk, gv := attnAdjoints(q, k, v)
 		parallel.For(nb, grain, func(lo, hi int) {
 			bws := tensor.NewWorkspace()
 			da := bws.Floats(t)
 			for idx := lo; idx < hi; idx++ {
 				b, h := idx/heads, idx%heads
-				rowOff, colOff := b*t, h*dk
+				off := b*t*dim + h*dk
 				for i := 0; i < t; i++ {
-					arow := ad[(idx*t+i)*t : (idx*t+i)*t+t]
-					grow := gd[(rowOff+i)*dim+colOff : (rowOff+i)*dim+colOff+dk]
-					// dAttn[i][p] = G_i·V_p ; dV_p += attn[i][p]·G_i.
-					for p := 0; p < t; p++ {
-						vrow := vd[(rowOff+p)*dim+colOff : (rowOff+p)*dim+colOff+dk]
-						da[p] = bk.Dot(grow, vrow)
-						if av := arow[p]; av != 0 && gv != nil {
-							gvrow := gv.Data()[(rowOff+p)*dim+colOff : (rowOff+p)*dim+colOff+dk]
-							bk.Axpy(av, grow, gvrow)
-						}
-					}
-					if gq == nil && gk == nil {
-						continue
-					}
-					// Softmax backward, then the Scale adjoint, then the
-					// score-matmul adjoints dQ = dS·K and dK = dSᵀ·Q.
-					dot := bk.Dot(arow, da)
-					qrow := qd[(rowOff+i)*dim+colOff : (rowOff+i)*dim+colOff+dk]
-					for p := 0; p < t; p++ {
-						ds := arow[p] * (da[p] - dot) * scale
-						if ds == 0 {
-							continue
-						}
-						if gq != nil {
-							krow := kd[(rowOff+p)*dim+colOff : (rowOff+p)*dim+colOff+dk]
-							gqrow := gq.Data()[(rowOff+i)*dim+colOff : (rowOff+i)*dim+colOff+dk]
-							bk.Axpy(ds, krow, gqrow)
-						}
-						if gk != nil {
-							gkrow := gk.Data()[(rowOff+p)*dim+colOff : (rowOff+p)*dim+colOff+dk]
-							bk.Axpy(ds, qrow, gkrow)
-						}
-					}
+					row := off + i*dim
+					c.back(qd[row:row+dk], off, ad[(idx*t+i)*t:(idx*t+i)*t+t], gd[row:row+dk], da, headSlice(gq, row, dk), gk, gv)
 				}
 			}
 			bws.Release()
@@ -135,16 +95,79 @@ func BatchedAttention(q, k, v *Value, batch, heads int, scale float64) *Value {
 		// dA + dV + softmax adjoint + dQ + dK, mirroring what the composed
 		// backward graph would have reported to the ledger.
 		flops.Add(int64(nb * (8*t*t*dk + 3*t*t)))
-		if gq != nil {
-			q.accumulate(gq)
-		}
-		if gk != nil {
-			k.accumulate(gk)
-		}
-		if gv != nil {
-			v.accumulate(gv)
-		}
+		accumulateAdjoints(q, k, v, gq, gk, gv)
 	})
+}
+
+// LastQueryAttention is BatchedAttention for the last query of every
+// window only, as one graph node: q holds one row per window (batch ×
+// dim), k and v all batch·T rows. Row b of the result holds exactly the
+// bits of row b·T+T−1 of BatchedAttention over a full q whose last rows
+// are q's. The backward runs BatchedAttention's per-query body for those
+// queries: dQ for the batch rows of q, dK and dV over every window — the
+// adjoints BatchedAttention returns when no other row of its output
+// carries a gradient.
+func LastQueryAttention(q, k, v *Value, batch, heads int, scale float64) *Value {
+	if !q.requiresGrad && !k.requiresGrad && !v.requiresGrad {
+		return &Value{Data: LastQueryAttentionFwd(q.Data, k.Data, v.Data, batch, heads, scale), op: "lastqueryattention"}
+	}
+	rows, dim := k.Data.Rows(), k.Data.Cols()
+	t, dk := attnDims("LastQueryAttention", rows, dim, batch, heads)
+	nb := batch * heads
+	// One row of T weights per (window, head) block, kept for backward.
+	ad := make([]float64, nb*t)
+	out, c, grain := lastQueryAttention(q.Data, k.Data, v.Data, batch, heads, scale, ad)
+	qd := q.Data.Data()
+
+	return newOp3("lastqueryattention", out, q, k, v, func(g *tensor.Tensor) {
+		gd := g.Data()
+		gq, gk, gv := attnAdjoints(q, k, v)
+		parallel.For(nb, grain, func(lo, hi int) {
+			bws := tensor.NewWorkspace()
+			da := bws.Floats(t)
+			for idx := lo; idx < hi; idx++ {
+				b, h := idx/heads, idx%heads
+				row := b*dim + h*dk
+				c.back(qd[row:row+dk], b*t*dim+h*dk, ad[idx*t:idx*t+t], gd[row:row+dk], da, headSlice(gq, row, dk), gk, gv)
+			}
+			bws.Release()
+		})
+		flops.Add(int64(nb * (8*t*dk + 3*t)))
+		accumulateAdjoints(q, k, v, gq, gk, gv)
+	})
+}
+
+// attnAdjoints allocates the gradient buffers of whichever of q, k and v
+// take gradients, as flat slices shaped like each input (nil otherwise).
+func attnAdjoints(q, k, v *Value) (gq, gk, gv []float64) {
+	buf := func(x *Value) []float64 {
+		if !x.requiresGrad {
+			return nil
+		}
+		return make([]float64, x.Data.Size())
+	}
+	return buf(q), buf(k), buf(v)
+}
+
+// accumulateAdjoints hands each non-nil buffer from attnAdjoints to its
+// input.
+func accumulateAdjoints(q, k, v *Value, gq, gk, gv []float64) {
+	for _, p := range [3]struct {
+		x *Value
+		g []float64
+	}{{q, gq}, {k, gk}, {v, gv}} {
+		if p.g != nil {
+			p.x.accumulate(tensor.FromSlice(p.g, p.x.Data.Shape()...))
+		}
+	}
+}
+
+// headSlice returns s[off:off+n], or nil for a nil s.
+func headSlice(s []float64, off, n int) []float64 {
+	if s == nil {
+		return nil
+	}
+	return s[off : off+n]
 }
 
 // BatchedAttentionFwd is BatchedAttention's forward on bare tensors at
@@ -153,18 +176,28 @@ func BatchedAttention(q, k, v *Value, batch, heads int, scale float64) *Value {
 func BatchedAttentionFwd[T tensor.Float](q, k, v *tensor.Dense[T], batch, heads int, scale T) *tensor.Dense[T] {
 	t, _ := attnDims("BatchedAttention", q.Rows(), q.Cols(), batch, heads)
 	ws := tensor.NewWorkspace()
-	out, _ := batchedAttention(q, k, v, batch, heads, scale, tensor.Scratch[T](ws, batch*heads*t*t))
+	out, _, _ := batchedAttention(q, k, v, batch, heads, scale, tensor.Scratch[T](ws, batch*heads*t*t))
 	ws.Release()
 	return out
 }
 
-// LastQueryAttentionFwd is BatchedAttentionFwd computed for the last query
-// of every window only — what a model that reads one output per window
-// needs. q holds one row per window (batch × dim), k and v all batch·T
-// rows; row b of the result holds exactly the bits of row b·T+T−1 of
-// BatchedAttentionFwd over the full q, because both run the one query
-// body below.
+// LastQueryAttentionFwd is LastQueryAttention's forward on bare tensors at
+// width T, with the attention weights in pooled scratch. Row b of the
+// result holds exactly the bits of row b·T+T−1 of BatchedAttentionFwd
+// over the full q, because both run the one query body below.
 func LastQueryAttentionFwd[T tensor.Float](q, k, v *tensor.Dense[T], batch, heads int, scale T) *tensor.Dense[T] {
+	t, _ := attnDims("LastQueryAttention", k.Rows(), k.Cols(), batch, heads)
+	ws := tensor.NewWorkspace()
+	out, _, _ := lastQueryAttention(q, k, v, batch, heads, scale, tensor.Scratch[T](ws, batch*heads*t))
+	ws.Release()
+	return out
+}
+
+// lastQueryAttention computes the context of the last query of every
+// window into a fresh (batch × dim) tensor, leaving the softmax weights in
+// ad (one row of T per (window, head) block). Like batchedAttention it
+// returns the query body and the worker-pool grain for the backward pass.
+func lastQueryAttention[T tensor.Float](q, k, v *tensor.Dense[T], batch, heads int, scale T, ad []T) (*tensor.Dense[T], attnQuery[T], int) {
 	rows, dim := k.Rows(), k.Cols()
 	if !v.SameShape(k) || q.Rows() != batch || q.Cols() != dim {
 		panic(fmt.Sprintf("autograd: LastQueryAttention shapes q%v k%v v%v, want q (%d × %d)", q.Shape(), k.Shape(), v.Shape(), batch, dim))
@@ -172,21 +205,19 @@ func LastQueryAttentionFwd[T tensor.Float](q, k, v *tensor.Dense[T], batch, head
 	t, dk := attnDims("LastQueryAttention", rows, dim, batch, heads)
 	nb := batch * heads
 	out := tensor.NewOf[T](batch, dim)
-	ws := tensor.NewWorkspace()
-	ad := tensor.Scratch[T](ws, nb*t)
 	c := attnQuery[T]{bk: kernels.ActiveOf[T](), kd: k.Data(), vd: v.Data(), dim: dim, dk: dk, scale: scale}
 	qd, od := q.Data(), out.Data()
 	cost := 4*t*dk + 5*t
-	parallel.For(nb, attnGrain(cost), func(lo, hi int) {
+	grain := attnGrain(cost)
+	parallel.For(nb, grain, func(lo, hi int) {
 		for idx := lo; idx < hi; idx++ {
 			b, h := idx/heads, idx%heads
 			row := b*dim + h*dk
 			c.run(qd[row:row+dk], b*t*dim+h*dk, ad[idx*t:idx*t+t], od[row:row+dk])
 		}
 	})
-	ws.Release()
 	flops.Add(int64(nb * cost))
-	return out
+	return out, c, grain
 }
 
 // attnGrain picks the worker-pool chunk grain for (window, head) blocks
@@ -201,8 +232,9 @@ func attnGrain(blockCost int) int {
 
 // batchedAttention computes the attention context into a fresh tensor,
 // leaving the softmax weights in ad (nb stacked T×T blocks). It also
-// returns the worker-pool grain so the backward pass splits identically.
-func batchedAttention[T tensor.Float](q, k, v *tensor.Dense[T], batch, heads int, scale T, ad []T) (*tensor.Dense[T], int) {
+// returns the query body it ran and the worker-pool grain, so the backward
+// pass runs over the same K and V and splits identically.
+func batchedAttention[T tensor.Float](q, k, v *tensor.Dense[T], batch, heads int, scale T, ad []T) (*tensor.Dense[T], attnQuery[T], int) {
 	rows, dim := q.Rows(), q.Cols()
 	if !k.SameShape(q) || !v.SameShape(q) {
 		panic(fmt.Sprintf("autograd: BatchedAttention shapes q%v k%v v%v differ", q.Shape(), k.Shape(), v.Shape()))
@@ -227,11 +259,12 @@ func batchedAttention[T tensor.Float](q, k, v *tensor.Dense[T], batch, heads int
 		}
 	})
 	flops.Add(int64(nb * blockCost))
-	return out, grain
+	return out, c, grain
 }
 
 // attnQuery is the one per-(window, head, query) body of both attention
-// forwards, over the shared K and V matrices (rows of width dim).
+// ops, forward (run) and backward (back), over the shared K and V matrices
+// (rows of width dim).
 //
 // It calls the same backend kernels as the composed reference ops (Dot
 // for MatMulT2's inner product, Axpy for MatMul's accumulation), so
@@ -282,6 +315,39 @@ func (c attnQuery[T]) run(qrow []T, off int, arow, orow []T) {
 	}
 }
 
+// back propagates the context adjoint grow of query qrow through the
+// block run computed, whose softmax weights are arow: dAttn_p = G·V_p and
+// dV_p += attn_p·G, then the softmax and Scale adjoints, then the score
+// adjoints dQ += dS·K into gq (the query's own head slice) and dK_p +=
+// dS_p·Q. gk and gv are whole gradient matrices laid out like K and V; a
+// nil gq, gk or gv takes no gradient. da is scratch of len(arow).
+func (c attnQuery[T]) back(qrow []T, off int, arow, grow, da, gq, gk, gv []T) {
+	for p, av := range arow {
+		r := off + p*c.dim
+		da[p] = c.bk.Dot(grow, c.vd[r:r+c.dk])
+		if av != 0 && gv != nil {
+			c.bk.Axpy(av, grow, gv[r:r+c.dk])
+		}
+	}
+	if gq == nil && gk == nil {
+		return
+	}
+	dot := c.bk.Dot(arow, da)
+	for p, av := range arow {
+		ds := av * (da[p] - dot) * c.scale
+		if ds == 0 {
+			continue
+		}
+		r := off + p*c.dim
+		if gq != nil {
+			c.bk.Axpy(ds, c.kd[r:r+c.dk], gq)
+		}
+		if gk != nil {
+			c.bk.Axpy(ds, qrow, gk[r:r+c.dk])
+		}
+	}
+}
+
 // AddTiled adds a (T × c) tile to every T-row block of a (batch·T × c)
 // matrix: out row i is x row i plus tile row i mod T. It is how the batched
 // temporal forward applies the positional encoding to every window in one
@@ -307,6 +373,18 @@ func LastRows[T tensor.Float](x *tensor.Dense[T], batch int) *tensor.Dense[T] {
 		copy(out.Row(b), x.Row(b*t+t-1))
 	}
 	return out
+}
+
+// GatherLastRows is LastRows on the tape: row b of the result is row
+// b·T+T−1 of the (batch·T × c) matrix x, and the adjoint scatters back
+// into those rows.
+func GatherLastRows(x *Value, batch int) *Value {
+	t, _ := attnDims("LastRows", x.Data.Rows(), x.Data.Cols(), batch, 1)
+	rows := make([]int, batch)
+	for b := range rows {
+		rows[b] = b*t + t - 1
+	}
+	return GatherRows(x, rows)
 }
 
 // AddLastRowsInPlace adds row b·T+T−1 of the (batch·T × c) matrix x into

@@ -76,29 +76,34 @@ func TestBatchedAttentionBackwardMatchesComposed(t *testing.T) {
 	}
 }
 
-// TestGradBatchedAttention verifies the fused backward against finite
-// differences, for all inputs trainable and for a partial requires-grad
-// set.
+// TestGradBatchedAttention verifies the fused attention backwards against
+// finite differences, for all inputs trainable and for a partial
+// requires-grad set: frozen k/v must still pass gradients to q alone (the
+// adaptation path backpropagates through frozen projections).
 func TestGradBatchedAttention(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	const batch, win, heads, dk = 2, 3, 2, 2
 	dim := heads * dk
 	scale := 1 / math.Sqrt(float64(dk))
-	q := Param(tensor.RandN(rng, 0.5, batch*win, dim))
-	k := Param(tensor.RandN(rng, 0.5, batch*win, dim))
-	v := Param(tensor.RandN(rng, 0.5, batch*win, dim))
-	f := func() *Value { return Sum(BatchedAttention(q, k, v, batch, heads, scale)) }
-	if err := GradCheck(f, []*Value{q, k, v}, 1e-6, 1e-6); err != nil {
-		t.Error(err)
-	}
-	// Frozen k/v: gradients must still reach q alone (the adaptation path
-	// backpropagates through frozen projections).
-	q = Param(tensor.RandN(rng, 0.5, 4, dim))
-	k = Constant(tensor.RandN(rng, 0.5, 4, dim))
-	v = Constant(tensor.RandN(rng, 0.5, 4, dim))
-	f = func() *Value { return Sum(BatchedAttention(q, k, v, 2, heads, scale)) }
-	if err := GradCheck(f, []*Value{q}, 1e-6, 1e-6); err != nil {
-		t.Error(err)
+	param := func(rows int) *Value { return Param(tensor.RandN(rng, 0.5, rows, dim)) }
+	constant := func(rows int) *Value { return Constant(tensor.RandN(rng, 0.5, rows, dim)) }
+	q, k, v := param(batch*win), param(batch*win), param(batch*win)
+	fq, fk, fv := param(4), constant(4), constant(4)
+	lq, lk, lv := param(batch), param(batch*win), param(batch*win)
+	lfq, lfk, lfv := param(2), constant(4), constant(4)
+	for _, c := range []struct {
+		name   string
+		f      func() *Value
+		inputs []*Value
+	}{
+		{"batchedattention", func() *Value { return Sum(BatchedAttention(q, k, v, batch, heads, scale)) }, []*Value{q, k, v}},
+		{"batchedattention/frozen-kv", func() *Value { return Sum(BatchedAttention(fq, fk, fv, 2, heads, scale)) }, []*Value{fq}},
+		{"lastqueryattention", func() *Value { return Sum(LastQueryAttention(lq, lk, lv, batch, heads, scale)) }, []*Value{lq, lk, lv}},
+		{"lastqueryattention/frozen-kv", func() *Value { return Sum(LastQueryAttention(lfq, lfk, lfv, 2, heads, scale)) }, []*Value{lfq}},
+	} {
+		if err := GradCheck(c.f, c.inputs, 1e-6, 1e-6); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
 	}
 }
 

@@ -15,7 +15,9 @@ package autograd
 //     equivalence suite relies on.
 //   - LastQueryAttentionFwd must return exactly the last-position rows of
 //     BatchedAttentionFwd within every backend, at both widths, on every
-//     payload — the eval engine's final temporal block depends on it.
+//     payload, and LastQueryAttention's backward exactly BatchedAttention's
+//     under a gradient on those rows alone — the final temporal block of
+//     the eval engine and of the tape depends on it.
 
 import (
 	"fmt"
@@ -24,6 +26,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"edgekg/internal/parallel"
 	"edgekg/internal/tensor"
 	"edgekg/internal/tensor/kernels"
 )
@@ -220,14 +223,100 @@ func requireLastQueryRows[T tensor.Float](t *testing.T, ctx string, qd, kd, vd [
 	}
 }
 
+// requireLastQueryGrads runs LastQueryAttention's backward over LastRows(q)
+// and BatchedAttention's over the full q, seeded with g (batch × dim) on
+// rows b·T+T−1 and zero on every other row, under every backend at one
+// worker and at four. Row b of the last-query dQ must hold the bits of row
+// b·T+T−1 of the full dQ, and dK and dV the full op's bits (NaN matches
+// NaN): both ops run the one backward body for those queries, and a query
+// with a zero adjoint adds nothing. The one exception is an entry where
+// the payload holds a NaN or an Inf and the full op's dK or dV is NaN: an
+// unread query whose weights or values are not finite turns its zero
+// adjoint into NaN there, and the last-query op never runs that query.
+func requireLastQueryGrads(t *testing.T, ctx string, qd, kd, vd, gd []float64, batch, win, heads, dk int) {
+	t.Helper()
+	rows, dim := batch*win, heads*dk
+	scale := 1 / math.Sqrt(float64(dk))
+	q, k, v := tensor.FromSlice(qd, rows, dim), tensor.FromSlice(kd, rows, dim), tensor.FromSlice(vd, rows, dim)
+	gFull := tensor.New(rows, dim)
+	for b := 0; b < batch; b++ {
+		copy(gFull.Row(b*win+win-1), gd[b*dim:(b+1)*dim])
+	}
+	finite := true
+	for _, s := range [][]float64{qd, kd, vd, gd} {
+		for _, x := range s {
+			finite = finite && !math.IsNaN(x) && !math.IsInf(x, 0)
+		}
+	}
+	for _, name := range kernels.Names() {
+		for _, workers := range []int{1, 4} {
+			func() {
+				restore, err := kernels.Use(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer restore()
+				defer parallel.SetWorkers(parallel.SetWorkers(workers))
+				at := fmt.Sprintf("%s/%s/workers=%d", ctx, name, workers)
+
+				fq, fk, fv := Param(q.Clone()), Param(k.Clone()), Param(v.Clone())
+				BatchedAttention(fq, fk, fv, batch, heads, scale).BackwardWith(gFull)
+				lq, lk, lv := Param(LastRows(q, batch)), Param(k.Clone()), Param(v.Clone())
+				LastQueryAttention(lq, lk, lv, batch, heads, scale).BackwardWith(tensor.FromSlice(gd, batch, dim))
+
+				for b := 0; b < batch; b++ {
+					want, got := fq.Grad.Row(b*win+win-1), lq.Grad.Row(b)
+					for j := range want {
+						if err := kernels.CompareExact(want[j], got[j]); err != nil {
+							t.Fatalf("%s dQ window %d col %d: %v", at, b, j, err)
+						}
+					}
+				}
+				for _, pair := range []struct {
+					name      string
+					want, got *tensor.Tensor
+				}{{"dK", fk.Grad, lk.Grad}, {"dV", fv.Grad, lv.Grad}} {
+					for i, w := range pair.want.Data() {
+						if !finite && math.IsNaN(w) {
+							continue
+						}
+						if err := kernels.CompareExact(w, pair.got.Data()[i]); err != nil {
+							t.Fatalf("%s %s element %d: %v", at, pair.name, i, err)
+						}
+					}
+				}
+			}()
+		}
+	}
+}
+
+// lastQueryGrid is the geometry both last-query conformance tests run:
+// single-position windows, one head, and the paper's 8 heads × dk 16 at
+// window 8.
+var lastQueryGrid = []struct{ batch, win, heads, dk int }{
+	{1, 1, 1, 1}, {1, 4, 2, 8}, {3, 5, 2, 3}, {5, 3, 1, 7}, {2, 8, 8, 16},
+}
+
+// TestLastQueryAttentionBackwardConformance drives the last-query backward
+// identity through the shared payload grid at float64, the tape's width.
+func TestLastQueryAttentionBackwardConformance(t *testing.T) {
+	for gi, g := range lastQueryGrid {
+		n := g.batch * g.win * g.heads * g.dk
+		for _, p := range kernels.ConformancePayloads {
+			rng := rand.New(rand.NewSource(int64(800 + gi)))
+			requireLastQueryGrads(t, fmt.Sprintf("%+v/%s", g, p.Name),
+				kernels.FillAs[float64](p, rng, n), kernels.FillAs[float64](p, rng, n), kernels.FillAs[float64](p, rng, n),
+				kernels.FillAs[float64](p, rng, g.batch*g.heads*g.dk),
+				g.batch, g.win, g.heads, g.dk)
+		}
+	}
+}
+
 // TestLastQueryAttentionBackendConformance drives the last-query identity
 // through the shared payload grid (normal, mixed magnitude, subnormal,
-// signed zero, NaN, Inf) at both widths, over single-position windows,
-// one head, and the paper's 8 heads × dk 16 at window 8.
+// signed zero, NaN, Inf) at both widths.
 func TestLastQueryAttentionBackendConformance(t *testing.T) {
-	for gi, g := range []struct{ batch, win, heads, dk int }{
-		{1, 1, 1, 1}, {1, 4, 2, 8}, {3, 5, 2, 3}, {5, 3, 1, 7}, {2, 8, 8, 16},
-	} {
+	for gi, g := range lastQueryGrid {
 		n := g.batch * g.win * g.heads * g.dk
 		for _, p := range kernels.ConformancePayloads {
 			ctx := fmt.Sprintf("%+v/%s", g, p.Name)
@@ -244,7 +333,8 @@ func TestLastQueryAttentionBackendConformance(t *testing.T) {
 
 // FuzzLastQueryAttention is the same identity on fuzz-chosen geometry and
 // payloads: the selector byte picks one of the conformance payload classes
-// (seeded from the raw bytes) or the raw bytes themselves.
+// (seeded from the raw bytes) or the raw bytes themselves. At float64 it
+// also compares the backward (requireLastQueryGrads).
 func FuzzLastQueryAttention(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(2), uint8(4), uint8(1), uint8(3), uint8(0))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xf8, 0x7f}, uint8(0), uint8(7), uint8(7), uint8(15), uint8(4))
@@ -258,17 +348,23 @@ func FuzzLastQueryAttention(f *testing.F) {
 }
 
 func fuzzLastQuery[T tensor.Float](t *testing.T, raw []byte, batch, win, heads, dk, sel int) {
-	n := batch * win * heads * dk
-	var qd, kd, vd []T
+	n, gn := batch*win*heads*dk, batch*heads*dk
+	var qd, kd, vd, gd []T
 	if p := sel % (len(kernels.ConformancePayloads) + 1); p < len(kernels.ConformancePayloads) {
 		rng := rand.New(rand.NewSource(int64(crc32.ChecksumIEEE(raw))))
 		pl := kernels.ConformancePayloads[p]
 		qd, kd, vd = kernels.FillAs[T](pl, rng, n), kernels.FillAs[T](pl, rng, n), kernels.FillAs[T](pl, rng, n)
+		gd = kernels.FillAs[T](pl, rng, gn)
 	} else {
-		qd, kd, vd = make([]T, n), make([]T, n), make([]T, n)
+		qd, kd, vd, gd = make([]T, n), make([]T, n), make([]T, n), make([]T, gn)
 		kernels.FillFuzz(qd, raw)
 		kernels.FillFuzz(kd, raw[min(1, len(raw)):])
 		kernels.FillFuzz(vd, raw[min(2, len(raw)):])
+		kernels.FillFuzz(gd, raw[min(3, len(raw)):])
 	}
-	requireLastQueryRows(t, fmt.Sprintf("batch=%d T=%d heads=%d dk=%d", batch, win, heads, dk), qd, kd, vd, batch, win, heads, dk)
+	ctx := fmt.Sprintf("batch=%d T=%d heads=%d dk=%d", batch, win, heads, dk)
+	requireLastQueryRows(t, ctx, qd, kd, vd, batch, win, heads, dk)
+	if q64, ok := any(qd).([]float64); ok {
+		requireLastQueryGrads(t, ctx, q64, any(kd).([]float64), any(vd).([]float64), any(gd).([]float64), batch, win, heads, dk)
+	}
 }

@@ -42,6 +42,12 @@ func tinyConfig() Config {
 
 func newRig(t *testing.T, mission string, seed int64) *testRig {
 	t.Helper()
+	return newRigWith(t, mission, seed, tinyConfig())
+}
+
+// newRigWith is newRig over a detector built from cfg.
+func newRigWith(t *testing.T, mission string, seed int64, cfg Config) *testRig {
+	t.Helper()
 	corpus := concept.Builtin().Concepts()
 	tok := bpe.Train(corpus, 600)
 	space, err := embed.NewSpace(tok, corpus, embed.Config{Dim: 16, PixDim: 32, Seed: 5})
@@ -55,7 +61,7 @@ func newRig(t *testing.T, mission string, seed int64) *testRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := NewDetector(rng, space, []*kg.Graph{g}, tinyConfig())
+	det, err := NewDetector(rng, space, []*kg.Graph{g}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

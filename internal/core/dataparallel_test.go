@@ -124,6 +124,12 @@ func tokenBankState(det *Detector) []*tensor.Tensor {
 // epoch's loss and the number of nodes replaced.
 func plainRound(t *testing.T, a *Adapter, mon *Monitor) (float64, int) {
 	t.Helper()
+	return plainRoundWith(t, a, mon, a.forwardFrames)
+}
+
+// plainRoundWith is plainRound with the batch scored by forward.
+func plainRoundWith(t *testing.T, a *Adapter, mon *Monitor, forward func(*tensor.Tensor) *autograd.Value) (float64, int) {
+	t.Helper()
 	a.det.SetTraining(false)
 	if !mon.Ready() || mon.K() == 0 || mon.DeltaM() >= -a.cfg.MinDrop {
 		t.Fatal("fixture monitor does not trigger a round")
@@ -149,7 +155,7 @@ func plainRound(t *testing.T, a *Adapter, mon *Monitor) (float64, int) {
 	var loss float64
 	for e := 0; e < a.cfg.Epochs; e++ {
 		a.opt.ZeroGrad()
-		l := autograd.BinaryScoreLoss(autograd.Scale(a.forwardFrames(batch), invT), targets)
+		l := autograd.BinaryScoreLoss(autograd.Scale(forward(batch), invT), targets)
 		l.Backward()
 		a.opt.Step()
 		loss = l.Scalar()

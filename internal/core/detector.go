@@ -287,9 +287,9 @@ func (d *Detector) ForwardClip(clip *tensor.Tensor, batch int) *autograd.Value {
 // configured Precision resolves to. Every stage shares its forward
 // arithmetic with the autograd op that trains it, so at float64 the scores
 // are exactly what the tape composition (ForwardClip and friends) would
-// produce, and a frame costs the same count at either width. The count is
-// lower than the tape's: the temporal stage's final block computes only
-// the last position of each window, the one the head reads.
+// produce, and a frame costs the tape's count at either width: both
+// compute the temporal stage's final block past its K/V for the last
+// position of each window only, the one the head reads.
 //
 // Frame windows are scored in batched temporal passes: the window matrix
 // is assembled concurrently on the shared worker pool (each task fills

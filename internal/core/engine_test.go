@@ -18,8 +18,11 @@ import (
 // forwards that share their arithmetic with the autograd ops; the
 // reference below scores the same video by composing those ops on a tape,
 // the way ScoreVideo did before the engine existed and ForwardClip still
-// does. At float64 the two must agree bit for bit; at float32 the engine
-// rides the drift budget in precision_test.go.
+// does. Both have one shape — the final temporal block past its K/V runs
+// the last row of each window only — so at float64 they agree bit for bit
+// and bill the same count; at float32 the engine rides the drift budget in
+// precision_test.go. (lastrow_test.go pins that shape against the
+// all-rows composition.)
 
 // scoreVideoTape is the tape-composed reference for ScoreVideo at float64:
 // EmbedFrames → window gather → ForwardBatch → Logits → Scale → SoftmaxRows
@@ -128,28 +131,11 @@ func TestScoreVideoMatchesTapeBitForBit(t *testing.T) {
 	grid("rebound")
 }
 
-// skippedFinalBlockFLOPs is the closed-form count of what the engine's
-// final temporal block does not compute for n windows: Wq, Wo, both
-// residual adds, the feed-forward (FF1 + GELU + FF2) on the T−1 rows per
-// window nobody reads, and the attention of their queries. LayerNorm and
-// the row gather bill nothing on either side.
-func skippedFinalBlockFLOPs(cfg Config, n int) int64 {
-	tc := cfg.Temporal
-	d, t, heads := tc.InnerDim, tc.Window, tc.Heads
-	ff := 4 * d
-	affine := func(in, out int) int { return 2*in*out + out }
-	perRow := 2*affine(d, d) + 2*d + affine(d, ff) + ff + affine(ff, d)
-	// One (window, head) block costs 4·T²·dk + 5·T² for all T queries and
-	// 4·T·dk + 5·T for the last one.
-	attn := heads * (t - 1) * (4*t*(d/heads) + 5*t)
-	return int64(n * ((t-1)*perRow + attn))
-}
-
 // TestScoreVideoFLOPsIndependentOfWidth pins the Table-I ledger to the
 // model, not to a deployment knob: one frame (and 24) is billed the same
 // operation count at float32 and at float64 — exactly what the tape
-// composition bills, minus the rows the engine's final temporal block
-// skips.
+// composition bills, since both compute the final temporal block past its
+// K/V for the last row of each window only.
 func TestScoreVideoFLOPsIndependentOfWidth(t *testing.T) {
 	r := newRig(t, "Stealing", 11)
 	r.det.Deploy()
@@ -164,9 +150,8 @@ func TestScoreVideoFLOPsIndependentOfWidth(t *testing.T) {
 		}
 		f64, f32 := count(PrecisionF64), count(PrecisionF32)
 		tape, _ := flops.Count(func() { scoreVideoTape(r.det, pix) })
-		want := tape - skippedFinalBlockFLOPs(r.det.cfg, n)
-		if f64 != want || f32 != want || want <= 0 {
-			t.Errorf("%d frames: %d ops at f64, %d at f32, want %d (tape %d minus the skipped rows)", n, f64, f32, want, tape)
+		if f64 != tape || f32 != tape || tape <= 0 {
+			t.Errorf("%d frames: %d ops at f64, %d at f32, want the tape's %d", n, f64, f32, tape)
 		}
 	}
 }

@@ -70,6 +70,20 @@ func (a *MultiHeadAttention) ForwardBatch(x *autograd.Value, batch int) *autogra
 	return a.Wo.Forward(ctx)
 }
 
+// ForwardLast is ForwardBatch for the last row of every window only: Q,
+// the attention context and Wo run over the batch last rows of x, K and V
+// over every row. Row b of the (batch × dim) result holds the bits of row
+// b·T+T−1 of ForwardBatch(x, batch), and x receives its three adjoints in
+// ForwardBatch's order: V's, K's, then Q's through the row gather.
+func (a *MultiHeadAttention) ForwardLast(x *autograd.Value, batch int) *autograd.Value {
+	q := a.Wq.Forward(autograd.GatherLastRows(x, batch))
+	k := a.Wk.Forward(x)
+	v := a.Wv.Forward(x)
+	scale := 1 / math.Sqrt(float64(a.dk))
+	ctx := autograd.LastQueryAttention(q, k, v, batch, a.heads, scale)
+	return a.Wo.Forward(ctx)
+}
+
 // AttentionEval is the eval-only form of a MultiHeadAttention at width T.
 type AttentionEval[T tensor.Float] struct {
 	Wq, Wk, Wv, Wo LinearEval[T]
@@ -94,10 +108,7 @@ func (a *AttentionEval[T]) ForwardBatch(x *tensor.Dense[T], batch int) *tensor.D
 	return a.Wo.Forward(ctx)
 }
 
-// ForwardLast is ForwardBatch for the last row of every window only: K
-// and V are projected from every row of x, Q, the context and Wo from the
-// batch last rows. Row b of the (batch × dim) result holds the bits of row
-// b·T+T−1 of ForwardBatch(x, batch).
+// ForwardLast is MultiHeadAttention.ForwardLast without the tape.
 func (a *AttentionEval[T]) ForwardLast(x *tensor.Dense[T], batch int) *tensor.Dense[T] {
 	k := a.Wk.Forward(x)
 	v := a.Wv.Forward(x)
@@ -157,6 +168,18 @@ func (e *EncoderLayer) ForwardBatch(x *autograd.Value, batch int) *autograd.Valu
 	return autograd.Add(h, ff)
 }
 
+// ForwardLast is ForwardBatch for the last row of every window only: LN1,
+// K and V run over every row of x, everything after them over the batch
+// last rows. Every op past attention is row-wise, so row b of the
+// (batch × dim) result holds the bits of row b·T+T−1 of
+// ForwardBatch(x, batch), and the adjoints it returns are those of
+// ForwardBatch under a gradient that reads only those rows.
+func (e *EncoderLayer) ForwardLast(x *autograd.Value, batch int) *autograd.Value {
+	h := autograd.Add(autograd.GatherLastRows(x, batch), e.Attn.ForwardLast(e.LN1.Forward(x), batch))
+	ff := e.FF2.Forward(autograd.GELU(e.FF1.Forward(e.LN2.Forward(h))))
+	return autograd.Add(h, ff)
+}
+
 // EncoderEval is the eval-only form of an EncoderLayer at width T.
 type EncoderEval[T tensor.Float] struct {
 	Attn     AttentionEval[T]
@@ -179,11 +202,8 @@ func (e *EncoderEval[T]) ForwardBatch(x *tensor.Dense[T], batch int) *tensor.Den
 	return e.feedForward(tensor.AddInPlace(x, e.Attn.ForwardBatch(e.LN1.Forward(x), batch)))
 }
 
-// ForwardLast is ForwardBatch for the last row of every window only: LN1,
-// K and V run over every row of x, everything after them over the batch
-// last rows. Every op past attention is row-wise, so row b of the
-// (batch × dim) result holds the bits of row b·T+T−1 of
-// ForwardBatch(x, batch). x is left unchanged.
+// ForwardLast is EncoderLayer.ForwardLast without the tape. x is left
+// unchanged.
 func (e *EncoderEval[T]) ForwardLast(x *tensor.Dense[T], batch int) *tensor.Dense[T] {
 	return e.feedForward(autograd.AddLastRowsInPlace(e.Attn.ForwardLast(e.LN1.Forward(x), batch), x))
 }

@@ -131,27 +131,26 @@ func (m *Model) ForwardSeq(seq *autograd.Value) *autograd.Value {
 // (batch*T × D) matrix and returns the (batch × D) last-position outputs.
 //
 // The whole batch runs through one tape: a single input projection over
-// the stacked matrix, one AddTiled node for the positional encoding, the
-// encoder blocks' batched forward (whose BatchedAttention core is
-// block-diagonal over windows, so window k never attends into window j),
-// one final LayerNorm, and a single Gather of the last position of every
-// window. Row k equals ForwardSeq applied to window k alone — pinned by
-// the equivalence and isolation tests — while the tape cost is O(depth)
-// nodes instead of O(batch·depth).
+// the stacked matrix, one AddTiled node for the positional encoding, and
+// every encoder block but the last over all batch·T rows (their
+// BatchedAttention core is block-diagonal over windows, so window k never
+// attends into window j). The final block computes LN1, K and V over all
+// rows and everything after them — Q, the attention context, Wo, the
+// residuals, the feed-forward, the final norm and out — over the batch
+// last rows only, the ones the loss reads; training and adaptation
+// backpropagate through nothing else. Row k equals ForwardSeq applied to
+// window k alone — pinned by the equivalence and isolation tests — while
+// the tape cost is O(depth) nodes instead of O(batch·depth).
 func (m *Model) ForwardBatch(windows *autograd.Value, batch int) *autograd.Value {
-	t := m.cfg.Window
 	m.checkBatch(windows.Data.Rows(), windows.Data.Cols(), batch)
 	h := m.inProj.Forward(windows)
 	h = autograd.AddTiled(h, m.pos)
-	for _, b := range m.blocks {
+	final := len(m.blocks) - 1
+	for _, b := range m.blocks[:final] {
 		h = b.ForwardBatch(h, batch)
 	}
-	h = m.norm.Forward(h)
-	last := make([]int, batch)
-	for k := range last {
-		last[k] = (k+1)*t - 1
-	}
-	return m.out.Forward(autograd.GatherRows(h, last))
+	h = m.blocks[final].ForwardLast(h, batch)
+	return m.out.Forward(m.norm.Forward(h))
 }
 
 // checkBatch validates a (rows × cols) stacked-window matrix against the
@@ -169,15 +168,12 @@ func (m *Model) checkBatch(rows, cols, batch int) {
 	}
 }
 
-// ForwardBatchEval is ForwardBatch without the tape, at width T, and
-// without the positions nobody reads: the projection, positional add and
-// every block but the last run over all batch·T rows, the final block
-// computes LN1, K and V over all rows and everything after them — Q, the
-// attention context, Wo, the residuals, the feed-forward, the final norm
-// and out — over the batch last rows only. Every op past the final K/V is
-// row-wise, so at float64 it returns ForwardBatch's bits while billing
-// fewer FLOPs. It is the temporal stage of Detector.ScoreVideo; the model
-// must be in inference mode.
+// ForwardBatchEval is ForwardBatch without the tape, at width T: the same
+// shape — every block but the last over all batch·T rows, the final block
+// past its K/V over the batch last rows only — so at float64 it returns
+// ForwardBatch's bits and bills the same FLOPs at either width. It is the
+// temporal stage of Detector.ScoreVideo; the model must be in inference
+// mode.
 func ForwardBatchEval[T tensor.Float](m *Model, windows *tensor.Dense[T], batch int) *tensor.Dense[T] {
 	m.checkBatch(windows.Rows(), windows.Cols(), batch)
 	s := evalOf[T](m)

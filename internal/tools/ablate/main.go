@@ -1,16 +1,37 @@
 // Command ablate is a scratch tool for tuning the adaptation
 // hyper-parameters against the Fig. 5 scenarios.
+//
+//	go run ./internal/tools/ablate -scale full
+//
+// -scale picks the experiments preset (quick or full).
 package main
 
 import (
+	"flag"
 	"fmt"
+	"os"
 
 	"edgekg/internal/concept"
 	"edgekg/internal/experiments"
 )
 
 func main() {
-	env, err := experiments.NewEnv(experiments.QuickScale())
+	scaleName := flag.String("scale", "quick", "experiment scale: quick or full")
+	flag.Parse()
+
+	var scale experiments.Scale
+	switch *scaleName {
+	case "quick":
+		scale = experiments.QuickScale()
+	case "full":
+		scale = experiments.FullScale()
+	default:
+		fmt.Fprintf(os.Stderr, "ablate: unknown -scale %q (want quick or full)\n", *scaleName)
+		os.Exit(2)
+	}
+	fmt.Printf("scale=%s train_steps=%d\n", *scaleName, scale.TrainSteps)
+
+	env, err := experiments.NewEnv(scale)
 	if err != nil {
 		panic(err)
 	}
