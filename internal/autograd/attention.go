@@ -18,20 +18,20 @@ import (
 // single tape node with one backward closure. The block-diagonal window
 // mask is structural rather than materialised: scores for window b are
 // computed only against window b's own keys, so a query can never attend
-// into another window — the compact (batch·heads·T × T) score layout IS the
+// into another window — the compact (batch·heads·nq × T) score layout IS the
 // block-diagonal mask, without ever allocating the (batch·T × batch·T)
 // matrix it represents.
 //
 // Every loop mirrors the accumulation order of the composed reference ops
 // (MatMulT2 → Scale → SoftmaxRows → MatMul), so the fused forward
 // and backward are bit-identical to the per-window sequential model; the
-// equivalence tests in internal/temporal pin this. LastQueryAttention (and
-// its tape-free LastQueryAttentionFwd), the form for a model that reads
-// only the last position, runs the same per-query forward and backward
-// bodies for that one query per window.
+// equivalence tests in internal/autograd and internal/temporal pin this.
+// The number of queries per window comes from q's shape: T of them is
+// self-attention over every position, one per window is the form a model
+// that reads only the last position runs, and both run the same per-query
+// forward and backward bodies.
 
-// attnDims validates the (batch·T × heads·dk) geometry shared by the
-// batched attention ops and returns T and dk.
+// attnDims validates a (batch·T × heads·dk) geometry and returns T and dk.
 func attnDims(op string, rows, cols, batch, heads int) (t, dk int) {
 	if batch < 1 {
 		panic(fmt.Sprintf("autograd: %s batch %d must be ≥ 1", op, batch))
@@ -49,30 +49,49 @@ func attnDims(op string, rows, cols, batch, heads int) (t, dk int) {
 	return t, cols / heads
 }
 
-// BatchedAttention applies scaled dot-product self-attention independently
-// to every window of a batch, all heads at once, as one graph node. q, k
-// and v are (batch·T × dim) matrices whose k-th block of T rows is window
-// k's projection; dim = heads·dk. The result has the same shape: row
-// b·T+i, columns [h·dk, (h+1)·dk) hold head h's context for query i of
-// window b; every query attends to all T positions of its own window.
+// attnShapes validates BatchedAttention's operands — q (batch·nq × dim),
+// k and v (batch·T × dim) each, dim = heads·dk — and returns nq, T and dk.
+func attnShapes[T tensor.Float](q, k, v *tensor.Dense[T], batch, heads int) (nq, t, dk int) {
+	if q.Cols() != k.Cols() || !v.SameShape(k) {
+		panic(fmt.Sprintf("autograd: BatchedAttention shapes q%v k%v v%v, want one width and k, v alike", q.Shape(), k.Shape(), v.Shape()))
+	}
+	nq, dk = attnDims("BatchedAttention", q.Rows(), q.Cols(), batch, heads)
+	t, _ = attnDims("BatchedAttention", k.Rows(), k.Cols(), batch, heads)
+	return nq, t, dk
+}
+
+// BatchedAttention applies scaled dot-product attention independently to
+// every window of a batch, all heads at once, as one graph node. k and v
+// are (batch·T × dim) matrices whose b-th block of T rows is window b's
+// projection; dim = heads·dk. q is (batch·nq × dim): nq = q.Rows()/batch
+// queries per window, each attending to all T positions of its own
+// window. Row b·nq+i of the result, columns [h·dk, (h+1)·dk), holds head
+// h's context for query i of window b.
+//
+// nq = T, with q projected from the same rows as k and v, is
+// self-attention. nq = 1, with q projected from each window's last row,
+// is the form a model that reads only the last position runs: its row b
+// holds exactly the bits of row b·T+T−1 of the nq = T result, and its
+// backward returns exactly the nq = T adjoints under a gradient on those
+// rows alone, because every query runs the one per-query body and a query
+// with a zero adjoint adds nothing to dK or dV.
 //
 // Attention is block-diagonal over windows by construction — scores are
-// only ever computed within a window's own T×T block — and the (window,
-// head) blocks are independent, so both passes fan out over the shared
-// worker pool; each block owns a disjoint region of every output and
-// gradient matrix with the sequential accumulation order, keeping results
+// only ever computed within a window's own block — and the (window, head)
+// blocks are independent, so both passes fan out over the shared worker
+// pool; each block owns a disjoint region of every output and gradient
+// matrix with the sequential accumulation order, keeping results
 // bit-identical at any worker count.
 func BatchedAttention(q, k, v *Value, batch, heads int, scale float64) *Value {
 	if !q.requiresGrad && !k.requiresGrad && !v.requiresGrad {
 		return &Value{Data: BatchedAttentionFwd(q.Data, k.Data, v.Data, batch, heads, scale), op: "batchedattention"}
 	}
-	rows, dim := q.Data.Rows(), q.Data.Cols()
-	t, dk := attnDims("BatchedAttention", rows, dim, batch, heads)
+	nq, t, dk := attnShapes(q.Data, k.Data, v.Data, batch, heads)
+	dim := q.Data.Cols()
 	nb := batch * heads
-	// Attention weights, stored compactly as nb stacked T×T blocks: block
-	// idx = b·heads + h starts at row idx·T. The backward pass re-reads
-	// them.
-	ad := make([]float64, nb*t*t)
+	// Attention weights, one row of T per query: block idx = b·heads + h
+	// starts at row idx·nq. The backward pass re-reads them.
+	ad := make([]float64, nb*nq*t)
 	out, c, grain := batchedAttention(q.Data, k.Data, v.Data, batch, heads, scale, ad)
 	qd := q.Data.Data()
 
@@ -85,54 +104,16 @@ func BatchedAttention(q, k, v *Value, batch, heads int, scale float64) *Value {
 			for idx := lo; idx < hi; idx++ {
 				b, h := idx/heads, idx%heads
 				off := b*t*dim + h*dk
-				for i := 0; i < t; i++ {
-					row := off + i*dim
-					c.back(qd[row:row+dk], off, ad[(idx*t+i)*t:(idx*t+i)*t+t], gd[row:row+dk], da, headSlice(gq, row, dk), gk, gv)
+				for i := 0; i < nq; i++ {
+					row, w := (b*nq+i)*dim+h*dk, (idx*nq+i)*t
+					c.back(qd[row:row+dk], off, ad[w:w+t], gd[row:row+dk], da, headSlice(gq, row, dk), gk, gv)
 				}
 			}
 			bws.Release()
 		})
 		// dA + dV + softmax adjoint + dQ + dK, mirroring what the composed
 		// backward graph would have reported to the ledger.
-		flops.Add(int64(nb * (8*t*t*dk + 3*t*t)))
-		accumulateAdjoints(q, k, v, gq, gk, gv)
-	})
-}
-
-// LastQueryAttention is BatchedAttention for the last query of every
-// window only, as one graph node: q holds one row per window (batch ×
-// dim), k and v all batch·T rows. Row b of the result holds exactly the
-// bits of row b·T+T−1 of BatchedAttention over a full q whose last rows
-// are q's. The backward runs BatchedAttention's per-query body for those
-// queries: dQ for the batch rows of q, dK and dV over every window — the
-// adjoints BatchedAttention returns when no other row of its output
-// carries a gradient.
-func LastQueryAttention(q, k, v *Value, batch, heads int, scale float64) *Value {
-	if !q.requiresGrad && !k.requiresGrad && !v.requiresGrad {
-		return &Value{Data: LastQueryAttentionFwd(q.Data, k.Data, v.Data, batch, heads, scale), op: "lastqueryattention"}
-	}
-	rows, dim := k.Data.Rows(), k.Data.Cols()
-	t, dk := attnDims("LastQueryAttention", rows, dim, batch, heads)
-	nb := batch * heads
-	// One row of T weights per (window, head) block, kept for backward.
-	ad := make([]float64, nb*t)
-	out, c, grain := lastQueryAttention(q.Data, k.Data, v.Data, batch, heads, scale, ad)
-	qd := q.Data.Data()
-
-	return newOp3("lastqueryattention", out, q, k, v, func(g *tensor.Tensor) {
-		gd := g.Data()
-		gq, gk, gv := attnAdjoints(q, k, v)
-		parallel.For(nb, grain, func(lo, hi int) {
-			bws := tensor.NewWorkspace()
-			da := bws.Floats(t)
-			for idx := lo; idx < hi; idx++ {
-				b, h := idx/heads, idx%heads
-				row := b*dim + h*dk
-				c.back(qd[row:row+dk], b*t*dim+h*dk, ad[idx*t:idx*t+t], gd[row:row+dk], da, headSlice(gq, row, dk), gk, gv)
-			}
-			bws.Release()
-		})
-		flops.Add(int64(nb * (8*t*dk + 3*t)))
+		flops.Add(int64(nb * nq * (8*t*dk + 3*t)))
 		accumulateAdjoints(q, k, v, gq, gk, gv)
 	})
 }
@@ -174,50 +155,11 @@ func headSlice(s []float64, off, n int) []float64 {
 // width T, with the attention weights in pooled scratch: nothing needs
 // them once the context rows are written.
 func BatchedAttentionFwd[T tensor.Float](q, k, v *tensor.Dense[T], batch, heads int, scale T) *tensor.Dense[T] {
-	t, _ := attnDims("BatchedAttention", q.Rows(), q.Cols(), batch, heads)
+	nq, t, _ := attnShapes(q, k, v, batch, heads)
 	ws := tensor.NewWorkspace()
-	out, _, _ := batchedAttention(q, k, v, batch, heads, scale, tensor.Scratch[T](ws, batch*heads*t*t))
+	out, _, _ := batchedAttention(q, k, v, batch, heads, scale, tensor.Scratch[T](ws, batch*heads*nq*t))
 	ws.Release()
 	return out
-}
-
-// LastQueryAttentionFwd is LastQueryAttention's forward on bare tensors at
-// width T, with the attention weights in pooled scratch. Row b of the
-// result holds exactly the bits of row b·T+T−1 of BatchedAttentionFwd
-// over the full q, because both run the one query body below.
-func LastQueryAttentionFwd[T tensor.Float](q, k, v *tensor.Dense[T], batch, heads int, scale T) *tensor.Dense[T] {
-	t, _ := attnDims("LastQueryAttention", k.Rows(), k.Cols(), batch, heads)
-	ws := tensor.NewWorkspace()
-	out, _, _ := lastQueryAttention(q, k, v, batch, heads, scale, tensor.Scratch[T](ws, batch*heads*t))
-	ws.Release()
-	return out
-}
-
-// lastQueryAttention computes the context of the last query of every
-// window into a fresh (batch × dim) tensor, leaving the softmax weights in
-// ad (one row of T per (window, head) block). Like batchedAttention it
-// returns the query body and the worker-pool grain for the backward pass.
-func lastQueryAttention[T tensor.Float](q, k, v *tensor.Dense[T], batch, heads int, scale T, ad []T) (*tensor.Dense[T], attnQuery[T], int) {
-	rows, dim := k.Rows(), k.Cols()
-	if !v.SameShape(k) || q.Rows() != batch || q.Cols() != dim {
-		panic(fmt.Sprintf("autograd: LastQueryAttention shapes q%v k%v v%v, want q (%d × %d)", q.Shape(), k.Shape(), v.Shape(), batch, dim))
-	}
-	t, dk := attnDims("LastQueryAttention", rows, dim, batch, heads)
-	nb := batch * heads
-	out := tensor.NewOf[T](batch, dim)
-	c := attnQuery[T]{bk: kernels.ActiveOf[T](), kd: k.Data(), vd: v.Data(), dim: dim, dk: dk, scale: scale}
-	qd, od := q.Data(), out.Data()
-	cost := 4*t*dk + 5*t
-	grain := attnGrain(cost)
-	parallel.For(nb, grain, func(lo, hi int) {
-		for idx := lo; idx < hi; idx++ {
-			b, h := idx/heads, idx%heads
-			row := b*dim + h*dk
-			c.run(qd[row:row+dk], b*t*dim+h*dk, ad[idx*t:idx*t+t], od[row:row+dk])
-		}
-	})
-	flops.Add(int64(nb * cost))
-	return out, c, grain
 }
 
 // attnGrain picks the worker-pool chunk grain for (window, head) blocks
@@ -230,31 +172,31 @@ func attnGrain(blockCost int) int {
 	return 1
 }
 
-// batchedAttention computes the attention context into a fresh tensor,
-// leaving the softmax weights in ad (nb stacked T×T blocks). It also
-// returns the query body it ran and the worker-pool grain, so the backward
-// pass runs over the same K and V and splits identically.
+// batchedAttention computes the attention context into a fresh tensor
+// shaped like q, leaving the softmax weights in ad (one row of T per
+// query, laid out as in BatchedAttention). It also returns the query body
+// it ran and the worker-pool grain, so the backward pass runs over the
+// same K and V and splits identically.
 func batchedAttention[T tensor.Float](q, k, v *tensor.Dense[T], batch, heads int, scale T, ad []T) (*tensor.Dense[T], attnQuery[T], int) {
-	rows, dim := q.Rows(), q.Cols()
-	if !k.SameShape(q) || !v.SameShape(q) {
-		panic(fmt.Sprintf("autograd: BatchedAttention shapes q%v k%v v%v differ", q.Shape(), k.Shape(), v.Shape()))
-	}
-	t, dk := attnDims("BatchedAttention", rows, dim, batch, heads)
+	nq, t, dk := attnShapes(q, k, v, batch, heads)
 	nb := batch * heads
-	out := tensor.NewOf[T](rows, dim)
-	c := attnQuery[T]{bk: kernels.ActiveOf[T](), kd: k.Data(), vd: v.Data(), dim: dim, dk: dk, scale: scale}
+	c := attnQuery[T]{bk: kernels.ActiveOf[T](), kd: k.Data(), vd: v.Data(), dim: q.Cols(), dk: dk, scale: scale}
+	out := tensor.NewOf[T](q.Rows(), c.dim)
 	qd, od := q.Data(), out.Data()
 
-	// One block ≈ 4·T²·dk + 5·T² flops.
-	blockCost := 4*t*t*dk + 5*t*t
+	// One block ≈ nq·(4·T·dk + 5·T) flops.
+	blockCost := nq * (4*t*dk + 5*t)
 	grain := attnGrain(blockCost)
+	// The closure reads dim and dk through c, which it captures anyway: two
+	// fewer captured words keep the closure, which every scored frame
+	// allocates, in a smaller size class.
 	parallel.For(nb, grain, func(lo, hi int) {
 		for idx := lo; idx < hi; idx++ {
 			b, h := idx/heads, idx%heads
-			off := b*t*dim + h*dk
-			for i := 0; i < t; i++ {
-				row := off + i*dim
-				c.run(qd[row:row+dk], off, ad[(idx*t+i)*t:(idx*t+i)*t+t], od[row:row+dk])
+			off := b*t*c.dim + h*c.dk
+			for i := 0; i < nq; i++ {
+				row, w := (b*nq+i)*c.dim+h*c.dk, (idx*nq+i)*t
+				c.run(qd[row:row+c.dk], off, ad[w:w+t], od[row:row+c.dk])
 			}
 		}
 	})
@@ -262,8 +204,8 @@ func batchedAttention[T tensor.Float](q, k, v *tensor.Dense[T], batch, heads int
 	return out, c, grain
 }
 
-// attnQuery is the one per-(window, head, query) body of both attention
-// ops, forward (run) and backward (back), over the shared K and V matrices
+// attnQuery is the one per-(window, head, query) body of BatchedAttention,
+// forward (run) and backward (back), over the shared K and V matrices
 // (rows of width dim).
 //
 // It calls the same backend kernels as the composed reference ops (Dot

@@ -1,6 +1,7 @@
 package autograd
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -98,8 +99,8 @@ func TestGradBatchedAttention(t *testing.T) {
 	}{
 		{"batchedattention", func() *Value { return Sum(BatchedAttention(q, k, v, batch, heads, scale)) }, []*Value{q, k, v}},
 		{"batchedattention/frozen-kv", func() *Value { return Sum(BatchedAttention(fq, fk, fv, 2, heads, scale)) }, []*Value{fq}},
-		{"lastqueryattention", func() *Value { return Sum(LastQueryAttention(lq, lk, lv, batch, heads, scale)) }, []*Value{lq, lk, lv}},
-		{"lastqueryattention/frozen-kv", func() *Value { return Sum(LastQueryAttention(lfq, lfk, lfv, 2, heads, scale)) }, []*Value{lfq}},
+		{"batchedattention/one-query", func() *Value { return Sum(BatchedAttention(lq, lk, lv, batch, heads, scale)) }, []*Value{lq, lk, lv}},
+		{"batchedattention/one-query/frozen-kv", func() *Value { return Sum(BatchedAttention(lfq, lfk, lfv, 2, heads, scale)) }, []*Value{lfq}},
 	} {
 		if err := GradCheck(c.f, c.inputs, 1e-6, 1e-6); err != nil {
 			t.Errorf("%s: %v", c.name, err)
@@ -141,10 +142,12 @@ func TestBatchedAttentionWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestBatchedAttentionValidation checks the geometry panics.
+// TestBatchedAttentionValidation checks the geometry panics: q is
+// (batch·nq × dim), k and v (batch·T × dim) each.
 func TestBatchedAttentionValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	q := Constant(tensor.RandN(rng, 1, 6, 4))
+	c := func(rows, cols int) *Value { return Constant(tensor.RandN(rng, 1, rows, cols)) }
 	mustPanic := func(name string, f func()) {
 		t.Helper()
 		defer func() {
@@ -159,6 +162,25 @@ func TestBatchedAttentionValidation(t *testing.T) {
 	mustPanic("heads not divisible", func() { BatchedAttention(q, q, q, 2, 3, 1) })
 	kBad := Constant(tensor.RandN(rng, 1, 5, 4))
 	mustPanic("shape mismatch", func() { BatchedAttention(q, kBad, q, 2, 2, 1) })
+	mustPanic("q rows not a multiple of batch", func() { BatchedAttention(c(3, 4), q, q, 2, 2, 1) })
+	mustPanic("q width differs from k", func() { BatchedAttention(c(2, 6), q, q, 2, 2, 1) })
+	mustPanic("v shape differs from k", func() { BatchedAttention(c(2, 4), q, c(4, 4), 2, 2, 1) })
+}
+
+// TestBatchedAttentionTwoQueriesPerWindow runs BatchedAttention with rows
+// 1 and T−1 of each window as its two queries: the result and its
+// gradients hold the bits of those rows of the all-queries form on every
+// backend, the queries-per-window count coming from q's shape alone.
+func TestBatchedAttentionTwoQueriesPerWindow(t *testing.T) {
+	for gi, g := range []struct{ batch, win, heads, dk int }{{3, 5, 2, 3}, {2, 8, 8, 16}} {
+		rng := rand.New(rand.NewSource(int64(900 + gi)))
+		n := g.batch * g.win * g.heads * g.dk
+		fill := func(n int) []float64 { return tensor.RandN(rng, 1, n).Data() }
+		sel := []int{1, g.win - 1}
+		ctx := fmt.Sprintf("%+v", g)
+		requireQueryRows(t, ctx, fill(n), fill(n), fill(n), g.batch, g.win, g.heads, g.dk, sel)
+		requireQueryGrads(t, ctx, fill(n), fill(n), fill(n), fill(g.batch*len(sel)*g.heads*g.dk), g.batch, g.win, g.heads, g.dk, sel)
+	}
 }
 
 // TestAddTiledMatchesPerBlockAdd pins AddTiled to per-block Add, forward

@@ -13,11 +13,12 @@ package autograd
 //     single backend the fused op must still match the composed reference
 //     op chain bit-for-bit, which is the invariant the temporal model's
 //     equivalence suite relies on.
-//   - LastQueryAttentionFwd must return exactly the last-position rows of
-//     BatchedAttentionFwd within every backend, at both widths, on every
-//     payload, and LastQueryAttention's backward exactly BatchedAttention's
-//     under a gradient on those rows alone — the final temporal block of
-//     the eval engine and of the tape depends on it.
+//   - BatchedAttentionFwd with one query per window must return exactly
+//     the last-position rows of the all-queries form within every backend,
+//     at both widths, on every payload, and BatchedAttention's backward
+//     with one query exactly the all-queries backward under a gradient on
+//     those rows alone — the temporal block of the eval engine and
+//     of the tape depends on it.
 
 import (
 	"fmt"
@@ -191,13 +192,29 @@ func TestBatchedAttentionBackendConformance(t *testing.T) {
 	}
 }
 
-// requireLastQueryRows runs both attention forwards over one (batch·T ×
-// heads·dk) q/k/v payload at width T under every backend, and requires row
-// b of LastQueryAttentionFwd to hold the bits of row b·T+T−1 of
-// BatchedAttentionFwd — the identity the eval engine's final temporal block
-// rests on. Within one backend both forms run the same
+// queryRows copies rows b·T+s of a (batch·T × c) matrix, for each s in
+// sel, into rows b·len(sel)+i of a fresh (batch·len(sel) × c) one: the
+// queries a window-major caller projects when it reads only those
+// positions of each window.
+func queryRows[T tensor.Float](x *tensor.Dense[T], batch int, sel []int) *tensor.Dense[T] {
+	win := x.Rows() / batch
+	out := tensor.NewOf[T](batch*len(sel), x.Cols())
+	for b := 0; b < batch; b++ {
+		for i, s := range sel {
+			copy(out.Row(b*len(sel)+i), x.Row(b*win+s))
+		}
+	}
+	return out
+}
+
+// requireQueryRows runs BatchedAttentionFwd over one (batch·T × heads·dk)
+// q/k/v payload at width T under every backend, once with every row of q
+// as a query and once with rows sel of each window only, and requires row
+// b·len(sel)+i of the second to hold the bits of row b·T+sel[i] of the
+// first — with sel the last position, the identity the eval engine's
+// temporal block rests on. Within one backend both forms run the same
 // per-query body, so no tolerance is allowed, whatever the payload.
-func requireLastQueryRows[T tensor.Float](t *testing.T, ctx string, qd, kd, vd []T, batch, win, heads, dk int) {
+func requireQueryRows[T tensor.Float](t *testing.T, ctx string, qd, kd, vd []T, batch, win, heads, dk int, sel []int) {
 	t.Helper()
 	rows, dim := batch*win, heads*dk
 	q, k, v := tensor.FromSlice(qd, rows, dim), tensor.FromSlice(kd, rows, dim), tensor.FromSlice(vd, rows, dim)
@@ -209,13 +226,15 @@ func requireLastQueryRows[T tensor.Float](t *testing.T, ctx string, qd, kd, vd [
 				t.Fatal(err)
 			}
 			defer restore()
-			last := LastQueryAttentionFwd(LastRows(q, batch), k, v, batch, heads, scale)
+			some := BatchedAttentionFwd(queryRows(q, batch, sel), k, v, batch, heads, scale)
 			full := BatchedAttentionFwd(q, k, v, batch, heads, scale)
 			for b := 0; b < batch; b++ {
-				want, got := full.Row(b*win+win-1), last.Row(b)
-				for j := range want {
-					if err := kernels.CompareExact(want[j], got[j]); err != nil {
-						t.Fatalf("%s/%s window %d col %d: %v", ctx, name, b, j, err)
+				for i, s := range sel {
+					want, got := full.Row(b*win+s), some.Row(b*len(sel)+i)
+					for j := range want {
+						if err := kernels.CompareExact(want[j], got[j]); err != nil {
+							t.Fatalf("%s/%s window %d query %d col %d: %v", ctx, name, b, s, j, err)
+						}
 					}
 				}
 			}
@@ -223,24 +242,28 @@ func requireLastQueryRows[T tensor.Float](t *testing.T, ctx string, qd, kd, vd [
 	}
 }
 
-// requireLastQueryGrads runs LastQueryAttention's backward over LastRows(q)
-// and BatchedAttention's over the full q, seeded with g (batch × dim) on
-// rows b·T+T−1 and zero on every other row, under every backend at one
-// worker and at four. Row b of the last-query dQ must hold the bits of row
-// b·T+T−1 of the full dQ, and dK and dV the full op's bits (NaN matches
-// NaN): both ops run the one backward body for those queries, and a query
-// with a zero adjoint adds nothing. The one exception is an entry where
-// the payload holds a NaN or an Inf and the full op's dK or dV is NaN: an
-// unread query whose weights or values are not finite turns its zero
-// adjoint into NaN there, and the last-query op never runs that query.
-func requireLastQueryGrads(t *testing.T, ctx string, qd, kd, vd, gd []float64, batch, win, heads, dk int) {
+// requireQueryGrads runs BatchedAttention's backward over queryRows(q, sel)
+// and over the full q, seeded with g (batch·len(sel) × dim) on rows
+// b·T+sel[i] and zero on every other row, under every backend at one
+// worker and at four. Row b·len(sel)+i of the selected dQ must hold the
+// bits of row b·T+sel[i] of the full dQ, and dK and dV the full op's bits
+// (NaN matches NaN): both run the one backward body for those queries, and
+// a query with a zero adjoint adds nothing. The one exception is an entry
+// where the payload holds a NaN or an Inf and the full op's dK or dV is
+// NaN: an unread query whose weights or values are not finite turns its
+// zero adjoint into NaN there, and the selected form never runs that
+// query.
+func requireQueryGrads(t *testing.T, ctx string, qd, kd, vd, gd []float64, batch, win, heads, dk int, sel []int) {
 	t.Helper()
 	rows, dim := batch*win, heads*dk
 	scale := 1 / math.Sqrt(float64(dk))
 	q, k, v := tensor.FromSlice(qd, rows, dim), tensor.FromSlice(kd, rows, dim), tensor.FromSlice(vd, rows, dim)
 	gFull := tensor.New(rows, dim)
 	for b := 0; b < batch; b++ {
-		copy(gFull.Row(b*win+win-1), gd[b*dim:(b+1)*dim])
+		for i, s := range sel {
+			r := b*len(sel) + i
+			copy(gFull.Row(b*win+s), gd[r*dim:(r+1)*dim])
+		}
 	}
 	finite := true
 	for _, s := range [][]float64{qd, kd, vd, gd} {
@@ -261,21 +284,23 @@ func requireLastQueryGrads(t *testing.T, ctx string, qd, kd, vd, gd []float64, b
 
 				fq, fk, fv := Param(q.Clone()), Param(k.Clone()), Param(v.Clone())
 				BatchedAttention(fq, fk, fv, batch, heads, scale).BackwardWith(gFull)
-				lq, lk, lv := Param(LastRows(q, batch)), Param(k.Clone()), Param(v.Clone())
-				LastQueryAttention(lq, lk, lv, batch, heads, scale).BackwardWith(tensor.FromSlice(gd, batch, dim))
+				sq, sk, sv := Param(queryRows(q, batch, sel)), Param(k.Clone()), Param(v.Clone())
+				BatchedAttention(sq, sk, sv, batch, heads, scale).BackwardWith(tensor.FromSlice(gd, batch*len(sel), dim))
 
 				for b := 0; b < batch; b++ {
-					want, got := fq.Grad.Row(b*win+win-1), lq.Grad.Row(b)
-					for j := range want {
-						if err := kernels.CompareExact(want[j], got[j]); err != nil {
-							t.Fatalf("%s dQ window %d col %d: %v", at, b, j, err)
+					for i, s := range sel {
+						want, got := fq.Grad.Row(b*win+s), sq.Grad.Row(b*len(sel)+i)
+						for j := range want {
+							if err := kernels.CompareExact(want[j], got[j]); err != nil {
+								t.Fatalf("%s dQ window %d query %d col %d: %v", at, b, s, j, err)
+							}
 						}
 					}
 				}
 				for _, pair := range []struct {
 					name      string
 					want, got *tensor.Tensor
-				}{{"dK", fk.Grad, lk.Grad}, {"dV", fv.Grad, lv.Grad}} {
+				}{{"dK", fk.Grad, sk.Grad}, {"dV", fv.Grad, sv.Grad}} {
 					for i, w := range pair.want.Data() {
 						if !finite && math.IsNaN(w) {
 							continue
@@ -290,64 +315,66 @@ func requireLastQueryGrads(t *testing.T, ctx string, qd, kd, vd, gd []float64, b
 	}
 }
 
-// lastQueryGrid is the geometry both last-query conformance tests run:
+// oneQueryGrid is the geometry both one-query conformance tests run:
 // single-position windows, one head, and the paper's 8 heads × dk 16 at
 // window 8.
-var lastQueryGrid = []struct{ batch, win, heads, dk int }{
+var oneQueryGrid = []struct{ batch, win, heads, dk int }{
 	{1, 1, 1, 1}, {1, 4, 2, 8}, {3, 5, 2, 3}, {5, 3, 1, 7}, {2, 8, 8, 16},
 }
 
-// TestLastQueryAttentionBackwardConformance drives the last-query backward
-// identity through the shared payload grid at float64, the tape's width.
-func TestLastQueryAttentionBackwardConformance(t *testing.T) {
-	for gi, g := range lastQueryGrid {
+// TestBatchedAttentionOneQueryBackwardConformance drives the one-query
+// backward identity through the shared payload grid at float64, the tape's
+// width.
+func TestBatchedAttentionOneQueryBackwardConformance(t *testing.T) {
+	for gi, g := range oneQueryGrid {
 		n := g.batch * g.win * g.heads * g.dk
 		for _, p := range kernels.ConformancePayloads {
 			rng := rand.New(rand.NewSource(int64(800 + gi)))
-			requireLastQueryGrads(t, fmt.Sprintf("%+v/%s", g, p.Name),
+			requireQueryGrads(t, fmt.Sprintf("%+v/%s", g, p.Name),
 				kernels.FillAs[float64](p, rng, n), kernels.FillAs[float64](p, rng, n), kernels.FillAs[float64](p, rng, n),
 				kernels.FillAs[float64](p, rng, g.batch*g.heads*g.dk),
-				g.batch, g.win, g.heads, g.dk)
+				g.batch, g.win, g.heads, g.dk, []int{g.win - 1})
 		}
 	}
 }
 
-// TestLastQueryAttentionBackendConformance drives the last-query identity
-// through the shared payload grid (normal, mixed magnitude, subnormal,
-// signed zero, NaN, Inf) at both widths.
-func TestLastQueryAttentionBackendConformance(t *testing.T) {
-	for gi, g := range lastQueryGrid {
+// TestBatchedAttentionOneQueryBackendConformance drives the one-query
+// identity through the shared payload grid (normal, mixed magnitude,
+// subnormal, signed zero, NaN, Inf) at both widths.
+func TestBatchedAttentionOneQueryBackendConformance(t *testing.T) {
+	for gi, g := range oneQueryGrid {
 		n := g.batch * g.win * g.heads * g.dk
+		last := []int{g.win - 1}
 		for _, p := range kernels.ConformancePayloads {
 			ctx := fmt.Sprintf("%+v/%s", g, p.Name)
 			rng := rand.New(rand.NewSource(int64(700 + gi)))
-			requireLastQueryRows(t, ctx+"/f64",
+			requireQueryRows(t, ctx+"/f64",
 				kernels.FillAs[float64](p, rng, n), kernels.FillAs[float64](p, rng, n), kernels.FillAs[float64](p, rng, n),
-				g.batch, g.win, g.heads, g.dk)
-			requireLastQueryRows(t, ctx+"/f32",
+				g.batch, g.win, g.heads, g.dk, last)
+			requireQueryRows(t, ctx+"/f32",
 				kernels.FillAs[float32](p, rng, n), kernels.FillAs[float32](p, rng, n), kernels.FillAs[float32](p, rng, n),
-				g.batch, g.win, g.heads, g.dk)
+				g.batch, g.win, g.heads, g.dk, last)
 		}
 	}
 }
 
-// FuzzLastQueryAttention is the same identity on fuzz-chosen geometry and
-// payloads: the selector byte picks one of the conformance payload classes
-// (seeded from the raw bytes) or the raw bytes themselves. At float64 it
-// also compares the backward (requireLastQueryGrads).
-func FuzzLastQueryAttention(f *testing.F) {
+// FuzzBatchedAttention is the one-query identity on fuzz-chosen geometry
+// and payloads: the selector byte picks one of the conformance payload
+// classes (seeded from the raw bytes) or the raw bytes themselves. At
+// float64 it also compares the backward (requireQueryGrads).
+func FuzzBatchedAttention(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(2), uint8(4), uint8(1), uint8(3), uint8(0))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xf8, 0x7f}, uint8(0), uint8(7), uint8(7), uint8(15), uint8(4))
 	f.Add([]byte{0x80, 0, 0, 0, 0, 0, 0, 0x80}, uint8(4), uint8(0), uint8(0), uint8(0), uint8(3))
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0}, uint8(1), uint8(3), uint8(1), uint8(2), uint8(2))
 	f.Fuzz(func(t *testing.T, raw []byte, bb, ww, hh, dd, sel uint8) {
 		batch, win, heads, dk := 1+int(bb%6), 1+int(ww%9), 1+int(hh%8), 1+int(dd%16)
-		fuzzLastQuery[float64](t, raw, batch, win, heads, dk, int(sel))
-		fuzzLastQuery[float32](t, raw, batch, win, heads, dk, int(sel))
+		fuzzOneQuery[float64](t, raw, batch, win, heads, dk, int(sel))
+		fuzzOneQuery[float32](t, raw, batch, win, heads, dk, int(sel))
 	})
 }
 
-func fuzzLastQuery[T tensor.Float](t *testing.T, raw []byte, batch, win, heads, dk, sel int) {
+func fuzzOneQuery[T tensor.Float](t *testing.T, raw []byte, batch, win, heads, dk, sel int) {
 	n, gn := batch*win*heads*dk, batch*heads*dk
 	var qd, kd, vd, gd []T
 	if p := sel % (len(kernels.ConformancePayloads) + 1); p < len(kernels.ConformancePayloads) {
@@ -363,8 +390,9 @@ func fuzzLastQuery[T tensor.Float](t *testing.T, raw []byte, batch, win, heads, 
 		kernels.FillFuzz(gd, raw[min(3, len(raw)):])
 	}
 	ctx := fmt.Sprintf("batch=%d T=%d heads=%d dk=%d", batch, win, heads, dk)
-	requireLastQueryRows(t, ctx, qd, kd, vd, batch, win, heads, dk)
+	last := []int{win - 1}
+	requireQueryRows(t, ctx, qd, kd, vd, batch, win, heads, dk, last)
 	if q64, ok := any(qd).([]float64); ok {
-		requireLastQueryGrads(t, ctx, q64, any(kd).([]float64), any(vd).([]float64), any(gd).([]float64), batch, win, heads, dk)
+		requireQueryGrads(t, ctx, q64, any(kd).([]float64), any(vd).([]float64), any(gd).([]float64), batch, win, heads, dk, last)
 	}
 }

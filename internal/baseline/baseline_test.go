@@ -38,7 +38,7 @@ func testUpdater(t *testing.T) (*CloudUpdater, *dataset.Generator) {
 		Gen: kggen.Options{Depth: 2, InitialFanout: 4, Fanout: 3, MaxCorrectionIters: 3, Tokenize: tok.Encode},
 		Detector: core.Config{
 			GNN:        gnn.Config{Width: 8},
-			Temporal:   temporal.Config{InnerDim: 16, Heads: 2, Layers: 1, Window: 4},
+			Temporal:   temporal.Config{InnerDim: 16, Heads: 2, Window: 4},
 			NumClasses: 2,
 			Loss:       decision.DefaultLossConfig(),
 		},

@@ -33,7 +33,7 @@ type testRig struct {
 func tinyConfig() Config {
 	return Config{
 		GNN:              gnn.Config{Width: 8},
-		Temporal:         temporal.Config{InnerDim: 16, Heads: 2, Layers: 1, Window: 4},
+		Temporal:         temporal.Config{InnerDim: 16, Heads: 2, Window: 4},
 		NumClasses:       2,
 		Loss:             decision.DefaultLossConfig(),
 		ScoreTemperature: 4,

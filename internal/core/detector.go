@@ -46,17 +46,6 @@ type Config struct {
 	Precision Precision
 }
 
-// DefaultConfig returns the paper's model shape for a given class count.
-func DefaultConfig(numClasses int) Config {
-	return Config{
-		GNN:              gnn.DefaultConfig(),
-		Temporal:         temporal.Config{InnerDim: 128, Heads: 8, Layers: 1, Window: 8},
-		NumClasses:       numClasses,
-		Loss:             decision.DefaultLossConfig(),
-		ScoreTemperature: 4,
-	}
-}
-
 // Detector is the assembled anomaly detection model.
 type Detector struct {
 	space *embed.Space

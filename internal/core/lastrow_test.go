@@ -20,18 +20,19 @@ import (
 	"edgekg/internal/tensor/kernels"
 )
 
-// The pins that keep the tape's last-row final temporal block honest. The
-// tape runs the final encoder block past its K/V over the last row of each
-// window only. The reference below is the composition it replaced, written
-// out in test code: every block over all batch·T rows, then the final
-// norm, the last-row gather and out. Training and adaptation must not be
-// able to tell the two apart, to the bit.
+// The pins that keep the tape's last-row temporal block honest. The tape
+// runs the encoder block past its K/V over the last row of each window
+// only. The reference below is the composition it replaced, written out in
+// test code from exported ops: the block over all batch·T rows, then the
+// final norm, the last-row gather and out. Training and adaptation must
+// not be able to tell the two apart, to the bit.
 
 // allRowsTemporal rebuilds m's tape forward in the all-rows form from m's
 // own parameter values (so gradients land in the same Grad fields): the
-// input projection, the positional add, EncoderLayer.ForwardBatch for
-// every block, the final norm, GatherRows of each window's last row and
-// out. heads is m's attention head count.
+// input projection, the positional add, the encoder block over every row —
+// its attention one BatchedAttention with every row a query — the final
+// norm, GatherRows of each window's last row and out. heads is m's
+// attention head count.
 func allRowsTemporal(t *testing.T, m *temporal.Model, heads int) func(wins *autograd.Value, batch int) *autograd.Value {
 	t.Helper()
 	p := map[string]*autograd.Value{}
@@ -54,26 +55,21 @@ func allRowsTemporal(t *testing.T, m *temporal.Model, heads int) func(wins *auto
 		return l
 	}
 	inProj, norm, out := lin("inproj"), ln("norm"), lin("out")
-	dim := inProj.W.Data.Cols()
-	var blocks []*nn.EncoderLayer
-	for i := 0; p[fmt.Sprintf("block%d.ln1.gamma", i)] != nil; i++ {
-		pre := fmt.Sprintf("block%d.", i)
-		attn := nn.NewMultiHeadAttention(rand.New(rand.NewSource(0)), dim, heads)
-		attn.Wq, attn.Wk, attn.Wv, attn.Wo = lin(pre+"attn.wq"), lin(pre+"attn.wk"), lin(pre+"attn.wv"), lin(pre+"attn.wo")
-		blocks = append(blocks, &nn.EncoderLayer{
-			Attn: attn, LN1: ln(pre + "ln1"), LN2: ln(pre + "ln2"), FF1: lin(pre + "ff1"), FF2: lin(pre + "ff2"),
-		})
-	}
+	wq, wk, wv, wo := lin("block0.attn.wq"), lin("block0.attn.wk"), lin("block0.attn.wv"), lin("block0.attn.wo")
+	ln1, ln2, ff1, ff2 := ln("block0.ln1"), ln("block0.ln2"), lin("block0.ff1"), lin("block0.ff2")
 	if used != len(p) {
 		t.Fatalf("all-rows reference reads %d of the model's %d parameters", used, len(p))
 	}
+	dim := inProj.W.Data.Cols()
+	scale := 1 / math.Sqrt(float64(dim/heads))
 	win := m.Window()
 	pos := nn.PositionalEncoding(win, dim)
 	return func(wins *autograd.Value, batch int) *autograd.Value {
-		h := autograd.AddTiled(inProj.Forward(wins), pos)
-		for _, b := range blocks {
-			h = b.ForwardBatch(h, batch)
-		}
+		x := autograd.AddTiled(inProj.Forward(wins), pos)
+		a := ln1.Forward(x)
+		q, k, v := wq.Forward(a), wk.Forward(a), wv.Forward(a)
+		h := autograd.Add(x, wo.Forward(autograd.BatchedAttention(q, k, v, batch, heads, scale)))
+		h = autograd.Add(h, ff2.Forward(autograd.GELU(ff1.Forward(ln2.Forward(h)))))
 		last := make([]int, batch)
 		for k := range last {
 			last[k] = (k+1)*win - 1
@@ -110,120 +106,107 @@ func forwardFramesAllRows(a *Adapter, temp func(*autograd.Value, int) *autograd.
 	}
 }
 
-// layeredConfig is tinyConfig with the given number of temporal blocks.
-func layeredConfig(layers int) Config {
-	cfg := tinyConfig()
-	cfg.Temporal.Layers = layers
-	return cfg
-}
-
 // TestTapeMatchesAllRowsComposition pins one training forward and backward
 // through the last-row tape to the all-rows composition: the same logits,
 // the same loss and the same gradient in every weight and token bank, by
-// Float64bits, on every backend, at one worker and at four, with one
-// temporal block and with two (an earlier block runs all rows first).
+// Float64bits, on every backend, at one worker and at four.
 // The all-rows form sums extra exact zeros into some adjoints, which could
 // at most flip the sign of an entry that is zero on both sides; none does
 // here, so the pin allows no difference at all.
 func TestTapeMatchesAllRowsComposition(t *testing.T) {
-	for _, layers := range []int{1, 2} {
-		r := newRigWith(t, "Stealing", 71, layeredConfig(layers))
-		det := r.det
-		det.UnfreezeAll()
-		src := r.clipSource(t, rand.New(rand.NewSource(72)), concept.Stealing, 6)
-		clip, labels := src.NextClip(rand.New(rand.NewSource(73)))
-		ref := allRowsTemporal(t, det.temp, det.cfg.Temporal.Heads)
-		params := append(det.Params(), det.TokenParams()...)
+	r := newRigWith(t, "Stealing", 71, tinyConfig())
+	det := r.det
+	det.UnfreezeAll()
+	src := r.clipSource(t, rand.New(rand.NewSource(72)), concept.Stealing, 6)
+	clip, labels := src.NextClip(rand.New(rand.NewSource(73)))
+	ref := allRowsTemporal(t, det.temp, det.cfg.Temporal.Heads)
+	params := append(det.Params(), det.TokenParams()...)
 
-		type pass struct {
-			logits, loss []float64
-			grads        [][]float64
+	type pass struct {
+		logits, loss []float64
+		grads        [][]float64
+	}
+	run := func(forward func() *autograd.Value) pass {
+		for _, p := range params {
+			p.V.ZeroGrad()
 		}
-		run := func(forward func() *autograd.Value) pass {
-			for _, p := range params {
-				p.V.ZeroGrad()
+		logits := forward()
+		loss := decision.Loss(logits, labels, det.cfg.Loss, true)
+		loss.Backward()
+		out := pass{logits: logits.Data.Data(), loss: loss.Data.Data()}
+		for _, p := range params {
+			if p.V.Grad == nil {
+				t.Fatalf("parameter %s took no gradient", p.Name)
 			}
-			logits := forward()
-			loss := decision.Loss(logits, labels, det.cfg.Loss, true)
-			loss.Backward()
-			out := pass{logits: logits.Data.Data(), loss: loss.Data.Data()}
-			for _, p := range params {
-				if p.V.Grad == nil {
-					t.Fatalf("layers=%d: parameter %s took no gradient", layers, p.Name)
-				}
-				out.grads = append(out.grads, p.V.Grad.Clone().Data())
-			}
-			return out
+			out.grads = append(out.grads, p.V.Grad.Clone().Data())
 		}
+		return out
+	}
 
-		for _, name := range kernels.Names() {
-			restore, err := kernels.Use(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 4} {
-				prev := parallel.SetWorkers(workers)
-				ctx := fmt.Sprintf("layers=%d/%s/workers=%d", layers, name, workers)
-				want := run(func() *autograd.Value { return forwardClipAllRows(det, ref, clip, src.Batch()) })
-				got := run(func() *autograd.Value { return det.ForwardClip(clip, src.Batch()) })
-				requireSameBits(t, ctx+"/logits", want.logits, got.logits)
-				requireSameBits(t, ctx+"/loss", want.loss, got.loss)
-				for i, p := range params {
-					requireSameBits(t, ctx+"/grad "+p.Name, want.grads[i], got.grads[i])
-				}
-				parallel.SetWorkers(prev)
-			}
-			restore()
+	for _, name := range kernels.Names() {
+		restore, err := kernels.Use(name)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for _, workers := range []int{1, 4} {
+			prev := parallel.SetWorkers(workers)
+			ctx := fmt.Sprintf("%s/workers=%d", name, workers)
+			want := run(func() *autograd.Value { return forwardClipAllRows(det, ref, clip, src.Batch()) })
+			got := run(func() *autograd.Value { return det.ForwardClip(clip, src.Batch()) })
+			requireSameBits(t, ctx+"/logits", want.logits, got.logits)
+			requireSameBits(t, ctx+"/loss", want.loss, got.loss)
+			for i, p := range params {
+				requireSameBits(t, ctx+"/grad "+p.Name, want.grads[i], got.grads[i])
+			}
+			parallel.SetWorkers(prev)
+		}
+		restore()
 	}
 }
 
 // TestTrainStepMatchesAllRowsComposition drives one rig through 24
 // Trainer.Steps and an identically seeded twin through the plain training
 // loop over the all-rows composition: every loss, every trained value and
-// the deployed detectors' scores must agree to the bit, with one temporal
-// block and with two.
+// the deployed detectors' scores must agree to the bit.
 func TestTrainStepMatchesAllRowsComposition(t *testing.T) {
 	const steps = 24
-	for _, layers := range []int{1, 2} {
-		cfg := DefaultTrainConfig()
-		rStep := newRigWith(t, "Stealing", 74, layeredConfig(layers))
-		srcStep := rStep.clipSource(t, rand.New(rand.NewSource(75)), concept.Stealing, 6)
-		tr := NewTrainer(rStep.det, cfg)
+	cfg := DefaultTrainConfig()
+	rStep := newRigWith(t, "Stealing", 74, tinyConfig())
+	srcStep := rStep.clipSource(t, rand.New(rand.NewSource(75)), concept.Stealing, 6)
+	tr := NewTrainer(rStep.det, cfg)
 
-		rLoop := newRigWith(t, "Stealing", 74, layeredConfig(layers))
-		srcLoop := rLoop.clipSource(t, rand.New(rand.NewSource(75)), concept.Stealing, 6)
-		det := rLoop.det
-		det.UnfreezeAll()
-		values := nn.Values(append(det.Params(), det.TokenParams()...))
-		opt := optim.NewScheduled(optim.NewAdamW(values, cfg.Optimizer), optim.ExponentialDecay{Rate: cfg.DecayRate})
-		ref := allRowsTemporal(t, det.temp, det.cfg.Temporal.Heads)
+	rLoop := newRigWith(t, "Stealing", 74, tinyConfig())
+	srcLoop := rLoop.clipSource(t, rand.New(rand.NewSource(75)), concept.Stealing, 6)
+	det := rLoop.det
+	det.UnfreezeAll()
+	values := nn.Values(append(det.Params(), det.TokenParams()...))
+	opt := optim.NewScheduled(optim.NewAdamW(values, cfg.Optimizer), optim.ExponentialDecay{Rate: cfg.DecayRate})
+	ref := allRowsTemporal(t, det.temp, det.cfg.Temporal.Heads)
 
-		rngStep, rngLoop := rand.New(rand.NewSource(76)), rand.New(rand.NewSource(76))
-		for s := 0; s < steps; s++ {
-			got := tr.Step(rngStep, srcStep)
+	rngStep, rngLoop := rand.New(rand.NewSource(76)), rand.New(rand.NewSource(76))
+	for s := 0; s < steps; s++ {
+		got := tr.Step(rngStep, srcStep)
 
-			det.SetTraining(true)
-			frames, labels := srcLoop.NextClip(rngLoop)
-			opt.ZeroGrad()
-			loss := decision.Loss(forwardClipAllRows(det, ref, frames, srcLoop.Batch()), labels, det.cfg.Loss, true)
-			loss.Backward()
-			optim.ClipGradNorm(values, cfg.ClipNorm)
-			opt.Step()
+		det.SetTraining(true)
+		frames, labels := srcLoop.NextClip(rngLoop)
+		opt.ZeroGrad()
+		loss := decision.Loss(forwardClipAllRows(det, ref, frames, srcLoop.Batch()), labels, det.cfg.Loss, true)
+		loss.Backward()
+		optim.ClipGradNorm(values, cfg.ClipNorm)
+		opt.Step()
 
-			if want := loss.Scalar(); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("layers=%d step %d: Step loss %.17g, all-rows loop %.17g", layers, s, got, want)
-			}
+		if want := loss.Scalar(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("step %d: Step loss %.17g, all-rows loop %.17g", s, got, want)
 		}
-		want, got := trainedState(det), trainedState(rStep.det)
-		for i := range want {
-			requireSameBits(t, fmt.Sprintf("layers=%d trained tensor %d", layers, i), want[i].Data(), got[i].Data())
-		}
-		video := tensor.RandN(rand.New(rand.NewSource(77)), 1, 9, rStep.space.PixDim())
-		rStep.det.Deploy()
-		det.Deploy()
-		requireSameBits(t, fmt.Sprintf("layers=%d ScoreVideo", layers), det.ScoreVideo(video), rStep.det.ScoreVideo(video))
 	}
+	want, got := trainedState(det), trainedState(rStep.det)
+	for i := range want {
+		requireSameBits(t, fmt.Sprintf("trained tensor %d", i), want[i].Data(), got[i].Data())
+	}
+	video := tensor.RandN(rand.New(rand.NewSource(77)), 1, 9, rStep.space.PixDim())
+	rStep.det.Deploy()
+	det.Deploy()
+	requireSameBits(t, "ScoreVideo", det.ScoreVideo(video), rStep.det.ScoreVideo(video))
 }
 
 // TestAdapterStepMatchesAllRowsComposition drives three Adapter.Steps at
@@ -318,7 +301,7 @@ func TestTrainStepFLOPsSkipUnreadRows(t *testing.T) {
 		{"full", 128, 8, 8, 16},
 	} {
 		cfg := tinyConfig()
-		cfg.Temporal = temporal.Config{InnerDim: sh.inner, Heads: sh.heads, Layers: 1, Window: sh.window}
+		cfg.Temporal = temporal.Config{InnerDim: sh.inner, Heads: sh.heads, Window: sh.window}
 		r := newRigWith(t, "Stealing", 79, cfg)
 		det := r.det
 		det.UnfreezeAll()

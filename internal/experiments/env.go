@@ -156,7 +156,6 @@ func (e *Env) DetectorConfig() core.Config {
 		Temporal: temporal.Config{
 			InnerDim: e.Scale.TemporalInner,
 			Heads:    e.Scale.TemporalHeads,
-			Layers:   1,
 			Window:   e.Scale.Window,
 		},
 		NumClasses:       2,

@@ -215,7 +215,7 @@ func TestScalesConstructible(t *testing.T) {
 		t.Errorf("quick scale: %v", err)
 	}
 	full := FullScale()
-	if full.TemporalInner != 128 || full.TemporalHeads != 8 {
+	if full.TemporalInner != 128 || full.TemporalHeads != 8 || full.Window != 8 {
 		t.Error("full scale should use the paper's temporal shape")
 	}
 }

@@ -238,7 +238,7 @@ func TestModelRequiresTerminals(t *testing.T) {
 	if _, err := g.AddNode("x", 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewModel(rand.New(rand.NewSource(9)), g, space, DefaultConfig()); err == nil {
+	if _, err := NewModel(rand.New(rand.NewSource(9)), g, space, Config{Width: 8}); err == nil {
 		t.Error("model accepted graph without terminals")
 	}
 }

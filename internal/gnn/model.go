@@ -90,9 +90,6 @@ type Config struct {
 	Width int
 }
 
-// DefaultConfig returns the paper's GNN configuration.
-func DefaultConfig() Config { return Config{Width: 8} }
-
 // NewModel builds a hierarchical GNN for g with a fresh token bank
 // initialised from space.
 func NewModel(rng *rand.Rand, g *kg.Graph, space *embed.Space, cfg Config) (*Model, error) {

@@ -173,16 +173,6 @@ func (g *Graph) AddEdge(src, dst NodeID) error {
 	return nil
 }
 
-// RemoveEdge deletes an edge if present.
-func (g *Graph) RemoveEdge(src, dst NodeID) {
-	if !g.out[src][dst] {
-		return
-	}
-	g.fault()
-	delete(g.out[src], dst)
-	delete(g.in[dst], src)
-}
-
 // RemoveNode deletes a node and all incident edges — the pruning primitive
 // of Fig. 4B. Removing the sensor or embedding node is rejected.
 func (g *Graph) RemoveNode(id NodeID) error {

@@ -396,20 +396,6 @@ func TestComputeStats(t *testing.T) {
 	}
 }
 
-func TestSetConcept(t *testing.T) {
-	g := buildTestGraph(t)
-	n := g.NodesAtLevel(1)[0]
-	if err := g.SetConcept(n.ID, "renamed", []int{42}); err != nil {
-		t.Fatal(err)
-	}
-	if n.Concept != "renamed" || n.TokenIDs[0] != 42 {
-		t.Error("SetConcept did not apply")
-	}
-	if err := g.SetConcept(NodeID(999), "x", nil); !errors.Is(err, ErrNoSuchNode) {
-		t.Errorf("missing node: %v", err)
-	}
-}
-
 func TestNeighborsSorted(t *testing.T) {
 	g := buildTestGraph(t)
 	emb := g.EmbeddingTerminal()

@@ -129,18 +129,3 @@ func (g *Graph) RepairConnectivity(rng *rand.Rand) {
 		}
 	}
 }
-
-// SetConcept rewrites a node's concept text and token ids — the retrieval
-// stage uses it to install decoded interpretable words after adaptation.
-func (g *Graph) SetConcept(id NodeID, concept string, tokenIDs []int) error {
-	if g.Node(id) == nil {
-		return fmt.Errorf("kg: set concept on node %d: %w", id, ErrNoSuchNode)
-	}
-	// Node values live in the COW-shared storage: fault first, then
-	// re-fetch the (now private) node before mutating it in place.
-	g.fault()
-	n := g.Node(id)
-	n.Concept = concept
-	n.TokenIDs = append([]int(nil), tokenIDs...)
-	return nil
-}

@@ -47,7 +47,7 @@ func buildBackbone(t testing.TB, seed int64) (*core.Detector, *dataset.Generator
 	}
 	det, err := core.NewDetector(rng, space, []*kg.Graph{g}, core.Config{
 		GNN:              gnn.Config{Width: 8},
-		Temporal:         temporal.Config{InnerDim: 16, Heads: 2, Layers: 1, Window: 4},
+		Temporal:         temporal.Config{InnerDim: 16, Heads: 2, Window: 4},
 		NumClasses:       2,
 		Loss:             decision.DefaultLossConfig(),
 		ScoreTemperature: 4,

@@ -36,8 +36,8 @@ func NewMultiHeadAttention(rng *rand.Rand, dim, heads int) *MultiHeadAttention {
 }
 
 // Forward applies self-attention to a (T × dim) sequence. This per-head
-// composed-op path is the sequential reference model the fused batched
-// path (ForwardBatch) is pinned against by the equivalence tests.
+// composed-op path is the sequential reference model the fused last-row
+// path (ForwardLast) is pinned against by the equivalence tests.
 func (a *MultiHeadAttention) Forward(x *autograd.Value) *autograd.Value {
 	q := a.Wq.Forward(x)
 	k := a.Wk.Forward(x)
@@ -55,32 +55,20 @@ func (a *MultiHeadAttention) Forward(x *autograd.Value) *autograd.Value {
 	return a.Wo.Forward(autograd.ConcatCols(outs...))
 }
 
-// ForwardBatch applies self-attention independently to every T-row window
-// of a (batch·T × dim) matrix in one tape pass. The projections run over
-// the whole stacked matrix as single fused affine nodes, and the attention
-// core is one autograd.BatchedAttention node whose block-diagonal window
-// structure guarantees window k never attends into window j. Output row
-// b·T+i equals row i of Forward applied to window b alone.
-func (a *MultiHeadAttention) ForwardBatch(x *autograd.Value, batch int) *autograd.Value {
-	q := a.Wq.Forward(x)
-	k := a.Wk.Forward(x)
-	v := a.Wv.Forward(x)
-	scale := 1 / math.Sqrt(float64(a.dk))
-	ctx := autograd.BatchedAttention(q, k, v, batch, a.heads, scale)
-	return a.Wo.Forward(ctx)
-}
-
-// ForwardLast is ForwardBatch for the last row of every window only: Q,
+// ForwardLast applies self-attention independently to every T-row window
+// of a (batch·T × dim) matrix and returns the last position of each: Q,
 // the attention context and Wo run over the batch last rows of x, K and V
-// over every row. Row b of the (batch × dim) result holds the bits of row
-// b·T+T−1 of ForwardBatch(x, batch), and x receives its three adjoints in
-// ForwardBatch's order: V's, K's, then Q's through the row gather.
+// over every row, and the attention core is one autograd.BatchedAttention
+// node with one query per window. Row b of the (batch × dim) result equals
+// row T−1 of Forward applied to window b alone, and x takes its three
+// adjoints in the order attention over all rows gives them: V's, K's,
+// then Q's through the row gather.
 func (a *MultiHeadAttention) ForwardLast(x *autograd.Value, batch int) *autograd.Value {
 	q := a.Wq.Forward(autograd.GatherLastRows(x, batch))
 	k := a.Wk.Forward(x)
 	v := a.Wv.Forward(x)
 	scale := 1 / math.Sqrt(float64(a.dk))
-	ctx := autograd.LastQueryAttention(q, k, v, batch, a.heads, scale)
+	ctx := autograd.BatchedAttention(q, k, v, batch, a.heads, scale)
 	return a.Wo.Forward(ctx)
 }
 
@@ -98,23 +86,13 @@ func EvalAttention[T tensor.Float](a *MultiHeadAttention) AttentionEval[T] {
 	}
 }
 
-// ForwardBatch is MultiHeadAttention.ForwardBatch without the tape.
-func (a *AttentionEval[T]) ForwardBatch(x *tensor.Dense[T], batch int) *tensor.Dense[T] {
-	q := a.Wq.Forward(x)
-	k := a.Wk.Forward(x)
-	v := a.Wv.Forward(x)
-	scale := T(1 / math.Sqrt(float64(a.dk)))
-	ctx := autograd.BatchedAttentionFwd(q, k, v, batch, a.heads, scale)
-	return a.Wo.Forward(ctx)
-}
-
 // ForwardLast is MultiHeadAttention.ForwardLast without the tape.
 func (a *AttentionEval[T]) ForwardLast(x *tensor.Dense[T], batch int) *tensor.Dense[T] {
 	k := a.Wk.Forward(x)
 	v := a.Wv.Forward(x)
 	q := a.Wq.Forward(autograd.LastRows(x, batch))
 	scale := T(1 / math.Sqrt(float64(a.dk)))
-	ctx := autograd.LastQueryAttentionFwd(q, k, v, batch, a.heads, scale)
+	ctx := autograd.BatchedAttentionFwd(q, k, v, batch, a.heads, scale)
 	return a.Wo.Forward(ctx)
 }
 
@@ -157,23 +135,12 @@ func (e *EncoderLayer) Forward(x *autograd.Value) *autograd.Value {
 	return autograd.Add(h, ff)
 }
 
-// ForwardBatch applies the block to a batch of windows stacked as a
-// (batch·T × dim) matrix in one tape pass. LayerNorm, the feed-forward
-// and the residual adds are row-wise, so running them over the stacked
-// matrix is already the batched form — one tape node each for the whole
-// batch; only attention needs the window-aware fused path.
-func (e *EncoderLayer) ForwardBatch(x *autograd.Value, batch int) *autograd.Value {
-	h := autograd.Add(x, e.Attn.ForwardBatch(e.LN1.Forward(x), batch))
-	ff := e.FF2.Forward(autograd.GELU(e.FF1.Forward(e.LN2.Forward(h))))
-	return autograd.Add(h, ff)
-}
-
-// ForwardLast is ForwardBatch for the last row of every window only: LN1,
-// K and V run over every row of x, everything after them over the batch
-// last rows. Every op past attention is row-wise, so row b of the
-// (batch × dim) result holds the bits of row b·T+T−1 of
-// ForwardBatch(x, batch), and the adjoints it returns are those of
-// ForwardBatch under a gradient that reads only those rows.
+// ForwardLast applies the block to a batch of windows stacked as a
+// (batch·T × dim) matrix in one tape pass and returns the last position of
+// each: LN1, K and V run over every row of x, everything after them over
+// the batch last rows. LayerNorm, the feed-forward and the residual adds
+// are row-wise, so row b of the (batch × dim) result equals row T−1 of
+// Forward applied to window b alone.
 func (e *EncoderLayer) ForwardLast(x *autograd.Value, batch int) *autograd.Value {
 	h := autograd.Add(autograd.GatherLastRows(x, batch), e.Attn.ForwardLast(e.LN1.Forward(x), batch))
 	ff := e.FF2.Forward(autograd.GELU(e.FF1.Forward(e.LN2.Forward(h))))
@@ -196,20 +163,10 @@ func EvalEncoder[T tensor.Float](e *EncoderLayer) EncoderEval[T] {
 	}
 }
 
-// ForwardBatch is EncoderLayer.ForwardBatch without the tape. It consumes
-// x: both residual sums accumulate into x's storage, which is returned.
-func (e *EncoderEval[T]) ForwardBatch(x *tensor.Dense[T], batch int) *tensor.Dense[T] {
-	return e.feedForward(tensor.AddInPlace(x, e.Attn.ForwardBatch(e.LN1.Forward(x), batch)))
-}
-
 // ForwardLast is EncoderLayer.ForwardLast without the tape. x is left
 // unchanged.
 func (e *EncoderEval[T]) ForwardLast(x *tensor.Dense[T], batch int) *tensor.Dense[T] {
-	return e.feedForward(autograd.AddLastRowsInPlace(e.Attn.ForwardLast(e.LN1.Forward(x), batch), x))
-}
-
-// feedForward adds FF2(GELU(FF1(LN2(h)))) into h and returns it.
-func (e *EncoderEval[T]) feedForward(h *tensor.Dense[T]) *tensor.Dense[T] {
+	h := autograd.AddLastRowsInPlace(e.Attn.ForwardLast(e.LN1.Forward(x), batch), x)
 	ff := e.FF1.Forward(e.LN2.Forward(h))
 	autograd.GELUInPlace(ff)
 	return tensor.AddInPlace(h, e.FF2.Forward(ff))

@@ -8,34 +8,42 @@ import (
 	"edgekg/internal/tensor"
 )
 
-// TestMHAForwardBatchMatchesForward pins the fused batched attention layer
-// to the per-window composed reference across head counts.
-func TestMHAForwardBatchMatchesForward(t *testing.T) {
+// lastOfEach is row T−1 of f applied to each T-row window of x alone,
+// stacked: the per-window composed reference ForwardLast is pinned to.
+func lastOfEach(f func(*autograd.Value) *autograd.Value, x *autograd.Value, batch, win int) *autograd.Value {
+	rows := make([]*autograd.Value, batch)
+	for b := range rows {
+		rows[b] = autograd.SliceRows(f(autograd.SliceRows(x, b*win, (b+1)*win)), win-1, win)
+	}
+	return autograd.ConcatRows(rows...)
+}
+
+// TestMHAForwardLastMatchesForward pins the fused last-row attention layer
+// to the last row of the per-window composed reference across head counts.
+func TestMHAForwardLastMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, heads := range []int{1, 4} {
 		attn := NewMultiHeadAttention(rng, 8, heads)
 		const batch, win = 3, 5
-		x := tensor.RandN(rng, 1, batch*win, 8)
-		got := attn.ForwardBatch(autograd.Constant(x), batch)
-		for b := 0; b < batch; b++ {
-			ref := attn.Forward(autograd.Constant(tensor.SliceRows(x, b*win, (b+1)*win)))
-			if !tensor.AllClose(tensor.SliceRows(got.Data, b*win, (b+1)*win), ref.Data, 1e-12) {
-				t.Errorf("heads=%d: window %d diverges from sequential forward", heads, b)
-			}
+		x := autograd.Constant(tensor.RandN(rng, 1, batch*win, 8))
+		got := attn.ForwardLast(x, batch)
+		if !tensor.AllClose(got.Data, lastOfEach(attn.Forward, x, batch, win).Data, 1e-12) {
+			t.Errorf("heads=%d: last rows diverge from the sequential forward", heads)
 		}
 	}
 }
 
-// TestMHAForwardBatchGradMatchesForward checks that parameter and input
-// gradients of one batched pass agree with the per-window passes summed.
-func TestMHAForwardBatchGradMatchesForward(t *testing.T) {
+// TestMHAForwardLastGradMatchesForward checks that parameter and input
+// gradients of one last-row pass agree with the per-window passes, each
+// reading its last row, summed.
+func TestMHAForwardLastGradMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	attn := NewMultiHeadAttention(rng, 6, 2)
 	const batch, win = 2, 4
 	data := tensor.RandN(rng, 1, batch*win, 6)
 
 	xb := autograd.Param(data.Clone())
-	autograd.Sum(attn.ForwardBatch(xb, batch)).Backward()
+	autograd.Sum(attn.ForwardLast(xb, batch)).Backward()
 	batchGrads := map[string]*tensor.Tensor{"x": xb.Grad.Clone()}
 	for _, p := range attn.Params() {
 		batchGrads[p.Name] = p.V.Grad.Clone()
@@ -43,34 +51,30 @@ func TestMHAForwardBatchGradMatchesForward(t *testing.T) {
 	}
 
 	xs := autograd.Param(data.Clone())
-	for b := 0; b < batch; b++ {
-		autograd.Sum(attn.Forward(autograd.SliceRows(xs, b*win, (b+1)*win))).Backward()
-	}
+	autograd.Sum(lastOfEach(attn.Forward, xs, batch, win)).Backward()
 	if !tensor.AllClose(batchGrads["x"], xs.Grad, 1e-9) {
-		t.Error("input gradient diverges between batched and sequential passes")
+		t.Error("input gradient diverges between last-row and sequential passes")
 	}
 	for _, p := range attn.Params() {
 		if !tensor.AllClose(batchGrads[p.Name], p.V.Grad, 1e-9) {
-			t.Errorf("param %s gradient diverges between batched and sequential passes", p.Name)
+			t.Errorf("param %s gradient diverges between last-row and sequential passes", p.Name)
 		}
 	}
 }
 
-// TestEncoderLayerForwardBatchMatchesForward pins the batched encoder
-// block (batched LayerNorm/FF + fused attention) to the sequential block.
-func TestEncoderLayerForwardBatchMatchesForward(t *testing.T) {
+// TestEncoderLayerForwardLastMatchesForward pins the last-row encoder
+// block (batched LayerNorm/FF + fused attention) to the last row of the
+// sequential block, window by window.
+func TestEncoderLayerForwardLastMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	enc := NewEncoderLayer(rng, 8, 2, 16)
 	const batch, win = 4, 3
-	x := tensor.RandN(rng, 1, batch*win, 8)
-	got := enc.ForwardBatch(autograd.Constant(x), batch)
-	if got.Data.Rows() != batch*win || got.Data.Cols() != 8 {
-		t.Fatalf("batched encoder shape %v", got.Shape())
+	x := autograd.Constant(tensor.RandN(rng, 1, batch*win, 8))
+	got := enc.ForwardLast(x, batch)
+	if got.Data.Rows() != batch || got.Data.Cols() != 8 {
+		t.Fatalf("last-row encoder shape %v", got.Shape())
 	}
-	for b := 0; b < batch; b++ {
-		ref := enc.Forward(autograd.Constant(tensor.SliceRows(x, b*win, (b+1)*win)))
-		if !tensor.AllClose(tensor.SliceRows(got.Data, b*win, (b+1)*win), ref.Data, 1e-12) {
-			t.Errorf("window %d diverges from sequential encoder", b)
-		}
+	if !tensor.AllClose(got.Data, lastOfEach(enc.Forward, x, batch, win).Data, 1e-12) {
+		t.Error("last rows diverge from the sequential encoder")
 	}
 }

@@ -16,7 +16,7 @@ import (
 // batchConfig builds a config sized so every tested head count divides the
 // inner dimension.
 func batchConfig(heads int) Config {
-	return Config{InputDim: 6, InnerDim: 16, Heads: heads, Layers: 2, Window: 4}
+	return Config{InputDim: 6, InnerDim: 16, Heads: heads, Window: 4}
 }
 
 // seqReference runs the per-window sequential model over a stacked window
@@ -94,17 +94,23 @@ func TestForwardBatchGradEquivalence(t *testing.T) {
 	}
 }
 
-// allRowsEval is the eval stack run the long way — every block over all
-// batch·T rows, then the final norm, the last-row gather and out — the
-// reference ForwardBatchEval's last-row final block is pinned to at any
-// width.
+// allRowsEval is the eval model run the long way, from exported ops — the
+// encoder block over all batch·T rows, its attention BatchedAttentionFwd
+// with every row a query, then the final norm, the last-row gather and
+// out — the reference ForwardBatchEval's last-row block is pinned to at
+// any width.
 func allRowsEval[T tensor.Float](m *Model, windows *tensor.Dense[T], batch int) *tensor.Dense[T] {
 	s := evalOf[T](m)
-	h := s.inProj.Forward(windows)
-	autograd.AddTiledInPlace(h, s.pos)
-	for i := range s.blocks {
-		h = s.blocks[i].ForwardBatch(h, batch)
-	}
+	e, a := s.block, s.block.Attn
+	x := s.inProj.Forward(windows)
+	autograd.AddTiledInPlace(x, s.pos)
+	ln := e.LN1.Forward(x)
+	scale := T(1 / math.Sqrt(float64(m.cfg.InnerDim/m.cfg.Heads)))
+	ctx := autograd.BatchedAttentionFwd(a.Wq.Forward(ln), a.Wk.Forward(ln), a.Wv.Forward(ln), batch, m.cfg.Heads, scale)
+	h := tensor.AddInPlace(x, a.Wo.Forward(ctx))
+	ff := e.FF1.Forward(e.LN2.Forward(h))
+	autograd.GELUInPlace(ff)
+	h = tensor.AddInPlace(h, e.FF2.Forward(ff))
 	return s.out.Forward(autograd.LastRows(s.norm.Forward(h), batch))
 }
 
@@ -121,11 +127,10 @@ func requireSameBits[T tensor.Float](t *testing.T, ctx string, want, got *tensor
 }
 
 // TestForwardBatchEvalMatchesTape pins the eval engine's temporal stage,
-// whose final block computes only the last row of each window, to the
-// tape ForwardBatch bit for bit at float64 — with one layer and with two
-// (an earlier block runs all rows first), one and two heads,
-// batches 1, 2 and 5, on every backend at one worker and at four. At
-// float32 it returns the all-rows eval stack's bits and stays inside the
+// whose block computes only the last row of each window, to the tape
+// ForwardBatch bit for bit at float64 — one and two heads, batches 1, 2
+// and 5, on every backend at one worker and at four. At
+// float32 it returns the all-rows eval model's bits and stays inside the
 // engine's f32 drift budget (2e-3, internal/core/precision_test.go) of
 // the tape.
 func TestForwardBatchEvalMatchesTape(t *testing.T) {
@@ -137,19 +142,15 @@ func TestForwardBatchEvalMatchesTape(t *testing.T) {
 		windows *tensor.Tensor
 	}
 	var cases []fixture
-	for _, layers := range []int{1, 2} {
-		for _, heads := range []int{1, 2} {
-			cfg := batchConfig(heads)
-			cfg.Layers = layers
-			m, err := New(rng, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.SetTraining(false)
-			for _, batch := range []int{1, 2, 5} {
-				name := fmt.Sprintf("layers=%d heads=%d batch=%d", layers, heads, batch)
-				cases = append(cases, fixture{name, m, batch, tensor.RandN(rng, 1, batch*m.Window(), 6)})
-			}
+	for _, heads := range []int{1, 2} {
+		m, err := New(rng, batchConfig(heads))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.SetTraining(false)
+		for _, batch := range []int{1, 2, 5} {
+			name := fmt.Sprintf("heads=%d batch=%d", heads, batch)
+			cases = append(cases, fixture{name, m, batch, tensor.RandN(rng, 1, batch*m.Window(), 6)})
 		}
 	}
 	const budget = 2e-3
@@ -258,11 +259,11 @@ func TestForwardBatchWorkerDeterminism(t *testing.T) {
 }
 
 // TestGradCheckThroughForwardBatch verifies the full batched tape —
-// projection, AddTiled, fused attention, LayerNorm, Gather — against
-// finite differences.
+// projection, AddTiled, fused attention, LayerNorm, the last-row gathers —
+// against finite differences.
 func TestGradCheckThroughForwardBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
-	m, err := New(rng, Config{InputDim: 6, InnerDim: 8, Heads: 2, Layers: 1, Window: 3})
+	m, err := New(rng, Config{InputDim: 6, InnerDim: 8, Heads: 2, Window: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

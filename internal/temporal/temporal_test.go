@@ -9,7 +9,7 @@ import (
 )
 
 func smallConfig() Config {
-	return Config{InputDim: 6, InnerDim: 16, Heads: 2, Layers: 1, Window: 4}
+	return Config{InputDim: 6, InnerDim: 16, Heads: 2, Window: 4}
 }
 
 func TestForwardSeqShape(t *testing.T) {
@@ -129,26 +129,9 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestDefaultConfigMatchesPaper(t *testing.T) {
-	cfg := DefaultConfig(32)
-	if cfg.InnerDim != 128 || cfg.Heads != 8 {
-		t.Errorf("paper defaults wrong: inner %d heads %d", cfg.InnerDim, cfg.Heads)
-	}
-	rng := rand.New(rand.NewSource(8))
-	m, err := New(rng, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Window() != 8 || m.InputDim() != 32 {
-		t.Errorf("window %d inputDim %d", m.Window(), m.InputDim())
-	}
-}
-
 func TestParamsNamedUniquely(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	cfg := smallConfig()
-	cfg.Layers = 2
-	m, err := New(rng, cfg)
+	m, err := New(rng, smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

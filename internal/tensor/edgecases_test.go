@@ -2,8 +2,8 @@ package tensor
 
 // Edge-case coverage for the reshaping/scatter ops the backend dispatch
 // rides on: empty operands, repeated scatter indices, and degenerate 1×N /
-// N×1 geometries, run under every registered backend (ScatterAddRows and
-// Outer dispatch; Transpose is a pure copy but must agree regardless).
+// N×1 geometries, run under every registered backend (ScatterAddRows
+// dispatches; Transpose is a pure copy but must agree regardless).
 
 import (
 	"math"
@@ -110,54 +110,6 @@ func TestTransposeDegenerate(t *testing.T) {
 					t.Fatalf("transpose[%d,%d] = %v, want %v", j, i, got, want)
 				}
 			}
-		}
-	})
-}
-
-func TestOuterDegenerate(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, name string) {
-		// 1×N and N×1 outer products are scaled copies.
-		one := FromSlice([]float64{-2}, 1)
-		vec := FromSlice([]float64{1, 0.5, -3}, 3)
-		o1 := Outer(one, vec)
-		if o1.Rows() != 1 || o1.Cols() != 3 {
-			t.Fatalf("Outer(1,3) shape %v", o1.Shape())
-		}
-		for i, want := range []float64{-2, -1, 6} {
-			if o1.Data()[i] != want {
-				t.Fatalf("Outer row element %d = %v, want %v", i, o1.Data()[i], want)
-			}
-		}
-		o2 := Outer(vec, one)
-		if o2.Rows() != 3 || o2.Cols() != 1 {
-			t.Fatalf("Outer(3,1) shape %v", o2.Shape())
-		}
-		for i, want := range []float64{-2, -1, 6} {
-			if o2.Data()[i] != want {
-				t.Fatalf("Outer col element %d = %v, want %v", i, o2.Data()[i], want)
-			}
-		}
-		// Empty operands on either side.
-		if e := Outer(New(0), vec); e.Rows() != 0 || e.Cols() != 3 {
-			t.Fatalf("Outer(0,3) shape %v", e.Shape())
-		}
-		if e := Outer(vec, New(0)); e.Rows() != 3 || e.Cols() != 0 {
-			t.Fatalf("Outer(3,0) shape %v", e.Shape())
-		}
-		// Signed-zero and NaN propagation match the scalar product. (The
-		// literal -0.0 is +0 in Go constant arithmetic; Copysign builds a
-		// true negative zero.)
-		negZero := math.Copysign(0, -1)
-		sz := Outer(FromSlice([]float64{negZero, math.NaN()}, 2), FromSlice([]float64{3, negZero}, 2))
-		d := sz.Data()
-		if d[0] != 0 || !math.Signbit(d[0]) {
-			t.Fatalf("(-0)·3 = %v (%#x), want -0", d[0], math.Float64bits(d[0]))
-		}
-		if d[1] != 0 || math.Signbit(d[1]) {
-			t.Fatalf("(-0)·(-0) = %v, want +0", d[1])
-		}
-		if !math.IsNaN(d[2]) || !math.IsNaN(d[3]) {
-			t.Fatalf("NaN row = %v %v, want NaN NaN", d[2], d[3])
 		}
 	})
 }

@@ -165,16 +165,3 @@ func MatVec(a, x *Tensor) *Tensor {
 	countOps(2 * m * k)
 	return out
 }
-
-// Outer returns the outer product x·yᵀ of two 1-D tensors as an
-// (len(x)×len(y)) matrix.
-func Outer(x, y *Tensor) *Tensor {
-	m, n := x.Size(), y.Size()
-	out := New(m, n)
-	bk := kernels.Active()
-	for i := 0; i < m; i++ {
-		bk.Scale(x.data[i], y.data, out.data[i*n:(i+1)*n])
-	}
-	countOps(m * n)
-	return out
-}

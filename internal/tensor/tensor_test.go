@@ -176,10 +176,11 @@ func TestMatVecAndOuter(t *testing.T) {
 	if !AllClose(got, FromSlice([]float64{3, 7}, 2), 1e-12) {
 		t.Errorf("MatVec = %v", got)
 	}
-	o := Outer(FromSlice([]float64{1, 2}, 2), FromSlice([]float64{3, 4, 5}, 3))
+	// The outer product x·yᵀ is the (m×1)·(1×n) matmul.
+	o := MatMul(FromSlice([]float64{1, 2}, 2, 1), FromSlice([]float64{3, 4, 5}, 1, 3))
 	want := FromSlice([]float64{3, 4, 5, 6, 8, 10}, 2, 3)
 	if !AllClose(o, want, 0) {
-		t.Errorf("Outer = %v", o)
+		t.Errorf("outer product = %v", o)
 	}
 }
 
