@@ -27,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -443,6 +444,9 @@ func parseBytes(s string) (int64, error) {
 	}
 	if n < 0 {
 		return 0, fmt.Errorf("must be ≥0")
+	}
+	if n > math.MaxInt64/mult {
+		return 0, fmt.Errorf("overflows int64 bytes")
 	}
 	return n * mult, nil
 }

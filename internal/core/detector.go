@@ -419,31 +419,26 @@ func (d *Detector) TokenParams() []nn.Param {
 	return ps
 }
 
-// paramsModule adapts a parameter list to nn.Module for Freeze/Unfreeze.
-type paramsModule []nn.Param
-
-func (p paramsModule) Params() []nn.Param { return p }
-
 // Deploy freezes the entire model — weights and token banks — and
 // switches to inference mode: the state of Fig. 2(C) "Froze Model" before
 // adaptation begins.
 func (d *Detector) Deploy() {
-	nn.Freeze(paramsModule(d.Params()))
-	nn.Freeze(paramsModule(d.TokenParams()))
+	nn.Freeze(d.Params())
+	nn.Freeze(d.TokenParams())
 	d.SetTraining(false)
 }
 
 // EnableAdaptation unfreezes only the token banks ("Unfroze Model" in
 // Fig. 2(C) applies solely to the KG token embeddings).
 func (d *Detector) EnableAdaptation() {
-	nn.Freeze(paramsModule(d.Params()))
-	nn.Unfreeze(paramsModule(d.TokenParams()))
+	nn.Freeze(d.Params())
+	nn.Unfreeze(d.TokenParams())
 	d.SetTraining(false)
 }
 
 // UnfreezeAll restores full trainability (pre-deployment training mode).
 func (d *Detector) UnfreezeAll() {
-	nn.Unfreeze(paramsModule(d.Params()))
-	nn.Unfreeze(paramsModule(d.TokenParams()))
+	nn.Unfreeze(d.Params())
+	nn.Unfreeze(d.TokenParams())
 	d.SetTraining(true)
 }

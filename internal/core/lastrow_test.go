@@ -180,7 +180,7 @@ func TestTrainStepMatchesAllRowsComposition(t *testing.T) {
 	det := rLoop.det
 	det.UnfreezeAll()
 	values := nn.Values(append(det.Params(), det.TokenParams()...))
-	opt := optim.NewScheduled(optim.NewAdamW(values, cfg.Optimizer), optim.ExponentialDecay{Rate: cfg.DecayRate})
+	opt := optim.NewAdamW(values, trainAdamW)
 	ref := allRowsTemporal(t, det.temp, det.cfg.Temporal.Heads)
 
 	rngStep, rngLoop := rand.New(rand.NewSource(76)), rand.New(rand.NewSource(76))
@@ -192,7 +192,8 @@ func TestTrainStepMatchesAllRowsComposition(t *testing.T) {
 		opt.ZeroGrad()
 		loss := decision.Loss(forwardClipAllRows(det, ref, frames, srcLoop.Batch()), labels, det.cfg.Loss, true)
 		loss.Backward()
-		optim.ClipGradNorm(values, cfg.ClipNorm)
+		optim.ClipGradNorm(values, trainClipNorm)
+		opt.SetLR(trainAdamW.LR * math.Pow(trainDecayRate, float64(s)))
 		opt.Step()
 
 		if want := loss.Scalar(); math.Float64bits(got) != math.Float64bits(want) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"edgekg/internal/autograd"
@@ -21,20 +22,24 @@ type ClipSource interface {
 	Batch() int
 }
 
+// trainAdamW carries the AdamW hyper-parameters of pre-deployment
+// training: the paper's β1 0.9, β2 0.999, ε 1e-8 (Sec. IV-A). The paper's
+// lr of 1e-5 and weight decay of 1.0 are tuned for ImageBind-scale
+// features — the synthetic space trains well around lr 1e-3..1e-2.
+var trainAdamW = optim.AdamWConfig{LR: 5e-3, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, WeightDecay: 1e-4}
+
+const (
+	// trainDecayRate multiplies the learning rate per step: the paper's
+	// α_d = 0.9999 threshold decay.
+	trainDecayRate = 0.9999
+	// trainClipNorm bounds the global gradient norm.
+	trainClipNorm = 5
+)
+
 // TrainConfig controls pre-deployment training (Fig. 2B).
 type TrainConfig struct {
 	// Steps is the number of optimisation steps (paper: 3000).
 	Steps int
-	// Optimizer carries the AdamW hyper-parameters (paper defaults in
-	// optim.DefaultAdamWConfig; note the paper's lr of 1e-5 is tuned for
-	// ImageBind-scale features — the synthetic space trains well around
-	// 1e-3..1e-2).
-	Optimizer optim.AdamWConfig
-	// DecaySchedule multiplies the learning rate per step; the paper's
-	// α_d = 0.9999 threshold decay is the default.
-	DecayRate float64
-	// ClipNorm bounds the global gradient norm (0 disables).
-	ClipNorm float64
 	// TrainTokens also updates KG token embeddings during training; the
 	// paper trains the full stack before deployment.
 	TrainTokens bool
@@ -43,23 +48,14 @@ type TrainConfig struct {
 // DefaultTrainConfig returns the paper's regime scaled to the synthetic
 // substrate.
 func DefaultTrainConfig() TrainConfig {
-	opt := optim.DefaultAdamWConfig()
-	opt.LR = 5e-3
-	opt.WeightDecay = 1e-4
-	return TrainConfig{
-		Steps:       3000,
-		Optimizer:   opt,
-		DecayRate:   0.9999,
-		ClipNorm:    5,
-		TrainTokens: true,
-	}
+	return TrainConfig{Steps: 3000, TrainTokens: true}
 }
 
 // Trainer drives pre-deployment training of a Detector.
 type Trainer struct {
 	det *Detector
 	cfg TrainConfig
-	opt *optim.Scheduled
+	opt *optim.AdamW
 	// params caches the optimiser's parameter set (detector weights, plus
 	// token banks when TrainTokens) — it is fixed for the trainer's
 	// lifetime, and Step previously rebuilt the slice on every call just
@@ -77,14 +73,12 @@ func NewTrainer(det *Detector, cfg TrainConfig) *Trainer {
 		params = append(params, det.TokenParams()...)
 	}
 	values := nn.Values(params)
-	adam := optim.NewAdamW(values, cfg.Optimizer)
-	sched := optim.NewScheduled(adam, optim.ExponentialDecay{Rate: cfg.DecayRate})
-	return &Trainer{det: det, cfg: cfg, opt: sched, params: values}
+	return &Trainer{det: det, cfg: cfg, opt: optim.NewAdamW(values, trainAdamW), params: values}
 }
 
 // Step performs one optimisation step — sample a clip, forward, loss,
-// backward, clip the global gradient norm, one AdamW update — and returns
-// the clip's loss.
+// backward, clip the global gradient norm, one AdamW update at the decayed
+// learning rate — and returns the clip's loss.
 func (t *Trainer) Step(rng *rand.Rand, src ClipSource) float64 {
 	t.det.SetTraining(true)
 	frames, labels := src.NextClip(rng)
@@ -92,9 +86,8 @@ func (t *Trainer) Step(rng *rand.Rand, src ClipSource) float64 {
 	logits := t.det.ForwardClip(frames, src.Batch())
 	loss := decision.Loss(logits, labels, t.det.cfg.Loss, true)
 	loss.Backward()
-	if t.cfg.ClipNorm > 0 {
-		optim.ClipGradNorm(t.params, t.cfg.ClipNorm)
-	}
+	optim.ClipGradNorm(t.params, trainClipNorm)
+	t.opt.SetLR(trainAdamW.LR * math.Pow(trainDecayRate, float64(t.steps)))
 	t.opt.Step()
 	t.steps++
 	return loss.Scalar()

@@ -27,10 +27,10 @@ func trainedState(det *Detector) []*tensor.Tensor {
 
 // TestTrainStepIsThePlainLoop pins Trainer.Step to the textbook training
 // loop written out from public pieces: one clip, zero the gradients,
-// forward, loss, backward, clip the global norm, one scheduled AdamW
-// update. Two identically seeded rigs, one driven each way, must agree on
-// every loss, every trained value and the scores of the deployed
-// detectors to the bit.
+// forward, loss, backward, clip the global norm, one AdamW update at the
+// decayed learning rate. Two identically seeded rigs, one driven each way,
+// must agree on every loss, every trained value and the scores of the
+// deployed detectors to the bit.
 func TestTrainStepIsThePlainLoop(t *testing.T) {
 	const steps = 24
 	for _, trainTokens := range []bool{true, false} {
@@ -49,7 +49,7 @@ func TestTrainStepIsThePlainLoop(t *testing.T) {
 				params = append(params, det.TokenParams()...)
 			}
 			values := nn.Values(params)
-			opt := optim.NewScheduled(optim.NewAdamW(values, cfg.Optimizer), optim.ExponentialDecay{Rate: cfg.DecayRate})
+			opt := optim.NewAdamW(values, trainAdamW)
 
 			rngStep := rand.New(rand.NewSource(7))
 			rngLoop := rand.New(rand.NewSource(7))
@@ -61,7 +61,8 @@ func TestTrainStepIsThePlainLoop(t *testing.T) {
 				opt.ZeroGrad()
 				loss := decision.Loss(det.ForwardClip(frames, srcLoop.Batch()), labels, det.cfg.Loss, true)
 				loss.Backward()
-				optim.ClipGradNorm(values, cfg.ClipNorm)
+				optim.ClipGradNorm(values, trainClipNorm)
+				opt.SetLR(trainAdamW.LR * math.Pow(trainDecayRate, float64(s)))
 				opt.Step()
 
 				if want := loss.Scalar(); math.Float64bits(got) != math.Float64bits(want) {

@@ -62,7 +62,7 @@ func (h *Head) Probs(x *autograd.Value) *autograd.Value {
 	return autograd.SoftmaxRows(h.Logits(x))
 }
 
-// Params implements nn.Module.
+// Params returns the head's trainable parameters.
 func (h *Head) Params() []nn.Param {
 	return nn.Prefix("linear", h.linear.Params())
 }

@@ -114,7 +114,7 @@ func TestSensorSignalReachesOutput(t *testing.T) {
 func TestGradFlowsIntoTokenBankOnly(t *testing.T) {
 	m, space, _ := newTestModel(t)
 	m.SetTraining(false)
-	nn.Freeze(paramsOf(m.Params()))
+	nn.Freeze(m.Params())
 	rng := rand.New(rand.NewSource(5))
 	frames := tensor.RandN(rng, 1, 2, space.Dim())
 	out := autograd.Sum(m.Forward(autograd.Constant(frames)))
@@ -134,10 +134,6 @@ func TestGradFlowsIntoTokenBankOnly(t *testing.T) {
 		t.Error("no gradient reached any token bank through the frozen GNN")
 	}
 }
-
-type paramsOf []nn.Param
-
-func (p paramsOf) Params() []nn.Param { return p }
 
 func TestGradCheckThroughGNN(t *testing.T) {
 	m, space, g := newTestModel(t)

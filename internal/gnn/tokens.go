@@ -177,8 +177,8 @@ func (tb *TokenBank) PageBytes() (owned, shared int64) {
 	return owned, shared
 }
 
-// Params implements nn.Module: one named parameter per node, sorted by id
-// for a deterministic parameter order.
+// Params returns one named parameter per node, sorted by id for a
+// deterministic parameter order.
 func (tb *TokenBank) Params() []nn.Param {
 	ids := make([]kg.NodeID, 0, len(tb.banks))
 	for id := range tb.banks {

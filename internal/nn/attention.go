@@ -96,7 +96,7 @@ func (a *AttentionEval[T]) ForwardLast(x *tensor.Dense[T], batch int) *tensor.De
 	return a.Wo.Forward(ctx)
 }
 
-// Params implements Module.
+// Params returns the layer's trainable parameters.
 func (a *MultiHeadAttention) Params() []Param {
 	var ps []Param
 	ps = append(ps, Prefix("wq", a.Wq.Params())...)
@@ -172,7 +172,7 @@ func (e *EncoderEval[T]) ForwardLast(x *tensor.Dense[T], batch int) *tensor.Dens
 	return tensor.AddInPlace(h, e.FF2.Forward(ff))
 }
 
-// Params implements Module.
+// Params returns the layer's trainable parameters.
 func (e *EncoderLayer) Params() []Param {
 	var ps []Param
 	ps = append(ps, Prefix("attn", e.Attn.Params())...)

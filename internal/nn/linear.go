@@ -50,7 +50,7 @@ func (l LinearEval[T]) Forward(x *tensor.Dense[T]) *tensor.Dense[T] {
 	return autograd.AffineFwd(x, l.W, l.B)
 }
 
-// Params implements Module.
+// Params returns the layer's trainable parameters.
 func (l *Linear) Params() []Param {
 	return []Param{{Name: "w", V: l.W}, {Name: "b", V: l.B}}
 }

@@ -12,12 +12,6 @@ type Param struct {
 	V    *autograd.Value
 }
 
-// Module is anything owning parameters. Composite modules return their
-// children's parameters with a dotted-path prefix.
-type Module interface {
-	Params() []Param
-}
-
 // Values extracts the raw autograd values from a parameter list, the form
 // optimizers consume.
 func Values(ps []Param) []*autograd.Value {
@@ -38,32 +32,25 @@ func Prefix(prefix string, ps []Param) []Param {
 	return out
 }
 
-// Freeze disables gradient accumulation for every parameter of m.
+// Freeze disables gradient accumulation for every parameter in ps.
 // Parameters already frozen are left untouched (a pure read), so
 // re-asserting a deployed model's frozen state — which every serving
 // stream's adapter does after structural KG changes — never writes to
 // backbone parameters other streams are concurrently reading.
-func Freeze(m Module) {
-	for _, p := range m.Params() {
+func Freeze(ps []Param) {
+	for _, p := range ps {
 		if p.V.RequiresGrad() {
 			p.V.SetRequiresGrad(false)
 		}
 	}
 }
 
-// Unfreeze enables gradient accumulation for every parameter of m.
+// Unfreeze enables gradient accumulation for every parameter in ps.
 // Already-trainable parameters are left untouched (see Freeze).
-func Unfreeze(m Module) {
-	for _, p := range m.Params() {
+func Unfreeze(ps []Param) {
+	for _, p := range ps {
 		if !p.V.RequiresGrad() {
 			p.V.SetRequiresGrad(true)
 		}
-	}
-}
-
-// ZeroGrad clears accumulated gradients on every parameter of m.
-func ZeroGrad(m Module) {
-	for _, p := range m.Params() {
-		p.V.ZeroGrad()
 	}
 }

@@ -164,7 +164,7 @@ func TestPositionalEncodingProperties(t *testing.T) {
 func TestFreezeUnfreeze(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	l := NewLinear(rng, 2, 2)
-	Freeze(l)
+	Freeze(l.Params())
 	x := autograd.Param(tensor.RandN(rng, 1, 1, 2))
 	y := autograd.Sum(l.Forward(x))
 	y.Backward()
@@ -174,7 +174,7 @@ func TestFreezeUnfreeze(t *testing.T) {
 	if x.Grad == nil {
 		t.Error("gradient must still flow through frozen layer")
 	}
-	Unfreeze(l)
+	Unfreeze(l.Params())
 	y2 := autograd.Sum(l.Forward(x))
 	y2.Backward()
 	if l.W.Grad == nil {

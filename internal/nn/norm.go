@@ -71,7 +71,7 @@ func (b *BatchNorm1d) SetTraining(t bool) {
 // Training reports the current mode.
 func (b *BatchNorm1d) Training() bool { return b.training }
 
-// Params implements Module.
+// Params returns the layer's trainable parameters.
 func (b *BatchNorm1d) Params() []Param {
 	return []Param{{Name: "gamma", V: b.Gamma}, {Name: "beta", V: b.Beta}}
 }
@@ -97,7 +97,7 @@ func (l *LayerNorm) Forward(x *autograd.Value) *autograd.Value {
 	return autograd.LayerNorm(x, l.Gamma, l.Beta, l.Eps)
 }
 
-// Params implements Module.
+// Params returns the layer's trainable parameters.
 func (l *LayerNorm) Params() []Param {
 	return []Param{{Name: "gamma", V: l.Gamma}, {Name: "beta", V: l.Beta}}
 }

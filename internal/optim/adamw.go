@@ -8,19 +8,14 @@ import (
 )
 
 // AdamWConfig carries the AdamW hyper-parameters. The zero value is not
-// usable; start from DefaultAdamWConfig (the paper's Sec. IV-A settings).
+// usable: Beta1, Beta2 and Eps must be set (the paper's Sec. IV-A uses
+// 0.9, 0.999 and 1e-8).
 type AdamWConfig struct {
 	LR          float64
 	Beta1       float64
 	Beta2       float64
 	Eps         float64
 	WeightDecay float64
-}
-
-// DefaultAdamWConfig returns the configuration the paper trains with:
-// lr 1e-5, weight decay 1.0, β1 0.9, β2 0.999, ε 1e-8.
-func DefaultAdamWConfig() AdamWConfig {
-	return AdamWConfig{LR: 1e-5, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, WeightDecay: 1.0}
 }
 
 // AdamW implements Adam with decoupled weight decay (Loshchilov & Hutter),
@@ -80,14 +75,16 @@ func (a *AdamW) Step() {
 	}
 }
 
-// ZeroGrad implements Optimizer.
-func (a *AdamW) ZeroGrad() { zeroGrads(a.params) }
+// ZeroGrad clears the gradients of every managed parameter.
+func (a *AdamW) ZeroGrad() {
+	for _, p := range a.params {
+		p.ZeroGrad()
+	}
+}
 
-// SetLR implements Optimizer.
+// SetLR sets the learning rate of the following steps; the trainer's
+// decay calls it before each step.
 func (a *AdamW) SetLR(lr float64) { a.cfg.LR = lr }
-
-// LR implements Optimizer.
-func (a *AdamW) LR() float64 { return a.cfg.LR }
 
 // StepCount returns how many updates have been applied.
 func (a *AdamW) StepCount() int { return a.t }

@@ -1,8 +1,8 @@
-// Package optim implements the optimizers and learning-rate schedules used
-// to train the GNN decision model and to drive deployment-time token
-// adaptation: AdamW with the paper's hyper-parameters (Sec. IV-A),
-// exponential decay (the α_d = 0.9999 threshold decay) and cosine
-// annealing, plus global-norm gradient clipping.
+// Package optim implements the optimizer used to train the GNN decision
+// model and to drive deployment-time token adaptation: AdamW, the optimizer
+// of the paper's Sec. IV-A, plus global-norm gradient clipping. The
+// trainer applies the paper's α_d = 0.9999 learning-rate decay itself
+// through AdamW.SetLR.
 package optim
 
 import (
@@ -11,26 +11,6 @@ import (
 	"edgekg/internal/autograd"
 	"edgekg/internal/tensor"
 )
-
-// Optimizer updates a fixed set of parameters from their accumulated
-// gradients.
-type Optimizer interface {
-	// Step applies one update and clears nothing; call ZeroGrad after.
-	Step()
-	// ZeroGrad clears the gradients of all managed parameters.
-	ZeroGrad()
-	// SetLR overrides the current learning rate (schedulers call this).
-	SetLR(lr float64)
-	// LR returns the current learning rate.
-	LR() float64
-}
-
-// zeroGrads clears gradients on params.
-func zeroGrads(params []*autograd.Value) {
-	for _, p := range params {
-		p.ZeroGrad()
-	}
-}
 
 // ClipGradNorm rescales the gradients of params so their global L2 norm is
 // at most maxNorm, returning the pre-clip norm. Parameters with nil

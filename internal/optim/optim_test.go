@@ -18,9 +18,7 @@ func quadratic(p *autograd.Value, target *tensor.Tensor) *autograd.Value {
 func TestAdamWConvergesOnQuadratic(t *testing.T) {
 	p := autograd.Param(tensor.FromSlice([]float64{5, -3, 2}, 3))
 	target := tensor.FromSlice([]float64{1, 1, 1}, 3)
-	cfg := DefaultAdamWConfig()
-	cfg.LR = 0.05
-	cfg.WeightDecay = 0 // pure optimization test
+	cfg := AdamWConfig{LR: 0.05, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8} // no weight decay: pure optimization test
 	opt := NewAdamW([]*autograd.Value{p}, cfg)
 	for i := 0; i < 800; i++ {
 		opt.ZeroGrad()
@@ -40,9 +38,7 @@ func TestAdamWConvergesOnQuadratic(t *testing.T) {
 func TestAdamWWeightDecayShrinksParams(t *testing.T) {
 	// With zero gradient signal, decoupled decay must shrink weights.
 	p := autograd.Param(tensor.FromSlice([]float64{10}, 1))
-	cfg := DefaultAdamWConfig()
-	cfg.LR = 0.1
-	cfg.WeightDecay = 0.5
+	cfg := AdamWConfig{LR: 0.1, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, WeightDecay: 0.5}
 	opt := NewAdamW([]*autograd.Value{p}, cfg)
 	for i := 0; i < 50; i++ {
 		opt.ZeroGrad()
@@ -58,7 +54,7 @@ func TestAdamWWeightDecayShrinksParams(t *testing.T) {
 func TestAdamWSkipsFrozenAndNilGrad(t *testing.T) {
 	p := autograd.Param(tensor.FromSlice([]float64{1}, 1))
 	q := autograd.Param(tensor.FromSlice([]float64{1}, 1))
-	opt := NewAdamW([]*autograd.Value{p, q}, DefaultAdamWConfig())
+	opt := NewAdamW([]*autograd.Value{p, q}, AdamWConfig{LR: 1e-5, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, WeightDecay: 1})
 	p.SetRequiresGrad(false)
 	p.Grad = tensor.Ones(1)
 	// q has nil grad.
@@ -86,73 +82,6 @@ func TestClipGradNorm(t *testing.T) {
 	}
 }
 
-func TestExponentialDecaySchedule(t *testing.T) {
-	s := ExponentialDecay{Rate: 0.9999}
-	if s.Factor(0) != 1 {
-		t.Errorf("Factor(0) = %v", s.Factor(0))
-	}
-	if got, want := s.Factor(10000), math.Pow(0.9999, 10000); math.Abs(got-want) > 1e-12 {
-		t.Errorf("Factor(10000) = %v, want %v", got, want)
-	}
-}
-
-func TestCosineAnnealingSchedule(t *testing.T) {
-	s := CosineAnnealing{TotalSteps: 100, MinFactor: 0.1}
-	if got := s.Factor(0); math.Abs(got-1) > 1e-12 {
-		t.Errorf("Factor(0) = %v", got)
-	}
-	if got := s.Factor(100); got != 0.1 {
-		t.Errorf("Factor(100) = %v", got)
-	}
-	mid := s.Factor(50)
-	if math.Abs(mid-0.55) > 1e-9 {
-		t.Errorf("Factor(50) = %v, want 0.55", mid)
-	}
-	// Monotone non-increasing over the horizon.
-	prev := 2.0
-	for i := 0; i <= 100; i++ {
-		f := s.Factor(i)
-		if f > prev+1e-12 {
-			t.Fatalf("cosine schedule increased at step %d", i)
-		}
-		prev = f
-	}
-}
-
-func TestWarmupWrap(t *testing.T) {
-	s := WarmupWrap{WarmupSteps: 10, Inner: ConstantSchedule{}}
-	if got := s.Factor(0); math.Abs(got-0.1) > 1e-12 {
-		t.Errorf("Factor(0) = %v, want 0.1", got)
-	}
-	if got := s.Factor(9); math.Abs(got-1) > 1e-12 {
-		t.Errorf("Factor(9) = %v, want 1", got)
-	}
-	if got := s.Factor(50); got != 1 {
-		t.Errorf("Factor(50) = %v", got)
-	}
-	// nil inner defaults to constant.
-	s2 := WarmupWrap{WarmupSteps: 0}
-	if s2.Factor(5) != 1 {
-		t.Error("nil inner should behave as constant")
-	}
-}
-
-func TestScheduledOptimizerAppliesFactor(t *testing.T) {
-	p := autograd.Param(tensor.FromSlice([]float64{1}, 1))
-	cfg := DefaultAdamWConfig()
-	cfg.LR = 1.0
-	adam := NewAdamW([]*autograd.Value{p}, cfg)
-	sch := NewScheduled(adam, ExponentialDecay{Rate: 0.5})
-	// Step 0: lr 1.0, step 1: lr 0.5.
-	for step, want := range []float64{1.0, 0.5} {
-		p.Grad = tensor.Ones(1)
-		sch.Step()
-		if got := adam.LR(); got != want {
-			t.Errorf("step %d ran at lr %v, want %v", step, got, want)
-		}
-	}
-}
-
 // AdamW's per-coordinate scaling must make progress on an ill-conditioned
 // quadratic whose curvatures span four orders of magnitude.
 func TestAdamWOnIllConditionedQuadratic(t *testing.T) {
@@ -163,9 +92,7 @@ func TestAdamWOnIllConditionedQuadratic(t *testing.T) {
 		scales := autograd.Constant(tensor.FromSlice([]float64{100, 1, 0.01, 10}, 4))
 		return autograd.Sum(autograd.Mul(autograd.Mul(diff, diff), scales))
 	}
-	cfg := DefaultAdamWConfig()
-	cfg.LR = 0.01
-	cfg.WeightDecay = 0
+	cfg := AdamWConfig{LR: 0.01, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 	opt := NewAdamW([]*autograd.Value{p}, cfg)
 	for i := 0; i < 400; i++ {
 		opt.ZeroGrad()

@@ -164,7 +164,7 @@ func (m *Model) SetTraining(t bool) {
 	}
 }
 
-// Params implements nn.Module.
+// Params returns the model's trainable parameters, named by layer.
 func (m *Model) Params() []nn.Param {
 	var ps []nn.Param
 	ps = append(ps, nn.Prefix("inproj", m.inProj.Params())...)

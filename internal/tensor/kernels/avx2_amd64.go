@@ -123,7 +123,3 @@ func (avx2Backend) MatVec(a, x, out []float64, k, lo, hi int) {
 func (avx2Backend) SumAxis0(m, out []float64, r, c int) {
 	sumAxis0Acc(m, out, r, c, func(x, dst []float64) { axpyAsm(1, x, dst) })
 }
-
-func (avx2Backend) SumAxis1(m, out []float64, c, lo, hi int) {
-	sumAxis1Sum(m, out, c, lo, hi, sumAsm)
-}

@@ -32,10 +32,10 @@
 //     independent elements, multiplies and adds round separately (no
 //     FMA contraction) — so results are bit-identical to the scalar
 //     reference, NaN/Inf/±0 payloads included.
-//   - Reassociating kernels (Dot, Norm2Sq, Sum, MatMulT2, MatVec,
-//     SumAxis1) reduce with multiple accumulators, which reorders the
-//     floating-point sum. They are pinned to the reference by a
-//     condition-aware ULP/tolerance budget instead (see compare.go).
+//   - Reassociating kernels (Dot, Norm2Sq, Sum, MatMulT2, MatVec) reduce
+//     with multiple accumulators, which reorders the floating-point sum.
+//     They are pinned to the reference by a condition-aware ULP/tolerance
+//     budget instead (see compare.go).
 //
 // Every backend is deterministic: the same inputs produce the same bits
 // on every call, at any worker count, which is what keeps the repo-wide
@@ -111,9 +111,6 @@ type Backend[T Float] interface {
 	// SumAxis0 accumulates the column sums of m(r×c) into out(c),
 	// sweeping rows in ascending order. Order-preserving.
 	SumAxis0(m, out []T, r, c int)
-	// SumAxis1 computes row sums for rows [lo, hi) of m(r×c) into
-	// out[lo:hi]. Reassociating.
-	SumAxis1(m, out []T, c, lo, hi int)
 }
 
 // widths is one registered backend: the same kernel set at both widths

@@ -143,14 +143,3 @@ func (scalarBackend[T]) SumAxis0(m, out []T, r, c int) {
 		}
 	}
 }
-
-func (scalarBackend[T]) SumAxis1(m, out []T, c, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		row := m[i*c : (i+1)*c]
-		var s T
-		for j := 0; j < c; j++ {
-			s += row[j]
-		}
-		out[i] = s
-	}
-}

@@ -331,13 +331,3 @@ func addacc4[T Float](x, dst []T) {
 func (unrolledBackend[T]) SumAxis0(m, out []T, r, c int) {
 	sumAxis0Acc(m, out, r, c, addacc4)
 }
-
-func sumAxis1Sum[T Float](m, out []T, c, lo, hi int, sum func(x []T) T) {
-	for i := lo; i < hi; i++ {
-		out[i] = sum(m[i*c : (i+1)*c])
-	}
-}
-
-func (unrolledBackend[T]) SumAxis1(m, out []T, c, lo, hi int) {
-	sumAxis1Sum(m, out, c, lo, hi, sum4)
-}

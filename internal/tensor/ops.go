@@ -56,20 +56,6 @@ func Mul(a, b *Tensor) *Tensor {
 	return out
 }
 
-// Div returns a / b elementwise. Shapes must match.
-func Div(a, b *Tensor) *Tensor {
-	a.mustSameShape(b, "Div")
-	out := New(a.shape...)
-	forElems(len(a.data), func(lo, hi int) {
-		ad, bd, od := a.data, b.data, out.data
-		for i := lo; i < hi; i++ {
-			od[i] = ad[i] / bd[i]
-		}
-	})
-	countOps(len(a.data))
-	return out
-}
-
 // AddInPlace adds b into a elementwise and returns a.
 func AddInPlace[T Float](a, b *Dense[T]) *Dense[T] {
 	a.mustSameShape(b, "AddInPlace")
@@ -129,23 +115,6 @@ func AddRow(m, v *Tensor) *Tensor {
 	for i := 0; i < r; i++ {
 		row := out.data[i*c : (i+1)*c]
 		bk.Add(row, v.data, row)
-	}
-	countOps(r * c)
-	return out
-}
-
-// MulRow returns m with every row multiplied elementwise by row vector v.
-func MulRow(m, v *Tensor) *Tensor {
-	m.must2D("MulRow")
-	if v.Size() != m.shape[1] {
-		panic(fmt.Sprintf("tensor: MulRow vector size %d != cols %d", v.Size(), m.shape[1]))
-	}
-	out := m.Clone()
-	r, c := m.shape[0], m.shape[1]
-	bk := kernels.Active()
-	for i := 0; i < r; i++ {
-		row := out.data[i*c : (i+1)*c]
-		bk.Mul(row, v.data, row)
 	}
 	countOps(r * c)
 	return out

@@ -108,9 +108,6 @@ func TestParallelElementwiseEquivalence(t *testing.T) {
 		if !AllClose(ip, axpyWant, 1e-15) {
 			t.Error("AxpyInPlace: parallel mismatch")
 		}
-		if !AllClose(SumAxis1(a), SumAxis1(a.Clone()), 0) {
-			t.Error("SumAxis1 not deterministic")
-		}
 	})
 }
 

@@ -52,24 +52,3 @@ func RandUnitVector(rng *rand.Rand, dim int) *Tensor {
 		}
 	}
 }
-
-// Shuffle permutes the rows of a 2-D tensor in place using rng, applying
-// the same permutation to the optional parallel label slice.
-func Shuffle(rng *rand.Rand, m *Tensor, labels []int) {
-	m.must2D("Shuffle")
-	r, c := m.shape[0], m.shape[1]
-	if labels != nil && len(labels) != r {
-		panic("tensor: Shuffle labels length mismatch")
-	}
-	tmp := make([]float64, c)
-	rng.Shuffle(r, func(i, j int) {
-		ri := m.data[i*c : (i+1)*c]
-		rj := m.data[j*c : (j+1)*c]
-		copy(tmp, ri)
-		copy(ri, rj)
-		copy(rj, tmp)
-		if labels != nil {
-			labels[i], labels[j] = labels[j], labels[i]
-		}
-	})
-}

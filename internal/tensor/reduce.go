@@ -14,56 +14,6 @@ func (t *Dense[T]) Sum() T {
 	return s
 }
 
-// Mean returns the arithmetic mean of all elements; 0 for an empty tensor.
-func (t *Dense[T]) Mean() T {
-	if len(t.data) == 0 {
-		return 0
-	}
-	return t.Sum() / T(len(t.data))
-}
-
-// Max returns the maximum element. It panics on an empty tensor.
-func (t *Dense[T]) Max() T {
-	if len(t.data) == 0 {
-		panic("tensor: Max of empty tensor")
-	}
-	m := t.data[0]
-	for _, v := range t.data[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the minimum element. It panics on an empty tensor.
-func (t *Dense[T]) Min() T {
-	if len(t.data) == 0 {
-		panic("tensor: Min of empty tensor")
-	}
-	m := t.data[0]
-	for _, v := range t.data[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// ArgMax returns the index of the first maximal element of a 1-D tensor.
-func (t *Dense[T]) ArgMax() int {
-	if len(t.data) == 0 {
-		panic("tensor: ArgMax of empty tensor")
-	}
-	best, bi := t.data[0], 0
-	for i, v := range t.data[1:] {
-		if v > best {
-			best, bi = v, i+1
-		}
-	}
-	return bi
-}
-
 // SumAxis0 returns the column sums of a matrix as a 1-D tensor of length
 // cols.
 func SumAxis0(m *Tensor) *Tensor {
@@ -71,19 +21,6 @@ func SumAxis0(m *Tensor) *Tensor {
 	r, c := m.shape[0], m.shape[1]
 	out := New(c)
 	kernels.Active().SumAxis0(m.data, out.data, r, c)
-	countOps(r * c)
-	return out
-}
-
-// SumAxis1 returns the row sums of a matrix as a 1-D tensor of length rows.
-func SumAxis1(m *Tensor) *Tensor {
-	m.must2D("SumAxis1")
-	r, c := m.shape[0], m.shape[1]
-	out := New(r)
-	bk := kernels.Active()
-	forRows(r, c, func(lo, hi int) {
-		bk.SumAxis1(m.data, out.data, c, lo, hi)
-	})
 	countOps(r * c)
 	return out
 }
@@ -137,28 +74,6 @@ func VarAxis0(m *Tensor) *Tensor {
 	return out
 }
 
-// ArgMaxRows returns, for each row of a matrix, the index of its maximal
-// column.
-func ArgMaxRows(m *Tensor) []int {
-	m.must2D("ArgMaxRows")
-	r, c := m.shape[0], m.shape[1]
-	if c == 0 {
-		panic("tensor: ArgMaxRows with zero columns")
-	}
-	out := make([]int, r)
-	for i := 0; i < r; i++ {
-		row := m.data[i*c : (i+1)*c]
-		best, bi := row[0], 0
-		for j, v := range row[1:] {
-			if v > best {
-				best, bi = v, j+1
-			}
-		}
-		out[i] = bi
-	}
-	return out
-}
-
 // SoftmaxRows returns the row-wise softmax of a matrix, computed with the
 // usual max-shift for numerical stability. The exponential is evaluated
 // at float64 and rounded to T; everything else runs at T.
@@ -189,31 +104,5 @@ func SoftmaxRows[T Float](m *Dense[T]) *Dense[T] {
 		}
 	})
 	countOps(5 * r * c)
-	return out
-}
-
-// LogSumExpRows returns the row-wise log-sum-exp of a matrix as a 1-D
-// tensor.
-func LogSumExpRows(m *Tensor) *Tensor {
-	m.must2D("LogSumExpRows")
-	r, c := m.shape[0], m.shape[1]
-	out := New(r)
-	forRows(r, c, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := m.data[i*c : (i+1)*c]
-			mx := row[0]
-			for _, v := range row[1:] {
-				if v > mx {
-					mx = v
-				}
-			}
-			s := 0.0
-			for _, v := range row {
-				s += math.Exp(v - mx)
-			}
-			out.data[i] = mx + math.Log(s)
-		}
-	})
-	countOps(4 * r * c)
 	return out
 }

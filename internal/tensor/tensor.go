@@ -250,12 +250,6 @@ func (t *Dense[T]) Fill(v T) {
 	}
 }
 
-// CopyFrom copies o's elements into t. Shapes must match.
-func (t *Dense[T]) CopyFrom(o *Dense[T]) {
-	t.mustSameShape(o, "CopyFrom")
-	copy(t.data, o.data)
-}
-
 // String renders small tensors fully and large ones by shape summary.
 func (t *Dense[T]) String() string {
 	const maxElems = 64
