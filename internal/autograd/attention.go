@@ -84,7 +84,7 @@ func attnShapes[T tensor.Float](q, k, v *tensor.Dense[T], batch, heads int) (nq,
 // bit-identical at any worker count.
 func BatchedAttention(q, k, v *Value, batch, heads int, scale float64) *Value {
 	if !q.requiresGrad && !k.requiresGrad && !v.requiresGrad {
-		return &Value{Data: BatchedAttentionFwd(q.Data, k.Data, v.Data, batch, heads, scale), op: "batchedattention"}
+		return &Value{Data: BatchedAttentionFwd(nil, q.Data, k.Data, v.Data, batch, heads, scale), op: "batchedattention"}
 	}
 	nq, t, dk := attnShapes(q.Data, k.Data, v.Data, batch, heads)
 	dim := q.Data.Cols()
@@ -92,7 +92,7 @@ func BatchedAttention(q, k, v *Value, batch, heads int, scale float64) *Value {
 	// Attention weights, one row of T per query: block idx = b·heads + h
 	// starts at row idx·nq. The backward pass re-reads them.
 	ad := make([]float64, nb*nq*t)
-	out, c, grain := batchedAttention(q.Data, k.Data, v.Data, batch, heads, scale, ad)
+	out, c, grain := batchedAttention(nil, q.Data, k.Data, v.Data, batch, heads, scale, ad)
 	qd := q.Data.Data()
 
 	return newOp3("batchedattention", out, q, k, v, func(g *tensor.Tensor) {
@@ -152,13 +152,13 @@ func headSlice(s []float64, off, n int) []float64 {
 }
 
 // BatchedAttentionFwd is BatchedAttention's forward on bare tensors at
-// width T, with the attention weights in pooled scratch: nothing needs
-// them once the context rows are written.
-func BatchedAttentionFwd[T tensor.Float](q, k, v *tensor.Dense[T], batch, heads int, scale T) *tensor.Dense[T] {
+// width T, with the context lent from ws and the attention weights in
+// pooled scratch: nothing needs them once the context rows are written.
+func BatchedAttentionFwd[T tensor.Float](ws *tensor.Workspace, q, k, v *tensor.Dense[T], batch, heads int, scale T) *tensor.Dense[T] {
 	nq, t, _ := attnShapes(q, k, v, batch, heads)
-	ws := tensor.NewWorkspace()
-	out, _, _ := batchedAttention(q, k, v, batch, heads, scale, tensor.Scratch[T](ws, batch*heads*nq*t))
-	ws.Release()
+	sw := tensor.NewWorkspace()
+	out, _, _ := batchedAttention(ws, q, k, v, batch, heads, scale, tensor.Scratch[T](sw, batch*heads*nq*t))
+	sw.Release()
 	return out
 }
 
@@ -172,34 +172,26 @@ func attnGrain(blockCost int) int {
 	return 1
 }
 
-// batchedAttention computes the attention context into a fresh tensor
-// shaped like q, leaving the softmax weights in ad (one row of T per
+// batchedAttention computes the attention context into a tensor shaped
+// like q, lent from ws, leaving the softmax weights in ad (one row of T per
 // query, laid out as in BatchedAttention). It also returns the query body
 // it ran and the worker-pool grain, so the backward pass runs over the
 // same K and V and splits identically.
-func batchedAttention[T tensor.Float](q, k, v *tensor.Dense[T], batch, heads int, scale T, ad []T) (*tensor.Dense[T], attnQuery[T], int) {
+func batchedAttention[T tensor.Float](ws *tensor.Workspace, q, k, v *tensor.Dense[T], batch, heads int, scale T, ad []T) (*tensor.Dense[T], attnQuery[T], int) {
 	nq, t, dk := attnShapes(q, k, v, batch, heads)
 	nb := batch * heads
 	c := attnQuery[T]{bk: kernels.ActiveOf[T](), kd: k.Data(), vd: v.Data(), dim: q.Cols(), dk: dk, scale: scale}
-	out := tensor.NewOf[T](q.Rows(), c.dim)
+	out := tensor.Alloc[T](ws, q.Rows(), c.dim)
 	qd, od := q.Data(), out.Data()
 
 	// One block ≈ nq·(4·T·dk + 5·T) flops.
 	blockCost := nq * (4*t*dk + 5*t)
 	grain := attnGrain(blockCost)
-	// The closure reads dim and dk through c, which it captures anyway: two
-	// fewer captured words keep the closure, which every scored frame
-	// allocates, in a smaller size class.
-	parallel.For(nb, grain, func(lo, hi int) {
-		for idx := lo; idx < hi; idx++ {
-			b, h := idx/heads, idx%heads
-			off := b*t*c.dim + h*c.dk
-			for i := 0; i < nq; i++ {
-				row, w := (b*nq+i)*c.dim+h*c.dk, (idx*nq+i)*t
-				c.run(qd[row:row+c.dk], off, ad[w:w+t], od[row:row+c.dk])
-			}
-		}
-	})
+	if parallel.Inline(nb, grain) {
+		c.blocks(qd, ad, od, heads, nq, t, 0, nb)
+	} else {
+		parallel.For(nb, grain, func(lo, hi int) { c.blocks(qd, ad, od, heads, nq, t, lo, hi) })
+	}
 	flops.Add(int64(nb * blockCost))
 	return out, c, grain
 }
@@ -217,6 +209,20 @@ type attnQuery[T tensor.Float] struct {
 	kd, vd  []T
 	dim, dk int
 	scale   T
+}
+
+// blocks runs every query of (window, head) blocks [lo, hi), block idx =
+// b·heads + h: queries from qd, weights into ad, contexts into od, laid
+// out as in BatchedAttention.
+func (c attnQuery[T]) blocks(qd, ad, od []T, heads, nq, t, lo, hi int) {
+	for idx := lo; idx < hi; idx++ {
+		b, h := idx/heads, idx%heads
+		off := b*t*c.dim + h*c.dk
+		for i := 0; i < nq; i++ {
+			row, w := (b*nq+i)*c.dim+h*c.dk, (idx*nq+i)*t
+			c.run(qd[row:row+c.dk], off, ad[w:w+t], od[row:row+c.dk])
+		}
+	}
 }
 
 // run attends query qrow to the len(arow) key/value rows of one (window,
@@ -306,11 +312,11 @@ func AddTiled(x *Value, tile *tensor.Tensor) *Value {
 func AddTiledInPlace[T tensor.Float](x, tile *tensor.Dense[T]) { addTiledInto(x, x, tile) }
 
 // LastRows copies row b·T+T−1 of a (batch·T × c) matrix into row b of a
-// fresh (batch × c) one: the rows a model that reads only the last
+// (batch × c) one lent from ws: the rows a model that reads only the last
 // position of each window carries past its final attention.
-func LastRows[T tensor.Float](x *tensor.Dense[T], batch int) *tensor.Dense[T] {
+func LastRows[T tensor.Float](ws *tensor.Workspace, x *tensor.Dense[T], batch int) *tensor.Dense[T] {
 	t, _ := attnDims("LastRows", x.Rows(), x.Cols(), batch, 1)
-	out := tensor.NewOf[T](batch, x.Cols())
+	out := tensor.Alloc[T](ws, batch, x.Cols())
 	for b := 0; b < batch; b++ {
 		copy(out.Row(b), x.Row(b*t+t-1))
 	}

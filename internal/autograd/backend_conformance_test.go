@@ -226,8 +226,8 @@ func requireQueryRows[T tensor.Float](t *testing.T, ctx string, qd, kd, vd []T, 
 				t.Fatal(err)
 			}
 			defer restore()
-			some := BatchedAttentionFwd(queryRows(q, batch, sel), k, v, batch, heads, scale)
-			full := BatchedAttentionFwd(q, k, v, batch, heads, scale)
+			some := BatchedAttentionFwd(nil, queryRows(q, batch, sel), k, v, batch, heads, scale)
+			full := BatchedAttentionFwd(nil, q, k, v, batch, heads, scale)
 			for b := 0; b < batch; b++ {
 				for i, s := range sel {
 					want, got := full.Row(b*win+s), some.Row(b*len(sel)+i)

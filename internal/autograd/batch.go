@@ -9,12 +9,12 @@ import (
 // MeanRowsBatchFwd is MeanRowsBatch's forward. Token banks exist at
 // float64 only (adaptation writes their pages in place), so the means do
 // too; the engine narrows the result.
-func MeanRowsBatchFwd(banks []*Value) *tensor.Tensor {
+func MeanRowsBatchFwd(ws *tensor.Workspace, banks []*Value) *tensor.Tensor {
 	if len(banks) == 0 {
 		panic("autograd: MeanRowsBatch of nothing")
 	}
 	d := banks[0].Data.Cols()
-	out := tensor.New(len(banks), d)
+	out := tensor.Alloc[float64](ws, len(banks), d)
 	od := out.Data()
 	for i, b := range banks {
 		if b.Data.Cols() != d {
@@ -48,7 +48,7 @@ func MeanRowsBatchFwd(banks []*Value) *tensor.Tensor {
 // MeanRowsBatch takes ownership of the banks slice; the caller must not
 // mutate it afterwards.
 func MeanRowsBatch(banks []*Value) *Value {
-	out := MeanRowsBatchFwd(banks)
+	out := MeanRowsBatchFwd(nil, banks)
 	d := out.Cols()
 	return newOp("meanrowsbatch", out, banks, func(g *tensor.Tensor) {
 		gd := g.Data()
@@ -77,7 +77,7 @@ func MeanRowsBatch(banks []*Value) *Value {
 
 // AssembleBatchFwd is AssembleBatch's forward on bare tensors at width T
 // (feats nil when every featRow entry is negative).
-func AssembleBatchFwd[T tensor.Float](frames, feats *tensor.Dense[T], featRow []int, frameRow int, fill T) *tensor.Dense[T] {
+func AssembleBatchFwd[T tensor.Float](ws *tensor.Workspace, frames, feats *tensor.Dense[T], featRow []int, frameRow int, fill T) *tensor.Dense[T] {
 	b := frames.Rows()
 	d := frames.Cols()
 	v := len(featRow)
@@ -99,8 +99,8 @@ func AssembleBatchFwd[T tensor.Float](frames, feats *tensor.Dense[T], featRow []
 
 	// Build the v×d template once in pooled scratch, then stamp it per
 	// sample and patch the frame row.
-	ws := tensor.NewWorkspace()
-	tmpl := tensor.Scratch[T](ws, v*d)
+	sw := tensor.NewWorkspace()
+	tmpl := tensor.Scratch[T](sw, v*d)
 	for i, fr := range featRow {
 		if i == frameRow {
 			continue // overwritten per block below
@@ -118,7 +118,7 @@ func AssembleBatchFwd[T tensor.Float](frames, feats *tensor.Dense[T], featRow []
 			}
 		}
 	}
-	out := tensor.NewOf[T](b*v, d)
+	out := tensor.Alloc[T](ws, b*v, d)
 	od := out.Data()
 	fd := frames.Data()
 	for k := 0; k < b; k++ {
@@ -126,7 +126,7 @@ func AssembleBatchFwd[T tensor.Float](frames, feats *tensor.Dense[T], featRow []
 		copy(block, tmpl)
 		copy(block[frameRow*d:(frameRow+1)*d], fd[k*d:(k+1)*d])
 	}
-	ws.Release()
+	sw.Release()
 	return out
 }
 
@@ -157,7 +157,7 @@ func AssembleBatch(frames, feats *Value, featRow []int, frameRow int, fill float
 		featData = feats.Data
 		featRows = featData.Rows()
 	}
-	out := AssembleBatchFwd(frames.Data, featData, featRow, frameRow, fill)
+	out := AssembleBatchFwd(nil, frames.Data, featData, featRow, frameRow, fill)
 
 	return newOp3("assemblebatch", out, frames, feats, nil, func(g *tensor.Tensor) {
 		gd := g.Data()

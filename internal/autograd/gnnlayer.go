@@ -130,7 +130,7 @@ func EdgeAggNormActTrain(x, gamma, beta *Value, src, dst []int, inLevel []bool, 
 	xd := x.Data.Data()
 
 	fws := tensor.NewWorkspace()
-	tmpT := fws.Tensor(n, d)
+	tmpT := tensor.Alloc[float64](fws, n, d)
 	tmp := tmpT.Data()
 	edgeAggForward(xd, tmp, n, d, src, dst, inLevel)
 	mean := tensor.MeanAxis0(tmpT)

@@ -185,8 +185,8 @@ func batchNormEvalInto[T tensor.Float](o, x *tensor.Dense[T], gamma, beta, runni
 
 // LayerNormFwd is LayerNorm's forward on bare tensors at width T. It
 // retains nothing: x̂ is written into the output and scaled in place.
-func LayerNormFwd[T tensor.Float](x *tensor.Dense[T], gamma, beta []T, eps float64) *tensor.Dense[T] {
-	o := tensor.NewOf[T](x.Rows(), x.Cols())
+func LayerNormFwd[T tensor.Float](ws *tensor.Workspace, x *tensor.Dense[T], gamma, beta []T, eps float64) *tensor.Dense[T] {
+	o := tensor.Alloc[T](ws, x.Rows(), x.Cols())
 	layerNormInto(o, o, nil, x, gamma, beta, eps)
 	return o
 }

@@ -91,8 +91,10 @@ func MatMulT2(a, b *Value) *Value {
 // tape op calls it at float64 and adds only the backward closure, so
 // scoring without a tape is bit-identical to scoring through one by
 // construction, and a frame is billed the same count at either width.
-func AffineFwd[T tensor.Float](x, w *tensor.Dense[T], b []T) *tensor.Dense[T] {
-	out := tensor.MatMul(x, w)
+// Each that returns a tensor lends it from the workspace it takes first
+// (tensor.Alloc); the tape passes nil and owns fresh tensors.
+func AffineFwd[T tensor.Float](ws *tensor.Workspace, x, w *tensor.Dense[T], b []T) *tensor.Dense[T] {
+	out := tensor.MatMulIn(ws, x, w)
 	r, c := out.Rows(), out.Cols()
 	if len(b) != c {
 		panic(fmt.Sprintf("autograd: Affine bias size %d != cols %d", len(b), c))
@@ -113,7 +115,7 @@ func AffineFwd[T tensor.Float](x, w *tensor.Dense[T], b []T) *tensor.Dense[T] {
 // without the intermediate op: the bias is added in place into the matmul
 // output, saving a full matrix clone and a tape node per dense layer.
 func Affine(x, w, b *Value) *Value {
-	out := AffineFwd(x.Data, w.Data, b.Data.Data())
+	out := AffineFwd(nil, x.Data, w.Data, b.Data.Data())
 	return newOp3("affine", out, x, w, b, func(g *tensor.Tensor) {
 		if x.requiresGrad {
 			x.accumulate(tensor.MatMulT2(g, w.Data)) // dX = G·Wᵀ
@@ -281,7 +283,13 @@ func elu[T tensor.Float](x T) T {
 }
 
 // ELUInPlace is ELU's forward overwriting x.
-func ELUInPlace[T tensor.Float](x *tensor.Dense[T]) { tensor.MapInPlace(x, elu[T]) }
+func ELUInPlace[T tensor.Float](x *tensor.Dense[T]) {
+	d := x.Data()
+	for i, v := range d {
+		d[i] = elu(v)
+	}
+	flops.Add(int64(len(d)))
+}
 
 // ELU applies the exponential linear unit elementwise (alpha = 1), the
 // activation of every hierarchical GNN layer (eq. 4).
@@ -310,7 +318,13 @@ func gelu[T tensor.Float](v T) T {
 }
 
 // GELUInPlace is GELU's forward overwriting x.
-func GELUInPlace[T tensor.Float](x *tensor.Dense[T]) { tensor.MapInPlace(x, gelu[T]) }
+func GELUInPlace[T tensor.Float](x *tensor.Dense[T]) {
+	d := x.Data()
+	for i, v := range d {
+		d[i] = gelu(v)
+	}
+	flops.Add(int64(len(d)))
+}
 
 // GELU applies the Gaussian error linear unit (tanh approximation), used by
 // the transformer feed-forward blocks.

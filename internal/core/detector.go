@@ -313,7 +313,9 @@ func scoreVideo[T tensor.Float](d *Detector, frames *tensor.Tensor) []float64 {
 		return nil
 	}
 	t := d.temp.Window()
-	emb := embedFramesEval[T](d, frames)
+	ws := tensor.NewWorkspace()
+	defer ws.Release()
+	emb := embedFramesEval[T](ws, d, frames)
 	invT := T(1)
 	if d.cfg.ScoreTemperature > 0 {
 		invT = T(1 / d.cfg.ScoreTemperature)
@@ -328,20 +330,22 @@ func scoreVideo[T tensor.Float](d *Detector, frames *tensor.Tensor) []float64 {
 		if b > chunk {
 			b = chunk
 		}
-		wins := tensor.NewOf[T](b*t, emb.Cols())
+		cws := tensor.NewWorkspace()
+		wins := tensor.Alloc[T](cws, b*t, emb.Cols())
 		// A served frame is b = 1: fill it inline rather than pay a heap
 		// closure for a parallel.For that would run inline anyway.
 		const grain = 8
-		if b <= grain {
+		if parallel.Inline(b, grain) {
 			fillWindows(wins, emb, base, t, 0, b)
 		} else {
 			parallel.For(b, grain, func(lo, hi int) { fillWindows(wins, emb, base, t, lo, hi) })
 		}
-		logits := decision.LogitsEval(d.head, temporal.ForwardBatchEval(d.temp, wins, b))
-		probs := tensor.SoftmaxRows(tensor.ScaleInPlace(logits, invT))
+		logits := decision.LogitsEval(cws, d.head, temporal.ForwardBatchEval(cws, d.temp, wins, b))
+		probs := tensor.SoftmaxRowsIn(cws, tensor.ScaleInPlace(logits, invT))
 		for i := 0; i < b; i++ {
 			scores[base+i] = 1 - float64(probs.At2(i, 0))
 		}
+		cws.Release()
 	}
 	return scores
 }
@@ -360,18 +364,26 @@ func fillWindows[T tensor.Float](wins, emb *tensor.Dense[T], base, t, lo, hi int
 // embedFramesEval is EmbedFrames without the tape, at width T. The
 // per-mission forwards fan out on the shared worker pool exactly like
 // the tape path.
-func embedFramesEval[T tensor.Float](d *Detector, pix *tensor.Tensor) *tensor.Dense[T] {
-	sem := embed.EncodeImageBatchEval[T](d.space, pix)
+func embedFramesEval[T tensor.Float](ws *tensor.Workspace, d *Detector, pix *tensor.Tensor) *tensor.Dense[T] {
+	sem := embed.EncodeImageBatchEval[T](ws, d.space, pix)
 	if len(d.gnns) == 1 {
-		return gnn.ForwardEval(d.gnns[0], sem)
+		return gnn.ForwardEval(ws, d.gnns[0], sem)
 	}
+	// A Workspace is not safe for concurrent use: each KG's task lends from
+	// its own, released once ConcatCols has copied the outputs out.
 	outs := make([]*tensor.Dense[T], len(d.gnns))
+	wss := make([]*tensor.Workspace, len(d.gnns))
 	parallel.For(len(d.gnns), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			outs[i] = gnn.ForwardEval(d.gnns[i], sem)
+			wss[i] = tensor.NewWorkspace()
+			outs[i] = gnn.ForwardEval(wss[i], d.gnns[i], sem)
 		}
 	})
-	return tensor.ConcatCols(outs...)
+	emb := tensor.ConcatCols(outs...)
+	for _, w := range wss {
+		w.Release()
+	}
+	return emb
 }
 
 // ScoreTemperature returns the deployment calibration temperature (≥1 in

@@ -42,13 +42,13 @@ func (h *Head) Logits(x *autograd.Value) *autograd.Value {
 
 // LogitsEval is Logits without the tape, at width T — the decision stage
 // of Detector.ScoreVideo.
-func LogitsEval[T tensor.Float](h *Head, x *tensor.Dense[T]) *tensor.Dense[T] {
+func LogitsEval[T tensor.Float](ws *tensor.Workspace, h *Head, x *tensor.Dense[T]) *tensor.Dense[T] {
 	s := tensor.Cached[T, nn.LinearEval[T]](&h.eval)
 	if s == nil {
 		l := nn.EvalLinear[T](h.linear)
 		s = tensor.Publish[T](&h.eval, &l)
 	}
-	return s.Forward(x)
+	return s.Forward(ws, x)
 }
 
 // DropEval drops the cached eval forms; the next LogitsEval rebuilds them

@@ -221,14 +221,14 @@ func (s *Space) EncodeImage(pix *tensor.Tensor) *tensor.Tensor {
 // EncodeImageBatch encodes a (batch × pixDim) matrix of frames into a
 // (batch × dim) matrix of semantic vectors.
 func (s *Space) EncodeImageBatch(pix *tensor.Tensor) *tensor.Tensor {
-	return EncodeImageBatchEval[float64](s, pix)
+	return EncodeImageBatchEval[float64](nil, s, pix)
 }
 
 // EncodeImageBatchEval is EncodeImageBatch at width T — the image-encode
 // stage of Detector.ScoreVideo: the frame matrix is narrowed to T and
 // projected through the camera at T. The frozen image encoder has no
 // trainable state, so there is no tape to leave out.
-func EncodeImageBatchEval[T tensor.Float](s *Space, pix *tensor.Tensor) *tensor.Dense[T] {
+func EncodeImageBatchEval[T tensor.Float](ws *tensor.Workspace, s *Space, pix *tensor.Tensor) *tensor.Dense[T] {
 	if pix.Cols() != s.pixDim {
 		panic(fmt.Sprintf("embed: EncodeImageBatch pixel dim %d != %d", pix.Cols(), s.pixDim))
 	}
@@ -236,7 +236,7 @@ func EncodeImageBatchEval[T tensor.Float](s *Space, pix *tensor.Tensor) *tensor.
 	if cam == nil {
 		cam = tensor.Publish[T](&s.camEval, tensor.Narrow[T](s.camera))
 	}
-	return tensor.MatMul(tensor.Narrow[T](pix), cam)
+	return tensor.MatMulIn(ws, tensor.NarrowIn[T](ws, pix), cam)
 }
 
 // orthonormalColumns returns an (n × k) matrix with orthonormal columns

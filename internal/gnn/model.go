@@ -349,21 +349,21 @@ func (m *Model) Forward(frames *autograd.Value) *autograd.Value {
 // bits. The per-node token-bank means are recomputed from the float64
 // banks on every call, because deployment-time adaptation mutates bank
 // pages in place without bumping the structural generation counter.
-func ForwardEval[T tensor.Float](m *Model, frames *tensor.Dense[T]) *tensor.Dense[T] {
+func ForwardEval[T tensor.Float](ws *tensor.Workspace, m *Model, frames *tensor.Dense[T]) *tensor.Dense[T] {
 	b := frames.Rows()
 	if frames.Cols() != m.space.Dim() {
 		panic(fmt.Sprintf("gnn: frame dim %d != semantic dim %d", frames.Cols(), m.space.Dim()))
 	}
 	var feats *tensor.Dense[T]
 	if len(m.lo.reasonIDs) > 0 {
-		feats = tensor.Narrow[T](autograd.MeanRowsBatchFwd(m.orderedBanks()))
+		feats = tensor.NarrowIn[T](ws, autograd.MeanRowsBatchFwd(ws, m.orderedBanks()))
 	}
-	x := autograd.AssembleBatchFwd(frames, feats, m.lo.featRow, m.lo.sensorIdx, 1)
+	x := autograd.AssembleBatchFwd(ws, frames, feats, m.lo.featRow, m.lo.sensorIdx, 1)
 
 	rep := m.lo.replicated(b)
 	for _, ly := range m.layers {
 		s := evalOf[T](ly)
-		x = s.dense.Forward(x)
+		x = s.dense.Forward(ws, x)
 		if ly.group >= 0 {
 			rg := rep.groups[ly.group]
 			autograd.EdgeAggNormActEvalInPlace(x, s.gamma, s.beta, s.rmean, s.invSd, rg.src, rg.dst, rg.inLevel)
@@ -372,7 +372,7 @@ func ForwardEval[T tensor.Float](m *Model, frames *tensor.Dense[T]) *tensor.Dens
 			autograd.ELUInPlace(x)
 		}
 	}
-	return tensor.Gather(x, rep.embRows)
+	return tensor.GatherIn(ws, x, rep.embRows)
 }
 
 // SetTraining switches the BatchNorm layers between batch and running

@@ -87,13 +87,13 @@ func EvalAttention[T tensor.Float](a *MultiHeadAttention) AttentionEval[T] {
 }
 
 // ForwardLast is MultiHeadAttention.ForwardLast without the tape.
-func (a *AttentionEval[T]) ForwardLast(x *tensor.Dense[T], batch int) *tensor.Dense[T] {
-	k := a.Wk.Forward(x)
-	v := a.Wv.Forward(x)
-	q := a.Wq.Forward(autograd.LastRows(x, batch))
+func (a *AttentionEval[T]) ForwardLast(ws *tensor.Workspace, x *tensor.Dense[T], batch int) *tensor.Dense[T] {
+	k := a.Wk.Forward(ws, x)
+	v := a.Wv.Forward(ws, x)
+	q := a.Wq.Forward(ws, autograd.LastRows(ws, x, batch))
 	scale := T(1 / math.Sqrt(float64(a.dk)))
-	ctx := autograd.BatchedAttentionFwd(q, k, v, batch, a.heads, scale)
-	return a.Wo.Forward(ctx)
+	ctx := autograd.BatchedAttentionFwd(ws, q, k, v, batch, a.heads, scale)
+	return a.Wo.Forward(ws, ctx)
 }
 
 // Params returns the layer's trainable parameters.
@@ -165,11 +165,11 @@ func EvalEncoder[T tensor.Float](e *EncoderLayer) EncoderEval[T] {
 
 // ForwardLast is EncoderLayer.ForwardLast without the tape. x is left
 // unchanged.
-func (e *EncoderEval[T]) ForwardLast(x *tensor.Dense[T], batch int) *tensor.Dense[T] {
-	h := autograd.AddLastRowsInPlace(e.Attn.ForwardLast(e.LN1.Forward(x), batch), x)
-	ff := e.FF1.Forward(e.LN2.Forward(h))
+func (e *EncoderEval[T]) ForwardLast(ws *tensor.Workspace, x *tensor.Dense[T], batch int) *tensor.Dense[T] {
+	h := autograd.AddLastRowsInPlace(e.Attn.ForwardLast(ws, e.LN1.Forward(ws, x), batch), x)
+	ff := e.FF1.Forward(ws, e.LN2.Forward(ws, h))
 	autograd.GELUInPlace(ff)
-	return tensor.AddInPlace(h, e.FF2.Forward(ff))
+	return tensor.AddInPlace(h, e.FF2.Forward(ws, ff))
 }
 
 // Params returns the layer's trainable parameters.

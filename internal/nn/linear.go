@@ -32,7 +32,8 @@ func (l *Linear) Forward(x *autograd.Value) *autograd.Value {
 // LinearEval is the eval-only form of a Linear layer at width T: views of
 // the live weight tensors at float64, copies narrowed once at float32.
 // The eval forms (LinearEval, LayerNormEval, AttentionEval, EncoderEval)
-// carry no tape and are what the scoring engine runs; their owners
+// carry no tape and are what the scoring engine runs, each forward lending
+// its outputs from the workspace it takes first; their owners
 // (temporal.Model, gnn layers, decision.Head) cache them per width and
 // drop them whenever the model returns to training mode.
 type LinearEval[T tensor.Float] struct {
@@ -46,8 +47,8 @@ func EvalLinear[T tensor.Float](l *Linear) LinearEval[T] {
 }
 
 // Forward applies y = x·W + b to a (batch × in) input.
-func (l LinearEval[T]) Forward(x *tensor.Dense[T]) *tensor.Dense[T] {
-	return autograd.AffineFwd(x, l.W, l.B)
+func (l LinearEval[T]) Forward(ws *tensor.Workspace, x *tensor.Dense[T]) *tensor.Dense[T] {
+	return autograd.AffineFwd(ws, x, l.W, l.B)
 }
 
 // Params returns the layer's trainable parameters.

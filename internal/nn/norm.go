@@ -117,7 +117,7 @@ func EvalLayerNorm[T tensor.Float](l *LayerNorm) LayerNormEval[T] {
 	}
 }
 
-// Forward normalises each row of x into a fresh tensor.
-func (l LayerNormEval[T]) Forward(x *tensor.Dense[T]) *tensor.Dense[T] {
-	return autograd.LayerNormFwd(x, l.Gamma, l.Beta, l.Eps)
+// Forward normalises each row of x into a new tensor.
+func (l LayerNormEval[T]) Forward(ws *tensor.Workspace, x *tensor.Dense[T]) *tensor.Dense[T] {
+	return autograd.LayerNormFwd(ws, x, l.Gamma, l.Beta, l.Eps)
 }

@@ -36,17 +36,3 @@ func ClipGradNorm(params []*autograd.Value, maxNorm float64) float64 {
 	}
 	return norm
 }
-
-// GradNorm returns the global L2 norm of the accumulated gradients.
-func GradNorm(params []*autograd.Value) float64 {
-	total := 0.0
-	for _, p := range params {
-		if p.Grad == nil {
-			continue
-		}
-		for _, g := range p.Grad.Data() {
-			total += g * g
-		}
-	}
-	return math.Sqrt(total)
-}

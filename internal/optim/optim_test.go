@@ -71,13 +71,13 @@ func TestClipGradNorm(t *testing.T) {
 	if math.Abs(norm-5) > 1e-12 {
 		t.Errorf("pre-clip norm = %v, want 5", norm)
 	}
-	if got := GradNorm([]*autograd.Value{p}); math.Abs(got-1) > 1e-12 {
+	if got := tensor.Norm2(p.Grad); math.Abs(got-1) > 1e-12 {
 		t.Errorf("post-clip norm = %v, want 1", got)
 	}
 	// Below the threshold: untouched.
 	p.Grad = tensor.FromSlice([]float64{0.3, 0.4}, 2)
 	ClipGradNorm([]*autograd.Value{p}, 1.0)
-	if got := GradNorm([]*autograd.Value{p}); math.Abs(got-0.5) > 1e-12 {
+	if got := tensor.Norm2(p.Grad); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("small grad was rescaled: %v", got)
 	}
 }

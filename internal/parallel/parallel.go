@@ -25,6 +25,7 @@
 package parallel
 
 import (
+	"fmt"
 	"os"
 	"runtime"
 	"strconv"
@@ -36,12 +37,17 @@ import (
 // count: the caller of For counts as one worker).
 var workers atomic.Int32
 
+// init sizes the pool from EDGEKG_WORKERS, or GOMAXPROCS when it is unset.
+// A value that is not an integer ≥ 1 is a misconfiguration, not a request
+// for the default, so it stops the process at start-up.
 func init() {
 	w := runtime.GOMAXPROCS(0)
 	if s := os.Getenv("EDGEKG_WORKERS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n >= 1 {
-			w = n
+		n, err := strconv.Atoi(s)
+		if err != nil || n < 1 {
+			panic(fmt.Sprintf("parallel: EDGEKG_WORKERS=%q is not a worker count (want an integer ≥ 1)", s))
 		}
+		w = n
 	}
 	workers.Store(int32(w))
 }
@@ -117,6 +123,11 @@ func ensurePool(target int) {
 	poolMu.Unlock()
 }
 
+// Inline reports whether For(n, grain, fn) runs fn(0, n) on the caller's
+// goroutine. A hot path asks first and calls its kernel directly, so it
+// builds no closure for a For that would not fan out.
+func Inline(n, grain int) bool { return Workers() <= 1 || n <= max(grain, 1) }
+
 // For executes fn over subranges covering [0, n), potentially in parallel.
 // Each call fn(lo, hi) receives a non-empty half-open subrange; subranges
 // are disjoint and cover [0, n) exactly. grain is the minimum subrange
@@ -129,14 +140,12 @@ func For(n, grain int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if grain < 1 {
-		grain = 1
-	}
-	w := Workers()
-	if w <= 1 || n <= grain {
+	if Inline(n, grain) {
 		fn(0, n)
 		return
 	}
+	grain = max(grain, 1)
+	w := Workers()
 	// Aim for a few chunks per worker so dynamic claiming can balance
 	// skewed costs, without dropping below the requested grain.
 	chunk := (n + 4*w - 1) / (4 * w)

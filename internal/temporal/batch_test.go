@@ -102,16 +102,16 @@ func TestForwardBatchGradEquivalence(t *testing.T) {
 func allRowsEval[T tensor.Float](m *Model, windows *tensor.Dense[T], batch int) *tensor.Dense[T] {
 	s := evalOf[T](m)
 	e, a := s.block, s.block.Attn
-	x := s.inProj.Forward(windows)
+	x := s.inProj.Forward(nil, windows)
 	autograd.AddTiledInPlace(x, s.pos)
-	ln := e.LN1.Forward(x)
+	ln := e.LN1.Forward(nil, x)
 	scale := T(1 / math.Sqrt(float64(m.cfg.InnerDim/m.cfg.Heads)))
-	ctx := autograd.BatchedAttentionFwd(a.Wq.Forward(ln), a.Wk.Forward(ln), a.Wv.Forward(ln), batch, m.cfg.Heads, scale)
-	h := tensor.AddInPlace(x, a.Wo.Forward(ctx))
-	ff := e.FF1.Forward(e.LN2.Forward(h))
+	ctx := autograd.BatchedAttentionFwd(nil, a.Wq.Forward(nil, ln), a.Wk.Forward(nil, ln), a.Wv.Forward(nil, ln), batch, m.cfg.Heads, scale)
+	h := tensor.AddInPlace(x, a.Wo.Forward(nil, ctx))
+	ff := e.FF1.Forward(nil, e.LN2.Forward(nil, h))
 	autograd.GELUInPlace(ff)
-	h = tensor.AddInPlace(h, e.FF2.Forward(ff))
-	return s.out.Forward(autograd.LastRows(s.norm.Forward(h), batch))
+	h = tensor.AddInPlace(h, e.FF2.Forward(nil, ff))
+	return s.out.Forward(nil, autograd.LastRows(nil, s.norm.Forward(nil, h), batch))
 }
 
 func requireSameBits[T tensor.Float](t *testing.T, ctx string, want, got *tensor.Dense[T]) {
@@ -164,10 +164,10 @@ func TestForwardBatchEvalMatchesTape(t *testing.T) {
 			for _, c := range cases {
 				ctx := fmt.Sprintf("%s/workers=%d/%s", name, workers, c.name)
 				tape := c.m.ForwardBatch(autograd.Constant(c.windows), c.batch).Data
-				requireSameBits(t, ctx+"/f64", tape, ForwardBatchEval(c.m, c.windows, c.batch))
+				requireSameBits(t, ctx+"/f64", tape, ForwardBatchEval(nil, c.m, c.windows, c.batch))
 
 				w32 := tensor.Narrow[float32](c.windows)
-				got32 := ForwardBatchEval(c.m, w32, c.batch)
+				got32 := ForwardBatchEval(nil, c.m, w32, c.batch)
 				requireSameBits(t, ctx+"/f32", allRowsEval(c.m, w32, c.batch), got32)
 				for i, v := range got32.Data() {
 					if d := math.Abs(float64(v) - tape.Data()[i]); d > budget {

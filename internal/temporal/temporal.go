@@ -146,12 +146,12 @@ func (m *Model) checkBatch(rows, cols, batch int) {
 // float64 it returns ForwardBatch's bits and bills the same FLOPs at either
 // width. It is the temporal stage of Detector.ScoreVideo; the model must
 // be in inference mode.
-func ForwardBatchEval[T tensor.Float](m *Model, windows *tensor.Dense[T], batch int) *tensor.Dense[T] {
+func ForwardBatchEval[T tensor.Float](ws *tensor.Workspace, m *Model, windows *tensor.Dense[T], batch int) *tensor.Dense[T] {
 	m.checkBatch(windows.Rows(), windows.Cols(), batch)
 	s := evalOf[T](m)
-	h := s.inProj.Forward(windows)
+	h := s.inProj.Forward(ws, windows)
 	autograd.AddTiledInPlace(h, s.pos)
-	return s.out.Forward(s.norm.Forward(s.block.ForwardLast(h, batch)))
+	return s.out.Forward(ws, s.norm.Forward(ws, s.block.ForwardLast(ws, h, batch)))
 }
 
 // SetTraining has no mode to switch — nothing behaves differently in

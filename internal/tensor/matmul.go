@@ -16,8 +16,8 @@ import (
 // worker with the same accumulation order as the sequential loop, and
 // outputs are bit-for-bit independent of the worker count.
 const (
-	// matmulParallelFlops is the minimum 2·m·n·k cost before a matmul
-	// family kernel fans out.
+	// matmulParallelFlops is the 2·m·n·k cost a matmul family kernel must
+	// exceed before it fans out.
 	matmulParallelFlops = 1 << 16
 	// elemwiseParallelLen is the minimum element count before an
 	// elementwise or row-reduction kernel fans out.
@@ -25,7 +25,8 @@ const (
 )
 
 // matmulGrain returns the minimum output rows per chunk so each chunk
-// carries at least ~matmulParallelFlops/2 of work.
+// carries at least ~matmulParallelFlops/2 of work. A product of at most
+// that many rows stays inline (parallel.Inline).
 func matmulGrain(rowFlops int) int {
 	if rowFlops <= 0 {
 		return 1
@@ -40,7 +41,10 @@ func matmulGrain(rowFlops int) int {
 // MatMul returns the matrix product a·b of two 2-D tensors.
 // a is (m×k), b is (k×n), the result is (m×n). FLOPs count operations,
 // not bytes, so the ledger is the same at either width.
-func MatMul[T Float](a, b *Dense[T]) *Dense[T] {
+func MatMul[T Float](a, b *Dense[T]) *Dense[T] { return MatMulIn(nil, a, b) }
+
+// MatMulIn is MatMul with the product lent from ws (see Alloc).
+func MatMulIn[T Float](ws *Workspace, a, b *Dense[T]) *Dense[T] {
 	a.must2D("MatMul")
 	b.must2D("MatMul")
 	m, k := a.shape[0], a.shape[1]
@@ -48,16 +52,15 @@ func MatMul[T Float](a, b *Dense[T]) *Dense[T] {
 		panic(fmt.Sprintf("tensor: MatMul inner dim mismatch %v · %v", a.shape, b.shape))
 	}
 	n := b.shape[1]
-	out := NewOf[T](m, n)
+	out := Alloc[T](ws, m, n)
 	// The active backend runs the i-k-j kernel over each worker's disjoint
 	// range of output rows; the inner loop streams over contiguous rows of
 	// b and out, which matters even at the small sizes used here.
 	bk := kernels.ActiveOf[T]()
-	worker := func(lo, hi int) { bk.MatMul(a.data, b.data, out.data, k, n, lo, hi) }
-	if 2*m*n*k >= matmulParallelFlops {
-		parallel.For(m, matmulGrain(2*n*k), worker)
+	if grain := matmulGrain(2 * n * k); parallel.Inline(m, grain) {
+		bk.MatMul(a.data, b.data, out.data, k, n, 0, m)
 	} else {
-		worker(0, m)
+		parallel.For(m, grain, func(lo, hi int) { bk.MatMul(a.data, b.data, out.data, k, n, lo, hi) })
 	}
 	countOps(2 * m * n * k)
 	return out
@@ -78,11 +81,10 @@ func MatMulT1(a, b *Tensor) *Tensor {
 	// loop stays outermost inside the kernel so b's rows stream once per
 	// worker.
 	bk := kernels.Active()
-	worker := func(lo, hi int) { bk.MatMulT1(a.data, b.data, out.data, k, m, n, lo, hi) }
-	if 2*m*n*k >= matmulParallelFlops {
-		parallel.For(m, matmulGrain(2*n*k), worker)
+	if grain := matmulGrain(2 * n * k); parallel.Inline(m, grain) {
+		bk.MatMulT1(a.data, b.data, out.data, k, m, n, 0, m)
 	} else {
-		worker(0, m)
+		parallel.For(m, grain, func(lo, hi int) { bk.MatMulT1(a.data, b.data, out.data, k, m, n, lo, hi) })
 	}
 	countOps(2 * m * n * k)
 	return out
@@ -100,11 +102,10 @@ func MatMulT2(a, b *Tensor) *Tensor {
 	n := b.shape[0]
 	out := New(m, n)
 	bk := kernels.Active()
-	worker := func(lo, hi int) { bk.MatMulT2(a.data, b.data, out.data, k, n, lo, hi) }
-	if 2*m*n*k >= matmulParallelFlops {
-		parallel.For(m, matmulGrain(2*n*k), worker)
+	if grain := matmulGrain(2 * n * k); parallel.Inline(m, grain) {
+		bk.MatMulT2(a.data, b.data, out.data, k, n, 0, m)
 	} else {
-		worker(0, m)
+		parallel.For(m, grain, func(lo, hi int) { bk.MatMulT2(a.data, b.data, out.data, k, n, lo, hi) })
 	}
 	countOps(2 * m * n * k)
 	return out
@@ -156,11 +157,10 @@ func MatVec(a, x *Tensor) *Tensor {
 	}
 	out := New(m)
 	bk := kernels.Active()
-	worker := func(lo, hi int) { bk.MatVec(a.data, x.data, out.data, k, lo, hi) }
-	if 2*m*k >= matmulParallelFlops {
-		parallel.For(m, matmulGrain(2*k), worker)
+	if grain := matmulGrain(2 * k); parallel.Inline(m, grain) {
+		bk.MatVec(a.data, x.data, out.data, k, 0, m)
 	} else {
-		worker(0, m)
+		parallel.For(m, grain, func(lo, hi int) { bk.MatVec(a.data, x.data, out.data, k, lo, hi) })
 	}
 	countOps(2 * m * k)
 	return out

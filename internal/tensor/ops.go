@@ -13,11 +13,18 @@ import (
 // elementwise cutoff. Each flat index is written by exactly one worker, so
 // results are bit-identical to the sequential loop.
 func forElems(n int, worker func(lo, hi int)) {
-	if n >= elemwiseParallelLen {
-		parallel.For(n, elemwiseParallelLen/2, worker)
-	} else {
+	if elemsInline(n) {
 		worker(0, n)
+	} else {
+		parallel.For(n, elemwiseParallelLen/2, worker)
 	}
+}
+
+// elemsInline reports whether an n-element kernel runs on the caller's
+// goroutine. The ops the scoring engine runs check it themselves and call
+// the kernel directly, so they build a closure only when work fans out.
+func elemsInline(n int) bool {
+	return n < elemwiseParallelLen || parallel.Inline(n, elemwiseParallelLen/2)
 }
 
 // Add returns a + b elementwise. Shapes must match.
@@ -60,9 +67,11 @@ func Mul(a, b *Tensor) *Tensor {
 func AddInPlace[T Float](a, b *Dense[T]) *Dense[T] {
 	a.mustSameShape(b, "AddInPlace")
 	bk := kernels.ActiveOf[T]()
-	forElems(len(a.data), func(lo, hi int) {
-		bk.Add(a.data[lo:hi], b.data[lo:hi], a.data[lo:hi])
-	})
+	if n := len(a.data); elemsInline(n) {
+		bk.Add(a.data, b.data, a.data)
+	} else {
+		forElems(n, func(lo, hi int) { bk.Add(a.data[lo:hi], b.data[lo:hi], a.data[lo:hi]) })
+	}
 	countOps(len(a.data))
 	return a
 }
@@ -92,9 +101,11 @@ func Scale(a *Tensor, alpha float64) *Tensor {
 // ScaleInPlace multiplies a by alpha in place and returns a.
 func ScaleInPlace[T Float](a *Dense[T], alpha T) *Dense[T] {
 	bk := kernels.ActiveOf[T]()
-	forElems(len(a.data), func(lo, hi int) {
-		bk.Scale(alpha, a.data[lo:hi], a.data[lo:hi])
-	})
+	if n := len(a.data); elemsInline(n) {
+		bk.Scale(alpha, a.data, a.data)
+	} else {
+		forElems(n, func(lo, hi int) { bk.Scale(alpha, a.data[lo:hi], a.data[lo:hi]) })
+	}
 	countOps(len(a.data))
 	return a
 }
@@ -123,13 +134,7 @@ func AddRow(m, v *Tensor) *Tensor {
 // Map returns a new tensor with f applied to every element. f may be
 // invoked concurrently for large tensors and must be a pure function.
 func Map[T Float](a *Dense[T], f func(T) T) *Dense[T] {
-	return mapInto(NewOf[T](a.shape...), a, f)
-}
-
-// MapInPlace is Map overwriting a.
-func MapInPlace[T Float](a *Dense[T], f func(T) T) *Dense[T] { return mapInto(a, a, f) }
-
-func mapInto[T Float](out, a *Dense[T], f func(T) T) *Dense[T] {
+	out := NewOf[T](a.shape...)
 	forElems(len(a.data), func(lo, hi int) {
 		ad, od := a.data, out.data
 		for i := lo; i < hi; i++ {
@@ -247,10 +252,13 @@ func SliceRows(m *Tensor, i, j int) *Tensor {
 }
 
 // Gather returns a matrix whose k-th row is m's rows[k]-th row.
-func Gather[T Float](m *Dense[T], rows []int) *Dense[T] {
+func Gather[T Float](m *Dense[T], rows []int) *Dense[T] { return GatherIn(nil, m, rows) }
+
+// GatherIn is Gather with the result lent from ws (see Alloc).
+func GatherIn[T Float](ws *Workspace, m *Dense[T], rows []int) *Dense[T] {
 	m.must2D("Gather")
 	c := m.shape[1]
-	out := NewOf[T](len(rows), c)
+	out := Alloc[T](ws, len(rows), c)
 	for k, r := range rows {
 		if r < 0 || r >= m.shape[0] {
 			panic(fmt.Sprintf("tensor: Gather row %d out of range [0,%d)", r, m.shape[0]))

@@ -151,7 +151,7 @@ func TestWorkspacePooling(t *testing.T) {
 	for i := range f {
 		f[i] = 7
 	}
-	m := ws.Tensor(4, 5)
+	m := Alloc[float64](ws, 4, 5)
 	if m.Rows() != 4 || m.Cols() != 5 {
 		t.Fatalf("workspace tensor shape %v", m.Shape())
 	}
@@ -167,7 +167,7 @@ func TestWorkspacePooling(t *testing.T) {
 			t.Fatalf("recycled float buffer dirty at %d: %v", i, v)
 		}
 	}
-	m2 := ws2.Tensor(4, 5)
+	m2 := Alloc[float64](ws2, 4, 5)
 	for _, v := range m2.Data() {
 		if v != 0 {
 			t.Fatal("recycled workspace tensor dirty")

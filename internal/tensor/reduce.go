@@ -25,22 +25,6 @@ func SumAxis0(m *Tensor) *Tensor {
 	return out
 }
 
-// forRows runs worker over disjoint row ranges of an (r×c) matrix, fanning
-// out when the matrix clears the elementwise cutoff. Each row is handled
-// by exactly one worker with the sequential per-row accumulation order, so
-// results are bit-identical to the sequential loop.
-func forRows(r, c int, worker func(lo, hi int)) {
-	if r*c >= elemwiseParallelLen && r > 1 {
-		grain := elemwiseParallelLen / (2 * c)
-		if grain < 1 {
-			grain = 1
-		}
-		parallel.For(r, grain, worker)
-	} else {
-		worker(0, r)
-	}
-}
-
 // MeanAxis0 returns the column means of a matrix.
 func MeanAxis0(m *Tensor) *Tensor {
 	m.must2D("MeanAxis0")
@@ -77,32 +61,47 @@ func VarAxis0(m *Tensor) *Tensor {
 // SoftmaxRows returns the row-wise softmax of a matrix, computed with the
 // usual max-shift for numerical stability. The exponential is evaluated
 // at float64 and rounded to T; everything else runs at T.
-func SoftmaxRows[T Float](m *Dense[T]) *Dense[T] {
+func SoftmaxRows[T Float](m *Dense[T]) *Dense[T] { return SoftmaxRowsIn(nil, m) }
+
+// SoftmaxRowsIn is SoftmaxRows with the result lent from ws (see Alloc).
+// Rows fan out over the pool once the matrix clears the elementwise
+// cutoff; each row is handled by one worker in the sequential order, so
+// results are bit-identical to the sequential loop.
+func SoftmaxRowsIn[T Float](ws *Workspace, m *Dense[T]) *Dense[T] {
 	m.must2D("SoftmaxRows")
 	r, c := m.shape[0], m.shape[1]
-	out := NewOf[T](r, c)
-	forRows(r, c, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := m.data[i*c : (i+1)*c]
-			orow := out.data[i*c : (i+1)*c]
-			mx := row[0]
-			for _, v := range row[1:] {
-				if v > mx {
-					mx = v
-				}
-			}
-			var s T
-			for j, v := range row {
-				e := T(math.Exp(float64(v - mx)))
-				orow[j] = e
-				s += e
-			}
-			inv := 1 / s
-			for j := range orow {
-				orow[j] *= inv
-			}
-		}
-	})
+	out := Alloc[T](ws, r, c)
+	grain := max(elemwiseParallelLen/(2*max(c, 1)), 1)
+	if r*c < elemwiseParallelLen || parallel.Inline(r, grain) {
+		softmaxRows(out.data, m.data, c, 0, r)
+	} else {
+		parallel.For(r, grain, func(lo, hi int) { softmaxRows(out.data, m.data, c, lo, hi) })
+	}
 	countOps(5 * r * c)
 	return out
+}
+
+// softmaxRows writes the softmax of rows [lo, hi) of the c-column matrix
+// md into od.
+func softmaxRows[T Float](od, md []T, c, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		row := md[i*c : (i+1)*c]
+		orow := od[i*c : (i+1)*c]
+		mx := row[0]
+		for _, v := range row[1:] {
+			if v > mx {
+				mx = v
+			}
+		}
+		var s T
+		for j, v := range row {
+			e := T(math.Exp(float64(v - mx)))
+			orow[j] = e
+			s += e
+		}
+		inv := 1 / s
+		for j := range orow {
+			orow[j] *= inv
+		}
+	}
 }

@@ -7,8 +7,8 @@
 // is Dense[float64] — the width of all trainable state, checkpoints and
 // everything that differentiates — and the constructors and ops without
 // a type parameter are its front doors. float32 exists for the eval-only
-// scoring engine: what that engine runs (MatMul, Gather, ConcatCols, Map,
-// the in-place add/scale, SoftmaxRows) is written once over T, and Narrow is
+// scoring engine: what that engine runs (MatMul, Gather, ConcatCols, the
+// in-place add/scale, SoftmaxRows) is written once over T, and Narrow is
 // the only crossing between widths; nothing converts implicitly.
 //
 // The package favours clarity over raw speed — model dimensions in this
@@ -85,11 +85,15 @@ func FromSlice[T Float](data []T, shape ...int) *Dense[T] {
 // writes through either name are seen by both), a copy rounded to
 // nearest at float32. The copy is pure bandwidth, so it reports byte
 // traffic rather than FLOPs.
-func Narrow[T Float](t *Tensor) *Dense[T] {
+func Narrow[T Float](t *Tensor) *Dense[T] { return NarrowIn[T](nil, t) }
+
+// NarrowIn is Narrow with the float32 copy lent from ws (see Alloc); at
+// float64 it still returns t itself.
+func NarrowIn[T Float](ws *Workspace, t *Tensor) *Dense[T] {
 	if same, ok := any(t).(*Dense[T]); ok {
 		return same
 	}
-	c := NewOf[T](t.shape...)
+	c := Alloc[T](ws, t.shape...)
 	for i, v := range t.data {
 		c.data[i] = T(v)
 	}

@@ -12,7 +12,9 @@ import (
 // Buffers are pooled per width in power-of-two size classes and handed
 // out through a Workspace, which tracks everything it lent so one Release
 // returns the lot. The pools traffic in *[]T and the Workspace retains
-// those pointers, so a full lend/release cycle allocates nothing.
+// those pointers, so a full lend/release cycle allocates nothing. The
+// scoring engine lends every activation of a ScoreVideo call the same way
+// (Alloc).
 
 // Size classes cover 2^5 .. 2^22 elements. Requests outside the range are
 // allocated directly and dropped on Release (they are rare and huge, and
@@ -70,15 +72,19 @@ func putFloats[T Float](p *[]T) {
 }
 
 // Workspace lends pooled scratch buffers and tensors. Everything obtained
-// from a Workspace is valid only until its Release; retaining a buffer or
-// tensor past Release (or returning one to a caller) is a use-after-free
-// class bug — copy the data out instead. Workspaces themselves are pooled:
-// the steady-state cost of NewWorkspace + Release is zero allocations.
+// from a Workspace is valid only until its Release: retaining a buffer or
+// tensor past Release, or returning one to a caller, is a use-after-free
+// class bug — copy the data out instead. That holds for a lent tensor's
+// header too: the workspace keeps the headers it has made and lends them
+// again after Release. Workspaces are pooled, headers included, so the
+// steady-state cost of NewWorkspace, any number of lends and Release is
+// zero allocations.
 //
 // A Workspace is not safe for concurrent use; give each goroutine its own.
 type Workspace struct {
-	floats  []any // *[]float64 or *[]float32, as lent
-	tensors []*Tensor
+	floats  []any    // *[]float64 or *[]float32, as lent
+	headers [2][]any // by DType: every *Dense[T] this workspace has made
+	lent    [2]int   // how many of headers[d] are on loan
 }
 
 // NewWorkspace returns a workspace from the pool.
@@ -96,17 +102,29 @@ func Scratch[T Float](w *Workspace, n int) []T {
 	return *p
 }
 
-// Tensor lends a zeroed tensor with pooled backing storage.
-func (w *Workspace) Tensor(shape ...int) *Tensor {
-	n := checkShape(shape)
-	t := &Tensor{data: w.Floats(n)}
+// Alloc returns a zeroed tensor of the given shape. With a nil ws it is
+// NewOf, a fresh tensor the caller owns, which is what the tape uses. With
+// a workspace the tensor is lent: pooled storage behind one of ws's own
+// headers, so a steady-state lend allocates nothing, and the tensor must
+// not outlive ws.Release.
+func Alloc[T Float](ws *Workspace, shape ...int) *Dense[T] {
+	if ws == nil {
+		return NewOf[T](shape...)
+	}
+	d := DTypeOf[T]()
+	if ws.lent[d] == len(ws.headers[d]) {
+		ws.headers[d] = append(ws.headers[d], new(Dense[T]))
+	}
+	t := ws.headers[d][ws.lent[d]].(*Dense[T])
+	ws.lent[d]++
+	t.data = Scratch[T](ws, checkShape(shape))
 	t.setShape(shape)
-	w.tensors = append(w.tensors, t)
 	return t
 }
 
 // Release returns every lent buffer (and the workspace itself) to the
-// pools. The workspace must not be used afterwards.
+// pools and clears every lent tensor's data. The workspace must not be
+// used afterwards.
 func (w *Workspace) Release() {
 	for i, p := range w.floats {
 		switch p := p.(type) {
@@ -117,11 +135,15 @@ func (w *Workspace) Release() {
 		}
 		w.floats[i] = nil
 	}
-	for i, t := range w.tensors {
-		t.data = nil
-		w.tensors[i] = nil
-	}
 	w.floats = w.floats[:0]
-	w.tensors = w.tensors[:0]
+	clearData[float64](w.headers[F64][:w.lent[F64]])
+	clearData[float32](w.headers[F32][:w.lent[F32]])
+	w.lent = [2]int{}
 	wsPool.Put(w)
+}
+
+func clearData[T Float](lent []any) {
+	for _, h := range lent {
+		h.(*Dense[T]).data = nil
+	}
 }

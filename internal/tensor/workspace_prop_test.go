@@ -46,7 +46,7 @@ func TestWorkspaceReuseZeroed(t *testing.T) {
 		for i := range buf {
 			buf[i] = poisons[rng.Intn(len(poisons))]
 		}
-		tens := ws.Tensor(1+rng.Intn(40), 1+rng.Intn(40))
+		tens := Alloc[float64](ws, 1+rng.Intn(40), 1+rng.Intn(40))
 		requireAllZero(t, "acquired tensor", tens.Data())
 		for i, d := 0, tens.Data(); i < len(d); i++ {
 			d[i] = poisons[rng.Intn(len(poisons))]
