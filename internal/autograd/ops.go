@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"edgekg/internal/flops"
+	"edgekg/internal/parallel"
 	"edgekg/internal/tensor"
 	"edgekg/internal/tensor/kernels"
 )
@@ -285,10 +286,18 @@ func elu[T tensor.Float](x T) T {
 // ELUInPlace is ELU's forward overwriting x.
 func ELUInPlace[T tensor.Float](x *tensor.Dense[T]) {
 	d := x.Data()
+	if n := len(d); tensor.ElemsInline(n) {
+		eluSlice(d)
+	} else {
+		parallel.For(n, tensor.ElemsGrain, func(lo, hi int) { eluSlice(d[lo:hi]) })
+	}
+	flops.Add(int64(len(d)))
+}
+
+func eluSlice[T tensor.Float](d []T) {
 	for i, v := range d {
 		d[i] = elu(v)
 	}
-	flops.Add(int64(len(d)))
 }
 
 // ELU applies the exponential linear unit elementwise (alpha = 1), the
@@ -320,10 +329,18 @@ func gelu[T tensor.Float](v T) T {
 // GELUInPlace is GELU's forward overwriting x.
 func GELUInPlace[T tensor.Float](x *tensor.Dense[T]) {
 	d := x.Data()
+	if n := len(d); tensor.ElemsInline(n) {
+		geluSlice(d)
+	} else {
+		parallel.For(n, tensor.ElemsGrain, func(lo, hi int) { geluSlice(d[lo:hi]) })
+	}
+	flops.Add(int64(len(d)))
+}
+
+func geluSlice[T tensor.Float](d []T) {
 	for i, v := range d {
 		d[i] = gelu(v)
 	}
-	flops.Add(int64(len(d)))
 }
 
 // GELU applies the Gaussian error linear unit (tanh approximation), used by

@@ -8,6 +8,7 @@ import (
 
 	"edgekg/internal/concept"
 	"edgekg/internal/kg"
+	"edgekg/internal/parallel"
 	"edgekg/internal/tensor"
 )
 
@@ -15,52 +16,74 @@ import (
 // runtime's central assumption: many goroutines may score through one
 // frozen backbone simultaneously and each must see exactly the sequential
 // result. Run under -race this also audits the score path for shared
-// mutable state (training-mode flags, bank/layout caches).
+// mutable state (training-mode flags, bank/layout caches, and the pooled
+// workspaces a call lends its activations from — with two KGs each KG's
+// forward lends from its own workspace on a pool worker).
 func TestScoreVideoConcurrentCallers(t *testing.T) {
 	rig := newRig(t, "Stealing", 11)
 	rig.det.Deploy()
-	rng := rand.New(rand.NewSource(11))
-
-	const callers = 8
-	videos := make([]*tensor.Tensor, callers)
-	want := make([][]float64, callers)
-	for i := range videos {
-		v := tensor.New(9, rig.space.PixDim())
-		cls := concept.Stealing
-		if i%2 == 1 {
-			cls = concept.Normal
-		}
-		for r := 0; r < v.Rows(); r++ {
-			copy(v.Row(r), rig.gen.Frame(rng, cls).Data())
-		}
-		videos[i] = v
-		want[i] = rig.det.ScoreVideo(v)
+	two := twoKGDetector(t)
+	two.Deploy()
+	cases := []struct {
+		name  string
+		det   *Detector
+		frame func(rng *rand.Rand, i int) *tensor.Tensor
+	}{
+		{"one KG", rig.det, func(rng *rand.Rand, i int) *tensor.Tensor {
+			cls := concept.Stealing
+			if i%2 == 1 {
+				cls = concept.Normal
+			}
+			return rig.gen.Frame(rng, cls)
+		}},
+		{"two KGs", two, func(rng *rand.Rand, _ int) *tensor.Tensor {
+			return tensor.RandN(rng, 1, 1, two.Space().PixDim())
+		}},
 	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			const callers = 8
+			videos := make([]*tensor.Tensor, callers)
+			want := make([][]float64, callers)
+			prev := parallel.SetWorkers(1)
+			for i := range videos {
+				v := tensor.New(9, tc.det.Space().PixDim())
+				for r := 0; r < v.Rows(); r++ {
+					copy(v.Row(r), tc.frame(rng, i).Data())
+				}
+				videos[i] = v
+				want[i] = tc.det.ScoreVideo(v)
+			}
+			parallel.SetWorkers(4)
+			defer parallel.SetWorkers(prev)
 
-	const rounds = 4
-	var wg sync.WaitGroup
-	errs := make([]string, callers)
-	for i := 0; i < callers; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				got := rig.det.ScoreVideo(videos[i])
-				for k := range got {
-					if got[k] != want[i][k] {
-						errs[i] = "concurrent score diverged from sequential"
-						return
+			const rounds = 4
+			var wg sync.WaitGroup
+			errs := make([]string, callers)
+			for i := 0; i < callers; i++ {
+				i := i
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for r := 0; r < rounds; r++ {
+						got := tc.det.ScoreVideo(videos[i])
+						for k := range got {
+							if math.Float64bits(got[k]) != math.Float64bits(want[i][k]) {
+								errs[i] = "concurrent score diverged from sequential"
+								return
+							}
+						}
 					}
+				}()
+			}
+			wg.Wait()
+			for i, e := range errs {
+				if e != "" {
+					t.Fatalf("caller %d: %s", i, e)
 				}
 			}
-		}()
-	}
-	wg.Wait()
-	for i, e := range errs {
-		if e != "" {
-			t.Fatalf("caller %d: %s", i, e)
-		}
+		})
 	}
 }
 

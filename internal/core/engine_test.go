@@ -160,22 +160,25 @@ func TestScoreVideoFLOPsIndependentOfWidth(t *testing.T) {
 var raceEnabled bool
 
 // TestScoreVideoAllocCeiling keeps a served frame's allocation count from
-// creeping back up (measured 1 at float64: the returned scores; 71 before
-// activations were lent from pooled workspaces). Under the race
-// detector sync.Pool drops pooled buffers at random, which adds a few
-// allocations per run (measured 78–79 and 82–83), so the ceiling there is
-// looser.
+// creeping back up. Every activation is lent from a pooled workspace, so
+// the one allocation left is the returned scores (measured 1 at float64
+// and at float32; 71 and 75 before activations were pooled). Under the
+// race detector sync.Pool drops pooled buffers and workspaces at random,
+// and each drop is re-made on the next call (measured 49–52 at float64,
+// 54–56 at float32), so the ceiling there is looser.
 func TestScoreVideoAllocCeiling(t *testing.T) {
 	r := newRig(t, "Stealing", 11)
 	r.det.Deploy()
 	pix := tensor.RandN(rand.New(rand.NewSource(93)), 1, 1, r.space.PixDim())
 	ceiling := 3.0
 	if raceEnabled {
-		ceiling = 90
+		ceiling = 65
 	}
 	for _, p := range []Precision{PrecisionF64, PrecisionF32} {
 		r.det.SetPrecision(p)
-		if got := testing.AllocsPerRun(200, func() { r.det.ScoreVideo(pix) }); got > ceiling {
+		got := testing.AllocsPerRun(200, func() { r.det.ScoreVideo(pix) })
+		t.Logf("ScoreVideo(1 frame) at %v: %.2f allocs", p, got)
+		if got > ceiling {
 			t.Errorf("ScoreVideo(1 frame) at %v: %.0f allocs, ceiling %.0f", p, got, ceiling)
 		}
 	}

@@ -16,8 +16,8 @@ import (
 // worker with the same accumulation order as the sequential loop, and
 // outputs are bit-for-bit independent of the worker count.
 const (
-	// matmulParallelFlops is the 2·m·n·k cost a matmul family kernel must
-	// exceed before it fans out.
+	// matmulParallelFlops is the minimum 2·m·n·k cost before a matmul
+	// family kernel fans out.
 	matmulParallelFlops = 1 << 16
 	// elemwiseParallelLen is the minimum element count before an
 	// elementwise or row-reduction kernel fans out.
@@ -25,8 +25,7 @@ const (
 )
 
 // matmulGrain returns the minimum output rows per chunk so each chunk
-// carries at least ~matmulParallelFlops/2 of work. A product of at most
-// that many rows stays inline (parallel.Inline).
+// carries at least ~matmulParallelFlops/2 of work.
 func matmulGrain(rowFlops int) int {
 	if rowFlops <= 0 {
 		return 1
@@ -57,7 +56,7 @@ func MatMulIn[T Float](ws *Workspace, a, b *Dense[T]) *Dense[T] {
 	// range of output rows; the inner loop streams over contiguous rows of
 	// b and out, which matters even at the small sizes used here.
 	bk := kernels.ActiveOf[T]()
-	if grain := matmulGrain(2 * n * k); parallel.Inline(m, grain) {
+	if grain := matmulGrain(2 * n * k); 2*m*n*k < matmulParallelFlops || parallel.Inline(m, grain) {
 		bk.MatMul(a.data, b.data, out.data, k, n, 0, m)
 	} else {
 		parallel.For(m, grain, func(lo, hi int) { bk.MatMul(a.data, b.data, out.data, k, n, lo, hi) })
@@ -81,7 +80,7 @@ func MatMulT1(a, b *Tensor) *Tensor {
 	// loop stays outermost inside the kernel so b's rows stream once per
 	// worker.
 	bk := kernels.Active()
-	if grain := matmulGrain(2 * n * k); parallel.Inline(m, grain) {
+	if grain := matmulGrain(2 * n * k); 2*m*n*k < matmulParallelFlops || parallel.Inline(m, grain) {
 		bk.MatMulT1(a.data, b.data, out.data, k, m, n, 0, m)
 	} else {
 		parallel.For(m, grain, func(lo, hi int) { bk.MatMulT1(a.data, b.data, out.data, k, m, n, lo, hi) })
@@ -102,7 +101,7 @@ func MatMulT2(a, b *Tensor) *Tensor {
 	n := b.shape[0]
 	out := New(m, n)
 	bk := kernels.Active()
-	if grain := matmulGrain(2 * n * k); parallel.Inline(m, grain) {
+	if grain := matmulGrain(2 * n * k); 2*m*n*k < matmulParallelFlops || parallel.Inline(m, grain) {
 		bk.MatMulT2(a.data, b.data, out.data, k, n, 0, m)
 	} else {
 		parallel.For(m, grain, func(lo, hi int) { bk.MatMulT2(a.data, b.data, out.data, k, n, lo, hi) })
@@ -157,7 +156,7 @@ func MatVec(a, x *Tensor) *Tensor {
 	}
 	out := New(m)
 	bk := kernels.Active()
-	if grain := matmulGrain(2 * k); parallel.Inline(m, grain) {
+	if grain := matmulGrain(2 * k); 2*m*k < matmulParallelFlops || parallel.Inline(m, grain) {
 		bk.MatVec(a.data, x.data, out.data, k, 0, m)
 	} else {
 		parallel.For(m, grain, func(lo, hi int) { bk.MatVec(a.data, x.data, out.data, k, lo, hi) })

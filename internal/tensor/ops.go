@@ -13,18 +13,22 @@ import (
 // elementwise cutoff. Each flat index is written by exactly one worker, so
 // results are bit-identical to the sequential loop.
 func forElems(n int, worker func(lo, hi int)) {
-	if elemsInline(n) {
+	if ElemsInline(n) {
 		worker(0, n)
 	} else {
-		parallel.For(n, elemwiseParallelLen/2, worker)
+		parallel.For(n, ElemsGrain, worker)
 	}
 }
 
-// elemsInline reports whether an n-element kernel runs on the caller's
-// goroutine. The ops the scoring engine runs check it themselves and call
-// the kernel directly, so they build a closure only when work fans out.
-func elemsInline(n int) bool {
-	return n < elemwiseParallelLen || parallel.Inline(n, elemwiseParallelLen/2)
+// ElemsGrain is the subrange an elementwise kernel fans out with.
+const ElemsGrain = elemwiseParallelLen / 2
+
+// ElemsInline reports whether an n-element kernel runs on the caller's
+// goroutine. The ops the scoring engine runs check it themselves: they
+// call the kernel directly, and build a closure for parallel.For(n,
+// ElemsGrain, …) only when the work fans out.
+func ElemsInline(n int) bool {
+	return n < elemwiseParallelLen || parallel.Inline(n, ElemsGrain)
 }
 
 // Add returns a + b elementwise. Shapes must match.
@@ -67,10 +71,10 @@ func Mul(a, b *Tensor) *Tensor {
 func AddInPlace[T Float](a, b *Dense[T]) *Dense[T] {
 	a.mustSameShape(b, "AddInPlace")
 	bk := kernels.ActiveOf[T]()
-	if n := len(a.data); elemsInline(n) {
+	if n := len(a.data); ElemsInline(n) {
 		bk.Add(a.data, b.data, a.data)
 	} else {
-		forElems(n, func(lo, hi int) { bk.Add(a.data[lo:hi], b.data[lo:hi], a.data[lo:hi]) })
+		parallel.For(n, ElemsGrain, func(lo, hi int) { bk.Add(a.data[lo:hi], b.data[lo:hi], a.data[lo:hi]) })
 	}
 	countOps(len(a.data))
 	return a
@@ -101,10 +105,10 @@ func Scale(a *Tensor, alpha float64) *Tensor {
 // ScaleInPlace multiplies a by alpha in place and returns a.
 func ScaleInPlace[T Float](a *Dense[T], alpha T) *Dense[T] {
 	bk := kernels.ActiveOf[T]()
-	if n := len(a.data); elemsInline(n) {
+	if n := len(a.data); ElemsInline(n) {
 		bk.Scale(alpha, a.data, a.data)
 	} else {
-		forElems(n, func(lo, hi int) { bk.Scale(alpha, a.data[lo:hi], a.data[lo:hi]) })
+		parallel.For(n, ElemsGrain, func(lo, hi int) { bk.Scale(alpha, a.data[lo:hi], a.data[lo:hi]) })
 	}
 	countOps(len(a.data))
 	return a

@@ -10,6 +10,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"edgekg/internal/tensor/kernels"
@@ -20,11 +21,11 @@ import (
 // pool entirely.
 var dirtySizes = []int{1, 31, 32, 33, 100, 1024, 4095, 4096, 1 << 12, 1<<22 + 1}
 
-func requireAllZero(t *testing.T, ctx string, s []float64) {
+func requireAllZero[T Float](t *testing.T, ctx string, s []T) {
 	t.Helper()
 	for i, v := range s {
-		if v != 0 || math.Signbit(v) {
-			t.Fatalf("%s: element %d = %v (%#x), want +0", ctx, i, v, math.Float64bits(v))
+		if v != 0 || math.Signbit(float64(v)) {
+			t.Fatalf("%s: element %d = %v (%#x), want +0", ctx, i, v, math.Float64bits(float64(v)))
 		}
 	}
 }
@@ -159,6 +160,152 @@ func TestWorkspaceReuseAcrossBackends(t *testing.T) {
 			// zeros anyway.
 			ws.Release()
 			restore()
+		}
+	}
+}
+
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
+
+// allocPoisons is what a previous borrower may leave in a lent tensor.
+var allocPoisons = []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+
+func poisonAll[T Float](rng *rand.Rand, d []T) {
+	for i := range d {
+		d[i] = T(allocPoisons[rng.Intn(len(allocPoisons))])
+	}
+}
+
+// TestAllocReusedHeaderZeroed lends, poisons and releases tensors round
+// after round. The pooled workspace comes back with the headers it made,
+// and a reused header must carry zeroed storage of the new shape.
+func TestAllocReusedHeaderZeroed(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	seen := map[*Dense[float64]]bool{}
+	reused := 0
+	for round := 0; round < 100; round++ {
+		ws := NewWorkspace()
+		for i := 0; i < 3; i++ {
+			r, c := 1+rng.Intn(40), 1+rng.Intn(40)
+			x := Alloc[float64](ws, r, c)
+			if seen[x] {
+				reused++
+			}
+			seen[x] = true
+			if x.Rows() != r || x.Cols() != c || len(x.Data()) != r*c {
+				t.Fatalf("round %d: lent shape %v with %d elements, want [%d %d]", round, x.Shape(), len(x.Data()), r, c)
+			}
+			requireAllZero(t, "lent tensor", x.Data())
+			poisonAll(rng, x.Data())
+		}
+		ws.Release()
+	}
+	if reused == 0 {
+		t.Fatal("no header was lent twice; the test checked nothing")
+	}
+}
+
+// TestAllocMixesWidths lends float64 and float32 tensors interleaved from
+// one workspace: each keeps its own width, shape and storage.
+func TestAllocMixesWidths(t *testing.T) {
+	for round := 0; round < 3; round++ {
+		ws := NewWorkspace()
+		var f64s []*Dense[float64]
+		var f32s []*Dense[float32]
+		for i := 0; i < 6; i++ {
+			f64s = append(f64s, Alloc[float64](ws, 2+i, 3))
+			f32s = append(f32s, Alloc[float32](ws, 3, 2+i))
+		}
+		for i := range f64s {
+			requireAllZero(t, "float64 lend", f64s[i].Data())
+			requireAllZero(t, "float32 lend", f32s[i].Data())
+			if f64s[i].DType() != F64 || f32s[i].DType() != F32 {
+				t.Fatalf("lend %d: dtypes %v and %v", i, f64s[i].DType(), f32s[i].DType())
+			}
+			if f64s[i].Rows() != 2+i || f32s[i].Cols() != 2+i {
+				t.Fatalf("lend %d: shapes %v and %v", i, f64s[i].Shape(), f32s[i].Shape())
+			}
+			for j := range f64s[i].Data() {
+				f64s[i].Data()[j] = float64(i + 1)
+			}
+			for j := range f32s[i].Data() {
+				f32s[i].Data()[j] = -float32(i + 1)
+			}
+		}
+		for i := range f64s {
+			for _, v := range f64s[i].Data() {
+				if v != float64(i+1) {
+					t.Fatalf("round %d: float64 lend %d overwritten to %v", round, i, v)
+				}
+			}
+			for _, v := range f32s[i].Data() {
+				if v != -float32(i+1) {
+					t.Fatalf("round %d: float32 lend %d overwritten to %v", round, i, v)
+				}
+			}
+		}
+		ws.Release()
+	}
+}
+
+// TestAllocNilIsNewOf pins the tape's form: with no workspace Alloc is
+// NewOf — a fresh zeroed tensor the caller owns, header plus data.
+func TestAllocNilIsNewOf(t *testing.T) {
+	a, b := Alloc[float64](nil, 3, 4), NewOf[float64](3, 4)
+	if !slices.Equal(a.Shape(), b.Shape()) || a.DType() != b.DType() || len(a.Data()) != len(b.Data()) {
+		t.Fatalf("Alloc(nil) = %v %v, NewOf = %v %v", a.Shape(), a.DType(), b.Shape(), b.DType())
+	}
+	requireAllZero(t, "Alloc(nil)", a.Data())
+	if c := Alloc[float64](nil, 3, 4); &c.Data()[0] == &a.Data()[0] {
+		t.Fatal("two Alloc(nil) calls share storage")
+	}
+	if f := Alloc[float32](nil, 5); f.DType() != F32 || f.Size() != 5 {
+		t.Fatalf("Alloc[float32](nil, 5) = %v %v", f.Shape(), f.DType())
+	}
+	if got := testing.AllocsPerRun(100, func() { Alloc[float64](nil, 3, 4) }); got != 2 {
+		t.Fatalf("Alloc[float64](nil, …) made %v allocations, want 2 (header and data)", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { Alloc[float32](nil, 3, 4) }); got != 2 {
+		t.Fatalf("Alloc[float32](nil, …) made %v allocations, want 2 (header and data)", got)
+	}
+}
+
+// TestAllocSteadyStateAllocatesNothing is the point of lending: once the
+// pools are warm, a NewWorkspace → 24 lends → Release cycle — a served
+// frame's worth — makes no heap allocation.
+func TestAllocSteadyStateAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	cycle := func() {
+		ws := NewWorkspace()
+		for i := 0; i < 12; i++ {
+			Alloc[float64](ws, 1+i, 16)
+			Alloc[float32](ws, 16, 1+i)
+		}
+		ws.Release()
+	}
+	cycle()
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Fatalf("steady-state lend cycle made %v allocations, want 0", got)
+	}
+}
+
+// TestAllocReleaseClearsHeaders: after Release no lent header still points
+// at pooled storage, so a header kept by mistake reads nothing until the
+// workspace lends it again.
+func TestAllocReleaseClearsHeaders(t *testing.T) {
+	ws := NewWorkspace()
+	var f64s []*Dense[float64]
+	var f32s []*Dense[float32]
+	for i := 0; i < 5; i++ {
+		f64s = append(f64s, Alloc[float64](ws, 4, 4))
+		f32s = append(f32s, Alloc[float32](ws, 4, 4))
+	}
+	ws.Release()
+	for i := range f64s {
+		if f64s[i].Data() != nil || f32s[i].Data() != nil {
+			t.Fatalf("lend %d still holds data after Release", i)
 		}
 	}
 }
