@@ -100,7 +100,7 @@ func BatchedAttention(q, k, v *Value, batch, heads int, scale float64) *Value {
 		gq, gk, gv := attnAdjoints(q, k, v)
 		parallel.For(nb, grain, func(lo, hi int) {
 			bws := tensor.NewWorkspace()
-			da := bws.Floats(t)
+			da := tensor.Scratch[float64](bws, t)
 			for idx := lo; idx < hi; idx++ {
 				b, h := idx/heads, idx%heads
 				off := b*t*dim + h*dk

@@ -60,7 +60,7 @@ func TestTailMatchesComposedEval(t *testing.T) {
 	dst := []int{2, 2, 3, 3}
 	inLevel := []bool{false, false, true, true, false}
 	rm := tensor.RandN(rng, 0.3, 3)
-	rv := tensor.Map(tensor.RandN(rng, 0.3, 3), func(v float64) float64 { return v*v + 0.5 })
+	rv := tensor.MapInPlace(tensor.RandN(rng, 0.3, 3), func(v float64) float64 { return v*v + 0.5 })
 	const eps = 1e-5
 
 	xc := randParam(rng, 5, 3)
@@ -131,7 +131,7 @@ func TestGradFusedTails(t *testing.T) {
 	gamma := randParam(rng, 3)
 	beta := randParam(rng, 3)
 	rm := tensor.RandN(rng, 0.3, 3)
-	rv := tensor.Map(tensor.RandN(rng, 0.3, 3), func(v float64) float64 { return v*v + 0.5 })
+	rv := tensor.MapInPlace(tensor.RandN(rng, 0.3, 3), func(v float64) float64 { return v*v + 0.5 })
 
 	evalF := func() *Value {
 		return Sum(EdgeAggNormActEval(x, gamma, beta, src, dst, inLevel, rm, rv, 1e-5))

@@ -30,16 +30,16 @@ func EdgeAggNormActEval(x, gamma, beta *Value, src, dst []int, inLevel []bool, r
 	fws := tensor.NewWorkspace()
 	rm, gam, bet := runningMean.Data(), gamma.Data.Data(), beta.Data.Data()
 	out := tensor.New(n, d)
-	edgeAggNormActEvalInto(out, x.Data, gam, bet, rm, InvStd(fws.Floats(d), runningVar, eps), src, dst, inLevel)
+	edgeAggNormActEvalInto(out, x.Data, gam, bet, rm, InvStd(tensor.Scratch[float64](fws, d), runningVar, eps), src, dst, inLevel)
 	od := out.Data()
 	fws.Release()
 	return newOp3("edgeaggnormact.eval", out, x, gamma, beta, func(g *tensor.Tensor) {
 		ws := tensor.NewWorkspace()
-		binvStd := ws.Floats(d)
+		binvStd := tensor.Scratch[float64](ws, d)
 		for j, v := range runningVar.Data() {
 			binvStd[j] = 1 / math.Sqrt(v+eps)
 		}
-		gpre := ws.Floats(n * d)
+		gpre := tensor.Scratch[float64](ws, n*d)
 		gd := g.Data()
 		// ELU backward from the stored output alone: out > 0 ⇔ pre > 0,
 		// and for pre ≤ 0, d out/d pre = exp(pre) = out + 1.
@@ -51,7 +51,7 @@ func EdgeAggNormActEval(x, gamma, beta *Value, src, dst []int, inLevel []bool, r
 			}
 		}
 		if gamma.requiresGrad {
-			btmp := ws.Floats(n * d)
+			btmp := tensor.Scratch[float64](ws, n*d)
 			edgeAggForward(xd, btmp, n, d, src, dst, inLevel)
 			gg := tensor.New(d)
 			ggd := gg.Data()
@@ -76,7 +76,7 @@ func EdgeAggNormActEval(x, gamma, beta *Value, src, dst []int, inLevel []bool, r
 			beta.accumulate(gb.Reshape(beta.Data.Shape()...))
 		}
 		if x.requiresGrad {
-			dtmp := ws.Floats(n * d)
+			dtmp := tensor.Scratch[float64](ws, n*d)
 			for i := 0; i < n; i++ {
 				prow := gpre[i*d : (i+1)*d]
 				drow := dtmp[i*d : (i+1)*d]
@@ -168,7 +168,7 @@ func EdgeAggNormActTrain(x, gamma, beta *Value, src, dst []int, inLevel []bool, 
 	}
 	v := newOp3("edgeaggnormact", o, x, gamma, beta, func(g *tensor.Tensor) {
 		ws := tensor.NewWorkspace()
-		gpre := ws.Floats(n * d)
+		gpre := tensor.Scratch[float64](ws, n*d)
 		gd := g.Data()
 		for i := range gpre {
 			if od[i] > 0 {
@@ -203,8 +203,8 @@ func EdgeAggNormActTrain(x, gamma, beta *Value, src, dst []int, inLevel []bool, 
 		if x.requiresGrad {
 			// Batch-norm input gradient over the aggregate output:
 			// dtmp = (γ·invStd/n) · (n·gpre − Σgpre − x̂·Σ(gpre⊙x̂))
-			sumG := ws.Floats(d)
-			sumGH := ws.Floats(d)
+			sumG := tensor.Scratch[float64](ws, d)
+			sumGH := tensor.Scratch[float64](ws, d)
 			for i := 0; i < n; i++ {
 				prow := gpre[i*d : (i+1)*d]
 				hrow := xhat[i*d : (i+1)*d]
@@ -213,7 +213,7 @@ func EdgeAggNormActTrain(x, gamma, beta *Value, src, dst []int, inLevel []bool, 
 					sumGH[j] += prow[j] * hrow[j]
 				}
 			}
-			dtmp := ws.Floats(n * d)
+			dtmp := tensor.Scratch[float64](ws, n*d)
 			rn := float64(n)
 			for i := 0; i < n; i++ {
 				prow := gpre[i*d : (i+1)*d]

@@ -160,7 +160,7 @@ func checkEdgeLists(n int, src, dst []int, inLevel []bool) {
 // else passes through. od must start zeroed.
 func edgeAggForward[T tensor.Float](xd, od []T, n, d int, src, dst []int, inLevel []bool) {
 	ws := tensor.NewWorkspace()
-	counts := ws.Floats(n)
+	counts := tensor.Scratch[float64](ws, n)
 	for _, t := range dst {
 		counts[t]++
 	}
@@ -196,7 +196,7 @@ func edgeAggForward[T tensor.Float](xd, od []T, n, d int, src, dst []int, inLeve
 // the upstream gradient gd (both n×d row-major). gxd must start zeroed.
 func edgeAggBackward(xd, gd, gxd []float64, n, d int, src, dst []int, inLevel []bool) {
 	ws := tensor.NewWorkspace()
-	counts := ws.Floats(n)
+	counts := tensor.Scratch[float64](ws, n)
 	for _, t := range dst {
 		counts[t]++
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"edgekg/internal/flops"
-	"edgekg/internal/parallel"
 	"edgekg/internal/tensor"
 	"edgekg/internal/tensor/kernels"
 )
@@ -283,27 +282,14 @@ func elu[T tensor.Float](x T) T {
 	return T(math.Exp(float64(x)) - 1)
 }
 
-// ELUInPlace is ELU's forward overwriting x.
-func ELUInPlace[T tensor.Float](x *tensor.Dense[T]) {
-	d := x.Data()
-	if n := len(d); tensor.ElemsInline(n) {
-		eluSlice(d)
-	} else {
-		parallel.For(n, tensor.ElemsGrain, func(lo, hi int) { eluSlice(d[lo:hi]) })
-	}
-	flops.Add(int64(len(d)))
-}
-
-func eluSlice[T tensor.Float](d []T) {
-	for i, v := range d {
-		d[i] = elu(v)
-	}
-}
+// ELUInPlace is ELU's forward overwriting x. elu[float64] rounded to T is
+// elu[T], and unlike elu[T] it is a static func value: passing it is free.
+func ELUInPlace[T tensor.Float](x *tensor.Dense[T]) { tensor.MapInPlace(x, elu[float64]) }
 
 // ELU applies the exponential linear unit elementwise (alpha = 1), the
 // activation of every hierarchical GNN layer (eq. 4).
 func ELU(v *Value) *Value {
-	out := tensor.Map(v.Data, elu[float64])
+	out := tensor.MapInPlace(v.Data.Clone(), elu[float64])
 	return newOp3("elu", out, v, nil, nil, func(g *tensor.Tensor) {
 		gv := tensor.New(v.Data.Shape()...)
 		vd, od, gd, dst := v.Data.Data(), out.Data(), g.Data(), gv.Data()
@@ -326,27 +312,13 @@ func gelu[T tensor.Float](v T) T {
 	return T(0.5 * x * (1 + math.Tanh(geluC*(x+0.044715*x*x*x))))
 }
 
-// GELUInPlace is GELU's forward overwriting x.
-func GELUInPlace[T tensor.Float](x *tensor.Dense[T]) {
-	d := x.Data()
-	if n := len(d); tensor.ElemsInline(n) {
-		geluSlice(d)
-	} else {
-		parallel.For(n, tensor.ElemsGrain, func(lo, hi int) { geluSlice(d[lo:hi]) })
-	}
-	flops.Add(int64(len(d)))
-}
-
-func geluSlice[T tensor.Float](d []T) {
-	for i, v := range d {
-		d[i] = gelu(v)
-	}
-}
+// GELUInPlace is GELU's forward overwriting x (see ELUInPlace).
+func GELUInPlace[T tensor.Float](x *tensor.Dense[T]) { tensor.MapInPlace(x, gelu[float64]) }
 
 // GELU applies the Gaussian error linear unit (tanh approximation), used by
 // the transformer feed-forward blocks.
 func GELU(v *Value) *Value {
-	out := tensor.Map(v.Data, gelu[float64])
+	out := tensor.MapInPlace(v.Data.Clone(), gelu[float64])
 	return newOp3("gelu", out, v, nil, nil, func(g *tensor.Tensor) {
 		gv := tensor.New(v.Data.Shape()...)
 		vd, gd, dst := v.Data.Data(), g.Data(), gv.Data()

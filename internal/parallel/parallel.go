@@ -38,8 +38,7 @@ import (
 var workers atomic.Int32
 
 // init sizes the pool from EDGEKG_WORKERS, or GOMAXPROCS when it is unset.
-// A value that is not an integer ≥ 1 is a misconfiguration, not a request
-// for the default, so it stops the process at start-up.
+// A value that is not an integer ≥ 1 stops the process at start-up.
 func init() {
 	w := runtime.GOMAXPROCS(0)
 	if s := os.Getenv("EDGEKG_WORKERS"); s != "" {
@@ -124,8 +123,7 @@ func ensurePool(target int) {
 }
 
 // Inline reports whether For(n, grain, fn) runs fn(0, n) on the caller's
-// goroutine. A hot path asks first and calls its kernel directly, so it
-// builds no closure for a For that would not fan out.
+// goroutine; a hot path that asks first builds no closure for it.
 func Inline(n, grain int) bool { return Workers() <= 1 || n <= max(grain, 1) }
 
 // For executes fn over subranges covering [0, n), potentially in parallel.

@@ -9,27 +9,22 @@ import (
 )
 
 // forElems runs worker over disjoint subranges covering [0, n), fanning
-// out to the shared pool only when the element count clears the
-// elementwise cutoff. Each flat index is written by exactly one worker, so
-// results are bit-identical to the sequential loop.
+// out to the shared pool only above the elementwise cutoff. Each flat
+// index is written by one worker, so results match the sequential loop.
 func forElems(n int, worker func(lo, hi int)) {
-	if ElemsInline(n) {
+	if elemsInline(n) {
 		worker(0, n)
 	} else {
-		parallel.For(n, ElemsGrain, worker)
+		parallel.For(n, elemsGrain, worker)
 	}
 }
 
-// ElemsGrain is the subrange an elementwise kernel fans out with.
-const ElemsGrain = elemwiseParallelLen / 2
+// elemsInline reports whether an n-element kernel runs on the caller's
+// goroutine. The engine's ops test it and build a closure for
+// parallel.For(n, elemsGrain, …) only when the work fans out.
+func elemsInline(n int) bool { return n < elemwiseParallelLen || parallel.Inline(n, elemsGrain) }
 
-// ElemsInline reports whether an n-element kernel runs on the caller's
-// goroutine. The ops the scoring engine runs check it themselves: they
-// call the kernel directly, and build a closure for parallel.For(n,
-// ElemsGrain, …) only when the work fans out.
-func ElemsInline(n int) bool {
-	return n < elemwiseParallelLen || parallel.Inline(n, ElemsGrain)
-}
+const elemsGrain = elemwiseParallelLen / 2
 
 // Add returns a + b elementwise. Shapes must match.
 func Add(a, b *Tensor) *Tensor {
@@ -71,10 +66,10 @@ func Mul(a, b *Tensor) *Tensor {
 func AddInPlace[T Float](a, b *Dense[T]) *Dense[T] {
 	a.mustSameShape(b, "AddInPlace")
 	bk := kernels.ActiveOf[T]()
-	if n := len(a.data); ElemsInline(n) {
+	if n := len(a.data); elemsInline(n) {
 		bk.Add(a.data, b.data, a.data)
 	} else {
-		parallel.For(n, ElemsGrain, func(lo, hi int) { bk.Add(a.data[lo:hi], b.data[lo:hi], a.data[lo:hi]) })
+		parallel.For(n, elemsGrain, func(lo, hi int) { bk.Add(a.data[lo:hi], b.data[lo:hi], a.data[lo:hi]) })
 	}
 	countOps(len(a.data))
 	return a
@@ -105,10 +100,10 @@ func Scale(a *Tensor, alpha float64) *Tensor {
 // ScaleInPlace multiplies a by alpha in place and returns a.
 func ScaleInPlace[T Float](a *Dense[T], alpha T) *Dense[T] {
 	bk := kernels.ActiveOf[T]()
-	if n := len(a.data); ElemsInline(n) {
+	if n := len(a.data); elemsInline(n) {
 		bk.Scale(alpha, a.data, a.data)
 	} else {
-		parallel.For(n, ElemsGrain, func(lo, hi int) { bk.Scale(alpha, a.data[lo:hi], a.data[lo:hi]) })
+		parallel.For(n, elemsGrain, func(lo, hi int) { bk.Scale(alpha, a.data[lo:hi], a.data[lo:hi]) })
 	}
 	countOps(len(a.data))
 	return a
@@ -135,18 +130,23 @@ func AddRow(m, v *Tensor) *Tensor {
 	return out
 }
 
-// Map returns a new tensor with f applied to every element. f may be
-// invoked concurrently for large tensors and must be a pure function.
-func Map[T Float](a *Dense[T], f func(T) T) *Dense[T] {
-	out := NewOf[T](a.shape...)
-	forElems(len(a.data), func(lo, hi int) {
-		ad, od := a.data, out.data
-		for i := lo; i < hi; i++ {
-			od[i] = f(ad[i])
-		}
-	})
+// MapInPlace overwrites each element v of a with f(v), evaluated at
+// float64 and rounded to T, and returns a. f may run concurrently on
+// large tensors and must be pure.
+func MapInPlace[T Float](a *Dense[T], f func(float64) float64) *Dense[T] {
+	if n := len(a.data); elemsInline(n) {
+		mapFloat64(a.data, f)
+	} else {
+		parallel.For(n, elemsGrain, func(lo, hi int) { mapFloat64(a.data[lo:hi], f) })
+	}
 	countOps(len(a.data))
-	return out
+	return a
+}
+
+func mapFloat64[T Float](d []T, f func(float64) float64) {
+	for i, v := range d {
+		d[i] = T(f(float64(v)))
+	}
 }
 
 // Dot returns the inner product of two tensors of identical shape.

@@ -82,13 +82,13 @@ func TestParallelElementwiseEquivalence(t *testing.T) {
 		want[1] = Sub(a, b)
 		want[2] = Mul(a, b)
 		want[3] = Scale(a, 1.7)
-		want[4] = Map(a, func(x float64) float64 { return x * x })
+		want[4] = MapInPlace(a.Clone(), func(x float64) float64 { return x * x })
 		want[5] = SoftmaxRows(a)
 	})
 	withWorkers(t, 4, func() {
 		got := [6]*Tensor{
 			Add(a, b), Sub(a, b), Mul(a, b), Scale(a, 1.7),
-			Map(a, func(x float64) float64 { return x * x }), SoftmaxRows(a),
+			MapInPlace(a.Clone(), func(x float64) float64 { return x * x }), SoftmaxRows(a),
 		}
 		names := [6]string{"Add", "Sub", "Mul", "Scale", "Map", "SoftmaxRows"}
 		for i := range got {
@@ -144,7 +144,7 @@ func TestTransposeCountsBytes(t *testing.T) {
 
 func TestWorkspacePooling(t *testing.T) {
 	ws := NewWorkspace()
-	f := ws.Floats(100)
+	f := Scratch[float64](ws, 100)
 	if len(f) != 100 {
 		t.Fatalf("Floats len %d", len(f))
 	}
@@ -161,7 +161,7 @@ func TestWorkspacePooling(t *testing.T) {
 	// Recycled buffers must come back zeroed.
 	ws2 := NewWorkspace()
 	defer ws2.Release()
-	f2 := ws2.Floats(100)
+	f2 := Scratch[float64](ws2, 100)
 	for i, v := range f2 {
 		if v != 0 {
 			t.Fatalf("recycled float buffer dirty at %d: %v", i, v)
@@ -179,7 +179,7 @@ func TestWorkspaceHugeRequest(t *testing.T) {
 	ws := NewWorkspace()
 	defer ws.Release()
 	// Beyond the largest pool class: must still work (plain allocation).
-	huge := ws.Floats(1<<maxClassBits + 1)
+	huge := Scratch[float64](ws, 1<<maxClassBits+1)
 	if len(huge) != 1<<maxClassBits+1 {
 		t.Fatal("huge request wrong length")
 	}

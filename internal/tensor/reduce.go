@@ -64,9 +64,6 @@ func VarAxis0(m *Tensor) *Tensor {
 func SoftmaxRows[T Float](m *Dense[T]) *Dense[T] { return SoftmaxRowsIn(nil, m) }
 
 // SoftmaxRowsIn is SoftmaxRows with the result lent from ws (see Alloc).
-// Rows fan out over the pool once the matrix clears the elementwise
-// cutoff; each row is handled by one worker in the sequential order, so
-// results are bit-identical to the sequential loop.
 func SoftmaxRowsIn[T Float](ws *Workspace, m *Dense[T]) *Dense[T] {
 	m.must2D("SoftmaxRows")
 	r, c := m.shape[0], m.shape[1]

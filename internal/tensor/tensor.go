@@ -7,9 +7,9 @@
 // is Dense[float64] — the width of all trainable state, checkpoints and
 // everything that differentiates — and the constructors and ops without
 // a type parameter are its front doors. float32 exists for the eval-only
-// scoring engine: what that engine runs (MatMul, Gather, ConcatCols, the
-// in-place add/scale, SoftmaxRows) is written once over T, and Narrow is
-// the only crossing between widths; nothing converts implicitly.
+// scoring engine: what that engine runs (MatMul, Gather, ConcatCols,
+// MapInPlace, in-place add/scale, SoftmaxRows) is written once over T, and
+// Narrow is the only crossing between widths; nothing converts implicitly.
 //
 // The package favours clarity over raw speed — model dimensions in this
 // system are small (GNN width 8, temporal width 128) — but the matmul
@@ -87,8 +87,7 @@ func FromSlice[T Float](data []T, shape ...int) *Dense[T] {
 // traffic rather than FLOPs.
 func Narrow[T Float](t *Tensor) *Dense[T] { return NarrowIn[T](nil, t) }
 
-// NarrowIn is Narrow with the float32 copy lent from ws (see Alloc); at
-// float64 it still returns t itself.
+// NarrowIn is Narrow with the float32 copy lent from ws (see Alloc).
 func NarrowIn[T Float](ws *Workspace, t *Tensor) *Dense[T] {
 	if same, ok := any(t).(*Dense[T]); ok {
 		return same

@@ -12,9 +12,7 @@ import (
 // Buffers are pooled per width in power-of-two size classes and handed
 // out through a Workspace, which tracks everything it lent so one Release
 // returns the lot. The pools traffic in *[]T and the Workspace retains
-// those pointers, so a full lend/release cycle allocates nothing. The
-// scoring engine lends every activation of a ScoreVideo call the same way
-// (Alloc).
+// those pointers, so a full lend/release cycle allocates nothing.
 
 // Size classes cover 2^5 .. 2^22 elements. Requests outside the range are
 // allocated directly and dropped on Release (they are rare and huge, and
@@ -92,9 +90,6 @@ func NewWorkspace() *Workspace {
 	return wsPool.Get().(*Workspace)
 }
 
-// Floats lends a zeroed []float64 of length n.
-func (w *Workspace) Floats(n int) []float64 { return Scratch[float64](w, n) }
-
 // Scratch lends a zeroed []T of length n from w.
 func Scratch[T Float](w *Workspace, n int) []T {
 	p := getFloats[T](n)
@@ -136,14 +131,12 @@ func (w *Workspace) Release() {
 		w.floats[i] = nil
 	}
 	w.floats = w.floats[:0]
-	clearData[float64](w.headers[F64][:w.lent[F64]])
-	clearData[float32](w.headers[F32][:w.lent[F32]])
+	for _, h := range w.headers[F64][:w.lent[F64]] {
+		h.(*Dense[float64]).data = nil
+	}
+	for _, h := range w.headers[F32][:w.lent[F32]] {
+		h.(*Dense[float32]).data = nil
+	}
 	w.lent = [2]int{}
 	wsPool.Put(w)
-}
-
-func clearData[T Float](lent []any) {
-	for _, h := range lent {
-		h.(*Dense[T]).data = nil
-	}
 }

@@ -42,7 +42,7 @@ func TestWorkspaceReuseZeroed(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			n = 1 + rng.Intn(5000)
 		}
-		buf := ws.Floats(n)
+		buf := Scratch[float64](ws, n)
 		requireAllZero(t, "acquired buffer", buf)
 		for i := range buf {
 			buf[i] = poisons[rng.Intn(len(poisons))]
@@ -58,7 +58,7 @@ func TestWorkspaceReuseZeroed(t *testing.T) {
 	ws := NewWorkspace()
 	defer ws.Release()
 	for _, n := range dirtySizes {
-		requireAllZero(t, "post-pollution acquire", ws.Floats(n))
+		requireAllZero(t, "post-pollution acquire", Scratch[float64](ws, n))
 	}
 }
 
@@ -70,7 +70,7 @@ func TestWorkspaceNoAliasing(t *testing.T) {
 	defer ws.Release()
 	bufs := make([][]float64, 0, 16)
 	for i := 0; i < 16; i++ {
-		bufs = append(bufs, ws.Floats(64+i))
+		bufs = append(bufs, Scratch[float64](ws, 64+i))
 	}
 	for tag, b := range bufs {
 		for i := range b {
@@ -93,8 +93,8 @@ func TestWorkspaceNoAliasing(t *testing.T) {
 		go func() {
 			for round := 0; round < 50; round++ {
 				w := NewWorkspace()
-				a := w.Floats(256)
-				b := w.Floats(256)
+				a := Scratch[float64](w, 256)
+				b := Scratch[float64](w, 256)
 				for i := range a {
 					a[i] = float64(g)
 					b[i] = float64(-g - 1)
@@ -148,7 +148,7 @@ func TestWorkspaceReuseAcrossBackends(t *testing.T) {
 				t.Fatal(err)
 			}
 			ws := NewWorkspace()
-			dst := ws.Floats(n)
+			dst := Scratch[float64](ws, n)
 			requireAllZero(t, name+" acquired", dst)
 			kernels.Active().Add(x, y, dst)
 			for i := range want {
