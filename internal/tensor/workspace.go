@@ -98,10 +98,10 @@ func Scratch[T Float](w *Workspace, n int) []T {
 }
 
 // Alloc returns a zeroed tensor of the given shape. With a nil ws it is
-// NewOf, a fresh tensor the caller owns, which is what the tape uses. With
-// a workspace the tensor is lent: pooled storage behind one of ws's own
-// headers, so a steady-state lend allocates nothing, and the tensor must
-// not outlive ws.Release.
+// NewOf, a fresh tensor the caller owns (the tape's form). With a
+// workspace the tensor is lent: pooled storage behind one of ws's own
+// headers, so a steady-state lend allocates nothing. It must not outlive
+// ws.Release nor be returned: the header is lent again after it.
 func Alloc[T Float](ws *Workspace, shape ...int) *Dense[T] {
 	if ws == nil {
 		return NewOf[T](shape...)
