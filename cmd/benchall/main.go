@@ -1,7 +1,10 @@
 // Command benchall regenerates every table and figure of the paper's
 // evaluation section: Fig. 5(A) both weak-shift panels, Fig. 5(B) the
 // strong shift, Fig. 6's interpretable-retrieval trajectory, and Table I's
-// edge-vs-cloud cost comparison.
+// edge-vs-cloud cost comparison. Every edge deployment among them is one
+// call of experiments.Deploy, read through its per-tick hook: Fig. 5 and
+// Table I record the offline AUC at each adaptation tick, Fig. 6 the
+// tracked node's token bank.
 //
 // It times nothing: the performance record is bench/ (bash bench/run.sh,
 // see bench/README.md) and the Go benchmarks in bench_test.go.

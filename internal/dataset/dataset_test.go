@@ -249,9 +249,6 @@ func TestScheduleAndStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stream.CurrentClass() != concept.Stealing {
-		t.Error("initial phase wrong")
-	}
 	sawAnomaly, sawNormal := false, false
 	for i := 0; i < 10; i++ {
 		pix, anom, cls := stream.Next()
@@ -273,14 +270,19 @@ func TestScheduleAndStream(t *testing.T) {
 	if !sawAnomaly || !sawNormal {
 		t.Error("stream at rate 0.5 should mix anomalies and normals in 10 frames (flaky only with astronomical improbability)")
 	}
-	if stream.Step() != 10 {
-		t.Errorf("step %d", stream.Step())
+	// At rate 1.0 every frame is anomalous, so Next's class is the phase's:
+	// the first frame after step 10 is the shift's Robbery.
+	stream, err = NewStream(gen, sched, 1, rng)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if stream.PhaseIndex() != 1 {
-		t.Errorf("phase index %d after 10 frames", stream.PhaseIndex())
+	for i := 0; i < 10; i++ {
+		if _, _, cls := stream.Next(); cls != concept.Stealing {
+			t.Fatalf("frame %d of phase 0 drew %v", i, cls)
+		}
 	}
-	if stream.CurrentClass() != concept.Robbery {
-		t.Error("shift did not occur")
+	if _, anom, cls := stream.Next(); !anom || cls != concept.Robbery {
+		t.Errorf("frame 10: anomalous %v, class %v; the shift did not occur", anom, cls)
 	}
 }
 

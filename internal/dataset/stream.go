@@ -78,21 +78,6 @@ func (s *Stream) Next() (pix *tensor.Tensor, anomalous bool, cls concept.Class) 
 	return s.gen.Frame(s.rng, concept.Normal), false, concept.Normal
 }
 
-// Step returns how many frames have been emitted.
-func (s *Stream) Step() int { return s.step }
-
-// CurrentClass returns the class of the phase covering the next frame.
-func (s *Stream) CurrentClass() concept.Class {
-	p, _ := s.schedule.PhaseAt(s.step)
-	return p.Class
-}
-
-// PhaseIndex returns the index of the phase covering the next frame.
-func (s *Stream) PhaseIndex() int {
-	_, i := s.schedule.PhaseAt(s.step)
-	return i
-}
-
 // ClipSource samples contiguous training clips from a video set, the form
 // the detector trainer consumes: each clip of window+batch−1 consecutive
 // frames yields batch overlapping windows with per-window labels (the

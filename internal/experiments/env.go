@@ -1,9 +1,12 @@
 // Package experiments reproduces the paper's evaluation section: the
 // anomaly-trend-shift adaptation curves of Fig. 5 (weak and strong
 // shifts), the interpretable-retrieval trajectory of Fig. 6, and the
-// edge-vs-cloud cost comparison of Table I. Each experiment has a Run
-// function returning a structured result and a Render function producing
-// the text artifact; cmd/benchall and the root bench suite drive them.
+// edge-vs-cloud cost comparison of Table I. All three run the same
+// protocol through Deploy — train on a mission, deploy, stream a trend
+// shift — and read the run at each adaptation tick. Each experiment has a
+// Run function returning a structured result and a Render function
+// producing the text artifact; cmd/benchall and the root bench suite drive
+// them.
 package experiments
 
 import (
@@ -44,7 +47,6 @@ type Scale struct {
 	// adaptation cadence.
 	SegmentFrames, AdaptEvery int
 	MonitorN, MonitorLag      int
-	StreamAnomalyRate         float64
 	// Adaptation.
 	Adapt core.AdaptConfig
 	Seed  int64
@@ -63,9 +65,8 @@ func QuickScale() Scale {
 		TrainNormals: 4, TrainAnomlous: 4,
 		SegmentFrames: 256, AdaptEvery: 32,
 		MonitorN: 32, MonitorLag: 16,
-		StreamAnomalyRate: 0.5,
-		Adapt:             a,
-		Seed:              42,
+		Adapt: a,
+		Seed:  42,
 	}
 }
 

@@ -2,12 +2,15 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"edgekg/internal/concept"
 	"edgekg/internal/core"
+	"edgekg/internal/dataset"
 	"edgekg/internal/flops"
+	"edgekg/internal/kg"
 	"edgekg/internal/serve"
 )
 
@@ -110,6 +113,76 @@ func TestRunFig5WeakShiftShape(t *testing.T) {
 	}
 	if strings.Count(csv, "\n") != len(res.Adaptive)+1 {
 		t.Error("CSV row count wrong")
+	}
+}
+
+// TestDeploy pins the one deployment loop: an arm replays bit for bit, its
+// hook sees every cadence tick in order with the schedule's phase, the
+// static arm never adapts, and Fig. 5 reads the same run Deploy returns.
+func TestDeploy(t *testing.T) {
+	env := testEnv(t)
+	type tick struct{ tick, phase int }
+	deploy := func(arm Arm) (serve.Stats, []Fig5Point, []tick) {
+		t.Helper()
+		var points []Fig5Point
+		var ticks []tick
+		auc := recordAUC(env, arm, &points)
+		arm.Tick = func(det *core.Detector, g *kg.Graph, k, phase int) error {
+			ticks = append(ticks, tick{k, phase})
+			return auc(det, g, k, phase)
+		}
+		st, err := Deploy(env, arm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, points, ticks
+	}
+
+	adaptive := fig5Arm(env, concept.Stealing, concept.Robbery, true)
+	st1, points1, ticks := deploy(adaptive)
+	st2, points2, _ := deploy(adaptive)
+	if st1 != st2 {
+		t.Errorf("same arm, different stats:\n%+v\n%+v", st1, st2)
+	}
+	if !reflect.DeepEqual(points1, points2) {
+		t.Errorf("same arm, different tick AUCs:\n%v\n%v", points1, points2)
+	}
+
+	sched := dataset.Schedule{Phases: adaptive.Phases}
+	every := env.Scale.AdaptEvery
+	if n := sched.TotalSteps()/every + 1; len(ticks) != n {
+		t.Fatalf("hook saw %d ticks, want %d", len(ticks), n)
+	}
+	for k, tk := range ticks {
+		_, want := sched.PhaseAt(max(k*every-1, 0))
+		if tk.tick != k || tk.phase != want {
+			t.Errorf("call %d: tick %d phase %d, want tick %d phase %d", k, tk.tick, tk.phase, k, want)
+		}
+	}
+	if len(points1) != len(ticks)-1 {
+		t.Errorf("%d AUC points for %d ticks after deployment", len(points1), len(ticks)-1)
+	}
+	if st1.AdaptRounds == 0 {
+		t.Error("adaptive arm ran no adaptation round")
+	}
+
+	static, staticPoints, staticTicks := deploy(fig5Arm(env, concept.Stealing, concept.Robbery, false))
+	if static.AdaptRounds != 0 {
+		t.Errorf("static arm ran %d adaptation rounds", static.AdaptRounds)
+	}
+	if !reflect.DeepEqual(staticTicks, ticks) {
+		t.Errorf("static arm ticks %v, adaptive %v", staticTicks, ticks)
+	}
+
+	res, err := RunFig5(env, concept.Stealing, concept.Robbery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.AdaptTriggers != st1.TriggeredRounds {
+		t.Errorf("Fig. 5 reports %d triggers, the adaptive arm's stream %d", res.AdaptTriggers, st1.TriggeredRounds)
+	}
+	if !reflect.DeepEqual(res.Adaptive, points1) || !reflect.DeepEqual(res.Static, staticPoints) {
+		t.Error("Fig. 5's curves are not its arms' tick AUCs")
 	}
 }
 

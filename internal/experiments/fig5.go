@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"edgekg/internal/concept"
 	"edgekg/internal/dataset"
-	"edgekg/internal/serve"
 )
 
 // Fig5Point is one measurement of the continuous-learning curve.
@@ -47,65 +45,31 @@ func RunFig5(env *Env, initial, shifted concept.Class) (Fig5Result, error) {
 		Shifted:  shifted,
 		Overlap:  env.Ont.ClassOverlap(initial, shifted),
 	}
-	adaptive, triggers, err := runFig5Arm(env, initial, shifted, true)
+	adaptive := fig5Arm(env, initial, shifted, true)
+	adaptive.Tick = recordAUC(env, adaptive, &res.Adaptive)
+	st, err := Deploy(env, adaptive)
 	if err != nil {
 		return res, fmt.Errorf("adaptive arm: %w", err)
 	}
-	static, _, err := runFig5Arm(env, initial, shifted, false)
-	if err != nil {
+	res.AdaptTriggers = st.TriggeredRounds
+	static := fig5Arm(env, initial, shifted, false)
+	static.Tick = recordAUC(env, static, &res.Static)
+	if _, err := Deploy(env, static); err != nil {
 		return res, fmt.Errorf("static arm: %w", err)
 	}
-	res.Adaptive = adaptive
-	res.Static = static
-	res.AdaptTriggers = triggers
 	return res, nil
 }
 
-func runFig5Arm(env *Env, initial, shifted concept.Class, adaptive bool) ([]Fig5Point, int, error) {
-	s := env.Scale
-	det, _, err := env.BuildTrainedDetector(initial, s.Seed+101)
-	if err != nil {
-		return nil, 0, err
+// fig5Arm is one arm of a Fig. 5 panel: trained on initial, one segment
+// of initial, then one of shifted.
+func fig5Arm(env *Env, initial, shifted concept.Class, adaptive bool) Arm {
+	seg := env.Scale.SegmentFrames
+	return Arm{
+		Mission: initial,
+		Phases:  []dataset.Phase{{Class: initial, Steps: seg}, {Class: shifted, Steps: seg}},
+		Stream:  env.StreamConfig(adaptive),
+		Salt:    101,
 	}
-	rt, err := serve.NewStream(0, det, env.StreamConfig(adaptive), rand.NewSource(s.Seed+202), nil)
-	if err != nil {
-		return nil, 0, err
-	}
-
-	sched := dataset.Schedule{Phases: []dataset.Phase{
-		{Class: initial, Steps: s.SegmentFrames},
-		{Class: shifted, Steps: s.SegmentFrames},
-	}}
-	stream, err := dataset.NewStream(env.Gen, sched, s.StreamAnomalyRate, rand.New(rand.NewSource(s.Seed+303)))
-	if err != nil {
-		return nil, 0, err
-	}
-
-	var points []Fig5Point
-	triggers := 0
-	total := sched.TotalSteps()
-	step := 0
-	for i := 0; i < total; i++ {
-		phaseCls := stream.CurrentClass()
-		phaseIdx := stream.PhaseIndex()
-		pix, _, _ := stream.Next()
-		r := rt.Process(pix)
-		if r.Err != nil {
-			return nil, 0, r.Err
-		}
-		if r.Adapt.Triggered {
-			triggers++
-		}
-		if (i+1)%s.AdaptEvery == 0 {
-			auc, err := env.EvalAUC(det, phaseCls, s.Seed+404)
-			if err != nil {
-				return nil, 0, err
-			}
-			points = append(points, Fig5Point{Step: step, Phase: phaseIdx, AUC: auc})
-			step++
-		}
-	}
-	return points, triggers, nil
 }
 
 // PostShiftGain summarises a result: mean post-shift AUC of the adaptive

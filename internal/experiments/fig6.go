@@ -2,14 +2,14 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"edgekg/internal/concept"
+	"edgekg/internal/core"
 	"edgekg/internal/dataset"
 	"edgekg/internal/kg"
 	"edgekg/internal/retrieval"
-	"edgekg/internal/serve"
+	"edgekg/internal/tensor"
 )
 
 // Fig6Result is the interpretable-retrieval trajectory of one tracked
@@ -33,54 +33,43 @@ type Fig6Result struct {
 func RunFig6(env *Env, tracked, target string) (Fig6Result, error) {
 	res := Fig6Result{TrackedConcept: tracked, TargetConcept: target}
 	s := env.Scale
-
-	det, g, err := env.BuildTrainedDetector(concept.Stealing, s.Seed+101)
-	if err != nil {
-		return res, err
-	}
-	node := findNode(g, tracked)
-	if node == nil {
-		return res, fmt.Errorf("experiments: tracked concept %q not in generated KG (level-1 fanout too small?)", tracked)
-	}
-
 	retr := retrieval.New(env.Space)
 	rec := retrieval.NewTrajectoryRecorder(retr, tracked, target)
-	bank := det.GNN(0).Tokens()
-	res.DecodedStart = retr.NodePhrase(bank.Bank(node.ID).Data, retrieval.Euclidean)
-	rec.Record(0, bank.Bank(node.ID).Data)
+	// node reads the tracked node's live token bank; tick 0 binds it.
+	var node func() *tensor.Tensor
 
-	cfg := env.StreamConfig(true)
+	arm := Arm{
+		Mission: concept.Stealing,
+		Phases: []dataset.Phase{
+			{Class: concept.Stealing, Steps: s.SegmentFrames},
+			{Class: concept.Robbery, Steps: 2 * s.SegmentFrames},
+		},
+		Stream: env.StreamConfig(true),
+		Salt:   101,
+		Tick: func(det *core.Detector, g *kg.Graph, tick, _ int) error {
+			if tick == 0 {
+				n := findNode(g, tracked)
+				if n == nil {
+					return fmt.Errorf("experiments: tracked concept %q not in generated KG (level-1 fanout too small?)", tracked)
+				}
+				bank := det.GNN(0).Tokens()
+				node = func() *tensor.Tensor { return bank.Bank(n.ID).Data }
+				res.DecodedStart = retr.NodePhrase(node(), retrieval.Euclidean)
+			}
+			rec.Record(100*tick, node()) // the paper numbers snapshots 100, 200, …
+			return nil
+		},
+	}
 	// Fig. 6 inspects the *alternating* phase: pruning would replace the
 	// tracked node and end the trajectory, so give it effectively
 	// unlimited patience.
-	cfg.Adapt.Patience = 1 << 20
-	rt, err := serve.NewStream(0, det, cfg, rand.NewSource(s.Seed+202), nil)
-	if err != nil {
+	arm.Stream.Adapt.Patience = 1 << 20
+	if _, err := Deploy(env, arm); err != nil {
 		return res, err
-	}
-	sched := dataset.Schedule{Phases: []dataset.Phase{
-		{Class: concept.Stealing, Steps: s.SegmentFrames},
-		{Class: concept.Robbery, Steps: 2 * s.SegmentFrames},
-	}}
-	stream, err := dataset.NewStream(env.Gen, sched, s.StreamAnomalyRate, rand.New(rand.NewSource(s.Seed+303)))
-	if err != nil {
-		return res, err
-	}
-	iter := 0
-	for i := 0; i < sched.TotalSteps(); i++ {
-		pix, _, _ := stream.Next()
-		if err := rt.Process(pix).Err; err != nil {
-			return res, err
-		}
-		if (i+1)%s.AdaptEvery == 0 {
-			iter += 100 // the paper numbers snapshots 100, 200, …
-			rec.Record(iter, bank.Bank(node.ID).Data)
-		}
 	}
 	res.Trajectory = rec.Trajectory()
-	res.DecodedEnd = retr.NodePhrase(bank.Bank(node.ID).Data, retrieval.Euclidean)
-	pooled := meanRowsOf(bank.Bank(node.ID).Data)
-	for _, m := range retr.NearestWords(pooled, 5, retrieval.Euclidean) {
+	res.DecodedEnd = retr.NodePhrase(node(), retrieval.Euclidean)
+	for _, m := range retr.NearestWords(tensor.MeanAxis0(node()), 5, retrieval.Euclidean) {
 		res.TopKEnd = append(res.TopKEnd, m.Word)
 	}
 	return res, nil

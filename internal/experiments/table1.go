@@ -11,7 +11,6 @@ import (
 	"edgekg/internal/dataset"
 	"edgekg/internal/flops"
 	"edgekg/internal/serve"
-	"edgekg/internal/tensor"
 )
 
 // TableIConfig shapes the cost-comparison scenario: the paper assumes the
@@ -63,36 +62,17 @@ func RunTableI(env *Env, cfg TableIConfig) (TableIResult, error) {
 		framePhases[i] = dataset.Phase{Class: p.Class, Steps: p.Steps * dayFrames}
 	}
 	// --- Proposed arm: one detector, continuous edge adaptation. ---
-	det, _, err := env.BuildTrainedDetector(cfg.ClassA, s.Seed+11)
-	if err != nil {
+	arm := Arm{Mission: cfg.ClassA, Phases: framePhases, Stream: env.StreamConfig(true), Salt: 11}
+	var days []Fig5Point
+	arm.Tick = recordAUC(env, arm, &days)
+	var err error
+	if res.EdgeStats, err = Deploy(env, arm); err != nil {
 		return res, fmt.Errorf("proposed arm: %w", err)
 	}
-	rt, err := serve.NewStream(0, det, env.StreamConfig(true), rand.NewSource(s.Seed+22), nil)
-	if err != nil {
-		return res, err
+	for _, d := range days {
+		res.ProposedAUC += d.AUC
 	}
-	stream, err := dataset.NewStream(env.Gen, dataset.Schedule{Phases: framePhases}, s.StreamAnomalyRate,
-		rand.New(rand.NewSource(s.Seed+33)))
-	if err != nil {
-		return res, err
-	}
-	var propAUC float64
-	for day := 0; day < cfg.Days; day++ {
-		cls := stream.CurrentClass()
-		for f := 0; f < dayFrames; f++ {
-			pix, _, _ := stream.Next()
-			if err := rt.Process(pix).Err; err != nil {
-				return res, err
-			}
-		}
-		auc, err := env.EvalAUC(det, cls, s.Seed+44)
-		if err != nil {
-			return res, err
-		}
-		propAUC += auc
-	}
-	res.ProposedAUC = propAUC / float64(cfg.Days)
-	res.EdgeStats = rt.Stats()
+	res.ProposedAUC /= float64(cfg.Days)
 	res.EdgeOpsPerDay = res.EdgeStats.AdaptOpsPerRound
 	res.EdgeOpsPerMonth = res.EdgeOpsPerDay * int64(cfg.Days)
 	res.EnergyPerDayJ = res.Device.EnergyJoules(res.EdgeOpsPerDay)
@@ -121,7 +101,7 @@ func RunTableI(env *Env, cfg TableIConfig) (TableIResult, error) {
 		}
 		phaseDays := ph.Steps
 		for d := 0; d < phaseDays && day < cfg.Days; d++ {
-			auc, err := env.EvalAUC(bdet, ph.Class, s.Seed+44)
+			auc, err := env.EvalAUC(bdet, ph.Class, arm.seed(env, 4))
 			if err != nil {
 				return res, err
 			}
@@ -205,8 +185,4 @@ func fmtE(v float64) string {
 		return "0"
 	}
 	return fmt.Sprintf("%.2e", v)
-}
-
-func meanRowsOf(m *tensor.Tensor) *tensor.Tensor {
-	return tensor.MeanAxis0(m)
 }
