@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"slices"
 
 	"edgekg"
 )
@@ -29,6 +30,21 @@ func main() {
 		every   = flag.Int("report-every", 32, "frames between AUC reports")
 	)
 	flag.Parse()
+	if !slices.Contains(edgekg.Missions(), *initial) {
+		log.Fatalf("-initial %q: not a mission (see edgekg.Missions)", *initial)
+	}
+	if !slices.Contains(edgekg.Missions(), *shifted) {
+		log.Fatalf("-shifted %q: not a mission (see edgekg.Missions)", *shifted)
+	}
+	if *segment < 1 {
+		log.Fatalf("-segment %d: frames per segment must be ≥1", *segment)
+	}
+	if *rate < 0 || *rate > 1 {
+		log.Fatalf("-rate %v: anomaly rate must be in [0,1]", *rate)
+	}
+	if *every < 1 {
+		log.Fatalf("-report-every %d: report cadence must be ≥1", *every)
+	}
 
 	opts := edgekg.DefaultOptions()
 	opts.Seed = *seed
@@ -40,14 +56,11 @@ func main() {
 	if err := sys.Train(*initial); err != nil {
 		log.Fatal(err)
 	}
-	if *static {
-		err = sys.DeployStatic()
-	} else {
-		err = sys.DeployAdaptive()
-	}
+	cam, err := sys.Serve(edgekg.ServeOptions{Streams: 1, Adaptive: !*static})
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer cam.Close()
 
 	run := func(class string, phase int) error {
 		frames, err := sys.NextStreamFrames(class, *segment, *rate)
@@ -55,7 +68,7 @@ func main() {
 			return err
 		}
 		for i, f := range frames {
-			res, err := sys.ProcessFrame(f.Frame)
+			res, err := cam.ProcessFrame(0, f.Frame)
 			if err != nil {
 				return err
 			}
@@ -64,7 +77,7 @@ func main() {
 					i, res.PrunedNodes, res.CreatedNodes)
 			}
 			if (i+1)%*every == 0 {
-				auc, err := sys.TestAUC(class)
+				auc, err := cam.TestAUC(0, class)
 				if err != nil {
 					return err
 				}
@@ -84,13 +97,16 @@ func main() {
 		log.Fatal(err)
 	}
 
-	st := sys.Stats()
+	st, err := cam.Stats(0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\ndeployment stats: frames=%d adaptRounds=%d triggered=%d pruned=%d created=%d\n",
 		st.Frames, st.AdaptRounds, st.TriggeredRounds, st.PrunedNodes, st.CreatedNodes)
 	fmt.Printf("cost ledger: scoring=%d FLOPs, adaptation=%d FLOPs, energy/adapt=%.2f J\n",
 		st.ScoringFLOPs, st.AdaptFLOPs, st.EnergyPerAdaptJ)
 
-	interp, err := sys.InterpretKG()
+	interp, err := cam.InterpretKG(0)
 	if err != nil {
 		log.Fatal(err)
 	}

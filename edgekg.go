@@ -4,10 +4,11 @@
 //
 // The package assembles the full pipeline of the paper's Fig. 2 behind a
 // small surface: generate a mission-specific knowledge graph from the
-// (simulated) LLM, train the lightweight hierarchical-GNN detector,
-// deploy it frozen to a simulated edge runtime, and let continuous KG
-// adaptive learning keep it aligned with shifting anomaly trends — no
-// cloud involved. Interpretable KG retrieval decodes what the adapted
+// (simulated) LLM, train the lightweight hierarchical-GNN detector
+// (System), deploy it frozen to one or more simulated edge cameras
+// (System.Serve, a StreamServer), and let continuous KG adaptive learning
+// keep each camera aligned with shifting anomaly trends — no cloud
+// involved. Interpretable KG retrieval decodes what a camera's adapted
 // graph has learned back into vocabulary words.
 //
 // All heavy machinery lives in internal packages; this facade exposes
@@ -32,7 +33,6 @@ import (
 	"edgekg/internal/kg"
 	"edgekg/internal/netserve"
 	"edgekg/internal/retrieval"
-	"edgekg/internal/rng"
 	"edgekg/internal/serve"
 	"edgekg/internal/snapshot"
 	"edgekg/internal/tensor"
@@ -59,16 +59,14 @@ func DefaultOptions() Options {
 	return Options{Seed: 42, Scale: "quick"}
 }
 
-// System is one end-to-end deployment: joint embedding space, mission KG,
-// detector, and (after Deploy*) the edge runtime.
+// System is the trained side of the pipeline: joint embedding space,
+// mission KG and detector. It never adapts; Serve deploys it frozen, and
+// each served camera adapts a copy-on-write clone of its own.
 type System struct {
-	env     *experiments.Env
-	mission concept.Class
-	graph   *kg.Graph
-	det     *core.Detector
-	runtime *serve.Stream
-	retr    *retrieval.Retriever
-	rng     *rand.Rand
+	env  *experiments.Env
+	det  *core.Detector
+	retr *retrieval.Retriever
+	rng  *rand.Rand
 }
 
 // NewSystem builds the substrate (ontology, tokenizer, joint space,
@@ -114,74 +112,19 @@ func Missions() []string {
 }
 
 // Train generates the mission-specific KG and trains the detector on
-// synthetic task data (Fig. 2 A+B). It must be called before deployment.
+// synthetic task data (Fig. 2 A+B). It must be called before Serve.
 func (s *System) Train(mission string) error {
 	cls, ok := concept.ClassByName(mission)
 	if !ok || cls == concept.Normal {
 		return fmt.Errorf("edgekg: unknown mission %q (see Missions())", mission)
 	}
-	det, g, err := s.env.BuildTrainedDetector(cls, s.env.Scale.Seed+1)
+	det, _, err := s.env.BuildTrainedDetector(cls, s.env.Scale.Seed+1)
 	if err != nil {
 		return err
 	}
-	s.mission = cls
-	s.graph = g
 	s.det = det
-	s.runtime = nil
 	return nil
 }
-
-// DeployAdaptive freezes the model and starts the edge runtime with
-// continuous KG adaptive learning enabled (Fig. 2C).
-func (s *System) DeployAdaptive() error { return s.deploy(true) }
-
-// DeployStatic freezes the model with adaptation disabled — the
-// "without KG adaptive learning" arm of Fig. 5.
-func (s *System) DeployStatic() error { return s.deploy(false) }
-
-func (s *System) deploy(adaptive bool) error {
-	if s.det == nil {
-		return fmt.Errorf("edgekg: Train before deploying")
-	}
-	// A bare lag-0 stream over the detector in place, with its own
-	// serializable random source (not the System's master RNG):
-	// checkpointing must capture and replay the adapter's random stream,
-	// and the seed derivation matches stream 0 of a 1-stream Serve
-	// deployment.
-	rt, err := serve.NewStream(0, s.det, s.env.StreamConfig(adaptive), rng.NewSource(s.env.Scale.Seed+100), nil)
-	if err != nil {
-		return err
-	}
-	s.runtime = rt
-	return nil
-}
-
-// SaveCheckpoint persists the deployed runtime's complete adaptation
-// state — adapted knowledge graphs, token banks, monitor window,
-// optimizer moments, RNG state, counters and cost ledger — to a file
-// with an atomic temp-then-rename write, so a process restart can resume
-// warm instead of cold-starting from the frozen backbone.
-func (s *System) SaveCheckpoint(path string) error {
-	if s.runtime == nil {
-		return fmt.Errorf("edgekg: deploy before checkpointing")
-	}
-	return s.runtime.Save(path)
-}
-
-// LoadCheckpoint restores a previously saved runtime checkpoint. Call it
-// after Train and Deploy* with the same options the checkpoint was taken
-// under (same seed, scale and deployment mode) — the frozen backbone is
-// rebuilt deterministically from the seed and only the adaptation delta
-// is restored. Mismatched checkpoints fail loudly.
-func (s *System) LoadCheckpoint(path string) error {
-	if s.runtime == nil {
-		return fmt.Errorf("edgekg: deploy before restoring a checkpoint")
-	}
-	return s.runtime.Load(path)
-}
-
-// Deployed reports whether an edge runtime is active.
-func (s *System) Deployed() bool { return s.runtime != nil }
 
 // FrameSize returns the expected raw frame-feature length.
 func (s *System) FrameSize() int { return s.env.Space.PixDim() }
@@ -210,22 +153,6 @@ type FrameResult struct {
 	PrunedNodes, CreatedNodes int
 }
 
-// ProcessFrame scores one raw frame through the deployed runtime,
-// advancing the monitor and (on cadence) the adaptation loop.
-func (s *System) ProcessFrame(frame []float64) (FrameResult, error) {
-	if s.runtime == nil {
-		return FrameResult{}, fmt.Errorf("edgekg: deploy before processing frames")
-	}
-	if len(frame) != s.FrameSize() {
-		return FrameResult{}, fmt.Errorf("edgekg: frame length %d, want %d", len(frame), s.FrameSize())
-	}
-	res := s.runtime.Process(tensor.FromSlice(append([]float64(nil), frame...), len(frame)))
-	if res.Err != nil {
-		return FrameResult{}, res.Err
-	}
-	return frameResult(res), nil
-}
-
 func frameResult(res serve.Result) FrameResult {
 	return FrameResult{
 		Score:        res.Score,
@@ -235,9 +162,10 @@ func frameResult(res serve.Result) FrameResult {
 	}
 }
 
-// TestAUC evaluates the current detector against freshly synthesised test
+// TestAUC evaluates the trained detector against freshly synthesised test
 // videos of the given anomaly class (plus normals), returning frame-level
-// ROC-AUC — the paper's metric.
+// ROC-AUC — the paper's metric. StreamServer.TestAUC evaluates a camera's
+// adapted copy.
 func (s *System) TestAUC(class string) (float64, error) {
 	if s.det == nil {
 		return 0, fmt.Errorf("edgekg: Train first")
@@ -249,37 +177,36 @@ func (s *System) TestAUC(class string) (float64, error) {
 	return s.env.EvalAUC(s.det, cls, s.env.Scale.Seed+999)
 }
 
-// KGStats summarises the current knowledge graph.
+// KGStats summarises the trained knowledge graph. Per-camera structural
+// changes are counted in DeploymentStats.
 type KGStats struct {
 	Mission       string
 	Depth         int
 	Nodes, Edges  int
-	CreatedNodes  int
 	NodesPerLevel []int
 }
 
-// KG returns the current graph's statistics.
+// KG returns the trained graph's statistics.
 func (s *System) KG() (KGStats, error) {
-	if s.graph == nil {
+	if s.det == nil {
 		return KGStats{}, fmt.Errorf("edgekg: Train first")
 	}
-	st := s.graph.ComputeStats()
+	st := s.det.GNN(0).Graph().ComputeStats()
 	return KGStats{
 		Mission:       st.Mission,
 		Depth:         st.Depth,
 		Nodes:         st.Nodes,
 		Edges:         st.Edges,
-		CreatedNodes:  st.CreatedNodes,
 		NodesPerLevel: st.NodesPerLevel,
 	}, nil
 }
 
-// KGDOT renders the current KG in Graphviz dot format.
+// KGDOT renders the trained KG in Graphviz dot format.
 func (s *System) KGDOT() (string, error) {
-	if s.graph == nil {
+	if s.det == nil {
 		return "", fmt.Errorf("edgekg: Train first")
 	}
-	return s.graph.DOT(), nil
+	return s.det.GNN(0).Graph().DOT(), nil
 }
 
 // NodeInterpretation is one reasoning node decoded through Interpretable
@@ -295,30 +222,7 @@ type NodeInterpretation struct {
 	Created bool
 }
 
-// InterpretKG decodes every reasoning node's learned token embeddings
-// back to vocabulary words (Sec. III-E).
-func (s *System) InterpretKG() ([]NodeInterpretation, error) {
-	if s.det == nil {
-		return nil, fmt.Errorf("edgekg: Train first")
-	}
-	bank := s.det.GNN(0).Tokens()
-	var out []NodeInterpretation
-	for _, n := range s.graph.Nodes() {
-		if n.Kind != kg.Reasoning {
-			continue
-		}
-		out = append(out, NodeInterpretation{
-			NodeID:  int(n.ID),
-			Level:   n.Level,
-			Concept: n.Concept,
-			Decoded: s.retr.NodePhrase(bank.Bank(n.ID).Data, retrieval.Euclidean),
-			Created: n.Created,
-		})
-	}
-	return out, nil
-}
-
-// DeploymentStats summarises the edge runtime so far.
+// DeploymentStats summarises one served camera so far.
 type DeploymentStats struct {
 	Frames          int
 	AdaptRounds     int
@@ -337,14 +241,6 @@ type DeploymentStats struct {
 	// background eviction or rehydration has no per-frame result to
 	// surface on, so it lands here); empty when everything succeeded.
 	LastErr string
-}
-
-// Stats returns the deployment statistics (zero value before deployment).
-func (s *System) Stats() DeploymentStats {
-	if s.runtime == nil {
-		return DeploymentStats{}
-	}
-	return deploymentStats(s.runtime.Stats())
 }
 
 func deploymentStats(st serve.Stats) DeploymentStats {
@@ -395,18 +291,19 @@ type ServeOptions struct {
 	Precision string
 }
 
-// StreamServer is a running multi-camera deployment: one process, one
-// shared frozen backbone, one adaptation context per camera. Drive each
-// stream from its own goroutine with ProcessFrame; Close when done.
+// StreamServer is a running deployment of one or more cameras: one
+// process, one shared frozen backbone, one adaptation context per camera
+// (a single camera is a 1-stream server). Drive each stream from its own
+// goroutine with ProcessFrame; Close when done.
 type StreamServer struct {
 	sys *System
 	srv *serve.Server
 }
 
-// Serve deploys the trained detector as a multi-camera serving runtime.
-// The system's detector becomes the shared frozen backbone (the
-// single-stream Deploy* runtimes and Serve are mutually exclusive uses of
-// one System).
+// Serve deploys the trained detector to opts.Streams cameras (Fig. 2C).
+// The system's detector becomes the shared frozen backbone: each stream
+// adapts a copy-on-write clone of it, so the System itself never changes
+// and any number of servers may be built from it, one after another.
 func (s *System) Serve(opts ServeOptions) (*StreamServer, error) {
 	if s.det == nil {
 		return nil, fmt.Errorf("edgekg: Train before serving")
@@ -492,9 +389,44 @@ func (ss *StreamServer) TestAUC(stream int, class string) (float64, error) {
 	if !ok || cls == concept.Normal {
 		return 0, fmt.Errorf("edgekg: unknown anomaly class %q", class)
 	}
-	return serve.Call(context.Background(), ss.srv, stream, func(st *serve.Stream) (float64, error) {
+	return onDetector(ss, stream, func(det *core.Detector) (float64, error) {
+		return ss.sys.env.EvalAUC(det, cls, ss.sys.env.Scale.Seed+999)
+	})
+}
+
+// InterpretKG decodes every reasoning node of one stream's adapted KG —
+// its learned token embeddings — back to vocabulary words (Sec. III-E).
+// Like TestAUC it runs on the stream's loop.
+func (ss *StreamServer) InterpretKG(stream int) ([]NodeInterpretation, error) {
+	return onDetector(ss, stream, func(det *core.Detector) ([]NodeInterpretation, error) {
+		m := det.GNN(0)
+		var out []NodeInterpretation
+		for _, n := range m.Graph().Nodes() {
+			if n.Kind != kg.Reasoning {
+				continue
+			}
+			out = append(out, NodeInterpretation{
+				NodeID:  int(n.ID),
+				Level:   n.Level,
+				Concept: n.Concept,
+				Decoded: ss.sys.retr.NodePhrase(m.Tokens().Bank(n.ID).Data, retrieval.Euclidean),
+				Created: n.Created,
+			})
+		}
+		return out, nil
+	})
+}
+
+// onDetector runs fn on the stream's loop over its adapted detector, with
+// any in-flight adaptation round joined first.
+func onDetector[T any](ss *StreamServer, stream int, fn func(*core.Detector) (T, error)) (T, error) {
+	return serve.Call(context.Background(), ss.srv, stream, func(st *serve.Stream) (T, error) {
 		st.Sync()
-		return ss.sys.env.EvalAUC(st.Detector(), cls, ss.sys.env.Scale.Seed+999)
+		if det := st.Detector(); det != nil {
+			return fn(det)
+		}
+		var zero T
+		return zero, fmt.Errorf("edgekg: stream %d holds no detector (released, or rehydration failed: %v)", stream, st.Err())
 	})
 }
 
@@ -650,6 +582,9 @@ func (s *System) NextStreamFramesSeeded(class string, n int, anomalyRate float64
 // self-driving mode and cmd/loadgen both call it, so a networked run
 // scores the frames a self-driving one does.
 func (s *System) CameraSchedules(n, frames int, initial, shifted string, anomalyRate float64, driftAt, stagger int, seed int64) ([][][]float64, error) {
+	if n < 0 || frames < 0 {
+		return nil, fmt.Errorf("edgekg: %d cameras of %d frames: counts must be ≥0", n, frames)
+	}
 	schedules := make([][][]float64, n)
 	for i := range schedules {
 		shift := min(driftAt+i*stagger, frames)
@@ -670,6 +605,9 @@ func (s *System) CameraSchedules(n, frames int, initial, shifted string, anomaly
 }
 
 func (s *System) nextStreamFrames(class string, n int, anomalyRate float64, rng *rand.Rand) ([]StreamClass, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("edgekg: frame count %d must be ≥0", n)
+	}
 	cls, ok := concept.ClassByName(class)
 	if !ok {
 		return nil, fmt.Errorf("edgekg: unknown class %q", class)

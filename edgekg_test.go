@@ -2,6 +2,7 @@ package edgekg
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -49,28 +50,73 @@ func TestNewSystemValidation(t *testing.T) {
 	}
 }
 
+// serveOne deploys sys to one camera and closes it when the test ends.
+func serveOne(t *testing.T, sys *System, adaptive bool) *StreamServer {
+	t.Helper()
+	cam, err := sys.Serve(ServeOptions{Streams: 1, Adaptive: adaptive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cam.Close)
+	return cam
+}
+
 func TestLifecycleGuards(t *testing.T) {
 	sys := quickSystem(t)
-	if err := sys.DeployAdaptive(); err == nil {
-		t.Error("deploy before train accepted")
-	}
 	if _, err := sys.TestAUC("Stealing"); err == nil {
 		t.Error("TestAUC before train accepted")
-	}
-	if _, err := sys.ProcessFrame(make([]float64, sys.FrameSize())); err == nil {
-		t.Error("ProcessFrame before deploy accepted")
 	}
 	if _, err := sys.KG(); err == nil {
 		t.Error("KG before train accepted")
 	}
-	if _, err := sys.InterpretKG(); err == nil {
-		t.Error("InterpretKG before train accepted")
+	if _, err := sys.KGDOT(); err == nil {
+		t.Error("KGDOT before train accepted")
 	}
 	if err := sys.Train("NotAMission"); err == nil {
 		t.Error("unknown mission accepted")
 	}
 	if err := sys.Train("Normal"); err == nil {
 		t.Error("Normal as mission accepted")
+	}
+}
+
+// TestServeRefusals pins what Serve refuses to build and what a running
+// server refuses to address.
+func TestServeRefusals(t *testing.T) {
+	untrained := quickSystem(t)
+	sys := trainedSystem(t)
+	for _, tc := range []struct {
+		name string
+		sys  *System
+		opts ServeOptions
+	}{
+		{"no streams", sys, ServeOptions{}},
+		{"unknown precision", sys, ServeOptions{Streams: 1, Precision: "f16"}},
+		{"budget without spill dir", sys, ServeOptions{Streams: 1, MemBudgetBytes: 1 << 20}},
+		{"before Train", untrained, ServeOptions{Streams: 1}},
+	} {
+		if cam, err := tc.sys.Serve(tc.opts); err == nil {
+			cam.Close()
+			t.Errorf("%s: Serve(%+v) accepted", tc.name, tc.opts)
+		}
+	}
+
+	cam := serveOne(t, sys, true)
+	frame := make([]float64, sys.FrameSize())
+	for _, stream := range []int{-1, 1} {
+		for name, call := range map[string]func() error{
+			"ProcessFrame": func() error { _, err := cam.ProcessFrame(stream, frame); return err },
+			"Stats":        func() error { _, err := cam.Stats(stream); return err },
+			"TestAUC":      func() error { _, err := cam.TestAUC(stream, "Stealing"); return err },
+			"InterpretKG":  func() error { _, err := cam.InterpretKG(stream); return err },
+		} {
+			if call() == nil {
+				t.Errorf("%s on stream %d of a 1-stream server accepted", name, stream)
+			}
+		}
+	}
+	if _, err := cam.ProcessFrame(0, frame); err != nil {
+		t.Errorf("stream 0 refused after the out-of-range calls: %v", err)
 	}
 }
 
@@ -83,12 +129,7 @@ func TestTrainDeployProcess(t *testing.T) {
 	if auc < 0.7 {
 		t.Errorf("trained AUC %v", auc)
 	}
-	if err := sys.DeployAdaptive(); err != nil {
-		t.Fatal(err)
-	}
-	if !sys.Deployed() {
-		t.Error("not deployed")
-	}
+	cam := serveOne(t, sys, true)
 	frame, err := sys.SynthesizeFrame("Stealing")
 	if err != nil {
 		t.Fatal(err)
@@ -96,14 +137,14 @@ func TestTrainDeployProcess(t *testing.T) {
 	if len(frame) != sys.FrameSize() {
 		t.Fatalf("frame size %d", len(frame))
 	}
-	res, err := sys.ProcessFrame(frame)
+	res, err := cam.ProcessFrame(0, frame)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Score < 0 || res.Score > 1 {
 		t.Errorf("score %v", res.Score)
 	}
-	if _, err := sys.ProcessFrame(frame[:3]); err == nil {
+	if _, err := cam.ProcessFrame(0, frame[:3]); err == nil {
 		t.Error("short frame accepted")
 	}
 	if _, err := sys.SynthesizeFrame("Martians"); err == nil {
@@ -131,7 +172,7 @@ func TestKGAccessors(t *testing.T) {
 
 func TestInterpretKGInitiallyFaithful(t *testing.T) {
 	sys := trainedSystem(t)
-	nodes, err := sys.InterpretKG()
+	nodes, err := serveOne(t, sys, false).InterpretKG(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,22 +194,23 @@ func TestInterpretKGInitiallyFaithful(t *testing.T) {
 
 func TestStatsAccumulate(t *testing.T) {
 	sys := trainedSystem(t)
-	if st := sys.Stats(); st.Frames != 0 {
-		t.Error("stats before deploy should be zero")
-	}
-	if err := sys.DeployAdaptive(); err != nil {
-		t.Fatal(err)
+	cam := serveOne(t, sys, true)
+	if st, err := cam.Stats(0); err != nil || st.Frames != 0 {
+		t.Errorf("stats before the first frame: %+v, %v", st, err)
 	}
 	frames, err := sys.NextStreamFrames("Robbery", 40, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range frames {
-		if _, err := sys.ProcessFrame(f.Frame); err != nil {
+		if _, err := cam.ProcessFrame(0, f.Frame); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := sys.Stats()
+	st, err := cam.Stats(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.Frames != 40 {
 		t.Errorf("frames = %d", st.Frames)
 	}
@@ -182,15 +224,13 @@ func TestStatsAccumulate(t *testing.T) {
 
 func TestDeployStaticNeverAdapts(t *testing.T) {
 	sys := trainedSystem(t)
-	if err := sys.DeployStatic(); err != nil {
-		t.Fatal(err)
-	}
+	cam := serveOne(t, sys, false)
 	frames, err := sys.NextStreamFrames("Explosion", 40, 0.6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range frames {
-		res, err := sys.ProcessFrame(f.Frame)
+		res, err := cam.ProcessFrame(0, f.Frame)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,8 +238,8 @@ func TestDeployStaticNeverAdapts(t *testing.T) {
 			t.Fatal("static deployment adapted")
 		}
 	}
-	if st := sys.Stats(); st.AdaptRounds != 0 {
-		t.Errorf("static stats %+v", st)
+	if st, err := cam.Stats(0); err != nil || st.AdaptRounds != 0 {
+		t.Errorf("static stats %+v, %v", st, err)
 	}
 }
 
@@ -225,6 +265,12 @@ func TestNextStreamFramesLabels(t *testing.T) {
 	}
 	if _, err := sys.NextStreamFrames("Nope", 5, 0.5); err == nil {
 		t.Error("unknown class accepted")
+	}
+	if _, err := sys.NextStreamFrames("Arson", -5, 0.5); err == nil {
+		t.Error("negative frame count accepted")
+	}
+	if _, err := sys.NextStreamFramesSeeded("Arson", -5, 0.5, 1); err == nil {
+		t.Error("negative seeded frame count accepted")
 	}
 }
 
@@ -283,18 +329,25 @@ func TestCameraSchedulesDerivation(t *testing.T) {
 	if _, err := sys.CameraSchedules(1, 4, "Nope", "Robbery", 0.5, 2, 0, seed); err == nil {
 		t.Error("unknown class accepted")
 	}
+	for _, c := range [][2]int{{-1, 4}, {1, -4}} {
+		if _, err := sys.CameraSchedules(c[0], c[1], "Stealing", "Robbery", 0.5, 2, 0, seed); err == nil {
+			t.Errorf("%d cameras of %d frames accepted", c[0], c[1])
+		}
+	}
 }
 
-func TestRetrainResetsDeployment(t *testing.T) {
+// TestRetrainKeepsRunningServers pins that a System holds no deployment:
+// retraining it swaps the trained detector for the next Serve, while a
+// server built before keeps serving the backbone it was built over.
+func TestRetrainKeepsRunningServers(t *testing.T) {
 	sys := trainedSystem(t)
-	if err := sys.DeployAdaptive(); err != nil {
+	cam := serveOne(t, sys, true)
+	before, err := cam.InterpretKG(0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.Train("Robbery"); err != nil {
 		t.Fatal(err)
-	}
-	if sys.Deployed() {
-		t.Error("retrain should reset the deployment")
 	}
 	st, err := sys.KG()
 	if err != nil {
@@ -303,8 +356,25 @@ func TestRetrainResetsDeployment(t *testing.T) {
 	if st.Mission != "Robbery" {
 		t.Errorf("mission = %s", st.Mission)
 	}
+	after, err := cam.InterpretKG(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(before, after) {
+		t.Error("retraining the System changed a running server's KG")
+	}
+	frame, err := sys.SynthesizeFrame("Stealing")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cam.ProcessFrame(0, frame); err != nil {
+		t.Errorf("server built before retraining stopped serving: %v", err)
+	}
 }
 
+// TestSystemCheckpointWarmRestart pins a single camera's warm restart: a
+// 1-stream server checkpointed mid-run and restored into a server of a
+// rebuilt System continues bit-identically to the uninterrupted run.
 func TestSystemCheckpointWarmRestart(t *testing.T) {
 	const frames = 20
 	const split = 9
@@ -323,60 +393,58 @@ func TestSystemCheckpointWarmRestart(t *testing.T) {
 		}
 		return out
 	}
-
-	// Uninterrupted arm.
-	sysA := trainedSystem(t)
-	if err := sysA.DeployAdaptive(); err != nil {
-		t.Fatal(err)
+	score := func(cam *StreamServer, frames [][]float64) []float64 {
+		t.Helper()
+		var out []float64
+		for _, f := range frames {
+			res, err := cam.ProcessFrame(0, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, res.Score)
+		}
+		return out
 	}
-	framesA := mkFrames(sysA)
-	var want []float64
-	for _, f := range framesA {
-		res, err := sysA.ProcessFrame(f)
+	stats := func(cam *StreamServer) DeploymentStats {
+		t.Helper()
+		st, err := cam.Stats(0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, res.Score)
+		return st
 	}
+
+	// Uninterrupted arm.
+	sysA := trainedSystem(t)
+	camA := serveOne(t, sysA, true)
+	want := score(camA, mkFrames(sysA))
+	statsA := stats(camA)
+	camA.Close()
 
 	// Interrupted arm: process to the split, checkpoint, discard the
 	// system, rebuild from the same options, restore and continue.
 	path := t.TempDir() + "/system.json"
 	sysB := trainedSystem(t)
-	if err := sysB.DeployAdaptive(); err != nil {
+	camB := serveOne(t, sysB, true)
+	if err := camB.SaveCheckpoint(path); err != nil {
 		t.Fatal(err)
 	}
-	if err := sysB.SaveCheckpoint(path); err != nil {
+	got := score(camB, mkFrames(sysB)[:split])
+	if err := camB.SaveCheckpoint(path); err != nil {
 		t.Fatal(err)
 	}
-	framesB := mkFrames(sysB)
-	var got []float64
-	for _, f := range framesB[:split] {
-		res, err := sysB.ProcessFrame(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, res.Score)
-	}
-	if err := sysB.SaveCheckpoint(path); err != nil {
-		t.Fatal(err)
-	}
+	camB.Close()
 
 	sysC := trainedSystem(t)
-	if err := sysC.DeployAdaptive(); err != nil {
+	camC := serveOne(t, sysC, true)
+	counts, err := camC.LoadCheckpoint(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sysC.LoadCheckpoint(path); err != nil {
-		t.Fatal(err)
+	if len(counts) != 1 || counts[0] != split {
+		t.Fatalf("restored frame counts %v, want [%d]", counts, split)
 	}
-	framesC := mkFrames(sysC)
-	for _, f := range framesC[split:] {
-		res, err := sysC.ProcessFrame(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, res.Score)
-	}
+	got = append(got, score(camC, mkFrames(sysC)[split:])...)
 
 	if len(got) != len(want) {
 		t.Fatalf("resumed run scored %d frames, want %d", len(got), len(want))
@@ -386,30 +454,30 @@ func TestSystemCheckpointWarmRestart(t *testing.T) {
 			t.Fatalf("frame %d: resumed score %v != uninterrupted %v", i, got[i], want[i])
 		}
 	}
-	if a, b := sysA.Stats(), sysC.Stats(); a != b {
-		t.Fatalf("resumed stats %+v != uninterrupted %+v", b, a)
+	// A restore installs private copies of the KG and its token banks
+	// rather than re-aliasing the backbone's copy-on-write storage, so the
+	// resumed camera is charged more resident bytes than its twin. Every
+	// other figure is exact.
+	statsC := stats(camC)
+	if statsC.ResidentBytes < statsA.ResidentBytes {
+		t.Errorf("resumed camera charged %d resident bytes, uninterrupted %d", statsC.ResidentBytes, statsA.ResidentBytes)
 	}
-
-	// Checkpointing before deployment fails loudly.
-	sysD := trainedSystem(t)
-	if err := sysD.SaveCheckpoint(path); err == nil {
-		t.Error("checkpoint before deployment accepted")
-	}
-	if err := sysD.LoadCheckpoint(path); err == nil {
-		t.Error("restore before deployment accepted")
+	statsA.ResidentBytes, statsC.ResidentBytes = 0, 0
+	if statsA != statsC {
+		t.Fatalf("resumed stats %+v != uninterrupted %+v", statsC, statsA)
 	}
 }
 
 // TestLoadsCheckpointWrittenBeforeRuntimeFold pins the single-camera
 // checkpoint file format across the deletion of the edge runtime wrapper:
-// testdata/deploy_checkpoint_pr12.json was written by System.SaveCheckpoint
-// at the commit before the fold (DefaultOptions, mission Stealing,
-// DeployAdaptive, frame 230 of the schedule below, five triggered rounds
-// in). It must load into today's bare-stream deployment with its counters
-// intact and keep serving. (Bit-identical continuation against the old
-// commit's own run was checked on the generating host; the retrained
-// backbone under the restored delta is only bit-reproducible per kernel
-// backend, so the durable assertions here are the exact ones.)
+// testdata/deploy_checkpoint_pr12.json was written by the single-camera
+// deployment of an older commit (DefaultOptions, mission Stealing,
+// adaptive, frame 230 of the schedule below, five triggered rounds in).
+// It must load into today's 1-stream server with its counters intact and
+// keep serving. (Bit-identical continuation against the old commit's own
+// run was checked on the generating host; the retrained backbone under
+// the restored delta is only bit-reproducible per kernel backend, so the
+// durable assertions here are the exact ones.)
 func TestLoadsCheckpointWrittenBeforeRuntimeFold(t *testing.T) {
 	const fixture = "testdata/deploy_checkpoint_pr12.json"
 	sys, err := NewSystem(DefaultOptions())
@@ -420,21 +488,25 @@ func TestLoadsCheckpointWrittenBeforeRuntimeFold(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A static deployment refuses the adaptive checkpoint.
-	if err := sys.DeployStatic(); err != nil {
-		t.Fatal(err)
+	// A static server refuses the adaptive checkpoint.
+	static := serveOne(t, sys, false)
+	if _, err := static.LoadCheckpoint(fixture); !errors.Is(err, serve.ErrCheckpointMismatch) {
+		t.Fatalf("adaptive checkpoint into a static server: %v, want a mismatch error", err)
 	}
-	if err := sys.LoadCheckpoint(fixture); !errors.Is(err, serve.ErrCheckpointMismatch) {
-		t.Fatalf("adaptive checkpoint into a static deployment: %v, want a mismatch error", err)
-	}
+	static.Close()
 
-	if err := sys.DeployAdaptive(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.LoadCheckpoint(fixture); err != nil {
+	cam := serveOne(t, sys, true)
+	counts, err := cam.LoadCheckpoint(fixture)
+	if err != nil {
 		t.Fatalf("checkpoint written before the fold no longer loads: %v", err)
 	}
-	st := sys.Stats()
+	if len(counts) != 1 || counts[0] != 230 {
+		t.Fatalf("restored frame counts %v, want [230]", counts)
+	}
+	st, err := cam.Stats(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.Frames != 230 || st.AdaptRounds != 7 || st.TriggeredRounds != 5 || st.ScoringFLOPs <= 0 || st.AdaptFLOPs <= 0 {
 		t.Fatalf("restored stats %+v, want frames 230, rounds 7, triggered 5 and the metered totals", st)
 	}
@@ -450,7 +522,7 @@ func TestLoadsCheckpointWrittenBeforeRuntimeFold(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range append(a, b...)[230:260] {
-		res, err := sys.ProcessFrame(f.Frame)
+		res, err := cam.ProcessFrame(0, f.Frame)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -458,7 +530,73 @@ func TestLoadsCheckpointWrittenBeforeRuntimeFold(t *testing.T) {
 			t.Fatalf("score %v out of range", res.Score)
 		}
 	}
-	if st := sys.Stats(); st.Frames != 260 || st.AdaptRounds != 8 {
-		t.Fatalf("after 30 more frames: %+v, want frames 260 and the round at 256 accounted", st)
+	if st, err := cam.Stats(0); err != nil || st.Frames != 260 || st.AdaptRounds != 8 {
+		t.Fatalf("after 30 more frames: %+v (%v), want frames 260 and the round at 256 accounted", st, err)
+	}
+}
+
+// TestServeLeavesBackboneFrozen pins that serving never adapts the
+// System: after an adaptive camera ran the trendshift example's scenario
+// (triggered rounds included), a static server built from the same System
+// scores a probe set bit-identically to one built from a fresh System.
+func TestServeLeavesBackboneFrozen(t *testing.T) {
+	opts := Options{Seed: 42, Scale: "quick", TrainSteps: 300}
+	trained := func() *System {
+		t.Helper()
+		sys, err := NewSystem(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Train("Stealing"); err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	probes := func(sys *System) []float64 {
+		t.Helper()
+		frames, err := sys.NextStreamFramesSeeded("Robbery", 8, 0.5, 99)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cam := serveOne(t, sys, false)
+		defer cam.Close()
+		var out []float64
+		for _, f := range frames {
+			res, err := cam.ProcessFrame(0, f.Frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, res.Score)
+		}
+		return out
+	}
+
+	sys := trained()
+	cam := serveOne(t, sys, true)
+	for _, class := range []string{"Stealing", "Robbery"} {
+		frames, err := sys.NextStreamFrames(class, 256, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range frames {
+			if _, err := cam.ProcessFrame(0, f.Frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st, err := cam.Stats(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.TriggeredRounds < 1 {
+		t.Fatalf("adaptive camera never triggered a round (%+v): the scenario adapted nothing", st)
+	}
+	cam.Close()
+
+	got, want := probes(sys), probes(trained())
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("probe %d: %v after an adaptive deployment, %v from a fresh System", i, got[i], want[i])
+		}
 	}
 }

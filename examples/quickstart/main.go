@@ -35,16 +35,18 @@ func main() {
 	}
 	fmt.Printf("test AUC on Stealing: %.3f\n", auc)
 
-	// Deploy frozen and score a handful of frames.
-	if err := sys.DeployStatic(); err != nil {
+	// Deploy frozen to one camera and score a handful of frames.
+	cam, err := sys.Serve(edgekg.ServeOptions{Streams: 1})
+	if err != nil {
 		log.Fatal(err)
 	}
+	defer cam.Close()
 	for _, class := range []string{"Normal", "Stealing", "Normal", "Stealing"} {
 		frame, err := sys.SynthesizeFrame(class)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := sys.ProcessFrame(frame)
+		res, err := cam.ProcessFrame(0, frame)
 		if err != nil {
 			log.Fatal(err)
 		}

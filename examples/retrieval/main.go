@@ -22,12 +22,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Println("interpretable KG before adaptation:")
-	printKG(sys)
-
-	if err := sys.DeployAdaptive(); err != nil {
+	cam, err := sys.Serve(edgekg.ServeOptions{Streams: 1, Adaptive: true})
+	if err != nil {
 		log.Fatal(err)
 	}
+	defer cam.Close()
+
+	fmt.Println("interpretable KG before adaptation:")
+	printKG(cam)
+
 	// Warm-up on the trained trend, then a long Robbery phase.
 	for _, phase := range []struct {
 		class  string
@@ -41,22 +44,25 @@ func main() {
 			log.Fatal(err)
 		}
 		for _, f := range frames {
-			if _, err := sys.ProcessFrame(f.Frame); err != nil {
+			if _, err := cam.ProcessFrame(0, f.Frame); err != nil {
 				log.Fatal(err)
 			}
 		}
 	}
 
 	fmt.Println("\ninterpretable KG after Stealing→Robbery adaptation:")
-	printKG(sys)
+	printKG(cam)
 
-	st := sys.Stats()
+	st, err := cam.Stats(0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\n(%d adaptation rounds, %d triggered, %d nodes pruned)\n",
 		st.AdaptRounds, st.TriggeredRounds, st.PrunedNodes)
 }
 
-func printKG(sys *edgekg.System) {
-	nodes, err := sys.InterpretKG()
+func printKG(cam *edgekg.StreamServer) {
+	nodes, err := cam.InterpretKG(0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,15 +27,12 @@ func main() {
 		if err := sys.Train("Stealing"); err != nil {
 			log.Fatal(err)
 		}
-		if adaptive {
-			err = sys.DeployAdaptive()
-		} else {
-			err = sys.DeployStatic()
-		}
+		cam, err := sys.Serve(edgekg.ServeOptions{Streams: 1, Adaptive: adaptive})
 		if err != nil {
 			log.Fatal(err)
 		}
-		before, err = sys.TestAUC("Stealing")
+		defer cam.Close()
+		before, err = cam.TestAUC(0, "Stealing")
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -46,23 +43,26 @@ func main() {
 				log.Fatal(err)
 			}
 			for _, f := range frames {
-				if _, err := sys.ProcessFrame(f.Frame); err != nil {
+				if _, err := cam.ProcessFrame(0, f.Frame); err != nil {
 					log.Fatal(err)
 				}
 			}
 			if phase == "Robbery" {
-				after, err = sys.TestAUC("Robbery")
+				after, err = cam.TestAUC(0, "Robbery")
 				if err != nil {
 					log.Fatal(err)
 				}
 			} else {
-				shifted, err = sys.TestAUC("Robbery")
+				shifted, err = cam.TestAUC(0, "Robbery")
 				if err != nil {
 					log.Fatal(err)
 				}
 			}
 		}
-		st := sys.Stats()
+		st, err := cam.Stats(0)
+		if err != nil {
+			log.Fatal(err)
+		}
 		label := "static"
 		if adaptive {
 			label = "adaptive"

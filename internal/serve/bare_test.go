@@ -17,7 +17,7 @@ import (
 
 // The bare lag-0 stream — serve.NewStream(0, det, cfg, src, nil) driven by
 // Process on the caller's detector — is the deployed object of the paper's
-// Fig. 2(C) and what the experiments and the facade's Deploy* run. These
+// Fig. 2(C) and what the experiments run. These
 // tests pin its single-camera semantics: exclusive metering, device-derived
 // cost figures and the 1-stream checkpoint file.
 

@@ -183,8 +183,9 @@ func nodeIDs(g *kg.Graph) []kg.NodeID {
 }
 
 // TestServerSingleStreamEquivalentToBareStream pins the serving runtime
-// to the bare single-camera deployment the experiments and the facade's
-// Deploy* use: a 1-stream lag-0 server (COW clone, loop, channels,
+// to the bare single-camera deployment the experiments use (and with it
+// the facade's single camera, a 1-stream Serve): a 1-stream lag-0 server
+// (COW clone, loop, channels,
 // counter-or-exclusive metering) must be bit-identical to a serve.Stream
 // driven directly on the caller's detector over the same seeded stream —
 // scores, per-round adaptation decisions, metered FLOPs and the final KG

@@ -20,8 +20,9 @@
 // A Stream is also the whole single-camera deployment of the paper: built
 // bare over the caller's detector (NewStream(0, det, cfg, src, nil), lag 0,
 // exclusive metering) and driven with Process, it adapts det in place —
-// what the experiments and the facade's System.Deploy* run. Server is the
-// same context multiplexed across many cameras.
+// what the experiments run. Server is the same context multiplexed across
+// many cameras; a 1-stream lag-0 Server scores bit-identically to the bare
+// Stream.
 package serve
 
 import (
@@ -777,8 +778,8 @@ func (st *Stream) Export() (*snapshot.StreamState, error) {
 var ErrCheckpointMismatch = errors.New("serve: checkpoint does not match stream")
 
 // Save writes the stream's complete adaptation state to path as a 1-stream
-// checkpoint file (atomic temp-then-rename write) — the warm-restart file
-// of a bare deployment and the spill file of an evicted one. Like Export
+// checkpoint file (atomic temp-then-rename write) — the format a 1-stream
+// Server checkpoints to and the spill file of an evicted stream. Like Export
 // it must not race the processing goroutine.
 func (st *Stream) Save(path string) error {
 	ss, err := st.Export()
