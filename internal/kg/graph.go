@@ -13,6 +13,8 @@ package kg
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -414,6 +416,23 @@ func (g *Graph) ApproxMemBytes() int64 {
 	}
 	b += int64(g.NumEdges()) * edgeOverhead
 	return b
+}
+
+// Equal reports whether g and h hold the same mission, depth, next id,
+// nodes in the same order, and edges: whether either can stand in for the
+// other, as a restore lets a copy-on-write alias stand in for its checkpoint.
+func (g *Graph) Equal(h *Graph) bool {
+	if g.Mission != h.Mission || g.depth != h.depth || g.nextID != h.nextID || !slices.Equal(g.order, h.order) {
+		return false
+	}
+	for _, id := range g.order {
+		a, b := g.nodes[id], h.nodes[id]
+		if a.Concept != b.Concept || a.Level != b.Level || a.Kind != b.Kind || a.Created != b.Created ||
+			!slices.Equal(a.TokenIDs, b.TokenIDs) || !maps.Equal(g.out[id], h.out[id]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Clone returns a deep copy of the graph.

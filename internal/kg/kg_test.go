@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -346,6 +347,46 @@ func TestUnmarshalRejectsCorruptGraphs(t *testing.T) {
 		var g Graph
 		if err := json.Unmarshal([]byte(c), &g); err == nil {
 			t.Errorf("case %d: corrupt graph accepted", i)
+		}
+	}
+}
+
+// TestEqual pins what a checkpoint restore may treat as the same graph:
+// every copy of g (deep, copy-on-write, JSON round trip) equals it, and
+// any change to a node, an edge or the id counter does not.
+func TestEqual(t *testing.T) {
+	g := buildTestGraph(t)
+	data, err := json.Marshal(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Graph
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]*Graph{"clone": g.Clone(), "cow": g.CloneCOW(), "json": &back} {
+		if !g.Equal(c) || !c.Equal(g) {
+			t.Errorf("%s copy not equal to its source", name)
+		}
+	}
+	a, d := g.NodesAtLevel(1)[0].ID, g.NodesAtLevel(2)[1].ID
+	changes := map[string]func(c *Graph){
+		"mission":  func(c *Graph) { c.Mission = "other" },
+		"concept":  func(c *Graph) { c.Node(a).Concept = "mutated" },
+		"tokens":   func(c *Graph) { c.Node(a).TokenIDs = []int{9} },
+		"created":  func(c *Graph) { c.Node(a).Created = true },
+		"edge":     func(c *Graph) { delete(c.out[a], d); delete(c.in[d], a) },
+		"removed":  func(c *Graph) { _ = c.RemoveNode(a) },
+		"added":    func(c *Graph) { _, _ = c.AddNode("e", 1, nil) },
+		"nextID":   func(c *Graph) { c.nextID++ },
+		"depth":    func(c *Graph) { c.depth++ },
+		"reversed": func(c *Graph) { slices.Reverse(c.order) },
+	}
+	for name, change := range changes {
+		c := g.Clone()
+		change(c)
+		if g.Equal(c) || c.Equal(g) {
+			t.Errorf("%s change not detected", name)
 		}
 	}
 }

@@ -196,7 +196,8 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 					refStats[i].AdaptRounds != resStats[i].AdaptRounds ||
 					refStats[i].TriggeredRounds != resStats[i].TriggeredRounds ||
 					refStats[i].PrunedNodes != resStats[i].PrunedNodes ||
-					refStats[i].CreatedNodes != resStats[i].CreatedNodes {
+					refStats[i].CreatedNodes != resStats[i].CreatedNodes ||
+					refStats[i].ResidentBytes != resStats[i].ResidentBytes {
 					t.Fatalf("workers %d lag %d: stream %d stats mismatch: %+v vs %+v",
 						workers, lag, i, refStats[i], resStats[i])
 				}

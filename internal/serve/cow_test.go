@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -18,7 +19,9 @@ import (
 // TestCOWStaticStreamsAliasBackbone pins the headline sharing invariant:
 // with adaptation disabled, every stream's token pages ARE the backbone's
 // tensors (pointer-identical, not copies), the stream owns zero bank and
-// graph bytes, and scoring still works — the 10-100× density case.
+// graph bytes, and scoring still works — the 10-100× density case. A
+// server restored from those streams' checkpoint shares the same way and
+// is charged the same resident bytes.
 func TestCOWStaticStreamsAliasBackbone(t *testing.T) {
 	backbone, gen := buildBackbone(t, 41)
 	cfg := serve.DefaultConfig()
@@ -40,31 +43,52 @@ func TestCOWStaticStreamsAliasBackbone(t *testing.T) {
 			}
 		}
 	}
-	for i := 0; i < streams; i++ {
-		srv.CloseStream(i)
-		for range resultsOf(t, srv, i) {
-		}
+	cp, err := srv.Checkpoint(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	srv.Shutdown()
+	restored, err := serve.NewServer(backbone, streams, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Restore(cp); err != nil {
+		t.Fatal(err)
+	}
+	drain := func(srv *serve.Server) {
+		for i := 0; i < streams; i++ {
+			srv.CloseStream(i)
+			for range resultsOf(t, srv, i) {
+			}
+		}
+		srv.Shutdown()
+	}
+	drain(srv)
+	drain(restored)
 
 	bank := backbone.GNN(0).Tokens()
 	for i := 0; i < streams; i++ {
-		st := streamOf(t, srv, i)
-		mem := st.Detector().Mem()
-		if mem.BankOwned != 0 || mem.GraphOwned != 0 {
-			t.Errorf("static stream %d owns bytes: banks %d graphs %d", i, mem.BankOwned, mem.GraphOwned)
-		}
-		if mem.BankShared == 0 || mem.GraphShared == 0 {
-			t.Errorf("static stream %d reports no shared bytes", i)
-		}
-		sb := st.Detector().GNN(0).Tokens()
-		for _, id := range bank.NodeIDs() {
-			if sb.Bank(id).Data != bank.Bank(id).Data {
-				t.Fatalf("stream %d node %d: page is a copy, not an alias", i, id)
+		for name, srv := range map[string]*serve.Server{"served": srv, "restored": restored} {
+			st := streamOf(t, srv, i)
+			mem := st.Detector().Mem()
+			if mem.BankOwned != 0 || mem.GraphOwned != 0 {
+				t.Errorf("%s static stream %d owns bytes: banks %d graphs %d", name, i, mem.BankOwned, mem.GraphOwned)
+			}
+			if mem.BankShared == 0 || mem.GraphShared == 0 {
+				t.Errorf("%s static stream %d reports no shared bytes", name, i)
+			}
+			sb := st.Detector().GNN(0).Tokens()
+			for _, id := range bank.NodeIDs() {
+				if sb.Bank(id).Data != bank.Bank(id).Data {
+					t.Fatalf("%s stream %d node %d: page is a copy, not an alias", name, i, id)
+				}
 			}
 		}
-		if st.Stats().ResidentBytes == 0 {
+		served, back := streamOf(t, srv, i).Stats(), streamOf(t, restored, i).Stats()
+		if served.ResidentBytes == 0 {
 			t.Errorf("stream %d reports zero resident bytes (monitor window should be charged)", i)
+		}
+		if back.ResidentBytes != served.ResidentBytes {
+			t.Errorf("restored stream %d charged %d resident bytes, served %d", i, back.ResidentBytes, served.ResidentBytes)
 		}
 	}
 }
@@ -317,7 +341,8 @@ func TestEvictRehydrateEquivalence(t *testing.T) {
 					refStats[i].AdaptRounds != resStats[i].AdaptRounds ||
 					refStats[i].TriggeredRounds != resStats[i].TriggeredRounds ||
 					refStats[i].PrunedNodes != resStats[i].PrunedNodes ||
-					refStats[i].CreatedNodes != resStats[i].CreatedNodes {
+					refStats[i].CreatedNodes != resStats[i].CreatedNodes ||
+					refStats[i].ResidentBytes != resStats[i].ResidentBytes {
 					t.Fatalf("workers %d lag %d: stream %d stats mismatch: %+v vs %+v",
 						workers, lag, i, refStats[i], resStats[i])
 				}

@@ -30,6 +30,8 @@ package snapshot
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"slices"
 
 	"edgekg/internal/core"
 	"edgekg/internal/flops"
@@ -232,21 +234,34 @@ func CheckDetector(det *core.Detector, ds DetectorState) (*DetectorRestore, erro
 }
 
 // Install replaces the per-stream mutable state of det — the detector r
-// was checked against, or a clone of it — with the checked one: each
-// graph's content is replaced in place, a copy of every node's token matrix
-// installed (one state restores any number of streams), the model re-indexed.
+// was checked against, or a clone of it — with the checked one and
+// re-indexes the model. A graph or token matrix det already holds bit for
+// bit stays in place, so a copy-on-write clone keeps aliasing the pages
+// its checkpoint never diverged from and is charged what its uninterrupted
+// twin is; any other is replaced by a copy (one state restores any number
+// of streams).
 func (r *DetectorRestore) Install(det *core.Detector) error {
 	for gi, g := range r.graphs {
 		m := det.GNN(gi)
-		*m.Graph() = *g
+		if !m.Graph().Equal(g) {
+			*m.Graph() = *g
+		}
 		// Banks first: Rebind then finds one for every reasoning node, keeps
 		// exactly those, and never derives a default from the graph's text.
 		for id, t := range r.Banks[gi] {
-			m.Tokens().Install(id, t.Clone())
+			if !m.Tokens().Has(id) || !sameBits(m.Tokens().Bank(id).Data, t) {
+				m.Tokens().Install(id, t.Clone())
+			}
 		}
 		if err := m.Rebind(); err != nil {
 			return fmt.Errorf("snapshot: rebind graph %d: %w", gi, err)
 		}
 	}
 	return nil
+}
+
+// sameBits reports whether a and b are the same matrix bit for bit.
+func sameBits(a, b *tensor.Tensor) bool {
+	bits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	return a.Rows() == b.Rows() && a.Cols() == b.Cols() && slices.EqualFunc(a.Data(), b.Data(), bits)
 }
