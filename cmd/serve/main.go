@@ -61,7 +61,7 @@ func main() {
 		memBudget    = flag.String("mem-budget", "", "per-process resident-memory budget, e.g. 64K, 2M, 1G (empty disables eviction)")
 		spillDir     = flag.String("spill-dir", "", "directory for evicted-stream spill files (default: a temp dir when -mem-budget is set)")
 		precision    = flag.String("precision", "", "scoring width: auto (EDGEKG_PRECISION, default f64), f64, or f32 (float32 scoring + float32 monitor frames)")
-		listen       = flag.String("listen", "", "serve the HTTP/JSON API on this address (e.g. 127.0.0.1:9701) instead of self-driving synthetic cameras; cmd/loadgen is the driver")
+		listen       = flag.String("listen", "", "serve the HTTP API on this address (e.g. 127.0.0.1:9701) instead of self-driving synthetic cameras; cmd/loadgen is the driver")
 		maxPending   = flag.Int("max-pending", 8, "with -listen: frame submits queued per stream slot before shedding with 429")
 		ckptInterval = flag.Duration("checkpoint-interval", 0, "with -listen and -checkpoint-dir: wall-clock cadence for periodic worker checkpoints (0 disables)")
 	)
@@ -250,7 +250,7 @@ func main() {
 		}()
 	}
 
-	// Networked mode: expose the HTTP/JSON API and let remote drivers
+	// Networked mode: expose the HTTP API and let remote drivers
 	// (cmd/loadgen, a shard router) submit frames, poll stats, trigger
 	// checkpoints and migrate streams. Blocks until a client POSTs
 	// /v1/shutdown; there is no fixed frame target, so the final dump

@@ -503,7 +503,7 @@ type NetServeOptions struct {
 // state is intact; the caller still owns Close.
 var ErrKilled = errors.New("edgekg: worker killed by request (abrupt stop, no drain)")
 
-// NetListen exposes the deployment's HTTP/JSON serving API on addr: frame
+// NetListen exposes the deployment's HTTP serving API on addr: frame
 // submit, per-stream stats and scores, memory report, checkpoint and
 // evict triggers, and single-stream state export/restore — the unit of
 // checkpoint-based migration between worker processes. It blocks until a

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"edgekg/internal/serve"
@@ -55,12 +56,12 @@ func NewClient(base string, opts ...ClientOption) *Client {
 	return c
 }
 
-// roundTrip issues one request (body, when non-nil, is JSON bytes) and
+// roundTrip issues one request (body, when non-nil, is of contentType) and
 // returns the worker's 2xx response with its body unread, for the caller
 // to consume and close. Any other status is mapped here, once: 429 to
 // ErrBusy, the rest to a typed *StatusError carrying the ErrorReply text.
 // Nothing is retried: redelivery belongs to the shard layer's failover.
-func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
+func (c *Client) roundTrip(ctx context.Context, method, path, contentType string, body []byte) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -70,7 +71,7 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte
 		return nil, err
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", contentType)
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
@@ -92,10 +93,10 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte
 	return nil, se
 }
 
-// do is roundTrip with the JSON reply decoded into out (when non-nil),
-// streaming.
+// do is roundTrip with a JSON body (when non-nil) and the JSON reply
+// decoded into out (when non-nil), streaming.
 func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
-	resp, err := c.roundTrip(ctx, method, path, body)
+	resp, err := c.roundTrip(ctx, method, path, "application/json", body)
 	if err != nil {
 		return err
 	}
@@ -142,12 +143,22 @@ func (c *Client) WaitReady(ctx context.Context) (Health, error) {
 // surfaces as a non-transient error: the frame was not scored, and
 // retrying it verbatim will not help.
 func (c *Client) SubmitFrame(ctx context.Context, slot int, frame []float64) (FrameReply, error) {
-	var rep FrameReply
-	body, err := json.Marshal(FrameRequest{Frame: frame})
-	if err == nil {
-		err = c.do(ctx, http.MethodPost, fmt.Sprintf("/v1/streams/%d/frames", slot), body, &rep)
+	path := "/v1/streams/" + strconv.Itoa(slot) + "/frames"
+	resp, err := c.roundTrip(ctx, http.MethodPost, path, frameType, appendFrame(make([]byte, 0, 8*len(frame)), frame))
+	if err != nil {
+		return FrameReply{}, err
 	}
-	if err == nil && rep.Err != "" {
+	defer resp.Body.Close()
+	buf := getBuf()
+	defer bufs.Put(buf)
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return FrameReply{}, err
+	}
+	rep, err := decodeReply(buf.Bytes())
+	if err != nil {
+		return FrameReply{}, fmt.Errorf("netserve: POST %s: %w", path, err)
+	}
+	if rep.Err != "" {
 		err = fmt.Errorf("netserve: submit slot %d: %s", slot, rep.Err)
 	}
 	return rep, err
@@ -181,14 +192,19 @@ func (c *Client) Release(ctx context.Context, slot int) error {
 
 // ExportRaw captures one slot's complete adaptation state as the
 // snapshot JSON bytes — passed to RestoreRaw verbatim, so a migration
-// never re-encodes the state it moves.
+// never re-encodes the state it moves. The bytes are read into one buffer
+// sized from the reply's Content-Length, capped at the restore bound.
 func (c *Client) ExportRaw(ctx context.Context, slot int) ([]byte, error) {
-	resp, err := c.roundTrip(ctx, http.MethodGet, fmt.Sprintf("/v1/streams/%d/export", slot), nil)
+	resp, err := c.roundTrip(ctx, http.MethodGet, fmt.Sprintf("/v1/streams/%d/export", slot), "", nil)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	return io.ReadAll(resp.Body)
+	var buf bytes.Buffer
+	// MinRead of headroom lets ReadFrom meet EOF without growing the buffer.
+	buf.Grow(int(min(max(resp.ContentLength, 0), maxRestoreBody)) + bytes.MinRead)
+	_, err = buf.ReadFrom(resp.Body)
+	return buf.Bytes(), err
 }
 
 // RestoreRaw installs exported snapshot bytes into a slot.

@@ -1,10 +1,12 @@
 // Package netserve puts a network boundary in front of the multi-stream
-// serving runtime: an HTTP/JSON API over serve.Server exposing frame
-// submit, score/result retrieval, per-stream and memory/ledger stats,
-// checkpoint and evict triggers, and single-stream state export/restore —
-// the unit of checkpoint-based migration between worker processes. The
-// sibling Client is the typed consumer; internal/shard builds the
-// many-process router on top of both.
+// serving runtime: an HTTP API over serve.Server exposing frame submit,
+// score/result retrieval, per-stream and memory/ledger stats, checkpoint
+// and evict triggers, and single-stream state export/restore — the unit of
+// checkpoint-based migration between worker processes. Frames travel as
+// raw little-endian float64 and their results as a fixed binary record
+// (wire.go); every other body, errors included, is JSON. The sibling
+// Client is the typed consumer; internal/shard builds the many-process
+// router on top of both.
 //
 // Frame submits are serialized per stream slot (one camera, one ordered
 // feed) behind a bounded gate: when more than MaxPending submits are
@@ -66,10 +68,9 @@ type Handler struct {
 }
 
 // Request bodies come from outside the process and are bounded before they
-// are read; a larger one is answered 413. A frame body holds FrameSize JSON
-// numbers, 32 bytes each at most (a float64 prints in 24); a restore body
-// holds one stream snapshot, whose size follows the adapted KG — tens of
-// KiB at paper scale.
+// are read; a larger one is answered 413. A frame body is exactly one frame;
+// a restore body holds one stream snapshot, whose size follows the adapted
+// KG — tens of KiB at paper scale.
 const maxRestoreBody = 64 << 20
 
 // decodeBody decodes a JSON request body of at most limit bytes into v and
@@ -82,16 +83,21 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string
 		body = http.MaxBytesReader(w, body, limit)
 	}
 	err := json.NewDecoder(body).Decode(v)
-	if err == nil {
-		return true
+	if err != nil {
+		writeBodyErr(w, what, err)
 	}
+	return err == nil
+}
+
+// writeBodyErr answers a request body that failed to read or decode: 413
+// when it ran into its bound, 400 otherwise.
+func writeBodyErr(w http.ResponseWriter, what string, err error) {
 	status := http.StatusBadRequest
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
 		status = http.StatusRequestEntityTooLarge
 	}
 	writeErr(w, status, "bad %s: %v", what, err)
-	return false
 }
 
 type slotGate struct {
@@ -148,23 +154,34 @@ func (h *Handler) ShutdownRequested() <-chan struct{} { return h.shutdown }
 // Failover tests and drills use this to kill a worker deterministically.
 func (h *Handler) KillRequested() <-chan struct{} { return h.kill }
 
-// replyBufs recycles reply encode buffers: a reply is encoded in full
-// before its status line is committed, so a value that does not encode is
-// a 500 with an ErrorReply, never a 200 with an empty body.
-var replyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// bufs recycles the buffers frame bodies are read into and replies are
+// encoded into. A reply is encoded in full before its status line is
+// committed, so a value that does not encode is a 500 with an ErrorReply,
+// never a 200 with an empty body; its length goes out as Content-Length.
+var bufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func getBuf() *bytes.Buffer {
+	buf := bufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	return buf
+}
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	buf := replyBufs.Get().(*bytes.Buffer)
-	defer replyBufs.Put(buf)
-	buf.Reset()
+	buf := getBuf()
+	defer bufs.Put(buf)
 	if err := json.NewEncoder(buf).Encode(v); err != nil {
 		buf.Reset()
 		status = http.StatusInternalServerError
 		json.NewEncoder(buf).Encode(ErrorReply{Error: fmt.Sprintf("encode reply: %v", err)})
 	}
-	w.Header().Set("Content-Type", "application/json")
+	writeBody(w, status, "application/json", buf.Bytes())
+}
+
+func writeBody(w http.ResponseWriter, status int, contentType string, body []byte) {
+	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	w.Write(buf.Bytes())
+	w.Write(body)
 }
 
 func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
@@ -190,12 +207,8 @@ func (h *Handler) handleFrame(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req FrameRequest
-	if !decodeBody(w, r, int64(256+32*h.opts.FrameSize), "frame request", &req) {
-		return
-	}
-	if len(req.Frame) != h.opts.FrameSize {
-		writeErr(w, http.StatusBadRequest, "frame length %d, want %d", len(req.Frame), h.opts.FrameSize)
+	frame, ok := h.readFrame(w, r)
+	if !ok {
 		return
 	}
 	g := &h.gates[id]
@@ -207,7 +220,7 @@ func (h *Handler) handleFrame(w http.ResponseWriter, r *http.Request) {
 	defer atomic.AddInt32(&g.waiters, -1)
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	res, err := h.srv.Process(id, tensor.FromSlice(req.Frame, len(req.Frame)))
+	res, err := h.srv.Process(id, tensor.FromSlice(frame, len(frame)))
 	if err != nil {
 		writeErr(w, http.StatusConflict, "%v", err)
 		return
@@ -228,7 +241,33 @@ func (h *Handler) handleFrame(w http.ResponseWriter, r *http.Request) {
 	if res.Err != nil {
 		rep.Err = res.Err.Error()
 	}
-	writeJSON(w, http.StatusOK, rep)
+	buf := getBuf()
+	defer bufs.Put(buf)
+	writeBody(w, http.StatusOK, frameType, appendReply(buf.AvailableBuffer(), rep))
+}
+
+// readFrame reads and decodes a frame body and reports whether it did;
+// otherwise it has replied — 415 when the body is not frameType, 413 when
+// it runs past one frame, 400 when it is shorter or holds a NaN or ±Inf.
+// The body is read into a pooled buffer; the frame is a fresh slice,
+// because the stream's monitor keeps it.
+func (h *Handler) readFrame(w http.ResponseWriter, r *http.Request) ([]float64, bool) {
+	if ct := r.Header.Get("Content-Type"); ct != frameType {
+		writeErr(w, http.StatusUnsupportedMediaType, "frame body of type %q, want %q (%d little-endian float64 values)", ct, frameType, h.opts.FrameSize)
+		return nil, false
+	}
+	buf := getBuf()
+	defer bufs.Put(buf)
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, int64(8*h.opts.FrameSize)))
+	var frame []float64
+	if err == nil {
+		frame, err = decodeFrame(buf.Bytes(), h.opts.FrameSize)
+	}
+	if err != nil {
+		writeBodyErr(w, "frame body", err)
+		return nil, false
+	}
+	return frame, true
 }
 
 // onLoop runs fn on the {id} slot's loop through serve.Call under one

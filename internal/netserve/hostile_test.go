@@ -3,6 +3,7 @@ package netserve_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -142,17 +143,18 @@ func TestOversizedBodies413(t *testing.T) {
 	_, h, url := rawWorker(t, 5, 1, netserve.Options{MaxPending: 1})
 	h.SetRestoreLimit(4 << 10)
 	client := netserve.NewClient(url)
-	for _, tc := range []struct{ path, body string }{
-		// A well-formed frame request that is simply too long …
-		{"/v1/streams/0/frames", `{"frame":[` + strings.Repeat("0.25,", 4096) + `0.25]}`},
-		// … and the same number of values hidden behind whitespace.
-		{"/v1/streams/0/frames", strings.Repeat(" ", 8192) + `{"frame":[]}`},
-		{"/v1/streams/0/restore", `{"id":0,"last_err":"` + strings.Repeat("x", 8192) + `"}`},
+	good := frameBody(make([]float64, pixDim))
+	for _, tc := range []struct{ path, contentType, body string }{
+		// A well-formed frame body that is simply too long …
+		{"/v1/streams/0/frames", frameType, string(frameBody(make([]float64, 4097)))},
+		// … and one byte past a frame.
+		{"/v1/streams/0/frames", frameType, string(good) + "\x00"},
+		{"/v1/streams/0/restore", "application/json", `{"id":0,"last_err":"` + strings.Repeat("x", 8192) + `"}`},
 	} {
 		// Once with the length declared, once chunked (a reader net/http
 		// cannot size).
 		for _, body := range []io.Reader{bytes.NewReader([]byte(tc.body)), io.MultiReader(strings.NewReader(tc.body))} {
-			resp, err := http.Post(url+tc.path, "application/json", body)
+			resp, err := http.Post(url+tc.path, tc.contentType, body)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,9 +170,31 @@ func TestOversizedBodies413(t *testing.T) {
 	}
 }
 
-// hostileFrameBody is a frame request of finite JSON numbers that overflows
-// the image encoder: the stream scores it NaN.
-var hostileFrameBody = `{"frame":[` + strings.TrimSuffix(strings.Repeat("1.7e308,", pixDim), ",") + `]}`
+// frameType is the Content-Type of a frame body.
+const frameType = "application/octet-stream"
+
+// frameBody is a frame's request body as the wire defines it: each value's
+// IEEE-754 bits, little-endian.
+func frameBody(frame []float64) []byte {
+	b := make([]byte, 8*len(frame))
+	for i, v := range frame {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+	}
+	return b
+}
+
+// fill is a frame of pixDim copies of v.
+func fill(v float64) []float64 {
+	f := make([]float64, pixDim)
+	for i := range f {
+		f[i] = v
+	}
+	return f
+}
+
+// overflowFrame is a frame of finite values that overflows the image
+// encoder: the stream scores it NaN.
+var overflowFrame = fill(1.7e308)
 
 // TestHostileFrameIs400 pins the network face of the non-finite-score
 // refusal. The worker used to score the frame NaN, push that into the
@@ -178,6 +202,8 @@ var hostileFrameBody = `{"frame":[` + strings.TrimSuffix(strings.Repeat("1.7e308
 // before the encoder met the NaN) — which a client reads as EOF, classifies
 // transient and retries. Now: a typed 400, IsTransient false, and the slot
 // scores its next frames bit-equal to a twin that never saw the frame.
+// A binary body can carry NaN and ±Inf themselves, which JSON could not:
+// those are refused the same way, before the frame reaches the stream.
 func TestHostileFrameIs400(t *testing.T) {
 	const seed, served, after = 9, 10, 13
 	_, gen := buildBackbone(t, seed)
@@ -201,22 +227,31 @@ func TestHostileFrameIs400(t *testing.T) {
 	drive(client, 0, served)
 	drive(twin, 0, served)
 
-	resp, err := http.Post(url+"/v1/streams/0/frames", "application/json", strings.NewReader(hostileFrameBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var er netserve.ErrorReply
-	derr := json.NewDecoder(resp.Body).Decode(&er)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || derr != nil || !strings.Contains(er.Error, "non-finite") {
-		t.Fatalf("hostile frame: status %d, body %+v (%v); want 400 with an ErrorReply", resp.StatusCode, er, derr)
-	}
-	hostile := make([]float64, pixDim)
-	for i := range hostile {
-		hostile[i] = 1.7e308
-	}
-	if _, err := client.SubmitFrame(ctx, 0, hostile); err == nil || netserve.IsTransient(err) {
-		t.Fatalf("SubmitFrame of the hostile frame: %v, want a non-transient error", err)
+	withNaN := fill(0.25)
+	withNaN[pixDim/2] = math.NaN()
+	for _, tc := range []struct {
+		name  string
+		frame []float64
+		want  string
+	}{
+		{"overflowing", overflowFrame, "non-finite"},
+		{"NaN", withNaN, fmt.Sprintf("value %d is NaN", pixDim/2)},
+		{"+Inf", fill(math.Inf(1)), "value 0 is +Inf"},
+		{"-Inf", fill(math.Inf(-1)), "value 0 is -Inf"},
+	} {
+		resp, err := http.Post(url+"/v1/streams/0/frames", frameType, bytes.NewReader(frameBody(tc.frame)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er netserve.ErrorReply
+		derr := json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || derr != nil || !strings.Contains(er.Error, tc.want) {
+			t.Fatalf("%s frame: status %d, body %+v (%v); want 400 with an ErrorReply naming %q", tc.name, resp.StatusCode, er, derr, tc.want)
+		}
+		if _, err := client.SubmitFrame(ctx, 0, tc.frame); err == nil || netserve.IsTransient(err) {
+			t.Fatalf("SubmitFrame of the %s frame: %v, want a non-transient error", tc.name, err)
+		}
 	}
 
 	got, want := drive(client, served, served+after), drive(twin, served, served+after)
@@ -295,15 +330,19 @@ func TestMemSharesOneDeadline(t *testing.T) {
 }
 
 // FuzzFrameBody throws arbitrary bytes at POST …/frames, the request every
-// camera can reach: the worker answers 2xx or 4xx with a JSON body that
-// decodes — never a panic, a 5xx or an empty 200 — and the slot takes a good
-// frame afterwards.
+// camera can reach: the worker answers 200 with a reply record that decodes
+// to a score in [0, 1], or 4xx with a JSON ErrorReply — never a panic or a
+// 5xx — and the slot takes a good frame afterwards.
 func FuzzFrameBody(f *testing.F) {
-	good, _ := json.Marshal(netserve.FrameRequest{Frame: make([]float64, pixDim)})
+	good := frameBody(make([]float64, pixDim))
 	f.Add(good)
-	f.Add([]byte(hostileFrameBody))
 	f.Add(good[:len(good)/2])
-	f.Add(append(append([]byte(nil), good...), "}]garbage"...))
+	f.Add(append(append([]byte(nil), good...), 0))
+	withNaN := make([]float64, pixDim)
+	withNaN[3] = math.NaN()
+	f.Add(frameBody(withNaN))
+	f.Add(frameBody(fill(math.Inf(1))))
+	f.Add(frameBody(overflowFrame))
 	backbone, _ := buildBackbone(f, 5)
 	cfg := serve.DefaultConfig()
 	cfg.Stream = streamCfg()
@@ -318,20 +357,28 @@ func FuzzFrameBody(f *testing.F) {
 	}
 	post := func(body []byte) (int, []byte) {
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/streams/0/frames", bytes.NewReader(body)))
+		req := httptest.NewRequest(http.MethodPost, "/v1/streams/0/frames", bytes.NewReader(body))
+		req.Header.Set("Content-Type", frameType)
+		h.ServeHTTP(rec, req)
 		return rec.Code, rec.Body.Bytes()
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		code, reply := post(body)
-		var v map[string]any
-		if (code/100 != 2 && code/100 != 4) || json.Unmarshal(reply, &v) != nil {
-			t.Fatalf("body %q: status %d, reply %q", body, code, reply)
-		}
-		if code/100 == 4 && v["error"] == nil {
-			t.Fatalf("body %q: %d without an ErrorReply: %q", body, code, reply)
+		switch code, reply := post(body); code / 100 {
+		case 2:
+			rep, err := netserve.DecodeReply(reply)
+			if code != http.StatusOK || err != nil || !(rep.Score >= 0 && rep.Score <= 1) {
+				t.Fatalf("body %x: status %d, reply %+v (%v); want a score in [0, 1]", body, code, rep, err)
+			}
+		case 4:
+			var er netserve.ErrorReply
+			if err := json.Unmarshal(reply, &er); err != nil || er.Error == "" {
+				t.Fatalf("body %x: %d without an ErrorReply: %q", body, code, reply)
+			}
+		default:
+			t.Fatalf("body %x: status %d, reply %q", body, code, reply)
 		}
 		if code, reply := post(good); code != http.StatusOK {
-			t.Fatalf("good frame after body %q: status %d, reply %q", body, code, reply)
+			t.Fatalf("good frame after body %x: status %d, reply %q", body, code, reply)
 		}
 	})
 }

@@ -2,13 +2,16 @@ package netserve_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -24,6 +27,7 @@ import (
 	"edgekg/internal/netserve"
 	"edgekg/internal/oracle"
 	"edgekg/internal/serve"
+	"edgekg/internal/snapshot"
 	"edgekg/internal/temporal"
 	"edgekg/internal/tensor"
 )
@@ -208,20 +212,150 @@ func TestFrameRoundTripMatchesDirectServe(t *testing.T) {
 	}
 }
 
-// TestFrameValidation pins the 4xx surface: bad slot, bad frame length.
+// TestConcurrentSubmitsMatchDirectServe drives 4 slots from 8 goroutines
+// at once, two per slot taking turns in the slot's frame order, so request
+// bodies, reply records and frames are decoded through the pooled buffers
+// concurrently. Every score must equal, bit for bit, a direct serve.Server
+// fed the same frames, and so must every slot's exported state, whose
+// monitor holds the decoded frames themselves: a frame that shared memory
+// with a buffer or another request would show there. CI runs it under
+// -race -count=10.
+func TestConcurrentSubmitsMatchDirectServe(t *testing.T) {
+	const seed, slots, goroutines, n = 3, 4, 8, 24
+	_, gen := buildBackbone(t, seed)
+	fs := make([][][]float64, slots)
+	for s := range fs {
+		fs[s] = frames(t, gen, int64(40+s), n)
+	}
+
+	backbone, _ := buildBackbone(t, seed)
+	cfg := serve.DefaultConfig()
+	cfg.Stream = streamCfg()
+	cfg.BaseSeed = 100
+	direct, err := serve.NewServer(backbone, slots, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer direct.Shutdown()
+	want := make([][]float64, slots)
+	for s := range want {
+		for _, f := range fs[s] {
+			r, err := direct.Process(s, tensor.FromSlice(f, len(f)))
+			if err != nil || r.Err != nil {
+				t.Fatal(err, r.Err)
+			}
+			want[s] = append(want[s], r.Score)
+		}
+	}
+
+	_, client := worker(t, seed, slots, netserve.Options{})
+	var (
+		mu   [slots]sync.Mutex // holds a slot's turn across its submit
+		next [slots]int
+		got  [slots][n]float64
+		wg   sync.WaitGroup
+	)
+	for g := 0; g < goroutines; g++ {
+		s := g % slots
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				mu[s].Lock()
+				i := next[s]
+				if i == n {
+					mu[s].Unlock()
+					return
+				}
+				rep, err := client.SubmitFrame(context.Background(), s, fs[s][i])
+				if err != nil || rep.Seq != i {
+					t.Errorf("slot %d frame %d: seq %d, %v", s, i, rep.Seq, err)
+				}
+				got[s][i] = rep.Score
+				next[s]++
+				mu[s].Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	for s := range want {
+		for i := range want[s] {
+			if math.Float64bits(got[s][i]) != math.Float64bits(want[s][i]) {
+				t.Fatalf("slot %d frame %d: networked score %v != direct %v", s, i, got[s][i], want[s][i])
+			}
+		}
+		// The FLOP ledger is left out: a server's streams meter deltas of
+		// one shared counter, so streams scoring at once bill each other.
+		raw, err := client.ExportRaw(context.Background(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var gotState snapshot.StreamState
+		if err := json.Unmarshal(raw, &gotState); err != nil {
+			t.Fatal(err)
+		}
+		wantState, err := serve.Call(context.Background(), direct, s, (*serve.Stream).Export)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotState.Ledger, wantState.Ledger = nil, nil
+		gb, err := json.Marshal(&gotState)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wb, err := json.Marshal(wantState)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(gb) != string(wb) {
+			t.Fatalf("slot %d: exported state differs from the direct server's", s)
+		}
+	}
+}
+
+// TestFrameValidation pins the 4xx surface: bad slot, bad frame length,
+// and a body that is not a binary frame — the JSON body clients sent
+// before frames went binary is a 415 naming the type the worker takes.
 func TestFrameValidation(t *testing.T) {
-	_, client := worker(t, 5, 1, netserve.Options{})
+	_, _, url := rawWorker(t, 5, 1, netserve.Options{})
+	client := netserve.NewClient(url)
 	ctx := context.Background()
 	if _, err := client.SubmitFrame(ctx, 7, make([]float64, pixDim)); err == nil ||
 		!strings.Contains(err.Error(), "no stream") {
 		t.Fatalf("bad slot: %v", err)
 	}
-	if _, err := client.SubmitFrame(ctx, 0, []float64{1, 2, 3}); err == nil ||
-		!strings.Contains(err.Error(), "frame length") {
+	var se *netserve.StatusError
+	if _, err := client.SubmitFrame(ctx, 0, []float64{1, 2, 3}); !errors.As(err, &se) ||
+		se.Code != http.StatusBadRequest || !strings.Contains(err.Error(), "frame length") {
 		t.Fatalf("bad frame length: %v", err)
 	}
 	if _, err := client.Stats(ctx, -1); err == nil {
 		t.Fatal("negative slot: want error")
+	}
+	jsonFrame := `{"frame":[` + strings.TrimSuffix(strings.Repeat("0.25,", pixDim), ",") + `]}`
+	for _, contentType := range []string{"application/json", ""} {
+		resp, err := http.Post(url+"/v1/streams/0/frames", contentType, strings.NewReader(jsonFrame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er netserve.ErrorReply
+		derr := json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnsupportedMediaType || derr != nil || !strings.Contains(er.Error, frameType) {
+			t.Fatalf("JSON frame body as %q: status %d, body %+v (%v); want 415 naming %s", contentType, resp.StatusCode, er, derr, frameType)
+		}
+	}
+	// Sent as a frame, the JSON body is simply short of one.
+	resp, err := http.Post(url+"/v1/streams/0/frames", frameType, strings.NewReader(jsonFrame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("JSON frame body as %s: status %d, want 400", frameType, resp.StatusCode)
+	}
+	if rep, err := client.SubmitFrame(ctx, 0, make([]float64, pixDim)); err != nil || rep.Seq != 0 {
+		t.Fatalf("first good frame after the refused ones: %+v, %v", rep, err)
 	}
 }
 

@@ -1,10 +1,93 @@
 package netserve
 
-// Wire DTOs of the HTTP/JSON serving API, shared by Handler and Client.
-// Stream snapshots reuse the internal/snapshot JSON encoding verbatim — the
-// bytes a warm-restart checkpoint writes — so a migrated stream round-trips
-// bit-exactly through the network boundary without a second codec, and
-// GET /v1/streams/{id}/stats replies with the serve.Stats it read.
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+)
+
+// The serving API's wire forms, shared by Handler and Client. Frames are
+// binary: POST /v1/streams/{id}/frames takes frameType, a body of exactly
+// 8·FrameSize bytes — the frame's float64 values, little-endian IEEE-754 —
+// and a 200 answers with the fixed little-endian record appendReply writes,
+// followed by the reply's error text, if any. Everything else is JSON: the
+// DTOs below, every non-2xx body (an ErrorReply, frame errors included), and
+// stream snapshots, which reuse the internal/snapshot JSON encoding verbatim
+// — the bytes a warm-restart checkpoint writes — so a migrated stream
+// round-trips bit-exactly through the network boundary without a second
+// codec. GET /v1/streams/{id}/stats replies with the serve.Stats it read.
+
+// frameType is the Content-Type of a frame request and of its 200 reply.
+const frameType = "application/octet-stream"
+
+// appendFrame appends frame's wire form to dst.
+func appendFrame(dst []byte, frame []float64) []byte {
+	for _, v := range frame {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+	}
+	return dst
+}
+
+// decodeFrame decodes a frame body of size values into a fresh slice. It
+// refuses a body of any other length, and any NaN or ±Inf value: JSON could
+// not carry those, and a non-finite feature must not reach a stream.
+func decodeFrame(b []byte, size int) ([]float64, error) {
+	if len(b) != 8*size {
+		return nil, fmt.Errorf("frame length %d bytes, want %d (%d float64 values)", len(b), 8*size, size)
+	}
+	frame := make([]float64, size)
+	for i := range frame {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("frame value %d is %v, want a finite number", i, v)
+		}
+		frame[i] = v
+	}
+	return frame, nil
+}
+
+// replyLen is the fixed part of a scored frame's reply: seq (8 bytes),
+// score bits (8), stream (4), flags (1: bit 0 AdaptApplied, bit 1
+// Triggered), pruned (4) and created (4). The error text follows it.
+const replyLen = 29
+
+// appendReply appends rep's wire form to dst.
+func appendReply(dst []byte, rep FrameReply) []byte {
+	le := binary.LittleEndian
+	dst = le.AppendUint64(dst, uint64(rep.Seq))
+	dst = le.AppendUint64(dst, math.Float64bits(rep.Score))
+	dst = le.AppendUint32(dst, uint32(rep.Stream))
+	var flags byte
+	if rep.AdaptApplied {
+		flags |= 1
+	}
+	if rep.Triggered {
+		flags |= 2
+	}
+	dst = append(dst, flags)
+	dst = le.AppendUint32(dst, uint32(rep.Pruned))
+	dst = le.AppendUint32(dst, uint32(rep.Created))
+	return append(dst, rep.Err...)
+}
+
+// decodeReply decodes a reply appendReply wrote. A reply shorter than the
+// fixed record is an error, never a zero score.
+func decodeReply(b []byte) (FrameReply, error) {
+	if len(b) < replyLen {
+		return FrameReply{}, fmt.Errorf("frame reply of %d bytes, shorter than the %d-byte record", len(b), replyLen)
+	}
+	le := binary.LittleEndian
+	return FrameReply{
+		Seq:          int(le.Uint64(b)),
+		Score:        math.Float64frombits(le.Uint64(b[8:])),
+		Stream:       int(le.Uint32(b[16:])),
+		AdaptApplied: b[20]&1 != 0,
+		Triggered:    b[20]&2 != 0,
+		Pruned:       int(le.Uint32(b[21:])),
+		Created:      int(le.Uint32(b[25:])),
+		Err:          string(b[replyLen:]),
+	}, nil
+}
 
 // Health is GET /healthz: the worker's shape, which the router needs to
 // allocate slots.
@@ -14,24 +97,20 @@ type Health struct {
 	FrameSize int  `json:"frame_size"`
 }
 
-// FrameRequest is POST /v1/streams/{id}/frames.
-type FrameRequest struct {
-	Frame []float64 `json:"frame"`
-}
-
 // FrameReply reports one scored frame — the network mirror of
-// serve.Result.
+// serve.Result, carried as the binary record appendReply writes.
 type FrameReply struct {
-	Stream int     `json:"stream"`
-	Seq    int     `json:"seq"`
-	Score  float64 `json:"score"`
+	Stream int
+	Seq    int
+	Score  float64
 	// AdaptApplied is true when an adaptation round's effect became
 	// visible at this frame; Triggered/Pruned/Created describe that round.
-	AdaptApplied bool   `json:"adapt_applied,omitempty"`
-	Triggered    bool   `json:"triggered,omitempty"`
-	Pruned       int    `json:"pruned,omitempty"`
-	Created      int    `json:"created,omitempty"`
-	Err          string `json:"err,omitempty"`
+	AdaptApplied bool
+	Triggered    bool
+	Pruned       int
+	Created      int
+	// Err is the worker's per-frame processing error, if any.
+	Err string
 }
 
 // ScoresReply is GET /v1/streams/{id}/scores.
