@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"edgekg/internal/serve"
+	"edgekg/internal/tensor"
 )
 
 // ErrBusy reports a 429 from the worker: the target slot's submit queue
@@ -27,8 +28,9 @@ const DefaultTimeout = 60 * time.Second
 
 // Client is the typed consumer of one worker's HTTP API.
 type Client struct {
-	base string
-	http *http.Client
+	base       string
+	http       *http.Client
+	stateLimit int64 // maxRestoreBody; tests lower it rather than send 64 MiB
 }
 
 // ClientOption tunes a Client at construction.
@@ -49,7 +51,7 @@ func WithTimeout(d time.Duration) ClientOption {
 // NewClient returns a client for the worker at base (e.g.
 // "http://127.0.0.1:9701") with the default per-request timeout.
 func NewClient(base string, opts ...ClientOption) *Client {
-	c := &Client{base: base, http: &http.Client{Timeout: DefaultTimeout}}
+	c := &Client{base: base, http: &http.Client{Timeout: DefaultTimeout}, stateLimit: maxRestoreBody}
 	for _, o := range opts {
 		o(c)
 	}
@@ -144,7 +146,7 @@ func (c *Client) WaitReady(ctx context.Context) (Health, error) {
 // retrying it verbatim will not help.
 func (c *Client) SubmitFrame(ctx context.Context, slot int, frame []float64) (FrameReply, error) {
 	path := "/v1/streams/" + strconv.Itoa(slot) + "/frames"
-	resp, err := c.roundTrip(ctx, http.MethodPost, path, frameType, appendFrame(make([]byte, 0, 8*len(frame)), frame))
+	resp, err := c.roundTrip(ctx, http.MethodPost, path, binaryType, tensor.AppendFloats(nil, frame))
 	if err != nil {
 		return FrameReply{}, err
 	}
@@ -190,26 +192,39 @@ func (c *Client) Release(ctx context.Context, slot int) error {
 	return c.do(ctx, http.MethodPost, fmt.Sprintf("/v1/streams/%d/release", slot), nil, nil)
 }
 
-// ExportRaw captures one slot's complete adaptation state as the
-// snapshot JSON bytes — passed to RestoreRaw verbatim, so a migration
-// never re-encodes the state it moves. The bytes are read into one buffer
-// sized from the reply's Content-Length, capped at the restore bound.
+// ExportRaw captures one slot's complete adaptation state as the version 2
+// checkpoint of one stream (snapshot.AppendStream) — passed to RestoreRaw
+// verbatim, so a migration never re-encodes the state it moves. The bytes
+// are read into one buffer sized from the reply's Content-Length; a reply
+// longer than the restore bound is an error.
 func (c *Client) ExportRaw(ctx context.Context, slot int) ([]byte, error) {
-	resp, err := c.roundTrip(ctx, http.MethodGet, fmt.Sprintf("/v1/streams/%d/export", slot), "", nil)
+	path := fmt.Sprintf("/v1/streams/%d/export", slot)
+	resp, err := c.roundTrip(ctx, http.MethodGet, path, "", nil)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
 	var buf bytes.Buffer
 	// MinRead of headroom lets ReadFrom meet EOF without growing the buffer.
-	buf.Grow(int(min(max(resp.ContentLength, 0), maxRestoreBody)) + bytes.MinRead)
-	_, err = buf.ReadFrom(resp.Body)
-	return buf.Bytes(), err
+	buf.Grow(int(min(max(resp.ContentLength, 0), c.stateLimit)) + bytes.MinRead)
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, c.stateLimit+1)); err != nil {
+		return nil, err
+	}
+	if int64(buf.Len()) > c.stateLimit {
+		return nil, fmt.Errorf("netserve: GET %s: state longer than the %d-byte bound", path, c.stateLimit)
+	}
+	return buf.Bytes(), nil
 }
 
-// RestoreRaw installs exported snapshot bytes into a slot.
+// RestoreRaw installs a state ExportRaw returned into a slot. The worker
+// takes only that binary form: any other body is refused 4xx.
 func (c *Client) RestoreRaw(ctx context.Context, slot int, state []byte) error {
-	return c.do(ctx, http.MethodPost, fmt.Sprintf("/v1/streams/%d/restore", slot), state, nil)
+	resp, err := c.roundTrip(ctx, http.MethodPost, fmt.Sprintf("/v1/streams/%d/restore", slot), binaryType, state)
+	if err != nil {
+		return err
+	}
+	io.Copy(io.Discard, resp.Body)
+	return resp.Body.Close()
 }
 
 // Mem fetches the worker's memory report.

@@ -1,10 +1,13 @@
 package netserve
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -45,5 +48,35 @@ func TestWriteJSONEncodesBeforeCommitting(t *testing.T) {
 	writeJSON(rec, http.StatusOK, ScoresReply{Stream: 3, Scores: []float64{0.5}})
 	if got, want := rec.Body.String(), `{"stream":3,"scores":[0.5]}`+"\n"; rec.Code != http.StatusOK || got != want {
 		t.Fatalf("reply after a failed one: status %d, body %q, want %q", rec.Code, got, want)
+	}
+}
+
+// TestExportRawBoundsTheReply pins the client's read bound on an export
+// reply, with and without a declared length: a state of exactly the bound
+// is read whole, one byte more is an error, not a buffer grown to whatever
+// the worker sends.
+func TestExportRawBoundsTheReply(t *testing.T) {
+	const limit = 4 << 10
+	for _, declared := range []bool{true, false} {
+		for _, n := range []int{limit, limit + 1} {
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if declared {
+					w.Header().Set("Content-Length", strconv.Itoa(n))
+				}
+				w.Header().Set("Content-Type", binaryType)
+				w.WriteHeader(http.StatusOK)
+				w.Write(make([]byte, n))
+			}))
+			c := NewClient(ts.URL)
+			c.stateLimit = limit
+			state, err := c.ExportRaw(context.Background(), 0)
+			ts.Close()
+			if n <= limit && (err != nil || len(state) != n) {
+				t.Errorf("declared %t: a %d-byte state at the %d-byte bound: %d bytes, %v", declared, n, limit, len(state), err)
+			}
+			if n > limit && (err == nil || !strings.Contains(err.Error(), "bound")) {
+				t.Errorf("declared %t: a %d-byte state past the %d-byte bound: %d bytes, %v; want an error", declared, n, limit, len(state), err)
+			}
+		}
 	}
 }

@@ -3,7 +3,8 @@
 // score/result retrieval, per-stream and memory/ledger stats, checkpoint
 // and evict triggers, and single-stream state export/restore — the unit of
 // checkpoint-based migration between worker processes. Frames travel as
-// raw little-endian float64 and their results as a fixed binary record
+// raw little-endian float64, their results as a fixed binary record, and a
+// stream's state as the binary version 2 checkpoint of one stream
 // (wire.go); every other body, errors included, is JSON. The sibling
 // Client is the typed consumer; internal/shard builds the many-process
 // router on top of both.
@@ -69,36 +70,10 @@ type Handler struct {
 
 // Request bodies come from outside the process and are bounded before they
 // are read; a larger one is answered 413. A frame body is exactly one frame;
-// a restore body holds one stream snapshot, whose size follows the adapted
-// KG — tens of KiB at paper scale.
+// a restore body holds one stream's state, whose size follows the adapted
+// KG — tens of KiB at paper scale. An export reply is held to the same
+// bound by Client.ExportRaw.
 const maxRestoreBody = 64 << 20
-
-// decodeBody decodes a JSON request body of at most limit bytes into v and
-// reports whether it did; otherwise it has replied — 413 when the body ran
-// into the bound, 400 when it is not what the endpoint takes.
-func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
-	body := r.Body
-	if r.ContentLength < 0 || r.ContentLength > limit {
-		// net/http itself holds a body to a declared length within the bound.
-		body = http.MaxBytesReader(w, body, limit)
-	}
-	err := json.NewDecoder(body).Decode(v)
-	if err != nil {
-		writeBodyErr(w, what, err)
-	}
-	return err == nil
-}
-
-// writeBodyErr answers a request body that failed to read or decode: 413
-// when it ran into its bound, 400 otherwise.
-func writeBodyErr(w http.ResponseWriter, what string, err error) {
-	status := http.StatusBadRequest
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		status = http.StatusRequestEntityTooLarge
-	}
-	writeErr(w, status, "bad %s: %v", what, err)
-}
 
 type slotGate struct {
 	mu      sync.Mutex
@@ -154,11 +129,15 @@ func (h *Handler) ShutdownRequested() <-chan struct{} { return h.shutdown }
 // Failover tests and drills use this to kill a worker deterministically.
 func (h *Handler) KillRequested() <-chan struct{} { return h.kill }
 
-// bufs recycles the buffers frame bodies are read into and replies are
+// bufs recycles the buffers request bodies are read into and replies are
 // encoded into. A reply is encoded in full before its status line is
 // committed, so a value that does not encode is a 500 with an ErrorReply,
 // never a 200 with an empty body; its length goes out as Content-Length.
 var bufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// stateBufs recycles the buffers exported states are encoded into, each
+// keeping the capacity its largest state grew it to.
+var stateBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 func getBuf() *bytes.Buffer {
 	buf := bufs.Get().(*bytes.Buffer)
@@ -207,7 +186,9 @@ func (h *Handler) handleFrame(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	frame, ok := h.readFrame(w, r)
+	frame, ok := readBody(w, r, int64(8*h.opts.FrameSize), "frame body", func(b []byte) ([]float64, error) {
+		return decodeFrame(b, h.opts.FrameSize)
+	})
 	if !ok {
 		return
 	}
@@ -243,31 +224,36 @@ func (h *Handler) handleFrame(w http.ResponseWriter, r *http.Request) {
 	}
 	buf := getBuf()
 	defer bufs.Put(buf)
-	writeBody(w, http.StatusOK, frameType, appendReply(buf.AvailableBuffer(), rep))
+	writeBody(w, http.StatusOK, binaryType, appendReply(buf.AvailableBuffer(), rep))
 }
 
-// readFrame reads and decodes a frame body and reports whether it did;
-// otherwise it has replied — 415 when the body is not frameType, 413 when
-// it runs past one frame, 400 when it is shorter or holds a NaN or ±Inf.
-// The body is read into a pooled buffer; the frame is a fresh slice,
-// because the stream's monitor keeps it.
-func (h *Handler) readFrame(w http.ResponseWriter, r *http.Request) ([]float64, bool) {
-	if ct := r.Header.Get("Content-Type"); ct != frameType {
-		writeErr(w, http.StatusUnsupportedMediaType, "frame body of type %q, want %q (%d little-endian float64 values)", ct, frameType, h.opts.FrameSize)
-		return nil, false
+// readBody reads a binaryType request body of at most limit bytes into a
+// pooled buffer and decodes it, reporting whether it did; otherwise it has
+// replied — 415 when the body is of another type, 413 when it runs past
+// limit, 400 when it does not decode. decode must not keep the bytes it is
+// handed.
+func readBody[T any](w http.ResponseWriter, r *http.Request, limit int64, what string, decode func([]byte) (T, error)) (T, bool) {
+	var v T
+	if ct := r.Header.Get("Content-Type"); ct != binaryType {
+		writeErr(w, http.StatusUnsupportedMediaType, "%s of type %q, want %q", what, ct, binaryType)
+		return v, false
 	}
 	buf := getBuf()
 	defer bufs.Put(buf)
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, int64(8*h.opts.FrameSize)))
-	var frame []float64
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
 	if err == nil {
-		frame, err = decodeFrame(buf.Bytes(), h.opts.FrameSize)
+		v, err = decode(buf.Bytes())
 	}
 	if err != nil {
-		writeBodyErr(w, "frame body", err)
-		return nil, false
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, status, "bad %s: %v", what, err)
+		return v, false
 	}
-	return frame, true
+	return v, true
 }
 
 // onLoop runs fn on the {id} slot's loop through serve.Call under one
@@ -275,21 +261,31 @@ func (h *Handler) readFrame(w http.ResponseWriter, r *http.Request) ([]float64, 
 // reach the barrier in time, failStatus when fn fails, 200 with fn's value
 // otherwise.
 func onLoop[T any](h *Handler, w http.ResponseWriter, r *http.Request, verb string, failStatus int, fn func(*serve.Stream) (T, error)) {
+	if v, ok := callLoop(h, w, r, verb, failStatus, fn); ok {
+		writeJSON(w, http.StatusOK, v)
+	}
+}
+
+// callLoop is onLoop without the 200: it returns fn's value and reports
+// whether there is one to write; otherwise it has replied.
+func callLoop[T any](h *Handler, w http.ResponseWriter, r *http.Request, verb string, failStatus int, fn func(*serve.Stream) (T, error)) (T, bool) {
+	var v T
 	id, ok := h.slot(w, r)
 	if !ok {
-		return
+		return v, false
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), h.opts.BarrierTimeout)
 	defer cancel()
 	v, err := serve.Call(ctx, h.srv, id, fn)
 	switch {
 	case err == nil:
-		writeJSON(w, http.StatusOK, v)
+		return v, true
 	case errors.Is(err, ctx.Err()):
 		writeErr(w, http.StatusServiceUnavailable, "stream %d %s: %v", id, verb, err)
 	default:
 		writeErr(w, failStatus, "%v", err)
 	}
+	return v, false
 }
 
 // errOnly gives a state change that returns only an error the shape Call
@@ -318,17 +314,29 @@ func (h *Handler) handleRelease(w http.ResponseWriter, r *http.Request) {
 	onLoop(h, w, r, "release", http.StatusInternalServerError, errOnly((*serve.Stream).Release))
 }
 
+// handleExport captures the stream on its loop and encodes the state off
+// it, into a pooled buffer.
 func (h *Handler) handleExport(w http.ResponseWriter, r *http.Request) {
-	onLoop(h, w, r, "export", http.StatusInternalServerError, (*serve.Stream).Export)
+	ss, ok := callLoop(h, w, r, "export", http.StatusInternalServerError, (*serve.Stream).Export)
+	if !ok {
+		return
+	}
+	buf := stateBufs.Get().(*[]byte)
+	defer stateBufs.Put(buf)
+	*buf = snapshot.AppendStream((*buf)[:0], ss)
+	writeBody(w, http.StatusOK, binaryType, *buf)
 }
 
 func (h *Handler) handleRestore(w http.ResponseWriter, r *http.Request) {
 	// An unknown slot is a 404 before the body is read.
-	var ss snapshot.StreamState
-	if _, ok := h.slot(w, r); !ok || !decodeBody(w, r, h.restoreLimit, "snapshot", &ss) {
+	if _, ok := h.slot(w, r); !ok {
 		return
 	}
-	onLoop(h, w, r, "restore", http.StatusConflict, errOnly(func(st *serve.Stream) error { return st.Restore(&ss) }))
+	ss, ok := readBody(w, r, h.restoreLimit, "stream state", snapshot.DecodeStream)
+	if !ok {
+		return
+	}
+	onLoop(h, w, r, "restore", http.StatusConflict, errOnly(func(st *serve.Stream) error { return st.Restore(ss) }))
 }
 
 // handleMem reads every stream's row under one deadline shared by all the

@@ -16,8 +16,11 @@ import (
 	"testing"
 	"time"
 
+	"edgekg/internal/core"
 	"edgekg/internal/netserve"
 	"edgekg/internal/serve"
+	"edgekg/internal/snapshot"
+	"edgekg/internal/tensor"
 )
 
 // TestStatsBodyIsServeStats pins the /stats wire body across the deletion
@@ -77,11 +80,12 @@ func TestStatsBodyIsServeStats(t *testing.T) {
 }
 
 // TestHostileRestoreKeepsWorkerServing pins the network face of the
-// restore-atomicity guarantee: a snapshot that fails to decode or to
-// validate is answered 4xx, and the slot's next frame scores — bit-equal
-// to a twin worker that never saw the attempt.
+// restore-atomicity guarantee: a state that fails to decode or to validate
+// is answered 4xx, and the slot's next frame scores — bit-equal to a twin
+// worker that never saw the attempt. The slot is exported one frame into a
+// pending round, so the state carries every section.
 func TestHostileRestoreKeepsWorkerServing(t *testing.T) {
-	const seed, served = 9, 12
+	const seed, served = 9, 17
 	_, gen := buildBackbone(t, seed)
 	fs := frames(t, gen, 55, served+8)
 	ctx := context.Background()
@@ -97,7 +101,8 @@ func TestHostileRestoreKeepsWorkerServing(t *testing.T) {
 		}
 		return scores
 	}
-	_, client := worker(t, seed, 1, netserve.Options{})
+	_, _, url := rawWorker(t, seed, 1, netserve.Options{})
+	client := netserve.NewClient(url)
 	_, twin := worker(t, seed, 1, netserve.Options{})
 	drive(client, 0, served)
 	drive(twin, 0, served)
@@ -106,21 +111,68 @@ func TestHostileRestoreKeepsWorkerServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := string(state)
-	// The shape whose product wraps to the empty payload's length, on the
-	// last bank of the detector section.
-	i := strings.LastIndex(doc[:strings.Index(doc, `"monitor"`)], `"tokens":{"shape":[`)
-	j := i + strings.Index(doc[i:], `}`)
-	overflow := doc[:i] + `"tokens":{"shape":[1152921504606846976,16],"data":""` + doc[j:]
-	// A monitor frame of 7 features where the stream's frames have 32.
-	i = strings.Index(doc, `"frames":[{"shape":[1,32],"data":"`)
-	j = i + strings.Index(doc[i:], `}`)
-	shortFrame := doc[:i] + `"frames":[{"shape":[1,7],"data":"` + strings.Repeat("AAAAAAAAAAA=", 7) + `"` + doc[j:]
-	for name, hostile := range map[string]string{"overflowing bank shape": overflow, "short monitor frame": shortFrame} {
-		err := client.RestoreRaw(ctx, 0, []byte(hostile))
+	ss, err := snapshot.DecodeStream(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ss.Adapter == nil || ss.Pending == nil {
+		t.Fatal("the exported state lacks the adapter or the pending round")
+	}
+	hostile := map[string][]byte{
+		"truncated in the header":      state[:3],
+		"a trailing byte":              append(bytes.Clone(state), 0),
+		"a stream count past the body": append(binary.AppendUvarint(bytes.Clone(state[:5]), 1<<40), state[6:]...),
+		"a wrong version":              append(append(bytes.Clone(state[:4]), 3), state[5:]...),
+	}
+	// One byte into each section: where the encoding of the state with that
+	// section and all later ones zeroed parts from the real one.
+	sections := []func(*snapshot.StreamState){
+		func(s *snapshot.StreamState) { s.Detector = snapshot.DetectorState{} },
+		func(s *snapshot.StreamState) { s.Monitor = core.MonitorState{} },
+		func(s *snapshot.StreamState) { s.Adapter = nil },
+		func(s *snapshot.StreamState) { s.Pending = nil },
+		func(s *snapshot.StreamState) { s.Ledger = nil },
+	}
+	prev := 0
+	for i := range sections {
+		cut := *ss
+		for _, zero := range sections[i:] {
+			zero(&cut)
+		}
+		at := commonPrefix(state, snapshot.AppendStream(nil, &cut)) + 1
+		if at <= prev || at >= len(state) {
+			t.Fatalf("section %d starts at byte %d, after %d and before %d", i+1, at-1, prev, len(state))
+		}
+		hostile[fmt.Sprintf("truncated in section %d of 5", i+1)] = state[:at]
+		prev = at
+	}
+	// Decodes, but a monitor frame of 7 features where the stream's frames
+	// have 32 does not restore.
+	short := *ss
+	short.Monitor.Frames = append([]*tensor.Tensor{tensor.New(1, 7)}, ss.Monitor.Frames[1:]...)
+	hostile["a short monitor frame"] = snapshot.AppendStream(nil, &short)
+	for name, body := range hostile {
+		err := client.RestoreRaw(ctx, 0, body)
 		var se *netserve.StatusError
 		if !errors.As(err, &se) || se.Code/100 != 4 {
 			t.Fatalf("%s: restore answered %v, want a 4xx", name, err)
+		}
+	}
+	// The version 1 form is refused by type, and as the binary type it does
+	// not decode.
+	doc, err := json.Marshal(ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for contentType, want := range map[string]int{"application/json": http.StatusUnsupportedMediaType, binaryType: http.StatusBadRequest} {
+		resp, err := http.Post(url+"/v1/streams/0/restore", contentType, bytes.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("JSON state as %s: status %d, want %d", contentType, resp.StatusCode, want)
 		}
 	}
 	got, want := drive(client, served, served+8), drive(twin, served, served+8)
@@ -129,10 +181,19 @@ func TestHostileRestoreKeepsWorkerServing(t *testing.T) {
 			t.Fatalf("frame %d after the refused restores: score %v, untouched twin %v", served+i, got[i], want[i])
 		}
 	}
-	// The untampered snapshot still restores.
+	// The untampered state still restores.
 	if err := client.RestoreRaw(ctx, 0, state); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// commonPrefix is the length of the longest common prefix of a and b.
+func commonPrefix(a, b []byte) int {
+	n := 0
+	for n < len(a) && n < len(b) && a[n] == b[n] {
+		n++
+	}
+	return n
 }
 
 // TestOversizedBodies413 pins the request-body bounds: a frame or restore
@@ -146,10 +207,11 @@ func TestOversizedBodies413(t *testing.T) {
 	good := frameBody(make([]float64, pixDim))
 	for _, tc := range []struct{ path, contentType, body string }{
 		// A well-formed frame body that is simply too long …
-		{"/v1/streams/0/frames", frameType, string(frameBody(make([]float64, 4097)))},
+		{"/v1/streams/0/frames", binaryType, string(frameBody(make([]float64, 4097)))},
 		// … and one byte past a frame.
-		{"/v1/streams/0/frames", frameType, string(good) + "\x00"},
-		{"/v1/streams/0/restore", "application/json", `{"id":0,"last_err":"` + strings.Repeat("x", 8192) + `"}`},
+		{"/v1/streams/0/frames", binaryType, string(good) + "\x00"},
+		// A state whose error text runs past the restore bound.
+		{"/v1/streams/0/restore", binaryType, string(snapshot.AppendStream(nil, &snapshot.StreamState{LastErr: strings.Repeat("x", 8192)}))},
 	} {
 		// Once with the length declared, once chunked (a reader net/http
 		// cannot size).
@@ -170,8 +232,8 @@ func TestOversizedBodies413(t *testing.T) {
 	}
 }
 
-// frameType is the Content-Type of a frame body.
-const frameType = "application/octet-stream"
+// binaryType is the Content-Type of a frame body and of a stream state.
+const binaryType = "application/octet-stream"
 
 // frameBody is a frame's request body as the wire defines it: each value's
 // IEEE-754 bits, little-endian.
@@ -239,7 +301,7 @@ func TestHostileFrameIs400(t *testing.T) {
 		{"+Inf", fill(math.Inf(1)), "value 0 is +Inf"},
 		{"-Inf", fill(math.Inf(-1)), "value 0 is -Inf"},
 	} {
-		resp, err := http.Post(url+"/v1/streams/0/frames", frameType, bytes.NewReader(frameBody(tc.frame)))
+		resp, err := http.Post(url+"/v1/streams/0/frames", binaryType, bytes.NewReader(frameBody(tc.frame)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +344,7 @@ func TestClientMapsStatusOnce(t *testing.T) {
 	calls := map[string]func() error{
 		"SubmitFrame": func() error { _, err := client.SubmitFrame(ctx, 0, []float64{1}); return err },
 		"ExportRaw":   func() error { _, err := client.ExportRaw(ctx, 0); return err },
-		"RestoreRaw":  func() error { return client.RestoreRaw(ctx, 0, []byte(`{}`)) },
+		"RestoreRaw":  func() error { return client.RestoreRaw(ctx, 0, snapshot.AppendStream(nil, &snapshot.StreamState{})) },
 	}
 	for name, call := range calls {
 		status.Store(http.StatusTooManyRequests)
@@ -358,7 +420,7 @@ func FuzzFrameBody(f *testing.F) {
 	post := func(body []byte) (int, []byte) {
 		rec := httptest.NewRecorder()
 		req := httptest.NewRequest(http.MethodPost, "/v1/streams/0/frames", bytes.NewReader(body))
-		req.Header.Set("Content-Type", frameType)
+		req.Header.Set("Content-Type", binaryType)
 		h.ServeHTTP(rec, req)
 		return rec.Code, rec.Body.Bytes()
 	}

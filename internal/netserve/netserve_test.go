@@ -290,8 +290,8 @@ func TestConcurrentSubmitsMatchDirectServe(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var gotState snapshot.StreamState
-		if err := json.Unmarshal(raw, &gotState); err != nil {
+		gotState, err := snapshot.DecodeStream(raw)
+		if err != nil {
 			t.Fatal(err)
 		}
 		wantState, err := serve.Call(context.Background(), direct, s, (*serve.Stream).Export)
@@ -299,7 +299,7 @@ func TestConcurrentSubmitsMatchDirectServe(t *testing.T) {
 			t.Fatal(err)
 		}
 		gotState.Ledger, wantState.Ledger = nil, nil
-		gb, err := json.Marshal(&gotState)
+		gb, err := json.Marshal(gotState)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,18 +341,18 @@ func TestFrameValidation(t *testing.T) {
 		var er netserve.ErrorReply
 		derr := json.NewDecoder(resp.Body).Decode(&er)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusUnsupportedMediaType || derr != nil || !strings.Contains(er.Error, frameType) {
-			t.Fatalf("JSON frame body as %q: status %d, body %+v (%v); want 415 naming %s", contentType, resp.StatusCode, er, derr, frameType)
+		if resp.StatusCode != http.StatusUnsupportedMediaType || derr != nil || !strings.Contains(er.Error, binaryType) {
+			t.Fatalf("JSON frame body as %q: status %d, body %+v (%v); want 415 naming %s", contentType, resp.StatusCode, er, derr, binaryType)
 		}
 	}
 	// Sent as a frame, the JSON body is simply short of one.
-	resp, err := http.Post(url+"/v1/streams/0/frames", frameType, strings.NewReader(jsonFrame))
+	resp, err := http.Post(url+"/v1/streams/0/frames", binaryType, strings.NewReader(jsonFrame))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("JSON frame body as %s: status %d, want 400", frameType, resp.StatusCode)
+		t.Fatalf("JSON frame body as %s: status %d, want 400", binaryType, resp.StatusCode)
 	}
 	if rep, err := client.SubmitFrame(ctx, 0, make([]float64, pixDim)); err != nil || rep.Seq != 0 {
 		t.Fatalf("first good frame after the refused ones: %+v, %v", rep, err)

@@ -4,31 +4,30 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"edgekg/internal/tensor"
 )
 
-// The serving API's wire forms, shared by Handler and Client. Frames are
-// binary: POST /v1/streams/{id}/frames takes frameType, a body of exactly
-// 8·FrameSize bytes — the frame's float64 values, little-endian IEEE-754 —
-// and a 200 answers with the fixed little-endian record appendReply writes,
-// followed by the reply's error text, if any. Everything else is JSON: the
-// DTOs below, every non-2xx body (an ErrorReply, frame errors included), and
-// stream snapshots, which reuse the internal/snapshot JSON encoding verbatim
-// — the bytes a warm-restart checkpoint writes — so a migrated stream
-// round-trips bit-exactly through the network boundary without a second
-// codec. GET /v1/streams/{id}/stats replies with the serve.Stats it read.
+// The serving API's wire forms, shared by Handler and Client. Two bodies
+// are binary, both of binaryType. POST /v1/streams/{id}/frames takes a body
+// of exactly 8·FrameSize bytes — the frame's float64 values, little-endian
+// IEEE-754 (tensor.AppendFloats) — and a 200 answers with the fixed
+// little-endian record appendReply writes, followed by the reply's error
+// text, if any. GET /v1/streams/{id}/export answers, and POST …/restore
+// takes, one stream's state as the version 2 checkpoint of one stream
+// (snapshot.AppendStream, snapshot.DecodeStream): the bytes a warm-restart
+// checkpoint or a spill file holds, so a migrated stream round-trips
+// bit-exactly through the network boundary without a second codec.
+// Everything else is JSON: the DTOs below and every non-2xx body (an
+// ErrorReply, frame errors included). GET /v1/streams/{id}/stats replies
+// with the serve.Stats it read.
 
-// frameType is the Content-Type of a frame request and of its 200 reply.
-const frameType = "application/octet-stream"
+// binaryType is the Content-Type of a frame, a scored frame's 200 reply and
+// a stream state.
+const binaryType = "application/octet-stream"
 
-// appendFrame appends frame's wire form to dst.
-func appendFrame(dst []byte, frame []float64) []byte {
-	for _, v := range frame {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-	}
-	return dst
-}
-
-// decodeFrame decodes a frame body of size values into a fresh slice. It
+// decodeFrame decodes a frame body (tensor.AppendFloats of the frame) of
+// size values into a fresh slice. It
 // refuses a body of any other length, and any NaN or ±Inf value: JSON could
 // not carry those, and a non-finite feature must not reach a stream.
 func decodeFrame(b []byte, size int) ([]float64, error) {
@@ -36,12 +35,11 @@ func decodeFrame(b []byte, size int) ([]float64, error) {
 		return nil, fmt.Errorf("frame length %d bytes, want %d (%d float64 values)", len(b), 8*size, size)
 	}
 	frame := make([]float64, size)
-	for i := range frame {
-		v := math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	tensor.DecodeFloats(frame, b)
+	for i, v := range frame {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil, fmt.Errorf("frame value %d is %v, want a finite number", i, v)
 		}
-		frame[i] = v
 	}
 	return frame, nil
 }

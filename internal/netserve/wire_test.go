@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"edgekg/internal/tensor"
 )
 
 // TestFrameCodecRoundTrip pins the frame and reply wire forms: every
@@ -18,7 +20,7 @@ func TestFrameCodecRoundTrip(t *testing.T) {
 		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
 		math.Float64frombits(0x000fffffffffffff), // the largest subnormal
 		math.MaxFloat64, -math.MaxFloat64}
-	b := appendFrame(nil, frame)
+	b := tensor.AppendFloats(nil, frame)
 	if len(b) != 8*len(frame) || string(b[16:24]) != "\x00\x00\x00\x00\x00\x00\xf0\x3f" {
 		t.Fatalf("encoded %d bytes, value 2 as % x; want %d bytes, 1.0 as 00 … f0 3f", len(b), b[16:24], 8*len(frame))
 	}
@@ -40,7 +42,7 @@ func TestFrameCodecRoundTrip(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		bad := append([]float64(nil), frame...)
 		bad[4] = v
-		if _, err := decodeFrame(appendFrame(nil, bad), len(bad)); err == nil {
+		if _, err := decodeFrame(tensor.AppendFloats(nil, bad), len(bad)); err == nil {
 			t.Errorf("a frame holding %v decoded", v)
 		}
 	}
@@ -72,7 +74,7 @@ func TestShortFrameReplyIsAnError(t *testing.T) {
 	full := appendReply(nil, FrameReply{Score: 0.5})
 	for _, n := range []int{0, 1, replyLen - 1} {
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", frameType)
+			w.Header().Set("Content-Type", binaryType)
 			w.Write(full[:n])
 		}))
 		rep, err := NewClient(ts.URL).SubmitFrame(context.Background(), 0, []float64{1})

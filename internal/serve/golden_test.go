@@ -2,7 +2,6 @@ package serve_test
 
 import (
 	"bytes"
-	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -14,22 +13,27 @@ import (
 	"edgekg/internal/flops"
 	"edgekg/internal/rng"
 	"edgekg/internal/serve"
+	"edgekg/internal/snapshot"
 	"edgekg/internal/tensor"
 	"edgekg/internal/tensor/kernels"
 )
 
 // goldenCheckpoint was written by Stream.Save under the script below
-// (scalar kernels, float64 scoring) once the adapter's step became the plain
-// single-tape loop. That change moved values, not the format: the file has
-// legacyCheckpoint's length, keys, counters and shapes, and differs from it
-// only inside float payloads. The format must not move by a byte across any
-// later change that does not bump snapshot.Version.
-const goldenCheckpoint = "../../testdata/stream_checkpoint_pr26.json"
+// (scalar kernels, float64 scoring) when checkpoints went binary (format
+// version 2). The format must not move by a byte across any later change
+// that does not bump snapshot.Version.
+const goldenCheckpoint = "../../testdata/stream_checkpoint_pr36.bin"
 
-// legacyCheckpoint is the same script's file from before the adapter's
-// step became the plain loop, when the step summed four row-shard
-// gradients. It stays a load fixture: the format is the same, so it must
-// restore and serve on.
+// goldenV1 is the same script's file in the version 1 JSON form, written
+// once the adapter's step became the plain single-tape loop. It holds the
+// same state: it must re-encode to goldenCheckpoint byte for byte, and
+// resume as bit-identically.
+const goldenV1 = "../../testdata/stream_checkpoint_pr26.json"
+
+// legacyCheckpoint is the same script's version 1 file from before the
+// adapter's step became the plain loop, when the step summed four
+// row-shard gradients. It stays a load fixture: it must restore and serve
+// on.
 const legacyCheckpoint = "../../testdata/stream_checkpoint_pr17.json"
 
 // goldenStop is the frame the scripted deployment is saved at: two frames
@@ -92,7 +96,8 @@ func pinGoldenArithmetic(t *testing.T) {
 }
 
 // TestSaveReproducesGoldenCheckpoint replays the script and requires
-// Stream.Save to produce the committed file byte for byte, then loads the
+// Stream.Save to produce the committed file byte for byte, and the
+// version 1 file of the same state to re-encode to it. Then it loads each
 // committed file into a fresh stream and requires the continuation to be
 // bit-identical to the uninterrupted run.
 func TestSaveReproducesGoldenCheckpoint(t *testing.T) {
@@ -124,24 +129,36 @@ func TestSaveReproducesGoldenCheckpoint(t *testing.T) {
 	if s.TriggeredRounds == 0 || s.PrunedNodes == 0 || s.CreatedNodes == 0 {
 		t.Fatalf("scripted deployment no longer exercises the format: stats %+v", s)
 	}
-	uninterrupted := goldenDrive(t, st, frames, goldenStop, len(frames))
-
-	resumed, _ := goldenStream(t)
-	if err := resumed.Load(goldenCheckpoint); err != nil {
-		t.Fatalf("golden checkpoint no longer loads: %v", err)
-	}
-	continued := goldenDrive(t, resumed, frames, goldenStop, len(frames))
-	for i := range uninterrupted {
-		if math.Float64bits(continued[i]) != math.Float64bits(uninterrupted[i]) {
-			t.Fatalf("frame %d after resume: score %v, uninterrupted run %v", goldenStop+i, continued[i], uninterrupted[i])
-		}
-	}
-	// The last frame dispatched a round; settle it before reading stats.
-	if err := errors.Join(st.Sync(), resumed.Sync()); err != nil {
+	v1, err := snapshot.Load(goldenV1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if a, b := resumed.Stats(), st.Stats(); a != b {
-		t.Fatalf("stats after resume %+v, uninterrupted %+v", a, b)
+	if reencoded, err := snapshot.Encode(v1); err != nil || !bytes.Equal(reencoded, want) {
+		t.Fatalf("%s re-encodes to %d bytes (%v), not to the %d of %s", goldenV1, len(reencoded), err, len(want), goldenCheckpoint)
+	}
+	uninterrupted := goldenDrive(t, st, frames, goldenStop, len(frames))
+	// The last frame dispatched a round; settle it before reading stats.
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, file := range []string{goldenCheckpoint, goldenV1} {
+		resumed, _ := goldenStream(t)
+		if err := resumed.Load(file); err != nil {
+			t.Fatalf("%s no longer loads: %v", file, err)
+		}
+		continued := goldenDrive(t, resumed, frames, goldenStop, len(frames))
+		for i := range uninterrupted {
+			if math.Float64bits(continued[i]) != math.Float64bits(uninterrupted[i]) {
+				t.Fatalf("%s: frame %d after resume: score %v, uninterrupted run %v", file, goldenStop+i, continued[i], uninterrupted[i])
+			}
+		}
+		if err := resumed.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if a, b := resumed.Stats(), st.Stats(); a != b {
+			t.Fatalf("%s: stats after resume %+v, uninterrupted %+v", file, a, b)
+		}
 	}
 }
 

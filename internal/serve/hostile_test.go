@@ -44,13 +44,23 @@ func hostileStream(t *testing.T, lag int) (*serve.Stream, []*tensor.Tensor) {
 	return st, frames
 }
 
-// restoreJSON is the outside world's restore: decode, then Restore.
+// restoreJSON is a version 1 file's restore: decode, then Restore.
 func restoreJSON(st *serve.Stream, doc []byte) error {
 	var ss snapshot.StreamState
 	if err := json.Unmarshal(doc, &ss); err != nil {
 		return err
 	}
 	return st.Restore(&ss)
+}
+
+// restoreBinary is the outside world's restore of a version 2 state (a
+// POST …/restore body, a spill file): decode, then Restore.
+func restoreBinary(st *serve.Stream, b []byte) error {
+	ss, err := snapshot.DecodeStream(b)
+	if err != nil {
+		return err
+	}
+	return st.Restore(ss)
 }
 
 func TestFailedRestoreLeavesStreamUntouched(t *testing.T) {
@@ -62,8 +72,9 @@ func TestFailedRestoreLeavesStreamUntouched(t *testing.T) {
 	cases := []struct {
 		name string
 		lag  int
-		// mutate edits the exported state; rewrite, when set, edits its JSON
-		// (for states no in-process value can hold).
+		// mutate edits the exported state, which is then restored from
+		// both forms; rewrite, when set, edits its JSON (for states no
+		// in-process value can hold).
 		mutate  func(ss *snapshot.StreamState)
 		rewrite func(doc string) string
 	}{
@@ -141,6 +152,11 @@ func TestFailedRestoreLeavesStreamUntouched(t *testing.T) {
 			if err := restoreJSON(st, doc); err == nil {
 				t.Fatal("hostile state restored without error")
 			}
+			if tc.rewrite == nil {
+				if err := restoreBinary(st, snapshot.AppendStream(nil, ss)); err == nil {
+					t.Fatal("hostile state restored from the binary form without error")
+				}
+			}
 			got := goldenDrive(t, st, frames, hostileServed, hostileServed+8)
 			want := goldenDrive(t, twin, frames, hostileServed, hostileServed+8)
 			for i := range want {
@@ -183,7 +199,8 @@ func TestStateRestoresTheSameBitsTwice(t *testing.T) {
 // FuzzRestoreStreamState feeds arbitrary bytes through the outside world's
 // restore path into a tiny adaptive stream: decode and Restore must end in
 // an error or a success, never a panic, and after an error the stream's
-// next score equals an untouched twin's.
+// next score equals an untouched twin's. The seeds are the version 2 states
+// of the golden checkpoint and of the single-camera fixture.
 func FuzzRestoreStreamState(f *testing.F) {
 	var seeds [][]byte
 	for _, fixture := range []string{goldenCheckpoint, "../../testdata/deploy_checkpoint_pr12.json"} {
@@ -191,12 +208,9 @@ func FuzzRestoreStreamState(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		doc, err := json.Marshal(&cp.Streams[0])
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(doc)
-		seeds = append(seeds, doc)
+		state := snapshot.AppendStream(nil, &cp.Streams[0])
+		f.Add(state)
+		seeds = append(seeds, state)
 	}
 	// The golden's configuration, so that seed restores and its mutants get
 	// past the config pin.
@@ -218,12 +232,12 @@ func FuzzRestoreStreamState(f *testing.F) {
 		}
 		return st
 	}
-	if err := restoreJSON(clone(f), seeds[0]); err != nil {
+	if err := restoreBinary(clone(f), seeds[0]); err != nil {
 		f.Fatalf("the golden seed does not restore, so the fuzzer would only exercise rejections: %v", err)
 	}
-	f.Fuzz(func(t *testing.T, doc []byte) {
+	f.Fuzz(func(t *testing.T, state []byte) {
 		st := clone(t)
-		if restoreJSON(st, doc) == nil {
+		if restoreBinary(st, state) == nil {
 			return
 		}
 		got, want := st.Process(probe), clone(t).Process(probe)

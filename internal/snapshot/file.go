@@ -9,18 +9,15 @@ import (
 	"syscall"
 )
 
-// Save writes a checkpoint atomically: the document is marshalled, written
+// Save writes a checkpoint atomically: it is encoded (version 2), written
 // to a temporary file in the target directory, synced to stable storage,
 // and renamed over the destination. A crash at any point leaves either the
 // previous good checkpoint or the new one — never a torn file — because
 // rename within a directory is atomic on POSIX filesystems.
 func Save(path string, cp *Checkpoint) error {
-	if err := cp.Validate(); err != nil {
-		return err
-	}
-	data, err := json.Marshal(cp)
+	data, err := Encode(cp)
 	if err != nil {
-		return fmt.Errorf("snapshot: marshal checkpoint: %w", err)
+		return err
 	}
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
@@ -62,30 +59,47 @@ func Save(path string, cp *Checkpoint) error {
 	return nil
 }
 
-// Load reads and validates a checkpoint. It fails loudly on torn or
-// foreign files (JSON decode error) and on format/version mismatch; it
-// never returns a partially decoded checkpoint.
+// Load reads and validates a checkpoint of either version: a file that
+// starts with '{' is a version 1 JSON document, anything else version 2.
+// It fails loudly on torn or foreign files and on format/version mismatch;
+// it never returns a partially decoded checkpoint.
 func Load(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: read checkpoint: %w", err)
 	}
+	decode := Decode
+	if len(data) > 0 && data[0] == '{' {
+		decode = decodeV1
+	}
+	cp, err := decode(data)
+	if err != nil {
+		return nil, fmt.Errorf("%w (file %s)", err, path)
+	}
+	return cp, nil
+}
+
+// decodeV1 reads a version 1 checkpoint, one JSON document.
+func decodeV1(data []byte) (*Checkpoint, error) {
 	// Probe the header first so a version mismatch is reported as such
-	// even if the stream payload of a future version does not decode.
+	// even if the stream payload of another version does not decode.
 	var header struct {
 		Format  string `json:"format"`
 		Version int    `json:"version"`
 	}
 	if err := json.Unmarshal(data, &header); err != nil {
-		return nil, fmt.Errorf("snapshot: corrupt checkpoint %s: %w", path, err)
+		return nil, fmt.Errorf("snapshot: corrupt checkpoint: %w", err)
 	}
-	probe := &Checkpoint{Format: header.Format, Version: header.Version}
-	if err := probe.Validate(); err != nil {
-		return nil, fmt.Errorf("%w (file %s)", err, path)
+	if header.Format != Format {
+		return nil, fmt.Errorf("snapshot: not an %s file (format %q)", Format, header.Format)
+	}
+	if header.Version != 1 {
+		return nil, fmt.Errorf("snapshot: JSON checkpoint of format version %d; JSON checkpoints are version 1", header.Version)
 	}
 	cp := &Checkpoint{}
 	if err := json.Unmarshal(data, cp); err != nil {
-		return nil, fmt.Errorf("snapshot: corrupt checkpoint %s: %w", path, err)
+		return nil, fmt.Errorf("snapshot: corrupt checkpoint: %w", err)
 	}
+	cp.Version = Version
 	return cp, nil
 }

@@ -15,16 +15,21 @@
 // between the static deployed model and the continuously adapted KG
 // state.
 //
-// Wire format: one JSON document (encoding/json emits struct fields in
-// declaration order and sorts map keys, so serialization is
-// deterministic). Each part of it is declared once, by its owner: this
-// package owns the format/version envelope, the per-stream record and the
-// detector section; the monitor, adapter and round-report sections are the
-// state structs core exports, graphs are kg.Graph's own JSON, ledger totals
-// are flops.PhaseTotals, and every float and tensor is encoded bit-exactly
-// by internal/tensor (Floats, F64Bits, Tensor). Files are written
-// temp-then-rename so a crash mid-write never corrupts the previous good
-// checkpoint, and a format/version header fails loudly on mismatch.
+// Wire format: version 2 is binary (codec.go): a magic and version
+// header, then every stream's fields in declaration order, floats as their
+// IEEE-754 bit patterns and map entries in key order, so serialization is
+// deterministic and bit-exact. The one writer serves checkpoint files,
+// spill files and the state netserve exports and restores; Load still
+// reads the version 1 JSON document, told apart by its first byte. Each
+// part of the state is declared once, by its owner: this package owns the
+// format/version envelope, the per-stream record and the detector section;
+// the monitor, adapter and round-report sections are the state structs
+// core exports, graphs are kg.Graph's own JSON, ledger totals are
+// flops.PhaseTotals, and every float is encoded by internal/tensor's one
+// float64 codec (AppendFloats; in the JSON form Floats, F64Bits and
+// Tensor). Files are written temp-then-rename so a crash mid-write never
+// corrupts the previous good checkpoint, and a format/version header fails
+// loudly on mismatch.
 package snapshot
 
 import (
@@ -39,12 +44,14 @@ import (
 	"edgekg/internal/tensor"
 )
 
-// Format identifies checkpoint files; Version is the wire format version.
-// Load rejects anything that does not match exactly — a warm restart must
-// never silently reinterpret foreign or stale bytes as adaptation state.
+// Format identifies checkpoint files; Version is the wire format version
+// Save writes. Load reads it and version 1 JSON, and rejects anything else
+// — a warm restart must never silently reinterpret foreign or stale bytes
+// as adaptation state. A loaded checkpoint carries Version whatever its
+// file's version was.
 const (
 	Format  = "edgekg-checkpoint"
-	Version = 1
+	Version = 2
 )
 
 // Checkpoint is one serialized deployment: every stream's complete
@@ -61,8 +68,9 @@ func New(n int) *Checkpoint {
 	return &Checkpoint{Format: Format, Version: Version, Streams: make([]StreamState, n)}
 }
 
-// Validate checks the format header. It is called by Load and by the
-// restore entry points, so a checkpoint assembled by hand is checked too.
+// Validate checks the format header. It is called by Encode (so by Save)
+// and by the restore entry points, so a checkpoint assembled by hand is
+// checked too; Load checks the header a file carries.
 func (cp *Checkpoint) Validate() error {
 	if cp.Format != Format {
 		return fmt.Errorf("snapshot: not an %s file (format %q)", Format, cp.Format)

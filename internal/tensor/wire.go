@@ -11,23 +11,42 @@ import (
 	"strconv"
 )
 
-// Floats is a []float64 that marshals as base64-encoded little-endian
-// IEEE-754 bit patterns instead of decimal JSON numbers. A resumed
-// trajectory is compared bitwise against the uninterrupted one, and the
-// bit-pattern encoding round-trips every value, including negative zero,
-// subnormals, infinities and NaN payloads, where decimal formatting either
-// loses the distinction or refuses to marshal. Floats, F64Bits and the
-// tensor's own JSON form below are the one place this encoding lives:
+// AppendFloats appends the binary form of f to dst: each value's IEEE-754
+// bit pattern, 8 bytes little-endian. It is the one float64 codec: frames
+// on the wire, the v2 checkpoint's floats and tensors, and the base64 inside
+// the JSON forms below are all this loop. Bit patterns round-trip every
+// value, including negative zero, subnormals, infinities and NaN payloads,
+// where decimal formatting either loses the distinction or refuses to
+// marshal.
+func AppendFloats(dst []byte, f []float64) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, 8*len(f))[:n+8*len(f)]
+	for i, v := range f {
+		binary.LittleEndian.PutUint64(dst[n+8*i:], math.Float64bits(v))
+	}
+	return dst
+}
+
+// DecodeFloats fills dst from the first 8·len(dst) bytes of b, which
+// AppendFloats wrote. b must be at least that long.
+func DecodeFloats(dst []float64, b []byte) {
+	b = b[:8*len(dst)]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+}
+
+// Floats is a []float64 that marshals as the base64 of its AppendFloats
+// form instead of decimal JSON numbers: a resumed trajectory is compared
+// bitwise against the uninterrupted one. Floats, F64Bits and the tensor's
+// own JSON form below are the version 1 checkpoint's float encoding;
 // every component that exports state declares its fields with them.
 type Floats []float64
 
 // appendFloats appends the JSON form of f — a string holding the base64
 // of its little-endian bit patterns — to dst.
 func appendFloats(dst []byte, f []float64) []byte {
-	raw := make([]byte, 8*len(f))
-	for i, v := range f {
-		binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
-	}
+	raw := AppendFloats(nil, f)
 	dst = append(slices.Grow(dst, 2+base64.StdEncoding.EncodedLen(len(raw))), '"')
 	dst = base64.StdEncoding.AppendEncode(dst, raw)
 	return append(dst, '"')
@@ -55,9 +74,7 @@ func (f *Floats) UnmarshalJSON(data []byte) error {
 		return fmt.Errorf("tensor: float payload length %d is not a multiple of 8", len(buf))
 	}
 	out := make(Floats, len(buf)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
+	DecodeFloats(out, buf)
 	*f = out
 	return nil
 }
