@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
-	"strings"
 	"syscall"
 )
 
@@ -72,20 +70,5 @@ func IsTransient(err error) bool {
 	// cause) still means the bytes never made it, not that they were
 	// rejected.
 	var oe *net.OpError
-	if errors.As(err, &oe) {
-		return true
-	}
-	// The transport's keep-alive reuse race: the request went out on a
-	// pooled connection the server had already torn down, so the bytes
-	// were never processed. net/http reports it with an unexported
-	// sentinel and only retries it internally for idempotent requests —
-	// frame submits are POSTs, so it reaches us raw, and the message is
-	// the only handle the stdlib exposes.
-	if strings.Contains(err.Error(), "server closed idle connection") {
-		return true
-	}
-	// http.Client surfaces its own Timeout (and the transport's abrupt
-	// connection closures) as *url.Error values that unwrap to one of the
-	// causes above; http.ErrServerClosed-style shutdowns land here.
-	return errors.Is(err, http.ErrServerClosed)
+	return errors.As(err, &oe)
 }

@@ -1,14 +1,19 @@
 package netserve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
+	"sync"
 	"time"
 
 	"edgekg/internal/serve"
@@ -26,11 +31,42 @@ var ErrBusy = errors.New("netserve: worker busy")
 // answers) cannot wedge a caller forever. Override with WithTimeout.
 const DefaultTimeout = 60 * time.Second
 
-// Client is the typed consumer of one worker's HTTP API.
+// maxIdle caps the keep-alive connections a Client holds between requests:
+// one per request its callers have in flight at once is the steady state.
+const maxIdle = 64
+
+// inlineBody is the longest request body copied behind its header into one
+// write. A longer one (a stream state) goes out with the header in one
+// writev, so a connection never keeps a buffer the size of a state.
+const inlineBody = 64 << 10
+
+// aLongTimeAgo is the deadline that aborts a connection's pending I/O when
+// the caller's context is cancelled.
+var aLongTimeAgo = time.Unix(1, 0)
+
+// Client is the typed consumer of one worker's HTTP API. It speaks
+// HTTP/1.1 over its own pool of keep-alive connections and starts no
+// goroutines: each call writes its request in one write and reads the
+// reply on the calling goroutine. It is safe for concurrent use.
 type Client struct {
 	base       string
-	http       *http.Client
+	addr       string // host:port to dial
+	host       string // the Host header
+	prefix     string // the base URL's path, prepended to every request's
+	baseErr    error  // a base URL this client cannot speak to
+	timeout    time.Duration
 	stateLimit int64 // maxRestoreBody; tests lower it rather than send 64 MiB
+
+	mu   sync.Mutex
+	idle []*conn
+}
+
+// conn is one keep-alive connection with the reader its replies are parsed
+// from and the buffer its requests are built in.
+type conn struct {
+	net.Conn
+	br  *bufio.Reader
+	req []byte
 }
 
 // ClientOption tunes a Client at construction.
@@ -40,18 +76,26 @@ type ClientOption func(*Client)
 // trip). d ≤ 0 removes the bound entirely — callers then own every
 // deadline via their contexts. The default is DefaultTimeout.
 func WithTimeout(d time.Duration) ClientOption {
-	return func(c *Client) {
-		if d <= 0 {
-			d = 0
-		}
-		c.http.Timeout = d
-	}
+	return func(c *Client) { c.timeout = max(d, 0) }
 }
 
-// NewClient returns a client for the worker at base (e.g.
-// "http://127.0.0.1:9701") with the default per-request timeout.
+// NewClient returns a client for the worker at base, an http:// URL such
+// as "http://127.0.0.1:9701", with the default per-request timeout. A base
+// it cannot speak to fails every call.
 func NewClient(base string, opts ...ClientOption) *Client {
-	c := &Client{base: base, http: &http.Client{Timeout: DefaultTimeout}, stateLimit: maxRestoreBody}
+	c := &Client{base: base, timeout: DefaultTimeout, stateLimit: maxRestoreBody}
+	u, err := url.Parse(base)
+	if err == nil && (u.Scheme != "http" || u.Host == "") {
+		err = errors.New("want http://host[:port]")
+	}
+	if err != nil {
+		c.baseErr = fmt.Errorf("netserve: worker URL %q: %w", base, err)
+	} else {
+		c.host, c.addr, c.prefix = u.Host, u.Host, strings.TrimSuffix(u.Path, "/")
+		if u.Port() == "" {
+			c.addr = net.JoinHostPort(u.Hostname(), "80")
+		}
+	}
 	for _, o := range opts {
 		o(c)
 	}
@@ -59,61 +103,202 @@ func NewClient(base string, opts ...ClientOption) *Client {
 }
 
 // roundTrip issues one request (body, when non-nil, is of contentType) and
-// returns the worker's 2xx response with its body unread, for the caller
-// to consume and close. Any other status is mapped here, once: 429 to
-// ErrBusy, the rest to a typed *StatusError carrying the ErrorReply text.
-// Nothing is retried: redelivery belongs to the shard layer's failover.
-func (c *Client) roundTrip(ctx context.Context, method, path, contentType string, body []byte) (*http.Response, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
+// reads the whole reply body into buf, which body may not alias. A 2xx
+// returns nil; any other status is mapped here, once: 429 to ErrBusy, the
+// rest to a typed *StatusError carrying the ErrorReply text. Every reply is
+// bounded by the state bound: a longer one is an error.
+//
+// The connection goes back to the pool only after its reply was read to
+// the end with no error and no "Connection: close"; any failure closes it.
+// A GET that fails on a reused connection before any reply byte is sent
+// once more on a fresh one — the keep-alive race (the worker closed the
+// idle connection as the request went out) that http.Transport retries for
+// idempotent requests too. Nothing else is retried: a POST is never re-sent,
+// and redelivery of a frame belongs to the shard layer's failover.
+func (c *Client) roundTrip(ctx context.Context, method, path, contentType string, body []byte, buf *bytes.Buffer) error {
+	if c.baseErr != nil {
+		return c.baseErr
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
-	if err != nil {
-		return nil, err
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("netserve: %s %s: %w", method, path, err)
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", contentType)
+	var deadline time.Time
+	if c.timeout > 0 {
+		deadline = time.Now().Add(c.timeout)
 	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
+	d, ctxBound := ctx.Deadline()
+	if ctxBound = ctxBound && (deadline.IsZero() || d.Before(deadline)); ctxBound {
+		deadline = d
 	}
-	if resp.StatusCode/100 == 2 {
-		return resp, nil
+	cn := c.takeIdle()
+	reused := cn != nil
+	for {
+		var err error
+		if cn == nil {
+			dialer := net.Dialer{Deadline: deadline}
+			var nc net.Conn
+			if nc, err = dialer.DialContext(ctx, "tcp", c.addr); err == nil {
+				cn = &conn{Conn: nc, br: bufio.NewReader(nc)}
+			}
+		}
+		var code int
+		replied, keep := false, false
+		if err == nil {
+			code, replied, keep, err = c.exchange(ctx, cn, deadline, method, path, contentType, body, buf)
+		}
+		if err == nil {
+			if keep {
+				c.putIdle(cn)
+			} else {
+				cn.Close()
+			}
+			return statusErr(code, method, path, buf.Bytes())
+		}
+		if cn != nil {
+			cn.Close()
+		}
+		var ne net.Error
+		timeout := errors.As(err, &ne) && ne.Timeout()
+		if reused && !replied && method == http.MethodGet && ctx.Err() == nil && !timeout {
+			cn, reused = nil, false
+			continue
+		}
+		// The connection's deadline can fire a hair before the context's
+		// own timer: a timeout at the context's deadline is the context's.
+		if cerr := ctx.Err(); cerr != nil {
+			err = cerr
+		} else if timeout && ctxBound {
+			err = context.DeadlineExceeded
+		}
+		return fmt.Errorf("netserve: %s %s: %w", method, path, err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusTooManyRequests {
-		io.Copy(io.Discard, resp.Body)
-		return nil, ErrBusy
-	}
-	se := &StatusError{Code: resp.StatusCode, Op: method + " " + path}
-	var er ErrorReply
-	if json.NewDecoder(resp.Body).Decode(&er) == nil {
-		se.Msg = er.Error
-	}
-	return nil, se
 }
 
-// do is roundTrip with a JSON body (when non-nil) and the JSON reply
-// decoded into out (when non-nil), streaming.
-func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
-	resp, err := c.roundTrip(ctx, method, path, "application/json", body)
-	if err != nil {
-		return err
+// exchange writes one request on cn and reads its reply into buf,
+// reporting the status, whether any reply byte arrived, and whether cn may
+// carry another request. I/O is bounded by deadline, and cut short when
+// ctx is cancelled.
+func (c *Client) exchange(ctx context.Context, cn *conn, deadline time.Time, method, path, contentType string, body []byte, buf *bytes.Buffer) (code int, replied, keep bool, err error) {
+	if err := cn.SetDeadline(deadline); err != nil {
+		return 0, false, false, err
 	}
-	defer resp.Body.Close()
-	if out == nil {
-		io.Copy(io.Discard, resp.Body)
+	if ctx.Done() != nil {
+		stop := context.AfterFunc(ctx, func() { cn.SetDeadline(aLongTimeAgo) })
+		defer func() {
+			if !stop() {
+				keep = false // its deadline is gone
+			}
+		}()
+	}
+	b := append(cn.req[:0], method...)
+	b = append(b, ' ')
+	b = append(b, c.prefix...)
+	b = append(b, path...)
+	b = append(b, " HTTP/1.1\r\nHost: "...)
+	b = append(b, c.host...)
+	if body != nil {
+		b = append(b, "\r\nContent-Type: "...)
+		b = append(b, contentType...)
+	}
+	if body != nil || method != http.MethodGet {
+		b = append(b, "\r\nContent-Length: "...)
+		b = strconv.AppendInt(b, int64(len(body)), 10)
+	}
+	b = append(b, "\r\n\r\n"...)
+	if len(body) <= inlineBody {
+		b = append(b, body...)
+		_, err = cn.Write(b)
+	} else {
+		vec := net.Buffers{b, body}
+		_, err = vec.WriteTo(cn.Conn)
+	}
+	cn.req = b[:0]
+	if err != nil {
+		return 0, false, false, err
+	}
+	if _, err := cn.br.Peek(1); err != nil {
+		return 0, false, false, err
+	}
+	resp, err := http.ReadResponse(cn.br, nil)
+	if err != nil {
+		return 0, true, false, err
+	}
+	buf.Reset()
+	// MinRead of headroom lets ReadFrom meet EOF without growing the buffer.
+	buf.Grow(int(min(max(resp.ContentLength, 0), c.stateLimit)) + bytes.MinRead)
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, c.stateLimit+1)); err != nil {
+		return 0, true, false, err
+	}
+	if int64(buf.Len()) > c.stateLimit {
+		return 0, true, false, fmt.Errorf("reply longer than the %d-byte bound", c.stateLimit)
+	}
+	return resp.StatusCode, true, !resp.Close && resp.StatusCode >= 200 && cn.br.Buffered() == 0, nil
+}
+
+// statusErr maps a reply's status code and body to the call's error.
+func statusErr(code int, method, path string, body []byte) error {
+	switch {
+	case code/100 == 2:
+		return nil
+	case code == http.StatusTooManyRequests:
+		return ErrBusy
+	}
+	se := &StatusError{Code: code, Op: method + " " + path}
+	var er ErrorReply
+	if json.Unmarshal(body, &er) == nil {
+		se.Msg = er.Error
+	}
+	return se
+}
+
+// takeIdle pops the most recently pooled connection, or returns nil.
+func (c *Client) takeIdle() *conn {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := len(c.idle)
+	if n == 0 {
 		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	cn := c.idle[n-1]
+	c.idle[n-1] = nil
+	c.idle = c.idle[:n-1]
+	return cn
+}
+
+// putIdle pools cn for the next request, or closes it when the pool is full.
+func (c *Client) putIdle(cn *conn) {
+	c.mu.Lock()
+	pooled := len(c.idle) < maxIdle
+	if pooled {
+		c.idle = append(c.idle, cn)
+	}
+	c.mu.Unlock()
+	if !pooled {
+		cn.Close()
+	}
+}
+
+// do is roundTrip without a request body, the JSON reply decoded into out
+// (when non-nil).
+func (c *Client) do(ctx context.Context, method, path string, out any) error {
+	buf := getBuf()
+	defer bufs.Put(buf)
+	if err := c.roundTrip(ctx, method, path, "", nil, buf); err != nil {
+		return err
+	}
+	if out == nil {
+		return nil
+	}
+	if err := json.Unmarshal(buf.Bytes(), out); err != nil {
+		return fmt.Errorf("netserve: %s %s: %w", method, path, err)
+	}
+	return nil
 }
 
 // Health probes the worker, returning its shape.
 func (c *Client) Health(ctx context.Context) (Health, error) {
 	var h Health
-	err := c.do(ctx, http.MethodGet, "/healthz", nil, &h)
+	err := c.do(ctx, http.MethodGet, "/healthz", &h)
 	return h, err
 }
 
@@ -146,14 +331,9 @@ func (c *Client) WaitReady(ctx context.Context) (Health, error) {
 // retrying it verbatim will not help.
 func (c *Client) SubmitFrame(ctx context.Context, slot int, frame []float64) (FrameReply, error) {
 	path := "/v1/streams/" + strconv.Itoa(slot) + "/frames"
-	resp, err := c.roundTrip(ctx, http.MethodPost, path, binaryType, tensor.AppendFloats(nil, frame))
-	if err != nil {
-		return FrameReply{}, err
-	}
-	defer resp.Body.Close()
 	buf := getBuf()
 	defer bufs.Put(buf)
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
+	if err := c.roundTrip(ctx, http.MethodPost, path, binaryType, tensor.AppendFloats(nil, frame), buf); err != nil {
 		return FrameReply{}, err
 	}
 	rep, err := decodeReply(buf.Bytes())
@@ -169,49 +349,38 @@ func (c *Client) SubmitFrame(ctx context.Context, slot int, frame []float64) (Fr
 // Stats fetches one slot's statistics.
 func (c *Client) Stats(ctx context.Context, slot int) (serve.Stats, error) {
 	var rep serve.Stats
-	err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/streams/%d/stats", slot), nil, &rep)
+	err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/streams/%d/stats", slot), &rep)
 	return rep, err
 }
 
 // Scores fetches one slot's retained score history.
 func (c *Client) Scores(ctx context.Context, slot int) ([]float64, error) {
 	var rep ScoresReply
-	err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/streams/%d/scores", slot), nil, &rep)
+	err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/streams/%d/scores", slot), &rep)
 	return rep.Scores, err
 }
 
 // Evict spills one slot's heavy state to the worker's spill directory.
 func (c *Client) Evict(ctx context.Context, slot int) error {
-	return c.do(ctx, http.MethodPost, fmt.Sprintf("/v1/streams/%d/evict", slot), nil, nil)
+	return c.do(ctx, http.MethodPost, fmt.Sprintf("/v1/streams/%d/evict", slot), nil)
 }
 
 // Release permanently drops one slot's stream state on the worker: the
 // stream moved elsewhere (migration or failover) and this slot will never
 // serve its key again, so its resident bytes must stop being charged.
 func (c *Client) Release(ctx context.Context, slot int) error {
-	return c.do(ctx, http.MethodPost, fmt.Sprintf("/v1/streams/%d/release", slot), nil, nil)
+	return c.do(ctx, http.MethodPost, fmt.Sprintf("/v1/streams/%d/release", slot), nil)
 }
 
 // ExportRaw captures one slot's complete adaptation state as the version 2
 // checkpoint of one stream (snapshot.AppendStream) — passed to RestoreRaw
 // verbatim, so a migration never re-encodes the state it moves. The bytes
-// are read into one buffer sized from the reply's Content-Length; a reply
-// longer than the restore bound is an error.
+// are read into one buffer sized from the reply's Content-Length; like
+// every reply, one longer than the restore bound is an error.
 func (c *Client) ExportRaw(ctx context.Context, slot int) ([]byte, error) {
-	path := fmt.Sprintf("/v1/streams/%d/export", slot)
-	resp, err := c.roundTrip(ctx, http.MethodGet, path, "", nil)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
 	var buf bytes.Buffer
-	// MinRead of headroom lets ReadFrom meet EOF without growing the buffer.
-	buf.Grow(int(min(max(resp.ContentLength, 0), c.stateLimit)) + bytes.MinRead)
-	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, c.stateLimit+1)); err != nil {
+	if err := c.roundTrip(ctx, http.MethodGet, fmt.Sprintf("/v1/streams/%d/export", slot), "", nil, &buf); err != nil {
 		return nil, err
-	}
-	if int64(buf.Len()) > c.stateLimit {
-		return nil, fmt.Errorf("netserve: GET %s: state longer than the %d-byte bound", path, c.stateLimit)
 	}
 	return buf.Bytes(), nil
 }
@@ -219,18 +388,15 @@ func (c *Client) ExportRaw(ctx context.Context, slot int) ([]byte, error) {
 // RestoreRaw installs a state ExportRaw returned into a slot. The worker
 // takes only that binary form: any other body is refused 4xx.
 func (c *Client) RestoreRaw(ctx context.Context, slot int, state []byte) error {
-	resp, err := c.roundTrip(ctx, http.MethodPost, fmt.Sprintf("/v1/streams/%d/restore", slot), binaryType, state)
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	return resp.Body.Close()
+	buf := getBuf()
+	defer bufs.Put(buf)
+	return c.roundTrip(ctx, http.MethodPost, fmt.Sprintf("/v1/streams/%d/restore", slot), binaryType, state, buf)
 }
 
 // Mem fetches the worker's memory report.
 func (c *Client) Mem(ctx context.Context) (MemReply, error) {
 	var rep MemReply
-	err := c.do(ctx, http.MethodGet, "/v1/mem", nil, &rep)
+	err := c.do(ctx, http.MethodGet, "/v1/mem", &rep)
 	return rep, err
 }
 
@@ -238,13 +404,13 @@ func (c *Client) Mem(ctx context.Context) (MemReply, error) {
 // returning the path it wrote.
 func (c *Client) Checkpoint(ctx context.Context) (string, error) {
 	var rep CheckpointReply
-	err := c.do(ctx, http.MethodPost, "/v1/checkpoint", nil, &rep)
+	err := c.do(ctx, http.MethodPost, "/v1/checkpoint", &rep)
 	return rep.Path, err
 }
 
 // Shutdown asks the worker process to drain and exit its serving loop.
 func (c *Client) Shutdown(ctx context.Context) error {
-	return c.do(ctx, http.MethodPost, "/v1/shutdown", nil, nil)
+	return c.do(ctx, http.MethodPost, "/v1/shutdown", nil)
 }
 
 // Die asks the worker to stop abruptly — no drain, in-flight connections
@@ -252,7 +418,7 @@ func (c *Client) Shutdown(ctx context.Context) error {
 // usually cuts the connection before (or while) replying, so transport
 // errors count as success.
 func (c *Client) Die(ctx context.Context) error {
-	err := c.do(ctx, http.MethodPost, "/v1/die", nil, nil)
+	err := c.do(ctx, http.MethodPost, "/v1/die", nil)
 	if err != nil && IsTransient(err) {
 		return nil
 	}

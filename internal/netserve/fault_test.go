@@ -8,7 +8,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -86,12 +85,6 @@ func TestIsTransientClassification(t *testing.T) {
 		{"http-404", &netserve.StatusError{Code: 404, Op: "GET /x"}, false},
 		{"http-400", &netserve.StatusError{Code: 400, Op: "GET /x"}, false},
 		{"op-error", &net.OpError{Op: "dial", Err: errors.New("down")}, true},
-		// The keep-alive reuse race: net/http's unexported sentinel for a
-		// request sent on a connection the server had already closed. It
-		// reaches POSTs raw (the transport only auto-retries idempotent
-		// requests), wrapped in a *url.Error like every transport failure.
-		{"closed-idle-conn", &url.Error{Op: "Post", URL: "http://w/v1/streams/0/frames",
-			Err: errors.New("http: server closed idle connection")}, true},
 	}
 	for _, tc := range cases {
 		if got := netserve.IsTransient(tc.err); got != tc.transient {

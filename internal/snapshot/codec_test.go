@@ -239,3 +239,34 @@ func FuzzDecodeStreamState(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLoadV1 throws arbitrary bytes at Load's version 1 path, the JSON
+// reader kept for checkpoint files older builds wrote. It must return the
+// package's own error or a checkpoint, never panic; and a checkpoint it
+// returns upgrades as Load then Save would: it encodes to version 2, or
+// Encode reports why not, and the bytes decode.
+func FuzzLoadV1(f *testing.F) {
+	for _, fixture := range v1Fixtures {
+		b, err := os.ReadFile(fixture)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		cp, err := decodeV1(b)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "snapshot: ") {
+				t.Fatalf("an error not of this package: %v", err)
+			}
+			return
+		}
+		v2, err := Encode(cp)
+		if err != nil {
+			return
+		}
+		if _, err := Decode(v2); err != nil {
+			t.Fatalf("a version 1 checkpoint's version 2 form does not decode: %v", err)
+		}
+	})
+}
