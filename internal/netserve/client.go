@@ -35,10 +35,14 @@ const DefaultTimeout = 60 * time.Second
 // one per request its callers have in flight at once is the steady state.
 const maxIdle = 64
 
-// inlineBody is the longest request body copied behind its header into one
-// write. A longer one (a stream state) goes out with the header in one
-// writev, so a connection never keeps a buffer the size of a state.
-const inlineBody = 64 << 10
+// maxReqBuf is the largest request buffer a connection keeps between
+// requests. A request is built whole (header and body) and written at
+// once; a buffer grown past this by a large state is dropped after its
+// write, so an idle connection never holds one.
+const maxReqBuf = 64 << 10
+
+// errStale reports a pooled connection the worker closed while it sat idle.
+var errStale = errors.New("worker closed the idle connection")
 
 // aLongTimeAgo is the deadline that aborts a connection's pending I/O when
 // the caller's context is cancelled.
@@ -62,11 +66,12 @@ type Client struct {
 }
 
 // conn is one keep-alive connection with the reader its replies are parsed
-// from and the buffer its requests are built in.
+// from, the buffer its requests are built in and its idle check.
 type conn struct {
 	net.Conn
-	br  *bufio.Reader
-	req []byte
+	br   *bufio.Reader
+	req  []byte
+	open func() bool // see idleCheck
 }
 
 // ClientOption tunes a Client at construction.
@@ -110,11 +115,14 @@ func NewClient(base string, opts ...ClientOption) *Client {
 //
 // The connection goes back to the pool only after its reply was read to
 // the end with no error and no "Connection: close"; any failure closes it.
-// A GET that fails on a reused connection before any reply byte is sent
-// once more on a fresh one — the keep-alive race (the worker closed the
-// idle connection as the request went out) that http.Transport retries for
-// idempotent requests too. Nothing else is retried: a POST is never re-sent,
-// and redelivery of a frame belongs to the shard layer's failover.
+// A pooled connection is checked before it carries a request: one the
+// worker closed while it sat idle is dropped for a fresh dial, whatever
+// the method. A GET that still fails on a reused connection before any
+// reply byte is sent once more on a fresh one — the keep-alive race (the
+// worker closed the connection as the request went out) that
+// http.Transport retries for idempotent requests too. Nothing else is
+// retried: a POST that may have reached the worker is never re-sent, and
+// redelivery of a frame belongs to the shard layer's failover.
 func (c *Client) roundTrip(ctx context.Context, method, path, contentType string, body []byte, buf *bytes.Buffer) error {
 	if c.baseErr != nil {
 		return c.baseErr
@@ -138,13 +146,13 @@ func (c *Client) roundTrip(ctx context.Context, method, path, contentType string
 			dialer := net.Dialer{Deadline: deadline}
 			var nc net.Conn
 			if nc, err = dialer.DialContext(ctx, "tcp", c.addr); err == nil {
-				cn = &conn{Conn: nc, br: bufio.NewReader(nc)}
+				cn = &conn{Conn: nc, br: bufio.NewReader(nc), open: idleCheck(nc)}
 			}
 		}
 		var code int
 		replied, keep := false, false
 		if err == nil {
-			code, replied, keep, err = c.exchange(ctx, cn, deadline, method, path, contentType, body, buf)
+			code, replied, keep, err = c.exchange(ctx, cn, reused, deadline, method, path, contentType, body, buf)
 		}
 		if err == nil {
 			if keep {
@@ -159,7 +167,7 @@ func (c *Client) roundTrip(ctx context.Context, method, path, contentType string
 		}
 		var ne net.Error
 		timeout := errors.As(err, &ne) && ne.Timeout()
-		if reused && !replied && method == http.MethodGet && ctx.Err() == nil && !timeout {
+		if reused && !replied && (method == http.MethodGet || err == errStale) && ctx.Err() == nil && !timeout {
 			cn, reused = nil, false
 			continue
 		}
@@ -177,8 +185,9 @@ func (c *Client) roundTrip(ctx context.Context, method, path, contentType string
 // exchange writes one request on cn and reads its reply into buf,
 // reporting the status, whether any reply byte arrived, and whether cn may
 // carry another request. I/O is bounded by deadline, and cut short when
-// ctx is cancelled.
-func (c *Client) exchange(ctx context.Context, cn *conn, deadline time.Time, method, path, contentType string, body []byte, buf *bytes.Buffer) (code int, replied, keep bool, err error) {
+// ctx is cancelled. A reused cn the worker has closed fails with errStale
+// before anything is written.
+func (c *Client) exchange(ctx context.Context, cn *conn, reused bool, deadline time.Time, method, path, contentType string, body []byte, buf *bytes.Buffer) (code int, replied, keep bool, err error) {
 	if err := cn.SetDeadline(deadline); err != nil {
 		return 0, false, false, err
 	}
@@ -189,6 +198,9 @@ func (c *Client) exchange(ctx context.Context, cn *conn, deadline time.Time, met
 				keep = false // its deadline is gone
 			}
 		}()
+	}
+	if reused && !cn.open() {
+		return 0, false, false, errStale
 	}
 	b := append(cn.req[:0], method...)
 	b = append(b, ' ')
@@ -205,14 +217,13 @@ func (c *Client) exchange(ctx context.Context, cn *conn, deadline time.Time, met
 		b = strconv.AppendInt(b, int64(len(body)), 10)
 	}
 	b = append(b, "\r\n\r\n"...)
-	if len(body) <= inlineBody {
-		b = append(b, body...)
-		_, err = cn.Write(b)
+	b = append(b, body...)
+	_, err = cn.Write(b)
+	if cap(b) <= maxReqBuf {
+		cn.req = b[:0]
 	} else {
-		vec := net.Buffers{b, body}
-		_, err = vec.WriteTo(cn.Conn)
+		cn.req = nil
 	}
-	cn.req = b[:0]
 	if err != nil {
 		return 0, false, false, err
 	}

@@ -178,38 +178,75 @@ func TestPoolKeepsOneConnection(t *testing.T) {
 	}
 }
 
-// TestStaleConnectionRetriesOnlyGets pins the one retry: after the worker
-// closes a pooled connection, a GET goes through on a fresh one, while a
-// frame POST fails transiently and is not sent again.
+// TestStaleConnectionRetriesOnlyGets pins the one retry, on the race the
+// idle check cannot see: the worker reads a request on a reused connection
+// and closes it without answering. A GET goes through on a fresh
+// connection, while a frame POST fails transiently and is not sent again.
 func TestStaleConnectionRetriesOnlyGets(t *testing.T) {
-	var frames atomic.Int32
-	ts, ln := fakeWorker(t, func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost {
-			frames.Add(1)
-			replyFrame(w, r)
-			return
-		}
-		json.NewEncoder(w).Encode(Health{OK: true})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepts, frames atomic.Int32
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		ln.Close()
+		wg.Wait()
 	})
-	c := NewClient(ts.URL)
+	// The worker answers the first request on each connection and drops
+	// the connection on the second, after reading it.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepts.Add(1)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer nc.Close()
+				br := bufio.NewReader(nc)
+				for i := 0; ; i++ {
+					req, err := http.ReadRequest(br)
+					if err != nil {
+						return
+					}
+					io.Copy(io.Discard, req.Body)
+					if req.Method == http.MethodPost {
+						frames.Add(1)
+					}
+					if i > 0 {
+						return
+					}
+					body := []byte(`{"ok":true}`)
+					if req.Method == http.MethodPost {
+						body = appendReply(nil, FrameReply{Score: 0.5})
+					}
+					nc.Write(append([]byte("HTTP/1.1 200 OK\r\nContent-Length: "+strconv.Itoa(len(body))+"\r\n\r\n"), body...))
+				}
+			}()
+		}
+	}()
+	c := NewClient("http://" + ln.Addr().String())
+	t.Cleanup(c.closeIdle) // before the worker's wait: it ends each connection's goroutine
 	ctx := context.Background()
 	if _, err := c.Health(ctx); err != nil {
 		t.Fatal(err)
 	}
-	ts.CloseClientConnections()
 	if h, err := c.Health(ctx); err != nil || !h.OK {
-		t.Fatalf("GET on a stale pooled connection: %+v, %v; want it retried on a fresh one", h, err)
+		t.Fatalf("GET the worker dropped on a reused connection: %+v, %v; want it retried on a fresh one", h, err)
 	}
-	if n := ln.accepts.Load(); n != 2 {
+	if n := accepts.Load(); n != 2 {
 		t.Fatalf("%d connections after the retry, want 2", n)
 	}
-	ts.CloseClientConnections()
-	before := frames.Load()
-	_, err := c.SubmitFrame(ctx, 0, []float64{1})
+	_, err = c.SubmitFrame(ctx, 0, []float64{1})
 	if err == nil || !IsTransient(err) {
-		t.Fatalf("frame on a stale pooled connection: %v; want a transient error", err)
+		t.Fatalf("frame the worker dropped on a reused connection: %v; want a transient error", err)
 	}
-	if n := frames.Load() - before; n > 1 {
+	if n := frames.Load(); n != 1 {
 		t.Fatalf("the worker saw the frame %d times; a POST is never re-sent", n)
 	}
 	if n := c.idleConns(); n != 0 {
@@ -217,6 +254,49 @@ func TestStaleConnectionRetriesOnlyGets(t *testing.T) {
 	}
 	if _, err := c.SubmitFrame(ctx, 0, []float64{1}); err != nil {
 		t.Fatalf("frame after the failure: %v", err)
+	}
+	if n := accepts.Load(); n != 3 {
+		t.Fatalf("%d connections, want 3: the failed frame's was not reused", n)
+	}
+}
+
+// TestLargeRequestBufferIsDropped pins the request buffer a connection
+// keeps: a body past maxReqBuf reaches the worker whole in the one write,
+// and the buffer it grew is not pooled with the connection.
+func TestLargeRequestBufferIsDropped(t *testing.T) {
+	state := make([]byte, 2*maxReqBuf)
+	for i := range state {
+		state[i] = byte(i % 251)
+	}
+	ts, _ := fakeWorker(t, func(w http.ResponseWriter, r *http.Request) {
+		got, _ := io.ReadAll(r.Body)
+		if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/restore") && !bytes.Equal(got, state) {
+			http.Error(w, `{"error":"state arrived changed"}`, http.StatusBadRequest)
+			return
+		}
+		replyFrame(w, r)
+	})
+	c := NewClient(ts.URL)
+	ctx := context.Background()
+	reqCap := func() int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if len(c.idle) != 1 {
+			t.Fatalf("%d connections pooled, want 1", len(c.idle))
+		}
+		return cap(c.idle[0].req)
+	}
+	if err := c.RestoreRaw(ctx, 0, state); err != nil {
+		t.Fatal(err)
+	}
+	if n := reqCap(); n != 0 {
+		t.Fatalf("a %d-byte request left a %d-byte buffer on its connection", len(state), n)
+	}
+	if _, err := c.SubmitFrame(ctx, 0, []float64{1}); err != nil {
+		t.Fatal(err)
+	}
+	if n := reqCap(); n == 0 || n > maxReqBuf {
+		t.Fatalf("a frame request left a %d-byte buffer, want one kept, at most %d", n, maxReqBuf)
 	}
 }
 
