@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"edgekg/internal/tensor"
+	"edgekg/internal/tensor/kernels"
 )
 
 // The hierarchical GNN layer tail — EdgeMessageAggregate → BatchNorm → ELU
@@ -100,8 +101,9 @@ func EdgeAggNormActEvalInPlace[T tensor.Float](x *tensor.Dense[T], gamma, beta, 
 }
 
 // edgeAggNormActEvalInto aggregates x over the edge group into pooled
-// scratch, then writes ELU(BatchNorm(aggregate)) into out — which may be
-// x itself, since the aggregate is complete before the first write.
+// scratch, then writes BatchNorm(aggregate) into out — which may be x
+// itself, since the aggregate is complete before the first write — and
+// runs the backend's ELU over it.
 func edgeAggNormActEvalInto[T tensor.Float](out, x *tensor.Dense[T], gamma, beta, runningMean, invStd []T, src, dst []int, inLevel []bool) {
 	n, d := x.Rows(), x.Cols()
 	checkEdgeLists(n, src, dst, inLevel)
@@ -114,9 +116,10 @@ func edgeAggNormActEvalInto[T tensor.Float](out, x *tensor.Dense[T], gamma, beta
 		orow := od[i*d : (i+1)*d]
 		for j := 0; j < d; j++ {
 			xh := (trow[j] - runningMean[j]) * invStd[j]
-			orow[j] = elu(gamma[j]*xh + beta[j])
+			orow[j] = gamma[j]*xh + beta[j]
 		}
 	}
+	kernels.ActiveOf[T]().ELU(od, od)
 	ws.Release()
 }
 
@@ -158,14 +161,10 @@ func EdgeAggNormActTrain(x, gamma, beta *Value, src, dst []int, inLevel []bool, 
 		hrow := xhat[i*d : (i+1)*d]
 		orow := od[i*d : (i+1)*d]
 		for j := 0; j < d; j++ {
-			pre := gam[j]*hrow[j] + bet[j]
-			if pre > 0 {
-				orow[j] = pre
-			} else {
-				orow[j] = math.Exp(pre) - 1
-			}
+			orow[j] = gam[j]*hrow[j] + bet[j]
 		}
 	}
+	kernels.Active().ELU(od, od)
 	v := newOp3("edgeaggnormact", o, x, gamma, beta, func(g *tensor.Tensor) {
 		ws := tensor.NewWorkspace()
 		gpre := tensor.Scratch[float64](ws, n*d)

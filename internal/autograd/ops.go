@@ -273,23 +273,10 @@ func MeanRows(v *Value) *Value {
 	})
 }
 
-// elu is the scalar ELU (alpha = 1). Like every transcendental in the
-// shared forwards it is evaluated at float64 and rounded to T.
-func elu[T tensor.Float](x T) T {
-	if x > 0 {
-		return x
-	}
-	return T(math.Exp(float64(x)) - 1)
-}
-
-// ELUInPlace is ELU's forward overwriting x. elu[float64] rounded to T is
-// elu[T], and unlike elu[T] it is a static func value: passing it is free.
-func ELUInPlace[T tensor.Float](x *tensor.Dense[T]) { tensor.MapInPlace(x, elu[float64]) }
-
 // ELU applies the exponential linear unit elementwise (alpha = 1), the
 // activation of every hierarchical GNN layer (eq. 4).
 func ELU(v *Value) *Value {
-	out := tensor.MapInPlace(v.Data.Clone(), elu[float64])
+	out := tensor.ELUInPlace(v.Data.Clone())
 	return newOp3("elu", out, v, nil, nil, func(g *tensor.Tensor) {
 		gv := tensor.New(v.Data.Shape()...)
 		vd, od, gd, dst := v.Data.Data(), out.Data(), g.Data(), gv.Data()
@@ -312,7 +299,9 @@ func gelu[T tensor.Float](v T) T {
 	return T(0.5 * x * (1 + math.Tanh(geluC*(x+0.044715*x*x*x))))
 }
 
-// GELUInPlace is GELU's forward overwriting x (see ELUInPlace).
+// GELUInPlace is GELU's forward overwriting x. gelu[float64] rounded to
+// T is gelu[T], and unlike gelu[T] it is a static func value: passing it
+// is free.
 func GELUInPlace[T tensor.Float](x *tensor.Dense[T]) { tensor.MapInPlace(x, gelu[float64]) }
 
 // GELU applies the Gaussian error linear unit (tanh approximation), used by

@@ -97,7 +97,29 @@ type AdaptReport struct {
 	// Pruned and Created list structural changes per graph.
 	Pruned  []kg.NodeID `json:"pruned,omitempty"`
 	Created []kg.NodeID `json:"created,omitempty"`
+	// Gate names where Step stopped. It is not part of a checkpoint: a
+	// report read back from one has the zero value, GateUnrecorded.
+	Gate Gate `json:"-"`
 }
+
+// Gate is where Adapter.Step stopped, in the order it tests.
+type Gate uint8
+
+const (
+	// GateUnrecorded: the report did not come from Step (a checkpointed
+	// pending round's report comes back without its gate).
+	GateUnrecorded Gate = iota
+	// GateNotReady: the monitor's window was not full yet.
+	GateNotReady
+	// GateNoDrop: the monitor selected no pseudo-anomalies (K = 0).
+	GateNoDrop
+	// GateMinDrop: the mean dropped by no more than MinDrop.
+	GateMinDrop
+	// GateSkipLoss: the selection loss was already below SkipLossBelow.
+	GateSkipLoss
+	// GateTrained: the round ran its epochs and the convergence test.
+	GateTrained
+)
 
 // Adapter performs continuous KG adaptive learning on a deployed
 // detector. Construct it after Detector.EnableAdaptation; it owns the
@@ -227,10 +249,19 @@ func (a *Adapter) Step(mon *Monitor) (AdaptReport, error) {
 	for i := range rep.NodeDistances {
 		rep.NodeDistances[i] = make(map[kg.NodeID]tensor.F64Bits)
 	}
-	if !mon.Ready() || rep.K == 0 || dm >= -a.cfg.MinDrop {
+	switch {
+	case !mon.Ready():
+		rep.Gate = GateNotReady
+	case rep.K == 0:
+		rep.Gate = GateNoDrop
+	case dm >= -a.cfg.MinDrop:
+		rep.Gate = GateMinDrop
+	default:
+		rep.Gate, rep.Triggered = GateTrained, true
+	}
+	if !rep.Triggered {
 		return rep, nil
 	}
-	rep.Triggered = true
 
 	positives := mon.TopK()
 	if a.cfg.MaxKFrac > 0 {
@@ -257,7 +288,7 @@ func (a *Adapter) Step(mon *Monitor) (AdaptReport, error) {
 	if a.cfg.SkipLossBelow > 0 {
 		probe := autograd.Scale(a.forwardFrames(batch), 1/a.det.ScoreTemperature())
 		if autograd.BinaryScoreLoss(probe.Detach(), targets).Scalar() < a.cfg.SkipLossBelow {
-			rep.Triggered = false
+			rep.Triggered, rep.Gate = false, GateSkipLoss
 			return rep, nil
 		}
 	}

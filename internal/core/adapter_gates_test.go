@@ -78,6 +78,9 @@ func TestAdapterMinDropGate(t *testing.T) {
 	if rep.Triggered {
 		t.Error("sub-threshold drop engaged adaptation")
 	}
+	if rep.Gate != GateMinDrop {
+		t.Errorf("report gate %d, want GateMinDrop", rep.Gate)
+	}
 }
 
 func TestAdapterMaxKFracCap(t *testing.T) {
@@ -105,8 +108,8 @@ func TestAdapterMaxKFracCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Triggered {
-		t.Fatal("expected trigger")
+	if !rep.Triggered || rep.Gate != GateTrained {
+		t.Fatalf("expected a trained round, got triggered=%v gate %d", rep.Triggered, rep.Gate)
 	}
 	// The report carries the monitor's K; the cap governs consumption,
 	// which we can only observe indirectly — the loss must be finite and
@@ -139,6 +142,9 @@ func TestAdapterSkipLossGate(t *testing.T) {
 	}
 	if rep.Triggered {
 		t.Error("loss gate did not skip")
+	}
+	if rep.Gate != GateSkipLoss {
+		t.Errorf("report gate %d, want GateSkipLoss", rep.Gate)
 	}
 	after := r.det.GNN(0).Tokens().Snapshot(r.graph.NodesAtLevel(1)[0].ID)
 	if !tensor.AllClose(before, after, 0) {

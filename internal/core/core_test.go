@@ -331,17 +331,19 @@ func TestAdapterNoTriggerNoChange(t *testing.T) {
 		cfg  func(*AdaptConfig)
 		// gated reports whether the monitor reaches this gate and no other.
 		gated func(mon *Monitor, cfg AdaptConfig) bool
+		// gate is where the report must say Step stopped.
+		gate Gate
 	}{
 		{"not-ready", func(m *Monitor) { push(m, 4, 0.9) }, nil,
-			func(m *Monitor, _ AdaptConfig) bool { return !m.Ready() }},
+			func(m *Monitor, _ AdaptConfig) bool { return !m.Ready() }, GateNotReady},
 		{"flat-mean", func(m *Monitor) { push(m, 12, 0.5) }, nil,
-			func(m *Monitor, _ AdaptConfig) bool { return m.Ready() && m.K() == 0 }},
+			func(m *Monitor, _ AdaptConfig) bool { return m.Ready() && m.K() == 0 }, GateNoDrop},
 		{"below-min-drop", func(m *Monitor) { push(m, 6, 0.5); push(m, 6, 0.49) }, nil,
-			func(m *Monitor, c AdaptConfig) bool { return m.Ready() && m.K() > 0 && m.DeltaM() >= -c.MinDrop }},
+			func(m *Monitor, c AdaptConfig) bool { return m.Ready() && m.K() > 0 && m.DeltaM() >= -c.MinDrop }, GateMinDrop},
 		// A binary score loss never exceeds 1, so this probe always passes.
 		{"skip-loss-probe", func(m *Monitor) { push(m, 6, 0.9); push(m, 6, 0.1) },
 			func(c *AdaptConfig) { c.SkipLossBelow = 2 },
-			func(m *Monitor, c AdaptConfig) bool { return m.Ready() && m.K() > 0 && m.DeltaM() < -c.MinDrop }},
+			func(m *Monitor, c AdaptConfig) bool { return m.Ready() && m.K() > 0 && m.DeltaM() < -c.MinDrop }, GateSkipLoss},
 	}
 	for _, g := range gates {
 		t.Run(g.name, func(t *testing.T) {
@@ -373,6 +375,9 @@ func TestAdapterNoTriggerNoChange(t *testing.T) {
 			}
 			if rep.Triggered {
 				t.Fatal("round triggered")
+			}
+			if rep.Gate != g.gate {
+				t.Errorf("report gate %d, want %d", rep.Gate, g.gate)
 			}
 			if after := exportedBytes(t, det, adapter); after != before {
 				t.Error("untriggered round changed the exported adapter state, a graph or a token bank")

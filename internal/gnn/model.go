@@ -369,7 +369,7 @@ func ForwardEval[T tensor.Float](ws *tensor.Workspace, m *Model, frames *tensor.
 			autograd.EdgeAggNormActEvalInPlace(x, s.gamma, s.beta, s.rmean, s.invSd, rg.src, rg.dst, rg.inLevel)
 		} else {
 			autograd.BatchNormEvalInPlace(x, s.gamma, s.beta, s.rmean, s.invSd)
-			autograd.ELUInPlace(x)
+			tensor.ELUInPlace(x)
 		}
 	}
 	return tensor.GatherIn(ws, x, rep.embRows)

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"edgekg/internal/core"
 	"edgekg/internal/flops"
 	"edgekg/internal/tensor"
 )
@@ -28,7 +29,9 @@ var v1Fixtures = []string{
 // filled returns a StreamState with every field set, found by reflection
 // so that a field added later is filled too: n elements in every slice and
 // map (n = 0 gives empty, non-nil ones), every pointer set, every number
-// distinct and non-zero.
+// distinct and non-zero. Fields tagged `json:"-"` are left zero: they are
+// not part of the state, and the codec must drop them (see
+// TestReportGateIsNotCheckpointed).
 func filled(t testing.TB, n int) *StreamState {
 	t.Helper()
 	seq := 0
@@ -46,7 +49,9 @@ func filled(t testing.TB, n int) *StreamState {
 			fill(v.Elem(), path)
 		case reflect.Struct:
 			for i := range v.NumField() {
-				fill(v.Field(i), path+"."+v.Type().Field(i).Name)
+				if f := v.Type().Field(i); f.Tag.Get("json") != "-" {
+					fill(v.Field(i), path+"."+f.Name)
+				}
 			}
 		case reflect.Slice:
 			s := reflect.MakeSlice(v.Type(), n, n)
@@ -100,6 +105,24 @@ func TestCodecCoversEveryField(t *testing.T) {
 			b, _ := json.Marshal(got)
 			t.Errorf("%s state changed across the binary form (%v):\n%s\nvs\n%s", name, err, a, b)
 		}
+	}
+}
+
+// TestReportGateIsNotCheckpointed pins that a pending round's gate moves
+// no checkpoint byte and reads back as the zero value.
+func TestReportGateIsNotCheckpointed(t *testing.T) {
+	ss := filled(t, 1)
+	want := AppendStream(nil, ss)
+	ss.Pending.Report.Gate = core.GateTrained
+	if got := AppendStream(nil, ss); !bytes.Equal(got, want) {
+		t.Fatal("the report's gate moved the encoded state")
+	}
+	back, err := DecodeStream(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := back.Pending.Report.Gate; g != core.GateUnrecorded {
+		t.Fatalf("decoded gate %d, want GateUnrecorded", g)
 	}
 }
 

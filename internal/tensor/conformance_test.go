@@ -11,6 +11,7 @@ package tensor_test
 // whole model.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -48,6 +49,24 @@ func requireExact[T kernels.Float](t *testing.T, ctx string, ref, got []T) {
 			t.Fatalf("%s: element %d: %v", ctx, i, err)
 		}
 	}
+}
+
+// requireSameBits pins got to ref bit for bit, NaN payloads included.
+func requireSameBits[T kernels.Float](t *testing.T, ctx string, ref, got []T) {
+	t.Helper()
+	for i := range ref {
+		if r, g := bitsOf(ref[i]), bitsOf(got[i]); r != g {
+			t.Fatalf("%s: element %d: want %v (%#x), got %v (%#x)", ctx, i, ref[i], r, got[i], g)
+		}
+	}
+}
+
+// bitsOf returns v's IEEE pattern at its own width.
+func bitsOf[T kernels.Float](v T) uint64 {
+	if f, ok := any(v).(float32); ok {
+		return uint64(math.Float32bits(f))
+	}
+	return math.Float64bits(float64(v))
 }
 
 // absTermDot returns Σ|x[i]·y[i]| for the reassociation budget, computed
@@ -143,6 +162,14 @@ func elementwiseConformance[T kernels.Float](t *testing.T) {
 				sc.Scale(-1.5, refS, refS)
 				bk.Scale(-1.5, gotS, gotS)
 				requireExact(t, ctx+"/Scale(dst=x)", refS, gotS)
+
+				sc.ELU(x, ref)
+				bk.ELU(x, got)
+				requireSameBits(t, ctx+"/ELU", ref, got)
+				refE, gotE := append([]T(nil), x...), append([]T(nil), x...)
+				sc.ELU(refE, refE)
+				bk.ELU(gotE, gotE)
+				requireSameBits(t, ctx+"/ELU(dst=x)", refE, gotE)
 			}
 		}
 	}
@@ -365,5 +392,41 @@ func fuzzReduce[T kernels.Float](t *testing.T, raw []byte, n int) {
 		if err := kernels.CompareAccum(sc.Norm2Sq(x), bk.Norm2Sq(x), n, absTermDot(x, x)); err != nil {
 			t.Fatalf("%s/Norm2Sq n=%d: %v", name, n, err)
 		}
+	}
+}
+
+// FuzzELUBackends cross-checks every backend's ELU against the scalar
+// reference on raw, unclamped bit patterns — 8 bytes per float64 element,
+// 4 per float32 — into a fresh dst and in place, bit for bit.
+func FuzzELUBackends(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add([]byte{0, 0, 0, 0, 0, 0x20, 0x86, 0xc0, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f}) // −708, NaN
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xf0, 0xff, 0, 0, 0, 0, 0, 0, 0, 0x80})       // −Inf, −0
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		x64 := make([]float64, len(raw)/8)
+		for i := range x64 {
+			x64[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		fuzzELU(t, x64)
+		x32 := make([]float32, len(raw)/4)
+		for i := range x32 {
+			x32[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		fuzzELU(t, x32)
+	})
+}
+
+func fuzzELU[T kernels.Float](t *testing.T, x []T) {
+	sc, _ := kernels.Get[T]("scalar")
+	ref := make([]T, len(x))
+	sc.ELU(x, ref)
+	for _, name := range kernels.Names() {
+		bk, _ := kernels.Get[T](name)
+		got := make([]T, len(x))
+		bk.ELU(x, got)
+		requireSameBits(t, name+"/ELU", ref, got)
+		copy(got, x)
+		bk.ELU(got, got)
+		requireSameBits(t, name+"/ELU(dst=x)", ref, got)
 	}
 }

@@ -1,9 +1,9 @@
 package kernels
 
 // AVX2 backend: hand-written assembly for the dot/axpy/mul-accumulate/sum
-// microkernels (avx2_amd64.s), with the matmul family built on top of
-// them and everything else inherited from the unrolled backend. The
-// backend registers only when CPUID reports AVX2 with OS-enabled YMM
+// microkernels and the ELU (avx2_amd64.s), with the matmul family built
+// on top of them and everything else inherited from the unrolled backend.
+// The backend registers only when CPUID reports AVX2 with OS-enabled YMM
 // state, so a binary built here still runs (and picks "unrolled") on an
 // older box.
 
@@ -23,6 +23,9 @@ func mulaccAsm(x, y, dst []float64)
 func scaledMulaccAsm(alpha float64, x, y, dst []float64)
 
 //go:noescape
+func eluAsm(x, dst []float64) int
+
+//go:noescape
 func matmulQuadAsm(a0, a1, a2, a3 float64, b, out []float64)
 
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -32,6 +35,11 @@ func xgetbv0() (eax, edx uint32)
 // once at package load.
 var hasAVX2 bool
 var cpuFeatures []string
+
+// expFMA is math's own useFMA (HasAVX && HasFMA): the condition under
+// which math.Exp runs the FMA branch that eluAsm copies. Without it
+// math.Exp rounds differently, so avx2's ELU runs the scalar loop.
+var expFMA bool
 
 func detectCPU() {
 	maxID, _, _, _ := cpuidex(0, 0)
@@ -55,6 +63,7 @@ func detectCPU() {
 	if c1&fmaBit != 0 {
 		cpuFeatures = append(cpuFeatures, "fma")
 	}
+	expFMA = c1&avxBit != 0 && c1&fmaBit != 0 && osAVX
 	if maxID < 7 {
 		return
 	}
@@ -99,6 +108,26 @@ func (avx2Backend) ScaledMulAcc(alpha float64, x, y, dst []float64) {
 
 func (avx2Backend) Axpy(alpha float64, x, y []float64) {
 	axpyAsm(alpha, x[:len(y)], y)
+}
+
+func (avx2Backend) ELU(x, dst []float64) { eluVia(eluAsm, x, dst) }
+
+// eluVia is avx2's ELU over a block kernel with eluAsm's contract (the
+// FMA gate test passes a spy): blocks take every 8-element block they
+// accept, and the scalar loop takes each block they decline and the
+// tail, so every element gets math.Exp's bits either way.
+func eluVia(blocks func(x, dst []float64) int, x, dst []float64) {
+	if !expFMA {
+		eluLoop(x, dst)
+		return
+	}
+	x = x[:len(dst)]
+	for i := 0; i < len(dst); {
+		i += blocks(x[i:], dst[i:])
+		j := min(i+8, len(dst))
+		eluLoop(x[i:j], dst[i:j])
+		i = j
+	}
 }
 
 func (avx2Backend) MatMul(a, b, out []float64, k, n, lo, hi int) {

@@ -16,8 +16,8 @@
 //   - "unrolled": 4×-unrolled, register-blocked, bounds-check-eliminated
 //     Go loops.
 //   - "avx2" (amd64 with AVX2 only): hand-written Go assembly for the
-//     dot/axpy/mul-accumulate/sum microkernels, with the unrolled loops
-//     filling in the rest.
+//     dot/axpy/mul-accumulate/sum microkernels and, at float64 on hosts
+//     with FMA, the ELU, with the unrolled loops filling in the rest.
 //
 // scalar and unrolled are written once over T; the two assembly files
 // and their Go stubs are the only width-specific kernels. Training and
@@ -27,11 +27,13 @@
 // Numeric contract. Kernels split in two classes:
 //
 //   - Order-preserving kernels (Add, Sub, Mul, MulAcc, ScaledMulAcc,
-//     Axpy, Scale, MatMul, MatMulT1, SumAxis0) accumulate in the same
-//     element order in every backend — vectorisation runs across
+//     Axpy, Scale, ELU, MatMul, MatMulT1, SumAxis0) accumulate in the
+//     same element order in every backend — vectorisation runs across
 //     independent elements, multiplies and adds round separately (no
 //     FMA contraction) — so results are bit-identical to the scalar
-//     reference, NaN/Inf/±0 payloads included.
+//     reference, NaN/Inf/±0 payloads included. ELU is bit-identical to
+//     math.Exp: the avx2 kernel runs the FMA sequence of Go's own amd64
+//     exp lane by lane, on exactly the hosts where math.Exp runs it.
 //   - Reassociating kernels (Dot, Norm2Sq, Sum, MatMulT2, MatVec) reduce
 //     with multiple accumulators, which reorders the floating-point sum.
 //     They are pinned to the reference by a condition-aware ULP/tolerance
@@ -92,6 +94,10 @@ type Backend[T Float] interface {
 	Axpy(alpha T, x, y []T)
 	// Scale stores alpha·x into dst. Order-preserving.
 	Scale(alpha T, x, dst []T)
+	// ELU stores the exponential linear unit (alpha = 1) of x into dst:
+	// x where x > 0, else math.Exp(x) − 1 evaluated at float64 and rounded
+	// to T. Order-preserving, and bit-identical to math.Exp.
+	ELU(x, dst []T)
 
 	// MatMul computes output rows [lo, hi) of a(m×k)·b(k×n) into
 	// out(m×n), accumulating over p in ascending order with the

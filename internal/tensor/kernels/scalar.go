@@ -1,5 +1,7 @@
 package kernels
 
+import "math"
+
 // scalarBackend is the reference implementation: the plain Go loops the
 // tensor package shipped before backend dispatch existed, extracted
 // verbatim and written once over the element width. Every other backend
@@ -72,6 +74,22 @@ func (scalarBackend[T]) Axpy(alpha T, x, y []T) {
 func (scalarBackend[T]) Scale(alpha T, x, dst []T) {
 	for i := range dst {
 		dst[i] = alpha * x[i]
+	}
+}
+
+func (scalarBackend[T]) ELU(x, dst []T) { eluLoop(x, dst) }
+
+// eluLoop is ELU one element at a time, the definition every backend's
+// ELU returns the bits of: x where x > 0, else math.Exp(x) − 1 at
+// float64, rounded to T. dst may alias x.
+func eluLoop[T Float](x, dst []T) {
+	x = x[:len(dst)]
+	for i, v := range x {
+		if v > 0 {
+			dst[i] = v
+		} else {
+			dst[i] = T(math.Exp(float64(v)) - 1)
+		}
 	}
 }
 

@@ -181,6 +181,10 @@ func scale4[T Float](alpha T, x, dst []T) {
 
 func (unrolledBackend[T]) Scale(alpha T, x, dst []T) { scale4(alpha, x, dst) }
 
+// ELU is the scalar loop: one math.Exp per non-positive element leaves
+// nothing for unrolling to win.
+func (unrolledBackend[T]) ELU(x, dst []T) { eluLoop(x, dst) }
+
 // matMul4p is the p-blocked matmul body: four ascending p-steps per pass
 // over the output row, so each out element is loaded and stored once per
 // four accumulations instead of once per one. quad applies

@@ -109,3 +109,16 @@ func BenchmarkSumPerBackend(b *testing.B) {
 		_ = s
 	})
 }
+
+// BenchmarkELUPerBackend runs ELU over one 512-wide row of N(0,1) values,
+// half of them through exp.
+func BenchmarkELUPerBackend(b *testing.B) {
+	x := benchData(512, 12)
+	dst := make([]float64, 512)
+	benchPerBackend(b, func(b *testing.B, bk kernels.Backend[float64]) {
+		b.SetBytes(8 * 2 * 512)
+		for i := 0; i < b.N; i++ {
+			bk.ELU(x, dst)
+		}
+	})
+}

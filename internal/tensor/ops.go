@@ -109,6 +109,20 @@ func ScaleInPlace[T Float](a *Dense[T], alpha T) *Dense[T] {
 	return a
 }
 
+// ELUInPlace overwrites a with its exponential linear unit (alpha = 1)
+// and returns a: v where v > 0, else math.Exp(v) − 1 at float64, rounded
+// to T.
+func ELUInPlace[T Float](a *Dense[T]) *Dense[T] {
+	bk := kernels.ActiveOf[T]()
+	if n := len(a.data); elemsInline(n) {
+		bk.ELU(a.data, a.data)
+	} else {
+		parallel.For(n, elemsGrain, func(lo, hi int) { bk.ELU(a.data[lo:hi], a.data[lo:hi]) })
+	}
+	countOps(len(a.data))
+	return a
+}
+
 // Neg returns -a.
 func Neg(a *Tensor) *Tensor { return Scale(a, -1) }
 
