@@ -100,6 +100,12 @@ type AdaptReport struct {
 	// Gate names where Step stopped. It is not part of a checkpoint: a
 	// report read back from one has the zero value, GateUnrecorded.
 	Gate Gate `json:"-"`
+	// Positives and Anchors are the Seqs of the frames a triggered round
+	// selected: the pseudo-anomalies left after the MaxKFrac cap, and the
+	// normal anchors. They are set also when SkipLossBelow stops the
+	// round and, like Gate, are not part of a checkpoint.
+	Positives []int `json:"-"`
+	Anchors   []int `json:"-"`
 }
 
 // Gate is where Adapter.Step stopped, in the order it tests.
@@ -272,14 +278,18 @@ func (a *Adapter) Step(mon *Monitor) (AdaptReport, error) {
 	negatives := mon.BottomK(a.cfg.NormalAnchors)
 	frames := make([]*tensor.Tensor, 0, len(positives)+len(negatives))
 	targets := make([]float64, 0, len(positives)+len(negatives))
+	seqs := make([]int, 0, len(positives)+len(negatives))
 	for _, s := range positives {
 		frames = append(frames, s.Pix())
 		targets = append(targets, 1)
+		seqs = append(seqs, s.Seq)
 	}
 	for _, s := range negatives {
 		frames = append(frames, s.Pix())
 		targets = append(targets, 0)
+		seqs = append(seqs, s.Seq)
 	}
+	rep.Positives, rep.Anchors = seqs[:len(positives):len(positives)], seqs[len(positives):]
 	batch := stackFrames(frames)
 
 	// Loss gate: if the selected pseudo-labels are already satisfied, the

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"edgekg/internal/concept"
@@ -104,12 +105,17 @@ func TestAdapterMaxKFracCap(t *testing.T) {
 	if mon.K() <= 4 {
 		t.Fatalf("precondition failed: monitor K = %d", mon.K())
 	}
+	wantPos, wantAnchors := seqsOf(mon.TopK()[:4]), seqsOf(mon.BottomK(cfg.NormalAnchors))
 	rep, err := adapter.Step(mon)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Triggered || rep.Gate != GateTrained {
 		t.Fatalf("expected a trained round, got triggered=%v gate %d", rep.Triggered, rep.Gate)
+	}
+	if !slices.Equal(rep.Positives, wantPos) || !slices.Equal(rep.Anchors, wantAnchors) {
+		t.Errorf("report selected positives %v and anchors %v, want the capped top %v and anchors %v",
+			rep.Positives, rep.Anchors, wantPos, wantAnchors)
 	}
 	// The report carries the monitor's K; the cap governs consumption,
 	// which we can only observe indirectly — the loss must be finite and
@@ -136,6 +142,8 @@ func TestAdapterSkipLossGate(t *testing.T) {
 		mon.Push(tensor.RandN(rng, 1, 1, r.space.PixDim()), 0.1)
 	}
 	before := r.det.GNN(0).Tokens().Snapshot(r.graph.NodesAtLevel(1)[0].ID)
+	maxK := int(cfg.MaxKFrac * float64(mon.N()))
+	wantPos, wantAnchors := seqsOf(mon.TopK()[:maxK]), seqsOf(mon.BottomK(cfg.NormalAnchors))
 	rep, err := adapter.Step(mon)
 	if err != nil {
 		t.Fatal(err)
@@ -145,6 +153,10 @@ func TestAdapterSkipLossGate(t *testing.T) {
 	}
 	if rep.Gate != GateSkipLoss {
 		t.Errorf("report gate %d, want GateSkipLoss", rep.Gate)
+	}
+	if len(wantPos) == 0 || !slices.Equal(rep.Positives, wantPos) || !slices.Equal(rep.Anchors, wantAnchors) {
+		t.Errorf("skipped round reports positives %v and anchors %v, want %v and %v",
+			rep.Positives, rep.Anchors, wantPos, wantAnchors)
 	}
 	after := r.det.GNN(0).Tokens().Snapshot(r.graph.NodesAtLevel(1)[0].ID)
 	if !tensor.AllClose(before, after, 0) {
@@ -215,4 +227,13 @@ func rowNorms(m *tensor.Tensor) []float64 {
 		out[i] = math.Sqrt(s)
 	}
 	return out
+}
+
+// seqsOf returns the samples' Seqs in order.
+func seqsOf(ss []Sample) []int {
+	seqs := make([]int, len(ss))
+	for i, s := range ss {
+		seqs[i] = s.Seq
+	}
+	return seqs
 }

@@ -108,21 +108,23 @@ func TestCodecCoversEveryField(t *testing.T) {
 	}
 }
 
-// TestReportGateIsNotCheckpointed pins that a pending round's gate moves
-// no checkpoint byte and reads back as the zero value.
+// TestReportGateIsNotCheckpointed pins that a pending round's gate and
+// selected Seqs move no checkpoint byte and read back as zero values.
 func TestReportGateIsNotCheckpointed(t *testing.T) {
 	ss := filled(t, 1)
 	want := AppendStream(nil, ss)
 	ss.Pending.Report.Gate = core.GateTrained
+	ss.Pending.Report.Positives, ss.Pending.Report.Anchors = []int{7, 3}, []int{1}
 	if got := AppendStream(nil, ss); !bytes.Equal(got, want) {
-		t.Fatal("the report's gate moved the encoded state")
+		t.Fatal("the report's gate or selection moved the encoded state")
 	}
 	back, err := DecodeStream(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := back.Pending.Report.Gate; g != core.GateUnrecorded {
-		t.Fatalf("decoded gate %d, want GateUnrecorded", g)
+	rep := back.Pending.Report
+	if rep.Gate != core.GateUnrecorded || rep.Positives != nil || rep.Anchors != nil {
+		t.Fatalf("decoded gate %d, positives %v, anchors %v; want GateUnrecorded and none", rep.Gate, rep.Positives, rep.Anchors)
 	}
 }
 

@@ -184,11 +184,10 @@ mulaccdone32:
 	RET
 
 // func matmulQuadAsm32(a0, a1, a2, a3 float32, b, out []float32)
-// The f32 port of matmulQuadAsm: four ascending p-steps of the matmul
-// inner loop in one pass over the output row, each multiply and add
-// rounding separately in that order (no FMA) — the exact rounding
-// sequence of four consecutive scalar p-iterations, so the kernel stays
-// bit-exact vs the scalar32 reference. b holds the four consecutive B
+// Four ascending p-steps of the matmul inner loop in one pass over the
+// output row, each multiply and add rounding separately in that order
+// (no FMA) — the exact rounding sequence of four consecutive scalar
+// p-iterations, so the kernel stays bit-exact vs the scalar32 reference. b holds the four consecutive B
 // rows contiguously (stride n = len(out)); the main loop covers 16
 // floats per iteration (two YMM of 8 lanes).
 TEXT ·matmulQuadAsm32(SB), NOSPLIT, $0-64

@@ -1,8 +1,9 @@
 package kernels
 
 // AVX2 backend: hand-written assembly for the dot/axpy/mul-accumulate/sum
-// microkernels and the ELU (avx2_amd64.s), with the matmul family built
-// on top of them and everything else inherited from the unrolled backend.
+// microkernels, the matmul row and the ELU (avx2_amd64.s), with the
+// matmul family built on top of them and everything else inherited from
+// the unrolled backend.
 // The backend registers only when CPUID reports AVX2 with OS-enabled YMM
 // state, so a binary built here still runs (and picks "unrolled") on an
 // older box.
@@ -26,7 +27,7 @@ func scaledMulaccAsm(alpha float64, x, y, dst []float64)
 func eluAsm(x, dst []float64) int
 
 //go:noescape
-func matmulQuadAsm(a0, a1, a2, a3 float64, b, out []float64)
+func matmulRowAsm(a, b, out []float64, k, stride int) int
 
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
@@ -131,11 +132,37 @@ func eluVia(blocks func(x, dst []float64) int, x, dst []float64) {
 }
 
 func (avx2Backend) MatMul(a, b, out []float64, k, n, lo, hi int) {
-	matMul4p(a, b, out, k, n, lo, hi, matmulQuadAsm, axpyAsm)
+	for i := lo; i < hi; i++ {
+		matMulRow(a, i*k, 1, b, out[i*n:(i+1)*n], k)
+	}
 }
 
 func (avx2Backend) MatMulT1(a, b, out []float64, kk, m, n, lo, hi int) {
-	matMulT14p(a, b, out, kk, m, n, lo, hi, matmulQuadAsm, axpyAsm)
+	for i := lo; i < hi; i++ {
+		matMulRow(a, i, m, b, out[i*n:(i+1)*n], kk)
+	}
+}
+
+// matMulRow accumulates orow += a[off+p·stride]·b[p·n:(p+1)·n] over the
+// k p-steps in ascending order, skipping zero a-elements as the reference
+// does. The row kernel takes whole quads until one holds a zero; that
+// quad, and the last fewer-than-four steps, go p by p through axpy.
+func matMulRow(a []float64, off, stride int, b, orow []float64, k int) {
+	n := len(orow)
+	for p := 0; ; {
+		if k-p >= 4 {
+			p += matmulRowAsm(a[off+p*stride:], b[p*n:], orow, k-p, stride)
+		}
+		end := min(p+4, k)
+		if p == end {
+			return
+		}
+		for ; p < end; p++ {
+			if av := a[off+p*stride]; av != 0 {
+				axpyAsm(av, b[p*n:(p+1)*n], orow)
+			}
+		}
+	}
 }
 
 func (avx2Backend) MatMulT2(a, b, out []float64, k, n, lo, hi int) {

@@ -1,8 +1,8 @@
 // AVX2 microkernels. Every kernel but one uses separate VMULPD/VADDPD
 // (never VFMADD): fused multiply-add rounds once where the scalar
 // reference rounds twice, and the order-preserving kernels (axpy, mulacc,
-// scaledmulacc) are pinned bit-exact against the reference, so FMA
-// contraction is off the table by design. The exception is eluAsm: its
+// scaledmulacc, the matmul row) are pinned bit-exact against the
+// reference, so FMA contraction is off the table by design. The exception is eluAsm: its
 // reference is math.Exp, whose amd64 assembly itself uses VFNMADD231SD
 // and VFMADD213SD whenever the CPU has FMA. eluAsm fuses exactly the
 // operations math.Exp fuses, no others, and runs only on such CPUs, so
@@ -10,8 +10,12 @@
 // (dot, sum) run 8 lanes of partial sums — accumulator lane l holds the
 // elements with index ≡ l (mod 8) — and reduce lane l with lane l+4,
 // then lanes pairwise, a fixed deterministic tree pinned by the
-// conformance tolerance budgets. Tails are scalar VEX ops, and every
-// exit runs VZEROUPPER before RET.
+// conformance tolerance budgets. The matmul row kernel walks all the
+// p-quads of one output row in one call, so a small row pays one call
+// instead of one per four p-steps; it exits early at the first quad
+// holding a zero a-element, because the reference skips zero terms
+// (0·Inf would be NaN) and the Go caller runs that quad p by p. Tails are
+// scalar VEX ops, and every exit runs VZEROUPPER before RET.
 
 #include "textflag.h"
 
@@ -233,95 +237,121 @@ smadone:
 	VZEROUPPER
 	RET
 
-// func matmulQuadAsm(a0, a1, a2, a3 float64, b, out []float64)
-// Four ascending p-steps of the matmul inner loop in one pass over the
-// output row: out[j] += a0·b[j], then += a1·b[n+j], += a2·b[2n+j],
-// += a3·b[3n+j], each multiply and add rounding separately in that order
-// (no FMA) — the exact rounding sequence of four consecutive scalar
-// p-iterations, so the kernel is bit-exact vs the reference. b holds the
-// four consecutive B rows contiguously (stride n = len(out)).
-TEXT ·matmulQuadAsm(SB), NOSPLIT, $0-80
-	VBROADCASTSD a0+0(FP), Y0
-	VBROADCASTSD a1+8(FP), Y1
-	VBROADCASTSD a2+16(FP), Y2
-	VBROADCASTSD a3+24(FP), Y3
-	MOVQ b_base+32(FP), SI
-	MOVQ out_base+56(FP), DI
-	MOVQ out_len+64(FP), CX
-	MOVQ CX, DX
-	SHLQ $3, DX            // row stride in bytes
-	LEAQ (SI)(DX*1), R8    // row p+1
-	LEAQ (R8)(DX*1), R9    // row p+2
-	LEAQ (R9)(DX*1), R10   // row p+3
-	MOVQ CX, BX
-	SHRQ $3, BX
-	JZ   quadtailcnt
+// func matmulRowAsm(a, b, out []float64, k, stride int) int
+// The p-loop of one matmul output row, four ascending p-steps per pass:
+// out[j] += a0·b[j], then += a1·b[n+j], += a2·b[2n+j], += a3·b[3n+j],
+// where a0..a3 are a[0], a[stride], a[2·stride], a[3·stride] and b holds
+// the B rows contiguously (stride n = len(out)). Each multiply and add
+// rounds separately in that order (no FMA) — the exact rounding sequence
+// of four consecutive scalar p-iterations, so the kernel is bit-exact vs
+// the reference. It walks up to k p-steps and returns how many it did: it
+// stops before the first quad holding a zero a-element (the reference
+// skips those; the caller runs that quad per p-step) and when fewer than
+// four steps are left. The zero test is EQ_OQ, so a NaN counts as
+// nonzero, as Go's != 0 does.
+TEXT ·matmulRowAsm(SB), NOSPLIT, $0-96
+	MOVQ a_base+0(FP), SI
+	MOVQ b_base+24(FP), DX
+	MOVQ out_base+48(FP), DI
+	MOVQ out_len+56(FP), CX
+	MOVQ k+72(FP), BX
+	MOVQ stride+80(FP), R11
+	SHLQ $3, CX            // row length in bytes
+	SHLQ $3, R11           // a stride in bytes
+	MOVQ CX, R13
+	ANDQ $-64, R13         // bytes in whole 8-blocks
+	VXORPD Y15, Y15, Y15
 
-quadloop:
-	VMOVUPD (DI), Y4
-	VMOVUPD 32(DI), Y5
-	VMOVUPD (SI), Y6
-	VMOVUPD 32(SI), Y7
+rowquad:
+	CMPQ BX, $4
+	JLT  rowdone
+	LEAQ (SI)(R11*2), R9   // &a2
+	VMOVSD  (SI), X4
+	VMOVHPD (SI)(R11*1), X4, X4
+	VMOVSD  (R9), X5
+	VMOVHPD (R9)(R11*1), X5, X5
+	VINSERTF128 $1, X5, Y4, Y4
+	VCMPPD  $0, Y15, Y4, Y5 // EQ_OQ: which of a0..a3 are ±0
+	VMOVMSKPD Y5, R8
+	TESTL   R8, R8
+	JNZ     rowdone
+	VBROADCASTSD (SI), Y0
+	VBROADCASTSD (SI)(R11*1), Y1
+	VBROADCASTSD (R9), Y2
+	VBROADCASTSD (R9)(R11*1), Y3
+	LEAQ (DX)(CX*1), R9    // row p+1
+	LEAQ (R9)(CX*1), R10   // row p+2
+	LEAQ (R10)(CX*1), R12  // row p+3
+	XORQ R8, R8            // byte offset into the row
+	CMPQ R8, R13
+	JGE  rowtailcnt
+
+rowblock:
+	VMOVUPD (DI)(R8*1), Y4
+	VMOVUPD 32(DI)(R8*1), Y5
+	VMOVUPD (DX)(R8*1), Y6
+	VMOVUPD 32(DX)(R8*1), Y7
 	VMULPD  Y0, Y6, Y6
 	VMULPD  Y0, Y7, Y7
 	VADDPD  Y6, Y4, Y4
 	VADDPD  Y7, Y5, Y5
-	VMOVUPD (R8), Y6
-	VMOVUPD 32(R8), Y7
+	VMOVUPD (R9)(R8*1), Y6
+	VMOVUPD 32(R9)(R8*1), Y7
 	VMULPD  Y1, Y6, Y6
 	VMULPD  Y1, Y7, Y7
 	VADDPD  Y6, Y4, Y4
 	VADDPD  Y7, Y5, Y5
-	VMOVUPD (R9), Y6
-	VMOVUPD 32(R9), Y7
+	VMOVUPD (R10)(R8*1), Y6
+	VMOVUPD 32(R10)(R8*1), Y7
 	VMULPD  Y2, Y6, Y6
 	VMULPD  Y2, Y7, Y7
 	VADDPD  Y6, Y4, Y4
 	VADDPD  Y7, Y5, Y5
-	VMOVUPD (R10), Y6
-	VMOVUPD 32(R10), Y7
+	VMOVUPD (R12)(R8*1), Y6
+	VMOVUPD 32(R12)(R8*1), Y7
 	VMULPD  Y3, Y6, Y6
 	VMULPD  Y3, Y7, Y7
 	VADDPD  Y6, Y4, Y4
 	VADDPD  Y7, Y5, Y5
-	VMOVUPD Y4, (DI)
-	VMOVUPD Y5, 32(DI)
-	ADDQ $64, SI
+	VMOVUPD Y4, (DI)(R8*1)
+	VMOVUPD Y5, 32(DI)(R8*1)
 	ADDQ $64, R8
-	ADDQ $64, R9
-	ADDQ $64, R10
-	ADDQ $64, DI
-	DECQ BX
-	JNZ  quadloop
+	CMPQ R8, R13
+	JLT  rowblock
 
-quadtailcnt:
-	ANDQ $7, CX
-	JZ   quaddone
+rowtailcnt:
+	CMPQ R8, CX
+	JGE  rownext
 
-quadtail:
-	VMOVSD (DI), X4
-	VMOVSD (SI), X6
+rowtail:
+	VMOVSD (DI)(R8*1), X4
+	VMOVSD (DX)(R8*1), X6
 	VMULSD X0, X6, X6
 	VADDSD X6, X4, X4
-	VMOVSD (R8), X6
+	VMOVSD (R9)(R8*1), X6
 	VMULSD X1, X6, X6
 	VADDSD X6, X4, X4
-	VMOVSD (R9), X6
+	VMOVSD (R10)(R8*1), X6
 	VMULSD X2, X6, X6
 	VADDSD X6, X4, X4
-	VMOVSD (R10), X6
+	VMOVSD (R12)(R8*1), X6
 	VMULSD X3, X6, X6
 	VADDSD X6, X4, X4
-	VMOVSD X4, (DI)
-	ADDQ $8, SI
+	VMOVSD X4, (DI)(R8*1)
 	ADDQ $8, R8
-	ADDQ $8, R9
-	ADDQ $8, R10
-	ADDQ $8, DI
-	DECQ CX
-	JNZ  quadtail
+	CMPQ R8, CX
+	JLT  rowtail
 
-quaddone:
+rownext:
+	LEAQ (R12)(CX*1), DX   // row p+4
+	LEAQ (SI)(R11*4), SI   // &a[p+4]
+	SUBQ $4, BX
+	JMP  rowquad
+
+rowdone:
+	MOVQ k+72(FP), AX
+	SUBQ BX, AX
+	MOVQ AX, ret+88(FP)
 	VZEROUPPER
 	RET
 

@@ -161,3 +161,48 @@ func TestAVX2ELUNeedsFMA(t *testing.T) {
 		t.Fatal("with FMA the kernel never ran")
 	}
 }
+
+// TestMatmulRowAsmStops pins the row kernel's exits: it walks whole
+// quads, stops before the first quad holding a ±0 a-element (a NaN is
+// nonzero, as in Go) and when fewer than four p-steps are left, and reads
+// a at its stride.
+func TestMatmulRowAsmStops(t *testing.T) {
+	if !hasAVX2 {
+		t.Skip("host has no AVX2")
+	}
+	const n = 11
+	for _, c := range []struct {
+		name   string
+		a      []float64
+		stride int
+		want   int
+	}{
+		{"full quads, then a tail", []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 1, 8},
+		{"zero in the second quad", []float64{1, 2, 3, 4, 5, 0, 7, 8, 9}, 1, 4},
+		{"negative zero first", []float64{math.Copysign(0, -1), 2, 3, 4}, 1, 0},
+		{"NaN is nonzero", []float64{1, math.NaN(), 3, 4, 5}, 1, 4},
+		{"fewer than four", []float64{1, 2, 3}, 1, 0},
+		{"strided, zero off the stride", []float64{1, 0, 2, 0, 3, 0, 4, 0, 5, 9, 6, 9, 7, 9, 0, 9}, 2, 4},
+	} {
+		k := (len(c.a) + c.stride - 1) / c.stride
+		b := make([]float64, k*n)
+		for i := range b {
+			b[i] = float64(i%7) - 3
+		}
+		out := make([]float64, n)
+		if got := matmulRowAsm(c.a, b, out, k, c.stride); got != c.want {
+			t.Errorf("%s: kernel did %d of %d p-steps, want %d", c.name, got, k, c.want)
+		}
+		want := make([]float64, n)
+		for p := 0; p < c.want; p++ {
+			for j := range want {
+				want[j] += c.a[p*c.stride] * b[p*n+j]
+			}
+		}
+		for j := range want {
+			if math.Float64bits(out[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("%s: out[%d] = %v, want %v", c.name, j, out[j], want[j])
+			}
+		}
+	}
+}

@@ -17,7 +17,12 @@
 //     Go loops.
 //   - "avx2" (amd64 with AVX2 only): hand-written Go assembly for the
 //     dot/axpy/mul-accumulate/sum microkernels and, at float64 on hosts
-//     with FMA, the ELU, with the unrolled loops filling in the rest.
+//     with FMA, the ELU, with the unrolled loops filling in the rest. At
+//     float64 MatMul and MatMulT1 run a row kernel that walks one output
+//     row's p-quads in one call and returns at the first quad holding a
+//     zero a-element, which Go finishes p by p with the reference's zero
+//     skip before calling the kernel again; at float32 they call a quad
+//     kernel per four p-steps.
 //
 // scalar and unrolled are written once over T; the two assembly files
 // and their Go stubs are the only width-specific kernels. Training and
@@ -133,12 +138,14 @@ func is32[T Float]() bool {
 	return ok
 }
 
-// at returns the backend's kernel set at width T.
+// at returns the backend's kernel set at width T. It asserts a pointer
+// to the field, a concrete type, so the check is one type-word compare;
+// asserting the interface value itself would look up an itab per call.
 func at[T Float](w *widths) Backend[T] {
-	if is32[T]() {
-		return any(w.f32).(Backend[T])
+	if b, ok := any(&w.f64).(*Backend[T]); ok {
+		return *b
 	}
-	return any(w.f64).(Backend[T])
+	return *any(&w.f32).(*Backend[T])
 }
 
 // registry is populated only from this package's init, so lookups after

@@ -16,8 +16,10 @@ import (
 type Dims struct{ M, K, N int }
 
 // ConformanceDims covers the degenerate and awkward geometries: 1×1,
-// empty on each axis, prime and ragged dims, power-of-two tiles, and
-// sizes straddling the 4- and 8-wide unroll boundaries.
+// empty on each axis, prime and ragged dims, power-of-two tiles, sizes
+// straddling the 4- and 8-wide unroll boundaries, and rows of four
+// p-quads over two 8-blocks plus a tail, where a quad holding a zero sits
+// between full ones.
 var ConformanceDims = []Dims{
 	{1, 1, 1},
 	{0, 3, 2},
@@ -35,6 +37,7 @@ var ConformanceDims = []Dims{
 	{1, 128, 1},
 	{16, 64, 16},
 	{31, 33, 9},
+	{2, 16, 19},
 }
 
 // ConformanceLens is the vector-kernel length grid: empty, sub-unroll,
@@ -49,7 +52,9 @@ type Payload struct {
 }
 
 // ConformancePayloads is the value matrix: well-scaled randoms, mixed
-// magnitudes, subnormals, signed zeros, and NaN/Inf sprinkles.
+// magnitudes, subnormals, signed zeros, NaN/Inf sprinkles, and signed
+// zeros among infinities, where a matmul that multiplies a zero a-element
+// instead of skipping it turns 0·Inf into NaN.
 var ConformancePayloads = []Payload{
 	{"normal", func(rng *rand.Rand, dst []float64) {
 		for i := range dst {
@@ -97,6 +102,20 @@ var ConformancePayloads = []Payload{
 				dst[i] = math.Inf(1)
 			case 1:
 				dst[i] = math.Inf(-1)
+			default:
+				dst[i] = rng.NormFloat64()
+			}
+		}
+	}},
+	{"zeroinf", func(rng *rand.Rand, dst []float64) {
+		for i := range dst {
+			switch r := rng.Intn(32); {
+			case r < 8:
+				dst[i] = math.Copysign(0, float64(r%2)-0.5)
+			case r < 10:
+				dst[i] = math.Inf(r%2*2 - 1)
+			case r == 10:
+				dst[i] = math.NaN()
 			default:
 				dst[i] = rng.NormFloat64()
 			}

@@ -8,6 +8,7 @@ package tensor
 // single run shows the scalar → unrolled → avx2 trajectory on this host.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -33,20 +34,25 @@ func benchData(n int, seed int64) []float64 {
 	return s
 }
 
+// BenchmarkMatMulPerBackend times MatMul at the served shapes, where the
+// per-call cost shows (the quick model's 1×16×16, 4×16×16 and 1×64×16,
+// the full model's 8×128×128 and 1×128×512), and at 64×64×64.
 func BenchmarkMatMulPerBackend(b *testing.B) {
-	const m, k, n = 64, 64, 64
-	a := benchData(m*k, 1)
-	bb := benchData(k*n, 2)
-	out := make([]float64, m*n)
-	benchPerBackend(b, func(b *testing.B, bk kernels.Backend[float64]) {
-		b.SetBytes(8 * int64(m*k+k*n+m*n))
-		for i := 0; i < b.N; i++ {
-			for j := range out {
-				out[j] = 0
-			}
-			bk.MatMul(a, bb, out, k, n, 0, m)
-		}
-	})
+	for _, d := range [][3]int{{1, 16, 16}, {4, 16, 16}, {1, 64, 16}, {8, 128, 128}, {1, 128, 512}, {64, 64, 64}} {
+		m, k, n := d[0], d[1], d[2]
+		a := benchData(m*k, 1)
+		bb := benchData(k*n, 2)
+		out := make([]float64, m*n)
+		b.Run(fmt.Sprintf("%dx%dx%d", m, k, n), func(b *testing.B) {
+			benchPerBackend(b, func(b *testing.B, bk kernels.Backend[float64]) {
+				b.SetBytes(8 * int64(m*k+k*n+m*n))
+				for i := 0; i < b.N; i++ {
+					clear(out)
+					bk.MatMul(a, bb, out, k, n, 0, m)
+				}
+			})
+		})
+	}
 }
 
 func BenchmarkMatMulT2PerBackend(b *testing.B) {

@@ -177,10 +177,14 @@ func TestWorkspacePooling(t *testing.T) {
 
 func TestWorkspaceHugeRequest(t *testing.T) {
 	ws := NewWorkspace()
-	defer ws.Release()
-	// Beyond the largest pool class: must still work (plain allocation).
-	huge := Scratch[float64](ws, 1<<maxClassBits+1)
-	if len(huge) != 1<<maxClassBits+1 {
-		t.Fatal("huge request wrong length")
+	// Beyond the retain cap: must still work, and the slab it grew must
+	// not stay with the pooled workspace.
+	huge := Scratch[float64](ws, maxRetained+1)
+	if len(huge) != maxRetained+1 || cap(huge) != maxRetained+1 {
+		t.Fatalf("huge request: len %d cap %d, want %d", len(huge), cap(huge), maxRetained+1)
+	}
+	ws.Release()
+	if n := len(ws.f64.slab); n > maxRetained {
+		t.Fatalf("released workspace kept a %d-element slab, above the %d cap", n, maxRetained)
 	}
 }

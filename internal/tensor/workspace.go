@@ -1,88 +1,76 @@
 package tensor
 
-import (
-	"math/bits"
-	"sync"
-)
+import "sync"
 
-// Scratch-buffer pooling. The hot paths of the GNN forward/backward and the
-// fused graph kernels need short-lived float buffers (edge counts,
-// assembly templates, backward intermediates) on every call; allocating
-// them fresh dominated the allocation profile of BenchmarkGNNForward.
-// Buffers are pooled per width in power-of-two size classes and handed
-// out through a Workspace, which tracks everything it lent so one Release
-// returns the lot. The pools traffic in *[]T and the Workspace retains
-// those pointers, so a full lend/release cycle allocates nothing.
+// Scratch lending. The hot paths of the GNN forward/backward, the fused
+// graph kernels and the scoring engine need short-lived float buffers on
+// every call; allocating them fresh dominated the allocation profile of
+// BenchmarkGNNForward. A Workspace is a bump arena per width: a lend is
+// the next zeroed stretch of one slab, and Release rewinds the slab for
+// the next borrower. Workspaces are pooled with their slabs and headers,
+// so a full lend/release cycle allocates nothing once the slab has grown
+// to the cycle's size.
 
-// Size classes cover 2^5 .. 2^22 elements. Requests outside the range are
-// allocated directly and dropped on Release (they are rare and huge, and
-// pinning them in a pool would hold memory hostage).
-const (
-	minClassBits = 5
-	maxClassBits = 22
-	numClasses   = maxClassBits - minClassBits + 1
-)
+// maxRetained is the largest slab (in elements) a released workspace
+// keeps; a bigger one is dropped so one huge request does not pin its
+// memory in the pool.
+const maxRetained = 1 << 22
 
-var (
-	floatPools [2][numClasses]sync.Pool // indexed by F64, F32
-	wsPool     = sync.Pool{New: func() any { return &Workspace{} }}
-)
+var wsPool = sync.Pool{New: func() any { return &Workspace{} }}
 
-// classFor returns the pool class index for a request of n elements, or -1
-// when the request falls outside the pooled range.
-func classFor(n int) int {
-	if n <= 0 {
-		return -1
-	}
-	b := bits.Len(uint(n - 1)) // ceil(log2(n))
-	if b < minClassBits {
-		b = minClassBits
-	}
-	if b > maxClassBits {
-		return -1
-	}
-	return b - minClassBits
+// arena is a Workspace's storage at one width.
+type arena[T Float] struct {
+	slab    []T         // lends are cut from slab[used:]
+	used    int         // elements of slab on loan
+	headers []*Dense[T] // every header this workspace has made
+	lent    int         // how many of headers are on loan
 }
 
-func getFloats[T Float](n int) *[]T {
-	c := classFor(n)
-	if c < 0 {
-		s := make([]T, n)
-		return &s
+// lend cuts the next n zeroed elements, with cap == len so an append
+// never reaches the next lend. A request that does not fit starts a fresh
+// slab at least twice the size; earlier lends keep the old one alive.
+func (a *arena[T]) lend(n int) []T {
+	if n > len(a.slab)-a.used {
+		a.slab, a.used = make([]T, max(2*len(a.slab), n)), 0
 	}
-	if v := floatPools[DTypeOf[T]()][c].Get(); v != nil {
-		p := v.(*[]T)
-		s := (*p)[:n]
-		for i := range s {
-			s[i] = 0
-		}
-		*p = s
-		return p
-	}
-	s := make([]T, n, 1<<(c+minClassBits))
-	return &s
+	s := a.slab[a.used : a.used+n : a.used+n]
+	a.used += n
+	clear(s)
+	return s
 }
 
-func putFloats[T Float](p *[]T) {
-	if c := classFor(cap(*p)); c >= 0 && cap(*p) == 1<<(c+minClassBits) {
-		floatPools[DTypeOf[T]()][c].Put(p)
+// rewind takes back every lend and clears every lent header's data.
+func (a *arena[T]) rewind() {
+	for _, h := range a.headers[:a.lent] {
+		h.data = nil
+	}
+	a.lent, a.used = 0, 0
+	if len(a.slab) > maxRetained {
+		a.slab = nil
 	}
 }
 
-// Workspace lends pooled scratch buffers and tensors. Everything obtained
-// from a Workspace is valid only until its Release: retaining a buffer or
+// Workspace lends scratch buffers and tensors. Everything obtained from a
+// Workspace is valid only until its Release: retaining a buffer or
 // tensor past Release, or returning one to a caller, is a use-after-free
 // class bug — copy the data out instead. That holds for a lent tensor's
 // header too: the workspace keeps the headers it has made and lends them
-// again after Release. Workspaces are pooled, headers included, so the
-// steady-state cost of NewWorkspace, any number of lends and Release is
-// zero allocations.
+// again after Release. Workspaces are pooled, slabs and headers included,
+// so the steady-state cost of NewWorkspace, any number of lends and
+// Release is zero allocations.
 //
 // A Workspace is not safe for concurrent use; give each goroutine its own.
 type Workspace struct {
-	floats  []any    // *[]float64 or *[]float32, as lent
-	headers [2][]any // by DType: every *Dense[T] this workspace has made
-	lent    [2]int   // how many of headers[d] are on loan
+	f64 arena[float64]
+	f32 arena[float32]
+}
+
+// arenaOf returns w's arena at width T.
+func arenaOf[T Float](w *Workspace) *arena[T] {
+	if a, ok := any(&w.f64).(*arena[T]); ok {
+		return a
+	}
+	return any(&w.f32).(*arena[T])
 }
 
 // NewWorkspace returns a workspace from the pool.
@@ -92,51 +80,34 @@ func NewWorkspace() *Workspace {
 
 // Scratch lends a zeroed []T of length n from w.
 func Scratch[T Float](w *Workspace, n int) []T {
-	p := getFloats[T](n)
-	w.floats = append(w.floats, p)
-	return *p
+	return arenaOf[T](w).lend(n)
 }
 
 // Alloc returns a zeroed tensor of the given shape. With a nil ws it is
 // NewOf, a fresh tensor the caller owns (the tape's form). With a
-// workspace the tensor is lent: pooled storage behind one of ws's own
+// workspace the tensor is lent: arena storage behind one of ws's own
 // headers, so a steady-state lend allocates nothing. It must not outlive
 // ws.Release nor be returned: the header is lent again after it.
 func Alloc[T Float](ws *Workspace, shape ...int) *Dense[T] {
 	if ws == nil {
 		return NewOf[T](shape...)
 	}
-	d := DTypeOf[T]()
-	if ws.lent[d] == len(ws.headers[d]) {
-		ws.headers[d] = append(ws.headers[d], new(Dense[T]))
+	a := arenaOf[T](ws)
+	if a.lent == len(a.headers) {
+		a.headers = append(a.headers, new(Dense[T]))
 	}
-	t := ws.headers[d][ws.lent[d]].(*Dense[T])
-	ws.lent[d]++
-	t.data = Scratch[T](ws, checkShape(shape))
+	t := a.headers[a.lent]
+	a.lent++
+	t.data = a.lend(checkShape(shape))
 	t.setShape(shape)
 	return t
 }
 
-// Release returns every lent buffer (and the workspace itself) to the
-// pools and clears every lent tensor's data. The workspace must not be
-// used afterwards.
+// Release takes back every lend, clears every lent tensor's data and
+// returns the workspace to the pool. The workspace must not be used
+// afterwards.
 func (w *Workspace) Release() {
-	for i, p := range w.floats {
-		switch p := p.(type) {
-		case *[]float64:
-			putFloats(p)
-		case *[]float32:
-			putFloats(p)
-		}
-		w.floats[i] = nil
-	}
-	w.floats = w.floats[:0]
-	for _, h := range w.headers[F64][:w.lent[F64]] {
-		h.(*Dense[float64]).data = nil
-	}
-	for _, h := range w.headers[F32][:w.lent[F32]] {
-		h.(*Dense[float32]).data = nil
-	}
-	w.lent = [2]int{}
+	w.f64.rewind()
+	w.f32.rewind()
 	wsPool.Put(w)
 }

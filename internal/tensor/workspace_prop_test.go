@@ -16,9 +16,8 @@ import (
 	"edgekg/internal/tensor/kernels"
 )
 
-// dirtySizes spans the pooled size classes (2^5..2^22), both class
-// boundaries and interior lengths, plus out-of-range sizes that bypass the
-// pool entirely.
+// dirtySizes spans tiny and power-of-two lengths and their neighbours,
+// plus one size above the retain cap, whose slab Release drops.
 var dirtySizes = []int{1, 31, 32, 33, 100, 1024, 4095, 4096, 1 << 12, 1<<22 + 1}
 
 func requireAllZero[T Float](t *testing.T, ctx string, s []T) {
@@ -129,7 +128,7 @@ func (e errorString) Error() string { return string(e) }
 // must not change because a buffer was previously used by a different
 // backend's kernels.
 func TestWorkspaceReuseAcrossBackends(t *testing.T) {
-	const n = 513 // straddles the 512 class boundary, exercises asm tails
+	const n = 513 // exercises asm tails
 	rng := rand.New(rand.NewSource(72))
 	x := make([]float64, n)
 	y := make([]float64, n)
@@ -307,5 +306,69 @@ func TestAllocReleaseClearsHeaders(t *testing.T) {
 		if f64s[i].Data() != nil || f32s[i].Data() != nil {
 			t.Fatalf("lend %d still holds data after Release", i)
 		}
+	}
+}
+
+// TestWorkspaceGrowthKeepsEarlierLends drives a fresh workspace through
+// a cycle whose lends overflow its slab again and again. A lend that
+// starts a new slab must leave every earlier lend's bytes where they
+// were, every lent slice must end at its own length (cap == len, so an
+// append cannot reach the next lend), and once released the grown slab
+// carries the same cycle without a single allocation.
+func TestWorkspaceGrowthKeepsEarlierLends(t *testing.T) {
+	sizes := []int{3, 17, 64, 5, 1000, 1, 4096, 0, 33, 2}
+	cycle := func(ws *Workspace, check bool) {
+		var f64s [][]float64
+		var f32s [][]float32
+		grew := 0
+		for i, n := range sizes {
+			before := len(ws.f64.slab)
+			x := Scratch[float64](ws, n)
+			if len(ws.f64.slab) != before {
+				grew++
+			}
+			y := Alloc[float32](ws, n).Data()
+			if !check {
+				continue
+			}
+			if cap(x) != n || cap(y) != n {
+				t.Fatalf("lend %d of %d: caps %d and %d, want cap == len", i, n, cap(x), cap(y))
+			}
+			requireAllZero(t, "float64 lend", x)
+			requireAllZero(t, "float32 lend", y)
+			for j := range x {
+				x[j] = float64(i + 1)
+				y[j] = -float32(i + 1)
+			}
+			f64s, f32s = append(f64s, x), append(f32s, y)
+			for k := range f64s {
+				for j := range f64s[k] {
+					if f64s[k][j] != float64(k+1) || f32s[k][j] != -float32(k+1) {
+						t.Fatalf("after lend %d: lend %d element %d reads %v / %v, want %d", i, k, j, f64s[k][j], f32s[k][j], k+1)
+					}
+				}
+			}
+		}
+		if check && grew < 3 {
+			t.Fatalf("the slab grew %d times in the cycle, want several mid-cycle overflows", grew)
+		}
+	}
+	ws := &Workspace{}
+	cycle(ws, true)
+	ws.Release()
+
+	if raceEnabled {
+		t.Skip("sync.Pool drops workspaces at random under the race detector")
+	}
+	pooled := func() {
+		ws := NewWorkspace()
+		cycle(ws, false)
+		ws.Release()
+	}
+	for i := 0; i < 4; i++ {
+		pooled()
+	}
+	if got := testing.AllocsPerRun(100, pooled); got != 0 {
+		t.Fatalf("a released workspace's cycle made %v allocations, want 0", got)
 	}
 }
