@@ -18,8 +18,8 @@ type Dims struct{ M, K, N int }
 // ConformanceDims covers the degenerate and awkward geometries: 1×1,
 // empty on each axis, prime and ragged dims, power-of-two tiles, sizes
 // straddling the 4- and 8-wide unroll boundaries, and rows of four
-// p-quads over two 8-blocks plus a tail, where a quad holding a zero sits
-// between full ones.
+// p-quads over two 8-blocks plus a tail, so a payload's zero can put a
+// quad the matmul must split between quads it runs whole.
 var ConformanceDims = []Dims{
 	{1, 1, 1},
 	{0, 3, 2},
