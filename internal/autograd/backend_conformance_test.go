@@ -3,8 +3,11 @@ package autograd
 // Backend conformance for the fused autograd kernels, reusing the shared
 // shape/payload grid from internal/tensor/kernels so the fused ops face
 // the same degenerate geometries and special-value payloads as the raw
-// kernels. Three pins per backend:
+// kernels. Four pins per backend:
 //
+//   - Row r of an m-row MatMul and AffineFwd is the 1-row product of row
+//     r at both widths: the scoring engine drops rows no score reads and
+//     in-projects each frame once on the strength of it.
 //   - The fused edge-aggregate forward/backward use only order-preserving
 //     kernels (MulAcc, Scale, ScaledMulAcc), so their outputs must be
 //     bit-identical across every backend.
@@ -25,6 +28,7 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"edgekg/internal/parallel"
@@ -68,6 +72,56 @@ func edgeCase(rng *rand.Rand, n int) (src, dst []int, inLevel []bool) {
 		}
 	}
 	return src, dst, inLevel
+}
+
+// TestMatMulRowsIndependent pins the fact the scoring engine's row cuts
+// rest on: row r of an m-row MatMul, and of AffineFwd, is the 1-row
+// product of row r bit for bit, on every backend at both widths, for every
+// payload of the shared grid (zeroinf included), at one worker and at
+// four. So dropping rows no score reads, or in-projecting a frame once
+// instead of once per window, changes no bit of a row that is read.
+func TestMatMulRowsIndependent(t *testing.T) {
+	t.Run("f64", matMulRowsIndependent[float64])
+	t.Run("f32", matMulRowsIndependent[float32])
+}
+
+func matMulRowsIndependent[T tensor.Float](t *testing.T) {
+	// The last geometry is large enough for the matmul to fan out.
+	dims := append(slices.Clone(kernels.ConformanceDims), kernels.Dims{M: 48, K: 96, N: 16})
+	requireRow := func(ctx string, want, got []T) {
+		t.Helper()
+		for j := range want {
+			if err := kernels.CompareExact(want[j], got[j]); err != nil {
+				t.Fatalf("%s: column %d: %v", ctx, j, err)
+			}
+		}
+	}
+	for _, name := range kernels.Names() {
+		restore, err := kernels.Use(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			prev := parallel.SetWorkers(workers)
+			for _, p := range kernels.ConformancePayloads {
+				for di, dm := range dims {
+					rng := rand.New(rand.NewSource(int64(900 + di)))
+					x := tensor.FromSlice(kernels.FillAs[T](p, rng, dm.M*dm.K), dm.M, dm.K)
+					w := tensor.FromSlice(kernels.FillAs[T](p, rng, dm.K*dm.N), dm.K, dm.N)
+					b := kernels.FillAs[T](p, rng, dm.N)
+					prod, aff := tensor.MatMulIn(nil, x, w), AffineFwd(nil, x, w, b)
+					for r := 0; r < dm.M; r++ {
+						ctx := fmt.Sprintf("%s/workers=%d/%s/%dx%dx%d/row %d", name, workers, p.Name, dm.M, dm.K, dm.N, r)
+						row := tensor.FromSlice(slices.Clone(x.Row(r)), 1, dm.K)
+						requireRow(ctx+"/MatMul", tensor.MatMulIn(nil, row, w).Data(), prod.Row(r))
+						requireRow(ctx+"/AffineFwd", AffineFwd(nil, row, w, b).Data(), aff.Row(r))
+					}
+				}
+			}
+			parallel.SetWorkers(prev)
+		}
+		restore()
+	}
 }
 
 // TestEdgeAggBackendConformance pins the fused edge message/aggregate

@@ -1,8 +1,10 @@
 package autograd
 
 import (
+	"fmt"
 	"math"
 
+	"edgekg/internal/flops"
 	"edgekg/internal/tensor"
 	"edgekg/internal/tensor/kernels"
 )
@@ -22,17 +24,20 @@ func EdgeAggNormActEval(x, gamma, beta *Value, src, dst []int, inLevel []bool, r
 	d := x.Data.Cols()
 	xd := x.Data.Data()
 
-	// The aggregate output and invStd live in pooled scratch for the
-	// forward only; the backward recomputes both on demand (one cheap
-	// edge pass plus d square roots) rather than pinning buffers to the
-	// graph for its whole lifetime. runningMean/runningVar are borrowed
-	// by the backward closure, matching BatchNormEval: a graph built in
-	// eval mode must run its backward before the statistics move again.
+	// The aggregate is normalised in place and invStd lives in pooled
+	// scratch for the forward only; the backward recomputes both on demand
+	// (one cheap edge pass plus d square roots) rather than pinning
+	// buffers to the graph for its whole lifetime. runningMean/runningVar
+	// are borrowed by the backward closure, matching BatchNormEval: a graph
+	// built in eval mode must run its backward before the statistics move.
+	checkEdgeLists(n, src, dst, inLevel)
 	fws := tensor.NewWorkspace()
 	rm, gam, bet := runningMean.Data(), gamma.Data.Data(), beta.Data.Data()
 	out := tensor.New(n, d)
-	edgeAggNormActEvalInto(out, x.Data, gam, bet, rm, InvStd(tensor.Scratch[float64](fws, d), runningVar, eps), src, dst, inLevel)
 	od := out.Data()
+	edgeAggForward(xd, od, n, d, src, dst, inLevel)
+	batchNormEvalInto(out, out, gam, bet, rm, InvStd(tensor.Scratch[float64](fws, d), runningVar, eps))
+	kernels.Active().ELU(od, od)
 	fws.Release()
 	return newOp3("edgeaggnormact.eval", out, x, gamma, beta, func(g *tensor.Tensor) {
 		ws := tensor.NewWorkspace()
@@ -93,34 +98,52 @@ func EdgeAggNormActEval(x, gamma, beta *Value, src, dst []int, inLevel []bool, r
 	})
 }
 
-// EdgeAggNormActEvalInPlace is EdgeAggNormActEval's forward overwriting
-// x, with the running mean and InvStd of the running variance already at
-// width T.
-func EdgeAggNormActEvalInPlace[T tensor.Float](x *tensor.Dense[T], gamma, beta, runningMean, invStd []T, src, dst []int, inLevel []bool) {
-	edgeAggNormActEvalInto(x, x, gamma, beta, runningMean, invStd, src, dst, inLevel)
-}
-
-// edgeAggNormActEvalInto aggregates x over the edge group into pooled
-// scratch, then writes BatchNorm(aggregate) into out — which may be x
-// itself, since the aggregate is complete before the first write — and
-// runs the backend's ELU over it.
-func edgeAggNormActEvalInto[T tensor.Float](out, x *tensor.Dense[T], gamma, beta, runningMean, invStd []T, src, dst []int, inLevel []bool) {
-	n, d := x.Rows(), x.Cols()
-	checkEdgeLists(n, src, dst, inLevel)
-	ws := tensor.NewWorkspace()
-	tmp := tensor.Scratch[T](ws, n*d)
-	edgeAggForward(x.Data(), tmp, n, d, src, dst, inLevel)
-	od := out.Data()
-	for i := 0; i < n; i++ {
-		trow := tmp[i*d : (i+1)*d]
-		orow := od[i*d : (i+1)*d]
-		for j := 0; j < d; j++ {
-			xh := (trow[j] - runningMean[j]) * invStd[j]
-			orow[j] = gamma[j]*xh + beta[j]
+// EdgeAggNormActEvalSuffix is the eval tail over graph copies stacked
+// row-wise, n rows each, written for the last m rows of every copy only:
+// the output (copies·m × d) is EdgeAggNormActEval's output with every
+// other row dropped. src and dst index one copy's rows, and every dst
+// lies in the kept suffix [n−m, n); a kept row with no incoming edge
+// passes through. Each row's arithmetic — products summed in edge order,
+// the mean, BatchNorm and ELU — is the full kernel's, so the kept rows are
+// its bits.
+func EdgeAggNormActEvalSuffix[T tensor.Float](ws *tensor.Workspace, x *tensor.Dense[T], n, m int, gamma, beta, runningMean, invStd []T, src, dst []int) *tensor.Dense[T] {
+	if n < 1 || m < 0 || m > n || x.Rows()%n != 0 || len(src) != len(dst) {
+		panic(fmt.Sprintf("autograd: suffix edge kernel keeps %d of %d rows per copy over %d rows, %d sources vs %d destinations",
+			m, n, x.Rows(), len(src), len(dst)))
+	}
+	skip := n - m
+	d, copies := x.Cols(), x.Rows()/n
+	sw := tensor.NewWorkspace()
+	counts := tensor.Scratch[float64](sw, m)
+	for e, t := range dst {
+		if s := src[e]; s < 0 || s >= n || t < skip || t >= n {
+			panic(fmt.Sprintf("autograd: suffix edge %d→%d outside [0,%d)→[%d,%d)", s, t, n, skip, n))
+		}
+		counts[t-skip]++
+	}
+	out := tensor.Alloc[T](ws, copies*m, d)
+	bk := kernels.ActiveOf[T]()
+	for k := 0; k < copies; k++ {
+		xc := x.Data()[k*n*d : (k+1)*n*d]
+		oc := out.Data()[k*m*d : (k+1)*m*d]
+		for e, t := range dst {
+			s := src[e]
+			bk.MulAcc(xc[s*d:(s+1)*d], xc[t*d:(t+1)*d], oc[(t-skip)*d:(t-skip+1)*d])
+		}
+		for i := 0; i < m; i++ {
+			row := oc[i*d : (i+1)*d]
+			if counts[i] > 0 {
+				bk.Scale(T(1/counts[i]), row, row)
+			} else {
+				copy(row, xc[(skip+i)*d:(skip+i+1)*d])
+			}
 		}
 	}
-	kernels.ActiveOf[T]().ELU(od, od)
-	ws.Release()
+	sw.Release()
+	batchNormEvalInto(out, out, gamma, beta, runningMean, invStd)
+	bk.ELU(out.Data(), out.Data())
+	flops.Add(int64(2 * copies * len(dst) * d))
+	return out
 }
 
 // EdgeAggNormActTrain is the training-mode tail, normalising with batch

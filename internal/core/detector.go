@@ -271,23 +271,27 @@ func (d *Detector) ForwardClip(clip *tensor.Tensor, batch int) *autograd.Value {
 // warm-up.
 //
 // Scoring runs the eval engine — one tape-free forward per stage (image
-// encode → per-KG GNN → temporal block → decision head → calibrated
-// softmax), written once over the element width — at the width the
-// configured Precision resolves to. Every stage shares its forward
-// arithmetic with the autograd op that trains it, so at float64 the scores
-// are exactly what the tape composition (ForwardClip and friends) would
-// produce, and a frame costs the tape's count at either width: both
-// compute the temporal stage's final block past its K/V for the last
-// position of each window only, the one the head reads.
+// encode → per-KG GNN → temporal in-projection and block → decision head
+// → calibrated softmax), written once over the element width — at the
+// width the configured Precision resolves to. Every stage shares its
+// forward arithmetic with the autograd op that trains it, so at float64
+// the scores are exactly what the tape composition (ForwardClip and
+// friends) would produce. The engine computes only the rows a score
+// reads: GNN rows below the levels that reach the embedding terminal, one
+// in-projection per frame rather than one per window row, and the
+// temporal stage's final block past its K/V for the last position of
+// each window only. Those ops are row-wise, so a frame costs the tape's
+// count less the unread rows, at either width.
 //
 // Frame windows are scored in batched temporal passes: the window matrix
-// is assembled concurrently on the shared worker pool (each task fills
-// disjoint rows), and the batched attention/matmul kernels fan out over
-// the same pool inside each temporal pass. Long videos are processed
-// in fixed-size window chunks so the temporal stage's stacked windows,
-// attention weights and activations stay bounded by the chunk size (the
-// per-frame embedding matrix remains O(video length) — the GNN stage runs
-// over the whole video first). Each window's block is computed exactly as
+// of projected rows is assembled concurrently on the shared worker pool
+// (each task fills disjoint rows), and the batched attention/matmul
+// kernels fan out over the same pool inside each temporal pass. Long
+// videos are processed in fixed-size window chunks, each in-projecting
+// its frames and up to T−1 predecessors, so the temporal stage's
+// projected rows, stacked windows, attention weights and activations stay
+// bounded by the chunk size (the per-frame embedding matrix remains
+// O(video length) — the GNN stage runs over the whole video first). Each window's block is computed exactly as
 // in the sequential per-window loop — and identically at any chunking —
 // so the output is deterministic at any worker count.
 //
@@ -331,16 +335,25 @@ func scoreVideo[T tensor.Float](d *Detector, frames *tensor.Tensor) []float64 {
 			b = chunk
 		}
 		cws := tensor.NewWorkspace()
-		wins := tensor.Alloc[T](cws, b*t, emb.Cols())
+		// The chunk's windows read its own frames and up to T−1
+		// predecessors; each of those is in-projected once.
+		first := max(base-(t-1), 0)
+		frames := emb
+		if first > 0 || base+b < n {
+			c := emb.Cols()
+			frames = tensor.FromSlice(emb.Data()[first*c:(base+b)*c], base+b-first, c)
+		}
+		proj := temporal.ProjectEval(cws, d.temp, frames)
+		wins := tensor.Alloc[T](cws, b*t, proj.Cols())
 		// A served frame is b = 1: fill it inline rather than pay a heap
 		// closure for a parallel.For that would run inline anyway.
 		const grain = 8
 		if parallel.Inline(b, grain) {
-			fillWindows(wins, emb, base, t, 0, b)
+			fillWindows(wins, proj, base, first, t, 0, b)
 		} else {
-			parallel.For(b, grain, func(lo, hi int) { fillWindows(wins, emb, base, t, lo, hi) })
+			parallel.For(b, grain, func(lo, hi int) { fillWindows(wins, proj, base, first, t, lo, hi) })
 		}
-		logits := decision.LogitsEval(cws, d.head, temporal.ForwardBatchEval(cws, d.temp, wins, b))
+		logits := decision.LogitsEval(cws, d.head, temporal.WindowsEval(cws, d.temp, wins, b))
 		probs := tensor.SoftmaxRowsIn(cws, tensor.ScaleInPlace(logits, invT))
 		for i := 0; i < b; i++ {
 			scores[base+i] = 1 - float64(probs.At2(i, 0))
@@ -351,12 +364,13 @@ func scoreVideo[T tensor.Float](d *Detector, frames *tensor.Tensor) []float64 {
 }
 
 // fillWindows writes windows [lo, hi) of the chunk starting at frame base
-// into wins: window i's T rows are the embeddings of frames
-// base+i−T+1 … base+i, left-padded with frame 0.
-func fillWindows[T tensor.Float](wins, emb *tensor.Dense[T], base, t, lo, hi int) {
+// into wins: window i's T rows are the projected rows of frames
+// base+i−T+1 … base+i, left-padded with frame 0. proj's row 0 is frame
+// first.
+func fillWindows[T tensor.Float](wins, proj *tensor.Dense[T], base, first, t, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		for k := 0; k < t; k++ {
-			copy(wins.Row(i*t+k), emb.Row(max(base+i-(t-1)+k, 0)))
+			copy(wins.Row(i*t+k), proj.Row(max(base+i-(t-1)+k, 0)-first))
 		}
 	}
 }

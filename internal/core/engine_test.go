@@ -18,11 +18,13 @@ import (
 // forwards that share their arithmetic with the autograd ops; the
 // reference below scores the same video by composing those ops on a tape,
 // the way ScoreVideo did before the engine existed and ForwardClip still
-// does. Both have one shape — the final temporal block past its K/V runs
-// the last row of each window only — so at float64 they agree bit for bit
-// and bill the same count; at float32 the engine rides the drift budget in
-// precision_test.go. (lastrow_test.go pins that shape against the
-// all-rows composition.)
+// does. Both run the final temporal block past its K/V on the last row of
+// each window only, and the engine also skips the rows no score reads —
+// GNN rows below the levels the embedding terminal reaches, and all but
+// one in-projection per window — so at float64 they agree bit for bit and
+// the engine bills the tape's count less a closed form; at float32 it
+// rides the drift budget in precision_test.go. (lastrow_test.go pins the
+// last-row shape against the all-rows composition.)
 
 // scoreVideoTape is the tape-composed reference for ScoreVideo at float64:
 // EmbedFrames → window gather → ForwardBatch → Logits → Scale → SoftmaxRows
@@ -131,29 +133,68 @@ func TestScoreVideoMatchesTapeBitForBit(t *testing.T) {
 	grid("rebound")
 }
 
+// skippedEvalFLOPs is the closed-form count of what ScoreVideo's engine
+// does not compute for n frames (one chunk) against the tape composition.
+// In every KG's GNN, layer l ≥ 1 skips the dense of the rows below level
+// l, and the final refinement layer skips every row but the embedding
+// terminal's, their ELU included: a dense row costs 2·in·w + w and an ELU
+// row w, with in = w past the first layer. In the temporal stage each
+// window in-projects one frame instead of T: (T−1)·(2·D·I + I) per window
+// for a reasoning width D and inner width I.
+func skippedEvalFLOPs(d *Detector, n int) int64 {
+	perFrame := 0
+	for i := 0; i < d.NumGNNs(); i++ {
+		g, w := d.GNN(i).Graph(), d.GNN(i).Width()
+		dense := 2*w*w + w
+		below := 1 // the sensor, alone at level 0
+		for l := 1; l <= g.Depth(); l++ {
+			perFrame += below * dense
+			below += len(g.NodesAtLevel(l))
+		}
+		perFrame += (g.NumNodes() - 1) * (dense + w)
+	}
+	tc := d.cfg.Temporal
+	perFrame += (tc.Window - 1) * (2*d.ReasoningDim()*tc.InnerDim + tc.InnerDim)
+	return int64(n * perFrame)
+}
+
 // TestScoreVideoFLOPsIndependentOfWidth pins the Table-I ledger to the
 // model, not to a deployment knob: one frame (and 24) is billed the same
-// operation count at float32 and at float64 — exactly what the tape
-// composition bills, since both compute the final temporal block past its
-// K/V for the last row of each window only.
+// operation count at float32 and at float64 — the tape composition's
+// count less the closed form of the rows the engine skips — and again
+// after a node is pruned and replaced.
 func TestScoreVideoFLOPsIndependentOfWidth(t *testing.T) {
 	r := newRig(t, "Stealing", 11)
 	r.det.Deploy()
 	rng := rand.New(rand.NewSource(92))
-	for _, n := range []int{1, 24} {
-		pix := tensor.RandN(rng, 1, n, r.space.PixDim())
-		count := func(p Precision) int64 {
-			r.det.SetPrecision(p)
-			r.det.ScoreVideo(pix) // build the width's snapshots outside the count
-			ops, _ := flops.Count(func() { r.det.ScoreVideo(pix) })
-			return ops
-		}
-		f64, f32 := count(PrecisionF64), count(PrecisionF32)
-		tape, _ := flops.Count(func() { scoreVideoTape(r.det, pix) })
-		if f64 != tape || f32 != tape || tape <= 0 {
-			t.Errorf("%d frames: %d ops at f64, %d at f32, want the tape's %d", n, f64, f32, tape)
+	check := func(stage string) {
+		for _, n := range []int{1, 24} {
+			pix := tensor.RandN(rng, 1, n, r.space.PixDim())
+			count := func(p Precision) int64 {
+				r.det.SetPrecision(p)
+				r.det.ScoreVideo(pix) // build the width's snapshots outside the count
+				ops, _ := flops.Count(func() { r.det.ScoreVideo(pix) })
+				return ops
+			}
+			f64, f32 := count(PrecisionF64), count(PrecisionF32)
+			tape, _ := flops.Count(func() { scoreVideoTape(r.det, pix) })
+			want := tape - skippedEvalFLOPs(r.det, n)
+			if f64 != want || f32 != want || want <= 0 {
+				t.Errorf("%s, %d frames: %d ops at f64, %d at f32, want the tape's %d less %d skipped = %d",
+					stage, n, f64, f32, tape, tape-want, want)
+			}
 		}
 	}
+	check("deployed")
+
+	m := r.det.GNN(0)
+	if _, err := m.Graph().ReplaceNode(rng, m.Tokens().NodeIDs()[0], "created-1", nil, 0.9); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Rebind(); err != nil {
+		t.Fatal(err)
+	}
+	check("rebound")
 }
 
 // raceEnabled is set by race_test.go when the race detector is on.

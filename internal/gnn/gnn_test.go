@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"encoding/json"
 	"math/rand"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 	"edgekg/internal/tensor"
 )
 
-func testSpace(t *testing.T) *embed.Space {
+func testSpace(t testing.TB) *embed.Space {
 	t.Helper()
 	corpus := concept.Builtin().Concepts()
 	tok := bpe.Train(corpus, 600)
@@ -255,5 +256,38 @@ func TestParamNamesUnique(t *testing.T) {
 			t.Errorf("duplicate parameter name %q", p.Name)
 		}
 		seen[p.Name] = true
+	}
+}
+
+// TestCheckGraphRefusesNodeBesideTerminal feeds CheckGraph a decoded
+// graph (what a checkpoint restore assigns) with a reasoning node at the
+// embedding terminal's level: the eval forward reads one row per copy past
+// the last reasoning level, so the layout must refuse the graph rather
+// than score a stray row.
+func TestCheckGraphRefusesNodeBesideTerminal(t *testing.T) {
+	m, _, g := newTestModel(t)
+	raw, err := json.Marshal(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w map[string]any
+	if err := json.Unmarshal(raw, &w); err != nil {
+		t.Fatal(err)
+	}
+	w["nodes"] = append(w["nodes"].([]any), map[string]any{
+		"id": 999, "concept": "stray", "level": g.Depth() + 1, "kind": kg.Reasoning,
+	})
+	if raw, err = json.Marshal(w); err != nil {
+		t.Fatal(err)
+	}
+	var bad kg.Graph
+	if err := json.Unmarshal(raw, &bad); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CheckGraph(&bad); err == nil {
+		t.Error("CheckGraph accepted a reasoning node at the embedding terminal's level")
+	}
+	if err := m.CheckGraph(g); err != nil {
+		t.Errorf("CheckGraph refused the model's own graph: %v", err)
 	}
 }

@@ -34,6 +34,13 @@ type layout struct {
 	reasonIDs []kg.NodeID
 	featRow   []int
 
+	// suffix[l] is group l as ForwardEval runs it. Nothing reads layer
+	// l's output below level l+1, so that forward carries one graph copy's
+	// rows at levels ≥ l into layer l — a suffix of the (level, id) order
+	// — and keeps the rows at levels ≥ l+1 out of it. Unlike reps, the
+	// lists do not depend on the batch size.
+	suffix []suffixGroup
+
 	// repMu guards reps, the per-batch-size cache of replicated index
 	// structures. The graph is immutable between rebinds (Rebind builds a
 	// fresh layout), so cached entries never go stale; caching removes the
@@ -52,8 +59,8 @@ type replicated struct {
 
 // maxReplicatedCache bounds the per-layout cache of replicated index
 // structures. Training and adaptation reuse a handful of batch sizes, but
-// deployment scores videos of arbitrary length (batch = frame count), and
-// an unbounded map would retain an O(b·|E|) structure per distinct length.
+// a tape forward over a whole video has batch = frame count, and an
+// unbounded map would retain an O(b·|E|) structure per distinct length.
 const maxReplicatedCache = 8
 
 // replicated returns (building and caching on first use) the index
@@ -84,6 +91,15 @@ func (lo *layout) replicated(b int) *replicated {
 	}
 	lo.reps[b] = r
 	return r
+}
+
+// suffixGroup is one edge group in the coordinates of ForwardEval's
+// layer input: one copy's n rows at levels ≥ l, of which the last m
+// (levels ≥ l+1) are kept. src and dst are the group's edges into level
+// l+1, in edge order, shifted to those rows.
+type suffixGroup struct {
+	n, m     int
+	src, dst []int
 }
 
 type edgeGroup struct {
@@ -128,6 +144,19 @@ func buildLayout(g *kg.Graph) (*layout, error) {
 		}
 		lo.groups[l] = grp
 	}
+	// start[l] is the first node index at level ≥ l; layer 0 takes every
+	// row, so start[0] is 0 even for a node below level 0.
+	v := len(lo.nodes)
+	start := make([]int, depth+2)
+	for l, i := 1, 0; l < len(start); l++ {
+		for i < v && lo.nodes[i].Level < l {
+			i++
+		}
+		start[l] = i
+	}
+	if lo.embIdx != v-1 || start[depth+1] != v-1 {
+		return nil, fmt.Errorf("gnn: graph %q: the embedding terminal is not the only node past level %d", g.Mission, depth)
+	}
 	for _, e := range g.Edges() {
 		srcNode := g.Node(e.Src)
 		si, ok1 := lo.index[e.Src]
@@ -141,6 +170,19 @@ func buildLayout(g *kg.Graph) (*layout, error) {
 		}
 		lo.groups[l].src = append(lo.groups[l].src, si)
 		lo.groups[l].dst = append(lo.groups[l].dst, di)
+	}
+	lo.suffix = make([]suffixGroup, depth+1)
+	for l, grp := range lo.groups {
+		sg := suffixGroup{n: v - start[l], m: v - start[l+1], src: make([]int, 0, len(grp.src)), dst: make([]int, 0, len(grp.dst))}
+		for e, di := range grp.dst {
+			// An edge that skips a level aggregates nowhere (its
+			// destination is outside V(l)), so the suffix lists leave it out.
+			if grp.inLevel[di] {
+				sg.src = append(sg.src, grp.src[e]-start[l])
+				sg.dst = append(sg.dst, di-start[l])
+			}
+		}
+		lo.suffix[l] = sg
 	}
 	return lo, nil
 }

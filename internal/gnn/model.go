@@ -344,13 +344,19 @@ func (m *Model) Forward(frames *autograd.Value) *autograd.Value {
 }
 
 // ForwardEval is Forward's inference path without the tape, at width T —
-// the per-KG reasoning stage of Detector.ScoreVideo. It runs the same
-// forward arithmetic as the tape ops, so at float64 it returns Forward's
-// bits. The per-node token-bank means are recomputed from the float64
-// banks on every call, because deployment-time adaptation mutates bank
-// pages in place without bumping the structural generation counter.
+// the per-KG reasoning stage of Detector.ScoreVideo. It computes only the
+// rows the embedding terminal's output reads: layer l's output is read
+// only at levels ≥ l+1, so layer l runs its dense on each graph copy's
+// rows at levels ≥ l, aggregates level-l sources into level-(l+1)
+// destinations, and writes BatchNorm and ELU for the rows at levels ≥ l+1
+// alone; the final refinement layer runs on the terminal's row. Dense,
+// BatchNorm eval and ELU are row-wise and aggregation sums in edge order,
+// so at float64 it returns Forward's bits, and it bills Forward's count
+// less the skipped rows. The per-node token-bank means are recomputed
+// from the float64 banks on every call, because deployment-time
+// adaptation mutates bank pages in place without bumping the structural
+// generation counter.
 func ForwardEval[T tensor.Float](ws *tensor.Workspace, m *Model, frames *tensor.Dense[T]) *tensor.Dense[T] {
-	b := frames.Rows()
 	if frames.Cols() != m.space.Dim() {
 		panic(fmt.Sprintf("gnn: frame dim %d != semantic dim %d", frames.Cols(), m.space.Dim()))
 	}
@@ -360,19 +366,18 @@ func ForwardEval[T tensor.Float](ws *tensor.Workspace, m *Model, frames *tensor.
 	}
 	x := autograd.AssembleBatchFwd(ws, frames, feats, m.lo.featRow, m.lo.sensorIdx, 1)
 
-	rep := m.lo.replicated(b)
 	for _, ly := range m.layers {
 		s := evalOf[T](ly)
 		x = s.dense.Forward(ws, x)
 		if ly.group >= 0 {
-			rg := rep.groups[ly.group]
-			autograd.EdgeAggNormActEvalInPlace(x, s.gamma, s.beta, s.rmean, s.invSd, rg.src, rg.dst, rg.inLevel)
+			sg := m.lo.suffix[ly.group]
+			x = autograd.EdgeAggNormActEvalSuffix(ws, x, sg.n, sg.m, s.gamma, s.beta, s.rmean, s.invSd, sg.src, sg.dst)
 		} else {
 			autograd.BatchNormEvalInPlace(x, s.gamma, s.beta, s.rmean, s.invSd)
 			tensor.ELUInPlace(x)
 		}
 	}
-	return tensor.GatherIn(ws, x, rep.embRows)
+	return x
 }
 
 // SetTraining switches the BatchNorm layers between batch and running

@@ -97,7 +97,7 @@ func TestForwardBatchGradEquivalence(t *testing.T) {
 // allRowsEval is the eval model run the long way, from exported ops — the
 // encoder block over all batch·T rows, its attention BatchedAttentionFwd
 // with every row a query, then the final norm, the last-row gather and
-// out — the reference ForwardBatchEval's last-row block is pinned to at
+// out — the reference WindowsEval's last-row block is pinned to at
 // any width.
 func allRowsEval[T tensor.Float](m *Model, windows *tensor.Dense[T], batch int) *tensor.Dense[T] {
 	s := evalOf[T](m)
@@ -126,20 +126,22 @@ func requireSameBits[T tensor.Float](t *testing.T, ctx string, want, got *tensor
 	}
 }
 
-// TestForwardBatchEvalMatchesTape pins the eval engine's temporal stage,
-// whose block computes only the last row of each window, to the tape
-// ForwardBatch bit for bit at float64 — one and two heads, batches 1, 2
-// and 5, on every backend at one worker and at four. At
-// float32 it returns the all-rows eval model's bits and stays inside the
-// engine's f32 drift budget (2e-3, internal/core/precision_test.go) of
-// the tape.
-func TestForwardBatchEvalMatchesTape(t *testing.T) {
+// TestProjectWindowsEvalMatchesTape pins the eval engine's temporal
+// stage — each frame in-projected once by ProjectEval, the projected rows
+// gathered into overlapping windows, and WindowsEval, whose block computes
+// only the last row of each window — to the tape ForwardBatch over the
+// gathered frames bit for bit at float64: one and two heads, batches 1, 2
+// and 5, on every backend at one worker and at four. At float32 it
+// returns the all-rows eval model's bits and stays inside the engine's
+// f32 drift budget (2e-3, internal/core/precision_test.go) of the tape.
+func TestProjectWindowsEvalMatchesTape(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	type fixture struct {
-		name    string
-		m       *Model
-		batch   int
-		windows *tensor.Tensor
+		name   string
+		m      *Model
+		batch  int
+		frames *tensor.Tensor
+		rows   []int
 	}
 	var cases []fixture
 	for _, heads := range []int{1, 2} {
@@ -148,9 +150,16 @@ func TestForwardBatchEvalMatchesTape(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.SetTraining(false)
+		tw := m.Window()
 		for _, batch := range []int{1, 2, 5} {
 			name := fmt.Sprintf("heads=%d batch=%d", heads, batch)
-			cases = append(cases, fixture{name, m, batch, tensor.RandN(rng, 1, batch*m.Window(), 6)})
+			rows := make([]int, 0, batch*tw)
+			for k := 0; k < batch; k++ {
+				for i := 0; i < tw; i++ {
+					rows = append(rows, k+i)
+				}
+			}
+			cases = append(cases, fixture{name, m, batch, tensor.RandN(rng, 1, batch+tw-1, 6), rows})
 		}
 	}
 	const budget = 2e-3
@@ -163,12 +172,13 @@ func TestForwardBatchEvalMatchesTape(t *testing.T) {
 			prev := parallel.SetWorkers(workers)
 			for _, c := range cases {
 				ctx := fmt.Sprintf("%s/workers=%d/%s", name, workers, c.name)
-				tape := c.m.ForwardBatch(autograd.Constant(c.windows), c.batch).Data
-				requireSameBits(t, ctx+"/f64", tape, ForwardBatchEval(nil, c.m, c.windows, c.batch))
+				tape := c.m.ForwardBatch(autograd.Constant(tensor.Gather(c.frames, c.rows)), c.batch).Data
+				got := WindowsEval(nil, c.m, tensor.Gather(ProjectEval(nil, c.m, c.frames), c.rows), c.batch)
+				requireSameBits(t, ctx+"/f64", tape, got)
 
-				w32 := tensor.Narrow[float32](c.windows)
-				got32 := ForwardBatchEval(nil, c.m, w32, c.batch)
-				requireSameBits(t, ctx+"/f32", allRowsEval(c.m, w32, c.batch), got32)
+				f32 := tensor.Narrow[float32](c.frames)
+				got32 := WindowsEval(nil, c.m, tensor.Gather(ProjectEval(nil, c.m, f32), c.rows), c.batch)
+				requireSameBits(t, ctx+"/f32", allRowsEval(c.m, tensor.Gather(f32, c.rows), c.batch), got32)
 				for i, v := range got32.Data() {
 					if d := math.Abs(float64(v) - tape.Data()[i]); d > budget {
 						t.Fatalf("%s/f32: element %d drifts %.2e from the tape, budget %.0e", ctx, i, d, budget)

@@ -37,7 +37,7 @@ type Model struct {
 	pos    *tensor.Tensor
 
 	// eval caches the eval form of the whole model per width, built
-	// lazily on the first ForwardBatchEval at that width and dropped
+	// lazily on the first eval forward at that width and dropped
 	// whenever the model returns to training mode (weights may change).
 	// Clones are not taken of temporal models — serving shares one frozen
 	// instance — so one snapshot per width serves every stream.
@@ -121,14 +121,14 @@ func (m *Model) ForwardSeq(seq *autograd.Value) *autograd.Value {
 // to window k alone — pinned by the equivalence and isolation tests — while
 // the tape cost is O(1) nodes instead of O(batch).
 func (m *Model) ForwardBatch(windows *autograd.Value, batch int) *autograd.Value {
-	m.checkBatch(windows.Data.Rows(), windows.Data.Cols(), batch)
+	m.checkBatch(windows.Data.Rows(), windows.Data.Cols(), m.cfg.InputDim, batch)
 	h := autograd.AddTiled(m.inProj.Forward(windows), m.pos)
 	return m.out.Forward(m.norm.Forward(m.block.ForwardLast(h, batch)))
 }
 
 // checkBatch validates a (rows × cols) stacked-window matrix against the
-// model's window and input width.
-func (m *Model) checkBatch(rows, cols, batch int) {
+// model's window and the width its rows must have.
+func (m *Model) checkBatch(rows, cols, width, batch int) {
 	if batch < 1 {
 		panic(fmt.Sprintf("temporal: batch %d must be ≥ 1", batch))
 	}
@@ -136,22 +136,36 @@ func (m *Model) checkBatch(rows, cols, batch int) {
 		panic(fmt.Sprintf("temporal: batch matrix has %d rows, want %d (batch %d × window %d)",
 			rows, batch*m.cfg.Window, batch, m.cfg.Window))
 	}
-	if cols != m.cfg.InputDim {
-		panic(fmt.Sprintf("temporal: input dim %d != %d", cols, m.cfg.InputDim))
+	if cols != width {
+		panic(fmt.Sprintf("temporal: input dim %d != %d", cols, width))
 	}
 }
 
-// ForwardBatchEval is ForwardBatch without the tape, at width T: the same
-// shape — the block past its K/V over the batch last rows only — so at
-// float64 it returns ForwardBatch's bits and bills the same FLOPs at either
-// width. It is the temporal stage of Detector.ScoreVideo; the model must
-// be in inference mode.
-func ForwardBatchEval[T tensor.Float](ws *tensor.Workspace, m *Model, windows *tensor.Dense[T], batch int) *tensor.Dense[T] {
-	m.checkBatch(windows.Rows(), windows.Cols(), batch)
+// ProjectEval is the eval forward's input projection at width T: it maps
+// frame embeddings (rows × D) to (rows × InnerDim). The projection is
+// row-wise and the positional add comes after it, so projecting each
+// frame once and gathering windows of projected rows for WindowsEval
+// gives the bits of ForwardBatch, which projects every window row.
+func ProjectEval[T tensor.Float](ws *tensor.Workspace, m *Model, emb *tensor.Dense[T]) *tensor.Dense[T] {
+	if emb.Cols() != m.cfg.InputDim {
+		panic(fmt.Sprintf("temporal: input dim %d != %d", emb.Cols(), m.cfg.InputDim))
+	}
+	return evalOf[T](m).inProj.Forward(ws, emb)
+}
+
+// WindowsEval is the rest of ForwardBatch without the tape, at width T,
+// over windows of ProjectEval rows stacked row-wise (batch*T × InnerDim):
+// it adds the positions into rows in place, then runs the block past its
+// K/V over the batch last rows only, the final norm and out. It is the
+// temporal stage of Detector.ScoreVideo, and the model must be in
+// inference mode. At float64 it returns ForwardBatch's bits, and with
+// ProjectEval run once per frame it bills ForwardBatch's count less T−1
+// in-projections per window.
+func WindowsEval[T tensor.Float](ws *tensor.Workspace, m *Model, rows *tensor.Dense[T], batch int) *tensor.Dense[T] {
+	m.checkBatch(rows.Rows(), rows.Cols(), m.cfg.InnerDim, batch)
 	s := evalOf[T](m)
-	h := s.inProj.Forward(ws, windows)
-	autograd.AddTiledInPlace(h, s.pos)
-	return s.out.Forward(ws, s.norm.Forward(ws, s.block.ForwardLast(ws, h, batch)))
+	autograd.AddTiledInPlace(rows, s.pos)
+	return s.out.Forward(ws, s.norm.Forward(ws, s.block.ForwardLast(ws, rows, batch)))
 }
 
 // SetTraining has no mode to switch — nothing behaves differently in
