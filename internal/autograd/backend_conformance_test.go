@@ -50,28 +50,51 @@ func requireBitEqual(t *testing.T, ctx string, ref, got []float64) {
 	}
 }
 
-// edgeCase builds a deterministic edge structure for an n-node graph:
-// roughly 3 edges per node including self-loops and repeated destinations,
-// with about half the nodes in-level.
-func edgeCase(rng *rand.Rand, n int) (src, dst []int, inLevel []bool) {
-	inLevel = make([]bool, n)
-	for i := range inLevel {
-		inLevel[i] = rng.Intn(2) == 0
+// edgeCase draws one graph copy's edge group over v rows the way a
+// strictly valid KG's layout holds it: a block of level-l rows feeds the
+// block of level-(l+1) rows right after it, every level-(l+1) row has at
+// least one in-edge, and the rows outside both blocks pass through. The
+// edges come in random order, with shared sources and repeated
+// destinations.
+func edgeCase(rng *rand.Rand, v int) (src, dst []int) {
+	if v < 2 {
+		return nil, nil
 	}
-	if n > 0 {
-		ne := 3 * n
-		src = make([]int, ne)
-		dst = make([]int, ne)
-		for e := 0; e < ne; e++ {
-			src[e] = rng.Intn(n)
-			if e%5 == 0 {
-				dst[e] = src[e] // self-loop: gradient rows alias
-			} else {
-				dst[e] = rng.Intn(n)
+	a := rng.Intn(v - 1)         // first level-l row
+	b := a + 1 + rng.Intn(v-1-a) // first level-(l+1) row
+	c := b + 1 + rng.Intn(v-b)   // one past the last level-(l+1) row
+	for t := b; t < c; t++ {
+		n := len(dst)
+		for s := a; s < b; s++ {
+			if rng.Intn(2) == 0 {
+				src, dst = append(src, s), append(dst, t)
 			}
 		}
+		if len(dst) == n {
+			src, dst = append(src, a+rng.Intn(b-a)), append(dst, t)
+		}
 	}
-	return src, dst, inLevel
+	rng.Shuffle(len(src), func(i, j int) {
+		src[i], src[j] = src[j], src[i]
+		dst[i], dst[j] = dst[j], dst[i]
+	})
+	return src, dst
+}
+
+// stackCopies returns the edge lists of copies stacked copies of a v-row
+// graph copy, and their V(l+1) mask (every edge destination): what the
+// composed reference EdgeAggregate(x, EdgeMessage(x, src, dst), dst,
+// inLevel) takes where the fused tails take src, dst and copies.
+func stackCopies(src, dst []int, v, copies int) (allSrc, allDst []int, inLevel []bool) {
+	inLevel = make([]bool, v*copies)
+	for k := 0; k < copies; k++ {
+		for e := range dst {
+			allSrc = append(allSrc, k*v+src[e])
+			allDst = append(allDst, k*v+dst[e])
+			inLevel[k*v+dst[e]] = true
+		}
+	}
+	return allSrc, allDst, inLevel
 }
 
 // TestMatMulRowsIndependent pins the fact the scoring engine's row cuts
@@ -126,14 +149,17 @@ func matMulRowsIndependent[T tensor.Float](t *testing.T) {
 
 // TestEdgeAggBackendConformance pins the fused edge message/aggregate
 // forward and backward bit-for-bit across every backend on the shared
-// geometry and payload grid — these kernels are built entirely from the
+// geometry and payload grid, over three stacked graph copies of per-copy
+// leveled edge lists — these kernels are built entirely from the
 // order-preserving class, so no tolerance is allowed.
 func TestEdgeAggBackendConformance(t *testing.T) {
+	const copies = 3
 	names := kernels.Names()
 	for di, dm := range kernels.ConformanceDims {
-		n, d := dm.M, dm.N
+		v, d := dm.M, dm.N
+		n := copies * v
 		rng := rand.New(rand.NewSource(int64(300 + di)))
-		src, dst, inLevel := edgeCase(rng, n)
+		src, dst := edgeCase(rng, v)
 		for _, p := range kernels.ConformancePayloads {
 			x := make([]float64, n*d)
 			g := make([]float64, n*d)
@@ -148,8 +174,8 @@ func TestEdgeAggBackendConformance(t *testing.T) {
 				}
 				fwd := make([]float64, n*d)
 				bwd := make([]float64, n*d)
-				edgeAggForward(x, fwd, n, d, src, dst, inLevel)
-				edgeAggBackward(x, g, bwd, n, d, src, dst, inLevel)
+				edgeAggForward(x, fwd, n, d, copies, src, dst)
+				edgeAggBackward(x, g, bwd, n, d, copies, src, dst)
 				restore()
 				if refFwd == nil {
 					refFwd, refBwd = fwd, bwd
@@ -164,32 +190,49 @@ func TestEdgeAggBackendConformance(t *testing.T) {
 }
 
 // TestEdgeAggFusedMatchesComposedPerBackend re-runs the fused-vs-composed
-// equivalence pin under every backend: routing the fused inner loops
-// through dispatch must not open a gap to the composed op chain on any of
-// them. The pin matches the established contract (fused_test.go): forward
+// equivalence pin under every backend: both fused tails over per-copy
+// lists against the composed op chain over the stacked lists. Routing the
+// fused inner loops through dispatch must not open a gap on any backend.
+// The pin matches the established contract (fused_test.go): forward
 // bit-exact, backward within 1e-12 — the fused backward interleaves the
 // src/dst edge contributions where the composed path scatters all src
 // contributions before all dst ones, an accumulation-order gap of a ULP
 // that predates dispatch and exists identically on every backend.
 func TestEdgeAggFusedMatchesComposedPerBackend(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	const n, d = 13, 7
-	src, dst, inLevel := edgeCase(rng, n)
-	xdata := tensor.RandN(rng, 1, n, d)
+	const v, copies, d, eps = 13, 4, 7, 1e-5
+	src, dst := edgeCase(rng, v)
+	allSrc, allDst, inLevel := stackCopies(src, dst, v, copies)
+	xdata := tensor.RandN(rng, 1, v*copies, d)
+	gamma, beta := tensor.RandN(rng, 1, d), tensor.RandN(rng, 1, d)
+	rm := tensor.RandN(rng, 0.3, d)
+	rv := tensor.MapInPlace(tensor.RandN(rng, 0.3, d), func(v float64) float64 { return v*v + 0.5 })
 	for _, name := range kernels.Names() {
 		restore, err := kernels.Use(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		xf := Param(xdata.Clone())
-		xc := Param(xdata.Clone())
-		fused := EdgeMessageAggregate(xf, src, dst, inLevel)
-		composed := EdgeAggregate(xc, EdgeMessage(xc, src, dst), dst, inLevel)
-		requireBitEqual(t, name+"/forward", composed.Data.Data(), fused.Data.Data())
-		Sum(fused).Backward()
-		Sum(composed).Backward()
-		if !tensor.AllClose(xc.Grad, xf.Grad, 1e-12) {
-			t.Errorf("%s: fused grad diverges from composed beyond 1e-12", name)
+		for _, train := range []bool{false, true} {
+			ctx := fmt.Sprintf("%s/train=%v", name, train)
+			xf, xc := Param(xdata.Clone()), Param(xdata.Clone())
+			gf, gc := Constant(gamma), Constant(gamma)
+			bf, bc := Constant(beta), Constant(beta)
+			agg := EdgeAggregate(xc, EdgeMessage(xc, allSrc, allDst), allDst, inLevel)
+			var fused, composed *Value
+			if train {
+				fused, _, _ = EdgeAggNormActTrain(xf, gf, bf, src, dst, copies, eps)
+				bn, _, _ := BatchNormTrain(agg, gc, bc, eps)
+				composed = ELU(bn)
+			} else {
+				fused = EdgeAggNormActEval(xf, gf, bf, src, dst, copies, rm, rv, eps)
+				composed = ELU(BatchNormEval(agg, gc, bc, rm, rv, eps))
+			}
+			requireBitEqual(t, ctx+"/forward", composed.Data.Data(), fused.Data.Data())
+			Sum(fused).Backward()
+			Sum(composed).Backward()
+			if !tensor.AllClose(xc.Grad, xf.Grad, 1e-12) {
+				t.Errorf("%s: fused grad diverges from composed beyond 1e-12", ctx)
+			}
 		}
 		restore()
 	}

@@ -1,150 +1,192 @@
 package autograd
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"edgekg/internal/tensor"
 )
 
-// TestFusedMatchesComposedForward pins the fused kernel's forward to the
-// composed EdgeMessage→EdgeAggregate pair bit-for-bit: same edge
-// accumulation order, same reciprocal scaling.
+// fusedTail runs one fused layer tail (train or eval BatchNorm) over
+// copies stacked graph copies of per-copy lists src/dst, and composedTail
+// the composed reference — EdgeAggregate(x, EdgeMessage(x, …), …) →
+// BatchNorm → ELU — over the stacked lists. Both return the output and
+// the batch statistics (nil in eval mode).
+func fusedTail(train bool, x, gamma, beta *Value, src, dst []int, copies int, rm, rv *tensor.Tensor) (out *Value, mean, variance *tensor.Tensor) {
+	if train {
+		return EdgeAggNormActTrain(x, gamma, beta, src, dst, copies, 1e-5)
+	}
+	return EdgeAggNormActEval(x, gamma, beta, src, dst, copies, rm, rv, 1e-5), nil, nil
+}
+
+func composedTail(train bool, x, gamma, beta *Value, src, dst []int, v, copies int, rm, rv *tensor.Tensor) (out *Value, mean, variance *tensor.Tensor) {
+	allSrc, allDst, inLevel := stackCopies(src, dst, v, copies)
+	agg := EdgeAggregate(x, EdgeMessage(x, allSrc, allDst), allDst, inLevel)
+	if train {
+		bn, mean, variance := BatchNormTrain(agg, gamma, beta, 1e-5)
+		return ELU(bn), mean, variance
+	}
+	return ELU(BatchNormEval(agg, gamma, beta, rm, rv, 1e-5)), nil, nil
+}
+
+// runningStats draws frozen BatchNorm statistics of width d.
+func runningStats(rng *rand.Rand, d int) (rm, rv *tensor.Tensor) {
+	rm = tensor.RandN(rng, 0.3, d)
+	rv = tensor.MapInPlace(tensor.RandN(rng, 0.3, d), func(v float64) float64 { return v*v + 0.5 })
+	return rm, rv
+}
+
+// TestFusedMatchesComposedForward pins both fused tails' forward to the
+// composed reference bit-for-bit on a hand-built group — level 0 is rows
+// 0–1, level 1 rows 2–3, row 4 lies past the group — at one, two and five
+// stacked copies: same edge accumulation order, same reciprocal scaling,
+// same batch statistics.
 func TestFusedMatchesComposedForward(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	x := randParam(rng, 6, 4)
-	src := []int{0, 1, 0, 4, 4}
-	dst := []int{2, 2, 3, 3, 5}
-	inLevel := []bool{false, false, true, true, false, false} // node 5 out of level with messages
-	composed := EdgeAggregate(x, EdgeMessage(x, src, dst), dst, inLevel)
-	fused := EdgeMessageAggregate(x, src, dst, inLevel)
-	if !tensor.AllClose(fused.Data, composed.Data, 0) {
-		t.Errorf("fused forward diverges from composed:\nfused %v\ncomposed %v", fused.Data, composed.Data)
+	src := []int{0, 1, 0, 1}
+	dst := []int{2, 2, 3, 3}
+	for _, copies := range []int{1, 2, 5} {
+		rng := rand.New(rand.NewSource(31))
+		x := randParam(rng, 5*copies, 4)
+		gamma, beta := randParam(rng, 4), randParam(rng, 4)
+		rm, rv := runningStats(rng, 4)
+		for _, train := range []bool{false, true} {
+			fused, fMean, fVar := fusedTail(train, x, gamma, beta, src, dst, copies, rm, rv)
+			composed, cMean, cVar := composedTail(train, x, gamma, beta, src, dst, 5, copies, rm, rv)
+			if !tensor.AllClose(fused.Data, composed.Data, 0) {
+				t.Errorf("copies %d, train %v: fused forward diverges from composed:\nfused %v\ncomposed %v", copies, train, fused.Data, composed.Data)
+			}
+			if train && (!tensor.AllClose(fMean, cMean, 0) || !tensor.AllClose(fVar, cVar, 0)) {
+				t.Errorf("copies %d: batch statistics diverge: mean %v vs %v, var %v vs %v", copies, fMean, cMean, fVar, cVar)
+			}
+		}
 	}
 }
 
-// TestFusedMatchesComposedBackward checks gradient agreement between the
-// fused kernel and the composed pair on the same graph.
+// TestFusedMatchesComposedBackward checks gradient agreement between both
+// fused tails and the composed reference on the same hand-built group, at
+// one, two and five stacked copies.
 func TestFusedMatchesComposedBackward(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	src := []int{0, 1, 0, 2}
+	src := []int{0, 1, 0, 1}
 	dst := []int{2, 2, 3, 3}
-	inLevel := []bool{false, false, true, true, false}
-
-	xc := randParam(rng, 5, 3)
-	xf := Param(xc.Data.Clone())
-	Sum(EdgeAggregate(xc, EdgeMessage(xc, src, dst), dst, inLevel)).Backward()
-	Sum(EdgeMessageAggregate(xf, src, dst, inLevel)).Backward()
-	if !tensor.AllClose(xf.Grad, xc.Grad, 1e-12) {
-		t.Errorf("fused grad diverges from composed:\nfused %v\ncomposed %v", xf.Grad, xc.Grad)
+	for _, copies := range []int{1, 2, 5} {
+		rng := rand.New(rand.NewSource(32))
+		xc := randParam(rng, 5*copies, 3)
+		gc, bc := randParam(rng, 3), randParam(rng, 3)
+		rm, rv := runningStats(rng, 3)
+		for _, train := range []bool{false, true} {
+			xf := Param(xc.Data.Clone())
+			gf, bf := Param(gc.Data.Clone()), Param(bc.Data.Clone())
+			xc.Grad, gc.Grad, bc.Grad = nil, nil, nil
+			fused, _, _ := fusedTail(train, xf, gf, bf, src, dst, copies, rm, rv)
+			composed, _, _ := composedTail(train, xc, gc, bc, src, dst, 5, copies, rm, rv)
+			Sum(fused).Backward()
+			Sum(composed).Backward()
+			for _, p := range []struct {
+				name string
+				f, c *Value
+			}{{"x", xf, xc}, {"gamma", gf, gc}, {"beta", bf, bc}} {
+				if !tensor.AllClose(p.f.Grad, p.c.Grad, 1e-12) {
+					t.Errorf("copies %d, train %v: %s grad diverges:\nfused %v\ncomposed %v", copies, train, p.name, p.f.Grad, p.c.Grad)
+				}
+			}
+		}
 	}
 }
 
-func TestGradFusedEdgeMessageAggregate(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	x := randParam(rng, 5, 3)
-	src := []int{0, 1, 0}
-	dst := []int{2, 2, 3}
-	inLevel := []bool{false, false, true, true, false}
-	f := func() *Value { return Sum(EdgeMessageAggregate(x, src, dst, inLevel)) }
-	if err := GradCheck(f, []*Value{x}, 1e-6, 1e-6); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestTailMatchesComposedEval pins the fused layer tail (edge aggregate →
-// BatchNorm eval → ELU) to the composed op chain, forward and backward.
-func TestTailMatchesComposedEval(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	src := []int{0, 1, 0, 2}
-	dst := []int{2, 2, 3, 3}
-	inLevel := []bool{false, false, true, true, false}
-	rm := tensor.RandN(rng, 0.3, 3)
-	rv := tensor.MapInPlace(tensor.RandN(rng, 0.3, 3), func(v float64) float64 { return v*v + 0.5 })
-	const eps = 1e-5
-
-	xc := randParam(rng, 5, 3)
-	gc, bc := randParam(rng, 3), randParam(rng, 3)
-	xf := Param(xc.Data.Clone())
-	gf, bf := Param(gc.Data.Clone()), Param(bc.Data.Clone())
-
-	composed := ELU(BatchNormEval(EdgeMessageAggregate(xc, src, dst, inLevel), gc, bc, rm, rv, eps))
-	fused := EdgeAggNormActEval(xf, gf, bf, src, dst, inLevel, rm, rv, eps)
-	if !tensor.AllClose(fused.Data, composed.Data, 0) {
-		t.Fatalf("fused eval tail diverges:\nfused %v\ncomposed %v", fused.Data, composed.Data)
-	}
-	Sum(composed).Backward()
-	Sum(fused).Backward()
-	if !tensor.AllClose(xf.Grad, xc.Grad, 1e-12) {
-		t.Errorf("x grad diverges:\nfused %v\ncomposed %v", xf.Grad, xc.Grad)
-	}
-	if !tensor.AllClose(gf.Grad, gc.Grad, 1e-12) {
-		t.Errorf("gamma grad diverges:\nfused %v\ncomposed %v", gf.Grad, gc.Grad)
-	}
-	if !tensor.AllClose(bf.Grad, bc.Grad, 1e-12) {
-		t.Errorf("beta grad diverges:\nfused %v\ncomposed %v", bf.Grad, bc.Grad)
-	}
-}
+// TestTailMatchesComposedEval pins the eval tail to the composed op chain,
+// forward and backward, on random per-copy leveled groups of 1–12 rows
+// over 1–4 copies.
+func TestTailMatchesComposedEval(t *testing.T) { tailMatchesComposed(t, false, 41) }
 
 // TestTailMatchesComposedTrain does the same for the training-mode tail,
 // including the returned batch statistics.
-func TestTailMatchesComposedTrain(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	src := []int{0, 1, 0, 2}
-	dst := []int{2, 2, 3, 3}
-	inLevel := []bool{false, false, true, true, false}
-	const eps = 1e-5
+func TestTailMatchesComposedTrain(t *testing.T) { tailMatchesComposed(t, true, 42) }
 
-	xc := randParam(rng, 5, 3)
-	gc, bc := randParam(rng, 3), randParam(rng, 3)
-	xf := Param(xc.Data.Clone())
-	gf, bf := Param(gc.Data.Clone()), Param(bc.Data.Clone())
+func tailMatchesComposed(t *testing.T, train bool, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	for trial := 0; trial < 20; trial++ {
+		v, copies, d := 1+rng.Intn(12), 1+rng.Intn(4), 1+rng.Intn(5)
+		src, dst := edgeCase(rng, v)
+		xc := randParam(rng, v*copies, d)
+		gc, bc := randParam(rng, d), randParam(rng, d)
+		rm, rv := runningStats(rng, d)
+		xf := Param(xc.Data.Clone())
+		gf, bf := Param(gc.Data.Clone()), Param(bc.Data.Clone())
+		ctx := fmt.Sprintf("%d rows × %d copies, %d edges, width %d", v, copies, len(src), d)
 
-	bnOut, cMean, cVar := BatchNormTrain(EdgeMessageAggregate(xc, src, dst, inLevel), gc, bc, eps)
-	composed := ELU(bnOut)
-	fused, fMean, fVar := EdgeAggNormActTrain(xf, gf, bf, src, dst, inLevel, eps)
-	if !tensor.AllClose(fused.Data, composed.Data, 0) {
-		t.Fatalf("fused train tail diverges:\nfused %v\ncomposed %v", fused.Data, composed.Data)
-	}
-	if !tensor.AllClose(fMean, cMean, 0) || !tensor.AllClose(fVar, cVar, 0) {
-		t.Errorf("batch statistics diverge: mean %v vs %v, var %v vs %v", fMean, cMean, fVar, cVar)
-	}
-	Sum(composed).Backward()
-	Sum(fused).Backward()
-	if !tensor.AllClose(xf.Grad, xc.Grad, 1e-12) {
-		t.Errorf("x grad diverges:\nfused %v\ncomposed %v", xf.Grad, xc.Grad)
-	}
-	if !tensor.AllClose(gf.Grad, gc.Grad, 1e-12) {
-		t.Errorf("gamma grad diverges:\nfused %v\ncomposed %v", gf.Grad, gc.Grad)
-	}
-	if !tensor.AllClose(bf.Grad, bc.Grad, 1e-12) {
-		t.Errorf("beta grad diverges:\nfused %v\ncomposed %v", bf.Grad, bc.Grad)
+		fused, fMean, fVar := fusedTail(train, xf, gf, bf, src, dst, copies, rm, rv)
+		composed, cMean, cVar := composedTail(train, xc, gc, bc, src, dst, v, copies, rm, rv)
+		if !tensor.AllClose(fused.Data, composed.Data, 0) {
+			t.Fatalf("%s: fused tail diverges:\nfused %v\ncomposed %v", ctx, fused.Data, composed.Data)
+		}
+		if train && (!tensor.AllClose(fMean, cMean, 0) || !tensor.AllClose(fVar, cVar, 0)) {
+			t.Errorf("%s: batch statistics diverge: mean %v vs %v, var %v vs %v", ctx, fMean, cMean, fVar, cVar)
+		}
+		Sum(composed).Backward()
+		Sum(fused).Backward()
+		for _, p := range []struct {
+			name string
+			f, c *Value
+		}{{"x", xf, xc}, {"gamma", gf, gc}, {"beta", bf, bc}} {
+			if !tensor.AllClose(p.f.Grad, p.c.Grad, 1e-12) {
+				t.Errorf("%s: %s grad diverges:\nfused %v\ncomposed %v", ctx, p.name, p.f.Grad, p.c.Grad)
+			}
+		}
 	}
 }
 
+// TestGradFusedTails grad-checks both tails over two stacked copies of a
+// group with a level-1 row (4) past it.
 func TestGradFusedTails(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	src := []int{0, 1, 0}
 	dst := []int{2, 2, 3}
-	inLevel := []bool{false, false, true, true, false}
-	x := randParam(rng, 5, 3)
+	x := randParam(rng, 2*5, 3)
 	gamma := randParam(rng, 3)
 	beta := randParam(rng, 3)
-	rm := tensor.RandN(rng, 0.3, 3)
-	rv := tensor.MapInPlace(tensor.RandN(rng, 0.3, 3), func(v float64) float64 { return v*v + 0.5 })
+	rm, rv := runningStats(rng, 3)
 
 	evalF := func() *Value {
-		return Sum(EdgeAggNormActEval(x, gamma, beta, src, dst, inLevel, rm, rv, 1e-5))
+		return Sum(EdgeAggNormActEval(x, gamma, beta, src, dst, 2, rm, rv, 1e-5))
 	}
 	if err := GradCheck(evalF, []*Value{x, gamma, beta}, 1e-6, 1e-6); err != nil {
 		t.Errorf("eval tail: %v", err)
 	}
 	trainF := func() *Value {
-		out, _, _ := EdgeAggNormActTrain(x, gamma, beta, src, dst, inLevel, 1e-5)
+		out, _, _ := EdgeAggNormActTrain(x, gamma, beta, src, dst, 2, 1e-5)
 		return Sum(out)
 	}
 	if err := GradCheck(trainF, []*Value{x, gamma, beta}, 1e-6, 1e-5); err != nil {
 		t.Errorf("train tail: %v", err)
+	}
+}
+
+// TestEdgeListsValidated pins checkEdgeLists' panics: rows that do not
+// split into the copies, a copy count below one, mismatched lists and an
+// index outside one copy's rows.
+func TestEdgeListsValidated(t *testing.T) {
+	x := Param(tensor.Ones(6, 2))
+	g, b := Param(tensor.Ones(2)), Param(tensor.Ones(2))
+	for _, c := range []struct {
+		name     string
+		src, dst []int
+		copies   int
+	}{
+		{"rows do not split", []int{0}, []int{1}, 4},
+		{"no copies", []int{0}, []int{1}, 0},
+		{"list lengths", []int{0, 1}, []int{2}, 2},
+		{"destination past the copy", []int{0}, []int{3}, 2},
+		{"negative source", []int{-1}, []int{1}, 2},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", c.name)
+				}
+			}()
+			EdgeAggNormActTrain(x, g, b, c.src, c.dst, c.copies, 1e-5)
+		}()
 	}
 }
 

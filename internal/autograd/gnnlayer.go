@@ -9,17 +9,22 @@ import (
 	"edgekg/internal/tensor/kernels"
 )
 
-// The hierarchical GNN layer tail — EdgeMessageAggregate → BatchNorm → ELU
-// (eqs. 2–4 after the dense sub-layer) — fused into a single tape node per
-// mode. The composition is semantically identical to chaining the three
-// ops but allocates one output tensor, one Value and one closure instead
-// of three of each, and keeps every intermediate except the aggregate
-// pre-activation (needed by the BatchNorm backward) in pooled scratch.
+// The hierarchical GNN layer tail — edge messages and mean aggregation →
+// BatchNorm → ELU (eqs. 2–4 after the dense sub-layer) — fused into a
+// single tape node per mode, over copies graph copies stacked row-wise
+// with src/dst indexing one copy's rows. On a strictly valid KG's edge
+// group, whose destinations are exactly the level V(l), the forward is the
+// composed EdgeAggregate(x, EdgeMessage(x, …), …) → BatchNorm → ELU chain
+// bit for bit, but allocates one output tensor, one Value and one closure,
+// and keeps every intermediate except the aggregate pre-activation (needed
+// by the BatchNorm backward) in pooled scratch. src and dst are borrowed:
+// the caller must not mutate them for the lifetime of the computation
+// graph (the GNN layout owns them and is immutable).
 
 // EdgeAggNormActEval is the inference-mode tail, normalising with the
 // frozen running statistics. Gradients still flow into x (and gamma/beta
 // when trainable), which deployment-time token adaptation requires.
-func EdgeAggNormActEval(x, gamma, beta *Value, src, dst []int, inLevel []bool, runningMean, runningVar *tensor.Tensor, eps float64) *Value {
+func EdgeAggNormActEval(x, gamma, beta *Value, src, dst []int, copies int, runningMean, runningVar *tensor.Tensor, eps float64) *Value {
 	n := x.Data.Rows()
 	d := x.Data.Cols()
 	xd := x.Data.Data()
@@ -30,12 +35,12 @@ func EdgeAggNormActEval(x, gamma, beta *Value, src, dst []int, inLevel []bool, r
 	// buffers to the graph for its whole lifetime. runningMean/runningVar
 	// are borrowed by the backward closure, matching BatchNormEval: a graph
 	// built in eval mode must run its backward before the statistics move.
-	checkEdgeLists(n, src, dst, inLevel)
+	checkEdgeLists(n, copies, src, dst)
 	fws := tensor.NewWorkspace()
 	rm, gam, bet := runningMean.Data(), gamma.Data.Data(), beta.Data.Data()
 	out := tensor.New(n, d)
 	od := out.Data()
-	edgeAggForward(xd, od, n, d, src, dst, inLevel)
+	edgeAggForward(xd, od, n, d, copies, src, dst)
 	batchNormEvalInto(out, out, gam, bet, rm, InvStd(tensor.Scratch[float64](fws, d), runningVar, eps))
 	kernels.Active().ELU(od, od)
 	fws.Release()
@@ -58,7 +63,7 @@ func EdgeAggNormActEval(x, gamma, beta *Value, src, dst []int, inLevel []bool, r
 		}
 		if gamma.requiresGrad {
 			btmp := tensor.Scratch[float64](ws, n*d)
-			edgeAggForward(xd, btmp, n, d, src, dst, inLevel)
+			edgeAggForward(xd, btmp, n, d, copies, src, dst)
 			gg := tensor.New(d)
 			ggd := gg.Data()
 			for i := 0; i < n; i++ {
@@ -91,7 +96,7 @@ func EdgeAggNormActEval(x, gamma, beta *Value, src, dst []int, inLevel []bool, r
 				}
 			}
 			gx := tensor.New(n, d)
-			edgeAggBackward(xd, dtmp, gx.Data(), n, d, src, dst, inLevel)
+			edgeAggBackward(xd, dtmp, gx.Data(), n, d, copies, src, dst)
 			x.accumulate(gx)
 		}
 		ws.Release()
@@ -149,16 +154,16 @@ func EdgeAggNormActEvalSuffix[T tensor.Float](ws *tensor.Workspace, x *tensor.De
 // EdgeAggNormActTrain is the training-mode tail, normalising with batch
 // statistics. It returns the batch mean and biased variance so the caller
 // can maintain the running statistics for inference.
-func EdgeAggNormActTrain(x, gamma, beta *Value, src, dst []int, inLevel []bool, eps float64) (out *Value, batchMean, batchVar *tensor.Tensor) {
+func EdgeAggNormActTrain(x, gamma, beta *Value, src, dst []int, copies int, eps float64) (out *Value, batchMean, batchVar *tensor.Tensor) {
 	n := x.Data.Rows()
 	d := x.Data.Cols()
-	checkEdgeLists(n, src, dst, inLevel)
+	checkEdgeLists(n, copies, src, dst)
 	xd := x.Data.Data()
 
 	fws := tensor.NewWorkspace()
 	tmpT := tensor.Alloc[float64](fws, n, d)
 	tmp := tmpT.Data()
-	edgeAggForward(xd, tmp, n, d, src, dst, inLevel)
+	edgeAggForward(xd, tmp, n, d, copies, src, dst)
 	mean := tensor.MeanAxis0(tmpT)
 	variance := tensor.VarAxis0(tmpT)
 	invStd := make([]float64, d)
@@ -247,7 +252,7 @@ func EdgeAggNormActTrain(x, gamma, beta *Value, src, dst []int, inLevel []bool, 
 				}
 			}
 			gx := tensor.New(n, d)
-			edgeAggBackward(xd, dtmp, gx.Data(), n, d, src, dst, inLevel)
+			edgeAggBackward(xd, dtmp, gx.Data(), n, d, copies, src, dst)
 			x.accumulate(gx)
 		}
 		ws.Release()

@@ -108,119 +108,93 @@ func EdgeAggregate(x, msgs *Value, dst []int, inLevel []bool) *Value {
 	})
 }
 
-// EdgeMessageAggregate fuses EdgeMessage and EdgeAggregate (eqs. 2–3) into
-// one kernel: for every in-level node t with incoming edges it computes the
-// mean over edges e=(s,t) of the elementwise product X_s ⊙ X_t, and every
-// other node passes its embedding through unchanged. The fusion never
-// materialises the (|E|×D) message matrix or its gather inputs — it reads
-// node rows in place, accumulates products directly into the output, and
-// uses pooled workspace buffers for the per-node edge counts, which is
-// where the batched GNN forward previously spent most of its allocations.
-//
-// src, dst and inLevel are borrowed, not copied: the caller must not
-// mutate them for the lifetime of the computation graph (the GNN layout
-// cache owns them and they are immutable between rebinds).
-//
-// Forward results are bit-identical to the composed
-// EdgeAggregate(x, EdgeMessage(x, src, dst), dst, inLevel): edges are
-// accumulated in the same order and scaled by the same reciprocal.
-func EdgeMessageAggregate(x *Value, src, dst []int, inLevel []bool) *Value {
-	n := x.Data.Rows()
-	d := x.Data.Cols()
-	checkEdgeLists(n, src, dst, inLevel)
-	out := tensor.New(n, d)
-	edgeAggForward(x.Data.Data(), out.Data(), n, d, src, dst, inLevel)
-	xd := x.Data.Data()
-	return newOp3("edgemsgagg", out, x, nil, nil, func(g *tensor.Tensor) {
-		gx := tensor.New(n, d)
-		edgeAggBackward(xd, g.Data(), gx.Data(), n, d, src, dst, inLevel)
-		x.accumulate(gx)
-	})
-}
-
 // checkEdgeLists validates the index structure shared by the fused edge
-// kernels.
-func checkEdgeLists(n int, src, dst []int, inLevel []bool) {
+// kernels: n rows holding copies stacked graph copies, and src/dst
+// indexing one copy's rows.
+func checkEdgeLists(n, copies int, src, dst []int) {
 	if len(src) != len(dst) {
 		panic(fmt.Sprintf("autograd: edge kernel %d sources vs %d destinations", len(src), len(dst)))
 	}
-	if len(inLevel) != n {
-		panic(fmt.Sprintf("autograd: edge kernel inLevel length %d != %d nodes", len(inLevel), n))
+	if copies < 1 || n%copies != 0 {
+		panic(fmt.Sprintf("autograd: edge kernel over %d rows in %d graph copies", n, copies))
 	}
+	v := n / copies
 	for e := range dst {
-		if dst[e] < 0 || dst[e] >= n || src[e] < 0 || src[e] >= n {
-			panic(fmt.Sprintf("autograd: edge %d→%d out of range [0,%d)", src[e], dst[e], n))
+		if dst[e] < 0 || dst[e] >= v || src[e] < 0 || src[e] >= v {
+			panic(fmt.Sprintf("autograd: edge %d→%d out of range [0,%d)", src[e], dst[e], v))
 		}
 	}
 }
 
-// edgeAggForward computes the fused message/aggregate forward from xd into
-// od (both n×d row-major): in-level destinations receive the mean over
-// incoming edges of the elementwise source·destination product, everything
-// else passes through. od must start zeroed.
-func edgeAggForward[T tensor.Float](xd, od []T, n, d int, src, dst []int, inLevel []bool) {
+// edgeAggForward computes the fused message/aggregate forward (eqs. 2–3)
+// from xd into od (both n×d row-major, copies graph copies of n/copies
+// rows each, with src/dst indexing one copy): every edge destination
+// receives the mean over its incoming edges of the elementwise
+// source·destination product, and every other row passes through. On a
+// strictly valid KG's edge group the destinations are exactly V(l), so
+// this is EdgeAggregate(x, EdgeMessage(x, src, dst), dst, inLevel) per
+// copy, bit for bit. od must start zeroed.
+func edgeAggForward[T tensor.Float](xd, od []T, n, d, copies int, src, dst []int) {
+	v := n / copies
 	ws := tensor.NewWorkspace()
-	counts := tensor.Scratch[float64](ws, n)
+	counts := tensor.Scratch[float64](ws, v)
 	for _, t := range dst {
 		counts[t]++
 	}
-	// Sum of products into in-level destination rows, in edge order. The
-	// active kernel backend's MulAcc is bit-identical to the scalar loop
-	// (order-preserving class), so fused-vs-composed equivalence holds on
-	// every backend.
+	// Sum of products into destination rows, in edge order, one copy at a
+	// time. The active kernel backend's MulAcc is bit-identical to the
+	// scalar loop (order-preserving class), so fused-vs-composed
+	// equivalence holds on every backend.
 	bk := kernels.ActiveOf[T]()
-	for e, t := range dst {
-		if !inLevel[t] {
-			continue
+	for k := 0; k < copies; k++ {
+		xc, oc := xd[k*v*d:(k+1)*v*d], od[k*v*d:(k+1)*v*d]
+		for e, t := range dst {
+			s := src[e]
+			bk.MulAcc(xc[s*d:(s+1)*d], xc[t*d:(t+1)*d], oc[t*d:(t+1)*d])
 		}
-		s := src[e]
-		srow := xd[s*d : (s+1)*d]
-		trow := xd[t*d : (t+1)*d]
-		orow := od[t*d : (t+1)*d]
-		bk.MulAcc(srow, trow, orow)
-	}
-	// Scale aggregated rows to means; everything else passes through.
-	for i := 0; i < n; i++ {
-		row := od[i*d : (i+1)*d]
-		if inLevel[i] && counts[i] > 0 {
-			bk.Scale(T(1/counts[i]), row, row)
-		} else {
-			copy(row, xd[i*d:(i+1)*d])
+		// Scale aggregated rows to means; everything else passes through.
+		for i := 0; i < v; i++ {
+			row := oc[i*d : (i+1)*d]
+			if counts[i] > 0 {
+				bk.Scale(T(1/counts[i]), row, row)
+			} else {
+				copy(row, xc[i*d:(i+1)*d])
+			}
 		}
 	}
-	flops.Add(int64(2 * len(dst) * d))
+	flops.Add(int64(2 * copies * len(dst) * d))
 	ws.Release()
 }
 
 // edgeAggBackward accumulates the adjoint of edgeAggForward into gxd given
 // the upstream gradient gd (both n×d row-major). gxd must start zeroed.
-func edgeAggBackward(xd, gd, gxd []float64, n, d int, src, dst []int, inLevel []bool) {
+func edgeAggBackward(xd, gd, gxd []float64, n, d, copies int, src, dst []int) {
+	v := n / copies
 	ws := tensor.NewWorkspace()
-	counts := tensor.Scratch[float64](ws, n)
+	counts := tensor.Scratch[float64](ws, v)
 	for _, t := range dst {
 		counts[t]++
-	}
-	for i := 0; i < n; i++ {
-		if !inLevel[i] || counts[i] == 0 {
-			copy(gxd[i*d:(i+1)*d], gd[i*d:(i+1)*d])
-		}
 	}
 	// ScaledMulAcc computes dst[j] += (inv·g[j])·other[j] with exactly the
 	// rounding order of the original fused loop, so splitting the src and
 	// dst accumulations into two row-wide calls stays bit-identical: each
-	// element is touched by the same two additions in the same order, even
-	// for self-loops where the two gradient rows alias.
+	// element is touched by the same two additions in the same order.
 	bk := kernels.Active()
-	for e, t := range dst {
-		if !inLevel[t] || counts[t] == 0 {
-			continue
+	for k := 0; k < copies; k++ {
+		xc, gc, gxc := xd[k*v*d:(k+1)*v*d], gd[k*v*d:(k+1)*v*d], gxd[k*v*d:(k+1)*v*d]
+		for i := 0; i < v; i++ {
+			if counts[i] == 0 {
+				copy(gxc[i*d:(i+1)*d], gc[i*d:(i+1)*d])
+			}
 		}
-		s := src[e]
-		inv := 1 / counts[t]
-		grow := gd[t*d : (t+1)*d]
-		bk.ScaledMulAcc(inv, grow, xd[t*d:(t+1)*d], gxd[s*d:(s+1)*d])
-		bk.ScaledMulAcc(inv, grow, xd[s*d:(s+1)*d], gxd[t*d:(t+1)*d])
+		for e, t := range dst {
+			s := src[e]
+			inv := 1 / counts[t]
+			grow := gc[t*d : (t+1)*d]
+			bk.ScaledMulAcc(inv, grow, xc[t*d:(t+1)*d], gxc[s*d:(s+1)*d])
+			bk.ScaledMulAcc(inv, grow, xc[s*d:(s+1)*d], gxc[t*d:(t+1)*d])
+		}
 	}
-	flops.Add(int64(5 * len(dst) * d))
+	flops.Add(int64(5 * copies * len(dst) * d))
 	ws.Release()
 }

@@ -259,33 +259,73 @@ func TestParamNamesUnique(t *testing.T) {
 	}
 }
 
-// TestCheckGraphRefusesNodeBesideTerminal feeds CheckGraph a decoded
-// graph (what a checkpoint restore assigns) with a reasoning node at the
-// embedding terminal's level: the eval forward reads one row per copy past
-// the last reasoning level, so the layout must refuse the graph rather
-// than score a stray row.
+// TestCheckGraphRefusesNodeBesideTerminal feeds CheckGraph decoded
+// graphs (what a checkpoint restore assigns), each the model's own graph
+// with one defect kg.Graph.Validate(true) reports: a reasoning node at the
+// embedding terminal's level (the eval forward reads one row per copy past
+// the last reasoning level), an edge that skips levels, an orphan, a node
+// at a negative level, a duplicate concept, a second sensor, a node of
+// unknown kind and a sensor off level 0. Every one decodes, and the layout
+// must refuse every one rather than score it.
 func TestCheckGraphRefusesNodeBesideTerminal(t *testing.T) {
 	m, _, g := newTestModel(t)
-	raw, err := json.Marshal(g)
-	if err != nil {
-		t.Fatal(err)
+	sensor, emb := g.SensorNode().ID, g.EmbeddingTerminal().ID
+	l1, l2 := g.NodesAtLevel(1)[0], g.NodesAtLevel(2)[0]
+	type wire = map[string]any
+	addNode := func(w wire, id int, concept string, level int, kind kg.Kind) {
+		w["nodes"] = append(w["nodes"].([]any), wire{"id": id, "concept": concept, "level": level, "kind": kind})
 	}
-	var w map[string]any
-	if err := json.Unmarshal(raw, &w); err != nil {
-		t.Fatal(err)
+	addEdge := func(w wire, src, dst kg.NodeID) {
+		w["edges"] = append(w["edges"].([]any), wire{"Src": src, "Dst": dst})
 	}
-	w["nodes"] = append(w["nodes"].([]any), map[string]any{
-		"id": 999, "concept": "stray", "level": g.Depth() + 1, "kind": kg.Reasoning,
-	})
-	if raw, err = json.Marshal(w); err != nil {
-		t.Fatal(err)
-	}
-	var bad kg.Graph
-	if err := json.Unmarshal(raw, &bad); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.CheckGraph(&bad); err == nil {
-		t.Error("CheckGraph accepted a reasoning node at the embedding terminal's level")
+	for _, c := range []struct {
+		name   string
+		mutate func(w wire)
+	}{
+		{"node beside the terminal", func(w wire) { addNode(w, 999, "stray", g.Depth()+1, kg.Reasoning) }},
+		{"edge that skips levels", func(w wire) { addEdge(w, sensor, emb) }},
+		{"orphan at level 1", func(w wire) {
+			addNode(w, 999, "stray", 1, kg.Reasoning)
+			addEdge(w, 999, l2.ID)
+		}},
+		{"node at level -1", func(w wire) { addNode(w, 999, "stray", -1, kg.Reasoning) }},
+		{"duplicate concept", func(w wire) {
+			addNode(w, 999, l1.Concept, 1, kg.Reasoning)
+			addEdge(w, sensor, 999)
+			addEdge(w, 999, l2.ID)
+		}},
+		{"second sensor", func(w wire) {
+			addNode(w, 999, "[sensor]", 0, kg.Sensor)
+			addEdge(w, 999, l1.ID)
+		}},
+		{"unknown kind", func(w wire) { addNode(w, 999, "stray", 1, kg.Kind(7)) }},
+		{"misplaced sensor", func(w wire) {
+			for _, n := range w["nodes"].([]any) {
+				if n := n.(wire); kg.NodeID(n["id"].(float64)) == sensor {
+					n["level"] = -1
+				}
+			}
+		}},
+	} {
+		raw, err := json.Marshal(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w wire
+		if err := json.Unmarshal(raw, &w); err != nil {
+			t.Fatal(err)
+		}
+		c.mutate(w)
+		if raw, err = json.Marshal(w); err != nil {
+			t.Fatal(err)
+		}
+		var bad kg.Graph
+		if err := json.Unmarshal(raw, &bad); err != nil {
+			t.Fatalf("%s: the mutant does not decode: %v", c.name, err)
+		}
+		if err := m.CheckGraph(&bad); err == nil {
+			t.Errorf("%s: CheckGraph accepted the graph", c.name)
+		}
 	}
 	if err := m.CheckGraph(g); err != nil {
 		t.Errorf("CheckGraph refused the model's own graph: %v", err)

@@ -4,27 +4,32 @@
 // with pass-through for out-of-level nodes, BatchNorm and ELU. One Model
 // reasons over one mission-specific KG; multi-KG reasoning concatenates
 // the per-graph embedding-node outputs (handled by the caller).
+//
+// A model binds only a graph that passes kg.Graph.Validate(true) — at
+// NewModel, Rebind, CloneShared and CheckGraph, which every checkpoint
+// load, restore and rehydrate runs. That rule is the whole contract the
+// layers rely on: every edge joins level l to level l+1, and every
+// reasoning node lies on a sensor→embedding path.
 package gnn
 
 import (
 	"fmt"
-	"sync"
 
 	"edgekg/internal/kg"
 )
 
-// layout caches the index structure of a KG for tensor execution: node
-// ordering, per-edge-group source/destination index lists, and per-group
-// level membership masks. It must be rebuilt (Model.Rebind) whenever the
-// graph's node or edge set changes.
+// layout is the index structure of one strictly valid KG for tensor
+// execution. Node order is (level, id), matching kg.Graph.Nodes, so the
+// sensor is row 0 of each graph copy and the embedding terminal its last
+// row. On a strictly valid graph a node is in V(l+1) exactly when it has
+// an in-edge in group l, so the edge lists alone say which rows aggregate.
+// A layout is immutable: Rebind builds a fresh one, and copy-on-write
+// clones share it.
 type layout struct {
-	nodes []*kg.Node
-	index map[kg.NodeID]int
 	// groups[l] holds the edges between level l and l+1 (0-based: group 0
-	// is sensor→level1, group depth is levelDepth→embedding terminal).
+	// is sensor→level1, group depth is levelDepth→embedding terminal), as
+	// rows of one graph copy.
 	groups []edgeGroup
-	// sensorIdx and embIdx locate the terminals in the node ordering.
-	sensorIdx, embIdx int
 
 	// reasonIDs lists the reasoning-node ids in node order, and featRow
 	// maps each node index to its row in the batched node-embedding
@@ -37,60 +42,8 @@ type layout struct {
 	// suffix[l] is group l as ForwardEval runs it. Nothing reads layer
 	// l's output below level l+1, so that forward carries one graph copy's
 	// rows at levels ≥ l into layer l — a suffix of the (level, id) order
-	// — and keeps the rows at levels ≥ l+1 out of it. Unlike reps, the
-	// lists do not depend on the batch size.
+	// — and keeps the rows at levels ≥ l+1 out of it.
 	suffix []suffixGroup
-
-	// repMu guards reps, the per-batch-size cache of replicated index
-	// structures. The graph is immutable between rebinds (Rebind builds a
-	// fresh layout), so cached entries never go stale; caching removes the
-	// O(batch·|E|) slice rebuild from every forward.
-	repMu sync.Mutex
-	reps  map[int]*replicated
-}
-
-// replicated holds the batch-offset index lists for one batch size: per
-// group src/dst/inLevel plus the embedding-terminal row of every sample.
-// The slices are shared with the autograd graph and must not be mutated.
-type replicated struct {
-	groups  []edgeGroup
-	embRows []int
-}
-
-// maxReplicatedCache bounds the per-layout cache of replicated index
-// structures. Training and adaptation reuse a handful of batch sizes, but
-// a tape forward over a whole video has batch = frame count, and an
-// unbounded map would retain an O(b·|E|) structure per distinct length.
-const maxReplicatedCache = 8
-
-// replicated returns (building and caching on first use) the index
-// structure for a batch of b stacked graph copies.
-func (lo *layout) replicated(b int) *replicated {
-	lo.repMu.Lock()
-	defer lo.repMu.Unlock()
-	if r, ok := lo.reps[b]; ok {
-		return r
-	}
-	if len(lo.reps) >= maxReplicatedCache {
-		// Arbitrary-length one-off batches (video scoring) would otherwise
-		// pin an entry forever; resetting is cheap and the recurring sizes
-		// repopulate within one step.
-		lo.reps = nil
-	}
-	v := lo.numNodes()
-	r := &replicated{groups: make([]edgeGroup, len(lo.groups)), embRows: make([]int, b)}
-	for gi, g := range lo.groups {
-		src, dst, inLevel := g.replicate(b, v)
-		r.groups[gi] = edgeGroup{src: src, dst: dst, inLevel: inLevel}
-	}
-	for k := 0; k < b; k++ {
-		r.embRows[k] = k*v + lo.embIdx
-	}
-	if lo.reps == nil {
-		lo.reps = make(map[int]*replicated)
-	}
-	lo.reps[b] = r
-	return r
 }
 
 // suffixGroup is one edge group in the coordinates of ForwardEval's
@@ -104,27 +57,19 @@ type suffixGroup struct {
 
 type edgeGroup struct {
 	src, dst []int
-	// inLevel[i] is true when node i belongs to the group's destination
-	// level — the V(l) membership of eq. (3).
-	inLevel []bool
 }
 
-// buildLayout indexes a strictly valid graph. Node order is (level, id),
-// matching kg.Graph.Nodes, so the sensor node is always index 0 and the
-// embedding terminal is always the last index.
+// buildLayout indexes g, refusing any graph that is not strictly valid.
 func buildLayout(g *kg.Graph) (*layout, error) {
-	if g.SensorNode() == nil || g.EmbeddingTerminal() == nil {
-		return nil, fmt.Errorf("gnn: graph %q lacks terminals; call AttachTerminals first", g.Mission)
+	if issues := g.Validate(true); len(issues) > 0 {
+		return nil, fmt.Errorf("gnn: graph %q is not strictly valid (%d issues): %v", g.Mission, len(issues), issues[0])
 	}
-	lo := &layout{index: make(map[kg.NodeID]int)}
-	lo.nodes = g.Nodes()
-	for i, n := range lo.nodes {
-		lo.index[n.ID] = i
-	}
-	lo.sensorIdx = lo.index[g.SensorNode().ID]
-	lo.embIdx = lo.index[g.EmbeddingTerminal().ID]
-	lo.featRow = make([]int, len(lo.nodes))
-	for i, n := range lo.nodes {
+	nodes := g.Nodes()
+	v := len(nodes)
+	index := make(map[kg.NodeID]int, v)
+	lo := &layout{featRow: make([]int, v)}
+	for i, n := range nodes {
+		index[n.ID] = i
 		if n.Kind == kg.Reasoning {
 			lo.featRow[i] = len(lo.reasonIDs)
 			lo.reasonIDs = append(lo.reasonIDs, n.ID)
@@ -135,79 +80,27 @@ func buildLayout(g *kg.Graph) (*layout, error) {
 
 	depth := g.Depth()
 	lo.groups = make([]edgeGroup, depth+1)
-	for l := 0; l <= depth; l++ {
-		grp := edgeGroup{inLevel: make([]bool, len(lo.nodes))}
-		for i, n := range lo.nodes {
-			if n.Level == l+1 {
-				grp.inLevel[i] = true
-			}
-		}
-		lo.groups[l] = grp
+	for _, e := range g.Edges() {
+		l := g.Node(e.Src).Level
+		lo.groups[l].src = append(lo.groups[l].src, index[e.Src])
+		lo.groups[l].dst = append(lo.groups[l].dst, index[e.Dst])
 	}
-	// start[l] is the first node index at level ≥ l; layer 0 takes every
-	// row, so start[0] is 0 even for a node below level 0.
-	v := len(lo.nodes)
+	// start[l] is the first node index at level ≥ l.
 	start := make([]int, depth+2)
 	for l, i := 1, 0; l < len(start); l++ {
-		for i < v && lo.nodes[i].Level < l {
+		for nodes[i].Level < l {
 			i++
 		}
 		start[l] = i
 	}
-	if lo.embIdx != v-1 || start[depth+1] != v-1 {
-		return nil, fmt.Errorf("gnn: graph %q: the embedding terminal is not the only node past level %d", g.Mission, depth)
-	}
-	for _, e := range g.Edges() {
-		srcNode := g.Node(e.Src)
-		si, ok1 := lo.index[e.Src]
-		di, ok2 := lo.index[e.Dst]
-		if !ok1 || !ok2 {
-			return nil, fmt.Errorf("gnn: edge %d→%d references unindexed node", e.Src, e.Dst)
-		}
-		l := srcNode.Level
-		if l < 0 || l > depth {
-			return nil, fmt.Errorf("gnn: edge source level %d outside [0,%d]", l, depth)
-		}
-		lo.groups[l].src = append(lo.groups[l].src, si)
-		lo.groups[l].dst = append(lo.groups[l].dst, di)
-	}
 	lo.suffix = make([]suffixGroup, depth+1)
 	for l, grp := range lo.groups {
-		sg := suffixGroup{n: v - start[l], m: v - start[l+1], src: make([]int, 0, len(grp.src)), dst: make([]int, 0, len(grp.dst))}
-		for e, di := range grp.dst {
-			// An edge that skips a level aggregates nowhere (its
-			// destination is outside V(l)), so the suffix lists leave it out.
-			if grp.inLevel[di] {
-				sg.src = append(sg.src, grp.src[e]-start[l])
-				sg.dst = append(sg.dst, di-start[l])
-			}
+		sg := suffixGroup{n: v - start[l], m: v - start[l+1], src: make([]int, len(grp.src)), dst: make([]int, len(grp.dst))}
+		for e := range grp.dst {
+			sg.src[e] = grp.src[e] - start[l]
+			sg.dst[e] = grp.dst[e] - start[l]
 		}
 		lo.suffix[l] = sg
 	}
 	return lo, nil
-}
-
-// numNodes returns the node count.
-func (lo *layout) numNodes() int { return len(lo.nodes) }
-
-// replicate returns the group's index lists offset for a batch of b graph
-// copies stacked row-wise (block-diagonal batching), plus the replicated
-// level mask.
-func (g edgeGroup) replicate(b, v int) (src, dst []int, inLevel []bool) {
-	src = make([]int, 0, b*len(g.src))
-	dst = make([]int, 0, b*len(g.dst))
-	inLevel = make([]bool, b*v)
-	for k := 0; k < b; k++ {
-		off := k * v
-		for _, s := range g.src {
-			src = append(src, s+off)
-		}
-		for _, d := range g.dst {
-			dst = append(dst, d+off)
-		}
-		for i, in := range g.inLevel {
-			inLevel[off+i] = in
-		}
-	}
-	return src, dst, inLevel
 }

@@ -170,9 +170,8 @@ func (m *Model) CloneShared() (*Model, error) {
 // aliases the receiver's graph storage and token-bank tensors by reference
 // and materializes private copies only of what actually mutates — a graph
 // faults wholesale on its first structural change, a token page on its
-// first in-place write. The layout is shared too: it is immutable between
-// Rebinds, Rebind replaces rather than mutates it, and its per-batch
-// replication cache is mutex-guarded, so concurrent streams can share one.
+// first in-place write. The layout is shared too: it is immutable, and
+// Rebind replaces rather than mutates it, so concurrent streams can share one.
 // An unadapted clone therefore holds only O(nodes) wrapper state.
 //
 // Scoring through the clone is bit-identical to a CloneShared deep copy
@@ -254,8 +253,8 @@ func (m *Model) Mem() Mem {
 
 // CheckGraph reports whether g's content could replace the model's graph
 // (checkpoint restore assigns it over *Graph() and calls Rebind): the layer
-// stack was built for one depth, and the graph must index like Rebind will
-// index it.
+// stack was built for one depth, and the graph must be strictly valid, as
+// Rebind requires.
 func (m *Model) CheckGraph(g *kg.Graph) error {
 	if g.Depth() != m.graph.Depth() {
 		return fmt.Errorf("gnn: graph depth %d, model was built for depth %d", g.Depth(), m.graph.Depth())
@@ -318,29 +317,34 @@ func (m *Model) Forward(frames *autograd.Value) *autograd.Value {
 	if len(m.lo.reasonIDs) > 0 {
 		feats = autograd.MeanRowsBatch(m.orderedBanks())
 	}
-	x := autograd.AssembleBatch(frames, feats, m.lo.featRow, m.lo.sensorIdx, 1)
+	x := autograd.AssembleBatch(frames, feats, m.lo.featRow, 0, 1)
 
-	rep := m.lo.replicated(b)
 	for _, ly := range m.layers {
 		x = ly.dense.Forward(x)
 		if ly.group >= 0 {
 			// Message passing, BatchNorm and ELU run as one fused tape
-			// node over the layer's edge group.
-			rg := rep.groups[ly.group]
+			// node over the layer's edge group, applied to each of the b
+			// stacked graph copies.
+			grp := m.lo.groups[ly.group]
 			if ly.bn.Training() {
-				out, mean, variance := autograd.EdgeAggNormActTrain(x, ly.bn.Gamma, ly.bn.Beta, rg.src, rg.dst, rg.inLevel, ly.bn.Eps)
+				out, mean, variance := autograd.EdgeAggNormActTrain(x, ly.bn.Gamma, ly.bn.Beta, grp.src, grp.dst, b, ly.bn.Eps)
 				ly.bn.UpdateRunning(mean, variance)
 				x = out
 			} else {
-				x = autograd.EdgeAggNormActEval(x, ly.bn.Gamma, ly.bn.Beta, rg.src, rg.dst, rg.inLevel, ly.bn.RunningMean, ly.bn.RunningVar, ly.bn.Eps)
+				x = autograd.EdgeAggNormActEval(x, ly.bn.Gamma, ly.bn.Beta, grp.src, grp.dst, b, ly.bn.RunningMean, ly.bn.RunningVar, ly.bn.Eps)
 			}
 		} else {
 			x = autograd.ELU(ly.bn.Forward(x))
 		}
 	}
 
-	// Extract the embedding-terminal row of every sample.
-	return autograd.GatherRows(x, rep.embRows)
+	// Extract the embedding-terminal row (each copy's last) of every sample.
+	v := len(m.lo.featRow)
+	embRows := make([]int, b)
+	for k := range embRows {
+		embRows[k] = k*v + v - 1
+	}
+	return autograd.GatherRows(x, embRows)
 }
 
 // ForwardEval is Forward's inference path without the tape, at width T —
@@ -364,7 +368,7 @@ func ForwardEval[T tensor.Float](ws *tensor.Workspace, m *Model, frames *tensor.
 	if len(m.lo.reasonIDs) > 0 {
 		feats = tensor.NarrowIn[T](ws, autograd.MeanRowsBatchFwd(ws, m.orderedBanks()))
 	}
-	x := autograd.AssembleBatchFwd(ws, frames, feats, m.lo.featRow, m.lo.sensorIdx, 1)
+	x := autograd.AssembleBatchFwd(ws, frames, feats, m.lo.featRow, 0, 1)
 
 	for _, ly := range m.layers {
 		s := evalOf[T](ly)

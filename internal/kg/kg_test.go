@@ -158,6 +158,32 @@ func TestValidateFindsPlantedIssues(t *testing.T) {
 	}
 }
 
+// TestValidateRefusesBadTerminalsAndKinds plants each defect only the
+// strict terminal and kind rules catch: a second sensor or embedding node,
+// a terminal off its level, and a node of unknown kind.
+func TestValidateRefusesBadTerminalsAndKinds(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		plant func(g *Graph)
+		want  IssueKind
+	}{
+		{"second sensor", func(g *Graph) { g.insert("[sensor]", 0, Sensor, nil) }, IssueBadTerminal},
+		{"second embedding", func(g *Graph) { g.insert("[embedding]", g.depth+1, EmbeddingNode, nil) }, IssueBadTerminal},
+		{"sensor off level 0", func(g *Graph) { g.SensorNode().Level = -1 }, IssueBadTerminal},
+		{"embedding past Depth+1", func(g *Graph) { g.EmbeddingTerminal().Level = g.depth + 2 }, IssueBadTerminal},
+		{"unknown kind", func(g *Graph) { g.insert("stray", 1, Kind(7), nil) }, IssueUnknownKind},
+	} {
+		g := buildTestGraph(t)
+		c.plant(g)
+		if got := IssuesOfKind(g.Validate(true), c.want); len(got) != 1 {
+			t.Errorf("%s: %d %v findings in %v, want 1", c.name, len(got), c.want, g.Validate(true))
+		}
+		if lax := IssuesOfKind(g.Validate(false), c.want); len(lax) != 0 {
+			t.Errorf("%s: non-strict validation reported %v", c.name, lax)
+		}
+	}
+}
+
 func TestValidateDetectsHandConstructedDuplicates(t *testing.T) {
 	g := New("m", 1)
 	n1, _ := g.AddNode("same", 1, nil)

@@ -30,6 +30,8 @@ const (
 	IssueDeadEndNode
 	IssueMissingSensor
 	IssueMissingEmbedding
+	IssueUnknownKind
+	IssueBadTerminal
 )
 
 // String returns the issue kind name.
@@ -49,6 +51,10 @@ func (k IssueKind) String() string {
 		return "missing-sensor"
 	case IssueMissingEmbedding:
 		return "missing-embedding"
+	case IssueUnknownKind:
+		return "unknown-kind"
+	case IssueBadTerminal:
+		return "bad-terminal"
 	}
 	return fmt.Sprintf("IssueKind(%d)", int(k))
 }
@@ -71,14 +77,19 @@ func (i Issue) String() string { return fmt.Sprintf("%s: %s", i.Kind, i.Msg) }
 
 // Validate checks the full structural contract and returns every finding.
 // A nil return means the graph is well-formed. strict additionally
-// requires terminals to be attached and every reasoning node to lie on a
-// sensor→embedding path (no orphans or dead ends).
+// requires exactly one sensor node at level 0 and one embedding node at
+// level Depth+1, no node of any other kind but reasoning, and every
+// reasoning node to lie on a sensor→embedding path (no orphans or dead
+// ends). Together with the edge rule, that puts every reasoning node at
+// levels 1..Depth and every edge from level l to l+1 for l in 0..Depth:
+// strict validity is the whole contract the GNN layout binds to.
 func (g *Graph) Validate(strict bool) []Issue {
 	var issues []Issue
+	nodes := g.Nodes()
 
 	// Duplicate concepts across reasoning nodes.
 	seen := make(map[string]NodeID)
-	for _, n := range g.Nodes() {
+	for _, n := range nodes {
 		if n.Kind != Reasoning {
 			continue
 		}
@@ -107,8 +118,14 @@ func (g *Graph) Validate(strict bool) []Issue {
 	}
 
 	// Every reasoning level populated.
+	populated := make([]bool, g.depth+1)
+	for _, n := range nodes {
+		if n.Level >= 1 && n.Level <= g.depth {
+			populated[n.Level] = true
+		}
+	}
 	for l := 1; l <= g.depth; l++ {
-		if len(g.NodesAtLevel(l)) == 0 {
+		if !populated[l] {
 			issues = append(issues, Issue{
 				Kind:  IssueEmptyLevel,
 				Level: l,
@@ -127,22 +144,51 @@ func (g *Graph) Validate(strict bool) []Issue {
 	if g.EmbeddingTerminal() == nil {
 		issues = append(issues, Issue{Kind: IssueMissingEmbedding, Msg: "embedding node not attached"})
 	}
-	for _, n := range g.Nodes() {
-		if n.Kind != Reasoning {
+	terminal := make(map[Kind]NodeID, 2)
+	for _, n := range nodes {
+		want := 0
+		switch n.Kind {
+		case Reasoning:
+			if len(g.in[n.ID]) == 0 {
+				issues = append(issues, Issue{
+					Kind: IssueOrphanNode,
+					Node: n.ID,
+					Msg:  fmt.Sprintf("node %d (%q, level %d) has no in-edges", n.ID, n.Concept, n.Level),
+				})
+			}
+			if len(g.out[n.ID]) == 0 {
+				issues = append(issues, Issue{
+					Kind: IssueDeadEndNode,
+					Node: n.ID,
+					Msg:  fmt.Sprintf("node %d (%q, level %d) has no out-edges", n.ID, n.Concept, n.Level),
+				})
+			}
+			continue
+		case Sensor:
+		case EmbeddingNode:
+			want = g.depth + 1
+		default:
+			issues = append(issues, Issue{
+				Kind: IssueUnknownKind,
+				Node: n.ID,
+				Msg:  fmt.Sprintf("node %d (%q, level %d) has unknown %v", n.ID, n.Concept, n.Level, n.Kind),
+			})
 			continue
 		}
-		if len(g.in[n.ID]) == 0 {
+		if first, dup := terminal[n.Kind]; dup {
 			issues = append(issues, Issue{
-				Kind: IssueOrphanNode,
+				Kind: IssueBadTerminal,
 				Node: n.ID,
-				Msg:  fmt.Sprintf("node %d (%q, level %d) has no in-edges", n.ID, n.Concept, n.Level),
+				Msg:  fmt.Sprintf("%s node %d is a second one beside node %d", n.Kind, n.ID, first),
 			})
+			continue
 		}
-		if len(g.out[n.ID]) == 0 {
+		terminal[n.Kind] = n.ID
+		if n.Level != want {
 			issues = append(issues, Issue{
-				Kind: IssueDeadEndNode,
+				Kind: IssueBadTerminal,
 				Node: n.ID,
-				Msg:  fmt.Sprintf("node %d (%q, level %d) has no out-edges", n.ID, n.Concept, n.Level),
+				Msg:  fmt.Sprintf("%s node %d at level %d, want %d", n.Kind, n.ID, n.Level, want),
 			})
 		}
 	}

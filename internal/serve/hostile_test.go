@@ -10,6 +10,7 @@ import (
 	"edgekg/internal/concept"
 	"edgekg/internal/core"
 	"edgekg/internal/flops"
+	"edgekg/internal/kg"
 	"edgekg/internal/rng"
 	"edgekg/internal/serve"
 	"edgekg/internal/snapshot"
@@ -42,6 +43,23 @@ func hostileStream(t *testing.T, lag int) (*serve.Stream, []*tensor.Tensor) {
 	frames := frameSchedule(gen, 777, 40, 10, concept.Stealing, concept.Robbery)
 	goldenDrive(t, st, frames, 0, hostileServed)
 	return st, frames
+}
+
+// skipLevelEdge returns the graph JSON with one more edge, from the sensor
+// straight to the embedding terminal: the graph decodes, but the edge
+// skips every reasoning level, so kg.Graph.Validate(true) refuses it.
+func skipLevelEdge(raw json.RawMessage) json.RawMessage {
+	var g kg.Graph
+	var w map[string]any
+	if err := errors.Join(json.Unmarshal(raw, &g), json.Unmarshal(raw, &w)); err != nil {
+		panic(err)
+	}
+	w["edges"] = append(w["edges"].([]any), map[string]any{"Src": g.SensorNode().ID, "Dst": g.EmbeddingTerminal().ID})
+	out, err := json.Marshal(w)
+	if err != nil {
+		panic(err)
+	}
+	return out
 }
 
 // restoreJSON is a version 1 file's restore: decode, then Restore.
@@ -97,6 +115,9 @@ func TestFailedRestoreLeavesStreamUntouched(t *testing.T) {
 		{name: "a bank is given twice", mutate: func(ss *snapshot.StreamState) {
 			banks := ss.Detector.Graphs[0].Banks
 			banks[len(banks)-1].Node = banks[0].Node
+		}},
+		{name: "graph with an edge that skips levels", mutate: func(ss *snapshot.StreamState) {
+			ss.Detector.Graphs[0].Graph = skipLevelEdge(ss.Detector.Graphs[0].Graph)
 		}},
 		{name: "graph of another depth", rewrite: func(doc string) string {
 			return strings.Replace(doc, `"depth":2`, `"depth":3`, 1)
@@ -200,7 +221,8 @@ func TestStateRestoresTheSameBitsTwice(t *testing.T) {
 // restore path into a tiny adaptive stream: decode and Restore must end in
 // an error or a success, never a panic, and after an error the stream's
 // next score equals an untouched twin's. The seeds are the version 2 states
-// of the golden checkpoint and of the single-camera fixture.
+// of the golden checkpoint and of the single-camera fixture, and the
+// golden's state with an edge that skips levels (refused at CheckGraph).
 func FuzzRestoreStreamState(f *testing.F) {
 	var seeds [][]byte
 	for _, fixture := range []string{goldenCheckpoint, "../../testdata/deploy_checkpoint_pr12.json"} {
@@ -212,6 +234,12 @@ func FuzzRestoreStreamState(f *testing.F) {
 		f.Add(state)
 		seeds = append(seeds, state)
 	}
+	skipping, err := snapshot.DecodeStream(seeds[0])
+	if err != nil {
+		f.Fatal(err)
+	}
+	skipping.Detector.Graphs[0].Graph = skipLevelEdge(skipping.Detector.Graphs[0].Graph)
+	f.Add(snapshot.AppendStream(nil, skipping))
 	// The golden's configuration, so that seed restores and its mutants get
 	// past the config pin.
 	backbone, gen := buildBackbone(f, 5)

@@ -194,7 +194,7 @@ type pendingRound struct {
 // NewStream deploys one stream context over det. The detector is frozen
 // (token banks unfrozen when adaptation is enabled) as a side effect. det
 // is used directly — callers wanting per-stream isolation over a shared
-// backbone pass a core.Detector.CloneShared copy, which is what Server
+// backbone pass a core.Detector.CloneCOW copy, which is what Server
 // does. src seeds the adapter's randomness; pass a *rng.Source when the
 // stream must be checkpointable (Export fails on other source types,
 // whose state cannot be captured). shared selects the metering mode (see
