@@ -57,7 +57,9 @@ type AdaptConfig struct {
 	// SkipLossBelow abandons a round whose selection loss is already
 	// below this value: the pseudo-labels are satisfied and further
 	// updates would only inject label noise into a recovered model.
-	// 0 disables the gate.
+	// 0 disables the gate. The probe scores the selection on the float64
+	// eval engine, with no tape, and its loss matches the tape loss the
+	// epochs train on to the bit.
 	SkipLossBelow float64
 }
 
@@ -296,14 +298,14 @@ func (a *Adapter) Step(mon *Monitor) (AdaptReport, error) {
 	// model has recovered for this regime — adapting further would only
 	// fit selection noise.
 	if a.cfg.SkipLossBelow > 0 {
-		probe := autograd.Scale(a.forwardFrames(batch), 1/a.det.ScoreTemperature())
-		if autograd.BinaryScoreLoss(probe.Detach(), targets).Scalar() < a.cfg.SkipLossBelow {
+		if a.probeLoss(batch, targets) < a.cfg.SkipLossBelow {
 			rep.Triggered, rep.Gate = false, GateSkipLoss
 			return rep, nil
 		}
 	}
 
-	// Snapshot token banks before the update ("old token embeddings").
+	// Snapshot token banks before the update ("old token embeddings"). The
+	// copy is read-only, so it is also epoch 0's "before".
 	before := a.banks(true)
 
 	// The semantic pull anchors on the *contrast* between pseudo-anomalies
@@ -329,7 +331,10 @@ func (a *Adapter) Step(mon *Monitor) (AdaptReport, error) {
 
 	invT := 1 / a.det.ScoreTemperature()
 	for e := 0; e < a.cfg.Epochs; e++ {
-		epochBefore := a.banks(true)
+		epochBefore := before
+		if e > 0 {
+			epochBefore = a.banks(true)
+		}
 		rep.Loss = tensor.F64Bits(a.epochStep(batch, targets, invT))
 		if pullDir != nil {
 			a.applySemanticPull(epochBefore, pullDir)
@@ -384,6 +389,20 @@ func (a *Adapter) epochStep(batch *tensor.Tensor, targets []float64, invT float6
 	loss.Backward()
 	a.opt.Step()
 	return loss.Scalar()
+}
+
+// probeLoss is the loss gate's selection loss, Σ(pA_i − target_i)²/r in
+// target order over the batch's static-window scores. It runs on the eval
+// engine, so no tape is built for a round the gate may stop, and it has
+// the bits of BinaryScoreLoss over the tape's temperature-scaled logits,
+// the loss epochStep trains on.
+func (a *Adapter) probeLoss(batch *tensor.Tensor, targets []float64) float64 {
+	loss := 0.0
+	for i, s := range scoreFrames(a.det, batch) {
+		d := s - targets[i]
+		loss += d * d
+	}
+	return loss / float64(len(targets))
 }
 
 // replaceNode prunes a diverging node and creates a random replacement at
@@ -498,12 +517,16 @@ func (a *Adapter) forwardFrames(batch *tensor.Tensor) *autograd.Value {
 	return a.det.Head().Logits(a.det.Temporal().ForwardBatch(wins, b))
 }
 
+// stackFrames stacks the selected frames into a batch, one frame a row.
 func stackFrames(frames []*tensor.Tensor) *tensor.Tensor {
-	rows := make([]*tensor.Tensor, len(frames))
+	out := tensor.New(len(frames), frames[0].Size())
 	for i, f := range frames {
-		rows[i] = f.Reshape(1, f.Size())
+		if f.Size() != out.Cols() {
+			panic(fmt.Sprintf("core: frame %d has %d values, frame 0 has %d", i, f.Size(), out.Cols()))
+		}
+		copy(out.Row(i), f.Data())
 	}
-	return tensor.ConcatRows(rows...)
+	return out
 }
 
 // TrackerState follows one node's update-distance sequence (Fig. 4A→4B

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -84,6 +85,70 @@ func TestScoreVideoConcurrentCallers(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSkipLossStepConcurrentWithScoring is the serving runtime's lag > 0
+// shape for a round the loss gate stops: the adapter runs skip-loss Steps
+// on a copy-on-write clone while the source detector scores on other
+// goroutines. The probe lends pooled workspaces and reads the shared eval
+// snapshots of the frozen backbone on the adapter's goroutine, so under
+// -race this audits that the two sides share nothing mutable; every score
+// and every probe loss must be the sequential one, to the bit.
+func TestSkipLossStepConcurrentWithScoring(t *testing.T) {
+	src := twoKGDetector(t)
+	src.Deploy()
+	src.SetPrecision(PrecisionF64)
+	a, mon, batch, targets := skipLossRound(t, src, 98)
+	rng := rand.New(rand.NewSource(98))
+	video := tensor.RandN(rng, 1, 9, src.Space().PixDim())
+	prev := parallel.SetWorkers(1)
+	want := src.ScoreVideo(video)
+	wantLoss := a.probeLoss(batch, targets)
+	parallel.SetWorkers(4)
+	defer parallel.SetWorkers(prev)
+
+	const scorers, rounds = 4, 4
+	var wg sync.WaitGroup
+	errs := make([]string, scorers+1)
+	for i := 0; i < scorers; i++ {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for k, s := range src.ScoreVideo(video) {
+					if math.Float64bits(s) != math.Float64bits(want[k]) {
+						errs[i] = "concurrent score diverged from sequential"
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for r := 0; r < rounds; r++ {
+			rep, err := a.Step(mon)
+			if err != nil || rep.Gate != GateSkipLoss {
+				errs[scorers] = fmt.Sprintf("round %d stopped at gate %d (err %v), want GateSkipLoss", r, rep.Gate, err)
+				return
+			}
+			if math.Float64bits(a.probeLoss(batch, targets)) != math.Float64bits(wantLoss) {
+				errs[scorers] = "concurrent probe loss diverged from sequential"
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	for i, e := range errs {
+		if e != "" {
+			t.Fatalf("goroutine %d: %s", i, e)
+		}
+	}
+	if owned := a.det.Mem().Owned(); owned != 0 {
+		t.Errorf("skip-loss rounds privatised %d bytes of the clone", owned)
 	}
 }
 

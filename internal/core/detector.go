@@ -320,10 +320,6 @@ func scoreVideo[T tensor.Float](d *Detector, frames *tensor.Tensor) []float64 {
 	ws := tensor.NewWorkspace()
 	defer ws.Release()
 	emb := embedFramesEval[T](ws, d, frames)
-	invT := T(1)
-	if d.cfg.ScoreTemperature > 0 {
-		invT = T(1 / d.cfg.ScoreTemperature)
-	}
 	// 256 windows ≈ a few MB of stacked activations at the paper's model
 	// shape — large enough to amortise the batched pass, small enough for
 	// edge memory budgets.
@@ -353,14 +349,46 @@ func scoreVideo[T tensor.Float](d *Detector, frames *tensor.Tensor) []float64 {
 		} else {
 			parallel.For(b, grain, func(lo, hi int) { fillWindows(wins, proj, base, first, t, lo, hi) })
 		}
-		logits := decision.LogitsEval(cws, d.head, temporal.WindowsEval(cws, d.temp, wins, b))
-		probs := tensor.SoftmaxRowsIn(cws, tensor.ScaleInPlace(logits, invT))
-		for i := 0; i < b; i++ {
-			scores[base+i] = 1 - float64(probs.At2(i, 0))
-		}
+		scoreWindows(cws, d, wins, scores[base:base+b])
 		cws.Release()
 	}
 	return scores
+}
+
+// scoreFrames scores each row of batch as its own one-frame video over the
+// static window Adapter.forwardFrames builds (the frame's projected row
+// repeated T times). It runs the engine's stages at float64 whatever
+// Precision resolves to, because adaptation is float64, and takes the
+// batch in one unchunked pass, like the tape. Every stage shares its
+// arithmetic with the tape, so score i is exactly 1 − p0 of row i of
+// SoftmaxRows(Scale(forwardFrames(batch), 1/T)), and the pass bills the
+// tape's count less the rows the engine skips. The detector must be in
+// inference mode.
+func scoreFrames(d *Detector, batch *tensor.Tensor) []float64 {
+	b, t := batch.Rows(), d.temp.Window()
+	ws := tensor.NewWorkspace()
+	defer ws.Release()
+	proj := temporal.ProjectEval(ws, d.temp, embedFramesEval[float64](ws, d, batch))
+	wins := tensor.Alloc[float64](ws, b*t, proj.Cols())
+	for i := 0; i < b; i++ {
+		for k := 0; k < t; k++ {
+			copy(wins.Row(i*t+k), proj.Row(i))
+		}
+	}
+	scores := make([]float64, b)
+	scoreWindows(ws, d, wins, scores)
+	return scores
+}
+
+// scoreWindows is the engine's tail over len(scores) stacked windows of
+// projected rows: the temporal block, the decision head and the calibrated
+// softmax. It writes each window's anomaly score pA = 1 − p0 into scores.
+func scoreWindows[T tensor.Float](ws *tensor.Workspace, d *Detector, wins *tensor.Dense[T], scores []float64) {
+	logits := decision.LogitsEval(ws, d.head, temporal.WindowsEval(ws, d.temp, wins, len(scores)))
+	probs := tensor.SoftmaxRowsIn(ws, tensor.ScaleInPlace(logits, T(1/d.ScoreTemperature())))
+	for i := range scores {
+		scores[i] = 1 - float64(probs.At2(i, 0))
+	}
 }
 
 // fillWindows writes windows [lo, hi) of the chunk starting at frame base

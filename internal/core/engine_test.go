@@ -72,6 +72,24 @@ func requireSameBits(t *testing.T, ctx string, want, got []float64) {
 	}
 }
 
+// onGrid runs check on every kernel backend, at one worker and at four,
+// with a context naming the stage, the backend and the worker count.
+func onGrid(t *testing.T, stage string, check func(ctx string)) {
+	t.Helper()
+	for _, name := range kernels.Names() {
+		restore, err := kernels.Use(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			prev := parallel.SetWorkers(workers)
+			check(fmt.Sprintf("%s/%s/workers=%d", stage, name, workers))
+			parallel.SetWorkers(prev)
+		}
+		restore()
+	}
+}
+
 // TestScoreVideoMatchesTapeBitForBit is the contract of the engine at
 // float64: on every backend, at one worker and at four, for videos of 1,
 // 24 and 300 frames (300 crosses the 256-window chunk seam) over a 2-KG
@@ -89,21 +107,12 @@ func TestScoreVideoMatchesTapeBitForBit(t *testing.T) {
 	}
 
 	grid := func(stage string) {
-		for _, name := range kernels.Names() {
-			restore, err := kernels.Use(name)
-			if err != nil {
-				t.Fatal(err)
+		onGrid(t, stage, func(ctx string) {
+			for _, n := range []int{1, 24, 300} {
+				ctx := fmt.Sprintf("%s/frames=%d", ctx, n)
+				requireSameBits(t, ctx, scoreVideoTape(det, videos[n]), det.ScoreVideo(videos[n]))
 			}
-			for _, workers := range []int{1, 4} {
-				prev := parallel.SetWorkers(workers)
-				for _, n := range []int{1, 24, 300} {
-					ctx := fmt.Sprintf("%s/%s/workers=%d/frames=%d", stage, name, workers, n)
-					requireSameBits(t, ctx, scoreVideoTape(det, videos[n]), det.ScoreVideo(videos[n]))
-				}
-				parallel.SetWorkers(prev)
-			}
-			restore()
-		}
+		})
 	}
 	grid("deployed")
 
@@ -224,5 +233,173 @@ func TestScoreVideoAllocCeiling(t *testing.T) {
 		if got > ceiling {
 			t.Errorf("ScoreVideo(1 frame) at %v: %.0f allocs, ceiling %.0f", p, got, ceiling)
 		}
+	}
+}
+
+// probeLossTape is the adapter's loss gate composed on the tape, the way
+// Step computed it before the probe moved to the engine: the detached
+// BinaryScoreLoss over forwardFrames' temperature-scaled logits.
+func probeLossTape(a *Adapter, batch *tensor.Tensor, targets []float64) float64 {
+	logits := autograd.Scale(a.forwardFrames(batch), 1/a.det.ScoreTemperature())
+	return autograd.BinaryScoreLoss(logits.Detach(), targets).Scalar()
+}
+
+// TestSkipLossProbeMatchesTape pins the loss gate's probe to the tape loss
+// it replaced, on the grid of TestScoreVideoMatchesTapeBitForBit: on every
+// backend, at one worker and at four, for batches of 1, 5 and 300 frames
+// over a 2-KG detector — deployed, after an in-place bank write, after a
+// node is pruned and replaced, and with the detector's Precision at f32,
+// where the probe must stay float64 — probeLoss returns the tape loss's
+// bits, so every gate decision is the one the tape made.
+func TestSkipLossProbeMatchesTape(t *testing.T) {
+	det := twoKGDetector(t)
+	det.Deploy()
+	det.SetPrecision(PrecisionF64)
+	a, err := NewAdapter(det, DefaultAdaptConfig(), rand.New(rand.NewSource(94)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(95))
+	sizes := []int{1, 5, 300}
+	batches, targets := map[int]*tensor.Tensor{}, map[int][]float64{}
+	for _, n := range sizes {
+		batches[n] = tensor.RandN(rng, 1, n, det.Space().PixDim())
+		targets[n] = make([]float64, n)
+		for i := range targets[n] {
+			targets[n][i] = float64(rng.Intn(2))
+		}
+	}
+
+	grid := func(stage string) {
+		onGrid(t, stage, func(ctx string) {
+			for _, n := range sizes {
+				ctx := fmt.Sprintf("%s/frames=%d", ctx, n)
+				want := probeLossTape(a, batches[n], targets[n])
+				requireSameBits(t, ctx, []float64{want}, []float64{a.probeLoss(batches[n], targets[n])})
+			}
+		})
+	}
+	grid("deployed")
+
+	before := a.probeLoss(batches[5], targets[5])
+	m := det.GNN(0)
+	page := m.Tokens().Bank(m.Tokens().NodeIDs()[0]).Data.Data()
+	for i := range page {
+		page[i] += 0.25
+	}
+	if a.probeLoss(batches[5], targets[5]) == before {
+		t.Fatal("probe loss unchanged after an in-place bank update — fixture is vacuous")
+	}
+	grid("bank-updated")
+
+	g := det.GNN(1).Graph()
+	if _, err := g.ReplaceNode(rng, det.GNN(1).Tokens().NodeIDs()[0], "created-1", nil, 0.9); err != nil {
+		t.Fatal(err)
+	}
+	if err := det.GNN(1).Rebind(); err != nil {
+		t.Fatal(err)
+	}
+	grid("rebound")
+
+	det.SetPrecision(PrecisionF32)
+	grid("f32")
+}
+
+// skipLossRound builds an adapter over a copy-on-write clone of det whose
+// loss gate stops every round (a binary score loss never exceeds 1, so
+// SkipLossBelow 2 always skips), and a monitor primed with a mean drop, so
+// Step(mon) always reaches the probe and stops there; Step leaves the
+// monitor alone. It also returns the batch and targets the round selects,
+// rebuilt the way Step selects them.
+func skipLossRound(t *testing.T, det *Detector, seed int64) (*Adapter, *Monitor, *tensor.Tensor, []float64) {
+	t.Helper()
+	clone, err := det.CloneCOW()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultAdaptConfig()
+	cfg.SkipLossBelow = 2
+	a, err := NewAdapter(clone, cfg, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon, err := NewMonitor(16, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed + 1))
+	for _, score := range []float64{0.9, 0.1} {
+		for i := 0; i < 16; i++ {
+			mon.Push(tensor.RandN(rng, 1, 1, det.Space().PixDim()), score)
+		}
+	}
+	positives := mon.TopK()
+	if maxK := int(cfg.MaxKFrac * float64(mon.N())); maxK >= 1 && len(positives) > maxK {
+		positives = positives[:maxK]
+	}
+	var frames []*tensor.Tensor
+	var targets []float64
+	for _, s := range positives {
+		frames = append(frames, s.Pix())
+		targets = append(targets, 1)
+	}
+	for _, s := range mon.BottomK(cfg.NormalAnchors) {
+		frames = append(frames, s.Pix())
+		targets = append(targets, 0)
+	}
+	return a, mon, stackFrames(frames), targets
+}
+
+// stepSkips runs one round and fails unless the loss gate stopped it.
+func stepSkips(t *testing.T, a *Adapter, mon *Monitor) {
+	t.Helper()
+	rep, err := a.Step(mon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Triggered || rep.Gate != GateSkipLoss {
+		t.Fatalf("round stopped at gate %d (triggered %v), want GateSkipLoss", rep.Gate, rep.Triggered)
+	}
+}
+
+// TestSkipLossRoundFLOPs pins what a round the loss gate stops bills: the
+// tape probe's count less the rows the engine skips (skippedEvalFLOPs,
+// one window per selected frame), on a 2-KG detector.
+func TestSkipLossRoundFLOPs(t *testing.T) {
+	det := twoKGDetector(t)
+	det.Deploy()
+	det.SetPrecision(PrecisionF64)
+	a, mon, batch, targets := skipLossRound(t, det, 96)
+	stepSkips(t, a, mon) // build the eval snapshots outside the count
+	got, _ := flops.Count(func() { stepSkips(t, a, mon) })
+	tape, _ := flops.Count(func() { probeLossTape(a, batch, targets) })
+	want := tape - skippedEvalFLOPs(a.det, batch.Rows())
+	if got != want || want <= 0 {
+		t.Errorf("skip-loss round of %d frames bills %d ops, want the tape probe's %d less %d skipped = %d",
+			batch.Rows(), got, tape, tape-want, want)
+	}
+}
+
+// TestSkipLossStepAllocCeiling keeps a round the loss gate stops cheap: the
+// probe lends its activations from pooled workspaces instead of building a
+// tape, and the batch is stacked in one allocation. Measured 16 allocs per
+// skip-loss Step on the core rig (200 when the probe built a tape and each
+// frame was reshaped before stacking); what is left is the selection and
+// the report. Under the race detector sync.Pool drops a quarter of the
+// workspaces put back, and each drop is re-made (measured 41–48), so the
+// ceiling there is looser.
+func TestSkipLossStepAllocCeiling(t *testing.T) {
+	r := newRig(t, "Stealing", 11)
+	r.det.Deploy()
+	a, mon, _, _ := skipLossRound(t, r.det, 97)
+	stepSkips(t, a, mon)
+	ceiling := 24.0
+	if raceEnabled {
+		ceiling = 80
+	}
+	got := testing.AllocsPerRun(200, func() { stepSkips(t, a, mon) })
+	t.Logf("skip-loss Step: %.2f allocs", got)
+	if got > ceiling {
+		t.Errorf("skip-loss Step: %.0f allocs, ceiling %.0f", got, ceiling)
 	}
 }

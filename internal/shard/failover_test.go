@@ -98,9 +98,13 @@ func TestRouterFailoverBitExact(t *testing.T) {
 	}
 	dead := rt0.Shard
 	survivor := 1 - dead
+	// The probe timeout comfortably exceeds what a loaded box can take to
+	// answer /healthz, so only the killed worker is declared dead. Its
+	// listener is closed, so its probes still fail at connect and the
+	// timeout never stretches detection.
 	monitor := shard.NewHealthMonitor(faulty, shard.HealthConfig{
 		Interval:  20 * time.Millisecond,
-		Timeout:   500 * time.Millisecond,
+		Timeout:   5 * time.Second,
 		Threshold: 2,
 	})
 	monitor.Start()
