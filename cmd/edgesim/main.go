@@ -103,7 +103,7 @@ func main() {
 	}
 	fmt.Printf("\ndeployment stats: frames=%d adaptRounds=%d triggered=%d pruned=%d created=%d\n",
 		st.Frames, st.AdaptRounds, st.TriggeredRounds, st.PrunedNodes, st.CreatedNodes)
-	fmt.Printf("cost ledger: scoring=%d FLOPs, adaptation=%d FLOPs, energy/adapt=%.2f J\n",
+	fmt.Printf("cost ledger: scoring=%d FLOPs, adaptation=%d FLOPs, energy/adapt=%.3e J\n",
 		st.ScoringFLOPs, st.AdaptFLOPs, st.EnergyPerAdaptJ)
 
 	interp, err := cam.InterpretKG(0)

@@ -119,7 +119,7 @@ func main() {
 		if st.AdaptRounds > 0 {
 			perDay = st.AdaptFLOPs / int64(st.AdaptRounds)
 		}
-		fmt.Printf("cam %d: average AUC %.3f, rounds %d (%d triggered), FLOPs/adapt %.3e, energy/adapt %.2f J\n",
+		fmt.Printf("cam %d: average AUC %.3f, rounds %d (%d triggered), FLOPs/adapt %.3e, energy/adapt %.3e J\n",
 			cam, aucSum[cam]/days, st.AdaptRounds, st.TriggeredRounds, float64(perDay), st.EnergyPerAdaptJ)
 		totalAdaptFLOPs += float64(st.AdaptFLOPs)
 		totalEnergy += st.EnergyPerAdaptJ * float64(st.AdaptRounds)
@@ -130,7 +130,7 @@ func main() {
 	}
 	fmt.Printf("\nadaptation rounds:           %d (%d triggered) across %d cameras\n", totalRounds, totalTriggered, cameras)
 	fmt.Printf("edge FLOPs, all adaptation:  %.3e (measured)\n", totalAdaptFLOPs)
-	fmt.Printf("edge energy, all adaptation: %.2f J (device model)\n", totalEnergy)
+	fmt.Printf("edge energy, all adaptation: %.3e J (device model)\n", totalEnergy)
 	fmt.Printf("cloud FLOPs avoided:         %.1e per update the baseline would run, per camera\n", cloudFLOPs)
 	fmt.Printf("bandwidth avoided:           %.1f GB per update, per camera\n", cloudGBUpdate)
 	fmt.Printf("KG nodes pruned/created:     %d/%d\n", totalPruned, totalCreated)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"edgekg/internal/autograd"
 	"edgekg/internal/kg"
@@ -144,11 +145,13 @@ type Adapter struct {
 	rng *rand.Rand
 
 	opt *optim.AdamW
-	// params caches the token-bank value set the optimiser manages; it is
-	// rebuilt alongside the optimiser whenever the KG structure changes.
-	params   []*autograd.Value
+	// params caches the token-bank parameters the optimiser manages, in
+	// its order, under their Detector.TokenParams names (the keys of the
+	// moments in AdapterState); it is rebuilt alongside the optimiser
+	// whenever the KG structure changes.
+	params   []nn.Param
 	trackers []map[kg.NodeID]*TrackerState
-	rowNorms []map[kg.NodeID][]float64
+	rowNorms []map[kg.NodeID]tensor.Floats
 	created  int
 }
 
@@ -165,10 +168,10 @@ func NewAdapter(det *Detector, cfg AdaptConfig, rng *rand.Rand) (*Adapter, error
 	a := &Adapter{det: det, cfg: cfg, rng: rng}
 	a.rebuildOptimizer()
 	a.trackers = make([]map[kg.NodeID]*TrackerState, det.NumGNNs())
-	a.rowNorms = make([]map[kg.NodeID][]float64, det.NumGNNs())
+	a.rowNorms = make([]map[kg.NodeID]tensor.Floats, det.NumGNNs())
 	for i := range a.trackers {
 		a.trackers[i] = make(map[kg.NodeID]*TrackerState)
-		a.rowNorms[i] = make(map[kg.NodeID][]float64)
+		a.rowNorms[i] = make(map[kg.NodeID]tensor.Floats)
 	}
 	for gi, m := range det.gnns {
 		for _, id := range m.Tokens().NodeIDs() {
@@ -236,8 +239,8 @@ func (a *Adapter) renormalize() {
 
 func (a *Adapter) rebuildOptimizer() {
 	cfg := optim.AdamWConfig{LR: a.cfg.LR, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, WeightDecay: 0}
-	a.params = nn.Values(a.det.TokenParams())
-	a.opt = optim.NewAdamW(a.params, cfg)
+	a.params = a.det.TokenParams()
+	a.opt = optim.NewAdamW(nn.Values(a.params), cfg)
 }
 
 // Step runs one adaptation round against the monitor's current window:
@@ -558,15 +561,20 @@ func tokenParamName(gi int, id kg.NodeID) string {
 	return fmt.Sprintf("gnn%d.tokens.node%d", gi, id)
 }
 
-// ExportState captures the adapter's full state. Everything the adapter
-// goes on mutating — trackers, row norms, moments — is copied, so
-// subsequent rounds never change the exported state.
+// ExportState describes the adapter's full state without copying it: the
+// row norms and the optimiser's moment buffers are the live ones (a moment
+// the optimiser has not allocated yet reads as a shared zero tensor, so the
+// checkpoint format is unchanged and the export materializes no per-stream
+// buffers), and only the trackers are read out, by value. The result is
+// valid until the adapter is next written (its next Step or ImportState);
+// encode it first, and never write through it.
 func (a *Adapter) ExportState() AdapterState {
 	st := AdapterState{
-		Created: a.created,
-		OptStep: a.opt.StepCount(),
-		OptM:    make(map[string]*tensor.Tensor, len(a.params)),
-		OptV:    make(map[string]*tensor.Tensor, len(a.params)),
+		Created:  a.created,
+		RowNorms: a.rowNorms,
+		OptStep:  a.opt.StepCount(),
+		OptM:     make(map[string]*tensor.Tensor, len(a.params)),
+		OptV:     make(map[string]*tensor.Tensor, len(a.params)),
 	}
 	for _, trs := range a.trackers {
 		out := make(map[kg.NodeID]TrackerState, len(trs))
@@ -575,31 +583,36 @@ func (a *Adapter) ExportState() AdapterState {
 		}
 		st.Trackers = append(st.Trackers, out)
 	}
-	for _, norms := range a.rowNorms {
-		out := make(map[kg.NodeID]tensor.Floats, len(norms))
-		for id, ns := range norms {
-			out[id] = append(tensor.Floats(nil), ns...)
-		}
-		st.RowNorms = append(st.RowNorms, out)
-	}
-	// The optimizer's parameter slice is nn.Values of TokenParams, so the
-	// moments are index-aligned with the names.
 	m, v := a.opt.Moments()
-	for i, p := range a.det.TokenParams() {
-		// Lazily-absent moment buffers are identically zero; export them as
-		// zero tensors so the checkpoint format is unchanged — and the
-		// export itself does not materialize per-stream buffers.
-		st.OptM[p.Name] = momentOrZeros(m[i], p.V)
-		st.OptV[p.Name] = momentOrZeros(v[i], p.V)
+	for i, p := range a.params {
+		if m[i] == nil {
+			z := zeroMoment(p.V.Data)
+			st.OptM[p.Name], st.OptV[p.Name] = z, z
+			continue
+		}
+		st.OptM[p.Name], st.OptV[p.Name] = m[i], v[i]
 	}
 	return st
 }
 
-func momentOrZeros(t *tensor.Tensor, p *autograd.Value) *tensor.Tensor {
-	if t != nil {
-		return t.Clone()
+// zeroMoments holds one zero tensor per shape, shared by every adapter's
+// exports and never written: what ExportState reports for a moment the
+// optimiser has not allocated. Token banks come in a handful of shapes
+// (tokens per node × the embedding width), so the table stays small.
+var (
+	zeroMu      sync.Mutex
+	zeroMoments = map[[2]int]*tensor.Tensor{}
+)
+
+// zeroMoment returns the shared zero tensor of p's (2-D) shape.
+func zeroMoment(p *tensor.Tensor) *tensor.Tensor {
+	key := [2]int{p.Rows(), p.Cols()}
+	zeroMu.Lock()
+	defer zeroMu.Unlock()
+	if zeroMoments[key] == nil {
+		zeroMoments[key] = tensor.New(key[0], key[1])
 	}
-	return tensor.New(p.Data.Shape()...)
+	return zeroMoments[key]
 }
 
 func allZero(t *tensor.Tensor) bool {
@@ -654,7 +667,7 @@ func (a *Adapter) ImportState(st AdapterState) error {
 	}
 	a.det.EnableAdaptation()
 	a.rebuildOptimizer()
-	for i, p := range a.det.TokenParams() {
+	for i, p := range a.params {
 		sm, sv := st.OptM[p.Name], st.OptV[p.Name]
 		// All-zero saved moments restore to the lazily-absent state —
 		// numerically identical, and a rehydrated unadapted stream keeps
@@ -669,7 +682,7 @@ func (a *Adapter) ImportState(st AdapterState) error {
 	a.opt.SetStepCount(st.OptStep)
 	a.created = st.Created
 	a.trackers = make([]map[kg.NodeID]*TrackerState, len(st.Trackers))
-	a.rowNorms = make([]map[kg.NodeID][]float64, len(st.RowNorms))
+	a.rowNorms = make([]map[kg.NodeID]tensor.Floats, len(st.RowNorms))
 	for gi, trs := range st.Trackers {
 		a.trackers[gi] = make(map[kg.NodeID]*TrackerState, len(trs))
 		for id, tr := range trs {
@@ -677,9 +690,9 @@ func (a *Adapter) ImportState(st AdapterState) error {
 		}
 	}
 	for gi, norms := range st.RowNorms {
-		a.rowNorms[gi] = make(map[kg.NodeID][]float64, len(norms))
+		a.rowNorms[gi] = make(map[kg.NodeID]tensor.Floats, len(norms))
 		for id, ns := range norms {
-			a.rowNorms[gi][id] = append([]float64(nil), ns...)
+			a.rowNorms[gi][id] = append(tensor.Floats(nil), ns...)
 		}
 	}
 	return nil

@@ -299,11 +299,14 @@ type MonitorState struct {
 	Means     tensor.Floats    `json:"means"`
 }
 
-// ExportState captures the monitor's full state. Bookkeeping columns are
-// copied; sample frames are shared when held at float64 (they are
-// immutable once pushed) and materialized to canonical float64 when the
-// monitor stores them narrowed — exported state is width-independent, so
-// checkpoints taken at f32 restore bit-exactly at either width.
+// ExportState describes the monitor's full state. The mean history is the
+// live one and sample frames are shared when held at float64 (they are
+// immutable once pushed); frames the monitor stores narrowed are
+// materialized to canonical float64, so exported state is width-independent
+// and checkpoints taken at f32 restore bit-exactly at either width. Only the
+// sample columns are built afresh. The result is valid until the monitor is
+// next written (its next Push or ImportState); encode it first, and never
+// write through it.
 func (m *Monitor) ExportState() MonitorState {
 	s := MonitorState{
 		N:         m.n,
@@ -312,7 +315,7 @@ func (m *Monitor) ExportState() MonitorState {
 		Reference: tensor.F64Bits(m.reference),
 		HasRef:    m.hasRef,
 		Seq:       m.seq,
-		Means:     append(tensor.Floats(nil), m.means...),
+		Means:     m.means,
 	}
 	if n := len(m.buf); n > 0 {
 		s.Frames = make([]*tensor.Tensor, n)

@@ -13,7 +13,9 @@
 package gnn
 
 import (
+	"encoding/json"
 	"fmt"
+	"sync"
 
 	"edgekg/internal/kg"
 )
@@ -26,6 +28,16 @@ import (
 // A layout is immutable: Rebind builds a fresh one, and copy-on-write
 // clones share it.
 type layout struct {
+	// graphJSON is the bound graph's kg JSON, marshalled on the first
+	// Model.GraphJSON call. Every model holding the layout holds a graph
+	// of the same content, so any of them may fill it. It is derived data,
+	// never charged to a stream's resident bytes.
+	graphJSON struct {
+		once sync.Once
+		raw  []byte
+		err  error
+	}
+
 	// groups[l] holds the edges between level l and l+1 (0-based: group 0
 	// is sensor→level1, group depth is levelDepth→embedding terminal), as
 	// rows of one graph copy.
@@ -103,4 +115,13 @@ func buildLayout(g *kg.Graph) (*layout, error) {
 		lo.suffix[l] = sg
 	}
 	return lo, nil
+}
+
+// marshalGraph returns g's kg JSON, marshalling it once per layout. g must
+// be a graph the layout was built from (the bound graph of a model that
+// holds it).
+func (lo *layout) marshalGraph(g *kg.Graph) ([]byte, error) {
+	j := &lo.graphJSON
+	j.once.Do(func() { j.raw, j.err = json.Marshal(g) })
+	return j.raw, j.err
 }

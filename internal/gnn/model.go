@@ -129,6 +129,14 @@ func NewModel(rng *rand.Rand, g *kg.Graph, space *embed.Space, cfg Config) (*Mod
 // Graph returns the KG the model reasons over.
 func (m *Model) Graph() *kg.Graph { return m.graph }
 
+// GraphJSON returns the bound graph's kg JSON: json.Marshal(m.Graph()) as
+// of the last bind (NewModel, a clone, Rebind), marshalled once per bind
+// rather than per call. The bytes are shared — with every later call and
+// with copy-on-write clones that hold the same layout — and must not be
+// written. Every graph mutation must be followed by Rebind, as the layers
+// already require; a graph changed since its bind may read stale here.
+func (m *Model) GraphJSON() ([]byte, error) { return m.lo.marshalGraph(m.graph) }
+
 // Tokens returns the trainable token bank.
 func (m *Model) Tokens() *TokenBank { return m.tokens }
 

@@ -136,7 +136,9 @@ func (h *Handler) KillRequested() <-chan struct{} { return h.kill }
 var bufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // stateBufs recycles the buffers exported states are encoded into, each
-// keeping the capacity its largest state grew it to.
+// keeping the capacity its largest state grew it to. A buffer is taken and
+// filled on the stream's loop (handleExport) and put back once its reply
+// is written.
 var stateBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 func getBuf() *bytes.Buffer {
@@ -314,16 +316,23 @@ func (h *Handler) handleRelease(w http.ResponseWriter, r *http.Request) {
 	onLoop(h, w, r, "release", http.StatusInternalServerError, errOnly((*serve.Stream).Release))
 }
 
-// handleExport captures the stream on its loop and encodes the state off
-// it, into a pooled buffer.
+// handleExport encodes the stream's state on its loop, straight from live
+// state (Stream.AppendState), into a pooled buffer, and writes the bytes
+// off it. The buffer is taken inside the callback: when the barrier times
+// out, Call returns while the callback still runs on the loop, and a buffer
+// taken out here would go back to the pool while the loop appends to it.
+// The buffer of an abandoned or failed callback is never pooled again.
 func (h *Handler) handleExport(w http.ResponseWriter, r *http.Request) {
-	ss, ok := callLoop(h, w, r, "export", http.StatusInternalServerError, (*serve.Stream).Export)
+	buf, ok := callLoop(h, w, r, "export", http.StatusInternalServerError, func(st *serve.Stream) (*[]byte, error) {
+		buf := stateBufs.Get().(*[]byte)
+		var err error
+		*buf, err = st.AppendState((*buf)[:0])
+		return buf, err
+	})
 	if !ok {
 		return
 	}
-	buf := stateBufs.Get().(*[]byte)
 	defer stateBufs.Put(buf)
-	*buf = snapshot.AppendStream((*buf)[:0], ss)
 	writeBody(w, http.StatusOK, binaryType, *buf)
 }
 

@@ -530,7 +530,7 @@ func (s *Server) Stream(i int) (*Stream, error) {
 func (s *Server) Checkpoint(ctx context.Context) (*snapshot.Checkpoint, error) {
 	cp := snapshot.New(len(s.streams))
 	for i := range s.streams {
-		ss, err := Call(ctx, s, i, (*Stream).Export)
+		ss, err := s.export(ctx, i)
 		if err != nil {
 			return nil, err
 		}
@@ -539,13 +539,23 @@ func (s *Server) Checkpoint(ctx context.Context) (*snapshot.Checkpoint, error) {
 	return cp, nil
 }
 
+// export is Stream.Export with only the encode on the stream's loop: the
+// bytes are decoded once the loop has moved on.
+func (s *Server) export(ctx context.Context, stream int) (*snapshot.StreamState, error) {
+	b, err := Call(ctx, s, stream, func(st *Stream) ([]byte, error) { return st.AppendState(nil) })
+	if err != nil {
+		return nil, err
+	}
+	return snapshot.DecodeStream(b)
+}
+
 // ExportStream captures one stream's complete adaptation state on its
 // processing loop (a Call barrier, like Checkpoint — an in-flight round
 // keeps its swap schedule). The result is the unit of stream migration:
 // restore it into a compatible slot of another server with RestoreStream
 // and the stream continues bit-exactly there.
 func (s *Server) ExportStream(stream int) (*snapshot.StreamState, error) {
-	return Call(context.Background(), s, stream, (*Stream).Export)
+	return s.export(context.Background(), stream)
 }
 
 // RestoreStream replaces one stream's state with an exported snapshot,

@@ -698,27 +698,31 @@ func (st *Stream) configPin() snapshot.ConfigPin {
 	}
 }
 
-// Export serializes the stream's complete adaptation state. Like every
-// Stream method it must not race the processing goroutine — call it
-// through Server.Checkpoint (whose barrier does not join a pending round
-// early) or after the stream has drained.
+// AppendState appends the stream's complete adaptation state to dst in the
+// binary checkpoint form (snapshot.AppendStream: the body of an export
+// reply, and the bytes of a 1-stream checkpoint file). Like every Stream
+// method it must not race the processing goroutine — call it through
+// Server.Call (whose barrier does not join a pending round early) or after
+// the stream has drained. It copies nothing before it encodes: the state it
+// describes aliases the live token banks, moments, row norms, mean and
+// score histories, which nothing writes while it runs on the loop.
 //
 // An in-flight background adaptation round is handled by completing its
 // computation (waiting on the worker-pool task) while preserving its swap
 // schedule: the live detector already carries the round's effect, the
-// snapshot additionally records the pre-round scoring state and the frame
-// at which the swap becomes visible, so the restored stream replays the
-// exact trajectory of an uninterrupted run — the round still lands at its
+// state additionally records the pre-round scoring state and the frame at
+// which the swap becomes visible, so the restored stream replays the exact
+// trajectory of an uninterrupted run — the round still lands at its
 // configured AdaptLagFrames offset.
-func (st *Stream) Export() (*snapshot.StreamState, error) {
+func (st *Stream) AppendState(dst []byte) ([]byte, error) {
 	if err := st.EnsureResident(); err != nil {
-		return nil, err
+		return dst, err
 	}
 	if st.pending != nil {
 		// Complete the round's computation without swapping it in.
 		st.pending.g.Wait()
 	}
-	ss := &snapshot.StreamState{
+	ss := snapshot.StreamState{
 		ID:              st.id,
 		Config:          st.configPin(),
 		Released:        st.released,
@@ -736,18 +740,18 @@ func (st *Stream) Export() (*snapshot.StreamState, error) {
 		// A tombstone: the slot's stream lives elsewhere now. Counters are
 		// preserved so post-hoc stats survive a checkpoint round trip;
 		// restoring a tombstone releases the target slot.
-		return ss, nil
+		return snapshot.AppendStream(dst, &ss), nil
 	}
 	src, ok := st.src.(*rng.Source)
 	if !ok {
-		return nil, fmt.Errorf("serve: stream %d was built over a %T random source; checkpointing requires *rng.Source", st.id, st.src)
+		return dst, fmt.Errorf("serve: stream %d was built over a %T random source; checkpointing requires *rng.Source", st.id, st.src)
 	}
 	ss.RNG = src.State()
-	ss.Scores = append(tensor.Floats(nil), st.scores...)
+	ss.Scores = st.scores
 	ss.Monitor = st.mon.ExportState()
 	det, err := snapshot.CaptureDetector(st.det)
 	if err != nil {
-		return nil, fmt.Errorf("serve: stream %d: %w", st.id, err)
+		return dst, fmt.Errorf("serve: stream %d: %w", st.id, err)
 	}
 	ss.Detector = det
 	if st.adapter != nil {
@@ -757,7 +761,7 @@ func (st *Stream) Export() (*snapshot.StreamState, error) {
 	if st.pending != nil {
 		scoreDet, err := snapshot.CaptureDetector(st.scoreDet)
 		if err != nil {
-			return nil, fmt.Errorf("serve: stream %d pending round: %w", st.id, err)
+			return dst, fmt.Errorf("serve: stream %d pending round: %w", st.id, err)
 		}
 		ss.Pending = &snapshot.PendingState{
 			SwapFrame: st.pending.swapFrame,
@@ -768,7 +772,19 @@ func (st *Stream) Export() (*snapshot.StreamState, error) {
 			ss.Pending.Err = st.pending.err.Error()
 		}
 	}
-	return ss, nil
+	return snapshot.AppendStream(dst, &ss), nil
+}
+
+// Export returns the stream's complete adaptation state: the decode of
+// AppendState's bytes, so it shares nothing with the live stream and an
+// in-process migration restores exactly what a remote one does. Like every
+// Stream method it must not race the processing goroutine.
+func (st *Stream) Export() (*snapshot.StreamState, error) {
+	b, err := st.AppendState(nil)
+	if err != nil {
+		return nil, err
+	}
+	return snapshot.DecodeStream(b)
 }
 
 // ErrCheckpointMismatch reports a checkpoint that does not fit the stream
@@ -779,16 +795,15 @@ var ErrCheckpointMismatch = errors.New("serve: checkpoint does not match stream"
 
 // Save writes the stream's complete adaptation state to path as a 1-stream
 // checkpoint file (atomic temp-then-rename write) — the format a 1-stream
-// Server checkpoints to and the spill file of an evicted stream. Like Export
-// it must not race the processing goroutine.
+// Server checkpoints to and the spill file of an evicted stream: AppendState's
+// bytes, written without a decode. Like AppendState it must not race the
+// processing goroutine.
 func (st *Stream) Save(path string) error {
-	ss, err := st.Export()
+	b, err := st.AppendState(nil)
 	if err != nil {
 		return err
 	}
-	cp := snapshot.New(1)
-	cp.Streams[0] = *ss
-	return snapshot.Save(path, cp)
+	return snapshot.WriteFile(path, b)
 }
 
 // Load restores the stream from a 1-stream checkpoint file written by Save

@@ -197,6 +197,62 @@ func TestRouterFailoverBitExact(t *testing.T) {
 	}
 }
 
+// TestFailoverBeforeFirstFrames kills the worker at cam-a's first frame,
+// before most keys have sent theirs. Run takes every key's initial
+// snapshot before any key's goroutine starts, so each key on the dead
+// shard is rehomed from it, and every trajectory still matches an
+// uninterrupted fleet's. Without those snapshots a key that had not yet
+// sent its first frame kept its dead route, and its submits failed with
+// ErrShardDown until Run gave up.
+func TestFailoverBeforeFirstFrames(t *testing.T) {
+	const seed, nkeys, frames = 11, 8, 12
+	keys := make([]string, nkeys)
+	for i := range keys {
+		keys[i] = "cam-" + string(rune('a'+i))
+	}
+	_, gen := buildBackbone(t, seed)
+	fs := synthFrames(t, gen, keys, frames)
+	sc := shard.Scenario{
+		Keys:   keys,
+		Frames: frames,
+		Frame:  func(key string, seq int) []float64 { return fs[key][seq] },
+	}
+	ctx := context.Background()
+	baseRep, err := shard.Run(ctx, newFleet(t, seed, 2, nkeys+1), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	faulty := faultFleet(t, seed, 2, nkeys+1, shard.Config{SnapshotEvery: 8})
+	rt0, err := faulty.Route(keys[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	monitor := shard.NewHealthMonitor(faulty, shard.HealthConfig{Interval: 20 * time.Millisecond, Timeout: 5 * time.Second, Threshold: 2})
+	monitor.Start()
+	defer monitor.Stop()
+	ksc := sc
+	ksc.Kill = &shard.Kill{Shard: rt0.Shard, At: 0}
+	killRep, err := shard.Run(ctx, faulty, ksc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if killRep.OK != nkeys*frames {
+		t.Fatalf("killed run scored %d of %d frames: %+v", killRep.OK, nkeys*frames, killRep)
+	}
+	if reports := monitor.Reports(); len(reports) != 1 || reports[0].Err != "" {
+		t.Fatalf("want one clean failover, got %+v", reports)
+	}
+	for _, key := range keys {
+		a, b := baseRep.Traces[key], killRep.Traces[key]
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("key %q frame %d: failed-over score %v != baseline %v", key, i, b[i], a[i])
+			}
+		}
+	}
+}
+
 // TestFailoverRequiresArming pins the guard: without SnapshotEvery there
 // is no cache to recover from, and Failover must refuse rather than
 // silently lose streams.

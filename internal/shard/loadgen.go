@@ -98,10 +98,19 @@ func Run(ctx context.Context, r *Router, sc Scenario) (*Report, error) {
 	// function of (keys, fleet shape) instead of goroutine scheduling, so
 	// two runs of the same scenario land every key on the same slot —
 	// which is what makes their score traces comparable bit-exactly. Slot
-	// exhaustion surfaces here, before any frame is sent.
+	// exhaustion surfaces here, before any frame is sent. With failover
+	// armed, each key's initial snapshot is taken here too: a key whose
+	// first frame would come only after its worker crashed has nothing
+	// else to be rehomed from.
 	for _, key := range sc.Keys {
-		if _, err := r.Route(key); err != nil {
+		rt, err := r.Route(key)
+		if err != nil {
 			return nil, err
+		}
+		if r.cfg.SnapshotEvery > 0 {
+			if err := r.ensureSnapshot(ctx, key, rt); err != nil {
+				return nil, err
+			}
 		}
 	}
 

@@ -19,6 +19,13 @@ func Save(path string, cp *Checkpoint) error {
 	if err != nil {
 		return err
 	}
+	return WriteFile(path, data)
+}
+
+// WriteFile writes encoded checkpoint bytes to path the way Save does:
+// temp file, sync, rename, directory sync. Stream.Save hands it
+// AppendStream's bytes, a 1-stream checkpoint.
+func WriteFile(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {

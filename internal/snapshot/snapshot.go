@@ -162,22 +162,28 @@ type PendingState struct {
 	ScoreDet  DetectorState    `json:"score_det"`
 }
 
-// CaptureDetector serializes a detector's per-stream mutable state: every
-// mission graph plus a copy of its token bank (the adapter goes on writing
-// the live one). The shared backbone is untouched.
+// CaptureDetector describes a detector's per-stream mutable state: every
+// mission graph's kg JSON and its token bank. Nothing is copied: the graph
+// JSON is the bytes the model marshalled at its last bind, and each bank's
+// tensor is the live one. The result is valid until the detector is next
+// written (a frame scored through it does not write it; an adaptation round
+// does); encode it first. The shared backbone is untouched.
 func CaptureDetector(det *core.Detector) (DetectorState, error) {
-	var ds DetectorState
-	for gi := 0; gi < det.NumGNNs(); gi++ {
+	ds := DetectorState{Graphs: make([]GraphState, det.NumGNNs())}
+	for gi := range ds.Graphs {
 		m := det.GNN(gi)
-		raw, err := json.Marshal(m.Graph())
+		raw, err := m.GraphJSON()
 		if err != nil {
 			return DetectorState{}, fmt.Errorf("snapshot: graph %d: %w", gi, err)
 		}
-		gs := GraphState{Graph: raw}
-		for _, id := range m.Tokens().NodeIDs() {
-			gs.Banks = append(gs.Banks, BankState{Node: int(id), Tokens: m.Tokens().Snapshot(id)})
+		// A bound graph is strictly valid, so it has reasoning nodes: Banks
+		// is never empty, which the wire would tell apart from nil.
+		ids := m.Tokens().NodeIDs()
+		gs := GraphState{Graph: raw, Banks: make([]BankState, len(ids))}
+		for i, id := range ids {
+			gs.Banks[i] = BankState{Node: int(id), Tokens: m.Tokens().Bank(id).Data}
 		}
-		ds.Graphs = append(ds.Graphs, gs)
+		ds.Graphs[gi] = gs
 	}
 	return ds, nil
 }
