@@ -58,9 +58,11 @@ type AdaptConfig struct {
 	// SkipLossBelow abandons a round whose selection loss is already
 	// below this value: the pseudo-labels are satisfied and further
 	// updates would only inject label noise into a recovered model.
-	// 0 disables the gate. The probe scores the selection on the float64
-	// eval engine, with no tape, and its loss matches the tape loss the
-	// epochs train on to the bit.
+	// 0 disables the gate. The probe reads each selected sample's gate
+	// score (Sample.GateScore) and scores only the samples without one, on
+	// the float64 eval engine with no tape; either way its loss matches
+	// the tape loss the epochs train on to the bit. A selection whose
+	// every sample has a gate score is probed without scoring anything.
 	SkipLossBelow float64
 }
 
@@ -281,31 +283,33 @@ func (a *Adapter) Step(mon *Monitor) (AdaptReport, error) {
 		}
 	}
 	negatives := mon.BottomK(a.cfg.NormalAnchors)
-	frames := make([]*tensor.Tensor, 0, len(positives)+len(negatives))
-	targets := make([]float64, 0, len(positives)+len(negatives))
-	seqs := make([]int, 0, len(positives)+len(negatives))
-	for _, s := range positives {
-		frames = append(frames, s.Pix())
-		targets = append(targets, 1)
-		seqs = append(seqs, s.Seq)
-	}
-	for _, s := range negatives {
-		frames = append(frames, s.Pix())
-		targets = append(targets, 0)
-		seqs = append(seqs, s.Seq)
+	// TopK's slice is fresh and window-sized, so the anchors usually fit
+	// behind the positives without an allocation.
+	sel := append(positives, negatives...)
+	targets := make([]float64, len(sel))
+	seqs := make([]int, len(sel))
+	for i, s := range sel {
+		if i < len(positives) {
+			targets[i] = 1
+		}
+		seqs[i] = s.Seq
 	}
 	rep.Positives, rep.Anchors = seqs[:len(positives):len(positives)], seqs[len(positives):]
-	batch := stackFrames(frames)
 
 	// Loss gate: if the selected pseudo-labels are already satisfied, the
 	// model has recovered for this regime — adapting further would only
 	// fit selection noise.
 	if a.cfg.SkipLossBelow > 0 {
-		if a.probeLoss(batch, targets) < a.cfg.SkipLossBelow {
+		if a.probeLoss(sel, targets) < a.cfg.SkipLossBelow {
 			rep.Triggered, rep.Gate = false, GateSkipLoss
 			return rep, nil
 		}
 	}
+	frames := make([]*tensor.Tensor, len(sel))
+	for i, s := range sel {
+		frames[i] = s.Pix()
+	}
+	batch := stackFrames(frames)
 
 	// Snapshot token banks before the update ("old token embeddings"). The
 	// copy is read-only, so it is also epoch 0's "before".
@@ -395,17 +399,76 @@ func (a *Adapter) epochStep(batch *tensor.Tensor, targets []float64, invT float6
 }
 
 // probeLoss is the loss gate's selection loss, Σ(pA_i − target_i)²/r in
-// target order over the batch's static-window scores. It runs on the eval
-// engine, so no tape is built for a round the gate may stop, and it has
-// the bits of BinaryScoreLoss over the tape's temperature-scaled logits,
-// the loss epochStep trains on.
-func (a *Adapter) probeLoss(batch *tensor.Tensor, targets []float64) float64 {
+// target order over the selection's static-window scores. A sample's score
+// is its gate score when it has one; the samples without one are scored in
+// one batch on the eval engine, so no tape is built for a round the gate
+// may stop. Either way the loss has the bits of BinaryScoreLoss over the
+// tape's temperature-scaled logits, the loss epochStep trains on.
+func (a *Adapter) probeLoss(sel []Sample, targets []float64) float64 {
+	var scored []float64
+	ungated := 0
+	for _, s := range sel {
+		if _, ok := s.GateScore(); !ok {
+			ungated++
+		}
+	}
+	if ungated > 0 {
+		ws := tensor.NewWorkspace()
+		defer ws.Release()
+		batch := tensor.Alloc[float64](ws, ungated, a.det.space.PixDim())
+		r := 0
+		for i, s := range sel {
+			if _, ok := s.GateScore(); !ok {
+				copyFrame(batch.Row(r), s, i)
+				r++
+			}
+		}
+		scored = tensor.Scratch[float64](ws, ungated)
+		scoreFramesIn(ws, a.det, batch, scored)
+	}
 	loss := 0.0
-	for i, s := range scoreFrames(a.det, batch) {
-		d := s - targets[i]
+	for i, s := range sel {
+		score, ok := s.GateScore()
+		if !ok {
+			score, scored = scored[0], scored[1:]
+		}
+		d := score - targets[i]
 		loss += d * d
 	}
 	return loss / float64(len(targets))
+}
+
+// Rescore gives every sample in mon's window its gate score under the
+// detector's current token banks (Sample.GateScore), scoring the window in
+// one batch on the eval engine. Call it whenever the banks change under a
+// monitor that tracks gate scores: after a round that trained, and after
+// the banks were restored. No-op on a monitor that does not track them.
+func (a *Adapter) Rescore(mon *Monitor) {
+	n := mon.buf.n
+	if !mon.gates || n == 0 {
+		return
+	}
+	a.det.SetTraining(false)
+	ws := tensor.NewWorkspace()
+	defer ws.Release()
+	batch := tensor.Alloc[float64](ws, n, a.det.space.PixDim())
+	for i := 0; i < n; i++ {
+		copyFrame(batch.Row(i), *mon.buf.at(i), i)
+	}
+	scores := tensor.Scratch[float64](ws, n)
+	scoreFramesIn(ws, a.det, batch, scores)
+	for i, s := range scores {
+		mon.buf.at(i).gate = s
+	}
+}
+
+// copyFrame copies sample i's frame into a batch row.
+func copyFrame(row []float64, s Sample, i int) {
+	f := s.Pix()
+	if f.Size() != len(row) {
+		panic(fmt.Sprintf("core: frame %d has %d values, the batch takes %d", i, f.Size(), len(row)))
+	}
+	copy(row, f.Data())
 }
 
 // replaceNode prunes a diverging node and creates a random replacement at

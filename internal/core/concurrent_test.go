@@ -104,7 +104,7 @@ func TestSkipLossStepConcurrentWithScoring(t *testing.T) {
 	video := tensor.RandN(rng, 1, 9, src.Space().PixDim())
 	prev := parallel.SetWorkers(1)
 	want := src.ScoreVideo(video)
-	wantLoss := a.probeLoss(batch, targets)
+	wantLoss := a.probeLoss(samplesOf(batch), targets)
 	parallel.SetWorkers(4)
 	defer parallel.SetWorkers(prev)
 
@@ -135,7 +135,7 @@ func TestSkipLossStepConcurrentWithScoring(t *testing.T) {
 				errs[scorers] = fmt.Sprintf("round %d stopped at gate %d (err %v), want GateSkipLoss", r, rep.Gate, err)
 				return
 			}
-			if math.Float64bits(a.probeLoss(batch, targets)) != math.Float64bits(wantLoss) {
+			if math.Float64bits(a.probeLoss(samplesOf(batch), targets)) != math.Float64bits(wantLoss) {
 				errs[scorers] = "concurrent probe loss diverged from sequential"
 				return
 			}

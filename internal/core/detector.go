@@ -365,9 +365,17 @@ func scoreVideo[T tensor.Float](d *Detector, frames *tensor.Tensor) []float64 {
 // tape's count less the rows the engine skips. The detector must be in
 // inference mode.
 func scoreFrames(d *Detector, batch *tensor.Tensor) []float64 {
-	b, t := batch.Rows(), d.temp.Window()
 	ws := tensor.NewWorkspace()
 	defer ws.Release()
+	scores := make([]float64, batch.Rows())
+	scoreFramesIn(ws, d, batch, scores)
+	return scores
+}
+
+// scoreFramesIn is scoreFrames lending its activations from ws; it writes
+// row i's score into scores[i].
+func scoreFramesIn(ws *tensor.Workspace, d *Detector, batch *tensor.Tensor, scores []float64) {
+	b, t := batch.Rows(), d.temp.Window()
 	proj := temporal.ProjectEval(ws, d.temp, embedFramesEval[float64](ws, d, batch))
 	wins := tensor.Alloc[float64](ws, b*t, proj.Cols())
 	for i := 0; i < b; i++ {
@@ -375,9 +383,16 @@ func scoreFrames(d *Detector, batch *tensor.Tensor) []float64 {
 			copy(wins.Row(i*t+k), proj.Row(i))
 		}
 	}
-	scores := make([]float64, b)
 	scoreWindows(ws, d, wins, scores)
-	return scores
+}
+
+// ScoreFrames scores each row of batch as its own one-frame video over a
+// static window, at float64 whatever Precision resolves to: the scores the
+// adapter's loss gate reads (Sample.GateScore). At float64 a one-frame
+// ScoreVideo of row i returns exactly score i.
+func (d *Detector) ScoreFrames(batch *tensor.Tensor) []float64 {
+	d.SetTraining(false)
+	return scoreFrames(d, batch)
 }
 
 // scoreWindows is the engine's tail over len(scores) stacked windows of

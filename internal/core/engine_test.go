@@ -275,19 +275,19 @@ func TestSkipLossProbeMatchesTape(t *testing.T) {
 			for _, n := range sizes {
 				ctx := fmt.Sprintf("%s/frames=%d", ctx, n)
 				want := probeLossTape(a, batches[n], targets[n])
-				requireSameBits(t, ctx, []float64{want}, []float64{a.probeLoss(batches[n], targets[n])})
+				requireSameBits(t, ctx, []float64{want}, []float64{a.probeLoss(samplesOf(batches[n]), targets[n])})
 			}
 		})
 	}
 	grid("deployed")
 
-	before := a.probeLoss(batches[5], targets[5])
+	before := a.probeLoss(samplesOf(batches[5]), targets[5])
 	m := det.GNN(0)
 	page := m.Tokens().Bank(m.Tokens().NodeIDs()[0]).Data.Data()
 	for i := range page {
 		page[i] += 0.25
 	}
-	if a.probeLoss(batches[5], targets[5]) == before {
+	if a.probeLoss(samplesOf(batches[5]), targets[5]) == before {
 		t.Fatal("probe loss unchanged after an in-place bank update — fixture is vacuous")
 	}
 	grid("bank-updated")
@@ -350,6 +350,16 @@ func skipLossRound(t *testing.T, det *Detector, seed int64) (*Adapter, *Monitor,
 	return a, mon, stackFrames(frames), targets
 }
 
+// samplesOf wraps each row of batch as a monitor sample without a gate
+// score, the selection probeLoss scores in full.
+func samplesOf(batch *tensor.Tensor) []Sample {
+	out := make([]Sample, batch.Rows())
+	for i := range out {
+		out[i] = Sample{Frame: tensor.FromSlice(batch.Row(i), 1, batch.Cols()), Seq: i, gate: math.NaN()}
+	}
+	return out
+}
+
 // stepSkips runs one round and fails unless the loss gate stopped it.
 func stepSkips(t *testing.T, a *Adapter, mon *Monitor) {
 	t.Helper()
@@ -382,12 +392,12 @@ func TestSkipLossRoundFLOPs(t *testing.T) {
 
 // TestSkipLossStepAllocCeiling keeps a round the loss gate stops cheap: the
 // probe lends its activations from pooled workspaces instead of building a
-// tape, and the batch is stacked in one allocation. Measured 16 allocs per
-// skip-loss Step on the core rig (200 when the probe built a tape and each
-// frame was reshaped before stacking); what is left is the selection and
-// the report. Under the race detector sync.Pool drops a quarter of the
-// workspaces put back, and each drop is re-made (measured 41–48), so the
-// ceiling there is looser.
+// tape, and stacks the batch in the workspace too. Measured 12 allocs per
+// skip-loss Step on the core rig (16 when the batch was stacked on the
+// heap, 200 when the probe built a tape and each frame was reshaped before
+// stacking); what is left is the selection and the report. Under the race
+// detector sync.Pool drops a quarter of the workspaces put back, and each
+// drop is re-made (measured 41–48), so the ceiling there is looser.
 func TestSkipLossStepAllocCeiling(t *testing.T) {
 	r := newRig(t, "Stealing", 11)
 	r.det.Deploy()

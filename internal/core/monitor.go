@@ -2,13 +2,15 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"edgekg/internal/tensor"
 )
 
 // Sample is one monitored data point: a frame, its anomaly score and its
-// arrival sequence number.
+// arrival sequence number, and — in a monitor that tracks them — its gate
+// score.
 type Sample struct {
 	// Frame holds the raw (1 × pixDim) pixel features at the canonical
 	// float64 width. It is nil when the owning monitor stores frames at
@@ -16,6 +18,12 @@ type Sample struct {
 	Frame *tensor.Tensor
 	Score float64
 	Seq   int
+
+	// gate is the sample's gate score (see GateScore), NaN when it has
+	// none. It is derived state: rebuilt from the frame and the live token
+	// banks, never exported, and — like Score and Seq — a per-sample scalar
+	// that Monitor.MemBytes does not charge.
+	gate float64
 
 	// frame32 is the reduced-width frame storage (see Monitor.SetFrameWidth):
 	// the retained window frames dominate per-stream resident memory, so a
@@ -41,6 +49,15 @@ func (s Sample) Pix() *tensor.Tensor {
 	return tensor.FromSlice(data, 1, len(data))
 }
 
+// GateScore returns the sample's gate score and whether it has one. The
+// gate score is the float64 static-window score of the frame under the
+// token banks the adapter will next step on — exactly what the loss gate's
+// probe would compute for it — so Adapter.Step reads it instead of
+// re-scoring the frame. Only a monitor that tracks gate scores
+// (Monitor.TrackGateScores) gives its samples one; a NaN score reads as
+// none, and re-scoring the frame reproduces it.
+func (s Sample) GateScore() (float64, bool) { return s.gate, !math.IsNaN(s.gate) }
+
 // memBytes returns the sample's resident frame bytes.
 func (s Sample) memBytes() int64 {
 	if s.Frame != nil {
@@ -62,6 +79,9 @@ func (s Sample) memBytes() int64 {
 // adaptation keeps engaging — for as long as the model remains degraded,
 // annealing naturally as recovery drives the mean back up. The sustained
 // recovery curves of Fig. 5 require the anchored reading.
+//
+// The window and the mean history are fixed rings, allocated once: a Push
+// into a full monitor overwrites the oldest entry and allocates nothing.
 type Monitor struct {
 	n      int
 	refLag int
@@ -70,9 +90,13 @@ type Monitor struct {
 	reference float64
 	hasRef    bool
 
-	buf   []Sample  // ring of the last n samples
-	means []float64 // windowed mean history, one entry per Push
+	buf   ring[Sample]  // the last n samples
+	means ring[float64] // the last refLag+1 windowed means, one per Push
 	seq   int
+
+	// gates makes Push record each pushed score as the sample's gate
+	// score (TrackGateScores).
+	gates bool
 
 	// frameWidth selects the retained frames' storage width: F64 (the
 	// zero value, canonical) or F32 for reduced-precision streams.
@@ -129,11 +153,21 @@ func (m *Monitor) SetFrameWidth(w tensor.DType) {
 	}
 	m.frameWidth = w
 	if w == tensor.F32 {
-		for i := range m.buf {
-			m.buf[i] = m.narrow(m.buf[i])
+		for i := 0; i < m.buf.n; i++ {
+			*m.buf.at(i) = m.narrow(*m.buf.at(i))
 		}
 	}
 }
+
+// TrackGateScores makes every later Push record the pushed score as the
+// sample's gate score (Sample.GateScore). Opt in only on a monitor that
+// keeps its frames at float64, when every pushed score is the float64
+// static-window score of its frame under the token banks the adapter steps
+// on — a float64 one-frame ScoreVideo under those banks is — and call
+// Adapter.Rescore whenever the banks change, so that every gate score stays
+// the probe's score. Samples already in the window, and samples
+// ImportState brings in, have none until Rescore.
+func (m *Monitor) TrackGateScores() { m.gates = true }
 
 // narrow converts a sample to float32 frame storage.
 func (m *Monitor) narrow(s Sample) Sample {
@@ -151,35 +185,33 @@ func (m *Monitor) narrow(s Sample) Sample {
 
 // Push records a scored frame.
 func (m *Monitor) Push(frame *tensor.Tensor, score float64) {
-	smp := Sample{Frame: frame, Score: score, Seq: m.seq}
+	smp := Sample{Frame: frame, Score: score, Seq: m.seq, gate: math.NaN()}
+	if m.gates {
+		smp.gate = score
+	}
 	if m.frameWidth == tensor.F32 {
 		smp = m.narrow(smp)
 	}
-	m.buf = append(m.buf, smp)
+	m.buf.push(smp, m.n)
 	m.seq++
-	if len(m.buf) > m.n {
-		m.buf = m.buf[1:]
-	}
-	m.means = append(m.means, m.mean())
 	// Bound the mean history: only the last refLag+1 entries matter.
-	if len(m.means) > m.refLag+1 {
-		m.means = m.means[len(m.means)-m.refLag-1:]
-	}
-	if m.anchored && !m.hasRef && len(m.buf) == m.n {
+	m.means.push(m.mean(), m.refLag+1)
+	if m.anchored && !m.hasRef && m.buf.n == m.n {
 		m.reference = m.mean()
 		m.hasRef = true
 	}
 }
 
+// mean sums the window oldest first: the order is part of every Δm's bits.
 func (m *Monitor) mean() float64 {
-	if len(m.buf) == 0 {
+	if m.buf.n == 0 {
 		return 0
 	}
 	s := 0.0
-	for _, x := range m.buf {
-		s += x.Score
+	for i := 0; i < m.buf.n; i++ {
+		s += m.buf.at(i).Score
 	}
-	return s / float64(len(m.buf))
+	return s / float64(m.buf.n)
 }
 
 // Mean returns the current windowed mean m_t.
@@ -188,9 +220,9 @@ func (m *Monitor) Mean() float64 { return m.mean() }
 // Ready reports whether the window is full and the t′ reference exists.
 func (m *Monitor) Ready() bool {
 	if m.anchored {
-		return len(m.buf) == m.n && m.hasRef
+		return m.buf.n == m.n && m.hasRef
 	}
-	return len(m.buf) == m.n && len(m.means) > m.refLag
+	return m.buf.n == m.n && m.means.n > m.refLag
 }
 
 // DeltaM returns Δm = m_t − m_t′. It is meaningful only when Ready.
@@ -198,11 +230,11 @@ func (m *Monitor) DeltaM() float64 {
 	if !m.Ready() {
 		return 0
 	}
-	cur := m.means[len(m.means)-1]
+	cur := *m.means.at(m.means.n - 1)
 	if m.anchored {
 		return cur - m.reference
 	}
-	ref := m.means[len(m.means)-1-m.refLag]
+	ref := *m.means.at(m.means.n - 1 - m.refLag)
 	return cur - ref
 }
 
@@ -230,7 +262,7 @@ func (m *Monitor) TopK() []Sample {
 	if k == 0 {
 		return nil
 	}
-	sorted := append([]Sample(nil), m.buf...)
+	sorted := m.Window()
 	sort.Slice(sorted, func(i, j int) bool {
 		if sorted[i].Score != sorted[j].Score {
 			return sorted[i].Score > sorted[j].Score
@@ -243,13 +275,13 @@ func (m *Monitor) TopK() []Sample {
 // BottomK returns the k lowest-scoring samples (most confidently normal),
 // used as the non-anomalous anchors of the adaptation loss.
 func (m *Monitor) BottomK(k int) []Sample {
-	if k <= 0 || len(m.buf) == 0 {
+	if k <= 0 || m.buf.n == 0 {
 		return nil
 	}
-	if k > len(m.buf) {
-		k = len(m.buf)
+	if k > m.buf.n {
+		k = m.buf.n
 	}
-	sorted := append([]Sample(nil), m.buf...)
+	sorted := m.Window()
 	sort.Slice(sorted, func(i, j int) bool {
 		if sorted[i].Score != sorted[j].Score {
 			return sorted[i].Score < sorted[j].Score
@@ -259,22 +291,29 @@ func (m *Monitor) BottomK(k int) []Sample {
 	return sorted[:k]
 }
 
-// MemBytes estimates the monitor's resident bytes for the memory ledger.
-// The retained window frames dominate: every pushed frame is held until it
-// leaves the ring, so a full window costs N × frame size regardless of how
-// small the rest of the stream state is.
+// Window returns a fresh copy of the window's samples, oldest first.
+func (m *Monitor) Window() []Sample {
+	return m.buf.appendTo(make([]Sample, 0, m.buf.n))
+}
+
+// MemBytes estimates the monitor's resident bytes for the memory ledger:
+// the retained window frames and the mean history. The frames dominate:
+// every pushed frame is held until it leaves the ring, so a full window
+// costs N × frame size regardless of how small the rest of the stream
+// state is. Per-sample scalars — score, sequence number, gate score — are
+// not charged.
 func (m *Monitor) MemBytes() int64 {
 	var b int64
-	for _, s := range m.buf {
-		b += s.memBytes()
+	for i := 0; i < m.buf.n; i++ {
+		b += m.buf.at(i).memBytes()
 	}
-	return b + int64(len(m.means))*8
+	return b + int64(m.means.n)*8
 }
 
 // Reset clears all state including any anchored reference.
 func (m *Monitor) Reset() {
-	m.buf = nil
-	m.means = nil
+	m.buf = ring[Sample]{}
+	m.means = ring[float64]{}
 	m.seq = 0
 	m.reference = 0
 	m.hasRef = false
@@ -299,14 +338,14 @@ type MonitorState struct {
 	Means     tensor.Floats    `json:"means"`
 }
 
-// ExportState describes the monitor's full state. The mean history is the
-// live one and sample frames are shared when held at float64 (they are
-// immutable once pushed); frames the monitor stores narrowed are
-// materialized to canonical float64, so exported state is width-independent
-// and checkpoints taken at f32 restore bit-exactly at either width. Only the
-// sample columns are built afresh. The result is valid until the monitor is
-// next written (its next Push or ImportState); encode it first, and never
-// write through it.
+// ExportState describes the monitor's full state, oldest sample and mean
+// first. Sample frames are shared when held at float64 (they are immutable
+// once pushed); frames the monitor stores narrowed are materialized to
+// canonical float64, so exported state is width-independent and
+// checkpoints taken at f32 restore bit-exactly at either width. The sample
+// columns and the mean history are read out of the rings afresh, the
+// scores and means in one allocation; gate scores are derived state and
+// are not exported. Never write through the result.
 func (m *Monitor) ExportState() MonitorState {
 	s := MonitorState{
 		N:         m.n,
@@ -315,14 +354,22 @@ func (m *Monitor) ExportState() MonitorState {
 		Reference: tensor.F64Bits(m.reference),
 		HasRef:    m.hasRef,
 		Seq:       m.seq,
-		Means:     m.means,
 	}
-	if n := len(m.buf); n > 0 {
+	n := m.buf.n
+	if n+m.means.n == 0 {
+		return s
+	}
+	cols := make(tensor.Floats, n, n+m.means.n)
+	if m.means.n > 0 {
+		s.Means = m.means.appendTo(cols[n:])
+	}
+	if n > 0 {
 		s.Frames = make([]*tensor.Tensor, n)
-		s.Scores = make(tensor.Floats, n)
+		s.Scores = cols[:n:n]
 		s.Seqs = make([]int, n)
 	}
-	for i, smp := range m.buf {
+	for i := 0; i < n; i++ {
+		smp := m.buf.at(i)
 		s.Frames[i], s.Scores[i], s.Seqs[i] = smp.Pix(), smp.Score, smp.Seq
 	}
 	return s
@@ -355,6 +402,8 @@ func (s *MonitorState) Validate() error {
 // ImportState replaces the monitor's state with a previously exported one,
 // including the construction parameters; invalid state leaves the monitor
 // untouched. Frames are shared with s, as a pushed frame is with its caller.
+// The imported samples have no gate scores (see TrackGateScores), and only
+// the last RefLag+1 means are kept, the only ones a decision reads.
 func (m *Monitor) ImportState(s MonitorState) error {
 	if err := s.Validate(); err != nil {
 		return err
@@ -365,21 +414,25 @@ func (m *Monitor) ImportState(s MonitorState) error {
 	m.reference = float64(s.Reference)
 	m.hasRef = s.HasRef
 	m.seq = s.Seq
-	m.buf = make([]Sample, len(s.Frames))
+	m.buf = ring[Sample]{}
 	for i, f := range s.Frames {
-		m.buf[i] = Sample{Frame: f, Score: s.Scores[i], Seq: s.Seqs[i]}
+		smp := Sample{Frame: f, Score: s.Scores[i], Seq: s.Seqs[i], gate: math.NaN()}
 		if m.frameWidth == tensor.F32 {
-			m.buf[i] = m.narrow(m.buf[i])
+			smp = m.narrow(smp)
 		}
+		m.buf.push(smp, m.n)
 	}
-	m.means = append([]float64(nil), s.Means...)
+	m.means = ring[float64]{}
+	for _, v := range s.Means {
+		m.means.push(v, m.refLag+1)
+	}
 	return nil
 }
 
 // Clone returns an independent copy of the monitor's current state: the
-// sample window, the bounded mean history and the reference. Sample frames
-// are shared (they are immutable once pushed); all bookkeeping slices are
-// fresh, so pushes into the original never affect the clone. The serving
+// sample window with its gate scores, the bounded mean history and the
+// reference. Sample frames are shared (they are immutable once pushed); both
+// rings are fresh, so pushes into the original never affect the clone. The serving
 // runtime snapshots the monitor this way when an adaptation round is
 // dispatched asynchronously: the adapter selects pseudo-labels from the
 // window as it stood at the trigger frame while scoring keeps pushing.
@@ -391,9 +444,58 @@ func (m *Monitor) Clone() *Monitor {
 		reference:  m.reference,
 		hasRef:     m.hasRef,
 		seq:        m.seq,
+		gates:      m.gates,
 		frameWidth: m.frameWidth,
+		buf:        m.buf.clone(),
+		means:      m.means.clone(),
 	}
-	c.buf = append([]Sample(nil), m.buf...)
-	c.means = append([]float64(nil), m.means...)
 	return c
+}
+
+// ring is a fixed-capacity FIFO: its slots are allocated on the first
+// push, and a push into a full ring overwrites the oldest element.
+type ring[T any] struct {
+	s    []T
+	head int // slot of the oldest element
+	n    int // elements held
+}
+
+// push appends v, evicting the oldest element once size are held. size
+// must not change over the ring's life (a reset ring may take a new one).
+func (r *ring[T]) push(v T, size int) {
+	if r.s == nil {
+		r.s = make([]T, size)
+	}
+	if r.n < len(r.s) {
+		r.s[r.slot(r.n)] = v
+		r.n++
+		return
+	}
+	r.s[r.head] = v
+	r.head = r.slot(1)
+}
+
+// slot maps the i-th oldest element to its slot.
+func (r *ring[T]) slot(i int) int {
+	if i += r.head; i >= len(r.s) {
+		i -= len(r.s)
+	}
+	return i
+}
+
+// at returns the i-th oldest element, 0 ≤ i < n.
+func (r *ring[T]) at(i int) *T { return &r.s[r.slot(i)] }
+
+// appendTo appends the elements to dst, oldest first.
+func (r *ring[T]) appendTo(dst []T) []T {
+	if end := r.head + r.n; end <= len(r.s) {
+		return append(dst, r.s[r.head:end]...)
+	}
+	dst = append(dst, r.s[r.head:]...)
+	return append(dst, r.s[:r.head+r.n-len(r.s)]...)
+}
+
+// clone returns a ring with its own copy of the slots.
+func (r *ring[T]) clone() ring[T] {
+	return ring[T]{s: append([]T(nil), r.s...), head: r.head, n: r.n}
 }

@@ -87,6 +87,17 @@ func NewLedger() *Ledger {
 
 // Record adds one event's costs to a phase.
 func (l *Ledger) Record(phase string, ops, bytes int64) {
+	l.add(phase, ops, bytes, 1)
+}
+
+// Add adds costs to a phase without counting an event: work that belongs
+// to an event already recorded, such as the tail of an adaptation round
+// finished after its report was.
+func (l *Ledger) Add(phase string, ops, bytes int64) {
+	l.add(phase, ops, bytes, 0)
+}
+
+func (l *Ledger) add(phase string, ops, bytes, events int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	p := l.phases[phase]
@@ -96,15 +107,7 @@ func (l *Ledger) Record(phase string, ops, bytes int64) {
 	}
 	p.ops += ops
 	p.bytes += bytes
-	p.events++
-}
-
-// Meter runs fn with a fresh counter and records its cost under phase,
-// returning the measured ops.
-func (l *Ledger) Meter(phase string, fn func()) int64 {
-	ops, bytes := Count(fn)
-	l.Record(phase, ops, bytes)
-	return ops
+	p.events += events
 }
 
 // PhaseOps returns the accumulated ops of a phase (0 if absent).

@@ -103,8 +103,10 @@ func TestLedger(t *testing.T) {
 	if l.PhaseEvents("a") != 2 {
 		t.Errorf("events = %d", l.PhaseEvents("a"))
 	}
-	ops := l.Meter("c", func() { Add(9) })
-	if ops != 9 || l.PhaseOps("c") != 9 {
-		t.Errorf("meter = %d", ops)
+	l.Add("a", 4, 1)
+	l.Add("c", 9, 0)
+	if l.PhaseOps("a") != 19 || l.PhaseEvents("a") != 2 || l.PhaseOps("c") != 9 || l.PhaseEvents("c") != 0 {
+		t.Errorf("Add: a %d ops %d events, c %d ops %d events; want 19/2 and 9/0",
+			l.PhaseOps("a"), l.PhaseEvents("a"), l.PhaseOps("c"), l.PhaseEvents("c"))
 	}
 }

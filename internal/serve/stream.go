@@ -238,7 +238,8 @@ func deployParts(det *core.Detector, cfg StreamConfig, src rand.Source) (*core.M
 		return nil, nil, fmt.Errorf("serve: %w", err)
 	}
 	det.SetPrecision(cfg.Precision)
-	if cfg.Precision.Resolve() == core.PrecisionF32 {
+	f32 := cfg.Precision.Resolve() == core.PrecisionF32
+	if f32 {
 		mon.SetFrameWidth(tensor.F32)
 	}
 	if cfg.AdaptEveryFrames <= 0 {
@@ -248,6 +249,15 @@ func deployParts(det *core.Detector, cfg StreamConfig, src rand.Source) (*core.M
 	adapter, err := core.NewAdapter(det, cfg.Adapt, rand.New(src))
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: %w", err)
+	}
+	if !f32 {
+		// A float64 served score is the frame's static-window score, the one
+		// the loss gate's probe computes (a served window is the frame's
+		// static window), so the monitor keeps it as the sample's gate score
+		// and the probe does not score the frame again. The stream rescores
+		// the window whenever the live banks change: after a round that
+		// trained (rescoreRound) and after a restore (restoreState).
+		mon.TrackGateScores()
 	}
 	return mon, adapter, nil
 }
@@ -478,16 +488,33 @@ func (st *Stream) Scores() []float64 {
 	return append([]float64(nil), st.scores[len(st.scores)-h:]...)
 }
 
-// meter runs fn and records its cost under phase, in the stream's
-// metering mode.
+// meter runs fn and records its cost under phase as one event, in the
+// stream's metering mode.
 func (st *Stream) meter(phase string, fn func()) {
+	ops, bytes := st.measure(fn)
+	st.ledger.Record(phase, ops, bytes)
+}
+
+// measure runs fn and returns its cost in the stream's metering mode.
+func (st *Stream) measure(fn func()) (ops, bytes int64) {
 	if st.shared == nil {
-		st.ledger.Meter(phase, fn)
-		return
+		return flops.Count(fn)
 	}
 	ops0, bytes0 := st.shared.Ops(), st.shared.Bytes()
 	fn()
-	st.ledger.Record(phase, st.shared.Ops()-ops0, st.shared.Bytes()-bytes0)
+	return st.shared.Ops() - ops0, st.shared.Bytes() - bytes0
+}
+
+// rescoreRound brings the window's gate scores up to the banks a round
+// rewrote — one that trained, or failed partway — and bills the rescore to
+// that round's adaptation event. Rounds the gates stopped left the banks
+// alone and cost nothing here.
+func (st *Stream) rescoreRound(rep core.AdaptReport, err error) {
+	if !rep.Triggered && err == nil {
+		return
+	}
+	ops, bytes := st.measure(func() { st.adapter.Rescore(st.mon) })
+	st.ledger.Add(PhaseAdaptation, ops, bytes)
 }
 
 // Process scores one incoming frame, updates the monitor, and advances
@@ -546,6 +573,7 @@ func (st *Stream) Process(pix *tensor.Tensor) Result {
 			st.meter(PhaseAdaptation, func() {
 				rep, err = st.adapter.Step(st.mon)
 			})
+			st.rescoreRound(rep, err)
 			res.Adapt, res.AdaptApplied = rep, true
 			if err != nil {
 				st.lastErr = fmt.Errorf("serve: adaptation round: %w", err)
@@ -612,6 +640,7 @@ func (st *Stream) join() (core.AdaptReport, error) {
 	st.pending = nil
 	p.g.Wait()
 	st.scoreDet = st.det
+	st.rescoreRound(p.rep, p.err)
 	if p.err != nil {
 		st.lastErr = fmt.Errorf("serve: adaptation round: %w", p.err)
 		return p.rep, st.lastErr
@@ -883,6 +912,14 @@ func (st *Stream) restoreState(ss *snapshot.StreamState) error {
 	if st.adapter != nil {
 		if err := st.adapter.ImportState(*ss.Adapter); err != nil {
 			return fmt.Errorf("serve: stream %d: %w", st.id, err)
+		}
+		// Gate scores are derived from the frames and the live banks, so
+		// the restored window gets them back unbilled: the uninterrupted
+		// run paid for them when its banks last changed.
+		if st.shared == nil {
+			flops.Count(func() { st.adapter.Rescore(st.mon) })
+		} else {
+			st.adapter.Rescore(st.mon)
 		}
 	} else {
 		// Restored banks come in trainable; re-assert the static
