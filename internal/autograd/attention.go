@@ -202,8 +202,7 @@ func batchedAttention[T tensor.Float](ws *tensor.Workspace, q, k, v *tensor.Dens
 //
 // It calls the same backend kernels as the composed reference ops (Dot
 // for MatMulT2's inner product, Axpy for MatMul's accumulation), so
-// fused-vs-sequential bit-identity holds per backend even where a kernel
-// reassociates.
+// fused-vs-sequential bit-identity holds on every backend.
 type attnQuery[T tensor.Float] struct {
 	bk      kernels.Backend[T]
 	kd, vd  []T

@@ -11,10 +11,11 @@ package autograd
 //   - The fused edge-aggregate forward/backward use only order-preserving
 //     kernels (MulAcc, Scale, ScaledMulAcc), so their outputs must be
 //     bit-identical across every backend.
-//   - BatchedAttention's scores and softmax adjoint use the reassociating
-//     Dot, so cross-backend agreement is tolerance-based — but within any
-//     single backend the fused op must still match the composed reference
-//     op chain bit-for-bit, which is the invariant the temporal model's
+//   - BatchedAttention's scores and softmax adjoint use Dot, which sums in
+//     one order on every backend, so its forward and gradients must be
+//     bit-identical to the scalar backend's; and within each backend the
+//     fused forward must match the composed reference op chain
+//     bit-for-bit, which is the invariant the temporal model's
 //     equivalence suite relies on.
 //   - BatchedAttentionFwd with one query per window must return exactly
 //     the last-position rows of the all-queries form within every backend,
@@ -240,8 +241,8 @@ func TestEdgeAggFusedMatchesComposedPerBackend(t *testing.T) {
 
 // TestBatchedAttentionBackendConformance checks the fused attention under
 // every backend: bit-identical to the composed per-window reference within
-// the backend, and within reassociation tolerance of the scalar backend's
-// output across backends.
+// the backend, and its forward and gradients bit-identical to the scalar
+// backend's, whatever order kernels.Names lists the backends in.
 func TestBatchedAttentionBackendConformance(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	const batch, win, heads, dk = 3, 5, 2, 3
@@ -252,12 +253,14 @@ func TestBatchedAttentionBackendConformance(t *testing.T) {
 	vd := tensor.RandN(rng, 1, batch*win, dim)
 	gseed := tensor.RandN(rng, 1, batch*win, dim)
 
-	var scalarOut, scalarGq *tensor.Tensor
-	for _, name := range kernels.Names() {
+	// run returns the fused forward and the q, k and v gradients on the
+	// named backend.
+	run := func(name string) []*tensor.Tensor {
 		restore, err := kernels.Use(name)
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer restore()
 		q, k, v := Param(qd.Clone()), Param(kd.Clone()), Param(vd.Clone())
 		fused := BatchedAttention(q, k, v, batch, heads, scale)
 		qc, kc, vc := Param(qd.Clone()), Param(kd.Clone()), Param(vd.Clone())
@@ -274,18 +277,18 @@ func TestBatchedAttentionBackendConformance(t *testing.T) {
 				t.Errorf("%s: input %d grad diverges from composed beyond 1e-12", name, i)
 			}
 		}
+		return []*tensor.Tensor{fused.Data, q.Grad, k.Grad, v.Grad}
+	}
 
+	want := run("scalar")
+	for _, name := range kernels.Names() {
 		if name == "scalar" {
-			scalarOut, scalarGq = fused.Data, q.Grad
-		} else if scalarOut != nil {
-			if !tensor.AllClose(scalarOut, fused.Data, 1e-12) {
-				t.Errorf("%s: forward diverges from scalar beyond 1e-12", name)
-			}
-			if !tensor.AllClose(scalarGq, q.Grad, 1e-10) {
-				t.Errorf("%s: q-grad diverges from scalar beyond 1e-10", name)
-			}
+			continue
 		}
-		restore()
+		for i, got := range run(name) {
+			requireBitEqual(t, fmt.Sprintf("%s/%s-vs-scalar", name, []string{"forward", "q-grad", "k-grad", "v-grad"}[i]),
+				want[i].Data(), got.Data())
+		}
 	}
 }
 

@@ -15,19 +15,23 @@ import (
 	"edgekg/internal/serve"
 	"edgekg/internal/snapshot"
 	"edgekg/internal/tensor"
-	"edgekg/internal/tensor/kernels"
 )
 
 // goldenCheckpoint was written by Stream.Save under the script below
-// (scalar kernels, float64 scoring) when checkpoints went binary (format
-// version 2). The format must not move by a byte across any later change
-// that does not bump snapshot.Version.
-const goldenCheckpoint = "../../testdata/stream_checkpoint_pr36.bin"
+// (float64 scoring) once every kernel backend summed its reductions in
+// one order, so any backend reproduces it. The format must not move by a
+// byte across any later change that does not bump snapshot.Version.
+const goldenCheckpoint = "../../testdata/stream_checkpoint_pr53.bin"
 
-// goldenV1 is the same script's file in the version 1 JSON form, written
-// once the adapter's step became the plain single-tape loop. It holds the
-// same state: it must re-encode to goldenCheckpoint byte for byte, and
-// resume as bit-identically.
+// scalarOrderCheckpoint is the same script's version 2 file from when the
+// golden was recorded at the scalar backend, whose reductions then summed
+// one element at a time. Its values are no longer what the script
+// computes; it stays as a format and load fixture.
+const scalarOrderCheckpoint = "../../testdata/stream_checkpoint_pr36.bin"
+
+// goldenV1 is scalarOrderCheckpoint's state in the version 1 JSON form,
+// written once the adapter's step became the plain single-tape loop. It
+// must re-encode to scalarOrderCheckpoint byte for byte.
 const goldenV1 = "../../testdata/stream_checkpoint_pr26.json"
 
 // legacyCheckpoint is the same script's version 1 file from before the
@@ -79,27 +83,20 @@ func goldenDrive(t testing.TB, st *serve.Stream, frames []*tensor.Tensor, lo, hi
 	return scores
 }
 
-// pinGoldenArithmetic makes the scripted run's floats reproducible on any
-// amd64 host: the scalar kernel backend (the optimized ones reassociate
-// differently) and no fused multiply-add (which the compiler introduces on
-// other architectures).
+// pinGoldenArithmetic skips the golden comparison off amd64: the bytes
+// were computed without fused multiply-adds, which the compiler
+// introduces on other architectures.
 func pinGoldenArithmetic(t *testing.T) {
 	t.Helper()
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden bytes were computed on amd64; %s fuses multiply-adds", runtime.GOARCH)
 	}
-	restore, err := kernels.Use("scalar")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(restore)
 }
 
-// TestSaveReproducesGoldenCheckpoint replays the script and requires
-// Stream.Save to produce the committed file byte for byte, and the
-// version 1 file of the same state to re-encode to it. Then it loads each
-// committed file into a fresh stream and requires the continuation to be
-// bit-identical to the uninterrupted run.
+// TestSaveReproducesGoldenCheckpoint replays the script on the active
+// kernel backend and requires Stream.Save to produce the committed file
+// byte for byte. Then it loads the file into a fresh stream and requires
+// the continuation to be bit-identical to the uninterrupted run.
 func TestSaveReproducesGoldenCheckpoint(t *testing.T) {
 	pinGoldenArithmetic(t)
 	want, err := os.ReadFile(goldenCheckpoint)
@@ -129,47 +126,66 @@ func TestSaveReproducesGoldenCheckpoint(t *testing.T) {
 	if s.TriggeredRounds == 0 || s.PrunedNodes == 0 || s.CreatedNodes == 0 {
 		t.Fatalf("scripted deployment no longer exercises the format: stats %+v", s)
 	}
-	v1, err := snapshot.Load(goldenV1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reencoded, err := snapshot.Encode(v1); err != nil || !bytes.Equal(reencoded, want) {
-		t.Fatalf("%s re-encodes to %d bytes (%v), not to the %d of %s", goldenV1, len(reencoded), err, len(want), goldenCheckpoint)
-	}
 	uninterrupted := goldenDrive(t, st, frames, goldenStop, len(frames))
 	// The last frame dispatched a round; settle it before reading stats.
 	if err := st.Sync(); err != nil {
 		t.Fatal(err)
 	}
 
-	for _, file := range []string{goldenCheckpoint, goldenV1} {
-		resumed, _ := goldenStream(t)
-		if err := resumed.Load(file); err != nil {
-			t.Fatalf("%s no longer loads: %v", file, err)
+	resumed, _ := goldenStream(t)
+	if err := resumed.Load(goldenCheckpoint); err != nil {
+		t.Fatalf("%s no longer loads: %v", goldenCheckpoint, err)
+	}
+	continued := goldenDrive(t, resumed, frames, goldenStop, len(frames))
+	for i := range uninterrupted {
+		if math.Float64bits(continued[i]) != math.Float64bits(uninterrupted[i]) {
+			t.Fatalf("frame %d after resume: score %v, uninterrupted run %v", goldenStop+i, continued[i], uninterrupted[i])
 		}
-		continued := goldenDrive(t, resumed, frames, goldenStop, len(frames))
-		for i := range uninterrupted {
-			if math.Float64bits(continued[i]) != math.Float64bits(uninterrupted[i]) {
-				t.Fatalf("%s: frame %d after resume: score %v, uninterrupted run %v", file, goldenStop+i, continued[i], uninterrupted[i])
-			}
-		}
-		if err := resumed.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		if a, b := resumed.Stats(), st.Stats(); a != b {
-			t.Fatalf("%s: stats after resume %+v, uninterrupted %+v", file, a, b)
-		}
+	}
+	if err := resumed.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := resumed.Stats(), st.Stats(); a != b {
+		t.Fatalf("stats after resume %+v, uninterrupted %+v", a, b)
+	}
+}
+
+// TestScalarOrderCheckpointsStillLoad keeps the two files recorded before
+// the backends agreed as fixtures: the version 1 file re-encodes to the
+// version 2 file byte for byte, and each loads with its counters and
+// serves on.
+func TestScalarOrderCheckpointsStillLoad(t *testing.T) {
+	v1, err := snapshot.Load(goldenV1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(scalarOrderCheckpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reencoded, err := snapshot.Encode(v1); err != nil || !bytes.Equal(reencoded, want) {
+		t.Fatalf("%s re-encodes to %d bytes (%v), not to the %d of %s", goldenV1, len(reencoded), err, len(want), scalarOrderCheckpoint)
+	}
+	for _, file := range []string{scalarOrderCheckpoint, goldenV1} {
+		t.Run(filepath.Base(file), func(t *testing.T) { requireLoadsAndServes(t, file) })
 	}
 }
 
 // TestLoadsCheckpointWrittenBeforePlainLoop loads legacyCheckpoint into a
+// fresh stream and serves on (requireLoadsAndServes).
+func TestLoadsCheckpointWrittenBeforePlainLoop(t *testing.T) {
+	requireLoadsAndServes(t, legacyCheckpoint)
+}
+
+// requireLoadsAndServes loads one of the script's older files into a
 // fresh stream: its counters come back exactly, and the stream serves
 // through the pending round's swap at frame 51 and the rounds after it
 // without error.
-func TestLoadsCheckpointWrittenBeforePlainLoop(t *testing.T) {
+func requireLoadsAndServes(t *testing.T, file string) {
+	t.Helper()
 	st, frames := goldenStream(t)
-	if err := st.Load(legacyCheckpoint); err != nil {
-		t.Fatalf("checkpoint written before the plain loop no longer loads: %v", err)
+	if err := st.Load(file); err != nil {
+		t.Fatalf("%s no longer loads: %v", file, err)
 	}
 	// frames, adaptation rounds, triggered, pruned, created
 	want := [5]int{goldenStop, 5, 4, 5, 5}

@@ -3,12 +3,11 @@ package tensor_test
 // Kernel conformance harness: every registered backend is driven, at
 // both element widths, through the shared shape/payload grid in
 // kernels/table.go and pinned to the scalar reference of the same width.
-// Order-preserving kernels must match bit-for-bit (NaN payloads compare
-// NaN-to-NaN); reassociating reductions must sit inside the
-// condition-aware budget of kernels.CompareAccum. The fused autograd ops
-// reuse the same grid in internal/autograd's backend conformance test,
-// so a backend that passes here and there is safe to enable for the
-// whole model.
+// Every kernel must match bit-for-bit (NaN payloads compare NaN-to-NaN),
+// the reductions too, since every backend sums in one order. The fused
+// autograd ops reuse the same grid in internal/autograd's backend
+// conformance test, so a backend that passes here and there is safe to
+// enable for the whole model.
 
 import (
 	"encoding/binary"
@@ -61,31 +60,21 @@ func requireSameBits[T kernels.Float](t *testing.T, ctx string, ref, got []T) {
 	}
 }
 
+// requireReductions pins bk's Dot, Norm2Sq and Sum over x and y to sc's
+// bits (NaN matches NaN).
+func requireReductions[T kernels.Float](t *testing.T, ctx string, sc, bk kernels.Backend[T], x, y []T) {
+	t.Helper()
+	requireExact(t, ctx+"/Dot", []T{sc.Dot(x, y)}, []T{bk.Dot(x, y)})
+	requireExact(t, ctx+"/Norm2Sq", []T{sc.Norm2Sq(x)}, []T{bk.Norm2Sq(x)})
+	requireExact(t, ctx+"/Sum", []T{sc.Sum(x)}, []T{bk.Sum(x)})
+}
+
 // bitsOf returns v's IEEE pattern at its own width.
 func bitsOf[T kernels.Float](v T) uint64 {
 	if f, ok := any(v).(float32); ok {
 		return uint64(math.Float32bits(f))
 	}
 	return math.Float64bits(float64(v))
-}
-
-// absTermDot returns Σ|x[i]·y[i]| for the reassociation budget, computed
-// at float64 so the budget carries no float32 rounding.
-func absTermDot[T kernels.Float](x, y []T) float64 {
-	s := 0.0
-	for i := range x {
-		s += math.Abs(float64(x[i]) * float64(y[i]))
-	}
-	return s
-}
-
-// absTermSum returns Σ|x[i]|.
-func absTermSum[T kernels.Float](x []T) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += math.Abs(float64(v))
-	}
-	return s
 }
 
 // TestElementwiseConformance pins the order-preserving vector kernels of
@@ -175,9 +164,8 @@ func elementwiseConformance[T kernels.Float](t *testing.T) {
 	}
 }
 
-// TestReduceConformance pins the reassociating reductions to the scalar
-// reference within the n·ε·Σ|terms| budget, and the order-preserving
-// SumAxis0 sweep bit-for-bit.
+// TestReduceConformance pins the reductions (Dot, Norm2Sq, Sum) and the
+// SumAxis0 sweep to the scalar reference bit-for-bit.
 func TestReduceConformance(t *testing.T) {
 	bothWidths(t, reduceConformance[float64], reduceConformance[float32])
 }
@@ -193,15 +181,7 @@ func reduceConformance[T kernels.Float](t *testing.T) {
 				y := fill[T](p, seed+1, n)
 				ctx := fmt.Sprintf("%s/%s/n=%d", name, p.Name, n)
 
-				if err := kernels.CompareAccum(sc.Dot(x, y), bk.Dot(x, y), n, absTermDot(x, y)); err != nil {
-					t.Fatalf("%s/Dot: %v", ctx, err)
-				}
-				if err := kernels.CompareAccum(sc.Norm2Sq(x), bk.Norm2Sq(x), n, absTermDot(x, x)); err != nil {
-					t.Fatalf("%s/Norm2Sq: %v", ctx, err)
-				}
-				if err := kernels.CompareAccum(sc.Sum(x), bk.Sum(x), n, absTermSum(x)); err != nil {
-					t.Fatalf("%s/Sum: %v", ctx, err)
-				}
+				requireReductions(t, ctx, sc, bk, x, y)
 			}
 			for di, dm := range kernels.ConformanceDims {
 				r, c := dm.M, dm.N
@@ -218,8 +198,7 @@ func reduceConformance[T kernels.Float](t *testing.T) {
 }
 
 // TestMatMulConformance drives the matmul family of every backend through
-// the geometry grid: MatMul/MatMulT1 are pinned bit-for-bit, MatMulT2 and
-// MatVec per-element within the k-term reduction budget. Partial [lo, hi)
+// the geometry grid and pins it bit-for-bit. Partial [lo, hi)
 // ranges verify the worker-split contract: rows outside the range must not
 // be touched, and a split into two row chunks cannot change results.
 func TestMatMulConformance(t *testing.T) {
@@ -261,25 +240,12 @@ func matMulConformance[T kernels.Float](t *testing.T) {
 
 				sc.MatMulT2(a, bt, ref, k, n, 0, m)
 				bk.MatMulT2(a, bt, got, k, n, 0, m)
-				for i := 0; i < m; i++ {
-					for j := 0; j < n; j++ {
-						arow := a[i*k : (i+1)*k]
-						brow := bt[j*k : (j+1)*k]
-						if err := kernels.CompareAccum(ref[i*n+j], got[i*n+j], k, absTermDot(arow, brow)); err != nil {
-							t.Fatalf("%s/MatMulT2 [%d,%d]: %v", ctx, i, j, err)
-						}
-					}
-				}
+				requireExact(t, ctx+"/MatMulT2", ref, got)
 
 				refV, gotV := make([]T, m), make([]T, m)
 				sc.MatVec(a, xv, refV, k, 0, m)
 				bk.MatVec(a, xv, gotV, k, 0, m)
-				for i := 0; i < m; i++ {
-					arow := a[i*k : (i+1)*k]
-					if err := kernels.CompareAccum(refV[i], gotV[i], k, absTermDot(arow, xv)); err != nil {
-						t.Fatalf("%s/MatVec [%d]: %v", ctx, i, err)
-					}
-				}
+				requireExact(t, ctx+"/MatVec", refV, gotV)
 
 				// Partial range: rows outside [1, m) keep their sentinel.
 				if m >= 2 {
@@ -346,19 +312,12 @@ func fuzzMatMul[T kernels.Float](t *testing.T, raw []byte, m, k, n int) {
 		}
 		sc.MatMulT2(a, bt, ref, k, n, 0, m)
 		bk.MatMulT2(a, bt, got, k, n, 0, m)
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				if err := kernels.CompareAccum(ref[i*n+j], got[i*n+j], k,
-					absTermDot(a[i*k:(i+1)*k], bt[j*k:(j+1)*k])); err != nil {
-					t.Fatalf("%s/MatMulT2(%d,%d,%d) [%d,%d]: %v", name, m, k, n, i, j, err)
-				}
-			}
-		}
+		requireExact(t, fmt.Sprintf("%s/MatMulT2(%d,%d,%d)", name, m, k, n), ref, got)
 	}
 }
 
-// FuzzReduceBackends cross-checks the reassociating reductions against the
-// scalar reference on fuzz-chosen lengths and payloads.
+// FuzzReduceBackends cross-checks the reductions against the scalar
+// reference on fuzz-chosen lengths and payloads.
 func FuzzReduceBackends(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint16(33))
 	f.Add([]byte{0x80, 0, 0, 0, 0, 0, 0xf0, 0x7f}, uint16(9))
@@ -383,15 +342,7 @@ func fuzzReduce[T kernels.Float](t *testing.T, raw []byte, n int) {
 			continue
 		}
 		bk, _ := kernels.Get[T](name)
-		if err := kernels.CompareAccum(sc.Dot(x, y), bk.Dot(x, y), n, absTermDot(x, y)); err != nil {
-			t.Fatalf("%s/Dot n=%d: %v", name, n, err)
-		}
-		if err := kernels.CompareAccum(sc.Sum(x), bk.Sum(x), n, absTermSum(x)); err != nil {
-			t.Fatalf("%s/Sum n=%d: %v", name, n, err)
-		}
-		if err := kernels.CompareAccum(sc.Norm2Sq(x), bk.Norm2Sq(x), n, absTermDot(x, x)); err != nil {
-			t.Fatalf("%s/Norm2Sq n=%d: %v", name, n, err)
-		}
+		requireReductions(t, fmt.Sprintf("%s/n=%d", name, n), sc, bk, x, y)
 	}
 }
 

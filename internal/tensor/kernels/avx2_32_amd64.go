@@ -43,3 +43,11 @@ func (avx232Backend) Axpy(alpha float32, x, y []float32) {
 func (avx232Backend) MatMul(a, b, out []float32, k, n, lo, hi int) {
 	matMul4p(a, b, out, k, n, lo, hi, matmulQuadAsm32, axpyAsm32)
 }
+
+func (avx232Backend) MatMulT2(a, b, out []float32, k, n, lo, hi int) {
+	matMulT2Dot(a, b, out, k, n, lo, hi, dotAsm32)
+}
+
+func (avx232Backend) MatVec(a, x, out []float32, k, lo, hi int) {
+	matVecDot(a, x, out, k, lo, hi, dotAsm32)
+}

@@ -1,14 +1,14 @@
 // AVX2 float32 microkernels: the f32 ports of the dot/sum/axpy/
 // mul-accumulate kernels in avx2_amd64.s. The same numeric rules hold —
 // separate VMULPS/VADDPS (never FMA), so the order-preserving kernels
-// (axpy, mulacc) stay bit-exact against the scalar32 reference — but
-// each YMM lane now holds 8 floats, so the 64-byte main loop covers 16
-// elements per iteration instead of 8. The reassociating reductions
-// (dot, sum) run 16 lanes of partial sums — accumulator lane l holds the
-// elements with index ≡ l (mod 16) — reduced by a fixed deterministic
-// tree (Y1 into Y0, high 128 into low, then two horizontal adds), pinned
-// by the conformance tolerance budgets. Tails are scalar VEX ops, and
-// every exit runs VZEROUPPER before RET.
+// (axpy, mulacc) stay bit-exact against the float32 reference — but
+// each YMM register now holds 8 floats, so the 64-byte main loop covers
+// 16 elements per iteration instead of 8. The reductions (dot, sum) run
+// 16 lanes of partial sums — accumulator lane l holds the elements with
+// index ≡ l (mod 16) — reduced by a fixed tree (Y1 into Y0, high 128
+// into low, then two horizontal adds): the order every backend sums in
+// at float32, written out in Go as dotLanes and sumLanes. Tails are
+// scalar VEX ops, and every exit runs VZEROUPPER before RET.
 
 #include "textflag.h"
 

@@ -6,11 +6,11 @@
 // reference is math.Exp, whose amd64 assembly itself uses VFNMADD231SD
 // and VFMADD213SD whenever the CPU has FMA. eluAsm fuses exactly the
 // operations math.Exp fuses, no others, and runs only on such CPUs, so
-// it rounds where the reference rounds. The reassociating reductions
-// (dot, sum) run 8 lanes of partial sums — accumulator lane l holds the
-// elements with index ≡ l (mod 8) — and reduce lane l with lane l+4,
-// then lanes pairwise, a fixed deterministic tree pinned by the
-// conformance tolerance budgets. The matmul row kernel walks all the
+// it rounds where the reference rounds. The reductions (dot, sum) run 8
+// lanes of partial sums — accumulator lane l holds the elements with
+// index ≡ l (mod 8) — and reduce lane l with lane l+4, then lanes
+// pairwise: the order every backend sums in at float64, written out in
+// Go as dotLanes and sumLanes. The matmul row kernel walks all the
 // p-quads of one output row in one call, so a small row pays one call
 // instead of one per four p-steps; it exits early at the first quad
 // holding a zero a-element, because the reference skips zero terms

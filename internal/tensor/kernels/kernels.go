@@ -4,17 +4,17 @@
 // and the fused-op primitives the autograd layer leans on — operating on
 // raw row-major []T storage (T is float32 or float64), so callers
 // (internal/tensor and the fused ops in internal/autograd) keep owning
-// shape checks, FLOP
-// accounting and the parallel worker split and hand each worker's
-// [lo, hi) range to the active backend.
+// shape checks, FLOP accounting and the parallel worker split and hand
+// each worker's [lo, hi) range to the active backend.
 //
 // Three backends register at init, each at both widths:
 //
-//   - "scalar": the reference. Plain Go loops, byte-for-byte the kernels
-//     the tensor package shipped before dispatch existed. Every other
-//     backend is pinned against it by the conformance harness.
+//   - "scalar": the reference. Plain Go loops: the elementwise kernels
+//     and matmuls byte-for-byte as the tensor package shipped them before
+//     dispatch existed, and the reductions in the lane order below. Every
+//     other backend is pinned against it by the conformance harness.
 //   - "unrolled": 4×-unrolled, register-blocked, bounds-check-eliminated
-//     Go loops.
+//     Go loops, with scalar's reductions.
 //   - "avx2" (amd64 with AVX2 only): hand-written Go assembly for the
 //     dot/axpy/mul-accumulate/sum microkernels and, at float64 on hosts
 //     with FMA, the ELU, with the unrolled loops filling in the rest. At
@@ -29,24 +29,19 @@
 // adaptation run at float64 only; float32 serves the eval-only scoring
 // engine.
 //
-// Numeric contract. Kernels split in two classes:
-//
-//   - Order-preserving kernels (Add, Sub, Mul, MulAcc, ScaledMulAcc,
-//     Axpy, Scale, ELU, MatMul, MatMulT1, SumAxis0) accumulate in the
-//     same element order in every backend — vectorisation runs across
-//     independent elements, multiplies and adds round separately (no
-//     FMA contraction) — so results are bit-identical to the scalar
-//     reference, NaN/Inf/±0 payloads included. ELU is bit-identical to
-//     math.Exp: the avx2 kernel runs the FMA sequence of Go's own amd64
-//     exp lane by lane, on exactly the hosts where math.Exp runs it.
-//   - Reassociating kernels (Dot, Norm2Sq, Sum, MatMulT2, MatVec) reduce
-//     with multiple accumulators, which reorders the floating-point sum.
-//     They are pinned to the reference by a condition-aware ULP/tolerance
-//     budget instead (see compare.go).
-//
-// Every backend is deterministic: the same inputs produce the same bits
-// on every call, at any worker count, which is what keeps the repo-wide
-// bit-equivalence suites meaningful under dispatch.
+// Numeric contract. Every kernel returns the same bits on every backend,
+// NaN/Inf/±0 payloads included (a NaN's payload bits aside), so the
+// backend changes speed only. Elementwise kernels, MatMul, MatMulT1 and
+// SumAxis0 keep each element's scalar-loop order: vectorisation runs
+// across independent elements, and multiplies and adds round separately
+// (no FMA contraction). Dot, Norm2Sq, Sum, and MatMulT2 and MatVec (dot
+// products) sum in avx2's lane order, which dotLanes and sumLanes
+// (scalar.go) write out in Go. ELU is bit-identical to math.Exp: the
+// avx2 kernel runs the FMA sequence of Go's own amd64 exp lane by lane,
+// on exactly the hosts where math.Exp runs it; math.Exp rounds
+// differently on a host without FMA, so the answer is one per host class
+// (FMA or not). Every backend is deterministic at any worker count, which
+// is what keeps the repo-wide bit-equivalence suites meaningful.
 //
 // Selection. The best available backend is chosen at init (avx2 when the
 // CPU supports it, unrolled otherwise). EDGEKG_BACKEND=scalar|unrolled|avx2
@@ -75,11 +70,11 @@ type Backend[T Float] interface {
 	// Name returns the registry key ("scalar", "unrolled", "avx2").
 	Name() string
 
-	// Dot returns Σ x[i]·y[i]. Reassociating.
+	// Dot returns Σ x[i]·y[i], summed in the lane order.
 	Dot(x, y []T) T
-	// Norm2Sq returns Σ x[i]². Reassociating.
+	// Norm2Sq returns Σ x[i]², summed in the lane order.
 	Norm2Sq(x []T) T
-	// Sum returns Σ x[i]. Reassociating.
+	// Sum returns Σ x[i], summed in the lane order.
 	Sum(x []T) T
 
 	// Add stores x + y into dst. Order-preserving.
@@ -113,10 +108,10 @@ type Backend[T Float] interface {
 	// Order-preserving.
 	MatMulT1(a, b, out []T, kk, m, n, lo, hi int)
 	// MatMulT2 computes output rows [lo, hi) of a(m×k)·bᵀ where b is
-	// (n×k). Each output element is a k-term dot product. Reassociating.
+	// (n×k). Each output element is a k-term Dot.
 	MatMulT2(a, b, out []T, k, n, lo, hi int)
-	// MatVec computes elements [lo, hi) of a(m×k)·x into out(m).
-	// Reassociating.
+	// MatVec computes elements [lo, hi) of a(m×k)·x into out(m), each a
+	// k-term Dot.
 	MatVec(a, x, out []T, k, lo, hi int)
 
 	// SumAxis0 accumulates the column sums of m(r×c) into out(c),

@@ -124,28 +124,4 @@ func TestULPDiffFloat32(t *testing.T) {
 	if got := ULPDiff(float32(0x1p-149), float32(-0x1p-149)); got != 2 {
 		t.Errorf("ULPDiff across zero at float32 = %d, want 2", got)
 	}
-	if err := CompareAccum(float32(1), float32(1+0x1p-20), 4, 1e3); err != nil {
-		t.Errorf("within the float32 budget should pass: %v", err)
-	}
-	if err := CompareAccum(float32(1), float32(1+0x1p-20), 4, 1e-3); err == nil {
-		t.Error("outside the float32 budget must fail")
-	}
-}
-
-func TestCompareAccumNonFiniteRule(t *testing.T) {
-	if err := CompareAccum(inf(1), inf(-1), 4, 1); err != nil {
-		t.Errorf("both non-finite should compare equal: %v", err)
-	}
-	if err := CompareAccum(nan(), inf(1), 4, 1); err != nil {
-		t.Errorf("NaN vs Inf are both non-finite: %v", err)
-	}
-	if err := CompareAccum(1.0, inf(1), 4, 1); err == nil {
-		t.Error("finite reference vs non-finite result must fail")
-	}
-	if err := CompareAccum(1, 1+0x1p-50, 4, 1e9); err != nil {
-		t.Errorf("within budget should pass: %v", err)
-	}
-	if err := CompareAccum(1.0, 2.0, 4, 1); err == nil {
-		t.Error("gross divergence must fail")
-	}
 }

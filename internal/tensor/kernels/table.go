@@ -123,10 +123,9 @@ var ConformancePayloads = []Payload{
 	}},
 }
 
-// clampExp passes NaN and ±Inf through (the comparator's non-finite rule
-// covers them — once a non-finite term exists, every summation order
-// stays non-finite) and clamps finite magnitudes to 2^±maxExp, so no
-// finite reduction can overflow in one order but not another.
+// clampExp passes NaN and ±Inf through and clamps finite magnitudes to
+// 2^±maxExp, so a product of two clamped values stays finite and most
+// fuzz inputs exercise finite arithmetic, not an early overflow.
 func clampExp(x float64, maxExp int) float64 {
 	if math.IsNaN(x) || math.IsInf(x, 0) {
 		return x
@@ -142,9 +141,9 @@ func clampExp(x float64, maxExp int) float64 {
 }
 
 // FillAs draws n payload values at width T. float64 gets the payload
-// unchanged; float32 narrows through a 2^±30 clamp, the range the
-// float32 reassociation budget is valid over (subnormal float64 payloads
-// collapse to signed zero there, which is exactly the signed-zero class).
+// unchanged; float32 narrows through a 2^±30 clamp, so the values stay
+// finite at float32 (subnormal float64 payloads collapse to signed zero
+// there, which is exactly the signed-zero class).
 func FillAs[T Float](p Payload, rng *rand.Rand, n int) []T {
 	buf := make([]float64, n)
 	p.Fill(rng, buf)
@@ -159,9 +158,8 @@ func FillAs[T Float](p Payload, rng *rand.Rand, n int) []T {
 }
 
 // FillFuzz fills dst from raw fuzz bytes, 8 bytes per element
-// little-endian, cycling when raw is short and clamping magnitudes into
-// the domain the reassociation tolerance bound is valid over at width T
-// (2^±200 at float64, 2^±30 at float32).
+// little-endian, cycling when raw is short and clamping magnitudes to
+// 2^±200 at float64 and 2^±30 at float32 (see clampExp).
 func FillFuzz[T Float](dst []T, raw []byte) {
 	if len(raw) == 0 {
 		for i := range dst {

@@ -4,56 +4,17 @@ package kernels
 // register-blocked loops with the bounds checks hoisted by explicit
 // re-slicing. Elementwise kernels keep the per-element rounding of the
 // scalar reference (each element is still one multiply and one add, in
-// the same order), so they are bit-exact; the dot-style reductions run
-// four independent accumulators and are pinned by tolerance instead.
+// the same order), and the reductions are the reference's own dotLanes
+// and sumLanes, so every kernel is bit-exact.
 type unrolledBackend[T Float] struct{}
 
 func (unrolledBackend[T]) Name() string { return "unrolled" }
 
-// dot4 is the shared 4-accumulator dot kernel. The accumulators take
-// elements i≡0,1,2,3 (mod 4) and combine as (s0+s1)+(s2+s3).
-func dot4[T Float](x, y []T) T {
-	n := len(x)
-	y = y[:n]
-	var s0, s1, s2, s3 T
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		x4, y4 := x[i:i+4:i+4], y[i:i+4:i+4]
-		s0 += x4[0] * y4[0]
-		s1 += x4[1] * y4[1]
-		s2 += x4[2] * y4[2]
-		s3 += x4[3] * y4[3]
-	}
-	s := (s0 + s1) + (s2 + s3)
-	for ; i < n; i++ {
-		s += x[i] * y[i]
-	}
-	return s
-}
+func (unrolledBackend[T]) Dot(x, y []T) T { return dotLanes(x, y) }
 
-func (unrolledBackend[T]) Dot(x, y []T) T { return dot4(x, y) }
+func (unrolledBackend[T]) Norm2Sq(x []T) T { return dotLanes(x, x) }
 
-func (unrolledBackend[T]) Norm2Sq(x []T) T { return dot4(x, x) }
-
-func sum4[T Float](x []T) T {
-	n := len(x)
-	var s0, s1, s2, s3 T
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		x4 := x[i : i+4 : i+4]
-		s0 += x4[0]
-		s1 += x4[1]
-		s2 += x4[2]
-		s3 += x4[3]
-	}
-	s := (s0 + s1) + (s2 + s3)
-	for ; i < n; i++ {
-		s += x[i]
-	}
-	return s
-}
-
-func (unrolledBackend[T]) Sum(x []T) T { return sum4(x) }
+func (unrolledBackend[T]) Sum(x []T) T { return sumLanes(x) }
 
 func add4[T Float](x, y, dst []T) {
 	n := len(dst)
@@ -292,7 +253,7 @@ func matMulT2Dot[T Float](a, b, out []T, k, n, lo, hi int, dot func(x, y []T) T)
 }
 
 func (unrolledBackend[T]) MatMulT2(a, b, out []T, k, n, lo, hi int) {
-	matMulT2Dot(a, b, out, k, n, lo, hi, dot4)
+	matMulT2Dot(a, b, out, k, n, lo, hi, dotLanes)
 }
 
 func matVecDot[T Float](a, x, out []T, k, lo, hi int, dot func(x, y []T) T) {
@@ -302,7 +263,7 @@ func matVecDot[T Float](a, x, out []T, k, lo, hi int, dot func(x, y []T) T) {
 }
 
 func (unrolledBackend[T]) MatVec(a, x, out []T, k, lo, hi int) {
-	matVecDot(a, x, out, k, lo, hi, dot4)
+	matVecDot(a, x, out, k, lo, hi, dotLanes)
 }
 
 // sumAxis0Acc shares the row-sweep column-sum body, parameterised by the
