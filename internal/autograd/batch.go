@@ -8,7 +8,7 @@ import (
 
 // MeanRowsBatchFwd is MeanRowsBatch's forward. Token banks exist at
 // float64 only (adaptation writes their pages in place), so the means do
-// too; the engine narrows the result.
+// too; the GNN's eval memo narrows them.
 func MeanRowsBatchFwd(ws *tensor.Workspace, banks []*Value) *tensor.Tensor {
 	if len(banks) == 0 {
 		panic("autograd: MeanRowsBatch of nothing")
@@ -75,9 +75,9 @@ func MeanRowsBatch(banks []*Value) *Value {
 	})
 }
 
-// AssembleBatchFwd is AssembleBatch's forward on bare tensors at width T
-// (feats nil when every featRow entry is negative).
-func AssembleBatchFwd[T tensor.Float](ws *tensor.Workspace, frames, feats *tensor.Dense[T], featRow []int, frameRow int, fill T) *tensor.Dense[T] {
+// assembleBatchFwd is AssembleBatch's forward on bare tensors (feats nil
+// when every featRow entry is negative).
+func assembleBatchFwd(frames, feats *tensor.Tensor, featRow []int, frameRow int, fill float64) *tensor.Tensor {
 	b := frames.Rows()
 	d := frames.Cols()
 	v := len(featRow)
@@ -87,7 +87,7 @@ func AssembleBatchFwd[T tensor.Float](ws *tensor.Workspace, frames, feats *tenso
 	if frameRow < 0 || frameRow >= v {
 		panic(fmt.Sprintf("autograd: AssembleBatch frame row %d out of range [0,%d)", frameRow, v))
 	}
-	var featData []T
+	var featData []float64
 	featRows := 0
 	if feats != nil {
 		if feats.Cols() != d {
@@ -100,7 +100,7 @@ func AssembleBatchFwd[T tensor.Float](ws *tensor.Workspace, frames, feats *tenso
 	// Build the v×d template once in pooled scratch, then stamp it per
 	// sample and patch the frame row.
 	sw := tensor.NewWorkspace()
-	tmpl := tensor.Scratch[T](sw, v*d)
+	tmpl := tensor.Scratch[float64](sw, v*d)
 	for i, fr := range featRow {
 		if i == frameRow {
 			continue // overwritten per block below
@@ -118,7 +118,7 @@ func AssembleBatchFwd[T tensor.Float](ws *tensor.Workspace, frames, feats *tenso
 			}
 		}
 	}
-	out := tensor.Alloc[T](ws, b*v, d)
+	out := tensor.New(b*v, d)
 	od := out.Data()
 	fd := frames.Data()
 	for k := 0; k < b; k++ {
@@ -157,7 +157,7 @@ func AssembleBatch(frames, feats *Value, featRow []int, frameRow int, fill float
 		featData = feats.Data
 		featRows = featData.Rows()
 	}
-	out := AssembleBatchFwd(nil, frames.Data, featData, featRow, frameRow, fill)
+	out := assembleBatchFwd(frames.Data, featData, featRow, frameRow, fill)
 
 	return newOp3("assemblebatch", out, frames, feats, nil, func(g *tensor.Tensor) {
 		gd := g.Data()

@@ -2,10 +2,12 @@ package autograd
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"edgekg/internal/tensor"
+	"edgekg/internal/tensor/kernels"
 )
 
 // fusedTail runs one fused layer tail (train or eval BatchNorm) over
@@ -132,6 +134,65 @@ func tailMatchesComposed(t *testing.T, train bool, seed int64) {
 			if !tensor.AllClose(p.f.Grad, p.c.Grad, 1e-12) {
 				t.Errorf("%s: %s grad diverges:\nfused %v\ncomposed %v", ctx, p.name, p.f.Grad, p.c.Grad)
 			}
+		}
+	}
+}
+
+// TestLevelTailMatchesEvalTail pins EdgeAggNormActEvalLevel to the eval
+// tail's destination rows bit for bit, on every backend: random groups of
+// 1–5 source and 1–5 destination rows over 1–4 copies, in shuffled edge
+// order, where the tail reads every copy's destination rows from its own
+// input and the level kernel reads them once from to. A destination with
+// no incoming edge passes through in both.
+func TestLevelTailMatchesEvalTail(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for trial := 0; trial < 20; trial++ {
+		n, m, copies, d := 1+rng.Intn(5), 1+rng.Intn(5), 1+rng.Intn(4), 1+rng.Intn(5)
+		var src, dst []int
+		for k := 0; k < m; k++ {
+			for s := 0; s < n; s++ {
+				if rng.Intn(2) == 0 {
+					src, dst = append(src, s), append(dst, k)
+				}
+			}
+		}
+		rng.Shuffle(len(src), func(i, j int) {
+			src[i], src[j] = src[j], src[i]
+			dst[i], dst[j] = dst[j], dst[i]
+		})
+		from, to := tensor.RandN(rng, 1, copies*n, d), tensor.RandN(rng, 1, m, d)
+		x := tensor.New(copies*(n+m), d)
+		for k := 0; k < copies; k++ {
+			copy(x.Data()[k*(n+m)*d:], from.Data()[k*n*d:(k+1)*n*d])
+			copy(x.Data()[(k*(n+m)+n)*d:], to.Data())
+		}
+		full := make([]int, len(dst))
+		for e, t := range dst {
+			full[e] = n + t
+		}
+		gamma, beta := tensor.RandN(rng, 1, d), tensor.RandN(rng, 1, d)
+		rm, rv := runningStats(rng, d)
+		ctx := fmt.Sprintf("%d→%d rows × %d copies, %d edges, width %d", n, m, copies, len(src), d)
+		for _, name := range kernels.Names() {
+			restore, err := kernels.Use(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := EdgeAggNormActEval(Constant(x), Constant(gamma), Constant(beta), src, full, copies, rm, rv, 1e-5).Data
+			ws := tensor.NewWorkspace()
+			got := EdgeAggNormActEvalLevel(ws, from, n, to.Data(), gamma.Data(), beta.Data(), rm.Data(), InvStd(make([]float64, d), rv, 1e-5), src, dst)
+			for k := 0; k < copies; k++ {
+				for i := 0; i < m; i++ {
+					w, g := want.Row(k*(n+m)+n+i), got.Row(k*m+i)
+					for j := range w {
+						if math.Float64bits(w[j]) != math.Float64bits(g[j]) {
+							t.Fatalf("%s on %s: copy %d row %d col %d: level %.17g, tail %.17g", ctx, name, k, i, j, g[j], w[j])
+						}
+					}
+				}
+			}
+			ws.Release()
+			restore()
 		}
 	}
 }

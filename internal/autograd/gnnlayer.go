@@ -103,28 +103,30 @@ func EdgeAggNormActEval(x, gamma, beta *Value, src, dst []int, copies int, runni
 	})
 }
 
-// EdgeAggNormActEvalSuffix is the eval tail over graph copies stacked
-// row-wise, n rows each, written for the last m rows of every copy only:
-// the output (copies·m × d) is EdgeAggNormActEval's output with every
-// other row dropped. src and dst index one copy's rows, and every dst
-// lies in the kept suffix [n−m, n); a kept row with no incoming edge
-// passes through. Each row's arithmetic — products summed in edge order,
-// the mean, BatchNorm and ELU — is the full kernel's, so the kept rows are
-// its bits.
-func EdgeAggNormActEvalSuffix[T tensor.Float](ws *tensor.Workspace, x *tensor.Dense[T], n, m int, gamma, beta, runningMean, invStd []T, src, dst []int) *tensor.Dense[T] {
-	if n < 1 || m < 0 || m > n || x.Rows()%n != 0 || len(src) != len(dst) {
-		panic(fmt.Sprintf("autograd: suffix edge kernel keeps %d of %d rows per copy over %d rows, %d sources vs %d destinations",
-			m, n, x.Rows(), len(src), len(dst)))
+// EdgeAggNormActEvalLevel is the eval tail of one edge group written for
+// its destination level alone. x stacks graph copies of the group's n
+// source-level rows each; to holds the destination level's m rows (m·d
+// values), which no copy's frame reaches before this aggregation and
+// which every copy shares. src indexes a copy's source rows and dst the
+// destination rows; a destination with no incoming edge passes through.
+// The output (copies·m × d) is EdgeAggNormActEval's output at the
+// destination rows: each row's arithmetic — products summed in edge
+// order, the mean, BatchNorm and ELU — is the full kernel's, so given
+// the same dense rows it returns the same bits.
+func EdgeAggNormActEvalLevel[T tensor.Float](ws *tensor.Workspace, x *tensor.Dense[T], n int, to []T, gamma, beta, runningMean, invStd []T, src, dst []int) *tensor.Dense[T] {
+	d := x.Cols()
+	if n < 1 || x.Rows()%n != 0 || len(to)%d != 0 || len(src) != len(dst) {
+		panic(fmt.Sprintf("autograd: level edge kernel over %d rows of %d per copy into %d values of width %d, %d sources vs %d destinations",
+			x.Rows(), n, len(to), d, len(src), len(dst)))
 	}
-	skip := n - m
-	d, copies := x.Cols(), x.Rows()/n
+	m, copies := len(to)/d, x.Rows()/n
 	sw := tensor.NewWorkspace()
 	counts := tensor.Scratch[float64](sw, m)
 	for e, t := range dst {
-		if s := src[e]; s < 0 || s >= n || t < skip || t >= n {
-			panic(fmt.Sprintf("autograd: suffix edge %d→%d outside [0,%d)→[%d,%d)", s, t, n, skip, n))
+		if s := src[e]; s < 0 || s >= n || t < 0 || t >= m {
+			panic(fmt.Sprintf("autograd: level edge %d→%d outside [0,%d)→[0,%d)", s, t, n, m))
 		}
-		counts[t-skip]++
+		counts[t]++
 	}
 	out := tensor.Alloc[T](ws, copies*m, d)
 	bk := kernels.ActiveOf[T]()
@@ -133,14 +135,14 @@ func EdgeAggNormActEvalSuffix[T tensor.Float](ws *tensor.Workspace, x *tensor.De
 		oc := out.Data()[k*m*d : (k+1)*m*d]
 		for e, t := range dst {
 			s := src[e]
-			bk.MulAcc(xc[s*d:(s+1)*d], xc[t*d:(t+1)*d], oc[(t-skip)*d:(t-skip+1)*d])
+			bk.MulAcc(xc[s*d:(s+1)*d], to[t*d:(t+1)*d], oc[t*d:(t+1)*d])
 		}
 		for i := 0; i < m; i++ {
 			row := oc[i*d : (i+1)*d]
 			if counts[i] > 0 {
 				bk.Scale(T(1/counts[i]), row, row)
 			} else {
-				copy(row, xc[(skip+i)*d:(skip+i+1)*d])
+				copy(row, to[i*d:(i+1)*d])
 			}
 		}
 	}

@@ -168,6 +168,7 @@ func NewAdapter(det *Detector, cfg AdaptConfig, rng *rand.Rand) (*Adapter, error
 	}
 	det.EnableAdaptation()
 	a := &Adapter{det: det, cfg: cfg, rng: rng}
+	a.warm()
 	a.rebuildOptimizer()
 	a.trackers = make([]map[kg.NodeID]*TrackerState, det.NumGNNs())
 	a.rowNorms = make([]map[kg.NodeID]tensor.Floats, det.NumGNNs())
@@ -438,17 +439,19 @@ func (a *Adapter) probeLoss(sel []Sample, targets []float64) float64 {
 	return loss / float64(len(targets))
 }
 
-// Rescore gives every sample in mon's window its gate score under the
-// detector's current token banks (Sample.GateScore), scoring the window in
-// one batch on the eval engine. Call it whenever the banks change under a
-// monitor that tracks gate scores: after a round that trained, and after
-// the banks were restored. No-op on a monitor that does not track them.
+// Rescore brings what the detector derives from its token banks up to the
+// current ones. It rebuilds the eval memos (see warm), and gives every
+// sample in mon's window its gate score (Sample.GateScore), scoring the
+// window in one batch on the eval engine; a monitor that does not track
+// gate scores gets none. Call it whenever the banks change: after a round
+// that trained, and after the banks were restored.
 func (a *Adapter) Rescore(mon *Monitor) {
+	a.det.SetTraining(false)
+	a.warm()
 	n := mon.buf.n
 	if !mon.gates || n == 0 {
 		return
 	}
-	a.det.SetTraining(false)
 	ws := tensor.NewWorkspace()
 	defer ws.Release()
 	batch := tensor.Alloc[float64](ws, n, a.det.space.PixDim())
@@ -459,6 +462,18 @@ func (a *Adapter) Rescore(mon *Monitor) {
 	scoreFramesIn(ws, a.det, batch, scores)
 	for i, s := range scores {
 		mon.buf.at(i).gate = s
+	}
+}
+
+// warm builds the eval memos the detector reads until its banks next
+// change: at the serving width for the frames, and at float64 for the
+// loss gate's probe. Neither a served frame nor a round's probe then
+// rebuilds one, so what they bill does not depend on whether the stream
+// was restored since its banks last changed.
+func (a *Adapter) warm() {
+	a.det.warmEval(PrecisionF64)
+	if p := a.det.cfg.Precision.Resolve(); p != PrecisionF64 {
+		a.det.warmEval(p)
 	}
 }
 

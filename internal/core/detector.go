@@ -276,12 +276,14 @@ func (d *Detector) ForwardClip(clip *tensor.Tensor, batch int) *autograd.Value {
 // width the configured Precision resolves to. Every stage shares its
 // forward arithmetic with the autograd op that trains it, so at float64
 // the scores are exactly what the tape composition (ForwardClip and
-// friends) would produce. The engine computes only the rows a score
-// reads: GNN rows below the levels that reach the embedding terminal, one
-// in-projection per frame rather than one per window row, and the
-// temporal stage's final block past its K/V for the last position of
-// each window only. Those ops are row-wise, so a frame costs the tape's
-// count less the unread rows, at either width.
+// friends) would produce. The engine computes only the rows a frame
+// reaches on the way to its score: in each KG's GNN the rows its sensor
+// row has reached by each layer (the rest are the GNN's eval memo, built
+// once per token-bank state by Deploy and the adapter), one in-projection
+// per frame rather than one per window row, and the temporal stage's
+// final block past its K/V for the last position of each window only.
+// Those ops are row-wise, so a frame costs the tape's count less the rows
+// it does not run, at either width.
 //
 // Frame windows are scored in batched temporal passes: the window matrix
 // of projected rows is assembled concurrently on the shared worker pool
@@ -490,11 +492,27 @@ func (d *Detector) TokenParams() []nn.Param {
 
 // Deploy freezes the entire model — weights and token banks — and
 // switches to inference mode: the state of Fig. 2(C) "Froze Model" before
-// adaptation begins.
+// adaptation begins. It also builds every KG's eval memo at the serving
+// width (gnn.WarmEval), billed to the caller, so no served frame pays for
+// it: the frames a deployment, a restore or a rehydration serves next cost
+// what an uninterrupted stream's do.
 func (d *Detector) Deploy() {
 	nn.Freeze(d.Params())
 	nn.Freeze(d.TokenParams())
 	d.SetTraining(false)
+	d.warmEval(d.cfg.Precision.Resolve())
+}
+
+// warmEval builds every KG's eval memo at width p unless it still matches.
+// The detector must be in inference mode.
+func (d *Detector) warmEval(p Precision) {
+	for _, m := range d.gnns {
+		if p == PrecisionF32 {
+			gnn.WarmEval[float32](m)
+		} else {
+			gnn.WarmEval[float64](m)
+		}
+	}
 }
 
 // EnableAdaptation unfreezes only the token banks ("Unfroze Model" in

@@ -144,23 +144,24 @@ func TestScoreVideoMatchesTapeBitForBit(t *testing.T) {
 
 // skippedEvalFLOPs is the closed-form count of what ScoreVideo's engine
 // does not compute for n frames (one chunk) against the tape composition.
-// In every KG's GNN, layer l ≥ 1 skips the dense of the rows below level
-// l, and the final refinement layer skips every row but the embedding
-// terminal's, their ELU included: a dense row costs 2·in·w + w and an ELU
-// row w, with in = w past the first layer. In the temporal stage each
-// window in-projects one frame instead of T: (T−1)·(2·D·I + I) per window
-// for a reasoning width D and inner width I.
+// In every KG's GNN a frame runs edge layer l's dense on the rows at level
+// l alone: the rows below l no longer reach the terminal, and the rows
+// above l are the eval memo's, computed once per token-bank state rather
+// than per frame. The final refinement layer skips every row but the
+// embedding terminal's, their ELU included. A dense row costs 2·in·w + w,
+// with in the semantic dim at layer 0 and w past it, and an ELU row w. In
+// the temporal stage each window in-projects one frame instead of T:
+// (T−1)·(2·D·I + I) per window for a reasoning width D and inner width I.
 func skippedEvalFLOPs(d *Detector, n int) int64 {
 	perFrame := 0
 	for i := 0; i < d.NumGNNs(); i++ {
 		g, w := d.GNN(i).Graph(), d.GNN(i).Width()
-		dense := 2*w*w + w
-		below := 1 // the sensor, alone at level 0
+		v, dense := g.NumNodes(), 2*w*w+w
+		perFrame += (v - 1) * (2*d.space.Dim()*w + w) // all but the sensor
 		for l := 1; l <= g.Depth(); l++ {
-			perFrame += below * dense
-			below += len(g.NodesAtLevel(l))
+			perFrame += (v - len(g.NodesAtLevel(l))) * dense
 		}
-		perFrame += (g.NumNodes() - 1) * (dense + w)
+		perFrame += (v - 1) * (dense + w)
 	}
 	tc := d.cfg.Temporal
 	perFrame += (tc.Window - 1) * (2*d.ReasoningDim()*tc.InnerDim + tc.InnerDim)
@@ -181,7 +182,7 @@ func TestScoreVideoFLOPsIndependentOfWidth(t *testing.T) {
 			pix := tensor.RandN(rng, 1, n, r.space.PixDim())
 			count := func(p Precision) int64 {
 				r.det.SetPrecision(p)
-				r.det.ScoreVideo(pix) // build the width's snapshots outside the count
+				r.det.ScoreVideo(pix) // build the width's snapshots and memo outside the count
 				ops, _ := flops.Count(func() { r.det.ScoreVideo(pix) })
 				return ops
 			}

@@ -19,7 +19,9 @@ import (
 // whole graph on random KG shapes: depth 1–4, level fanouts 1–6 and a
 // batch of 1–24 frames, with random frozen BatchNorm statistics. The
 // mutate bits prune and re-create a node and Rebind (bit 0), and write a
-// token-bank page in place (bit 1), after both forwards have run once. At
+// token-bank page in place (bit 1), after both forwards have run once;
+// bit 2 warms the eval memo after those mutations (WarmEval at both
+// widths) instead of leaving the first compared forward to rebuild it. At
 // float64 the two must agree bit for bit on every backend.
 func FuzzGNNEvalMatchesTape(f *testing.F) {
 	space := testSpace(f)
@@ -28,6 +30,8 @@ func FuzzGNNEvalMatchesTape(f *testing.F) {
 	f.Add(int64(3), uint8(2), uint8(2), uint8(3), uint8(7), uint8(1))
 	f.Add(int64(4), uint8(3), uint8(5), uint8(1), uint8(11), uint8(2))
 	f.Add(int64(5), uint8(3), uint8(0), uint8(5), uint8(23), uint8(3))
+	f.Add(int64(6), uint8(2), uint8(4), uint8(2), uint8(5), uint8(7))
+	f.Add(int64(7), uint8(1), uint8(3), uint8(4), uint8(0), uint8(4))
 	f.Fuzz(func(t *testing.T, seed int64, depth, fan0, fan, batch, mutate uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		classes := concept.AnomalyClasses()
@@ -45,16 +49,7 @@ func FuzzGNNEvalMatchesTape(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ly := range m.layers {
-			for _, v := range [][]float64{ly.bn.RunningMean.Data(), ly.bn.Gamma.Data.Data(), ly.bn.Beta.Data.Data()} {
-				for i := range v {
-					v[i] = rng.NormFloat64()
-				}
-			}
-			for i, v := range ly.bn.RunningVar.Data() {
-				ly.bn.RunningVar.Data()[i] = v * (0.25 + rng.Float64())
-			}
-		}
+		randomizeNorms(rng, m)
 		m.SetTraining(false)
 		frames := tensor.RandN(rng, 1, 1+int(batch%24), space.Dim())
 		forwardEval := func() *tensor.Tensor {
@@ -62,7 +57,7 @@ func FuzzGNNEvalMatchesTape(f *testing.F) {
 			defer ws.Release()
 			return ForwardEval(ws, m, frames).Clone()
 		}
-		forwardEval() // build the eval forms and bank cache the mutations must not leave stale
+		forwardEval() // build the eval forms, memo and bank cache the mutations must not leave stale
 
 		if mutate&1 != 0 {
 			ids := m.Tokens().NodeIDs()
@@ -79,6 +74,17 @@ func FuzzGNNEvalMatchesTape(f *testing.F) {
 			for i := range page {
 				page[i] += rng.NormFloat64()
 			}
+		}
+
+		// The warm-memo arm rebuilds the memo ahead, as Deploy and the
+		// adapter do, and then requires that no forward below rebuilds it
+		// and that float32 reads it as a cold copy of the model does.
+		var warm *evalMemo[float64]
+		if mutate&4 != 0 {
+			WarmEval[float64](m)
+			WarmEval[float32](m)
+			warm = memoSlot[float64](m).Load()
+			requireBits(t, "float32 through the warm memo", evalOut[float32](coldClone(t, m), frames), evalOut[float32](m, frames))
 		}
 
 		for _, name := range kernels.Names() {
@@ -99,6 +105,9 @@ func FuzzGNNEvalMatchesTape(f *testing.F) {
 					t.Fatalf("%s: value %d: eval %.17g, tape %.17g", ctx, i, got[i], want[i])
 				}
 			}
+		}
+		if warm != nil && memoSlot[float64](m).Load() != warm {
+			t.Fatal("a forward rebuilt the memo WarmEval had just built")
 		}
 	})
 }

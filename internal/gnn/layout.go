@@ -25,8 +25,7 @@ import (
 // sensor is row 0 of each graph copy and the embedding terminal its last
 // row. On a strictly valid graph a node is in V(l+1) exactly when it has
 // an in-edge in group l, so the edge lists alone say which rows aggregate.
-// A layout is immutable: Rebind builds a fresh one, and copy-on-write
-// clones share it.
+// A layout is immutable: Rebind builds a fresh one, and clones share it.
 type layout struct {
 	// graphJSON is the bound graph's kg JSON, marshalled on the first
 	// Model.GraphJSON call. Every model holding the layout holds a graph
@@ -51,20 +50,16 @@ type layout struct {
 	reasonIDs []kg.NodeID
 	featRow   []int
 
-	// suffix[l] is group l as ForwardEval runs it. Nothing reads layer
-	// l's output below level l+1, so that forward carries one graph copy's
-	// rows at levels ≥ l into layer l — a suffix of the (level, id) order
-	// — and keeps the rows at levels ≥ l+1 out of it.
-	suffix []suffixGroup
-}
-
-// suffixGroup is one edge group in the coordinates of ForwardEval's
-// layer input: one copy's n rows at levels ≥ l, of which the last m
-// (levels ≥ l+1) are kept. src and dst are the group's edges into level
-// l+1, in edge order, shifted to those rows.
-type suffixGroup struct {
-	n, m     int
-	src, dst []int
+	// levels[l] is group l as ForwardEval runs it: src indexes the rows
+	// of level l and dst those of level l+1, each counted from its level's
+	// first row, in edge order. start[l] is the first node index at level
+	// ≥ l (start[depth+2] is the node count). Until layer l aggregates
+	// into level l+1, every row above level l is a function of the token
+	// banks and the frozen weights alone, so ForwardEval carries only each
+	// graph copy's level-l rows into layer l and reads the level-(l+1)
+	// dense outputs from the model's evalMemo.
+	levels []edgeGroup
+	start  []int
 }
 
 type edgeGroup struct {
@@ -97,22 +92,21 @@ func buildLayout(g *kg.Graph) (*layout, error) {
 		lo.groups[l].src = append(lo.groups[l].src, index[e.Src])
 		lo.groups[l].dst = append(lo.groups[l].dst, index[e.Dst])
 	}
-	// start[l] is the first node index at level ≥ l.
-	start := make([]int, depth+2)
-	for l, i := 1, 0; l < len(start); l++ {
-		for nodes[i].Level < l {
+	lo.start = make([]int, depth+3)
+	for l, i := 1, 0; l < len(lo.start); l++ {
+		for i < v && nodes[i].Level < l {
 			i++
 		}
-		start[l] = i
+		lo.start[l] = i
 	}
-	lo.suffix = make([]suffixGroup, depth+1)
+	lo.levels = make([]edgeGroup, depth+1)
 	for l, grp := range lo.groups {
-		sg := suffixGroup{n: v - start[l], m: v - start[l+1], src: make([]int, len(grp.src)), dst: make([]int, len(grp.dst))}
+		lg := edgeGroup{src: make([]int, len(grp.src)), dst: make([]int, len(grp.dst))}
 		for e := range grp.dst {
-			sg.src[e] = grp.src[e] - start[l]
-			sg.dst[e] = grp.dst[e] - start[l]
+			lg.src[e] = grp.src[e] - lo.start[l]
+			lg.dst[e] = grp.dst[e] - lo.start[l+1]
 		}
-		lo.suffix[l] = sg
+		lo.levels[l] = lg
 	}
 	return lo, nil
 }

@@ -2,14 +2,17 @@ package gnn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"edgekg/internal/autograd"
 	"edgekg/internal/embed"
 	"edgekg/internal/kg"
 	"edgekg/internal/nn"
 	"edgekg/internal/tensor"
+	"edgekg/internal/tensor/kernels"
 )
 
 // Model is the hierarchical GNN over one mission-specific KG. For a KG of
@@ -34,6 +37,11 @@ type Model struct {
 	// mutated in place.
 	bankCache []*autograd.Value
 	bankGen   uint64
+
+	// memo64 and memo32 hold ForwardEval's evalMemo at each width. Each
+	// is replaced, never mutated, and clones start from their source's.
+	memo64 atomic.Pointer[evalMemo[float64]]
+	memo32 atomic.Pointer[evalMemo[float32]]
 
 	// cowUndo, set only on clones produced by CloneCOW, rolls back the
 	// shared marks that clone placed on its source (DiscardClone).
@@ -154,24 +162,22 @@ func (m *Model) NumLayers() int { return len(m.layers) }
 // or any sibling clone; the shared layers must stay frozen and in
 // inference mode for as long as clones are in use, which is exactly the
 // deployed-detector contract. This is what gives every serving stream its
-// own adaptation state over one resident backbone.
+// own adaptation state over one resident backbone. The immutable layout
+// and the eval memos are shared: the copied graph has the same content.
 func (m *Model) CloneShared() (*Model, error) {
 	if err := m.verifyClonable(); err != nil {
 		return nil, err
 	}
-	g := m.graph.Clone()
-	lo, err := buildLayout(g)
-	if err != nil {
-		return nil, fmt.Errorf("gnn: clone layout: %w", err)
-	}
-	return &Model{
-		graph:  g,
+	c := &Model{
+		graph:  m.graph.Clone(),
 		space:  m.space,
 		tokens: m.tokens.Clone(),
 		layers: m.layers,
-		lo:     lo,
+		lo:     m.lo,
 		width:  m.width,
-	}, nil
+	}
+	c.inheritMemos(m)
+	return c, nil
 }
 
 // CloneCOW is CloneShared with lazy copy-on-write semantics: the clone
@@ -180,7 +186,8 @@ func (m *Model) CloneShared() (*Model, error) {
 // faults wholesale on its first structural change, a token page on its
 // first in-place write. The layout is shared too: it is immutable, and
 // Rebind replaces rather than mutates it, so concurrent streams can share one.
-// An unadapted clone therefore holds only O(nodes) wrapper state.
+// So are the eval memos. An unadapted clone therefore holds only O(nodes)
+// wrapper state.
 //
 // Scoring through the clone is bit-identical to a CloneShared deep copy
 // (the tensors are the same bits), and the same frozen-backbone contract
@@ -200,6 +207,7 @@ func (m *Model) CloneCOW() (*Model, error) {
 		lo:     m.lo,
 		width:  m.width,
 	}
+	c.inheritMemos(m)
 	src := m
 	c.cowUndo = func() {
 		undoBanks()
@@ -208,6 +216,14 @@ func (m *Model) CloneCOW() (*Model, error) {
 		}
 	}
 	return c, nil
+}
+
+// inheritMemos starts c from src's eval memos. A memo is immutable and
+// carries its key, so a clone that adapts replaces its own pointer and
+// leaves src's memo, and src's scores, as they were.
+func (c *Model) inheritMemos(src *Model) {
+	c.memo64.Store(src.memo64.Load())
+	c.memo32.Store(src.memo32.Load())
 }
 
 // DiscardClone rolls back the COW marks a CloneCOW call placed on its
@@ -357,39 +373,170 @@ func (m *Model) Forward(frames *autograd.Value) *autograd.Value {
 
 // ForwardEval is Forward's inference path without the tape, at width T —
 // the per-KG reasoning stage of Detector.ScoreVideo. It computes only the
-// rows the embedding terminal's output reads: layer l's output is read
-// only at levels ≥ l+1, so layer l runs its dense on each graph copy's
-// rows at levels ≥ l, aggregates level-l sources into level-(l+1)
-// destinations, and writes BatchNorm and ELU for the rows at levels ≥ l+1
-// alone; the final refinement layer runs on the terminal's row. Dense,
-// BatchNorm eval and ELU are row-wise and aggregation sums in edge order,
-// so at float64 it returns Forward's bits, and it bills Forward's count
-// less the skipped rows. The per-node token-bank means are recomputed
-// from the float64 banks on every call, because deployment-time
-// adaptation mutates bank pages in place without bumping the structural
-// generation counter.
+// rows a frame reaches on the way to the embedding terminal. A frame
+// enters as each graph copy's sensor row; until layer l aggregates into
+// level l+1 every row above level l is a function of the token banks and
+// the frozen weights alone, and the model's evalMemo holds those rows'
+// dense outputs. So layer l runs its dense on each copy's level-l rows,
+// aggregates them into level l+1 against the memo's level-(l+1) rows, and
+// writes BatchNorm and ELU for level l+1 alone; the final refinement layer
+// runs on the terminal's row. Dense, BatchNorm eval and ELU are row-wise
+// and aggregation sums in edge order, so at float64 it returns Forward's
+// bits, and it bills Forward's count less every row it does not run.
+//
+// The per-node token-bank means are recomputed from the float64 banks on
+// every call, because deployment-time adaptation mutates bank pages in
+// place without bumping the structural generation counter; they key the
+// memo, which is rebuilt (and billed to this call) when they, the layout
+// or an edge layer's eval snapshot moved. WarmEval builds it ahead.
 func ForwardEval[T tensor.Float](ws *tensor.Workspace, m *Model, frames *tensor.Dense[T]) *tensor.Dense[T] {
 	if frames.Cols() != m.space.Dim() {
 		panic(fmt.Sprintf("gnn: frame dim %d != semantic dim %d", frames.Cols(), m.space.Dim()))
 	}
-	var feats *tensor.Dense[T]
-	if len(m.lo.reasonIDs) > 0 {
-		feats = tensor.NarrowIn[T](ws, autograd.MeanRowsBatchFwd(ws, m.orderedBanks()))
-	}
-	x := autograd.AssembleBatchFwd(ws, frames, feats, m.lo.featRow, 0, 1)
-
+	memo := memoFor[T](ws, m)
+	lo, w := memo.lo, m.width
+	x := frames
 	for _, ly := range m.layers {
 		s := evalOf[T](ly)
 		x = s.dense.Forward(ws, x)
-		if ly.group >= 0 {
-			sg := m.lo.suffix[ly.group]
-			x = autograd.EdgeAggNormActEvalSuffix(ws, x, sg.n, sg.m, s.gamma, s.beta, s.rmean, s.invSd, sg.src, sg.dst)
+		if l := ly.group; l >= 0 {
+			lg, at := lo.levels[l], lo.start[l+1]
+			to := memo.rows[(at-1)*w : (lo.start[l+2]-1)*w]
+			x = autograd.EdgeAggNormActEvalLevel(ws, x, at-lo.start[l], to, s.gamma, s.beta, s.rmean, s.invSd, lg.src, lg.dst)
 		} else {
 			autograd.BatchNormEvalInPlace(x, s.gamma, s.beta, s.rmean, s.invSd)
 			tensor.ELUInPlace(x)
 		}
 	}
 	return x
+}
+
+// evalMemo is what ForwardEval reads but no frame reaches, at width T:
+// rows holds, for every node above the sensor in node order, its dense
+// output at the layer whose edge group aggregates into its level (layer
+// l's at level l+1, the terminal's at the last edge layer), (nodes−1) ×
+// width. Those rows are a function of the key alone — the exact bits of
+// the per-node token-bank means, the layout and the edge layers' eval
+// snapshots at T — so a memo is immutable: a model whose key moved builds
+// a fresh one and replaces its pointer, and nothing is ever invalidated.
+// Optimizer steps, renormalisation and the semantic pull move the means;
+// Rebind and a restore replace the layout; training drops the snapshots.
+//
+// It is derived state, like the eval snapshots and the graph JSON, and is
+// not charged to a stream's resident bytes: one float64 memo is 8 bytes
+// per token-bank mean value plus 8·(nodes−1)·width for the rows: 1,152 +
+// 640 bytes on the quick KG (levels 1/5/4/1, semantic dim 16, width 8),
+// 4,096 + 1,088 at full scale (1/6/5/5/1, dim 32), one copy shared by
+// every clone that has not adapted.
+type evalMemo[T tensor.Float] struct {
+	lo    *layout
+	evals []*evalLayer[T] // the edge layers', in layer order
+	key   []float64
+	rows  []T
+}
+
+// memoSlot returns m's memo pointer at width T.
+func memoSlot[T tensor.Float](m *Model) *atomic.Pointer[evalMemo[T]] {
+	if p, ok := any(&m.memo64).(*atomic.Pointer[evalMemo[T]]); ok {
+		return p
+	}
+	return any(&m.memo32).(*atomic.Pointer[evalMemo[T]])
+}
+
+// WarmEval builds m's eval memo at width T unless the one it holds still
+// matches its token banks, layout and weights, so that the next
+// ForwardEval pays no rebuild. It bills the rebuild to the caller's
+// meter. m must be in inference mode.
+func WarmEval[T tensor.Float](m *Model) {
+	ws := tensor.NewWorkspace()
+	memoFor[T](ws, m)
+	ws.Release()
+}
+
+// memoFor returns m's eval memo at width T, rebuilding and publishing it
+// when its key no longer matches. Concurrent callers may each rebuild; the
+// memos they publish are equal, so whichever is kept is correct.
+func memoFor[T tensor.Float](ws *tensor.Workspace, m *Model) *evalMemo[T] {
+	lo := m.lo
+	var means []float64
+	if len(lo.reasonIDs) > 0 {
+		means = autograd.MeanRowsBatchFwd(ws, m.orderedBanks()).Data()
+	}
+	slot := memoSlot[T](m)
+	if c := slot.Load(); c != nil && c.matches(m, lo, means) {
+		return c
+	}
+	c := buildMemo[T](ws, m, lo, means)
+	slot.Store(c)
+	return c
+}
+
+// matches reports whether c was built from lo, m's current edge-layer
+// snapshots and means, compared bit for bit so a NaN matches itself.
+func (c *evalMemo[T]) matches(m *Model, lo *layout, means []float64) bool {
+	if c.lo != lo || len(c.key) != len(means) {
+		return false
+	}
+	for l, s := range c.evals {
+		if evalOf[T](m.layers[l]) != s {
+			return false
+		}
+	}
+	for i, v := range means {
+		if math.Float64bits(v) != math.Float64bits(c.key[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// buildMemo runs the edge layers over one graph copy's rows above the
+// sensor: layer l's dense over the rows at levels ≥ l+1 gives the memo
+// its level-(l+1) rows, and the rows above pass through BatchNorm and ELU
+// (no edge of group l reaches them) into layer l+1. Every row is computed
+// as in the tape's forward, so it holds the tape's bits. Intermediates
+// are lent from ws; the memo itself is four allocations: the value, its
+// snapshot list, key and rows.
+func buildMemo[T tensor.Float](ws *tensor.Workspace, m *Model, lo *layout, means []float64) *evalMemo[T] {
+	v, w := len(lo.featRow), m.width
+	c := &evalMemo[T]{
+		lo:    lo,
+		evals: make([]*evalLayer[T], len(lo.levels)),
+		key:   append([]float64(nil), means...),
+		rows:  make([]T, (v-1)*w),
+	}
+	dim := m.space.Dim()
+	x := tensor.Alloc[T](ws, v-1, dim)
+	for i := 1; i < v; i++ {
+		row := x.Row(i - 1)
+		fr := lo.featRow[i]
+		if fr < 0 {
+			// The embedding terminal starts at the multiplicative identity
+			// (see Forward).
+			for j := range row {
+				row[j] = 1
+			}
+			continue
+		}
+		for j, f := range means[fr*dim : (fr+1)*dim] {
+			row[j] = T(f)
+		}
+	}
+	for l := range lo.levels {
+		s := evalOf[T](m.layers[l])
+		c.evals[l] = s
+		y := s.dense.Forward(ws, x)
+		at, next := lo.start[l+1], lo.start[l+2]
+		copy(c.rows[(at-1)*w:(next-1)*w], y.Data())
+		if next == v {
+			break
+		}
+		x = tensor.Alloc[T](ws, v-next, w)
+		copy(x.Data(), y.Data()[(next-at)*w:])
+		autograd.BatchNormEvalInPlace(x, s.gamma, s.beta, s.rmean, s.invSd)
+		kernels.ActiveOf[T]().ELU(x.Data(), x.Data())
+	}
+	return c
 }
 
 // SetTraining switches the BatchNorm layers between batch and running

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"edgekg/internal/concept"
+	"edgekg/internal/core"
 	"edgekg/internal/rng"
 	"edgekg/internal/serve"
 	"edgekg/internal/snapshot"
@@ -20,6 +21,9 @@ import (
 // Fig. 2(C) and what the experiments run. These
 // tests pin its single-camera semantics: exclusive metering, device-derived
 // cost figures and the 1-stream checkpoint file.
+
+// raceEnabled is set by race_flag_test.go when the race detector is on.
+var raceEnabled bool
 
 func bareStream(t *testing.T, seed int64, src rand.Source) (*serve.Stream, []*tensor.Tensor) {
 	t.Helper()
@@ -276,5 +280,42 @@ func TestStreamLoadMismatch(t *testing.T) {
 	}
 	if !equalTraces(concatTraces(head, drive(t, adaptive, stream, split, frames)), want) {
 		t.Fatal("stream diverged from the uninterrupted run after refused Loads")
+	}
+}
+
+// TestStaticStreamProcessAllocCeiling keeps a static stream's served frame
+// from creeping back up in allocations. Exclusive metering's flops.Count,
+// the frame's reshape header and the engine's returned scores are left,
+// plus the monitor's float32 copy of the frame at float32: measured 3 at
+// float64 and 4 at float32, one more each while Reshape's panic message
+// sent its shape argument to the heap. Under the race detector sync.Pool
+// drops a quarter of the workspaces put back, and each drop is re-made on
+// the next call, so the ceiling there is looser.
+func TestStaticStreamProcessAllocCeiling(t *testing.T) {
+	for p, ceiling := range map[core.Precision]float64{core.PrecisionF64: 3, core.PrecisionF32: 4} {
+		det, gen := buildBackbone(t, 4)
+		cfg := streamCfg(0)
+		cfg.AdaptEveryFrames = 0
+		cfg.Precision = p
+		st, err := serve.NewStream(0, det, cfg, rng.NewSource(4), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := gen.Frame(rand.New(rand.NewSource(41)), concept.Normal)
+		for i := 0; i < cfg.MonitorN+cfg.MonitorLag; i++ {
+			st.Process(frame) // fill the monitor's window first
+		}
+		got := testing.AllocsPerRun(200, func() {
+			if res := st.Process(frame); res.Err != nil {
+				t.Fatal(res.Err)
+			}
+		})
+		t.Logf("static Stream.Process at %v: %.2f allocs", p, got)
+		if raceEnabled {
+			ceiling = 70
+		}
+		if got > ceiling {
+			t.Errorf("static Stream.Process at %v: %.0f allocs, ceiling %.0f", p, got, ceiling)
+		}
 	}
 }

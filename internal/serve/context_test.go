@@ -238,11 +238,16 @@ func TestConcurrentCheckpointVsEviction(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Feed all streams concurrently, lockstep per stream.
+			// Feed all streams concurrently, lockstep per stream. Halfway
+			// through, each feeder waits for the checkpointer's first
+			// checkpoint, so the race below is never vacuous however fast
+			// the fleet scores its frames.
 			schedules := make([][]*tensor.Tensor, nstreams)
 			for i := range schedules {
 				schedules[i] = frameSchedule(gen, int64(41+i), nframes, nframes/2, concept.Stealing, concept.Robbery)
 			}
+			firstCP := make(chan struct{})
+			var firstOnce sync.Once
 			var wg sync.WaitGroup
 			for i := 0; i < nstreams; i++ {
 				wg.Add(1)
@@ -251,6 +256,14 @@ func TestConcurrentCheckpointVsEviction(t *testing.T) {
 					fs := schedules[id]
 					res := resultsOf(t, srv, id)
 					for j, f := range fs {
+						if j == nframes/2 {
+							select {
+							case <-firstCP:
+							case <-time.After(time.Minute):
+								t.Errorf("stream %d: no checkpoint completed within a minute", id)
+								return
+							}
+						}
 						if err := srv.Submit(id, f); err != nil {
 							t.Errorf("stream %d frame %d: %v", id, j, err)
 							return
@@ -284,6 +297,7 @@ func TestConcurrentCheckpointVsEviction(t *testing.T) {
 						cpErr = err
 					} else {
 						last = cp
+						firstOnce.Do(func() { close(firstCP) })
 					}
 					cpMu.Unlock()
 				}

@@ -913,9 +913,9 @@ func (st *Stream) restoreState(ss *snapshot.StreamState) error {
 		if err := st.adapter.ImportState(*ss.Adapter); err != nil {
 			return fmt.Errorf("serve: stream %d: %w", st.id, err)
 		}
-		// Gate scores are derived from the frames and the live banks, so
-		// the restored window gets them back unbilled: the uninterrupted
-		// run paid for them when its banks last changed.
+		// Gate scores and the eval memos are derived from the frames and
+		// the live banks, so the restored stream gets them back unbilled:
+		// the uninterrupted run paid for them when its banks last changed.
 		if st.shared == nil {
 			flops.Count(func() { st.adapter.Rescore(st.mon) })
 		} else {
@@ -940,6 +940,10 @@ func (st *Stream) restoreState(ss *snapshot.StreamState) error {
 			snap.DiscardClone()
 			return fmt.Errorf("serve: stream %d pending round: %w", st.id, err)
 		}
+		// The snapshot only scores: freeze it and build its eval memos
+		// (unbilled, as above), which the uninterrupted run's snapshot
+		// inherited from the live detector the round started from.
+		snap.Deploy()
 		p := &pendingRound{swapFrame: ss.Pending.SwapFrame, rep: ss.Pending.Report}
 		if ss.Pending.Err != "" {
 			p.err = errors.New(ss.Pending.Err)

@@ -159,7 +159,8 @@ func (t *Dense[T]) Clone() *Dense[T] {
 func (t *Dense[T]) Reshape(shape ...int) *Dense[T] {
 	n := checkShape(shape)
 	if n != len(t.data) {
-		panic(fmt.Sprintf("tensor: cannot reshape size %d to %v", len(t.data), shape))
+		// A copy, as in checkShape: keeps the caller's shape off the heap.
+		panic(fmt.Sprintf("tensor: cannot reshape size %d to %v", len(t.data), append([]int(nil), shape...)))
 	}
 	r := &Dense[T]{data: t.data}
 	r.setShape(shape)
