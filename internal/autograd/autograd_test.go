@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"edgekg/internal/tensor"
+	"edgekg/internal/tensor/kernels"
 )
 
 func randParam(rng *rand.Rand, shape ...int) *Value {
@@ -164,6 +165,45 @@ func TestGradActivations(t *testing.T) {
 		f := func() *Value { return Sum(c.op(a)) }
 		if err := GradCheck(f, []*Value{a}, 1e-6, 1e-5); err != nil {
 			t.Errorf("%s: %v", c.name, err)
+		}
+	}
+}
+
+// TestGELUIsTheTanhExpression pins GELU's forward, on every backend, to
+// the expression the tape evaluated per element before the forward
+// became a backend kernel: the tanh-approximated GELU in Go's order, bit
+// for bit, across all three of math.Tanh's branches and the special
+// values. The float32 engine's GELUInPlace is that expression rounded.
+func TestGELUIsTheTanhExpression(t *testing.T) {
+	want := func(x float64) float64 {
+		return 0.5 * x * (1 + math.Tanh(geluC*(x+0.044715*x*x*x)))
+	}
+	rng := rand.New(rand.NewSource(55))
+	x := []float64{0, math.Copysign(0, -1), 0x1p-1074, -0x1p-1060, 1e-300, 0.7, -0.7, 0.8, -0.8,
+		10.5, -10.5, 11, -11, 1e104, -1e104, math.Inf(1), math.Inf(-1), math.NaN()}
+	for len(x) < 1027 {
+		x = append(x, rng.NormFloat64()*math.Ldexp(1, rng.Intn(8)-4))
+	}
+	for _, name := range kernels.Names() {
+		restore, err := kernels.Use(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := GELU(Constant(tensor.FromSlice(append([]float64(nil), x...), len(x)))).Data.Data()
+		x32 := make([]float32, len(x))
+		for i, v := range x {
+			x32[i] = float32(v)
+		}
+		got32 := tensor.GELUInPlace(tensor.FromSlice(append([]float32(nil), x32...), len(x32))).Data()
+		restore()
+		for i, v := range x {
+			if g, w := math.Float64bits(got[i]), math.Float64bits(want(v)); g != w {
+				t.Fatalf("%s: GELU(%v) = %#x, want %#x", name, v, g, w)
+			}
+			w32 := float32(want(float64(x32[i])))
+			if g, w := math.Float32bits(got32[i]), math.Float32bits(w32); g != w {
+				t.Fatalf("%s: f32 GELU(%v) = %#x, want %#x", name, x32[i], g, w)
+			}
 		}
 	}
 }

@@ -35,7 +35,10 @@ func composedTail(train bool, x, gamma, beta *Value, src, dst []int, v, copies i
 // runningStats draws frozen BatchNorm statistics of width d.
 func runningStats(rng *rand.Rand, d int) (rm, rv *tensor.Tensor) {
 	rm = tensor.RandN(rng, 0.3, d)
-	rv = tensor.MapInPlace(tensor.RandN(rng, 0.3, d), func(v float64) float64 { return v*v + 0.5 })
+	rv = tensor.RandN(rng, 0.3, d)
+	for i, v := range rv.Data() {
+		rv.Data()[i] = v*v + 0.5
+	}
 	return rm, rv
 }
 

@@ -291,23 +291,14 @@ func ELU(v *Value) *Value {
 	})
 }
 
-// geluC is sqrt(2/pi), the tanh-approximated GELU's constant.
+// geluC is √(2/π), the tanh-approximated GELU's constant, as the
+// forward (tensor.GELUInPlace) has it.
 const geluC = 0.7978845608028654
-
-func gelu[T tensor.Float](v T) T {
-	x := float64(v)
-	return T(0.5 * x * (1 + math.Tanh(geluC*(x+0.044715*x*x*x))))
-}
-
-// GELUInPlace is GELU's forward overwriting x. gelu[float64] rounded to
-// T is gelu[T], and unlike gelu[T] it is a static func value: passing it
-// is free.
-func GELUInPlace[T tensor.Float](x *tensor.Dense[T]) { tensor.MapInPlace(x, gelu[float64]) }
 
 // GELU applies the Gaussian error linear unit (tanh approximation), used by
 // the transformer feed-forward blocks.
 func GELU(v *Value) *Value {
-	out := tensor.MapInPlace(v.Data.Clone(), gelu[float64])
+	out := tensor.GELUInPlace(v.Data.Clone())
 	return newOp3("gelu", out, v, nil, nil, func(g *tensor.Tensor) {
 		gv := tensor.New(v.Data.Shape()...)
 		vd, gd, dst := v.Data.Data(), g.Data(), gv.Data()

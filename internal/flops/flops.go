@@ -102,9 +102,19 @@ func AddBytes(n int64) {
 // Count runs fn with a fresh active counter installed, restores the previous
 // counter, and returns the operations and bytes fn consumed. It is the
 // convenient way to meter one phase of a pipeline.
-func Count(fn func()) (ops, bytes int64) {
-	var c Counter
-	prev := SetActive(&c)
+func Count(fn func()) (ops, bytes int64) { return new(Counter).Measure(fn) }
+
+// Measure is Count on a reused counter: it zeroes c, runs fn with c
+// installed as the active counter, restores the previous one, and
+// returns what fn consumed. A caller metering every frame keeps one c
+// instead of allocating a fresh one per call. c must not be in use
+// elsewhere while fn runs.
+func (c *Counter) Measure(fn func()) (ops, bytes int64) {
+	for i := range c.shards {
+		c.shards[i].ops.Store(0)
+		c.shards[i].bytes.Store(0)
+	}
+	prev := SetActive(c)
 	defer SetActive(prev)
 	fn()
 	return c.Ops(), c.Bytes()

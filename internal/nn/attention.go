@@ -168,7 +168,7 @@ func EvalEncoder[T tensor.Float](e *EncoderLayer) EncoderEval[T] {
 func (e *EncoderEval[T]) ForwardLast(ws *tensor.Workspace, x *tensor.Dense[T], batch int) *tensor.Dense[T] {
 	h := autograd.AddLastRowsInPlace(e.Attn.ForwardLast(ws, e.LN1.Forward(ws, x), batch), x)
 	ff := e.FF1.Forward(ws, e.LN2.Forward(ws, h))
-	autograd.GELUInPlace(ff)
+	tensor.GELUInPlace(ff)
 	return tensor.AddInPlace(h, e.FF2.Forward(ws, ff))
 }
 

@@ -139,13 +139,16 @@ type Stream struct {
 	// stream is checkpointable (the state round-trips through Export).
 	src rand.Source
 
-	// shared selects the metering mode: nil meters phases exclusively via
-	// flops.Count (exact; requires that nothing else computes concurrently,
+	// shared selects the metering mode: nil meters phases exclusively on
+	// own (exact; requires that nothing else computes concurrently,
 	// i.e. a bare single-stream synchronous deployment), non-nil
 	// reads deltas of the shared process-wide counter around each phase —
 	// safe under concurrency, exact whenever phases do not overlap, and an
 	// over-attribution (never an undercount) when they do.
 	shared *flops.Counter
+	// own is exclusive metering's counter, reused by every phase (nil
+	// when shared is set).
+	own *flops.Counter
 
 	// scoreDet is the state frames are scored on: det itself, or a frozen
 	// snapshot while a background adaptation round is in flight.
@@ -199,8 +202,8 @@ type pendingRound struct {
 // stream must be checkpointable (Export fails on other source types,
 // whose state cannot be captured). shared selects the metering mode (see
 // the field doc); exclusive metering is only valid with synchronous
-// adaptation, because a background round's flops.Count swap would race
-// the scoring meter.
+// adaptation, because a background round's counter swap would race the
+// scoring meter.
 func NewStream(id int, det *core.Detector, cfg StreamConfig, src rand.Source, shared *flops.Counter) (*Stream, error) {
 	if cfg.AdaptEveryFrames < 0 {
 		return nil, fmt.Errorf("serve: adaptation cadence %d must be ≥0", cfg.AdaptEveryFrames)
@@ -218,7 +221,11 @@ func NewStream(id int, det *core.Detector, cfg StreamConfig, src rand.Source, sh
 	if err != nil {
 		return nil, err
 	}
-	return &Stream{id: id, det: det, mon: mon, adapter: adapter, cfg: cfg, ledger: flops.NewLedger(), src: src, shared: shared, scoreDet: det}, nil
+	st := &Stream{id: id, det: det, mon: mon, adapter: adapter, cfg: cfg, ledger: flops.NewLedger(), src: src, shared: shared, scoreDet: det}
+	if shared == nil {
+		st.own = new(flops.Counter)
+	}
+	return st, nil
 }
 
 // deployParts builds the per-stream containers around det — the monitor
@@ -498,7 +505,7 @@ func (st *Stream) meter(phase string, fn func()) {
 // measure runs fn and returns its cost in the stream's metering mode.
 func (st *Stream) measure(fn func()) (ops, bytes int64) {
 	if st.shared == nil {
-		return flops.Count(fn)
+		return st.own.Measure(fn)
 	}
 	ops0, bytes0 := st.shared.Ops(), st.shared.Bytes()
 	fn()

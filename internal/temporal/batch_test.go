@@ -109,7 +109,7 @@ func allRowsEval[T tensor.Float](m *Model, windows *tensor.Dense[T], batch int) 
 	ctx := autograd.BatchedAttentionFwd(nil, a.Wq.Forward(nil, ln), a.Wk.Forward(nil, ln), a.Wv.Forward(nil, ln), batch, m.cfg.Heads, scale)
 	h := tensor.AddInPlace(x, a.Wo.Forward(nil, ctx))
 	ff := e.FF1.Forward(nil, e.LN2.Forward(nil, h))
-	autograd.GELUInPlace(ff)
+	tensor.GELUInPlace(ff)
 	h = tensor.AddInPlace(h, e.FF2.Forward(nil, ff))
 	return s.out.Forward(nil, autograd.LastRows(nil, s.norm.Forward(nil, h), batch))
 }

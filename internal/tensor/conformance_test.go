@@ -159,6 +159,14 @@ func elementwiseConformance[T kernels.Float](t *testing.T) {
 				sc.ELU(refE, refE)
 				bk.ELU(gotE, gotE)
 				requireSameBits(t, ctx+"/ELU(dst=x)", refE, gotE)
+
+				sc.GELU(x, ref)
+				bk.GELU(x, got)
+				requireSameBits(t, ctx+"/GELU", ref, got)
+				refG, gotG := append([]T(nil), x...), append([]T(nil), x...)
+				sc.GELU(refG, refG)
+				bk.GELU(gotG, gotG)
+				requireSameBits(t, ctx+"/GELU(dst=x)", refG, gotG)
 			}
 		}
 	}
@@ -379,5 +387,41 @@ func fuzzELU[T kernels.Float](t *testing.T, x []T) {
 		copy(got, x)
 		bk.ELU(got, got)
 		requireSameBits(t, name+"/ELU(dst=x)", ref, got)
+	}
+}
+
+// FuzzGELUBackends cross-checks every backend's GELU against the scalar
+// reference on raw, unclamped bit patterns — 8 bytes per float64 element,
+// 4 per float32 — into a fresh dst and in place, bit for bit.
+func FuzzGELUBackends(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xe4, 0x3f, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f}) // 0.625, NaN
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xf0, 0xff, 0, 0, 0, 0, 0, 0, 0, 0x80})    // −Inf, −0
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		x64 := make([]float64, len(raw)/8)
+		for i := range x64 {
+			x64[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		fuzzGELU(t, x64)
+		x32 := make([]float32, len(raw)/4)
+		for i := range x32 {
+			x32[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		fuzzGELU(t, x32)
+	})
+}
+
+func fuzzGELU[T kernels.Float](t *testing.T, x []T) {
+	sc, _ := kernels.Get[T]("scalar")
+	ref := make([]T, len(x))
+	sc.GELU(x, ref)
+	for _, name := range kernels.Names() {
+		bk, _ := kernels.Get[T](name)
+		got := make([]T, len(x))
+		bk.GELU(x, got)
+		requireSameBits(t, name+"/GELU", ref, got)
+		copy(got, x)
+		bk.GELU(got, got)
+		requireSameBits(t, name+"/GELU(dst=x)", ref, got)
 	}
 }

@@ -1,9 +1,9 @@
 package kernels
 
 // AVX2 backend: hand-written assembly for the dot/axpy/mul-accumulate/sum
-// microkernels, the matmul row and the ELU (avx2_amd64.s), with the
-// matmul family built on top of them and everything else inherited from
-// the unrolled backend.
+// microkernels, the matmul row, the ELU and the GELU (avx2_amd64.s), with
+// the matmul family built on top of them and everything else inherited
+// from the unrolled backend.
 // The backend registers only when CPUID reports AVX2 with OS-enabled YMM
 // state, so a binary built here still runs (and picks "unrolled") on an
 // older box.
@@ -27,6 +27,9 @@ func scaledMulaccAsm(alpha float64, x, y, dst []float64)
 func eluAsm(x, dst []float64) int
 
 //go:noescape
+func geluAsm(x, dst []float64) int
+
+//go:noescape
 func matmulRowAsm(a, b, out []float64, k, stride int) int
 
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -38,8 +41,9 @@ var hasAVX2 bool
 var cpuFeatures []string
 
 // expFMA is math's own useFMA (HasAVX && HasFMA): the condition under
-// which math.Exp runs the FMA branch that eluAsm copies. Without it
-// math.Exp rounds differently, so avx2's ELU runs the scalar loop.
+// which math.Exp runs the FMA branch that eluAsm and geluAsm copy.
+// Without it math.Exp rounds differently, so avx2's ELU and GELU run the
+// scalar loops.
 var expFMA bool
 
 func detectCPU() {
@@ -111,22 +115,25 @@ func (avx2Backend) Axpy(alpha float64, x, y []float64) {
 	axpyAsm(alpha, x[:len(y)], y)
 }
 
-func (avx2Backend) ELU(x, dst []float64) { eluVia(eluAsm, x, dst) }
+func (avx2Backend) ELU(x, dst []float64) { expVia(eluAsm, eluLoop[float64], x, dst) }
 
-// eluVia is avx2's ELU over a block kernel with eluAsm's contract (the
-// FMA gate test passes a spy): blocks take every 8-element block they
-// accept, and the scalar loop takes each block they decline and the
-// tail, so every element gets math.Exp's bits either way.
-func eluVia(blocks func(x, dst []float64) int, x, dst []float64) {
+func (avx2Backend) GELU(x, dst []float64) { expVia(geluAsm, geluLoop[float64], x, dst) }
+
+// expVia runs an elementwise kernel over a block kernel with eluAsm's
+// contract (the FMA gate tests pass a spy) and the scalar loop that
+// defines it: blocks take every 8-element block they accept, and loop
+// takes each block they decline and the tail, so every element gets the
+// loop's bits either way. Off expFMA hosts loop takes everything.
+func expVia(blocks func(x, dst []float64) int, loop func(x, dst []float64), x, dst []float64) {
 	if !expFMA {
-		eluLoop(x, dst)
+		loop(x, dst)
 		return
 	}
 	x = x[:len(dst)]
 	for i := 0; i < len(dst); {
 		i += blocks(x[i:], dst[i:])
 		j := min(i+8, len(dst))
-		eluLoop(x[i:j], dst[i:j])
+		loop(x[i:j], dst[i:j])
 		i = j
 	}
 }

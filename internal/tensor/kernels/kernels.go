@@ -17,7 +17,8 @@
 //     Go loops, with scalar's reductions.
 //   - "avx2" (amd64 with AVX2 only): hand-written Go assembly for the
 //     dot/axpy/mul-accumulate/sum microkernels and, at float64 on hosts
-//     with FMA, the ELU, with the unrolled loops filling in the rest. At
+//     with FMA, the ELU and GELU, with the unrolled loops filling in the
+//     rest. At
 //     float64 MatMul and MatMulT1 run a row kernel that walks one output
 //     row's p-quads in one call and returns at the first quad holding a
 //     zero a-element, which Go finishes p by p with the reference's zero
@@ -36,11 +37,12 @@
 // across independent elements, and multiplies and adds round separately
 // (no FMA contraction). Dot, Norm2Sq, Sum, and MatMulT2 and MatVec (dot
 // products) sum in avx2's lane order, which dotLanes and sumLanes
-// (scalar.go) write out in Go. ELU is bit-identical to math.Exp: the
-// avx2 kernel runs the FMA sequence of Go's own amd64 exp lane by lane,
-// on exactly the hosts where math.Exp runs it; math.Exp rounds
-// differently on a host without FMA, so the answer is one per host class
-// (FMA or not). Every backend is deterministic at any worker count, which
+// (scalar.go) write out in Go. ELU is bit-identical to math.Exp and GELU
+// to math.Tanh: the avx2 kernels run the FMA sequence of Go's own amd64
+// exp lane by lane (GELU around it math.Tanh's three branches, blended by
+// lane masks), on exactly the hosts where math.Exp runs it; math.Exp
+// rounds differently on a host without FMA, so the answer is one per host
+// class (FMA or not). Every backend is deterministic at any worker count, which
 // is what keeps the repo-wide bit-equivalence suites meaningful.
 //
 // Selection. The best available backend is chosen at init (avx2 when the
@@ -98,6 +100,11 @@ type Backend[T Float] interface {
 	// x where x > 0, else math.Exp(x) − 1 evaluated at float64 and rounded
 	// to T. Order-preserving, and bit-identical to math.Exp.
 	ELU(x, dst []T)
+	// GELU stores the tanh-approximated Gaussian error linear unit of x
+	// into dst: 0.5·x·(1 + math.Tanh(√(2/π)·(x + 0.044715·x³))) evaluated
+	// at float64 in Go's order and rounded to T. Order-preserving, and
+	// bit-identical to math.Tanh.
+	GELU(x, dst []T)
 
 	// MatMul computes output rows [lo, hi) of a(m×k)·b(k×n) into
 	// out(m×n), accumulating over p in ascending order with the

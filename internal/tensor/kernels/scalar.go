@@ -160,6 +160,23 @@ func eluLoop[T Float](x, dst []T) {
 	}
 }
 
+func (scalarBackend[T]) GELU(x, dst []T) { geluLoop(x, dst) }
+
+// geluC is √(2/π), the tanh-approximated GELU's constant.
+const geluC = 0.7978845608028654
+
+// geluLoop is GELU one element at a time, the definition every backend's
+// GELU returns the bits of: 0.5·x·(1 + math.Tanh(geluC·(x + 0.044715·x³)))
+// at float64, each product and sum rounded in Go's left-to-right order,
+// rounded to T. dst may alias x.
+func geluLoop[T Float](x, dst []T) {
+	x = x[:len(dst)]
+	for i, v := range x {
+		f := float64(v)
+		dst[i] = T(0.5 * f * (1 + math.Tanh(geluC*(f+0.044715*f*f*f))))
+	}
+}
+
 func (scalarBackend[T]) MatMul(a, b, out []T, k, n, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		arow := a[i*k : (i+1)*k]

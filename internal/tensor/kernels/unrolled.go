@@ -142,9 +142,11 @@ func scale4[T Float](alpha T, x, dst []T) {
 
 func (unrolledBackend[T]) Scale(alpha T, x, dst []T) { scale4(alpha, x, dst) }
 
-// ELU is the scalar loop: one math.Exp per non-positive element leaves
-// nothing for unrolling to win.
+// ELU and GELU are the scalar loops: one math.Exp or math.Tanh per
+// element leaves nothing for unrolling to win.
 func (unrolledBackend[T]) ELU(x, dst []T) { eluLoop(x, dst) }
+
+func (unrolledBackend[T]) GELU(x, dst []T) { geluLoop(x, dst) }
 
 // matMul4p is the p-blocked matmul body: four ascending p-steps per pass
 // over the output row, so each out element is loaded and stored once per

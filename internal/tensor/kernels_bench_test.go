@@ -128,3 +128,16 @@ func BenchmarkELUPerBackend(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkGELUPerBackend runs GELU over one 512-wide row of N(0,1)
+// values, the temporal block's feed-forward width.
+func BenchmarkGELUPerBackend(b *testing.B) {
+	x := benchData(512, 12)
+	dst := make([]float64, 512)
+	benchPerBackend(b, func(b *testing.B, bk kernels.Backend[float64]) {
+		b.SetBytes(8 * 2 * 512)
+		for i := 0; i < b.N; i++ {
+			bk.GELU(x, dst)
+		}
+	})
+}

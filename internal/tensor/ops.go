@@ -123,6 +123,20 @@ func ELUInPlace[T Float](a *Dense[T]) *Dense[T] {
 	return a
 }
 
+// GELUInPlace overwrites a with its tanh-approximated Gaussian error
+// linear unit and returns a: 0.5·v·(1 + math.Tanh(√(2/π)·(v + 0.044715·v³)))
+// at float64, rounded to T.
+func GELUInPlace[T Float](a *Dense[T]) *Dense[T] {
+	bk := kernels.ActiveOf[T]()
+	if n := len(a.data); elemsInline(n) {
+		bk.GELU(a.data, a.data)
+	} else {
+		parallel.For(n, elemsGrain, func(lo, hi int) { bk.GELU(a.data[lo:hi], a.data[lo:hi]) })
+	}
+	countOps(len(a.data))
+	return a
+}
+
 // Neg returns -a.
 func Neg(a *Tensor) *Tensor { return Scale(a, -1) }
 
@@ -142,25 +156,6 @@ func AddRow(m, v *Tensor) *Tensor {
 	}
 	countOps(r * c)
 	return out
-}
-
-// MapInPlace overwrites each element v of a with f(v), evaluated at
-// float64 and rounded to T, and returns a. f may run concurrently on
-// large tensors and must be pure.
-func MapInPlace[T Float](a *Dense[T], f func(float64) float64) *Dense[T] {
-	if n := len(a.data); elemsInline(n) {
-		mapFloat64(a.data, f)
-	} else {
-		parallel.For(n, elemsGrain, func(lo, hi int) { mapFloat64(a.data[lo:hi], f) })
-	}
-	countOps(len(a.data))
-	return a
-}
-
-func mapFloat64[T Float](d []T, f func(float64) float64) {
-	for i, v := range d {
-		d[i] = T(f(float64(v)))
-	}
 }
 
 // Dot returns the inner product of two tensors of identical shape.

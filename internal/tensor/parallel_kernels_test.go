@@ -82,15 +82,15 @@ func TestParallelElementwiseEquivalence(t *testing.T) {
 		want[1] = Sub(a, b)
 		want[2] = Mul(a, b)
 		want[3] = Scale(a, 1.7)
-		want[4] = MapInPlace(a.Clone(), func(x float64) float64 { return x * x })
+		want[4] = GELUInPlace(a.Clone())
 		want[5] = SoftmaxRows(a)
 	})
 	withWorkers(t, 4, func() {
 		got := [6]*Tensor{
 			Add(a, b), Sub(a, b), Mul(a, b), Scale(a, 1.7),
-			MapInPlace(a.Clone(), func(x float64) float64 { return x * x }), SoftmaxRows(a),
+			GELUInPlace(a.Clone()), SoftmaxRows(a),
 		}
-		names := [6]string{"Add", "Sub", "Mul", "Scale", "Map", "SoftmaxRows"}
+		names := [6]string{"Add", "Sub", "Mul", "Scale", "GELUInPlace", "SoftmaxRows"}
 		for i := range got {
 			if !AllClose(got[i], want[i], 0) {
 				t.Errorf("%s: parallel != sequential", names[i])

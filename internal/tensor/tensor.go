@@ -8,7 +8,8 @@
 // everything that differentiates — and the constructors and ops without
 // a type parameter are its front doors. float32 exists for the eval-only
 // scoring engine: what that engine runs (MatMul, Gather, ConcatCols,
-// MapInPlace, in-place add/scale, SoftmaxRows) is written once over T, and
+// ELUInPlace, GELUInPlace, in-place add/scale, SoftmaxRows) is written
+// once over T, and
 // Narrow is the only crossing between widths; nothing converts implicitly.
 //
 // The package favours clarity over raw speed — model dimensions in this
